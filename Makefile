@@ -1,4 +1,4 @@
-.PHONY: check build vet lint test race bench-rf bench-model bench-codecs bench-gate bench-select bench-zoo
+.PHONY: check build vet lint test race loc bench-rf bench-model bench-codecs bench-gate bench-select bench-zoo
 
 check: ## build + vet + race-enabled tests + carollint (the tier-1 gate)
 	./scripts/check.sh
@@ -22,6 +22,11 @@ test:
 
 race:
 	go test -race ./...
+
+# The one canonical size of the codebase: non-test Go lines outside bench/
+# and testdata/. ROADMAP item 4 tracks it per PR in CHANGES.md.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 # The model-training benchmarks whose before/after numbers are committed to
 # BENCH_RF.json.

@@ -33,11 +33,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"carol"
 	"carol/internal/compressor"
+	"carol/internal/field"
 	"carol/internal/selector"
 	"carol/internal/szp"
 	"carol/internal/trainset"
@@ -80,7 +79,7 @@ func run() error {
 	if *decompress {
 		return doDecompress(name, *in, *out, *workers)
 	}
-	nx, ny, nz, err := parseDims(*dims)
+	nx, ny, nz, err := field.ParseDims(*dims)
 	if err != nil {
 		return err
 	}
@@ -299,7 +298,7 @@ func doVerify(comp, in, origPath, dims string) error {
 	if in == "" {
 		return fmt.Errorf("need -in (compressed stream)")
 	}
-	nx, ny, nz, err := parseDims(dims)
+	nx, ny, nz, err := field.ParseDims(dims)
 	if err != nil {
 		return err
 	}
@@ -326,23 +325,4 @@ func doVerify(comp, in, origPath, dims string) error {
 		return err
 	}
 	return report.WriteText(os.Stdout)
-}
-
-func parseDims(s string) (nx, ny, nz int, err error) {
-	if s == "" {
-		return 0, 0, 0, fmt.Errorf("need -dims NXxNYxNZ")
-	}
-	parts := strings.Split(strings.ToLower(s), "x")
-	vals := []int{1, 1, 1}
-	if len(parts) < 1 || len(parts) > 3 {
-		return 0, 0, 0, fmt.Errorf("bad -dims %q", s)
-	}
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 1 {
-			return 0, 0, 0, fmt.Errorf("bad -dims %q", s)
-		}
-		vals[i] = v
-	}
-	return vals[0], vals[1], vals[2], nil
 }

@@ -11,40 +11,6 @@ import (
 	"carol/internal/selector"
 )
 
-func TestParseDims(t *testing.T) {
-	cases := []struct {
-		in         string
-		nx, ny, nz int
-		wantErr    bool
-	}{
-		{"64", 64, 1, 1, false},
-		{"64x32", 64, 32, 1, false},
-		{"64x32x16", 64, 32, 16, false},
-		{"64X32X16", 64, 32, 16, false},
-		{"", 0, 0, 0, true},
-		{"axb", 0, 0, 0, true},
-		{"4x0", 0, 0, 0, true},
-		{"1x2x3x4", 0, 0, 0, true},
-		{"-4", 0, 0, 0, true},
-	}
-	for _, c := range cases {
-		nx, ny, nz, err := parseDims(c.in)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("parseDims(%q) accepted", c.in)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseDims(%q): %v", c.in, err)
-			continue
-		}
-		if nx != c.nx || ny != c.ny || nz != c.nz {
-			t.Errorf("parseDims(%q) = %d,%d,%d", c.in, nx, ny, nz)
-		}
-	}
-}
-
 // TestSniffCodecRoundTrip compresses a field with every registered codec
 // and verifies decodeAny("auto", ...) identifies each stream from its
 // magic byte and restores the field within bound.

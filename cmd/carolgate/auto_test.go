@@ -138,6 +138,10 @@ func TestGateAutoBadRequests(t *testing.T) {
 		{"bogus mode", "mode=banana&rel=1e-3"},
 		{"auto with codec", "mode=auto&codec=sz3&rel=1e-3"},
 		{"bad target", "mode=auto&rel=1e-3&target=-2"},
+		{"target without auto", "codec=szx&rel=1e-3&target=4"},
+		{"infinite abs", "codec=szx&abs=%2BInf"},
+		{"NaN rel", "codec=szx&rel=NaN"},
+		{"NaN target", "mode=auto&rel=1e-3&target=NaN"},
 	}
 	for _, tc := range cases {
 		w := doGate(t, g, http.MethodPost,

@@ -4,161 +4,98 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 
 	"carol/internal/chunked"
-	"carol/internal/compressor"
 	"carol/internal/field"
+	"carol/internal/httpkit"
 	"carol/internal/obs"
 	"carol/internal/pipeline"
-	"carol/internal/selector"
 )
 
-// parseDims parses NXxNYxNZ (same grammar as carolserve).
-func parseDims(s string) (nx, ny, nz int, err error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	vals := []int{1, 1, 1}
-	if s == "" || len(parts) > 3 {
-		return 0, 0, 0, fmt.Errorf("bad dims %q", s)
-	}
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 1 {
-			return 0, 0, 0, fmt.Errorf("bad dims %q", s)
-		}
-		vals[i] = v
-	}
-	return vals[0], vals[1], vals[2], nil
-}
-
 // shouldChunk decides whether a compress request fans out: chunking must
-// be enabled, the request must carry a plain rel= bound (ratio searches
-// and stream=1 route whole — a FRaZ search needs the whole field, and the
-// CPL1 streaming path is the shard's own fan-out), the field must clear
-// the size threshold, and there must be at least two healthy shards to
-// spread over.
-func (g *gate) shouldChunk(q url.Values, sizeBytes, healthy int) bool {
-	if g.cfg.chunkThresholdKiB <= 0 || healthy < 2 {
-		return false
-	}
-	if q.Get("rel") == "" && q.Get("abs") == "" {
-		return false
-	}
-	if q.Get("ratio") != "" || q.Get("stream") != "" {
+// be enabled, the request must carry a plain rel=/abs= bound (ratio
+// searches and stream=1 route whole — a FRaZ search needs the whole field,
+// and the CPL1 streaming path is the shard's own fan-out), the field must
+// clear the size threshold, and there must be at least two healthy shards
+// to spread over.
+func (g *gate) shouldChunk(req httpkit.Compress, sizeBytes, healthy int) bool {
+	if g.cfg.chunkThresholdKiB <= 0 || healthy < 2 || req.Ratio > 0 || req.Stream {
 		return false
 	}
 	return sizeBytes >= g.cfg.chunkThresholdKiB<<10
 }
 
-// handleCompress routes small fields whole and fans large ones out:
-// split into one slab per healthy shard (internal/chunked geometry), the
-// whole-field error bound pinned with abs= so per-slab value ranges can't
-// loosen it, each slab compressed by the shard owning its ring key, and
-// the per-slab streams reassembled into the exact CCH1 container a local
-// chunked.Compress would emit.
-func (g *gate) handleCompress(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+// readCompress is the front half of both compress endpoints: the query is
+// validated before the body is read, so a bad request never costs a shard
+// round trip — and answers what a shard would have.
+func (g *gate) readCompress(w http.ResponseWriter, r *http.Request) (req httpkit.Compress, body []byte, ok bool) {
+	req, err := httpkit.ParseCompress(r.URL.Query())
+	if err == nil {
+		body, err = httpkit.ReadBody(r, g.bodyLimit)
 	}
-	body, err := g.readBody(r)
 	if err != nil {
-		bodyError(w, err)
-		return
+		httpkit.RequestError(w, err)
+		return req, nil, false
 	}
-	q := r.URL.Query()
-	healthy := g.healthyShards()
-	if !g.shouldChunk(q, len(body), len(healthy)) {
-		g.proxyWhole(w, r, routeKey(r), body)
-		return
-	}
-	out, chosen, err := g.chunkCompress(q, routeKey(r), body, healthy)
-	if err != nil {
-		g.failed("/v1/compress").Inc()
-		if errors.Is(err, errBadRequest) {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		fanoutError(w, err)
-		return
-	}
-	g.routed("/v1/compress").Inc()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if chosen != "" {
-		w.Header().Set("X-Carol-Codec-Chosen", chosen)
-	}
-	w.Header().Set("X-Carol-Achieved-Ratio",
-		strconv.FormatFloat(float64(len(body))/float64(len(out)), 'g', 6, 64))
-	w.Header().Set("X-Carol-Fanout-Chunks", strconv.Itoa(len(healthy)))
-	if _, err := w.Write(out); err != nil {
-		g.failed("/v1/compress").Inc()
-	}
+	return req, body, true
 }
 
-// errBadRequest classifies chunkCompress failures the client caused.
+func (g *gate) handleCompress(w http.ResponseWriter, r *http.Request) {
+	req, body, ok := g.readCompress(w, r)
+	if !ok {
+		return
+	}
+	resp, err := g.routeCompress(req, r.URL.RawQuery, routeKey(r), body)
+	g.relay(w, "/v1/compress", resp, err)
+}
+
+// errBadRequest classifies routeCompress failures the client caused.
 var errBadRequest = errors.New("bad request")
 
-// chunkCompress is the slab fan-out shared by the synchronous handler and
-// the async job path: parse, pin the whole-field bound, split one slab
-// per healthy shard, compress each on the shard owning its ring key, and
-// assemble the CCH1 container. mode=auto resolves the codec HERE, before
-// the field splits: the selector scores the whole field once, and every
-// slab is compressed with the single chosen codec (a per-slab choice would
-// produce a mixed container no single-codec decompress could open). The
-// returned chosen name is empty for static-codec requests.
-func (g *gate) chunkCompress(q url.Values, baseKey string, body []byte, healthy []string) ([]byte, string, error) {
+// routeCompress is the one compress routing decision, shared by the
+// synchronous handler and the async job: small fields route whole to the
+// shard owning key and its answer comes back verbatim; large ones fan out,
+// and the assembled container comes back dressed as a shard answer.
+//
+// A fan-out resolves bound and codec HERE, before the field splits, with
+// the same resolver steps a shard runs: the whole-field bound is pinned
+// with abs= so per-slab value ranges can't loosen it, and mode=auto scores
+// the whole field once so every slab uses the single chosen codec (a
+// per-slab choice would produce a mixed container no single-codec
+// decompress could open). One slab per healthy shard (internal/chunked
+// geometry) is compressed by the shard owning its ring key, and the
+// per-slab streams are reassembled into the exact CCH1 container a local
+// chunked.Compress would emit.
+func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []byte) (*shardResponse, error) {
+	healthy := g.healthyShards()
+	if !g.shouldChunk(req, len(body), len(healthy)) {
+		return g.routeWithRetry(key, http.MethodPost, "/v1/compress?"+rawQuery, body)
+	}
 	tr := g.reg.StartTrace("gate_compress_fanout")
 	defer tr.End()
-	nx, ny, nz, err := parseDims(q.Get("dims"))
-	if err != nil {
-		return nil, "", fmt.Errorf("%w: %v", errBadRequest, err)
-	}
 	span := tr.StartSpan("parse")
-	ff, err := field.ReadRaw("gate", nx, ny, nz, bytes.NewReader(body))
+	ff, err := field.ReadRaw("gate", req.Nx, req.Ny, req.Nz, bytes.NewReader(body))
 	span.End()
 	if err != nil {
-		return nil, "", fmt.Errorf("%w: %v", errBadRequest, err)
+		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	span = tr.StartSpan("split")
-	eb, err := gateAbsBound(ff, q)
+	eb, err := req.Bound(ff)
 	if err != nil {
 		span.End()
-		return nil, "", fmt.Errorf("%w: %v", errBadRequest, err)
+		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	slabs := pipeline.SplitField(ff, len(healthy))
 	span.End()
-
-	codecName, chosen := q.Get("codec"), ""
-	var decision selector.Decision
-	switch q.Get("mode") {
-	case "":
-	case "auto":
-		if codecName != "" {
-			return nil, "", fmt.Errorf("%w: mode=auto and codec= are mutually exclusive", errBadRequest)
-		}
-		targetRatio := 0.0
-		if ts := q.Get("target"); ts != "" {
-			targetRatio, err = strconv.ParseFloat(ts, 64)
-			if err != nil || targetRatio <= 0 || math.IsInf(targetRatio, 0) {
-				return nil, "", fmt.Errorf("%w: bad target", errBadRequest)
-			}
-		}
-		span = tr.StartSpan("select")
-		decision, err = g.sel.Select(ff, eb, targetRatio)
-		span.End()
-		if err != nil {
-			return nil, "", fmt.Errorf("%w: %v", errBadRequest, err)
-		}
-		codecName, chosen = decision.Codec, decision.Codec
-	default:
-		return nil, "", fmt.Errorf("%w: bad mode %q (only \"auto\")", errBadRequest, q.Get("mode"))
+	codecName, dec, err := req.ResolveCodec(tr, g.sel, ff, eb)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 
-	cands := g.ring.Lookup(baseKey, g.ring.Len())
+	cands := g.ring.Lookup(key, g.ring.Len())
 	g.fanned.Inc()
 	span = tr.StartSpan("fanout")
 	streams, err := pipeline.FanOut(len(slabs), g.cfg.fanoutWorkers, func(i int) ([]byte, error) {
@@ -184,16 +121,22 @@ func (g *gate) chunkCompress(q url.Values, baseKey string, body []byte, healthy 
 	})
 	span.End()
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	g.reg.Histogram("gate_fanout_chunks", obs.LinearBuckets(1, 1, 16)).Observe(float64(len(streams)))
-	out := chunked.Assemble(nx, ny, nz, streams)
-	if chosen != "" {
+	out := chunked.Assemble(req.Nx, req.Ny, req.Nz, streams)
+	achieved := float64(len(body)) / float64(len(out))
+	hdr := http.Header{}
+	hdr.Set("Content-Type", "application/octet-stream")
+	hdr.Set("X-Carol-Achieved-Ratio", strconv.FormatFloat(achieved, 'g', 6, 64))
+	hdr.Set("X-Carol-Fanout-Chunks", strconv.Itoa(len(streams)))
+	if dec != nil {
 		// Close the bandit loop with the end-to-end achieved ratio of the
 		// assembled container — the number the client actually sees.
-		g.sel.Observe(decision, float64(len(body))/float64(len(out)))
+		g.sel.Observe(*dec, achieved)
+		hdr.Set("X-Carol-Codec-Chosen", codecName)
 	}
-	return out, chosen, nil
+	return &shardResponse{status: http.StatusOK, header: hdr, body: out}, nil
 }
 
 // slabCandidates rotates the base key's replica walk by the slab index:
@@ -211,40 +154,17 @@ func slabCandidates(cands []string, i int) []string {
 	return append(out, cands[:r]...)
 }
 
-// gateAbsBound resolves the request's error bound against the whole
-// field: abs= used verbatim, rel= scaled by the full-field value range —
-// the same AbsBound a single shard would compute, pinned once so every
-// slab honors it.
-func gateAbsBound(f *field.Field, q url.Values) (float64, error) {
-	if as := q.Get("abs"); as != "" {
-		eb, err := strconv.ParseFloat(as, 64)
-		if err != nil || !(eb > 0) {
-			return 0, fmt.Errorf("bad abs")
-		}
-		return eb, nil
-	}
-	rel, err := strconv.ParseFloat(q.Get("rel"), 64)
-	if err != nil || !(rel > 0) {
-		return 0, fmt.Errorf("bad rel")
-	}
-	return compressor.AbsBound(f, rel), nil
-}
-
 // handleDecompress fans CCH1 containers out chunk-by-chunk to the shards
 // owning them and reassembles the raw field in slab order; anything else
 // (CPL1, single codec streams) routes whole.
 func (g *gate) handleDecompress(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	body, err := g.readBody(r)
+	body, err := httpkit.ReadBody(r, g.bodyLimit)
 	if err != nil {
-		bodyError(w, err)
+		httpkit.RequestError(w, err)
 		return
 	}
 	if len(body) < 4 || [4]byte(body[:4]) != chunked.Magic || len(g.healthyShards()) < 2 {
-		g.proxyWhole(w, r, routeKey(r), body)
+		g.proxyWhole(w, r, body)
 		return
 	}
 	tr := g.reg.StartTrace("gate_decompress_fanout")
@@ -253,7 +173,7 @@ func (g *gate) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	nx, ny, nz, chunks, err := chunked.Parse(body, g.cfg.proxyLimits)
 	span.End()
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+		httpkit.Error(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
 	want := pipeline.ExpectedSlabDims(nx, ny, nz, len(chunks))
@@ -282,7 +202,7 @@ func (g *gate) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	span.End()
 	if err != nil {
 		g.failed("/v1/decompress").Inc()
-		fanoutError(w, err)
+		routeError(w, err)
 		return
 	}
 	g.routed("/v1/decompress").Inc()
@@ -296,18 +216,6 @@ func (g *gate) handleDecompress(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// fanoutError maps a fan-out failure: no-shard conditions are the
-// fleet's problem (503, retry later), anything else bubbled a shard's
-// verdict about the data (422).
-func fanoutError(w http.ResponseWriter, err error) {
-	if strings.Contains(err.Error(), errNoShards.Error()) {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	httpError(w, http.StatusBadGateway, "%v", err)
 }
 
 // truncate bounds an error-body echo.

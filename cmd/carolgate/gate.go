@@ -4,21 +4,15 @@ import (
 	"encoding/json"
 	"log"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
+	"carol/internal/httpkit"
 	"carol/internal/jobs"
 	"carol/internal/obs"
 	"carol/internal/ring"
 	"carol/internal/safedec"
 	"carol/internal/selector"
 )
-
-// maxBody caps request bodies the gate will buffer (512 MiB of float32
-// samples — matches carolserve so the gate never accepts what a shard
-// would refuse).
-const maxBody = 512 << 20
 
 // gateConfig carries the gate's knobs, set from flags in main and from
 // test code directly.
@@ -52,11 +46,7 @@ type gateConfig struct {
 	// path, bodies everywhere). Zero-value fields take safedec defaults.
 	proxyLimits safedec.Limits
 
-	readTimeout       time.Duration
-	readHeaderTimeout time.Duration
-	writeTimeout      time.Duration
-	idleTimeout       time.Duration
-	shutdownTimeout   time.Duration
+	timeouts httpkit.Timeouts
 }
 
 // defaultGateConfig mirrors carolserve's production posture: generous
@@ -77,35 +67,31 @@ func defaultGateConfig() gateConfig {
 		selectorSeed:      1,
 		selectorEpsilon:   0.05,
 		proxyLimits: safedec.Limits{
-			MaxElements: maxBody / 4,
+			MaxElements: httpkit.MaxBody / 4,
 			MaxAlloc:    1 << 30,
 			MaxCount:    1 << 16,
 		},
-		readTimeout:       5 * time.Minute,
-		readHeaderTimeout: 10 * time.Second,
-		writeTimeout:      10 * time.Minute,
-		idleTimeout:       2 * time.Minute,
-		shutdownTimeout:   15 * time.Second,
+		timeouts: httpkit.DefaultTimeouts(),
 	}
 }
 
-// gate owns the routing state and handler chain. The ring is immutable
-// (membership is fixed at boot); per-shard health lives in shardState and
-// is the only mutable routing input, so the request path is lock-free.
+// gate adds the routing state and fleet endpoints to the shared serving
+// kit (DESIGN.md §10). The ring is immutable (membership is fixed at boot);
+// per-shard health lives in shardState and is the only mutable routing
+// input, so the request path is lock-free.
 type gate struct {
-	cfg     gateConfig
-	ring    *ring.Ring
-	shards  map[string]*shardState
-	client  *http.Client
-	queue   *jobs.Queue
-	sel     *selector.Selector
-	reg     *obs.Registry
-	sem     chan struct{}
-	handler http.Handler
+	*httpkit.Server
+	cfg    gateConfig
+	ring   *ring.Ring
+	shards map[string]*shardState
+	client *http.Client
+	queue  *jobs.Queue
+	sel    *selector.Selector
+	reg    *obs.Registry
+	// bodyLimit caps buffered client bodies: MaxBody, or the proxy
+	// allocation limit when that is tighter.
+	bodyLimit int64
 
-	inflight     *obs.Gauge
-	throttled    *obs.Counter
-	panics       *obs.Counter
 	healthyGauge *obs.Gauge
 	routed       func(endpoint string) *obs.Counter
 	retried      *obs.Counter
@@ -117,9 +103,6 @@ type gate struct {
 // newGate builds the gate over a fixed shard fleet. Shards start
 // unhealthy; the first probe sweep (run's probeAll) flips them.
 func newGate(cfg gateConfig, shardURLs []string) (*gate, error) {
-	if cfg.maxInflight < 1 {
-		cfg.maxInflight = 1
-	}
 	cfg.proxyLimits = cfg.proxyLimits.Norm()
 	r, err := ring.New(shardURLs, ring.Options{VirtualNodes: cfg.virtualNodes})
 	if err != nil {
@@ -136,10 +119,7 @@ func newGate(cfg gateConfig, shardURLs []string) (*gate, error) {
 			TenantQuota: cfg.tenantQuota,
 		}),
 		reg:          obs.Default,
-		sem:          make(chan struct{}, cfg.maxInflight),
-		inflight:     obs.Default.Gauge("gate_inflight_requests"),
-		throttled:    obs.Default.Counter("gate_throttled_total"),
-		panics:       obs.Default.Counter("gate_panics_total"),
+		bodyLimit:    min(httpkit.MaxBody, cfg.proxyLimits.MaxAlloc),
 		healthyGauge: obs.Default.Gauge("carol_fleet_healthy_shards"),
 		retried:      obs.Default.Counter("gate_retried_total"),
 		fanned:       obs.Default.Counter("gate_fanout_total"),
@@ -164,171 +144,18 @@ func newGate(cfg gateConfig, shardURLs []string) (*gate, error) {
 		g.shards[s] = newShardState(s)
 	}
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/compress", g.handleCompress)
-	mux.HandleFunc("/v1/decompress", g.handleDecompress)
-	mux.HandleFunc("/v1/estimate", g.handleProxyWhole)
-	mux.HandleFunc("/v1/predict", g.handleProxyWhole)
-	mux.HandleFunc("/v1/models", g.handleProxyWhole)
-	mux.HandleFunc("/v1/codecs", g.handleProxyWhole)
-	mux.HandleFunc("/v1/jobs/compress", g.handleJobSubmit)
-	mux.HandleFunc("/v1/jobs/", g.handleJobGet)
-	mux.HandleFunc("/v1/fleet", g.handleFleet)
-	mux.HandleFunc("/v1/selector", g.handleSelector)
-	mux.HandleFunc("/metrics", g.handleMetrics)
-	mux.HandleFunc("/debug/vars", g.handleVars)
-	mux.HandleFunc("/healthz", handleHealthz)
-	mux.HandleFunc("/readyz", g.handleReadyz)
-	g.handler = g.measure(g.recoverPanics(g.limit(mux)))
+	g.Server = httpkit.New("carolgate", "gate", cfg.maxInflight, sel)
+	g.Handle("POST /v1/compress", g.handleCompress)
+	g.Handle("POST /v1/decompress", g.handleDecompress)
+	g.Handle("/v1/estimate", g.handleProxyWhole)
+	g.Handle("/v1/predict", g.handleProxyWhole)
+	g.Handle("/v1/models", g.handleProxyWhole)
+	g.Handle("/v1/codecs", g.handleProxyWhole)
+	g.Handle("POST /v1/jobs/compress", g.handleJobSubmit)
+	g.Handle("GET /v1/jobs/", g.handleJobGet)
+	g.Handle("GET /v1/fleet", g.handleFleet)
+	g.Handle("/readyz", g.handleReadyz)
 	return g, nil
-}
-
-// ServeHTTP implements http.Handler.
-func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	g.handler.ServeHTTP(w, r)
-}
-
-// endpointLabel maps a request path to a bounded metric label (unknown
-// paths collapse to "other" so a URL scanner cannot grow the registry).
-func endpointLabel(path string) string {
-	switch path {
-	case "/v1/compress", "/v1/decompress", "/v1/estimate", "/v1/predict",
-		"/v1/models", "/v1/codecs", "/v1/fleet", "/v1/selector", "/metrics",
-		"/debug/vars", "/healthz", "/readyz":
-		return path
-	}
-	if path == "/v1/jobs/compress" {
-		return path
-	}
-	if strings.HasPrefix(path, "/v1/jobs/") {
-		return "/v1/jobs/{id}"
-	}
-	return "other"
-}
-
-// statusRecorder captures the response status for the metrics middleware.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if !sr.wrote {
-		sr.status = code
-		sr.wrote = true
-	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(p []byte) (int, error) {
-	if !sr.wrote {
-		sr.status = http.StatusOK
-		sr.wrote = true
-	}
-	return sr.ResponseWriter.Write(p)
-}
-
-// limit bounds in-flight /v1/ requests; shedding beats queueing under
-// overload, and observability paths stay reachable while saturated.
-func (g *gate) limit(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		select {
-		case g.sem <- struct{}{}:
-			defer func() { <-g.sem }()
-			next.ServeHTTP(w, r)
-		default:
-			g.throttled.Inc()
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "gate at capacity", http.StatusServiceUnavailable)
-		}
-	})
-}
-
-// measure records per-endpoint request counters and latency histograms.
-func (g *gate) measure(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ep := endpointLabel(r.URL.Path)
-		hist := g.reg.Histogram(obs.Label("gate_request_seconds", "endpoint", ep), obs.LatencyBuckets())
-		g.inflight.Add(1)
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			hist.ObserveSince(start)
-			g.inflight.Add(-1)
-			status := rec.status
-			if !rec.wrote {
-				status = http.StatusOK
-			}
-			g.reg.Counter(obs.Label("gate_requests_total",
-				"endpoint", ep, "code", strconv.Itoa(status))).Inc()
-		}()
-		next.ServeHTTP(rec, r)
-	})
-}
-
-// recoverPanics converts a handler panic into a 500 and counts it.
-func (g *gate) recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec, _ := w.(*statusRecorder)
-		defer func() {
-			if p := recover(); p != nil {
-				g.panics.Inc()
-				log.Printf("carolgate: panic serving %s %s: %v", r.Method, r.URL.Path, p)
-				if rec == nil || !rec.wrote {
-					http.Error(w, "internal error", http.StatusInternalServerError)
-				}
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-func (g *gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := g.reg.WriteText(w); err != nil {
-		log.Printf("carolgate: metrics write: %v", err)
-	}
-}
-
-func (g *gate) handleVars(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := g.reg.WriteJSON(w); err != nil {
-		log.Printf("carolgate: vars write: %v", err)
-	}
-}
-
-func handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if _, err := w.Write([]byte("ok\n")); err != nil {
-		log.Printf("carolgate: healthz write: %v", err)
-	}
-}
-
-// handleSelector exposes the gate's own mode=auto bandit state — the one
-// that decides slab fan-outs. Shard-local decisions live on each shard's
-// /v1/selector.
-func (g *gate) handleSelector(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(g.sel.Stats()); err != nil {
-		log.Printf("carolgate: selector encode: %v", err)
-	}
 }
 
 // handleReadyz: the gate is ready once it can route somewhere.
@@ -336,7 +163,7 @@ func (g *gate) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if len(g.healthyShards()) == 0 {
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "no healthy shards")
+		httpkit.Error(w, http.StatusServiceUnavailable, "no healthy shards")
 		return
 	}
 	if _, err := w.Write([]byte("ready\n")); err != nil {
@@ -368,10 +195,6 @@ type fleetStatus struct {
 
 // handleFleet aggregates shard health and per-shard model versions.
 func (g *gate) handleFleet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	st := fleetStatus{RingShards: g.ring.Len(), Converged: true}
 	// Model versions (and serving backends) every healthy shard agrees on;
 	// any disagreement (or a healthy shard that cannot answer) flips

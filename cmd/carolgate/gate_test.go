@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"carol/internal/chunked"
+	"carol/internal/httpkit"
+	"carol/internal/httpkit/kittest"
 	"carol/internal/jobs"
 )
 
@@ -535,13 +537,6 @@ func TestGateProxiesModelsWhole(t *testing.T) {
 
 func TestShouldChunk(t *testing.T) {
 	g, _ := newTestFleet(t, 3, func(cfg *gateConfig) { cfg.chunkThresholdKiB = 1 })
-	mk := func(s string) url.Values {
-		v, err := url.ParseQuery(s)
-		if err != nil {
-			t.Fatalf("query %q: %v", s, err)
-		}
-		return v
-	}
 	cases := []struct {
 		q       string
 		size    int
@@ -554,18 +549,30 @@ func TestShouldChunk(t *testing.T) {
 		{"rel=1e-3", 2048, 1, false},          // nothing to spread over
 		{"ratio=100", 2048, 3, false},         // FRaZ needs the whole field
 		{"rel=1e-3&stream=1", 2048, 3, false}, // CPL1 is the shard's own fan-out
-		{"", 2048, 3, false},                  // no bound at all
 	}
 	for _, c := range cases {
-		if got := g.shouldChunk(mk(c.q), c.size, c.healthy); got != c.want {
+		q, err := url.ParseQuery("codec=szx&dims=8x8x8&" + c.q)
+		if err != nil {
+			t.Fatalf("query %q: %v", c.q, err)
+		}
+		req, err := httpkit.ParseCompress(q)
+		if err != nil {
+			t.Fatalf("ParseCompress(%q): %v", c.q, err)
+		}
+		if got := g.shouldChunk(req, c.size, c.healthy); got != c.want {
 			t.Errorf("shouldChunk(%q, %d, %d) = %v, want %v", c.q, c.size, c.healthy, got, c.want)
 		}
 	}
 }
 
+// TestEndpointLabelBounded: the gate's registered routes are the whole
+// metric label set, job ids collapse to one label, and anything else is
+// "other".
 func TestEndpointLabelBounded(t *testing.T) {
+	g, _ := newTestFleet(t, 1, nil)
 	cases := map[string]string{
 		"/v1/compress":        "/v1/compress",
+		"/v1/fleet":           "/v1/fleet",
 		"/v1/jobs/compress":   "/v1/jobs/compress",
 		"/v1/jobs/abc123":     "/v1/jobs/{id}",
 		"/v1/jobs/abc/result": "/v1/jobs/{id}",
@@ -573,8 +580,8 @@ func TestEndpointLabelBounded(t *testing.T) {
 		"/secret":             "other",
 	}
 	for path, want := range cases {
-		if got := endpointLabel(path); got != want {
-			t.Errorf("endpointLabel(%q) = %q, want %q", path, got, want)
+		if got := g.Label(path); got != want {
+			t.Errorf("Label(%q) = %q, want %q", path, got, want)
 		}
 	}
 }
@@ -588,6 +595,44 @@ func TestSplitShards(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("splitShards[%d] = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestCompressQueryTable is the gate's two legs of the differential table
+// in internal/httpkit/kittest: whole routing and slab fan-out must answer
+// every row with the status a shard would — a bad query is refused at the
+// door (no shard sees it, so none can turn it into a retry storm), a good
+// one is served — on the synchronous and the async endpoint alike.
+func TestCompressQueryTable(t *testing.T) {
+	compressQueryTableLeg(t, "whole", 1024)
+	compressQueryTableLeg(t, "fanout", 1)
+}
+
+func compressQueryTableLeg(t *testing.T, leg string, thresholdKiB int) {
+	raw := rawField(kittest.Samples)
+	g, shards := newTestFleet(t, 3, func(cfg *gateConfig) {
+		cfg.chunkThresholdKiB = thresholdKiB
+		cfg.tenantQuota = len(kittest.CompressQueries) // every accepted job may still be queued
+	})
+	for _, row := range kittest.CompressQueries {
+		before := shardHits(shards)
+		w := doGate(t, g, http.MethodPost, "/v1/compress?"+row.Query, raw)
+		if w.Code != row.Status {
+			t.Errorf("%s %s: status %d (%s), want %d", leg, row.Query, w.Code, strings.TrimSpace(w.Body.String()), row.Status)
+		}
+		if row.Status != http.StatusOK && fmt.Sprint(shardHits(shards)) != fmt.Sprint(before) {
+			t.Errorf("%s %s: refused query still reached a shard", leg, row.Query)
+		}
+	}
+	// Jobs go last: accepted ones hit the shards in the background.
+	for _, row := range kittest.CompressQueries {
+		wantJob := row.Status
+		if wantJob == http.StatusOK {
+			wantJob = http.StatusAccepted
+		}
+		if w := doGate(t, g, http.MethodPost, "/v1/jobs/compress?"+row.Query, raw); w.Code != wantJob {
+			t.Errorf("%s job %s: status %d, want %d", leg, row.Query, w.Code, wantJob)
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"net/url"
 	"strings"
 
+	"carol/internal/httpkit"
 	"carol/internal/jobs"
 )
 
@@ -44,29 +44,32 @@ type jobAccepted struct {
 }
 
 // handleJobSubmit admits a large compress request into the async queue:
-// the body is buffered under the proxy limits, the job runs the same
-// routing logic as the synchronous path (chunk-fanned or whole), and the
-// client polls /v1/jobs/{id} until the result is streamable.
+// the query is validated and the body buffered under the proxy limits up
+// front, the job runs the same routeCompress as the synchronous path, and
+// the client polls /v1/jobs/{id} until the result is streamable.
 func (g *gate) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	tenant, err := tenantOf(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpkit.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	body, err := g.readBody(r)
-	if err != nil {
-		bodyError(w, err)
+	req, body, ok := g.readCompress(w, r)
+	if !ok {
 		return
 	}
 	// Snapshot the routing-relevant request state; the job outlives r.
-	query := r.URL.Query()
-	key := routeKey(r)
+	rawQuery, key := r.URL.RawQuery, routeKey(r)
 	id, err := g.queue.SubmitMeta(tenant, "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
-		return g.compressJob(query, key, body)
+		resp, err := g.routeCompress(req, rawQuery, key, body)
+		if err != nil {
+			return nil, nil, err
+		}
+		if resp.status != http.StatusOK {
+			return nil, nil, fmt.Errorf("shard status %d: %s", resp.status, truncate(resp.body))
+		}
+		// The mode=auto chosen codec rides along as result metadata, whether
+		// the gate picked it for a fan-out or a shard for a whole request.
+		return resp.body, codecMeta(resp.header.Get("X-Carol-Codec-Chosen")), nil
 	})
 	if err != nil {
 		jobAdmissionError(w, err)
@@ -84,33 +87,6 @@ func (g *gate) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// compressJob is the queued work: same decision tree as handleCompress,
-// but returning bytes (plus result metadata — the mode=auto chosen codec,
-// whether the gate picked it for a fan-out or a shard picked it for a
-// whole-routed request) instead of writing a response.
-func (g *gate) compressJob(q url.Values, key string, body []byte) ([]byte, map[string]string, error) {
-	healthy := g.healthyShards()
-	if g.shouldChunk(q, len(body), len(healthy)) {
-		out, chosen, err := g.chunkCompress(q, key, body, healthy)
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, codecMeta(chosen), nil
-	}
-	pathAndQuery := "/v1/compress"
-	if enc := q.Encode(); enc != "" {
-		pathAndQuery += "?" + enc
-	}
-	resp, err := g.routeWithRetry(key, http.MethodPost, pathAndQuery, body)
-	if err != nil {
-		return nil, nil, err
-	}
-	if resp.status != http.StatusOK {
-		return nil, nil, fmt.Errorf("shard status %d: %s", resp.status, truncate(resp.body))
-	}
-	return resp.body, codecMeta(resp.header.Get("X-Carol-Codec-Chosen")), nil
-}
-
 // codecMeta wraps a chosen-codec name as job result metadata (nil when no
 // adaptive selection happened).
 func codecMeta(chosen string) map[string]string {
@@ -126,29 +102,25 @@ func jobAdmissionError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, jobs.ErrTenantQuota):
 		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusTooManyRequests, "%v", err)
+		httpkit.Error(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrClosed):
 		w.Header().Set("Retry-After", "5")
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		httpkit.Error(w, http.StatusServiceUnavailable, "%v", err)
 	default:
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		httpkit.Error(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
 // handleJobGet serves /v1/jobs/{id} (status JSON) and
 // /v1/jobs/{id}/result (the result stream once done).
 func (g *gate) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	id, wantResult := rest, false
 	if s, ok := strings.CutSuffix(rest, "/result"); ok {
 		id, wantResult = s, true
 	}
 	if id == "" || strings.Contains(id, "/") {
-		httpError(w, http.StatusNotFound, "bad job path")
+		httpkit.Error(w, http.StatusNotFound, "bad job path")
 		return
 	}
 	if wantResult {
@@ -157,7 +129,7 @@ func (g *gate) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := g.queue.Get(id)
 	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		httpkit.Error(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -172,7 +144,7 @@ func (g *gate) handleJobGet(w http.ResponseWriter, r *http.Request) {
 func (g *gate) serveJobResult(w http.ResponseWriter, id string) {
 	res, st, err := g.queue.Result(id)
 	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		httpkit.Error(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	switch st.State {
@@ -184,7 +156,7 @@ func (g *gate) serveJobResult(w http.ResponseWriter, id string) {
 			log.Printf("carolgate: job result encode: %v", err)
 		}
 	case jobs.StateFailed:
-		httpError(w, http.StatusBadGateway, "job failed: %s", st.Error)
+		httpkit.Error(w, http.StatusBadGateway, "job failed: %s", st.Error)
 	default: // StateDone
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("X-Carol-Job-Id", id)

@@ -36,16 +36,11 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
+	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 )
 
 func main() {
@@ -78,12 +73,7 @@ func main() {
 		"seed for the gate's mode=auto exploration RNG (fan-out path); fixed seed = reproducible decisions")
 	flag.Float64Var(&cfg.selectorEpsilon, "selector-epsilon", cfg.selectorEpsilon,
 		"gate mode=auto exploration probability (negative disables exploration)")
-	flag.DurationVar(&cfg.readTimeout, "read-timeout", cfg.readTimeout, "full-request read timeout")
-	flag.DurationVar(&cfg.readHeaderTimeout, "read-header-timeout", cfg.readHeaderTimeout, "request-header read timeout")
-	flag.DurationVar(&cfg.writeTimeout, "write-timeout", cfg.writeTimeout, "response write timeout")
-	flag.DurationVar(&cfg.idleTimeout, "idle-timeout", cfg.idleTimeout, "keep-alive idle timeout")
-	flag.DurationVar(&cfg.shutdownTimeout, "shutdown-timeout", cfg.shutdownTimeout,
-		"grace period for draining in-flight requests and async jobs on SIGINT/SIGTERM")
+	cfg.timeouts.Flags(flag.CommandLine)
 	flag.Parse()
 
 	shards := splitShards(*shardList)
@@ -107,68 +97,17 @@ func splitShards(s string) []string {
 	return out
 }
 
-// run owns the gate lifecycle: probe loop up before the listener, listener
-// failures and shutdown failures each explicit, SIGTERM drains HTTP then
-// the job queue.
+// run boots the gate: the first probe sweep runs synchronously so /readyz
+// is meaningful the moment the listener accepts, then the background loop
+// takes over; a graceful drain empties the job queue after HTTP.
 func run(cfg gateConfig, addr string, shards []string) int {
 	g, err := newGate(cfg, shards)
 	if err != nil {
 		log.Printf("carolgate: %v", err)
 		return 1
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Printf("carolgate: listen: %v", err)
-		return 1
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// First probe sweep runs synchronously so /readyz is meaningful the
-	// moment the listener accepts, then the background loop takes over.
 	g.probeAll()
 	stopProber := g.startProber()
 	defer stopProber()
-
-	srv := &http.Server{
-		Handler:           g,
-		ReadTimeout:       cfg.readTimeout,
-		ReadHeaderTimeout: cfg.readHeaderTimeout,
-		WriteTimeout:      cfg.writeTimeout,
-		IdleTimeout:       cfg.idleTimeout,
-	}
-	log.Printf("carolgate listening on %s, %d shards on the ring", ln.Addr(), g.ring.Len())
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		log.Printf("carolgate: serve: %v", err)
-		return 1
-	case <-ctx.Done():
-		stop() // a second signal kills immediately
-		log.Printf("carolgate: signal received, draining (up to %v)", cfg.shutdownTimeout)
-		sctx, cancel := context.WithTimeout(context.Background(), cfg.shutdownTimeout)
-		defer cancel()
-		code := 0
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Printf("carolgate: graceful shutdown: %v; forcing close", err)
-			if cerr := srv.Close(); cerr != nil {
-				log.Printf("carolgate: close: %v", cerr)
-			}
-			code = 1
-		} else if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("carolgate: serve returned %v after shutdown", err)
-			code = 1
-		}
-		// HTTP is drained (or abandoned); now drain the async queue under
-		// the same deadline so accepted jobs are not silently lost.
-		if err := g.queue.Close(sctx); err != nil {
-			log.Printf("carolgate: job drain: %v", err)
-			code = 1
-		}
-		log.Printf("carolgate: shutdown complete")
-		return code
-	}
+	return g.Run(addr, cfg.timeouts, fmt.Sprintf(", %d shards on the ring", g.ring.Len()), g.queue.Close)
 }

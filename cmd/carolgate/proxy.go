@@ -10,17 +10,12 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
-)
 
-// errTooLarge marks a request rejected for size, mapped to 413.
-var errTooLarge = errors.New("request body too large")
+	"carol/internal/httpkit"
+)
 
 // errNoShards reports an empty healthy set, mapped to 503 + Retry-After.
 var errNoShards = errors.New("no healthy shards")
-
-func httpError(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	http.Error(w, fmt.Sprintf(format, args...), code)
-}
 
 // shardState is the mutable health record for one ring member. All fields
 // are atomics: the probe loop writes, the request path reads, no lock.
@@ -108,18 +103,11 @@ func (g *gate) probeFailed(ss *shardState, err error) {
 	if ss.healthy.CompareAndSwap(true, false) {
 		log.Printf("carolgate: shard %s unhealthy: %v", ss.url, err)
 	}
-	backoff := g.cfg.probeInterval << uint(min64(fails, 6))
+	backoff := g.cfg.probeInterval << uint(min(fails, 6))
 	if backoff > g.cfg.probeMaxBackoff {
 		backoff = g.cfg.probeMaxBackoff
 	}
 	ss.nextProbe.Store(time.Now().Add(backoff).UnixNano())
-}
-
-func min64(a int64, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // startProber runs probeAll on a ticker until the returned stop func is
@@ -145,37 +133,6 @@ func (g *gate) startProber() (stop func()) {
 		close(done)
 		<-finished
 	}
-}
-
-// readBody buffers a client body under the proxy limits: Content-Length
-// is vetted before a byte is read, and the read itself is capped so a
-// lying client cannot out-allocate the limit either.
-func (g *gate) readBody(r *http.Request) ([]byte, error) {
-	limit := int64(maxBody)
-	if g.cfg.proxyLimits.MaxAlloc > 0 && g.cfg.proxyLimits.MaxAlloc < limit {
-		limit = g.cfg.proxyLimits.MaxAlloc
-	}
-	if r.ContentLength > limit {
-		return nil, fmt.Errorf("%w: content length %d exceeds %d bytes", errTooLarge, r.ContentLength, limit)
-	}
-	if err := g.cfg.proxyLimits.Alloc("proxied body", max64(r.ContentLength, 0)); err != nil {
-		return nil, fmt.Errorf("%w: %v", errTooLarge, err)
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(body)) > limit {
-		return nil, fmt.Errorf("%w: body exceeds %d bytes", errTooLarge, limit)
-	}
-	return body, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // shardResponse is one shard's answer, fully buffered (bounded by the
@@ -225,7 +182,7 @@ func (g *gate) callShard(shard, method, pathAndQuery string, body []byte) (*shar
 			log.Printf("carolgate: shard body close: %v", cerr)
 		}
 	}()
-	limit := int64(maxBody)
+	limit := int64(httpkit.MaxBody)
 	out, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return nil, err
@@ -310,38 +267,45 @@ func (g *gate) handleProxyWhole(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method == http.MethodPost {
 		var err error
-		if body, err = g.readBody(r); err != nil {
-			bodyError(w, err)
+		if body, err = httpkit.ReadBody(r, g.bodyLimit); err != nil {
+			httpkit.RequestError(w, err)
 			return
 		}
 	}
-	g.proxyWhole(w, r, routeKey(r), body)
+	g.proxyWhole(w, r, body)
 }
 
-func (g *gate) proxyWhole(w http.ResponseWriter, r *http.Request, key string, body []byte) {
-	ep := endpointLabel(r.URL.Path)
-	pathAndQuery := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pathAndQuery += "?" + r.URL.RawQuery
-	}
-	resp, err := g.routeWithRetry(key, r.Method, pathAndQuery, body)
+func (g *gate) proxyWhole(w http.ResponseWriter, r *http.Request, body []byte) {
+	resp, err := g.routeWithRetry(routeKey(r), r.Method, r.URL.RequestURI(), body)
+	g.relay(w, g.Label(r.URL.Path), resp, err)
+}
+
+// relay is the thin HTTP writer behind every routed endpoint: it counts
+// the outcome under endpoint and writes the shard's (or the fan-out's
+// assembled) answer, or maps the routing failure to its status.
+func (g *gate) relay(w http.ResponseWriter, endpoint string, resp *shardResponse, err error) {
 	if err != nil {
-		g.failed(ep).Inc()
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		g.failed(endpoint).Inc()
+		routeError(w, err)
 		return
 	}
-	g.routed(ep).Inc()
+	g.routed(endpoint).Inc()
 	writeShardResponse(w, resp)
 }
 
-// bodyError maps a body-read failure to its status code.
-func bodyError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errTooLarge) {
-		httpError(w, http.StatusRequestEntityTooLarge, "%v", err)
-		return
+// routeError maps a routing failure: client-caused errors are 400,
+// no-shard conditions are the fleet's problem (503, retry later), anything
+// else bubbled a shard's verdict about the data (502).
+func routeError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errBadRequest):
+		httpkit.Error(w, http.StatusBadRequest, "%v", err)
+	case errors.Is(err, errNoShards):
+		w.Header().Set("Retry-After", "1")
+		httpkit.Error(w, http.StatusServiceUnavailable, "%v", err)
+	default:
+		httpkit.Error(w, http.StatusBadGateway, "%v", err)
 	}
-	httpError(w, http.StatusBadRequest, "%v", err)
 }
 
 // shardModel is one model as a shard's /v1/models endpoint reports it:

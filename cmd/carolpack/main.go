@@ -23,6 +23,7 @@ import (
 	"carol"
 	"carol/internal/archive"
 	"carol/internal/compressor"
+	"carol/internal/field"
 )
 
 // fieldSpecs collects repeated -field flags.
@@ -77,19 +78,11 @@ func parseFieldSpec(spec string) (name, codec string, relEB float64, nx, ny, nz 
 	if err != nil || relEB <= 0 {
 		return "", "", 0, 0, 0, 0, "", fmt.Errorf("bad relEB in %q", spec)
 	}
-	dims := strings.Split(strings.ToLower(parts[3]), "x")
-	vals := []int{1, 1, 1}
-	if len(dims) < 1 || len(dims) > 3 {
-		return "", "", 0, 0, 0, 0, "", fmt.Errorf("bad dims in %q", spec)
+	nx, ny, nz, err = field.ParseDims(parts[3])
+	if err != nil {
+		return "", "", 0, 0, 0, 0, "", fmt.Errorf("%v in %q", err, spec)
 	}
-	for i, d := range dims {
-		v, err := strconv.Atoi(d)
-		if err != nil || v < 1 {
-			return "", "", 0, 0, 0, 0, "", fmt.Errorf("bad dims in %q", spec)
-		}
-		vals[i] = v
-	}
-	return name, codec, relEB, vals[0], vals[1], vals[2], path, nil
+	return name, codec, relEB, nx, ny, nz, path, nil
 }
 
 func doPack(fields fieldSpecs, out string, stream bool, workers int) error {

@@ -49,24 +49,21 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
-	"strings"
-	"syscall"
 
 	"carol"
 	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/field"
 	"carol/internal/fraz"
+	"carol/internal/httpkit"
 	"carol/internal/obs"
 	"carol/internal/pipeline"
 	"carol/internal/safedec"
 	"carol/internal/secre"
+	"carol/internal/selector"
 )
 
 func main() {
@@ -88,12 +85,7 @@ func main() {
 		"seed for the mode=auto exploration RNG; a fixed seed reproduces the decision sequence")
 	flag.Float64Var(&cfg.selectorEpsilon, "selector-epsilon", cfg.selectorEpsilon,
 		"mode=auto exploration probability (negative disables exploration)")
-	flag.DurationVar(&cfg.readTimeout, "read-timeout", cfg.readTimeout, "full-request read timeout")
-	flag.DurationVar(&cfg.readHeaderTimeout, "read-header-timeout", cfg.readHeaderTimeout, "request-header read timeout")
-	flag.DurationVar(&cfg.writeTimeout, "write-timeout", cfg.writeTimeout, "response write timeout")
-	flag.DurationVar(&cfg.idleTimeout, "idle-timeout", cfg.idleTimeout, "keep-alive idle timeout")
-	flag.DurationVar(&cfg.shutdownTimeout, "shutdown-timeout", cfg.shutdownTimeout,
-		"grace period for draining in-flight requests on SIGINT/SIGTERM")
+	cfg.timeouts.Flags(flag.CommandLine)
 	flag.Int64Var(&cfg.decodeLimits.MaxElements, "max-decode-elements", cfg.decodeLimits.MaxElements,
 		"maximum samples a /v1/decompress stream may claim (413 beyond)")
 	flag.Int64Var(&cfg.decodeLimits.MaxAlloc, "max-decode-alloc", cfg.decodeLimits.MaxAlloc,
@@ -104,26 +96,14 @@ func main() {
 	os.Exit(run(cfg, *addr))
 }
 
-// run owns the server lifecycle so every exit path is explicit and
-// checked: listener failures, serve failures, and shutdown failures each
-// report and return non-zero; a signal-triggered graceful drain returns 0.
+// run boots the server: models are warm-loaded before the listener opens,
+// and a graceful drain flushes and closes the harvest journals so the
+// torn-tail window on a clean shutdown is empty.
 func run(cfg config, addr string) int {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Printf("carolserve: listen: %v", err)
-		return 1
-	}
 	s := newServerWith(cfg)
-	defer func() {
-		// Flush and close the harvest journals so the torn-tail window on
-		// a clean shutdown is empty.
-		if err := s.Close(); err != nil {
-			log.Printf("carolserve: close: %v", err)
-		}
-	}()
 	if s.models != nil {
-		// Warm load before accepting traffic; a failure is not fatal — the
-		// server starts and /readyz answers 503 until a reload succeeds.
+		// A warm-load failure is not fatal — the server starts and /readyz
+		// answers 503 until a reload succeeds.
 		if err := s.models.Reload(); err != nil {
 			log.Printf("carolserve: warm load: %v", err)
 		}
@@ -134,64 +114,7 @@ func run(cfg config, addr string) int {
 			defer stopWatch()
 		}
 	}
-	srv := &http.Server{
-		Handler:           s,
-		ReadTimeout:       cfg.readTimeout,
-		ReadHeaderTimeout: cfg.readHeaderTimeout,
-		WriteTimeout:      cfg.writeTimeout,
-		IdleTimeout:       cfg.idleTimeout,
-	}
-	log.Printf("carolserve listening on %s", ln.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		// Serve only returns before shutdown on listener/accept failure.
-		log.Printf("carolserve: serve: %v", err)
-		return 1
-	case <-ctx.Done():
-		stop() // restore default signal handling: a second ^C kills immediately
-		log.Printf("carolserve: signal received, draining in-flight requests (up to %v)", cfg.shutdownTimeout)
-		sctx, cancel := context.WithTimeout(context.Background(), cfg.shutdownTimeout)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Printf("carolserve: graceful shutdown: %v; forcing close", err)
-			if cerr := srv.Close(); cerr != nil {
-				log.Printf("carolserve: close: %v", cerr)
-			}
-			return 1
-		}
-		if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("carolserve: serve returned %v after shutdown", err)
-			return 1
-		}
-		log.Printf("carolserve: shutdown complete")
-		return 0
-	}
-}
-
-// maxBody caps request bodies (512 MiB of float32 samples).
-const maxBody = 512 << 20
-
-// errTooLarge marks a request rejected for size, mapped to 413 rather
-// than 400 so clients can tell "shrink it" from "fix it".
-var errTooLarge = errors.New("request body too large")
-
-func httpError(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	http.Error(w, fmt.Sprintf(format, args...), code)
-}
-
-// fieldError maps a body/dims parse failure to its status code.
-func fieldError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errTooLarge) {
-		httpError(w, http.StatusRequestEntityTooLarge, "%v", err)
-		return
-	}
-	httpError(w, http.StatusBadRequest, "%v", err)
+	return s.Run(addr, cfg.timeouts, "", func(context.Context) error { return s.Close() })
 }
 
 func (s *server) handleCodecs(w http.ResponseWriter, r *http.Request) {
@@ -201,181 +124,95 @@ func (s *server) handleCodecs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// parseDims parses NXxNYxNZ.
-func parseDims(s string) (nx, ny, nz int, err error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	vals := []int{1, 1, 1}
-	if s == "" || len(parts) > 3 {
-		return 0, 0, 0, fmt.Errorf("bad dims %q", s)
-	}
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 1 {
-			return 0, 0, 0, fmt.Errorf("bad dims %q", s)
-		}
-		vals[i] = v
-	}
-	return vals[0], vals[1], vals[2], nil
-}
-
-// readFieldBody reads a raw float32 body with the dims query parameter.
+// readFieldBody reads a raw float32 body shaped by the dims query parameter.
 func readFieldBody(r *http.Request) (*field.Field, error) {
-	nx, ny, nz, err := parseDims(r.URL.Query().Get("dims"))
+	nx, ny, nz, err := httpkit.Dims(r.URL.Query().Get("dims"))
 	if err != nil {
 		return nil, err
 	}
-	// Per-dimension caps keep the product free of int64 overflow before the
-	// total-size check.
-	const maxDim = 1 << 20
-	if nx > maxDim || ny > maxDim || nz > maxDim || int64(nx)*int64(ny)*int64(nz)*4 > maxBody {
-		return nil, fmt.Errorf("%w: %dx%dx%d float32 field exceeds %d bytes", errTooLarge, nx, ny, nz, maxBody)
-	}
-	if r.ContentLength > maxBody {
-		return nil, fmt.Errorf("%w: content length %d exceeds %d bytes", errTooLarge, r.ContentLength, maxBody)
-	}
-	return field.ReadRaw("http", nx, ny, nz, io.LimitReader(r.Body, maxBody))
+	return httpkit.ReadField(r, nx, ny, nz)
 }
 
+// handleCompress is parse → read field → resolve bound (a FRaZ search for
+// ratio=, which compresses as it goes) → resolve codec → execute (whole
+// stream, or stream=1 container) → the shared epilogue in finish.
 func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	tr := s.reg.StartTrace("http_compress")
 	defer tr.End()
-	q := r.URL.Query()
-	auto := false
-	switch q.Get("mode") {
-	case "":
-	case "auto":
-		auto = true
-	default:
-		httpError(w, http.StatusBadRequest, "bad mode %q (only \"auto\")", q.Get("mode"))
+	req, err := httpkit.ParseCompress(r.URL.Query())
+	if err != nil {
+		httpkit.RequestError(w, err)
 		return
-	}
-	var codec compressor.Codec
-	var err error
-	codecName := q.Get("codec")
-	if auto {
-		// ratio= runs its own FRaZ search per codec; combining it with
-		// selection is a different (and much more expensive) operation.
-		if q.Get("ratio") != "" {
-			httpError(w, http.StatusBadRequest, "mode=auto needs rel= or abs=, not ratio=")
-			return
-		}
-		if codecName != "" {
-			httpError(w, http.StatusBadRequest, "mode=auto and codec= are mutually exclusive")
-			return
-		}
-	} else {
-		codec, err = codecs.ByName(codecName)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	targetRatio := 0.0
-	if ts := q.Get("target"); ts != "" {
-		if !auto {
-			httpError(w, http.StatusBadRequest, "target= requires mode=auto")
-			return
-		}
-		targetRatio, err = strconv.ParseFloat(ts, 64)
-		if err != nil || targetRatio <= 0 || math.IsInf(targetRatio, 0) {
-			httpError(w, http.StatusBadRequest, "bad target")
-			return
-		}
 	}
 	span := tr.StartSpan("parse")
-	f, err := readFieldBody(r)
+	f, err := httpkit.ReadField(r, req.Nx, req.Ny, req.Nz)
 	span.End()
 	if err != nil {
-		fieldError(w, err)
+		httpkit.RequestError(w, err)
 		return
 	}
-	var stream []byte
-	switch {
-	case q.Get("ratio") != "":
-		target, err := strconv.ParseFloat(q.Get("ratio"), 64)
-		if err != nil || target <= 0 {
-			httpError(w, http.StatusBadRequest, "bad ratio")
+	var eb float64
+	var dec *selector.Decision
+	codecName := req.Codec
+	if !(req.Ratio > 0) {
+		if eb, err = req.Bound(f); err != nil {
+			httpkit.Error(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		if codecName, dec, err = req.ResolveCodec(tr, s.selector, f, eb); err != nil {
+			httpkit.Error(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+	}
+	codec, err := codecs.ByName(codecName)
+	if err != nil {
+		httpkit.Error(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if dec != nil {
+		w.Header().Set("X-Carol-Codec-Chosen", dec.Codec)
+		if p := dec.PredictedRatio(); p > 0 {
+			w.Header().Set("X-Carol-Predicted-Ratio", strconv.FormatFloat(p, 'g', 6, 64))
+		}
+	}
+	// finish is the one epilogue: the achieved ratio and trace go out (as
+	// trailers once a streamed body has been sent), the outcome is
+	// harvested, and a mode=auto decision learns what its pick delivered.
+	finish := func(bound, actual float64) {
+		w.Header().Set("X-Carol-Achieved-Ratio", strconv.FormatFloat(actual, 'g', 6, 64))
+		w.Header().Set("X-Carol-Trace", tr.String())
+		s.harvest(codec.Name(), f, bound, actual)
+		if dec != nil {
+			s.selector.Observe(*dec, actual)
+		}
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	var stream []byte
+	switch {
+	case req.Ratio > 0:
 		span = tr.StartSpan("search")
-		res, err := fraz.Search(codec, f, target, fraz.Options{})
+		res, err := fraz.Search(codec, f, req.Ratio, fraz.Options{})
 		span.End()
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
+			httpkit.Error(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		stream = res.Stream
-		w.Header().Set("X-Carol-Achieved-Ratio", strconv.FormatFloat(res.Achieved, 'g', 6, 64))
 		w.Header().Set("X-Carol-Compressor-Runs", strconv.Itoa(res.Runs))
-		s.harvest(codec.Name(), f, compressor.AbsBound(f, res.RelEB), res.Achieved)
-	case q.Get("rel") != "", q.Get("abs") != "":
-		// abs= pins an absolute error bound verbatim — the fleet gate uses
-		// it to hold a whole-field bound across slab fan-outs, where a
-		// per-slab rel= would rescale by each slab's own value range.
-		var eb float64
-		if as := q.Get("abs"); as != "" {
-			eb, err = strconv.ParseFloat(as, 64)
-			if err != nil || eb <= 0 {
-				httpError(w, http.StatusBadRequest, "bad abs")
-				return
-			}
-		} else {
-			rel, rerr := strconv.ParseFloat(q.Get("rel"), 64)
-			if rerr != nil || rel <= 0 {
-				httpError(w, http.StatusBadRequest, "bad rel")
-				return
-			}
-			eb = compressor.AbsBound(f, rel)
-		}
-		// Auto selection resolves the codec here, after the error bound is
-		// known: every candidate is scored by its SECRE surrogate at this
-		// exact (field, eb) and the bandit-corrected winner serves the
-		// request. The achieved ratio feeds back below.
-		var observe func(actual float64)
-		if auto {
-			span = tr.StartSpan("select")
-			dec, serr := s.selector.Select(f, eb, targetRatio)
-			span.End()
-			if serr != nil {
-				// The field and eb already passed parsing; a selection error
-				// means the input data itself is unusable (e.g. non-finite).
-				httpError(w, http.StatusBadRequest, "%v", serr)
-				return
-			}
-			codec, err = codecs.ByName(dec.Codec)
-			if err != nil {
-				httpError(w, http.StatusInternalServerError, "%v", err)
-				return
-			}
-			w.Header().Set("X-Carol-Codec-Chosen", dec.Codec)
-			if p := dec.PredictedRatio(); p > 0 {
-				w.Header().Set("X-Carol-Predicted-Ratio", strconv.FormatFloat(p, 'g', 6, 64))
-			}
-			observe = func(actual float64) { s.selector.Observe(dec, actual) }
-		}
-		if q.Get("stream") != "" {
-			s.compressStreaming(w, r, tr, codec, f, eb, observe)
-			return
-		}
+		finish(compressor.AbsBound(f, res.RelEB), res.Achieved)
+	case req.Stream:
+		compressStreaming(w, tr, pipeline.New(codec, pipeline.Options{Workers: req.Workers}), f, eb, finish)
+		return
+	default:
 		span = tr.StartSpan("codec")
 		stream, err = codec.Compress(f, eb)
 		span.End()
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
+			httpkit.Error(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		actual := compressor.Ratio(f, stream)
-		w.Header().Set("X-Carol-Achieved-Ratio", strconv.FormatFloat(actual, 'g', 6, 64))
-		s.harvest(codec.Name(), f, eb, actual)
-		if observe != nil {
-			// Close the bandit loop: the selector compares its prediction
-			// against what the chosen codec actually delivered.
-			observe(actual)
-		} else if s.cfg.trackEstimatorError {
+		if dec == nil && s.cfg.trackEstimatorError {
 			// Online estimator-error tracking (Underwood et al.'s black-box
 			// ratio-prediction metric): run the cheap sampled surrogate next to
 			// the full run we just paid for, and export the error.
@@ -389,12 +226,8 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-	default:
-		httpError(w, http.StatusBadRequest, "need rel=, abs= or ratio=")
-		return
+		finish(eb, actual)
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Carol-Trace", tr.String())
 	if _, err := w.Write(stream); err != nil {
 		log.Printf("carolserve: compress write: %v", err)
 	}
@@ -419,20 +252,8 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // written to the response as blocks complete, so peak memory holds the
 // input field plus a bounded window of compressed blocks — never the whole
 // stream. The achieved ratio is only known once the body has been sent, so
-// it travels as an HTTP trailer instead of a header. A non-nil observe
-// receives the achieved ratio (the mode=auto feedback hook).
-func (s *server) compressStreaming(w http.ResponseWriter, r *http.Request, tr *obs.Trace, codec compressor.Codec, f *field.Field, eb float64, observe func(float64)) {
-	workers := 0
-	if ws := r.URL.Query().Get("workers"); ws != "" {
-		v, err := strconv.Atoi(ws)
-		if err != nil || v < 1 || v > 1024 {
-			httpError(w, http.StatusBadRequest, "bad workers")
-			return
-		}
-		workers = v
-	}
-	p := pipeline.New(codec, pipeline.Options{Workers: workers})
-	w.Header().Set("Content-Type", "application/octet-stream")
+// finish's headers travel as HTTP trailers.
+func compressStreaming(w http.ResponseWriter, tr *obs.Trace, p *pipeline.Codec, f *field.Field, eb float64, finish func(bound, actual float64)) {
 	w.Header().Set("Trailer", "X-Carol-Achieved-Ratio, X-Carol-Trace")
 	cw := &countingWriter{w: w}
 	span := tr.StartSpan("codec")
@@ -440,7 +261,7 @@ func (s *server) compressStreaming(w http.ResponseWriter, r *http.Request, tr *o
 	span.End()
 	if err != nil {
 		if cw.n == 0 {
-			httpError(w, http.StatusInternalServerError, "%v", err)
+			httpkit.Error(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		// Mid-body failure: the status line is gone; the truncated body is
@@ -448,36 +269,26 @@ func (s *server) compressStreaming(w http.ResponseWriter, r *http.Request, tr *o
 		log.Printf("carolserve: streaming compress: %v", err)
 		return
 	}
-	actual := float64(f.SizeBytes()) / float64(cw.n)
-	s.harvest(codec.Name(), f, eb, actual)
-	if observe != nil {
-		observe(actual)
-	}
-	w.Header().Set("X-Carol-Achieved-Ratio", strconv.FormatFloat(actual, 'g', 6, 64))
-	w.Header().Set("X-Carol-Trace", tr.String())
+	finish(eb, float64(f.SizeBytes())/float64(cw.n))
 }
 
 func (s *server) handleDecompress(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	tr := s.reg.StartTrace("http_decompress")
 	defer tr.End()
 	codec, err := codecs.ByName(r.URL.Query().Get("codec"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpkit.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if r.ContentLength > maxBody {
-		fieldError(w, fmt.Errorf("%w: content length %d exceeds %d bytes", errTooLarge, r.ContentLength, maxBody))
+	if err := httpkit.CheckLength(r, httpkit.MaxBody); err != nil {
+		httpkit.RequestError(w, err)
 		return
 	}
 	// Pipeline containers are decoded straight off the request body — block
 	// frames are read and decoded in a bounded window, so a large container
 	// is never buffered in full. Anything else is a single codec stream and
 	// needs the whole slice.
-	br := bufio.NewReader(io.LimitReader(r.Body, maxBody))
+	br := bufio.NewReader(io.LimitReader(r.Body, httpkit.MaxBody))
 	var f *field.Field
 	if peek, perr := br.Peek(len(pipeline.Magic)); perr == nil && [4]byte(peek) == pipeline.Magic {
 		p := pipeline.New(codec, pipeline.Options{Limits: s.cfg.decodeLimits})
@@ -490,7 +301,7 @@ func (s *server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		stream, err = io.ReadAll(br)
 		span.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			httpkit.Error(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		span = tr.StartSpan("codec")
@@ -502,10 +313,10 @@ func (s *server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		// will allocate (413: shrink it); truncation/corruption means the
 		// stream itself is bad (422: fix it).
 		if errors.Is(err, safedec.ErrLimit) {
-			httpError(w, http.StatusRequestEntityTooLarge, "%v", err)
+			httpkit.Error(w, http.StatusRequestEntityTooLarge, "%v", err)
 			return
 		}
-		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+		httpkit.Error(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -517,35 +328,31 @@ func (s *server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	tr := s.reg.StartTrace("http_estimate")
 	defer tr.End()
 	q := r.URL.Query()
 	sur, err := codecs.SurrogateByName(q.Get("codec"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpkit.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rel, err := strconv.ParseFloat(q.Get("rel"), 64)
-	if err != nil || rel <= 0 {
-		httpError(w, http.StatusBadRequest, "bad rel")
+	rel, err := httpkit.Positive(q, "rel")
+	if err != nil || !(rel > 0) {
+		httpkit.Error(w, http.StatusBadRequest, "bad rel")
 		return
 	}
 	span := tr.StartSpan("parse")
 	f, err := readFieldBody(r)
 	span.End()
 	if err != nil {
-		fieldError(w, err)
+		httpkit.RequestError(w, err)
 		return
 	}
 	span = tr.StartSpan("estimate")
 	ratio, err := sur.EstimateRatio(f, compressor.AbsBound(f, rel))
 	span.End()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		httpkit.Error(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -11,6 +12,7 @@ import (
 
 	"carol/internal/dataset"
 	"carol/internal/field"
+	"carol/internal/httpkit/kittest"
 )
 
 func testBody(t *testing.T) (*field.Field, *bytes.Buffer) {
@@ -280,5 +282,56 @@ func TestErrorResponses(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("garbage decompress: status %d", resp.StatusCode)
+	}
+}
+
+// TestCompressQueryTable is carolserve's leg of the differential table in
+// internal/httpkit/kittest: every row must get the status ParseCompress's
+// verdict maps to — in particular non-finite rel=/abs=/ratio=/target= are
+// the client's 400, not a 500 the gate would retry on every replica.
+func TestCompressQueryTable(t *testing.T) {
+	srv := httptest.NewServer(newServer())
+	defer srv.Close()
+	f, err := dataset.Generate("miranda", "density", dataset.Options{Nx: 16, Ny: 8, Nz: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := f.WriteRaw(&body); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range kittest.CompressQueries {
+		resp, err := http.Post(srv.URL+"/v1/compress?"+row.Query, "application/octet-stream", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != row.Status {
+			t.Errorf("%s: status %d (%.80s), want %d", row.Query, resp.StatusCode, msg, row.Status)
+		}
+	}
+}
+
+// TestNonFiniteFieldIs400: finite parameters over a field with infinite
+// samples resolve to an unusable bound — the client's data, so 400.
+func TestNonFiniteFieldIs400(t *testing.T) {
+	srv := httptest.NewServer(newServer())
+	defer srv.Close()
+	f := field.New("inf", 8, 1, 1)
+	f.Data[3] = float32(math.Inf(1))
+	var body bytes.Buffer
+	if err := f.WriteRaw(&body); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"codec=szx&rel=1e-3&dims=8", "mode=auto&rel=1e-3&dims=8", "codec=szx&rel=1e300&dims=8"} {
+		resp, err := http.Post(srv.URL+"/v1/compress?"+q, "application/octet-stream", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", q, resp.StatusCode)
+		}
 	}
 }

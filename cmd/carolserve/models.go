@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"carol/internal/features"
+	"carol/internal/httpkit"
 	"carol/internal/model"
 	"carol/internal/obs"
 	"carol/internal/registry"
@@ -246,12 +247,8 @@ type modelInfo struct {
 
 // handleModels lists the currently served models (GET /v1/models).
 func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
 	if s.models == nil {
-		httpError(w, http.StatusNotFound, "no -model-dir configured")
+		httpkit.Error(w, http.StatusNotFound, "no -model-dir configured")
 		return
 	}
 	set := s.models.set()
@@ -312,25 +309,21 @@ func parseRatios(s string) ([]float64, error) {
 // The response carries the model version so callers can attribute every
 // prediction to an exact artifact across hot swaps.
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	if s.models == nil {
-		httpError(w, http.StatusNotFound, "no -model-dir configured")
+		httpkit.Error(w, http.StatusNotFound, "no -model-dir configured")
 		return
 	}
 	set := s.models.set()
 	if len(set) == 0 {
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "no models loaded")
+		httpkit.Error(w, http.StatusServiceUnavailable, "no models loaded")
 		return
 	}
 	q := r.URL.Query()
 	name := q.Get("model")
 	if name == "" {
 		if len(set) > 1 {
-			httpError(w, http.StatusBadRequest, "need model= (%d models loaded)", len(set))
+			httpkit.Error(w, http.StatusBadRequest, "need model= (%d models loaded)", len(set))
 			return
 		}
 		for n := range set {
@@ -339,17 +332,17 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	lm, ok := set[name]
 	if !ok {
-		httpError(w, http.StatusNotFound, "model %q not loaded", name)
+		httpkit.Error(w, http.StatusNotFound, "model %q not loaded", name)
 		return
 	}
 	ratios, err := parseRatios(q.Get("ratio"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpkit.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	f, err := readFieldBody(r)
 	if err != nil {
-		fieldError(w, err)
+		httpkit.RequestError(w, err)
 		return
 	}
 	hist := s.reg.Histogram(obs.Label("model_predict_seconds", "model", name), obs.LatencyBuckets())
@@ -357,7 +350,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ebs, err := lm.artifact.PredictErrorBounds(f, ratios, features.ParallelOptions{})
 	hist.ObserveSince(start)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		httpkit.Error(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -380,7 +373,7 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if s.models != nil && !s.models.Ready() {
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "no models loaded")
+		httpkit.Error(w, http.StatusServiceUnavailable, "no models loaded")
 		return
 	}
 	if _, err := w.Write([]byte("ready\n")); err != nil {

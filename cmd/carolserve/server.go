@@ -1,15 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"log"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"carol/internal/features"
 	"carol/internal/field"
+	"carol/internal/httpkit"
 	"carol/internal/obs"
 	"carol/internal/safedec"
 	"carol/internal/selector"
@@ -57,11 +55,7 @@ type config struct {
 	// disables exploration entirely.
 	selectorEpsilon float64
 
-	readTimeout       time.Duration
-	readHeaderTimeout time.Duration
-	writeTimeout      time.Duration
-	idleTimeout       time.Duration
-	shutdownTimeout   time.Duration
+	timeouts httpkit.Timeouts
 }
 
 // defaultConfig returns production defaults: generous read/write windows
@@ -73,31 +67,26 @@ func defaultConfig() config {
 		trackEstimatorError: true,
 		// Stricter than the safedec library defaults: the body cap is
 		// 512 MiB, so a legitimate stream can never decode to more than
-		// maxBody/4 float32 samples even at ratio 1.
+		// MaxBody/4 float32 samples even at ratio 1.
 		decodeLimits: safedec.Limits{
-			MaxElements: maxBody / 4,
+			MaxElements: httpkit.MaxBody / 4,
 			MaxAlloc:    1 << 30,
 			MaxCount:    1 << 16,
 		},
-		selectorSeed:      1,
-		selectorEpsilon:   0.05,
-		readTimeout:       5 * time.Minute,
-		readHeaderTimeout: 10 * time.Second,
-		writeTimeout:      10 * time.Minute,
-		idleTimeout:       2 * time.Minute,
-		shutdownTimeout:   15 * time.Second,
+		selectorSeed:    1,
+		selectorEpsilon: 0.05,
+		timeouts:        httpkit.DefaultTimeouts(),
 	}
 }
 
-// server owns the handler chain and its metric handles. All metrics live
-// in obs.Default — the same registry the instrumented internal packages
-// (features, fraz, rf, secre, compressor) write to — so /metrics is one
-// coherent view of the whole pipeline.
+// server adds carolserve's endpoints to the shared serving kit (DESIGN.md
+// §10). All metrics live in obs.Default — the same registry the
+// instrumented internal packages (features, fraz, rf, secre, compressor)
+// write to — so /metrics is one coherent view of the whole pipeline.
 type server struct {
-	cfg     config
-	reg     *obs.Registry
-	sem     chan struct{}
-	handler http.Handler
+	*httpkit.Server
+	cfg config
+	reg *obs.Registry
 	// models is the hot-swappable model store, nil without -model-dir.
 	models *modelStore
 	// selector is the mode=auto adaptive codec chooser (DESIGN.md §16).
@@ -105,9 +94,6 @@ type server struct {
 	// harvester journals served-traffic outcomes, nil without -harvest-dir.
 	harvester *trainset.Harvester
 
-	inflight      *obs.Gauge
-	throttled     *obs.Counter
-	panics        *obs.Counter
 	harvested     *obs.Counter
 	harvestErrors *obs.Counter
 }
@@ -116,27 +102,9 @@ type server struct {
 // main for testing).
 func newServer() http.Handler { return newServerWith(defaultConfig()) }
 
-// newServerWith builds the full handler chain:
-//
-//	per-endpoint metrics → panic recovery → in-flight limit → mux
-//
-// Metrics sit outermost so a recovered panic is recorded under its real
-// 500 status; recovery sits above the limit so the semaphore's deferred
-// release still runs on unwind. The limit applies only to /v1/ endpoints,
-// so /metrics, /debug/vars and /healthz stay reachable while the server
-// is saturated — exactly when observability matters most.
+// newServerWith builds the server for cfg.
 func newServerWith(cfg config) *server {
-	if cfg.maxInflight < 1 {
-		cfg.maxInflight = 1
-	}
-	s := &server{
-		cfg:       cfg,
-		reg:       obs.Default,
-		sem:       make(chan struct{}, cfg.maxInflight),
-		inflight:  obs.Default.Gauge("http_inflight_requests"),
-		throttled: obs.Default.Counter("http_throttled_total"),
-		panics:    obs.Default.Counter("http_panics_total"),
-	}
+	s := &server{cfg: cfg, reg: obs.Default}
 	if cfg.modelDir != "" {
 		s.models = newModelStore(cfg.modelDir, cfg.decodeLimits)
 	}
@@ -155,25 +123,15 @@ func newServerWith(cfg config) *server {
 		panic("carolserve: selector: " + err.Error())
 	}
 	s.selector = sel
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/codecs", s.handleCodecs)
-	mux.HandleFunc("/v1/compress", s.handleCompress)
-	mux.HandleFunc("/v1/decompress", s.handleDecompress)
-	mux.HandleFunc("/v1/estimate", s.handleEstimate)
-	mux.HandleFunc("/v1/models", s.handleModels)
-	mux.HandleFunc("/v1/predict", s.handlePredict)
-	mux.HandleFunc("/v1/selector", s.handleSelector)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/vars", s.handleVars)
-	mux.HandleFunc("/healthz", handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	s.handler = s.measure(s.recoverPanics(s.limit(mux)))
+	s.Server = httpkit.New("carolserve", "http", cfg.maxInflight, sel)
+	s.Handle("/v1/codecs", s.handleCodecs)
+	s.Handle("POST /v1/compress", s.handleCompress)
+	s.Handle("POST /v1/decompress", s.handleDecompress)
+	s.Handle("POST /v1/estimate", s.handleEstimate)
+	s.Handle("GET /v1/models", s.handleModels)
+	s.Handle("POST /v1/predict", s.handlePredict)
+	s.Handle("/readyz", s.handleReadyz)
 	return s
-}
-
-// ServeHTTP implements http.Handler.
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
 }
 
 // harvest journals one served compression outcome for the retraining
@@ -206,149 +164,4 @@ func (s *server) Close() error {
 		return nil
 	}
 	return s.harvester.Close()
-}
-
-// endpointLabel maps a request path to a bounded metric label: the path
-// itself for known endpoints, "other" for everything else (unbounded label
-// cardinality would let a URL scanner grow the registry without limit).
-func endpointLabel(path string) string {
-	switch path {
-	case "/v1/codecs", "/v1/compress", "/v1/decompress", "/v1/estimate",
-		"/v1/models", "/v1/predict", "/v1/selector", "/metrics", "/debug/vars",
-		"/healthz", "/readyz":
-		return path
-	}
-	return "other"
-}
-
-// statusRecorder captures the response status for the metrics middleware.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if !sr.wrote {
-		sr.status = code
-		sr.wrote = true
-	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(p []byte) (int, error) {
-	if !sr.wrote {
-		sr.status = http.StatusOK
-		sr.wrote = true
-	}
-	return sr.ResponseWriter.Write(p)
-}
-
-// limit bounds in-flight /v1/ requests with a counting semaphore. A full
-// semaphore answers 503 with Retry-After instead of queueing: under
-// sustained overload, shedding load early keeps tail latency bounded for
-// the requests actually admitted.
-func (s *server) limit(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-			next.ServeHTTP(w, r)
-		default:
-			s.throttled.Inc()
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "server at capacity", http.StatusServiceUnavailable)
-		}
-	})
-}
-
-// measure records per-endpoint request counters and latency histograms,
-// plus the live in-flight gauge.
-func (s *server) measure(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ep := endpointLabel(r.URL.Path)
-		hist := s.reg.Histogram(obs.Label("http_request_seconds", "endpoint", ep), obs.LatencyBuckets())
-		s.inflight.Add(1)
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			hist.ObserveSince(start)
-			s.inflight.Add(-1)
-			status := rec.status
-			if !rec.wrote {
-				status = http.StatusOK
-			}
-			s.reg.Counter(obs.Label("http_requests_total",
-				"endpoint", ep, "code", strconv.Itoa(status))).Inc()
-		}()
-		next.ServeHTTP(rec, r)
-	})
-}
-
-// recoverPanics converts a handler panic into a 500 (when nothing has
-// been written yet) instead of tearing down the connection, and counts it.
-func (s *server) recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec, _ := w.(*statusRecorder)
-		defer func() {
-			if p := recover(); p != nil {
-				s.panics.Inc()
-				log.Printf("carolserve: panic serving %s %s: %v", r.Method, r.URL.Path, p)
-				if rec == nil || !rec.wrote {
-					http.Error(w, "internal error", http.StatusInternalServerError)
-				}
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// handleMetrics serves the deterministic text exposition of obs.Default.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.reg.WriteText(w); err != nil {
-		log.Printf("carolserve: metrics write: %v", err)
-	}
-}
-
-// handleVars serves the same registry as a /debug/vars-style JSON document.
-func (s *server) handleVars(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.reg.WriteJSON(w); err != nil {
-		log.Printf("carolserve: vars write: %v", err)
-	}
-}
-
-// handleSelector exposes the mode=auto bandit state: candidate set, seed,
-// decision/exploration counters and every active (codec, shape-bucket) arm
-// with its learned bias — the debug view for "why did auto pick that".
-func (s *server) handleSelector(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(s.selector.Stats()); err != nil {
-		log.Printf("carolserve: selector encode: %v", err)
-	}
-}
-
-// handleHealthz is the liveness probe smoke tests and load balancers hit.
-func handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if _, err := w.Write([]byte("ok\n")); err != nil {
-		log.Printf("carolserve: healthz write: %v", err)
-	}
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"carol/internal/httpkit"
 	"carol/internal/obs"
 )
 
@@ -120,127 +121,6 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestSemaphoreThrottles drives the limit middleware with a handler we
-// block deterministically: with maxInflight=2 and 2 requests parked in
-// the handler, the third /v1/ request must get 503 + Retry-After while a
-// non-/v1/ path passes untouched.
-func TestSemaphoreThrottles(t *testing.T) {
-	s := newServerWith(config{maxInflight: 2, shutdownTimeout: time.Second})
-	entered := make(chan struct{}, 8)
-	release := make(chan struct{})
-	blocking := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		entered <- struct{}{}
-		<-release
-		w.WriteHeader(http.StatusOK)
-	})
-	srv := httptest.NewServer(s.limit(blocking))
-	defer srv.Close()
-
-	results := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, err := http.Get(srv.URL + "/v1/compress")
-			if err != nil {
-				results <- -1
-				return
-			}
-			_ = resp.Body.Close()
-			results <- resp.StatusCode
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case <-entered:
-		case <-time.After(5 * time.Second):
-			t.Fatal("blocked requests never entered the handler")
-		}
-	}
-
-	before := s.throttled.Value()
-	resp, err := http.Get(srv.URL + "/v1/compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("saturated request: status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
-	if got := s.throttled.Value(); got != before+1 {
-		t.Fatalf("throttled counter %d, want %d", got, before+1)
-	}
-
-	// Non-/v1/ paths bypass the limit even at saturation: a /healthz request
-	// must reach the handler (observed via entered) while the semaphore is
-	// still full. It parks there like the others until release.
-	bypassDone := make(chan error, 1)
-	go func() {
-		resp, err := http.Get(srv.URL + "/healthz")
-		if err == nil {
-			_ = resp.Body.Close()
-		}
-		bypassDone <- err
-	}()
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("non-/v1/ path was throttled: never reached the handler")
-	}
-
-	// Unblock everyone and check the parked /v1/ requests completed with 200.
-	close(release)
-	for i := 0; i < 2; i++ {
-		select {
-		case code := <-results:
-			if code != http.StatusOK {
-				t.Fatalf("parked request finished with %d", code)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("parked request never finished")
-		}
-	}
-	if err := <-bypassDone; err != nil {
-		t.Fatalf("bypass request: %v", err)
-	}
-}
-
-// TestPanicRecovery sends a panicking handler through the middleware
-// chain and expects a 500, a counted panic, and a live server.
-func TestPanicRecovery(t *testing.T) {
-	s := newServerWith(defaultConfig())
-	boom := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		panic("kaboom")
-	})
-	srv := httptest.NewServer(s.measure(s.recoverPanics(s.limit(boom))))
-	defer srv.Close()
-
-	before := s.panics.Value()
-	resp, err := http.Get(srv.URL + "/v1/compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status %d, want 500", resp.StatusCode)
-	}
-	if got := s.panics.Value(); got != before+1 {
-		t.Fatalf("panic counter %d, want %d", got, before+1)
-	}
-	// The semaphore slot must have been released during unwind.
-	for i := 0; i < defaultConfig().maxInflight+1; i++ {
-		resp, err := http.Get(srv.URL + "/v1/compress")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			t.Fatal("semaphore leaked on panic unwind")
-		}
-	}
-}
-
 // TestConcurrentLoadAndGracefulShutdown is the acceptance-criteria load
 // test: ≥32 concurrent requests through a bounded server under -race,
 // then a clean graceful shutdown.
@@ -307,63 +187,6 @@ func TestConcurrentLoadAndGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsInflight parks a request inside the handler chain,
-// starts a graceful shutdown, then releases the request: the client must
-// still get its 200 and Shutdown must return nil.
-func TestShutdownDrainsInflight(t *testing.T) {
-	s := newServerWith(defaultConfig())
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		close(entered)
-		<-release
-		w.WriteHeader(http.StatusOK)
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: s.measure(s.recoverPanics(s.limit(slow)))}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	clientErr := make(chan error, 1)
-	go func() {
-		resp, err := http.Get("http://" + ln.Addr().String() + "/v1/compress")
-		if err != nil {
-			clientErr <- err
-			return
-		}
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			clientErr <- fmt.Errorf("status %d", resp.StatusCode)
-			return
-		}
-		clientErr <- nil
-	}()
-	<-entered
-
-	shutdownErr := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		shutdownErr <- srv.Shutdown(ctx)
-	}()
-	// Give Shutdown a moment to stop accepting, then let the request finish.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-
-	if err := <-clientErr; err != nil {
-		t.Fatalf("in-flight request: %v", err)
-	}
-	if err := <-shutdownErr; err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
-		t.Fatalf("Serve returned %v", err)
-	}
-}
-
 // TestOversizedContentLength413 checks the Content-Length fast path on
 // /v1/decompress. The stdlib client refuses to declare a length it cannot
 // send, so the request goes over a raw connection.
@@ -375,7 +198,7 @@ func TestOversizedContentLength413(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, "POST /v1/decompress?codec=szx HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n", maxBody+1)
+	fmt.Fprintf(conn, "POST /v1/decompress?codec=szx HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n", httpkit.MaxBody+1)
 	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 	if err != nil {
 		t.Fatal(err)

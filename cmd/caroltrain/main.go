@@ -96,28 +96,11 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
-// parseDims parses NXxNYxNZ with trailing dimensions defaulting to 1.
-func parseDims(s string) (nx, ny, nz int, err error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	vals := []int{1, 1, 1}
-	if s == "" || len(parts) > 3 {
-		return 0, 0, 0, fmt.Errorf("bad dims %q", s)
-	}
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 1 {
-			return 0, 0, 0, fmt.Errorf("bad dims %q", s)
-		}
-		vals[i] = v
-	}
-	return vals[0], vals[1], vals[2], nil
-}
-
 // generateFields expands the -datasets spec into training fields.
 func generateFields(spec, dims string) ([]*field.Field, error) {
 	var opts dataset.Options
 	if dims != "" {
-		nx, ny, nz, err := parseDims(dims)
+		nx, ny, nz, err := field.ParseDims(dims)
 		if err != nil {
 			return nil, err
 		}

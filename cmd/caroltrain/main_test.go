@@ -150,22 +150,6 @@ func TestParseFlagErrors(t *testing.T) {
 	}
 }
 
-func TestParseDims(t *testing.T) {
-	nx, ny, nz, err := parseDims("16x8x4")
-	if err != nil || nx != 16 || ny != 8 || nz != 4 {
-		t.Fatalf("parseDims = %d %d %d %v", nx, ny, nz, err)
-	}
-	nx, ny, nz, err = parseDims("32")
-	if err != nil || nx != 32 || ny != 1 || nz != 1 {
-		t.Fatalf("parseDims(32) = %d %d %d %v", nx, ny, nz, err)
-	}
-	for _, bad := range []string{"", "0x2", "axb", "1x2x3x4", "-1"} {
-		if _, _, _, err := parseDims(bad); err == nil {
-			t.Fatalf("parseDims(%q) accepted", bad)
-		}
-	}
-}
-
 func TestRunRejectsBadInput(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Field is a named scalar field on a regular grid. 2D fields use Nz == 1 and
@@ -219,6 +221,24 @@ func (f *Field) WriteRaw(w io.Writer) error {
 		i += n
 	}
 	return nil
+}
+
+// ParseDims parses a grid shape written NXxNYxNZ (case-insensitive "x");
+// trailing dimensions default to 1, so "64" is 1D and "64x32" is 2D.
+func ParseDims(s string) (nx, ny, nz int, err error) {
+	parts := strings.Split(strings.ToLower(s), "x")
+	vals := [3]int{1, 1, 1}
+	if s == "" || len(parts) > 3 {
+		return 0, 0, 0, fmt.Errorf("bad dims %q (want NXxNYxNZ)", s)
+	}
+	for i, p := range parts {
+		v, err := strconv.Atoi(p)
+		if err != nil || v < 1 {
+			return 0, 0, 0, fmt.Errorf("bad dims %q (want NXxNYxNZ)", s)
+		}
+		vals[i] = v
+	}
+	return vals[0], vals[1], vals[2], nil
 }
 
 // ReadRaw reads nx*ny*nz little-endian float32 samples.

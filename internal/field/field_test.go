@@ -179,6 +179,42 @@ func TestRawRoundTrip(t *testing.T) {
 	}
 }
 
+func TestParseDims(t *testing.T) {
+	cases := []struct {
+		in         string
+		nx, ny, nz int
+		wantErr    bool
+	}{
+		{"64", 64, 1, 1, false},
+		{"64x32", 64, 32, 1, false},
+		{"64x32x16", 64, 32, 16, false},
+		{"64X32X16", 64, 32, 16, false},
+		{"", 0, 0, 0, true},
+		{"axb", 0, 0, 0, true},
+		{"4x0", 0, 0, 0, true},
+		{"0", 0, 0, 0, true},
+		{"4x", 0, 0, 0, true},
+		{"1x2x3x4", 0, 0, 0, true},
+		{"-4", 0, 0, 0, true},
+	}
+	for _, c := range cases {
+		nx, ny, nz, err := ParseDims(c.in)
+		if c.wantErr {
+			if err == nil {
+				t.Errorf("ParseDims(%q) accepted", c.in)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ParseDims(%q): %v", c.in, err)
+			continue
+		}
+		if nx != c.nx || ny != c.ny || nz != c.nz {
+			t.Errorf("ParseDims(%q) = %d,%d,%d", c.in, nx, ny, nz)
+		}
+	}
+}
+
 func TestReadRawShort(t *testing.T) {
 	if _, err := ReadRaw("x", 4, 4, 4, bytes.NewReader(make([]byte, 10))); err == nil {
 		t.Fatal("expected error on short read")

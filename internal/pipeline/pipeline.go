@@ -188,9 +188,9 @@ func runOrdered(n, workers int, launch func(i int) func() result, emit func(i in
 }
 
 // Codec runs a compressor.Codec block-parallel behind both the slice-based
-// compressor.Codec interface and the streaming compressor.StreamCodec
-// interface. Its two views are bit-compatible: Compress returns exactly the
-// bytes CompressStream writes.
+// compressor.Codec interface and the streaming CompressStream /
+// DecompressStream pair. Its two views are bit-compatible: Compress returns
+// exactly the bytes CompressStream writes.
 type Codec struct {
 	inner compressor.Codec
 	opts  Options
@@ -207,12 +207,9 @@ func (c *Codec) Inner() compressor.Codec { return c.inner }
 // Name implements compressor.Codec.
 func (c *Codec) Name() string { return c.inner.Name() }
 
-var (
-	_ compressor.Codec       = (*Codec)(nil)
-	_ compressor.StreamCodec = (*Codec)(nil)
-)
+var _ compressor.Codec = (*Codec)(nil)
 
-// CompressStream implements compressor.StreamCodec: split, compress blocks
+// CompressStream writes the CPL1 container of f onto w: split, compress blocks
 // on the worker pool, emit frames in order. Peak memory is the field plus
 // O(Workers) compressed blocks.
 func (c *Codec) CompressStream(w io.Writer, f *field.Field, eb float64) error {
@@ -260,7 +257,7 @@ func (c *Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecompressStream implements compressor.StreamCodec. Frames are read one
+// DecompressStream reconstructs the field encoded on r. Frames are read one
 // at a time and decoded on the worker pool; the input is never buffered
 // beyond the bounded in-flight window, and every container-claimed size is
 // validated against the configured limits before it sizes an allocation.

@@ -98,34 +98,6 @@ func TestRoundTripAllCodecsAllWorkers(t *testing.T) {
 	}
 }
 
-func TestStreamAdapterEquivalence(t *testing.T) {
-	// The compressor.NewStream adapter must write exactly the slice bytes.
-	f := testField(t, 16, 12, 1)
-	inner, err := codecs.ByName("szx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := compressor.NewStream(inner)
-	var buf bytes.Buffer
-	if err := sc.CompressStream(&buf, f, 1e-3); err != nil {
-		t.Fatal(err)
-	}
-	slice, err := inner.Compress(f, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), slice) {
-		t.Fatal("adapter stream differs from slice Compress")
-	}
-	g, err := sc.DecompressStream(bytes.NewReader(slice))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := compressor.CheckBound(f, g, 1e-3); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDimensionalSplits(t *testing.T) {
 	inner, err := codecs.ByName("szx")
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"carol/internal/compressor"
 	"carol/internal/safedec"
+	"carol/internal/zpool"
 )
 
 // hostileOutlierStream builds a syntactically valid sperr stream for a
@@ -97,5 +98,26 @@ func TestProgressiveLimited(t *testing.T) {
 	stream := hostileOutlierStream(t, 0)
 	if _, err := DecompressProgressiveLimited(stream, 1, safedec.Limits{MaxElements: 4}); !errors.Is(err, safedec.ErrLimit) {
 		t.Fatalf("err = %v, want ErrLimit", err)
+	}
+}
+
+// TestLosslessTailBombClassifiedAsLimit pins the shared inflate guard's
+// verdict (zpool.InflateTail, same helper as sz3): a tail that inflates
+// past anything an 8-sample field could need is a resource-limit rejection
+// — 413 and reason="limit" at the server — not mere corruption.
+func TestLosslessTailBombClassifiedAsLimit(t *testing.T) {
+	stream := compressor.AppendHeader(nil, compressor.Header{
+		Magic: compressor.MagicSPERR, Nx: 2, Ny: 2, Nz: 2, EB: 0.5,
+	})
+	stream, err := zpool.AppendDeflate(stream, make([]byte, 2<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New().Decompress(stream)
+	if !errors.Is(err, safedec.ErrLimit) || !errors.Is(err, compressor.ErrBadStream) {
+		t.Fatalf("err = %v, want ErrBadStream wrapping ErrLimit", err)
+	}
+	if got := safedec.Classify(err); got != "limit" {
+		t.Fatalf("Classify = %q, want limit", got)
 	}
 }

@@ -493,18 +493,9 @@ func decompress(stream []byte, speckFrac float64, applyOutliers bool, lim safede
 	if err != nil {
 		return nil, err
 	}
-	// Bound the inflate output so corrupted streams cannot become
-	// decompression bombs (see the matching guard in package sz3).
-	maxPayload := int64(h.Nx)*int64(h.Ny)*int64(h.Nz)*16 + 1<<20
-	if maxPayload > lim.MaxAlloc {
-		maxPayload = lim.MaxAlloc
-	}
-	payload, err := zpool.Inflate(rest, maxPayload+1)
+	payload, err := zpool.InflateTail(rest, int64(h.Nx)*int64(h.Ny)*int64(h.Nz), lim)
 	if err != nil {
-		return nil, fmt.Errorf("%w: sperr inflate: %w", compressor.ErrBadStream, err)
-	}
-	if int64(len(payload)) > maxPayload {
-		return nil, fmt.Errorf("%w: sperr payload exceeds plausible size", compressor.ErrBadStream)
+		return nil, fmt.Errorf("%w: sperr lossless tail: %w", compressor.ErrBadStream, err)
 	}
 	const fixed = 8 + 4 + 1 + 4
 	if len(payload) < fixed {

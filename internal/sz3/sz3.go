@@ -265,19 +265,9 @@ func (*Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field
 	if err != nil {
 		return nil, err
 	}
-	// Bound the inflate output: a legitimate payload can never exceed a few
-	// words per grid point, and a corrupted stream must not become a
-	// decompression bomb.
-	maxPayload := int64(h.Nx)*int64(h.Ny)*int64(h.Nz)*16 + 1<<20
-	if maxPayload > lim.MaxAlloc {
-		maxPayload = lim.MaxAlloc
-	}
-	payload, err := zpool.Inflate(rest, maxPayload+1)
+	payload, err := zpool.InflateTail(rest, int64(h.Nx)*int64(h.Ny)*int64(h.Nz), lim)
 	if err != nil {
-		return nil, fmt.Errorf("%w: sz3 inflate: %v", compressor.ErrBadStream, err)
-	}
-	if int64(len(payload)) > maxPayload {
-		return nil, fmt.Errorf("%w: sz3 payload exceeds plausible size: %w", compressor.ErrBadStream, safedec.ErrLimit)
+		return nil, fmt.Errorf("%w: sz3 lossless tail: %w", compressor.ErrBadStream, err)
 	}
 	sr := safedec.NewReader(payload)
 	modeByte, err := sr.U8("sz3 mode")

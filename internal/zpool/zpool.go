@@ -9,8 +9,11 @@ package zpool
 import (
 	"bytes"
 	"compress/flate"
+	"fmt"
 	"io"
 	"sync"
+
+	"carol/internal/safedec"
 )
 
 // sliceWriter appends to a byte slice through the io.Writer interface so a
@@ -85,4 +88,23 @@ func Inflate(data []byte, limit int64) ([]byte, error) {
 		return nil, err
 	}
 	return io.ReadAll(io.LimitReader(i.zr, limit))
+}
+
+// InflateTail inflates the DEFLATE tail of a codec stream whose header
+// claims n samples. A legitimate tail can never exceed a few words per grid
+// point, so the output is capped at 16 bytes per sample plus 1 MiB of slack
+// (and at lim.MaxAlloc, when tighter): a corrupted or hostile stream must
+// not become a decompression bomb. Exceeding the cap is an error wrapping
+// safedec.ErrLimit; a DEFLATE failure is returned as is, for the caller to
+// wrap as a corrupt stream.
+func InflateTail(data []byte, n int64, lim safedec.Limits) ([]byte, error) {
+	maxPayload := min(n*16+1<<20, lim.Norm().MaxAlloc)
+	payload, err := Inflate(data, maxPayload+1)
+	if err != nil {
+		return nil, fmt.Errorf("inflate: %w", err)
+	}
+	if int64(len(payload)) > maxPayload {
+		return nil, fmt.Errorf("payload exceeds %d bytes: %w", maxPayload, safedec.ErrLimit)
+	}
+	return payload, nil
 }

@@ -52,6 +52,14 @@ curl -fsS -o "$workdir/stream.bin" -D "$workdir/headers.txt" \
     "http://$addr/v1/compress?codec=szx&rel=1e-3&dims=32x32x1"
 grep -i "X-Carol-Achieved-Ratio" "$workdir/headers.txt"
 
+echo "== POST /v1/compress?rel=NaN is the client's 400, not a 500"
+code=$(curl -sS -o /dev/null -w '%{http_code}' --data-binary @"$workdir/field.raw" \
+    "http://$addr/v1/compress?codec=szx&rel=NaN&dims=32x32x1")
+if [ "$code" -ne 400 ]; then
+    echo "smoke: rel=NaN answered $code, want 400" >&2
+    exit 1
+fi
+
 echo "== streaming CLI path: carolc -stream round trip (CPL1 container)"
 "$bindir/carolc" -stream -compressor sz3 -dims 32x32x1 -eb 1e-3 \
     -in "$workdir/field.raw" -out "$workdir/field.cpl"

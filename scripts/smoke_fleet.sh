@@ -80,6 +80,15 @@ if [ "$restored" -ne 4096 ]; then
     exit 1
 fi
 
+echo "== rel=NaN through the gate is refused at the door with 400 (no replica walk, no 503)"
+code=$(curl -sS -o /dev/null -w '%{http_code}' --data-binary @"$workdir/small.raw" \
+    "http://$ag/v1/compress?codec=szx&rel=NaN&dims=32x32x1")
+if [ "$code" -ne 400 ]; then
+    echo "smoke-fleet: rel=NaN through the gate answered $code, want 400" >&2
+    dump_log carolgate
+    exit 1
+fi
+
 echo "== chunked fan-out round trip through the gate (64 KiB field)"
 dd if=/dev/zero of="$workdir/big.raw" bs=65536 count=1 2>/dev/null
 curl -fsS -o "$workdir/big.cch" -D "$workdir/big-headers.txt" \
