@@ -22,6 +22,7 @@ import (
 	"syscall"
 	"time"
 
+	"carol/internal/model"
 	"carol/internal/retrain"
 	"carol/internal/zoo"
 )
@@ -52,7 +53,8 @@ func parseFlags(args []string) (retrain.Config, time.Duration, error) {
 	fs.Float64Var(&cfg.Holdout, "holdout", 0, "newest fraction of traffic held out for shadow eval (0 = default 0.25)")
 	fs.Float64Var(&cfg.WinMargin, "margin", 0, "median shadow-error improvement required to publish (0 = default 0.02)")
 	fs.IntVar(&cfg.GCKeep, "gc", 0, "after publishing, keep only the newest N versions (0 = keep all)")
-	fs.StringVar(&backends, "backends", "", "comma-separated backend subset (default: all of rf,boost,knn)")
+	fs.StringVar(&backends, "backends", "",
+		"comma-separated backend subset (default: all of "+strings.Join(model.KnownBackends(), ",")+")")
 	fs.IntVar(&kfolds, "kfolds", 0, "zoo cross-validation folds (0 = default 5)")
 	fs.Uint64Var(&seed, "seed", 1, "master seed for the zoo's fold split and trainers")
 	fs.IntVar(&workers, "workers", 0, "CPU parallelism for training (0 = all cores)")
@@ -65,10 +67,9 @@ func parseFlags(args []string) (retrain.Config, time.Duration, error) {
 	}
 	cfg.Zoo = zoo.Config{KFolds: kfolds, Seed: seed, Workers: workers}
 	if backends != "" {
-		for _, b := range strings.Split(backends, ",") {
-			if b = strings.TrimSpace(b); b != "" {
-				cfg.Zoo.Backends = append(cfg.Zoo.Backends, b)
-			}
+		var err error
+		if cfg.Zoo.Backends, err = model.ParseBackends(backends); err != nil {
+			return cfg, 0, fmt.Errorf("-backends: %w", err)
 		}
 	}
 	return cfg, interval, nil

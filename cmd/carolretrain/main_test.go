@@ -86,7 +86,9 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-codec", "szx"}, &strings.Builder{}); err == nil {
 		t.Fatal("missing dirs accepted")
 	}
-	if err := run([]string{"-codec", "szx", "-model-dir", "m", "-harvest-dir", "h", "-backends", "svm"}, &strings.Builder{}); err == nil {
-		t.Fatal("unknown backend accepted")
+	for _, bad := range []string{"svm", "rf,rf", ","} {
+		if err := run([]string{"-codec", "szx", "-model-dir", "m", "-harvest-dir", "h", "-backends", bad}, &strings.Builder{}); err == nil {
+			t.Fatalf("-backends %q accepted", bad)
+		}
 	}
 }

@@ -134,7 +134,7 @@ func publishKNNModel(t testing.TB, dir string) registry.Version {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &model.Artifact{Codec: "szx", Backend: model.BackendKNN, Schema: model.CanonicalSchema(), KNN: m}
+	a := &model.Artifact{Codec: "szx", Backend: model.BackendKNN, Schema: model.CanonicalSchema(), Regressor: m}
 	buf, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func publishTestModel(t testing.TB, dir string, seed uint64) registry.Version {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &model.Artifact{Codec: "szx", Schema: model.CanonicalSchema(), Forest: forest}
+	a := &model.Artifact{Codec: "szx", Schema: model.CanonicalSchema(), Regressor: forest}
 	buf, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)

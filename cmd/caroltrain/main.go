@@ -49,7 +49,7 @@ type options struct {
 	name      string
 	datasets  string
 	dims      string
-	backends  string
+	backends  []string
 	bounds    int
 	boIters   int
 	forestCap int
@@ -62,6 +62,7 @@ type options struct {
 
 func parseFlags(args []string) (options, error) {
 	var o options
+	var backends string
 	fs := flag.NewFlagSet("caroltrain", flag.ContinueOnError)
 	fs.StringVar(&o.codec, "codec", "", "compressor to train for (szx|zfp|sz3|sperr|szp)")
 	fs.StringVar(&o.modelDir, "model-dir", "", "registry root directory to publish into")
@@ -69,8 +70,8 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.datasets, "datasets", "miranda",
 		"comma-separated training data: dataset or dataset:field (see carolgen -list)")
 	fs.StringVar(&o.dims, "dims", "", "override generated field dims NXxNYxNZ (tests and smoke runs)")
-	fs.StringVar(&o.backends, "backends", "rf",
-		"comma-separated surrogate backends to train and compare (rf,boost,knn); "+
+	fs.StringVar(&backends, "backends", model.BackendRF,
+		"comma-separated surrogate backends to train and compare ("+strings.Join(model.KnownBackends(), ",")+"); "+
 			"\"rf\" alone keeps the classic BO-tuned forest path")
 	fs.IntVar(&o.bounds, "bounds", 35, "error bounds sampled per field during collection")
 	fs.IntVar(&o.boIters, "bo-iters", 10, "Bayesian-optimization iterations")
@@ -92,6 +93,10 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.bounds < 2 {
 		return o, fmt.Errorf("-bounds %d < 2", o.bounds)
+	}
+	var err error
+	if o.backends, err = model.ParseBackends(backends); err != nil {
+		return o, fmt.Errorf("-backends: %w", err)
 	}
 	return o, nil
 }
@@ -163,40 +168,16 @@ func fitCalibration(codecName string, points int, f *field.Field) (*model.CalibS
 	return model.FromCalib(m), nil
 }
 
-// parseBackends splits and validates the -backends flag.
-func parseBackends(spec string) ([]string, error) {
-	known := make(map[string]bool)
-	for _, b := range model.KnownBackends() {
-		known[b] = true
-	}
-	var out []string
-	for _, b := range strings.Split(spec, ",") {
-		b = strings.TrimSpace(b)
-		if b == "" {
-			continue
-		}
-		if !known[b] {
-			return nil, fmt.Errorf("unknown backend %q (want %s)", b, strings.Join(model.KnownBackends(), ","))
-		}
-		out = append(out, b)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no backends in %q", spec)
-	}
-	return out, nil
-}
-
 // trainZoo runs the multi-backend sweep on the framework's collected
 // training set and returns the winner's artifact with the CV scoreboard
 // recorded in its metadata.
 func trainZoo(out io.Writer, fw *core.Framework, o options, rfCfg rf.Config,
-	backends []string, calState *model.CalibState, meta map[string]string) (*model.Artifact, error) {
-	rfCfg.Workers = o.workers
+	calState *model.CalibState, meta map[string]string) (*model.Artifact, error) {
 	if o.forestCap > 0 && rfCfg.NEstimators > o.forestCap {
 		rfCfg.NEstimators = o.forestCap
 	}
 	zcfg := zoo.Config{
-		Backends: backends,
+		Backends: o.backends,
 		RF:       rfCfg,
 		KFolds:   o.kfolds,
 		Seed:     o.seed,
@@ -286,26 +267,24 @@ func run(args []string, out io.Writer) error {
 		"best_cv_mse":   strconv.FormatFloat(ts.BestScore, 'g', -1, 64),
 		"seed":          strconv.FormatUint(o.seed, 10),
 	}
-	backends, err := parseBackends(o.backends)
-	if err != nil {
-		return err
-	}
 	var art *model.Artifact
-	if len(backends) == 1 && backends[0] == model.BackendRF {
-		// Classic path: publish the BO-tuned forest exactly as trained —
-		// bit-identical to an in-process framework with the same flags.
+	if len(o.backends) == 1 && o.backends[0] == model.BackendRF {
+		// Classic path: with the forest as the only entrant there is nothing
+		// to cross-validate, so publish the BO-tuned forest exactly as
+		// trained — bit-identical to an in-process framework with the same
+		// flags.
 		art = &model.Artifact{
-			Codec:  o.codec,
-			Schema: model.CanonicalSchema(),
-			Calib:  calState,
-			Forest: forest,
-			Meta:   meta,
+			Codec:     o.codec,
+			Schema:    model.CanonicalSchema(),
+			Calib:     calState,
+			Regressor: forest,
+			Meta:      meta,
 		}
 	} else {
 		// Zoo path: cross-validate every requested backend on the same
 		// fold split (the rf entrant reuses the BO-tuned config) and
 		// publish whichever wins on this dataset.
-		art, err = trainZoo(out, fw, o, ts.BestConfig, backends, calState, meta)
+		art, err = trainZoo(out, fw, o, ts.BestConfig, calState, meta)
 		if err != nil {
 			return err
 		}

@@ -227,7 +227,15 @@ func TestRunZooBackends(t *testing.T) {
 			t.Fatalf("scoreboard missing %s: %v", b, art.Meta)
 		}
 	}
-	if err := run(tinyArgs(dir, "-backends", "nope"), &out); err == nil {
-		t.Fatal("unknown backend accepted")
+	// A bad -backends list is a flag error: rejected before any training
+	// work, so nothing of the pipeline has printed yet.
+	for _, bad := range []string{"nope", "rf,nope", "rf,rf", ","} {
+		out.Reset()
+		if err := run(tinyArgs(dir, "-backends", bad), &out); err == nil {
+			t.Fatalf("-backends %q accepted", bad)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-backends %q rejected only after work was done:\n%s", bad, out.String())
+		}
 	}
 }

@@ -20,14 +20,13 @@ import (
 	"time"
 
 	"carol/internal/bayesopt"
-	"carol/internal/boost"
 	"carol/internal/calib"
 	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/features"
 	"carol/internal/field"
 	"carol/internal/gridsearch"
-	"carol/internal/knn"
+	"carol/internal/model"
 	"carol/internal/rf"
 	"carol/internal/trainset"
 )
@@ -55,11 +54,12 @@ type Config struct {
 	ForestCap int
 	// Features tunes the parallel feature extractor.
 	Features features.ParallelOptions
-	// Model selects the regression model: "rf" (random forest with
-	// Bayesian-optimized hyper-parameters — the paper's design), "gbt"
-	// (gradient-boosted trees) or "knn" (k-nearest neighbours). The
-	// alternatives implement the paper's "different machine learning
-	// models" future-work direction. Default "rf".
+	// Model selects the regression model by its model.KnownBackends tag:
+	// "rf" (random forest with Bayesian-optimized hyper-parameters — the
+	// paper's design) or any other registered backend, fitted with its
+	// default hyper-parameters. The alternatives implement the paper's
+	// "different machine learning models" future-work direction.
+	// Default "rf".
 	Model string
 	// Feedback enables the paper's second future-work direction, the
 	// on-the-fly improvement loop: every CompressToRatio outcome is fed
@@ -97,7 +97,7 @@ func (c Config) withDefaults() Config {
 		c.KFolds = 3
 	}
 	if c.Model == "" {
-		c.Model = "rf"
+		c.Model = model.BackendRF
 	}
 	if c.FeedbackEvery <= 0 {
 		c.FeedbackEvery = 8
@@ -136,11 +136,6 @@ type TrainStats struct {
 	Resumed bool
 }
 
-// regressor is the prediction interface every supported model satisfies.
-type regressor interface {
-	Predict(x []float64) (float64, error)
-}
-
 // Framework is a CAROL instance bound to one compressor.
 type Framework struct {
 	codec     compressor.Codec
@@ -148,9 +143,9 @@ type Framework struct {
 	cfg       Config
 	set       trainset.Set
 	opt       *bayesopt.Optimizer
-	model     regressor
+	model     model.Regressor
 	// bestCfg holds the incumbent forest hyper-parameters (rf model only),
-	// reused by feedback refits.
+	// reused by feedback refits; zero means the backend's defaults.
 	bestCfg rf.Config
 	// pendingFeedback counts outcomes recorded since the last refit.
 	pendingFeedback int
@@ -222,12 +217,12 @@ func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
 		if nCal >= 2 {
 			bounds := calib.PickCalibrationBounds(
 				compressor.AbsBound(f, relLo), compressor.AbsBound(f, relHi), nCal)
-			model, err := calib.Fit(fw.codec, fw.surrogate, f, bounds)
+			cal, err := calib.Fit(fw.codec, fw.surrogate, f, bounds)
 			if err != nil {
 				return stats, fmt.Errorf("core: calibrate %s: %w", f.Name, err)
 			}
 			stats.FullCompressorRuns += nCal
-			est = &calib.Estimator{Base: fw.surrogate, Model: model}
+			est = &calib.Estimator{Base: fw.surrogate, Model: cal}
 		}
 		for _, rel := range fw.cfg.ErrorBounds {
 			ratio, err := est.EstimateRatio(f, compressor.AbsBound(f, rel))
@@ -271,25 +266,13 @@ func (fw *Framework) train(iterations int) (TrainStats, error) {
 	}
 	start := time.Now()
 	X, y := fw.set.Matrix()
-	switch fw.cfg.Model {
-	case "gbt":
-		m, err := boost.Train(X, y, boost.Config{Seed: fw.cfg.Seed})
-		if err != nil {
-			return TrainStats{}, fmt.Errorf("core: gbt fit: %w", err)
+	if fw.cfg.Model != model.BackendRF {
+		// Only the forest has a hyper-parameter search; every other backend
+		// is one fit with its defaults.
+		if err := fw.fit(X, y); err != nil {
+			return TrainStats{}, err
 		}
-		fw.model = m
 		return TrainStats{Duration: time.Since(start), Evaluated: 1}, nil
-	case "knn":
-		m, err := knn.Train(X, y, knn.Config{})
-		if err != nil {
-			return TrainStats{}, fmt.Errorf("core: knn fit: %w", err)
-		}
-		fw.model = m
-		return TrainStats{Duration: time.Since(start), Evaluated: 1}, nil
-	case "rf":
-		// Fall through to the Bayesian-optimized forest below.
-	default:
-		return TrainStats{}, fmt.Errorf("core: unknown model %q (rf|gbt|knn)", fw.cfg.Model)
 	}
 	stats := TrainStats{Resumed: len(fw.opt.Observations()) > 0}
 	for i := 0; i < iterations; i++ {
@@ -323,16 +306,13 @@ func (fw *Framework) train(iterations int) (TrainStats, error) {
 	}
 	stats.BestScore = bestScore
 	stats.BestConfig = bestCfg
-	bestCfg.Workers = fw.cfg.Workers
 	if fw.cfg.ForestCap > 0 && bestCfg.NEstimators > fw.cfg.ForestCap {
 		bestCfg.NEstimators = fw.cfg.ForestCap
 	}
-	forest, err := rf.Train(X, y, bestCfg)
-	if err != nil {
-		return stats, fmt.Errorf("core: final fit: %w", err)
-	}
-	fw.model = forest
 	fw.bestCfg = bestCfg
+	if err := fw.fit(X, y); err != nil {
+		return stats, err
+	}
 	stats.Duration = time.Since(start)
 	return stats, nil
 }
@@ -340,9 +320,9 @@ func (fw *Framework) train(iterations int) (TrainStats, error) {
 // Trained reports whether a model is available.
 func (fw *Framework) Trained() bool { return fw.model != nil }
 
-// Forest returns the trained random forest for export into a model
-// artifact (internal/model). Only the default "rf" model is exportable —
-// the artifact format serializes forests, not the alternative regressors.
+// Forest returns the trained random forest, e.g. to publish it as the
+// regressor of an rf model artifact (internal/model). It errors for every
+// other Config.Model.
 func (fw *Framework) Forest() (*rf.Forest, error) {
 	forest, ok := fw.model.(*rf.Forest)
 	if !ok || forest == nil {
@@ -355,9 +335,9 @@ func (fw *Framework) Forest() (*rf.Forest, error) {
 // per-input importances (the five features plus the log target ratio).
 // Only available for the default "rf" model.
 func (fw *Framework) FeatureImportance() ([]float64, error) {
-	forest, ok := fw.model.(*rf.Forest)
-	if !ok || forest == nil {
-		return nil, errors.New("core: feature importance requires a trained rf model")
+	forest, err := fw.Forest()
+	if err != nil {
+		return nil, err
 	}
 	return forest.FeatureImportance(), nil
 }
@@ -375,61 +355,30 @@ func (fw *Framework) RestoreCheckpoint(obs []bayesopt.Observation) error {
 
 // PredictErrorBound estimates the value-range-relative error bound that
 // should achieve targetRatio on f, using CAROL's parallel feature
-// extraction and the trained forest.
+// extraction and the trained model.
 func (fw *Framework) PredictErrorBound(f *field.Field, targetRatio float64) (float64, error) {
-	if fw.model == nil {
-		return 0, errors.New("core: model not trained")
-	}
-	if !(targetRatio > 0) {
-		return 0, fmt.Errorf("core: invalid target ratio %g", targetRatio)
-	}
-	feat := features.ExtractParallel(f, fw.cfg.Features)
-	pred, err := fw.model.Predict(trainset.Row(feat, targetRatio))
+	out, err := fw.PredictErrorBounds(f, []float64{targetRatio})
 	if err != nil {
 		return 0, err
 	}
-	return trainset.EBFromTarget(pred), nil
+	return out[0], nil
 }
 
 // PredictErrorBounds is the batch form of PredictErrorBound: it extracts
 // f's features once and predicts the error bound for every target ratio in
-// one forest pass (rf.Forest.PredictBatch, parallel across rows). This is
-// the cheap way to build a ratio→bound curve for one field.
+// one regressor batch pass. This is the cheap way to build a ratio→bound
+// curve for one field.
 func (fw *Framework) PredictErrorBounds(f *field.Field, targetRatios []float64) ([]float64, error) {
+	return fw.predict(features.ExtractParallel(f, fw.cfg.Features), targetRatios)
+}
+
+// predict runs the shared ratio→bound predictor (model.PredictErrorBounds,
+// the same one a served artifact uses) on an extracted feature vector.
+func (fw *Framework) predict(feat features.Vector, targetRatios []float64) ([]float64, error) {
 	if fw.model == nil {
 		return nil, errors.New("core: model not trained")
 	}
-	for _, r := range targetRatios {
-		if !(r > 0) {
-			return nil, fmt.Errorf("core: invalid target ratio %g", r)
-		}
-	}
-	feat := features.ExtractParallel(f, fw.cfg.Features)
-	rows := make([][]float64, len(targetRatios))
-	for i, r := range targetRatios {
-		rows[i] = trainset.Row(feat, r)
-	}
-	var preds []float64
-	if forest, ok := fw.model.(*rf.Forest); ok {
-		var err error
-		if preds, err = forest.PredictBatch(rows); err != nil {
-			return nil, err
-		}
-	} else {
-		preds = make([]float64, len(rows))
-		for i, row := range rows {
-			p, err := fw.model.Predict(row)
-			if err != nil {
-				return nil, err
-			}
-			preds[i] = p
-		}
-	}
-	out := make([]float64, len(preds))
-	for i, p := range preds {
-		out[i] = trainset.EBFromTarget(p)
-	}
-	return out, nil
+	return model.PredictErrorBounds(fw.model, feat, targetRatios)
 }
 
 // CompressToRatio predicts the error bound for targetRatio and runs the
@@ -438,17 +387,18 @@ func (fw *Framework) PredictErrorBounds(f *field.Field, targetRatios []float64) 
 // outcome is folded back into the training set — the paper's on-the-fly
 // model-improvement loop.
 func (fw *Framework) CompressToRatio(f *field.Field, targetRatio float64) ([]byte, float64, error) {
-	rel, err := fw.PredictErrorBound(f, targetRatio)
+	feat := features.ExtractParallel(f, fw.cfg.Features)
+	rels, err := fw.predict(feat, []float64{targetRatio})
 	if err != nil {
 		return nil, 0, err
 	}
+	rel := rels[0]
 	stream, err := fw.codec.Compress(f, compressor.AbsBound(f, rel))
 	if err != nil {
 		return nil, 0, err
 	}
 	achieved := compressor.Ratio(f, stream)
 	if fw.cfg.Feedback {
-		feat := features.ExtractParallel(f, fw.cfg.Features)
 		if err := fw.ObserveOutcome(feat, achieved, rel); err != nil {
 			return nil, 0, err
 		}
@@ -469,40 +419,17 @@ func (fw *Framework) ObserveOutcome(feat features.Vector, achievedRatio, relEB f
 		return nil
 	}
 	fw.pendingFeedback = 0
-	return fw.refit()
+	return fw.fit(fw.set.Matrix())
 }
 
-// refit retrains the current model type on the accumulated set without a
-// new hyper-parameter search.
-func (fw *Framework) refit() error {
-	X, y := fw.set.Matrix()
-	switch fw.cfg.Model {
-	case "gbt":
-		m, err := boost.Train(X, y, boost.Config{Seed: fw.cfg.Seed})
-		if err != nil {
-			return fmt.Errorf("core: feedback gbt refit: %w", err)
-		}
-		fw.model = m
-	case "knn":
-		m, err := knn.Train(X, y, knn.Config{})
-		if err != nil {
-			return fmt.Errorf("core: feedback knn refit: %w", err)
-		}
-		fw.model = m
-	default:
-		cfg := fw.bestCfg
-		if cfg.NEstimators == 0 {
-			cfg = rf.DefaultConfig()
-			if fw.cfg.ForestCap > 0 {
-				cfg.NEstimators = fw.cfg.ForestCap
-			}
-		}
-		cfg.Workers = fw.cfg.Workers
-		forest, err := rf.Train(X, y, cfg)
-		if err != nil {
-			return fmt.Errorf("core: feedback rf refit: %w", err)
-		}
-		fw.model = forest
+// fit fits Config.Model on (X, y) without a hyper-parameter search: the
+// forest with the incumbent bestCfg, any other backend with its defaults.
+func (fw *Framework) fit(X [][]float64, y []float64) error {
+	m, err := model.Fit(fw.cfg.Model, X, y,
+		model.FitConfig{RF: fw.bestCfg, Seed: fw.cfg.Seed, Workers: fw.cfg.Workers})
+	if err != nil {
+		return fmt.Errorf("core: %s fit: %w", fw.cfg.Model, err)
 	}
+	fw.model = m
 	return nil
 }

@@ -1,17 +1,20 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"carol/internal/compressor"
 	"carol/internal/dataset"
 	"carol/internal/features"
+	"carol/internal/model"
+	"carol/internal/obs"
 	"carol/internal/stats"
 )
 
 // TestAlternativeModels exercises the paper's future-work direction: the
-// framework must train and predict with gradient-boosted trees and k-NN in
-// place of the random forest, with sane end-to-end accuracy.
+// framework must train and predict with every backend in the model table
+// in place of the random forest, with sane end-to-end accuracy.
 func TestAlternativeModels(t *testing.T) {
 	fields := trainFields(t)
 	test, err := dataset.Generate("miranda", "velocityx", dataset.Options{Nx: 32, Ny: 32, Nz: 16})
@@ -28,9 +31,9 @@ func TestAlternativeModels(t *testing.T) {
 	}
 	target := compressor.Ratio(test, midStream)
 
-	for _, model := range []string{"rf", "gbt", "knn"} {
+	for _, backend := range model.KnownBackends() {
 		cfg := fastConfig()
-		cfg.Model = model
+		cfg.Model = backend
 		fw, err := New("szx", cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -40,17 +43,34 @@ func TestAlternativeModels(t *testing.T) {
 		}
 		ts, err := fw.Train()
 		if err != nil {
-			t.Fatalf("%s: %v", model, err)
+			t.Fatalf("%s: %v", backend, err)
 		}
-		if model != "rf" && ts.Evaluated != 1 {
-			t.Fatalf("%s: evaluated %d (no hyper-search expected)", model, ts.Evaluated)
+		if backend != model.BackendRF && ts.Evaluated != 1 {
+			t.Fatalf("%s: evaluated %d (no hyper-search expected)", backend, ts.Evaluated)
 		}
 		_, achieved, err := fw.CompressToRatio(test, target)
 		if err != nil {
-			t.Fatalf("%s: %v", model, err)
+			t.Fatalf("%s: %v", backend, err)
+		}
+		// The library path and a served artifact wrapping the same regressor
+		// share one predictor, so their bounds agree bit for bit.
+		ratios := []float64{target / 2, target, target * 2}
+		lib, err := fw.PredictErrorBounds(test, ratios)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		art := &model.Artifact{Codec: "szx", Backend: backend, Schema: model.CanonicalSchema(), Regressor: fw.model}
+		served, err := art.PredictErrorBounds(test, ratios, cfg.Features)
+		if err != nil {
+			t.Fatalf("%s: artifact path: %v", backend, err)
+		}
+		for i := range ratios {
+			if math.Float64bits(lib[i]) != math.Float64bits(served[i]) {
+				t.Fatalf("%s: ratio %g: library %v != artifact %v", backend, ratios[i], lib[i], served[i])
+			}
 		}
 		if a := stats.PctError(achieved, target); a > 80 {
-			t.Errorf("%s: achieved %g for target %g (α=%.0f%%)", model, achieved, target, a)
+			t.Errorf("%s: achieved %g for target %g (α=%.0f%%)", backend, achieved, target, a)
 		}
 	}
 }
@@ -89,10 +109,17 @@ func TestFeedbackLoop(t *testing.T) {
 	}
 	sizeBefore := fw.TrainingSize()
 	test := fields[2]
+	extractions := obs.Default.Counter("features_extract_calls_total")
+	extractedBefore := extractions.Value()
 	for i := 0; i < 4; i++ {
 		if _, _, err := fw.CompressToRatio(test, 5+float64(i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// One extraction per request: the vector that fed the prediction is the
+	// one ObserveOutcome records.
+	if n := extractions.Value() - extractedBefore; n != 4 {
+		t.Fatalf("4 feedback requests ran %d feature extractions, want 4", n)
 	}
 	if got := fw.TrainingSize(); got != sizeBefore+4 {
 		t.Fatalf("feedback recorded %d samples, want 4", got-sizeBefore)

@@ -138,7 +138,7 @@ func TestRunExt1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment")
 	}
-	smoke(t, "ext1", "gbt", "knn")
+	smoke(t, "ext1", "boost", "knn")
 }
 
 func TestRunExt2(t *testing.T) {

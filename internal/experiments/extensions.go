@@ -3,12 +3,14 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/core"
 	"carol/internal/fraz"
+	"carol/internal/model"
 	"carol/internal/sperr"
 	"carol/internal/stats"
 )
@@ -23,7 +25,8 @@ import (
 // time and end-to-end ratio error.
 func RunExtModels(w io.Writer, s Scale) error {
 	p := paramsFor(s)
-	header(w, "Ext 1", "Alternative models (paper future work): rf vs gbt vs knn, SZx on Miranda")
+	backends := model.KnownBackends()
+	header(w, "Ext 1", "Alternative models (paper future work): "+strings.Join(backends, " vs ")+", SZx on Miranda")
 	train, err := datasetFields(p, "miranda", 4)
 	if err != nil {
 		return err
@@ -42,10 +45,10 @@ func RunExtModels(w io.Writer, s Scale) error {
 	}
 	tw := newTable(w)
 	fmt.Fprintln(tw, "model\ttrain time\tα")
-	for _, model := range []string{"rf", "gbt", "knn"} {
+	for _, backend := range backends {
 		fw, err := core.New("szx", core.Config{
 			ErrorBounds: p.sweep, BOIterations: p.boIters,
-			ForestCap: p.forestCap, Seed: p.seed, Model: model,
+			ForestCap: p.forestCap, Seed: p.seed, Model: backend,
 		})
 		if err != nil {
 			return err
@@ -61,7 +64,7 @@ func RunExtModels(w io.Writer, s Scale) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.1f%%\n", model, ms(ts.Duration), alpha)
+		fmt.Fprintf(tw, "%s\t%s\t%.1f%%\n", backend, ms(ts.Duration), alpha)
 	}
 	return tw.Flush()
 }

@@ -31,7 +31,7 @@ func benchArtifact(b *testing.B) *Artifact {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &Artifact{Codec: "sz3", Schema: CanonicalSchema(), Forest: f,
+	return &Artifact{Codec: "sz3", Schema: CanonicalSchema(), Regressor: f,
 		Meta: map[string]string{"samples": "2000"}}
 }
 
@@ -74,7 +74,7 @@ func BenchmarkArtifactPredictBatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Forest.PredictBatch(rows); err != nil {
+		if _, err := a.Regressor.PredictBatch(rows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,11 @@
 package model
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"carol/internal/fuzzseed"
@@ -81,4 +86,45 @@ func FuzzModelRead(f *testing.F) {
 // CAROL_WRITE_CORPUS, and otherwise fails if it has gone missing.
 func TestFuzzCorpusCheckedIn(t *testing.T) {
 	fuzzseed.Check(t, ".", map[string][][]byte{"FuzzModelRead": modelFuzzSeeds(t)})
+}
+
+// TestFuzzCorpusPinsFormat treats the checked-in corpus as the wire-format
+// pin: it was written by an earlier encoder, so today's encoder must
+// reproduce every seed byte for byte from the same fixtures, and every
+// seed that is a valid stream must decode and (for the current format
+// version) re-encode to exactly its own bytes.
+func TestFuzzCorpusPinsFormat(t *testing.T) {
+	if fuzzseed.Regenerate() {
+		t.Skip("corpus is being regenerated")
+	}
+	decoded := 0
+	for i, want := range modelFuzzSeeds(t) {
+		raw, err := os.ReadFile(fmt.Sprintf("testdata/fuzz/FuzzModelRead/seed-%02d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Corpus file: version line, then one `[]byte("...")` line.
+		line := strings.Split(string(raw), "\n")[1]
+		quoted := strings.TrimSuffix(strings.TrimPrefix(line, "[]byte("), ")")
+		text, err := strconv.Unquote(quoted)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		seed := []byte(text)
+		if !bytes.Equal(seed, want) {
+			t.Fatalf("seed %d: today's encoder no longer reproduces the checked-in bytes", i)
+		}
+		a, err := Read(seed)
+		if err != nil {
+			continue
+		}
+		decoded++
+		if version := seed[len(Magic)]; version == FormatVersion && !bytes.Equal(mustEncode(t, a), seed) {
+			t.Fatalf("seed %d: re-encode differs from the checked-in bytes", i)
+		}
+	}
+	// Valid seeds: rf, rf-minimal, boost, knn, and the v1 stream.
+	if decoded != 5 {
+		t.Fatalf("%d corpus seeds decode, want 5", decoded)
+	}
 }

@@ -43,11 +43,8 @@ import (
 	"os"
 	"sort"
 
-	"carol/internal/boost"
 	"carol/internal/calib"
 	"carol/internal/features"
-	"carol/internal/knn"
-	"carol/internal/rf"
 	"carol/internal/safedec"
 )
 
@@ -60,18 +57,6 @@ const Magic = "CAROLMF1"
 // the backend tag and the boost/knn payload layouts; version 1 (RF-only)
 // is still read.
 const FormatVersion = 2
-
-// The registered regressor backends, in zoo priority order (the
-// deterministic tie-break order for equal CV scores).
-const (
-	BackendRF    = "rf"
-	BackendBoost = "boost"
-	BackendKNN   = "knn"
-)
-
-// KnownBackends lists every backend tag this package can serialize, in
-// priority order. Callers must treat the returned slice as read-only.
-func KnownBackends() []string { return []string{BackendRF, BackendBoost, BackendKNN} }
 
 // Format hard caps, independent of caller Limits: violating these is
 // structural corruption (ErrCorrupt), not a resource-policy rejection.
@@ -120,12 +105,9 @@ type Artifact struct {
 	// Calib optionally carries the surrogate-calibration state fitted
 	// during data collection (high-ratio codecs); nil when uncalibrated.
 	Calib *CalibState
-	// Forest is the trained regressor for Backend "rf"; nil otherwise.
-	Forest *rf.Forest
-	// Boost is the trained regressor for Backend "boost"; nil otherwise.
-	Boost *boost.Model
-	// KNN is the trained regressor for Backend "knn"; nil otherwise.
-	KNN *knn.Model
+	// Regressor is the trained model; its concrete type must be the one
+	// the Backend tag's table row expects.
+	Regressor Regressor
 	// Meta carries free-form training provenance (sample counts, CV
 	// scoreboards, timestamps). Keys and values are bounded strings; Meta
 	// is written in sorted key order so encoding stays deterministic.
@@ -161,24 +143,13 @@ func (a *Artifact) BackendTag() string {
 	return a.Backend
 }
 
-// Dims returns the regressor's input dimensionality, whichever backend
-// carries it (0 if no regressor is attached).
+// Dims returns the regressor's input dimensionality (0 if no regressor is
+// attached).
 func (a *Artifact) Dims() int {
-	switch a.BackendTag() {
-	case BackendBoost:
-		if a.Boost != nil {
-			return a.Boost.Dims()
-		}
-	case BackendKNN:
-		if a.KNN != nil {
-			return a.KNN.Dims()
-		}
-	default:
-		if a.Forest != nil {
-			return a.Forest.Dims()
-		}
+	if a.Regressor == nil {
+		return 0
 	}
-	return 0
+	return a.Regressor.Dims()
 }
 
 // Stats summarizes the regressor's shape for dashboards and /v1/models.
@@ -196,64 +167,14 @@ type Stats struct {
 // Stats computes the backend-appropriate shape summary.
 func (a *Artifact) Stats() Stats {
 	s := Stats{Backend: a.BackendTag()}
-	switch s.Backend {
-	case BackendBoost:
-		if a.Boost != nil {
-			bs := a.Boost.Stats()
-			s.Trees, s.Nodes, s.MaxDepth = bs.Trees, bs.Nodes, bs.MaxDepth
-		}
-	case BackendKNN:
-		if a.KNN != nil {
-			s.Samples, s.K = a.KNN.Len(), a.KNN.K()
-		}
-	default:
-		if a.Forest != nil {
-			fs := a.Forest.Stats()
-			s.Trees, s.Nodes, s.MaxDepth = fs.Trees, fs.Nodes, fs.MaxDepth
-		}
+	if b, err := lookup(s.Backend); err == nil {
+		b.stats(a.Regressor, &s)
 	}
 	return s
 }
 
-// SetWorkers rebinds prediction parallelism on the attached regressor
-// (machine-local; predictions are bit-identical for every value).
-func (a *Artifact) SetWorkers(w int) {
-	switch {
-	case a.Forest != nil:
-		a.Forest.SetWorkers(w)
-	case a.Boost != nil:
-		a.Boost.SetWorkers(w)
-	case a.KNN != nil:
-		a.KNN.SetWorkers(w)
-	}
-}
-
-// PredictTargets runs the backend regressor over pre-built trainset rows
-// and returns the raw model outputs (log10 relative-error-bound targets).
-// Callers that want error bounds apply trainset.EBFromTarget.
-func (a *Artifact) PredictTargets(rows [][]float64) ([]float64, error) {
-	switch a.BackendTag() {
-	case BackendBoost:
-		if a.Boost == nil {
-			return nil, fmt.Errorf("model: boost artifact has no regressor")
-		}
-		return a.Boost.PredictBatch(rows)
-	case BackendKNN:
-		if a.KNN == nil {
-			return nil, fmt.Errorf("model: knn artifact has no regressor")
-		}
-		return a.KNN.PredictBatch(rows)
-	case BackendRF:
-		if a.Forest == nil {
-			return nil, fmt.Errorf("model: rf artifact has no regressor")
-		}
-		return a.Forest.PredictBatch(rows)
-	}
-	return nil, fmt.Errorf("model: unknown backend %q", a.Backend)
-}
-
-// Validate checks the artifact is internally consistent and encodable:
-// exactly the regressor matching the backend tag must be attached.
+// Validate checks the artifact is internally consistent and encodable: the
+// attached regressor must be the type the backend tag names.
 func (a *Artifact) Validate() error {
 	if a.Codec == "" || len(a.Codec) > maxStringLen {
 		return fmt.Errorf("model: bad codec name %q", a.Codec)
@@ -266,43 +187,15 @@ func (a *Artifact) Validate() error {
 			return fmt.Errorf("model: bad schema entry %d", i)
 		}
 	}
-	switch a.BackendTag() {
-	case BackendRF:
-		if a.Forest == nil {
-			return fmt.Errorf("model: rf artifact without forest")
-		}
-		if a.Boost != nil || a.KNN != nil {
-			return fmt.Errorf("model: rf artifact carries extra regressors")
-		}
-		stats := a.Forest.Stats()
-		if stats.Trees == 0 || stats.Nodes == 0 {
-			return fmt.Errorf("model: empty forest")
-		}
-	case BackendBoost:
-		if a.Boost == nil {
-			return fmt.Errorf("model: boost artifact without regressor")
-		}
-		if a.Forest != nil || a.KNN != nil {
-			return fmt.Errorf("model: boost artifact carries extra regressors")
-		}
-		if a.Boost.Rounds() == 0 {
-			return fmt.Errorf("model: empty boost ensemble")
-		}
-		if a.Boost.Rounds() > maxBoostStages {
-			return fmt.Errorf("model: %d boost stages (max %d)", a.Boost.Rounds(), maxBoostStages)
-		}
-	case BackendKNN:
-		if a.KNN == nil {
-			return fmt.Errorf("model: knn artifact without regressor")
-		}
-		if a.Forest != nil || a.Boost != nil {
-			return fmt.Errorf("model: knn artifact carries extra regressors")
-		}
-		if a.KNN.Len() > maxKNNSamples {
-			return fmt.Errorf("model: %d knn samples (max %d)", a.KNN.Len(), maxKNNSamples)
-		}
-	default:
-		return fmt.Errorf("model: unknown backend %q", a.Backend)
+	b, err := lookup(a.BackendTag())
+	if err != nil {
+		return err
+	}
+	if a.Regressor == nil {
+		return fmt.Errorf("model: %s artifact without regressor", b.tag)
+	}
+	if err := b.check(a.Regressor); err != nil {
+		return err
 	}
 	if dims := a.Dims(); dims != len(a.Schema) {
 		return fmt.Errorf("model: regressor has %d input dims but schema has %d entries",
@@ -339,48 +232,6 @@ func (w *writer) str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// writeForest appends one forest section: hyper-parameters (minus the
-// machine-local Workers knob), dims, per-tree node counts, then the
-// struct-of-arrays node payload. Shared by the rf payload and every boost
-// stage.
-func writeForest(w *writer, fl *rf.Flat) {
-	cfg := fl.Cfg
-	w.u32(uint32(cfg.NEstimators))
-	w.u8(byte(cfg.MaxFeatures))
-	w.u32(uint32(cfg.MaxDepth))
-	w.u32(uint32(cfg.MinSamplesSplit))
-	w.u32(uint32(cfg.MinSamplesLeaf))
-	if cfg.Bootstrap {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.u64(cfg.Seed)
-	w.u32(uint32(fl.Dims))
-	w.uvarint(uint64(len(fl.Feature)))
-	for _, n := range fl.TreeNodes {
-		w.uvarint(uint64(n))
-	}
-	for _, v := range fl.Feature {
-		w.u32(uint32(v))
-	}
-	for _, v := range fl.Left {
-		w.u32(uint32(v))
-	}
-	for _, v := range fl.Right {
-		w.u32(uint32(v))
-	}
-	for _, v := range fl.Thresh {
-		w.f64(v)
-	}
-	for _, v := range fl.Value {
-		w.f64(v)
-	}
-	for _, v := range fl.Gain {
-		w.f64(v)
-	}
-}
-
 // Encode serializes the artifact (always as format version 2). The output
 // is deterministic: encoding the same artifact twice yields identical
 // bytes.
@@ -411,36 +262,8 @@ func (a *Artifact) Encode() ([]byte, error) {
 			w.f64(a.Calib.Rho[i])
 		}
 	}
-	switch a.BackendTag() {
-	case BackendRF:
-		writeForest(w, a.Forest.Flatten())
-	case BackendBoost:
-		fl := a.Boost.Flatten()
-		w.f64(fl.Base)
-		w.f64(fl.Shrinkage)
-		w.u32(uint32(fl.Dims))
-		w.uvarint(uint64(len(fl.Stages)))
-		for _, st := range fl.Stages {
-			writeForest(w, st)
-		}
-	case BackendKNN:
-		fl := a.KNN.Flatten()
-		w.u32(uint32(fl.K))
-		w.u32(uint32(fl.Dims))
-		w.uvarint(uint64(len(fl.Y)))
-		for _, v := range fl.Mean {
-			w.f64(v)
-		}
-		for _, v := range fl.Scale {
-			w.f64(v)
-		}
-		for _, v := range fl.X {
-			w.f64(v)
-		}
-		for _, v := range fl.Y {
-			w.f64(v)
-		}
-	}
+	b, _ := lookup(a.BackendTag()) // Validate above vouched for the tag
+	b.write(w, a.Regressor)
 	// Metadata in sorted key order: map iteration order must not leak
 	// into the bytes (the determinism contract carollint enforces).
 	keys := make([]string, 0, len(a.Meta))
@@ -538,13 +361,12 @@ func ReadLimited(data []byte, lim safedec.Limits) (*Artifact, error) {
 		if a.Backend, err = readString(r, "backend tag"); err != nil {
 			return nil, err
 		}
-		switch a.Backend {
-		case BackendRF, BackendBoost, BackendKNN:
-		default:
-			return nil, corrupt("unknown backend tag %q", a.Backend)
-		}
 	} else {
 		a.Backend = BackendRF
+	}
+	backend, err := lookup(a.Backend)
+	if err != nil {
+		return nil, corrupt("unknown backend tag %q", a.Backend)
 	}
 	nSchema, err := r.Uvarint("schema count")
 	if err != nil {
@@ -601,32 +423,8 @@ func ReadLimited(data []byte, lim safedec.Limits) (*Artifact, error) {
 		}
 		a.Calib = cs
 	}
-	switch a.Backend {
-	case BackendRF:
-		fl, err := readForest(r, lim)
-		if err != nil {
-			return nil, err
-		}
-		if fl.Dims != len(a.Schema) {
-			return nil, corrupt("forest dims %d != schema entries %d", fl.Dims, len(a.Schema))
-		}
-		forest, err := rf.FromFlat(fl)
-		if err != nil {
-			return nil, corrupt("%v", err)
-		}
-		a.Forest = forest
-	case BackendBoost:
-		m, err := readBoost(r, lim, len(a.Schema))
-		if err != nil {
-			return nil, err
-		}
-		a.Boost = m
-	case BackendKNN:
-		m, err := readKNN(r, lim, len(a.Schema))
-		if err != nil {
-			return nil, err
-		}
-		a.KNN = m
+	if a.Regressor, err = backend.read(r, lim, len(a.Schema)); err != nil {
+		return nil, err
 	}
 	nMeta, err := r.Uvarint("metadata count")
 	if err != nil {
@@ -666,217 +464,4 @@ func ReadLimited(data []byte, lim safedec.Limits) (*Artifact, error) {
 		return nil, corrupt("checksum mismatch: stream says %08x, payload hashes to %08x", sum, want)
 	}
 	return a, nil
-}
-
-// readForest parses one forest section into a Flat for rf.FromFlat.
-func readForest(r *safedec.Reader, lim safedec.Limits) (*rf.Flat, error) {
-	var cfg rf.Config
-	nEst, err := r.U32("tree count")
-	if err != nil {
-		return nil, err
-	}
-	if err := lim.Count("forest tree", int64(nEst)); err != nil {
-		return nil, err
-	}
-	cfg.NEstimators = int(nEst)
-	mf, err := r.U8("max-features mode")
-	if err != nil {
-		return nil, err
-	}
-	if mf > uint8(rf.MaxFeaturesSqrt) {
-		return nil, corrupt("max-features mode %d", mf)
-	}
-	cfg.MaxFeatures = rf.MaxFeatures(mf)
-	depth, err := r.U32("max depth")
-	if err != nil {
-		return nil, err
-	}
-	cfg.MaxDepth = int(depth)
-	mss, err := r.U32("min samples split")
-	if err != nil {
-		return nil, err
-	}
-	cfg.MinSamplesSplit = int(mss)
-	msl, err := r.U32("min samples leaf")
-	if err != nil {
-		return nil, err
-	}
-	cfg.MinSamplesLeaf = int(msl)
-	boot, err := r.U8("bootstrap flag")
-	if err != nil {
-		return nil, err
-	}
-	if boot > 1 {
-		return nil, corrupt("bootstrap flag %d", boot)
-	}
-	cfg.Bootstrap = boot == 1
-	if cfg.Seed, err = r.U64("seed"); err != nil {
-		return nil, err
-	}
-	dims, err := r.U32("input dims")
-	if err != nil {
-		return nil, err
-	}
-	total, err := r.Uvarint("node count")
-	if err != nil {
-		return nil, err
-	}
-	if total > maxTotalNodes {
-		return nil, corrupt("node count %d exceeds %d", total, maxTotalNodes)
-	}
-	// The whole node payload is claimed-length allocation: check it
-	// against the caller's budget, then against the actual bytes present,
-	// before any array is made.
-	if err := lim.Alloc("forest nodes", int64(total)*nodeEncSize); err != nil {
-		return nil, err
-	}
-	fl := &rf.Flat{Dims: int(dims), Cfg: cfg, TreeNodes: make([]int32, 0, min(int(nEst), 1<<16))}
-	var sum uint64
-	for i := uint32(0); i < nEst; i++ {
-		n, err := r.Uvarint("tree node count")
-		if err != nil {
-			return nil, err
-		}
-		sum += n
-		if sum > total {
-			return nil, corrupt("tree node counts sum past claimed total %d", total)
-		}
-		fl.TreeNodes = append(fl.TreeNodes, int32(n))
-	}
-	if sum != total {
-		return nil, corrupt("tree node counts sum to %d, claimed total %d", sum, total)
-	}
-	if int64(r.Remaining()) < int64(total)*nodeEncSize {
-		return nil, fmt.Errorf("%w: model: node payload needs %d bytes, have %d",
-			safedec.ErrTruncated, int64(total)*nodeEncSize, r.Remaining())
-	}
-	n := int(total)
-	fl.Feature = make([]int32, n)
-	fl.Left = make([]int32, n)
-	fl.Right = make([]int32, n)
-	fl.Thresh = make([]float64, n)
-	fl.Value = make([]float64, n)
-	fl.Gain = make([]float64, n)
-	readI32s := func(dst []int32, what string) {
-		for i := range dst {
-			v, _ := r.U32(what) // length pre-checked above
-			dst[i] = int32(v)
-		}
-	}
-	readF64s := func(dst []float64, what string) {
-		for i := range dst {
-			v, _ := r.U64(what)
-			dst[i] = math.Float64frombits(v)
-		}
-	}
-	readI32s(fl.Feature, "node feature")
-	readI32s(fl.Left, "node left child")
-	readI32s(fl.Right, "node right child")
-	readF64s(fl.Thresh, "node threshold")
-	readF64s(fl.Value, "node value")
-	readF64s(fl.Gain, "node gain")
-	return fl, nil
-}
-
-// readBoost parses the boost payload: base, shrinkage, dims, stage count,
-// then one forest section per stage. Semantic validation (finiteness,
-// stage structure) is delegated to boost.FromFlat.
-func readBoost(r *safedec.Reader, lim safedec.Limits, schemaLen int) (*boost.Model, error) {
-	base, err := r.U64("boost base")
-	if err != nil {
-		return nil, err
-	}
-	shrink, err := r.U64("boost shrinkage")
-	if err != nil {
-		return nil, err
-	}
-	dims, err := r.U32("boost dims")
-	if err != nil {
-		return nil, err
-	}
-	if int(dims) != schemaLen {
-		return nil, corrupt("boost dims %d != schema entries %d", dims, schemaLen)
-	}
-	nStages, err := r.Uvarint("boost stage count")
-	if err != nil {
-		return nil, err
-	}
-	if nStages == 0 || nStages > maxBoostStages {
-		return nil, corrupt("boost stage count %d outside [1, %d]", nStages, maxBoostStages)
-	}
-	if err := lim.Count("boost stage", int64(nStages)); err != nil {
-		return nil, err
-	}
-	fl := &boost.Flat{
-		Base:      math.Float64frombits(base),
-		Shrinkage: math.Float64frombits(shrink),
-		Dims:      int(dims),
-		Stages:    make([]*rf.Flat, nStages),
-	}
-	for i := range fl.Stages {
-		st, err := readForest(r, lim)
-		if err != nil {
-			return nil, err
-		}
-		fl.Stages[i] = st
-	}
-	m, err := boost.FromFlat(fl)
-	if err != nil {
-		return nil, corrupt("%v", err)
-	}
-	return m, nil
-}
-
-// readKNN parses the knn payload: k, dims, sample count, then the mean /
-// scale / standardized-X / Y float arrays. Semantic validation is
-// delegated to knn.FromFlat.
-func readKNN(r *safedec.Reader, lim safedec.Limits, schemaLen int) (*knn.Model, error) {
-	k, err := r.U32("knn k")
-	if err != nil {
-		return nil, err
-	}
-	dims, err := r.U32("knn dims")
-	if err != nil {
-		return nil, err
-	}
-	if int(dims) != schemaLen {
-		return nil, corrupt("knn dims %d != schema entries %d", dims, schemaLen)
-	}
-	n, err := r.Uvarint("knn sample count")
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || n > maxKNNSamples {
-		return nil, corrupt("knn sample count %d outside [1, %d]", n, maxKNNSamples)
-	}
-	if err := lim.Count("knn sample", int64(n)); err != nil {
-		return nil, err
-	}
-	// Total payload: mean + scale (dims each) + X (n*dims) + Y (n), all f64.
-	floats := 2*int64(dims) + int64(n)*int64(dims) + int64(n)
-	if err := lim.Alloc("knn payload", floats*8); err != nil {
-		return nil, err
-	}
-	if int64(r.Remaining()) < floats*8 {
-		return nil, fmt.Errorf("%w: model: knn payload needs %d bytes, have %d",
-			safedec.ErrTruncated, floats*8, r.Remaining())
-	}
-	readF64s := func(count int, what string) []float64 {
-		dst := make([]float64, count)
-		for i := range dst {
-			v, _ := r.U64(what) // length pre-checked above
-			dst[i] = math.Float64frombits(v)
-		}
-		return dst
-	}
-	fl := &knn.Flat{K: int(k), Dims: int(dims)}
-	fl.Mean = readF64s(int(dims), "knn mean")
-	fl.Scale = readF64s(int(dims), "knn scale")
-	fl.X = readF64s(int(n)*int(dims), "knn x")
-	fl.Y = readF64s(int(n), "knn y")
-	m, err := knn.FromFlat(fl)
-	if err != nil {
-		return nil, corrupt("%v", err)
-	}
-	return m, nil
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"carol/internal/features"
-	"carol/internal/field"
 	"carol/internal/rf"
 	"carol/internal/safedec"
 	"carol/internal/trainset"
@@ -52,7 +51,7 @@ func testArtifact(t testing.TB) *Artifact {
 			Rho:  []float64{0.12, 0.08, -0.02, -0.05},
 			Over: true,
 		},
-		Forest: forest,
+		Regressor: forest,
 		Meta: map[string]string{
 			"samples":    "300",
 			"best_score": "0.0123",
@@ -112,37 +111,15 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	// The decoded forest drops the machine-local Workers knob...
-	if w := b.Forest.Config().Workers; w != 0 {
-		t.Fatalf("decoded forest Workers = %d, want 0", w)
+	before, after := a.Regressor.(*rf.Forest).Config(), b.Regressor.(*rf.Forest).Config()
+	if after.Workers != 0 {
+		t.Fatalf("decoded forest Workers = %d, want 0", after.Workers)
 	}
-	// ...but keeps every model-identity hyper-parameter.
-	want, got := a.Forest.Config(), b.Forest.Config()
-	want.Workers, got.Workers = 0, 0
-	if want != got {
-		t.Fatalf("config %+v != %+v", got, want)
-	}
-	// Bit-identical predictions.
-	rng := xrand.New(5)
-	for i := 0; i < 200; i++ {
-		row := make([]float64, trainset.InputDim)
-		for j := range row {
-			row[j] = rng.Float64()*4 - 2
-		}
-		p0, err := a.Forest.Predict(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p1, err := b.Forest.Predict(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(p0) != math.Float64bits(p1) {
-			t.Fatalf("row %d: %v != %v", i, p0, p1)
-		}
-	}
-	// Byte-identical re-encode: Read then Encode reproduces the stream.
-	if !bytes.Equal(buf, mustEncode(t, b)) {
-		t.Fatal("re-encode of decoded artifact differs from original bytes")
+	// ...but keeps every model-identity hyper-parameter. (Predictions and
+	// the byte-identical re-encode are TestBackendConformance's.)
+	before.Workers = 0
+	if before != after {
+		t.Fatalf("config %+v != %+v", after, before)
 	}
 }
 
@@ -163,30 +140,11 @@ func TestRoundTripMinimal(t *testing.T) {
 	}
 }
 
-func TestPredictHelpers(t *testing.T) {
+// TestPredictHelpersReject covers the refusals of the serving helpers;
+// their answers are checked per backend by TestBackendConformance.
+func TestPredictHelpersReject(t *testing.T) {
 	a := testArtifact(t)
-	f := field.New("probe", 16, 16, 4)
-	rng := xrand.New(3)
-	for i := range f.Data {
-		f.Data[i] = float32(rng.Float64())
-	}
-	ratios := []float64{2, 10, 100}
-	batch, err := a.PredictErrorBounds(f, ratios, featuresOpts())
-	if err != nil {
-		t.Fatalf("batch predict: %v", err)
-	}
-	for i, r := range ratios {
-		single, err := a.PredictErrorBound(f, r, featuresOpts())
-		if err != nil {
-			t.Fatalf("single predict: %v", err)
-		}
-		if math.Float64bits(single) != math.Float64bits(batch[i]) {
-			t.Fatalf("ratio %g: single %v != batch %v", r, single, batch[i])
-		}
-		if !(single > 0 && single <= 1) {
-			t.Fatalf("ratio %g: bound %v outside (0, 1]", r, single)
-		}
-	}
+	f := testField(t)
 	if _, err := a.PredictErrorBound(f, -1, featuresOpts()); err == nil {
 		t.Fatal("negative ratio accepted")
 	}
@@ -209,7 +167,7 @@ func TestValidateRejects(t *testing.T) {
 		{"empty codec", func(a *Artifact) { a.Codec = "" }},
 		{"empty schema", func(a *Artifact) { a.Schema = nil }},
 		{"blank schema entry", func(a *Artifact) { a.Schema[2] = "" }},
-		{"nil forest", func(a *Artifact) { a.Forest = nil }},
+		{"nil regressor", func(a *Artifact) { a.Regressor = nil }},
 		{"dims mismatch", func(a *Artifact) { a.Schema = a.Schema[:3] }},
 		{"bad calibration", func(a *Artifact) { a.Calib.EBs[1] = a.Calib.EBs[0] }},
 		{"empty meta key", func(a *Artifact) { a.Meta[""] = "x" }},
@@ -263,43 +221,6 @@ func TestReadHostileStreams(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestReadEveryTruncation cuts the valid stream at every length; each
-// prefix must fail with a classified error (mostly ErrTruncated; a cut
-// that lands on a self-consistent prefix may classify as corrupt).
-func TestReadEveryTruncation(t *testing.T) {
-	valid := mustEncode(t, testArtifact(t))
-	for n := 0; n < len(valid); n++ {
-		a, err := Read(valid[:n])
-		if err == nil {
-			t.Fatalf("truncation at %d of %d accepted: %+v", n, len(valid), a)
-		}
-		if safedec.Classify(err) == "" {
-			t.Fatalf("truncation at %d: unclassified error %v", n, err)
-		}
-	}
-}
-
-func TestReadLimits(t *testing.T) {
-	valid := mustEncode(t, testArtifact(t))
-	t.Run("node budget", func(t *testing.T) {
-		_, err := ReadLimited(valid, safedec.Limits{MaxAlloc: 128})
-		if !errors.Is(err, safedec.ErrLimit) {
-			t.Fatalf("err = %v, want ErrLimit", err)
-		}
-	})
-	t.Run("calibration count budget", func(t *testing.T) {
-		_, err := ReadLimited(valid, safedec.Limits{MaxCount: 2})
-		if !errors.Is(err, safedec.ErrLimit) {
-			t.Fatalf("err = %v, want ErrLimit", err)
-		}
-	})
-	t.Run("generous limits pass", func(t *testing.T) {
-		if _, err := ReadLimited(valid, safedec.Default()); err != nil {
-			t.Fatalf("err = %v", err)
-		}
-	})
 }
 
 func TestWriteReadFile(t *testing.T) {

@@ -25,6 +25,28 @@ func (a *Artifact) ServingCheck() error {
 	return nil
 }
 
+// PredictErrorBounds is the one ratio→bound predictor, shared by the
+// artifact (serving) and core.Framework (library) paths: one trainset.Row
+// per target ratio over an already-extracted feature vector, one batch
+// pass through the regressor, then trainset.EBFromTarget on each output.
+func PredictErrorBounds(r Regressor, feat features.Vector, targetRatios []float64) ([]float64, error) {
+	rows := make([][]float64, len(targetRatios))
+	for i, ratio := range targetRatios {
+		if !(ratio > 0) {
+			return nil, fmt.Errorf("model: invalid target ratio %g", ratio)
+		}
+		rows[i] = trainset.Row(feat, ratio)
+	}
+	out, err := r.PredictBatch(rows)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range out {
+		out[i] = trainset.EBFromTarget(p)
+	}
+	return out, nil
+}
+
 // PredictErrorBound predicts the value-range-relative error bound that
 // should achieve targetRatio on f — the one-shot answer that replaces a
 // per-request FRaZ-style iterative search. Feature extraction uses the
@@ -38,7 +60,7 @@ func (a *Artifact) PredictErrorBound(f *field.Field, targetRatio float64, opts f
 }
 
 // PredictErrorBounds is the batch form: one feature extraction, one
-// forest batch pass over every target ratio.
+// regressor batch pass over every target ratio.
 func (a *Artifact) PredictErrorBounds(f *field.Field, targetRatios []float64, opts features.ParallelOptions) ([]float64, error) {
 	if err := a.ServingCheck(); err != nil {
 		return nil, err
@@ -46,23 +68,5 @@ func (a *Artifact) PredictErrorBounds(f *field.Field, targetRatios []float64, op
 	if len(targetRatios) == 0 {
 		return nil, fmt.Errorf("model: no target ratios")
 	}
-	for _, r := range targetRatios {
-		if !(r > 0) {
-			return nil, fmt.Errorf("model: invalid target ratio %g", r)
-		}
-	}
-	feat := features.ExtractParallel(f, opts)
-	rows := make([][]float64, len(targetRatios))
-	for i, r := range targetRatios {
-		rows[i] = trainset.Row(feat, r)
-	}
-	preds, err := a.PredictTargets(rows)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(preds))
-	for i, p := range preds {
-		out[i] = trainset.EBFromTarget(p)
-	}
-	return out, nil
+	return PredictErrorBounds(a.Regressor, features.ExtractParallel(f, opts), targetRatios)
 }

@@ -39,7 +39,7 @@ func testArtifactBytes(t testing.TB, seed uint64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &model.Artifact{Codec: "szx", Schema: model.CanonicalSchema(), Forest: forest}
+	a := &model.Artifact{Codec: "szx", Schema: model.CanonicalSchema(), Regressor: forest}
 	buf, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -100,14 +100,8 @@ func (c Config) withDefaults() (Config, error) {
 	if err := registry.CheckName(c.Name); err != nil {
 		return c, err
 	}
-	known := make(map[string]bool)
-	for _, b := range model.KnownBackends() {
-		known[b] = true
-	}
-	for _, b := range c.Zoo.Backends {
-		if !known[b] {
-			return c, fmt.Errorf("retrain: unknown backend %q", b)
-		}
+	if err := model.CheckBackends(c.Zoo.Backends); err != nil {
+		return c, err
 	}
 	if c.JournalCap <= 0 {
 		c.JournalCap = trainset.DefaultJournalCap
@@ -181,7 +175,7 @@ func shadowEval(a *model.Artifact, holdout []trainset.Record) (*EvalStats, error
 	for i, rec := range holdout {
 		rows[i] = trainset.Row(rec.Features, rec.Ratio)
 	}
-	preds, err := a.PredictTargets(rows)
+	preds, err := a.Regressor.PredictBatch(rows)
 	if err != nil {
 		return nil, err
 	}

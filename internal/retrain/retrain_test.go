@@ -79,7 +79,7 @@ func publishBadLive(t *testing.T, regDir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &model.Artifact{Codec: "szx", Backend: model.BackendRF, Schema: model.CanonicalSchema(), Forest: f}
+	a := &model.Artifact{Codec: "szx", Backend: model.BackendRF, Schema: model.CanonicalSchema(), Regressor: f}
 	buf, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -319,6 +319,14 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewController(Config{Codec: "szx", RegistryDir: "r", HarvestDir: "h"}, 0); err == nil {
 		t.Fatal("zero interval accepted")
+	}
+	// A bad backend list is a config error, caught before any journal is read.
+	for _, bad := range [][]string{{"svm"}, {"rf", "rf"}} {
+		cfg := Config{Codec: "szx", RegistryDir: "r", HarvestDir: "h"}
+		cfg.Zoo.Backends = bad
+		if _, err := NewController(cfg, time.Hour); err == nil {
+			t.Fatalf("backends %v accepted", bad)
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func BenchmarkZooPredict(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				preds, err := a.PredictTargets(batch)
+				preds, err := a.Regressor.PredictBatch(batch)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -48,18 +48,12 @@ func (c Config) withDefaults() Config {
 	if len(c.Backends) == 0 {
 		c.Backends = model.KnownBackends()
 	}
-	if c.RF.NEstimators == 0 {
-		c.RF = rf.DefaultConfig()
-	}
 	if c.KFolds <= 0 {
 		c.KFolds = 5
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	c.RF.Workers = c.Workers
-	c.Boost.Workers = c.Workers
-	c.KNN.Workers = c.Workers
 	return c
 }
 
@@ -72,10 +66,8 @@ type Candidate struct {
 	// Err is non-nil when this backend failed to train or score; such a
 	// candidate carries no model and never wins.
 	Err error
-	// Exactly one of the following is non-nil on success.
-	Forest *rf.Forest
-	Boost  *boost.Model
-	KNN    *knn.Model
+	// Model is the backend refit on the full data; nil when Err is set.
+	Model model.Regressor
 }
 
 // Artifact wraps the candidate's model into a publishable artifact with
@@ -85,14 +77,12 @@ func (c *Candidate) Artifact(codec string, calib *model.CalibState, meta map[str
 		return nil, fmt.Errorf("zoo: backend %s failed: %w", c.Backend, c.Err)
 	}
 	a := &model.Artifact{
-		Codec:   codec,
-		Backend: c.Backend,
-		Schema:  model.CanonicalSchema(),
-		Calib:   calib,
-		Forest:  c.Forest,
-		Boost:   c.Boost,
-		KNN:     c.KNN,
-		Meta:    meta,
+		Codec:     codec,
+		Backend:   c.Backend,
+		Schema:    model.CanonicalSchema(),
+		Calib:     calib,
+		Regressor: c.Model,
+		Meta:      meta,
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -142,66 +132,12 @@ func (r *Result) Scoreboard() map[string]string {
 	return out
 }
 
-// trainer adapts one backend to the shared CV loop.
-type trainer struct {
-	fit func(X [][]float64, y []float64) (predictBatch, error)
-}
-
-type predictBatch func(rows [][]float64) ([]float64, error)
-
-func backendTrainer(backend string, cfg Config) (trainer, func(c *Candidate, X [][]float64, y []float64) error, error) {
-	switch backend {
-	case model.BackendRF:
-		tr := trainer{fit: func(X [][]float64, y []float64) (predictBatch, error) {
-			f, err := rf.Train(X, y, cfg.RF)
-			if err != nil {
-				return nil, err
-			}
-			return f.PredictBatch, nil
-		}}
-		final := func(c *Candidate, X [][]float64, y []float64) error {
-			f, err := rf.Train(X, y, cfg.RF)
-			c.Forest = f
-			return err
-		}
-		return tr, final, nil
-	case model.BackendBoost:
-		tr := trainer{fit: func(X [][]float64, y []float64) (predictBatch, error) {
-			m, err := boost.Train(X, y, cfg.Boost)
-			if err != nil {
-				return nil, err
-			}
-			return m.PredictBatch, nil
-		}}
-		final := func(c *Candidate, X [][]float64, y []float64) error {
-			m, err := boost.Train(X, y, cfg.Boost)
-			c.Boost = m
-			return err
-		}
-		return tr, final, nil
-	case model.BackendKNN:
-		tr := trainer{fit: func(X [][]float64, y []float64) (predictBatch, error) {
-			m, err := knn.Train(X, y, cfg.KNN)
-			if err != nil {
-				return nil, err
-			}
-			return m.PredictBatch, nil
-		}}
-		final := func(c *Candidate, X [][]float64, y []float64) error {
-			m, err := knn.Train(X, y, cfg.KNN)
-			c.KNN = m
-			return err
-		}
-		return tr, final, nil
-	}
-	return trainer{}, nil, fmt.Errorf("zoo: unknown backend %q", backend)
-}
-
 // Train runs the zoo: every configured backend is cross-validated on the
 // SAME deterministic fold split (seeded permutation, sample i in fold
 // perm⁻¹(i) mod k) and then refit on the full data. Backends that fail
 // are recorded on their candidate, not fatal — Train errors only when the
-// data cannot support CV at all or a backend tag is unknown.
+// data cannot support CV at all or the backend list fails
+// model.CheckBackends (unknown or repeated tag).
 func Train(X [][]float64, y []float64, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if len(X) == 0 || len(X) != len(y) {
@@ -210,14 +146,11 @@ func Train(X [][]float64, y []float64, cfg Config) (*Result, error) {
 	if len(X) < 2*cfg.KFolds {
 		return nil, fmt.Errorf("zoo: %d samples cannot support %d-fold CV", len(X), cfg.KFolds)
 	}
-	seen := make(map[string]bool, len(cfg.Backends))
-	for _, b := range cfg.Backends {
-		if seen[b] {
-			return nil, fmt.Errorf("zoo: duplicate backend %q", b)
-		}
-		seen[b] = true
+	if err := model.CheckBackends(cfg.Backends); err != nil {
+		return nil, err
 	}
 	k := cfg.KFolds
+	fc := model.FitConfig{RF: cfg.RF, Boost: cfg.Boost, KNN: cfg.KNN, Workers: cfg.Workers}
 	perm := xrand.New(cfg.Seed).Perm(len(X))
 	foldOf := make([]int, len(X))
 	for i, p := range perm {
@@ -227,18 +160,10 @@ func Train(X [][]float64, y []float64, cfg Config) (*Result, error) {
 	for bi, backend := range cfg.Backends {
 		c := &res.Candidates[bi]
 		c.Backend = backend
-		tr, final, err := backendTrainer(backend, cfg)
-		if err != nil {
-			return nil, err
-		}
-		c.CVMSE, c.Err = crossValidate(X, y, foldOf, k, tr)
-		if c.Err != nil {
+		if c.CVMSE, c.Err = crossValidate(X, y, foldOf, k, backend, fc); c.Err != nil {
 			continue
 		}
-		if err := final(c, X, y); err != nil {
-			c.Err = err
-			c.Forest, c.Boost, c.KNN = nil, nil, nil
-		}
+		c.Model, c.Err = model.Fit(backend, X, y, fc)
 	}
 	return res, nil
 }
@@ -246,7 +171,7 @@ func Train(X [][]float64, y []float64, cfg Config) (*Result, error) {
 // crossValidate scores one backend over the shared folds: total squared
 // error over every held-out sample divided by n. Folds run in order, so
 // the accumulation order — and the score — never depends on scheduling.
-func crossValidate(X [][]float64, y []float64, foldOf []int, k int, tr trainer) (float64, error) {
+func crossValidate(X [][]float64, y []float64, foldOf []int, k int, backend string, fc model.FitConfig) (float64, error) {
 	var sse float64
 	for fold := 0; fold < k; fold++ {
 		trX := make([][]float64, 0, len(X))
@@ -262,11 +187,11 @@ func crossValidate(X [][]float64, y []float64, foldOf []int, k int, tr trainer) 
 				trY = append(trY, y[i])
 			}
 		}
-		predict, err := tr.fit(trX, trY)
+		m, err := model.Fit(backend, trX, trY, fc)
 		if err != nil {
 			return 0, fmt.Errorf("zoo: fold %d: %w", fold, err)
 		}
-		preds, err := predict(teX)
+		preds, err := m.PredictBatch(teX)
 		if err != nil {
 			return 0, fmt.Errorf("zoo: fold %d predict: %w", fold, err)
 		}

@@ -55,18 +55,8 @@ func TestTrainAllBackends(t *testing.T) {
 		if !(c.CVMSE >= 0) || math.IsInf(c.CVMSE, 0) {
 			t.Fatalf("backend %s CVMSE %g", c.Backend, c.CVMSE)
 		}
-		n := 0
-		if c.Forest != nil {
-			n++
-		}
-		if c.Boost != nil {
-			n++
-		}
-		if c.KNN != nil {
-			n++
-		}
-		if n != 1 {
-			t.Fatalf("backend %s carries %d models", c.Backend, n)
+		if c.Model == nil || c.Model.Dims() != trainset.InputDim {
+			t.Fatalf("backend %s carries model %v", c.Backend, c.Model)
 		}
 	}
 	best := res.Best()

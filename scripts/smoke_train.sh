@@ -12,6 +12,10 @@
 #      candidate, which ties — and a tie is not a win, so nothing is
 #      published and the registry provably stays at the retrained version.
 #
+# Around that loop it checks caroltrain's -backends flag on the real
+# binaries: a bad list is refused before any training work, and a
+# non-forest (boost) publish is listed and answered by the live server.
+#
 # Everything is seeded and the traffic is fixed, so both verdicts are
 # deterministic. Pure sh + curl; helpers in scripts/lib.sh.
 set -eu
@@ -29,6 +33,18 @@ trap cleanup EXIT INT TERM
 
 echo "== build"
 go build -o "$bindir" ./cmd/carolserve ./cmd/caroltrain ./cmd/carolretrain ./cmd/carolgen
+
+echo "== caroltrain: a bad -backends list is refused before any training work"
+if "$bindir/caroltrain" -codec szx -model-dir "$workdir/models" -dims 16x16x8 \
+    -backends rf,bogus >"$workdir/badflag.txt" 2>&1; then
+    echo "smoke_train: caroltrain accepted -backends rf,bogus" >&2
+    exit 1
+fi
+if grep -q "collected" "$workdir/badflag.txt"; then
+    echo "smoke_train: -backends rf,bogus was rejected only after data collection:" >&2
+    cat "$workdir/badflag.txt" >&2
+    exit 1
+fi
 
 echo "== generate traffic fields"
 dims=32x32x8
@@ -106,6 +122,17 @@ grep -q "no-win: nothing published" "$workdir/retrain2.txt" || {
 }
 curl -fsS "http://$addr/v1/models" | grep -q '"version":2' || {
     echo "smoke_train: registry advanced past v2 after a losing candidate" >&2
+    exit 1
+}
+
+echo "== caroltrain -backends boost: a non-forest publish is served by the live carolserve"
+"$bindir/caroltrain" -codec szx -name szx-boost -model-dir "$workdir/models" \
+    -datasets miranda:velocityx -dims 16x16x8 -bounds 8 -bo-iters 1 \
+    -forest-cap 4 -kfolds 2 -seed 7 -backends boost
+wait_for carolserve 50 sh -c "curl -fsS 'http://$addr/v1/models' | grep -q '\"model\":\"szx-boost\"[^}]*\"backend\":\"boost\"'"
+curl -fsS --data-binary @"$workdir/f1.raw" \
+    "http://$addr/v1/predict?model=szx-boost&ratio=10,50&dims=$dims" | grep -q '"error_bounds":\[' || {
+    echo "smoke_train: /v1/predict did not answer from the boost model" >&2
     exit 1
 }
 
