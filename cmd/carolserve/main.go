@@ -11,7 +11,9 @@
 //	POST /v1/compress?codec=sz3&rel=1e-3&stream=1&dims=... -> pipeline container (CPL1),
 //	     block-parallel, body streamed as blocks complete; optional workers=N;
 //	     X-Carol-Achieved-Ratio arrives as an HTTP trailer
-//	POST /v1/compress?codec=sz3&ratio=100&dims=128x128x64  -> stream (FRaZ search)
+//	POST /v1/compress?codec=sz3&ratio=100&dims=128x128x64  -> stream (fixed-ratio search,
+//	     started from the loaded model's predicted bound when -model-dir has one for
+//	     the codec; X-Carol-Resolver says model|search, X-Carol-Compressor-Runs the cost)
 //	POST /v1/compress?mode=auto&rel=1e-3&dims=...          -> adaptive codec selection:
 //	     every registered codec is scored via its SECRE surrogate, bias-corrected by
 //	     the online bandit, and the winner compresses; X-Carol-Codec-Chosen names it,
@@ -52,10 +54,12 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"sync"
 
 	"carol"
 	"carol/internal/codecs"
 	"carol/internal/compressor"
+	"carol/internal/features"
 	"carol/internal/field"
 	"carol/internal/fraz"
 	"carol/internal/httpkit"
@@ -76,7 +80,7 @@ func main() {
 	flag.DurationVar(&cfg.registryWatch, "registry-watch", cfg.registryWatch,
 		"poll the model registry at this interval and hot-swap on change (0 disables; SIGHUP always works)")
 	flag.StringVar(&cfg.harvestDir, "harvest-dir", cfg.harvestDir,
-		"journal served rel=/abs= compression outcomes here for carolretrain (empty disables)")
+		"journal every served compressor run's outcome here for carolretrain (empty disables)")
 	flag.IntVar(&cfg.harvestCap, "harvest-cap", cfg.harvestCap,
 		"records retained per harvest journal (0 = default)")
 	flag.BoolVar(&cfg.trackEstimatorError, "track-estimator-error", cfg.trackEstimatorError,
@@ -133,9 +137,10 @@ func readFieldBody(r *http.Request) (*field.Field, error) {
 	return httpkit.ReadField(r, nx, ny, nz)
 }
 
-// handleCompress is parse → read field → resolve bound (a FRaZ search for
-// ratio=, which compresses as it goes) → resolve codec → execute (whole
-// stream, or stream=1 container) → the shared epilogue in finish.
+// handleCompress is parse → read field → resolve bound (for ratio= a
+// search seeded by the loaded model's prediction, which compresses as it
+// goes) → resolve codec → execute (whole stream, or stream=1 container) →
+// the shared epilogue in finish.
 func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	tr := s.reg.StartTrace("http_compress")
 	defer tr.End()
@@ -175,23 +180,42 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("X-Carol-Predicted-Ratio", strconv.FormatFloat(p, 'g', 6, 64))
 		}
 	}
+	// The feature vector is extracted at most once per request, by
+	// whichever of the ratio= prediction and the harvest asks first.
+	vector := sync.OnceValue(func() features.Vector {
+		span := tr.StartSpan("features")
+		defer span.End()
+		return features.ExtractParallel(f, features.ParallelOptions{})
+	})
 	// finish is the one epilogue: the achieved ratio and trace go out (as
-	// trailers once a streamed body has been sent), the outcome is
-	// harvested, and a mode=auto decision learns what its pick delivered.
-	finish := func(bound, actual float64) {
+	// trailers once a streamed body has been sent), every compressor run's
+	// outcome is harvested, and a mode=auto decision learns what its pick
+	// delivered.
+	finish := func(actual float64, runs ...fraz.Probe) {
 		w.Header().Set("X-Carol-Achieved-Ratio", strconv.FormatFloat(actual, 'g', 6, 64))
 		w.Header().Set("X-Carol-Trace", tr.String())
-		s.harvest(codec.Name(), f, bound, actual)
+		s.harvest(codec.Name(), f, vector, runs)
 		if dec != nil {
 			s.selector.Observe(*dec, actual)
 		}
+	}
+	// finishBound is finish for a request that ran the compressor once, at
+	// eb. The value range is a pass over the field, so it is only taken when
+	// there is a journal to write it to.
+	finishBound := func(actual float64) {
+		if s.harvester == nil {
+			finish(actual)
+			return
+		}
+		finish(actual, fraz.Probe{RelEB: eb / f.ValueRange(), Ratio: actual})
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	var stream []byte
 	switch {
 	case req.Ratio > 0:
+		seed := s.predictBound(tr, codec.Name(), req.Ratio, vector)
 		span = tr.StartSpan("search")
-		res, err := fraz.Search(codec, f, req.Ratio, fraz.Options{})
+		res, err := fraz.Search(codec, f, req.Ratio, fraz.Options{Seed: seed})
 		span.End()
 		if err != nil {
 			httpkit.Error(w, http.StatusInternalServerError, "%v", err)
@@ -199,9 +223,10 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		}
 		stream = res.Stream
 		w.Header().Set("X-Carol-Compressor-Runs", strconv.Itoa(res.Runs))
-		finish(compressor.AbsBound(f, res.RelEB), res.Achieved)
+		w.Header().Set("X-Carol-Resolver", res.Resolver())
+		finish(res.Achieved, res.Probes...)
 	case req.Stream:
-		compressStreaming(w, tr, pipeline.New(codec, pipeline.Options{Workers: req.Workers}), f, eb, finish)
+		compressStreaming(w, tr, pipeline.New(codec, pipeline.Options{Workers: req.Workers}), f, eb, finishBound)
 		return
 	default:
 		span = tr.StartSpan("codec")
@@ -226,7 +251,7 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		finish(eb, actual)
+		finishBound(actual)
 	}
 	if _, err := w.Write(stream); err != nil {
 		log.Printf("carolserve: compress write: %v", err)
@@ -253,7 +278,7 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // input field plus a bounded window of compressed blocks — never the whole
 // stream. The achieved ratio is only known once the body has been sent, so
 // finish's headers travel as HTTP trailers.
-func compressStreaming(w http.ResponseWriter, tr *obs.Trace, p *pipeline.Codec, f *field.Field, eb float64, finish func(bound, actual float64)) {
+func compressStreaming(w http.ResponseWriter, tr *obs.Trace, p *pipeline.Codec, f *field.Field, eb float64, finish func(actual float64)) {
 	w.Header().Set("Trailer", "X-Carol-Achieved-Ratio, X-Carol-Trace")
 	cw := &countingWriter{w: w}
 	span := tr.StartSpan("codec")
@@ -269,7 +294,7 @@ func compressStreaming(w http.ResponseWriter, tr *obs.Trace, p *pipeline.Codec, 
 		log.Printf("carolserve: streaming compress: %v", err)
 		return
 	}
-	finish(eb, float64(f.SizeBytes())/float64(cw.n))
+	finish(float64(f.SizeBytes()) / float64(cw.n))
 }
 
 func (s *server) handleDecompress(w http.ResponseWriter, r *http.Request) {

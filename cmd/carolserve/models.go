@@ -61,6 +61,48 @@ func newModelStore(dir string, lim safedec.Limits) *modelStore {
 // set returns the current generation (never nil).
 func (ms *modelStore) set() modelSet { return *ms.current.Load() }
 
+// forCodec picks the model that predicts bounds for codec: the one
+// published under the codec's own name, else the first by name among those
+// trained for it (a deterministic choice — identical requests must get
+// identical answers), else nil.
+func (set modelSet) forCodec(codec string) *loadedModel {
+	if lm := set[codec]; lm != nil && lm.artifact.Codec == codec {
+		return lm
+	}
+	var pick *loadedModel
+	pickName := ""
+	for name, lm := range set {
+		if lm.artifact.Codec == codec && (pick == nil || name < pickName) {
+			pick, pickName = lm, name
+		}
+	}
+	return pick
+}
+
+// predictBound asks the loaded model for codec which relative bound should
+// reach ratio on the field whose features vector extracts — the seed of the
+// ratio= search. It reads one generation of the store, so a concurrent hot
+// swap cannot change the model under it. Zero (the search then starts
+// unseeded) without a model for the codec or when the model cannot answer.
+func (s *server) predictBound(tr *obs.Trace, codec string, ratio float64, vector func() features.Vector) float64 {
+	if s.models == nil {
+		return 0
+	}
+	lm := s.models.set().forCodec(codec)
+	if lm == nil || lm.artifact.ServingCheck() != nil {
+		return 0
+	}
+	feat := vector()
+	span := tr.StartSpan("predict")
+	ebs, err := model.PredictErrorBounds(lm.artifact.Regressor, feat, []float64{ratio})
+	span.End()
+	if err != nil {
+		log.Printf("carolserve: ratio= prediction, model for %s v%d: %v", codec, lm.version.Number, err)
+		return 0
+	}
+	return ebs[0]
+}
+
 // Ready reports whether at least one model is serving. /readyz gates on
 // this so a load balancer only routes traffic once predictions can be
 // answered.

@@ -1,0 +1,233 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"carol/internal/codecs"
+	"carol/internal/compressor"
+	"carol/internal/features"
+	"carol/internal/field"
+	"carol/internal/fraz"
+	"carol/internal/model"
+	"carol/internal/obs"
+	"carol/internal/registry"
+	"carol/internal/rf"
+	"carol/internal/trainset"
+)
+
+// publishFieldModel publishes, under name, an szx model trained on f's own
+// ratio curve, so its predictions for f are good seeds.
+func publishFieldModel(t testing.TB, dir, name string, f *field.Field) {
+	t.Helper()
+	codec, err := codecs.ByName("szx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var set trainset.Set
+	feat := features.ExtractParallel(f, features.ParallelOptions{})
+	for _, rel := range trainset.GeometricBounds(1e-5, 0.3, 40) {
+		stream, err := codec.Compress(f, compressor.AbsBound(f, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := set.Add(trainset.Sample{Features: feat, Ratio: compressor.Ratio(f, stream), RelEB: rel}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	X, y := set.Matrix()
+	cfg := rf.DefaultConfig()
+	cfg.NEstimators = 8
+	cfg.Seed = 1
+	forest, err := rf.Train(X, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &model.Artifact{Codec: "szx", Schema: model.CanonicalSchema(), Regressor: forest}
+	buf, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := registry.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Publish(name, buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ratioReply is what the ratio= tests read off a response.
+type ratioReply struct {
+	body     []byte
+	runs     int
+	resolver string
+	trace    string
+}
+
+func postRatio(t testing.TB, h http.Handler, query string, body []byte) ratioReply {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/compress?"+query, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", query, rec.Code, rec.Body.String())
+	}
+	runs, err := strconv.Atoi(rec.Header().Get("X-Carol-Compressor-Runs"))
+	if err != nil || runs < 1 || runs > 16 {
+		t.Fatalf("%s: X-Carol-Compressor-Runs %q", query, rec.Header().Get("X-Carol-Compressor-Runs"))
+	}
+	return ratioReply{rec.Body.Bytes(), runs, rec.Header().Get("X-Carol-Resolver"), rec.Header().Get("X-Carol-Trace")}
+}
+
+// TestRatioResolver: with a published model for the codec the search is
+// seeded by it (never costlier than the unseeded server on the same body,
+// and the same bytes on repeat); without one it is the plain search.
+func TestRatioResolver(t *testing.T) {
+	f, buf := testBody(t)
+	body := buf.Bytes()
+	dir := t.TempDir()
+	// Published under another name: the pick goes by the artifact's codec.
+	publishFieldModel(t, dir, "szx-own", f)
+	seeded := modelServer(t, dir)
+	plain := newServerWith(defaultConfig())
+
+	for _, target := range []string{"3", "8", "20"} {
+		query := "codec=szx&dims=24x24x8&ratio=" + target
+		got := postRatio(t, seeded, query, body)
+		if got.resolver != fraz.ResolverModel {
+			t.Fatalf("ratio=%s with a model: X-Carol-Resolver %q", target, got.resolver)
+		}
+		for _, stage := range []string{"features=", "predict=", "search="} {
+			if !strings.Contains(got.trace, stage) {
+				t.Errorf("ratio=%s: X-Carol-Trace %q lacks the %s span", target, got.trace, stage)
+			}
+		}
+		base := postRatio(t, plain, query, body)
+		if base.resolver != fraz.ResolverSearch || strings.Contains(base.trace, "predict=") {
+			t.Fatalf("ratio=%s without -model-dir: X-Carol-Resolver %q, trace %q", target, base.resolver, base.trace)
+		}
+		if got.runs > base.runs {
+			t.Errorf("ratio=%s: %d runs with the model, %d without", target, got.runs, base.runs)
+		}
+		if again := postRatio(t, seeded, query, body); !bytes.Equal(again.body, got.body) || again.runs != got.runs {
+			t.Errorf("ratio=%s: the repeat differs (%d vs %d runs, %d vs %d bytes)",
+				target, again.runs, got.runs, len(again.body), len(got.body))
+		}
+	}
+	// No model was trained for sz3: same server, plain search.
+	if got := postRatio(t, seeded, "codec=sz3&dims=24x24x8&ratio=8", body); got.resolver != fraz.ResolverSearch {
+		t.Fatalf("sz3 on an szx-only registry: X-Carol-Resolver %q", got.resolver)
+	}
+}
+
+// TestRatioExtractsOnceAndHarvestsEveryProbe: one feature pass serves the
+// prediction and the harvest, and the journal gets one record per
+// compressor run, not only the winner.
+func TestRatioExtractsOnceAndHarvestsEveryProbe(t *testing.T) {
+	f, buf := testBody(t)
+	models, harvest := t.TempDir(), t.TempDir()
+	publishFieldModel(t, models, "szx", f)
+	cfg := defaultConfig()
+	cfg.modelDir, cfg.harvestDir = models, harvest
+	s := newServerWith(cfg)
+	if err := s.models.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	extractions := obs.Default.Counter("features_extract_calls_total")
+	records := obs.Default.Counter("harvest_records_total")
+	extBefore, recBefore := extractions.Value(), records.Value()
+	// At 20 the tiny model is off by enough for the search to correct it.
+	got := postRatio(t, s, "codec=szx&dims=24x24x8&ratio=20", buf.Bytes())
+	if got.runs < 2 {
+		t.Fatalf("ratio=20 resolved in %d run: nothing but the winner to harvest", got.runs)
+	}
+	if n := extractions.Value() - extBefore; n != 1 {
+		t.Errorf("features extracted %d times for one ratio= request, want 1", n)
+	}
+	if n := records.Value() - recBefore; n != int64(got.runs) {
+		t.Errorf("harvest_records_total advanced by %d for %d compressor runs", n, got.runs)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trainset.ReadJournal(trainset.JournalPath(harvest, "szx"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != got.runs {
+		t.Fatalf("journal has %d records for %d runs", len(recs), got.runs)
+	}
+	codec, err := codecs.ByName("szx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		stream, err := codec.Compress(f, compressor.AbsBound(f, rec.RelEB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := compressor.Ratio(f, stream); math.Abs(rec.Ratio-want) > 1e-9*want {
+			t.Errorf("record %d: ratio %g journaled for rel %g, the codec gives %g", i, rec.Ratio, rec.RelEB, want)
+		}
+	}
+}
+
+// TestRatioHotSwapUnderLoad hot-swaps the model while ratio= requests are
+// in flight: each request predicts from the one generation it picked up
+// (run under -race -count=10).
+func TestRatioHotSwapUnderLoad(t *testing.T) {
+	dir := t.TempDir()
+	publishTestModel(t, dir, 1)
+	s := modelServer(t, dir)
+	_, buf := testBody(t)
+	body := buf.Bytes()
+
+	const clients = 4
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost,
+					"/v1/compress?codec=szx&ratio=4&dims=24x24x8", bytes.NewReader(body)))
+				if _, err := io.Copy(io.Discard, rec.Body); err != nil {
+					errs <- err
+					return
+				}
+				if rec.Code != http.StatusOK || rec.Header().Get("X-Carol-Resolver") != fraz.ResolverModel {
+					errs <- fmt.Errorf("status %d, X-Carol-Resolver %q", rec.Code, rec.Header().Get("X-Carol-Resolver"))
+					return
+				}
+			}
+		}()
+	}
+	for seed := uint64(2); seed <= 5; seed++ {
+		publishTestModel(t, dir, seed)
+		if err := s.models.Reload(); err != nil {
+			t.Fatalf("reload: %v", err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

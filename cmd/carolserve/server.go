@@ -7,6 +7,7 @@ import (
 
 	"carol/internal/features"
 	"carol/internal/field"
+	"carol/internal/fraz"
 	"carol/internal/httpkit"
 	"carol/internal/obs"
 	"carol/internal/safedec"
@@ -34,8 +35,8 @@ type config struct {
 	// and hot-swapped on SIGHUP. Empty disables model serving.
 	modelDir string
 
-	// harvestDir, when set, journals every served rel=/abs= compression
-	// outcome (features, achieved ratio, relative error bound) into
+	// harvestDir, when set, journals the outcome of every compressor run a
+	// request paid for (features, achieved ratio, relative error bound) into
 	// per-codec journals that the continuous-retraining pipeline
 	// (carolretrain) trains on. Empty disables harvesting.
 	harvestDir string
@@ -134,27 +135,28 @@ func newServerWith(cfg config) *server {
 	return s
 }
 
-// harvest journals one served compression outcome for the retraining
-// pipeline: the field's features, the ratio the codec actually delivered,
-// and the value-range-relative error bound that produced it. Harvesting
-// is best-effort telemetry — failures are counted and logged, never
-// surfaced to the request.
-func (s *server) harvest(codec string, f *field.Field, eb, actual float64) {
-	if s.harvester == nil {
-		return
+// harvest journals a served request's compressor runs for the retraining
+// pipeline: the field's features with, per run, the ratio the codec
+// delivered and the value-range-relative error bound that produced it. A
+// ratio= search hands in every probe, so the next model also learns from
+// the bounds that missed. Harvesting is best-effort telemetry — failures
+// are counted and logged, never surfaced to the request.
+func (s *server) harvest(codec string, f *field.Field, feat func() features.Vector, runs []fraz.Probe) {
+	if s.harvester == nil || !(f.ValueRange() > 0) {
+		return // constant fields train nothing useful
 	}
-	rng := f.ValueRange()
-	if !(rng > 0) || !(eb > 0) || !(actual > 0) {
-		return // constant or degenerate fields train nothing useful
+	for _, run := range runs {
+		if !(run.RelEB > 0) || !(run.Ratio > 0) {
+			continue
+		}
+		rec := trainset.Record{Features: feat(), Ratio: run.Ratio, RelEB: run.RelEB}
+		if err := s.harvester.Record(codec, rec); err != nil {
+			s.harvestErrors.Inc()
+			log.Printf("carolserve: harvest %s: %v", codec, err)
+			return
+		}
+		s.harvested.Inc()
 	}
-	feat := features.ExtractParallel(f, features.ParallelOptions{})
-	rec := trainset.Record{Features: feat, Ratio: actual, RelEB: eb / rng}
-	if err := s.harvester.Record(codec, rec); err != nil {
-		s.harvestErrors.Inc()
-		log.Printf("carolserve: harvest %s: %v", codec, err)
-		return
-	}
-	s.harvested.Inc()
 }
 
 // Close releases background resources (the harvest journals). Safe on a

@@ -71,7 +71,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`http_requests_total{endpoint="/v1/compress",code="200"}`,
 		`http_request_seconds_bucket{endpoint="/v1/compress",le=`,
-		"fraz_search_runs_bucket",
+		`fraz_search_runs_bucket{resolver="search",le=`,
+		"fraz_ratio_miss_bucket",
 		"fraz_search_compressor_runs_total",
 		`secre_estimate_rel_error{codec="szx"}`,
 		`codec_compress_seconds_bucket{codec="szx",le=`,

@@ -51,13 +51,13 @@ type TrialAndErrorResult struct {
 	// CompressorRuns counts the full compressions performed (the cost a
 	// trained CAROL model avoids).
 	CompressorRuns int
-	// Converged reports whether Achieved is within 5% of the target.
+	// Converged reports whether Achieved is within 3% of the target.
 	Converged bool
 }
 
 // IterativeCompressToRatio reaches a target compression ratio without any
-// trained model, by FRaZ-style bisection on the error bound with the real
-// compressor (Underwood et al., IPDPS 2020). It is exact but costs many
+// trained model, by a FRaZ-style search on the error bound with the real
+// compressor (Underwood et al., IPDPS 2020). It is exact but costs several
 // compressor runs — the baseline a trained Framework replaces with a single
 // prediction.
 func IterativeCompressToRatio(compressorName string, f *Field, targetRatio float64) (TrialAndErrorResult, error) {

@@ -70,8 +70,9 @@ func RunExtModels(w io.Writer, s Scale) error {
 }
 
 // RunExtFraz compares a trained CAROL framework against the FRaZ-style
-// trial-and-error baseline: fixed-ratio accuracy and the number of
-// compressor executions each needs per request.
+// trial-and-error baseline and against the search started from CAROL's
+// prediction: fixed-ratio accuracy and the number of compressor executions
+// each needs per request.
 func RunExtFraz(w io.Writer, s Scale) error {
 	p := paramsFor(s)
 	header(w, "Ext 2", "CAROL vs FRaZ trial-and-error (reference [24]), SZ3 on Miranda")
@@ -107,10 +108,10 @@ func RunExtFraz(w io.Writer, s Scale) error {
 		return err
 	}
 	tw := newTable(w)
-	fmt.Fprintln(tw, "target f\tCAROL achieved\tCAROL runs\tFRaZ achieved\tFRaZ runs")
-	var caAlpha, frAlpha stats.Accumulator
-	var caRuns, frRuns int
-	var caTime, frTime time.Duration
+	fmt.Fprintln(tw, "target f\tCAROL achieved\tCAROL runs\tFRaZ achieved\tFRaZ runs\tseeded achieved\tseeded runs")
+	var caAlpha, frAlpha, seAlpha stats.Accumulator
+	var caRuns, frRuns, seRuns int
+	var caTime, frTime, seTime time.Duration
 	for _, target := range targets {
 		start := time.Now()
 		_, got, err := fw.CompressToRatio(test, target)
@@ -129,15 +130,31 @@ func RunExtFraz(w io.Writer, s Scale) error {
 		frTime += time.Since(start)
 		frRuns += res.Runs
 		frAlpha.Add(stats.PctError(res.Achieved, target))
-		fmt.Fprintf(tw, "%.2f\t%.2f\t1\t%.2f\t%d\n", target, got, res.Achieved, res.Runs)
+
+		// What carolserve does for ratio=: the model's bound starts the search.
+		start = time.Now()
+		seed, err := fw.PredictErrorBound(test, target)
+		if err != nil {
+			return err
+		}
+		seeded, err := fraz.Search(codec, test, target, fraz.Options{Seed: seed})
+		if err != nil {
+			return err
+		}
+		seTime += time.Since(start)
+		seRuns += seeded.Runs
+		seAlpha.Add(stats.PctError(seeded.Achieved, target))
+		fmt.Fprintf(tw, "%.2f\t%.2f\t1\t%.2f\t%d\t%.2f\t%d\n", target, got, res.Achieved, res.Runs, seeded.Achieved, seeded.Runs)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "CAROL: α %.1f%%, %d compressor runs, %s (plus one-time setup %s)\n",
+	fmt.Fprintf(w, "CAROL:  α %.1f%%, %d compressor runs, %s (plus one-time setup %s)\n",
 		caAlpha.Mean(), caRuns, ms(caTime), ms(cs.Duration+ts.Duration))
-	fmt.Fprintf(w, "FRaZ:  α %.1f%%, %d compressor runs, %s (no setup)\n",
+	fmt.Fprintf(w, "FRaZ:   α %.1f%%, %d compressor runs, %s (no setup)\n",
 		frAlpha.Mean(), frRuns, ms(frTime))
+	fmt.Fprintf(w, "seeded: α %.1f%%, %d compressor runs, %s (CAROL's bound starts the FRaZ search; same setup)\n",
+		seAlpha.Mean(), seRuns, ms(seTime))
 	return nil
 }
 

@@ -1,10 +1,11 @@
 // Package fraz implements the generic trial-and-error fixed-ratio strategy
 // of FRaZ (Underwood et al., IPDPS 2020 — reference [24] of the CAROL
-// paper): repeatedly run the real compressor, bisecting on the error bound
-// until the achieved compression ratio lands within a tolerance of the
-// target. It needs no training at all, but costs one full compression per
-// probe — the trade-off CAROL's §3.2 uses to motivate learned prediction,
-// and the baseline the extension experiments compare against.
+// paper): repeatedly run the real compressor, root-finding on the error
+// bound until the achieved compression ratio lands within a tolerance of
+// the target. It needs no training at all, but costs one full compression
+// per probe — the trade-off CAROL's §3.2 uses to motivate learned
+// prediction. A caller that has such a prediction hands it in as
+// Options.Seed and the search becomes a cheap correction on top of it.
 package fraz
 
 import (
@@ -18,46 +19,64 @@ import (
 	"carol/internal/obs"
 )
 
-// Search metrics (obs.Default). FRaZ's own evaluation shows the probe
-// count dominates end-to-end latency, so the iteration histogram is the
-// number to watch when tuning Options or swapping in learned prediction.
-var (
-	searchSeconds    = obs.Default.Histogram("fraz_search_seconds", obs.LatencyBuckets())
-	searchRuns       = obs.Default.Histogram("fraz_search_runs", obs.LinearBuckets(1, 1, 16))
-	searchRunsTotal  = obs.Default.Counter("fraz_search_compressor_runs_total")
-	searchConverged  = obs.Default.Counter("fraz_search_converged_total")
-	searchDiverged   = obs.Default.Counter("fraz_search_unconverged_total")
-	searchErrors     = obs.Default.Counter("fraz_search_errors_total")
-	probeSeconds     = obs.Default.Histogram("fraz_probe_seconds", obs.LatencyBuckets())
-	boundFinalRelEB  = obs.Default.Gauge("fraz_last_rel_eb")
-	ratioMissPercent = obs.Default.Gauge("fraz_last_ratio_miss_percent")
+const (
+	// relLo and relHi bound the value-range-relative error bounds searched.
+	relLo, relHi = 1e-6, 0.5
+	// tolerance is the acceptance band |achieved/target - 1|. 0.03 keeps
+	// the median miss of served ratio= requests below what bisection into a
+	// 5 % band delivered (0.0197), at +0.8 compressor runs over a 5 % band.
+	tolerance = 0.03
+	// maxRuns caps the compressor runs of one search.
+	maxRuns = 16
+	// minBracket is the log-eb width (~2 % in eb) below which a bracket
+	// whose two ends both miss the band holds a jump of the codec's ratio
+	// curve (ZFP's accuracy staircase), not a root: the search stops.
+	minBracket = 0.02
+	// defaultSlope is d ln(ratio) / d ln(eb) assumed before two probes
+	// give a secant; error-bounded codecs sit between 0.3 and 0.8.
+	defaultSlope = 0.5
 )
 
-// Options tunes the search. Zero values take defaults.
+// Search metrics (obs.Default). FRaZ's own evaluation shows the probe
+// count dominates end-to-end latency, so the run histograms — split by
+// whether a prediction seeded the search — are the numbers to watch.
+var (
+	searchSeconds = obs.Default.Histogram("fraz_search_seconds", obs.LatencyBuckets())
+	// searchRuns is indexed by Result.Resolver().
+	searchRuns = map[string]*obs.Histogram{
+		ResolverSearch: obs.Default.Histogram(obs.Label("fraz_search_runs", "resolver", ResolverSearch), obs.LinearBuckets(1, 1, maxRuns)),
+		ResolverModel:  obs.Default.Histogram(obs.Label("fraz_search_runs", "resolver", ResolverModel), obs.LinearBuckets(1, 1, maxRuns)),
+	}
+	searchRunsTotal = obs.Default.Counter("fraz_search_compressor_runs_total")
+	searchConverged = obs.Default.Counter("fraz_search_converged_total")
+	searchDiverged  = obs.Default.Counter("fraz_search_unconverged_total")
+	searchErrors    = obs.Default.Counter("fraz_search_errors_total")
+	probeSeconds    = obs.Default.Histogram("fraz_probe_seconds", obs.LatencyBuckets())
+	// ratioMiss is |achieved/target - 1| of every finished search; the
+	// buckets straddle the acceptance band.
+	ratioMiss = obs.Default.Histogram("fraz_ratio_miss",
+		[]float64{0.005, 0.01, 0.02, 0.03, 0.05, 0.1, 0.25, 0.5, 1})
+)
+
+// The two values of the resolver label and of carolserve's
+// X-Carol-Resolver header.
+const (
+	ResolverSearch = "search"
+	ResolverModel  = "model"
+)
+
+// Options carries the search's one input besides the target.
 type Options struct {
-	// RelLo and RelHi bound the relative error-bound search interval.
-	// Defaults 1e-6 and 0.5.
-	RelLo, RelHi float64
-	// Tolerance is the acceptable |achieved/target - 1|. Default 0.05.
-	Tolerance float64
-	// MaxIters caps the number of compressor runs. Default 16.
-	MaxIters int
+	// Seed is a predicted value-range-relative error bound to start from
+	// (a trained model's answer for this field and target). Zero, negative
+	// and non-finite seeds are ignored and the search starts from the
+	// geometric middle of the interval; a seed outside it is clamped.
+	Seed float64
 }
 
-func (o Options) withDefaults() Options {
-	if o.RelLo <= 0 {
-		o.RelLo = 1e-6
-	}
-	if o.RelHi <= 0 {
-		o.RelHi = 0.5
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 0.05
-	}
-	if o.MaxIters <= 0 {
-		o.MaxIters = 16
-	}
-	return o
+// Probe is one compressor run of a search.
+type Probe struct {
+	RelEB, Ratio float64
 }
 
 // Result reports the outcome of a search.
@@ -70,14 +89,27 @@ type Result struct {
 	Achieved float64
 	// Runs is the number of full compressor executions performed.
 	Runs int
-	// Converged reports whether Achieved is within Tolerance of the target.
+	// Converged reports whether Achieved is within the acceptance band.
 	Converged bool
+	// Seeded reports whether Options.Seed was usable and started the search.
+	Seeded bool
+	// Probes lists every run in order; len(Probes) == Runs.
+	Probes []Probe
+}
+
+// Resolver names what started the search: ResolverModel or ResolverSearch.
+func (r Result) Resolver() string {
+	if r.Seeded {
+		return ResolverModel
+	}
+	return ResolverSearch
 }
 
 // Search finds an error bound whose compression ratio approximates
-// targetRatio, via bisection in log error-bound space (compression ratio is
-// monotone non-decreasing in the bound). Every search records its probe
-// count, convergence outcome and wall time into obs.Default.
+// targetRatio by a bracketed root-find on (ln eb, ln achieved/target),
+// which is close to linear for error-bounded codecs. It returns the best
+// probe seen. Every search records its probe count, convergence outcome,
+// miss and wall time into obs.Default.
 func Search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Options) (Result, error) {
 	start := time.Now()
 	res, err := search(codec, f, targetRatio, opts)
@@ -86,19 +118,26 @@ func Search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 		searchErrors.Inc()
 		return res, err
 	}
-	searchRuns.Observe(float64(res.Runs))
+	searchRuns[res.Resolver()].Observe(float64(res.Runs))
 	searchRunsTotal.Add(int64(res.Runs))
 	if res.Converged {
 		searchConverged.Inc()
 	} else {
 		searchDiverged.Inc()
 	}
-	boundFinalRelEB.Set(res.RelEB)
-	ratioMissPercent.Set(100 * (res.Achieved/targetRatio - 1))
+	ratioMiss.Observe(math.Abs(res.Achieved/targetRatio - 1))
 	return res, nil
 }
 
-// search is the uninstrumented bisection loop.
+// point is a probe in the search's coordinates.
+type point struct {
+	x float64 // ln rel-eb
+	y float64 // ln(achieved/target): negative below the target
+}
+
+// search is the uninstrumented loop. Ratio is taken as non-decreasing in
+// the bound; where a codec is locally not, the bracket still shrinks on
+// every step and the run cap bounds the rest.
 func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Options) (Result, error) {
 	if !(targetRatio > 0) {
 		return Result{}, fmt.Errorf("fraz: invalid target ratio %g", targetRatio)
@@ -106,67 +145,76 @@ func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 	if f == nil || f.Len() == 0 {
 		return Result{}, errors.New("fraz: empty field")
 	}
-	opts = opts.withDefaults()
+	res := Result{Seeded: opts.Seed > 0 && !math.IsInf(opts.Seed, 1)}
+	rel := math.Sqrt(relLo * relHi)
+	if res.Seeded {
+		rel = math.Min(math.Max(opts.Seed, relLo), relHi)
+	}
 
-	probe := func(rel float64) (float64, []byte, error) {
+	var lo, hi, prev point // nearest probe below / above the target; previous probe
+	var haveLo, haveHi, lastBelow bool
+	bestMiss := math.Inf(1)
+	for res.Runs < maxRuns {
 		probeStart := time.Now()
 		stream, err := codec.Compress(f, compressor.AbsBound(f, rel))
 		probeSeconds.ObserveSince(probeStart)
 		if err != nil {
-			return 0, nil, fmt.Errorf("fraz: probe at rel=%g: %w", rel, err)
+			return res, fmt.Errorf("fraz: probe at rel=%g: %w", rel, err)
 		}
-		return compressor.Ratio(f, stream), stream, nil
-	}
-
-	res := Result{}
-	lo, hi := math.Log(opts.RelLo), math.Log(opts.RelHi)
-
-	// Probe the endpoints first: if the target is outside the reachable
-	// range, return the closest endpoint.
-	rLo, sLo, err := probe(opts.RelLo)
-	if err != nil {
-		return res, err
-	}
-	res.Runs++
-	if targetRatio <= rLo {
-		return Result{RelEB: opts.RelLo, Stream: sLo, Achieved: rLo, Runs: res.Runs,
-			Converged: within(rLo, targetRatio, opts.Tolerance)}, nil
-	}
-	rHi, sHi, err := probe(opts.RelHi)
-	if err != nil {
-		return res, err
-	}
-	res.Runs++
-	if targetRatio >= rHi {
-		return Result{RelEB: opts.RelHi, Stream: sHi, Achieved: rHi, Runs: res.Runs,
-			Converged: within(rHi, targetRatio, opts.Tolerance)}, nil
-	}
-
-	best := Result{RelEB: opts.RelLo, Stream: sLo, Achieved: rLo, Runs: res.Runs}
-	for res.Runs < opts.MaxIters {
-		mid := math.Exp((lo + hi) / 2)
-		r, s, err := probe(mid)
-		if err != nil {
-			return res, err
-		}
+		ratio := compressor.Ratio(f, stream)
 		res.Runs++
-		if math.Abs(r-targetRatio)/targetRatio < math.Abs(best.Achieved-targetRatio)/targetRatio {
-			best = Result{RelEB: mid, Stream: s, Achieved: r, Runs: res.Runs}
+		res.Probes = append(res.Probes, Probe{RelEB: rel, Ratio: ratio})
+		if miss := math.Abs(ratio/targetRatio - 1); miss < bestMiss {
+			bestMiss = miss
+			res.RelEB, res.Stream, res.Achieved = rel, stream, ratio
 		}
-		if within(r, targetRatio, opts.Tolerance) {
-			return Result{RelEB: mid, Stream: s, Achieved: r, Runs: res.Runs, Converged: true}, nil
+		if bestMiss <= tolerance {
+			res.Converged = true
+			return res, nil
 		}
-		if r < targetRatio {
-			lo = math.Log(mid)
-		} else {
-			hi = math.Log(mid)
-		}
-	}
-	best.Runs = res.Runs
-	best.Converged = within(best.Achieved, targetRatio, opts.Tolerance)
-	return best, nil
-}
 
-func within(achieved, target, tol float64) bool {
-	return math.Abs(achieved/target-1) <= tol
+		p := point{math.Log(rel), math.Log(ratio / targetRatio)}
+		below := p.y < 0
+		// An endpoint on the near side of the target: out of reach.
+		if below && rel >= relHi || !below && rel <= relLo {
+			return res, nil
+		}
+		// Illinois: an end that survives two steps in a row has its weight
+		// halved, so regula falsi cannot creep along a convex curve.
+		if below {
+			if haveHi && lastBelow {
+				hi.y /= 2
+			}
+			lo, haveLo = p, true
+		} else {
+			if haveLo && !lastBelow {
+				lo.y /= 2
+			}
+			hi, haveHi = p, true
+		}
+		lastBelow = below
+
+		var x float64
+		if haveLo && haveHi {
+			if hi.x-lo.x < minBracket {
+				return res, nil
+			}
+			x = (lo.x*hi.y - hi.x*lo.y) / (hi.y - lo.y)
+		} else {
+			// No bracket yet: follow the secant of the last two probes; where
+			// they show no rise (a flat stair, a local dip) double the stride.
+			x = p.x - p.y/defaultSlope
+			if res.Runs > 1 {
+				if s := (p.y - prev.y) / (p.x - prev.x); s > 0 {
+					x = p.x - p.y/s
+				} else {
+					x = p.x + 2*(p.x-prev.x)
+				}
+			}
+		}
+		prev = p
+		// Clamping in rel keeps the endpoints (and a seed) exact.
+		rel = math.Min(math.Max(math.Exp(x), relLo), relHi)
+	}
+	return res, nil
 }

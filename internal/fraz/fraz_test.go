@@ -1,6 +1,8 @@
 package fraz
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"carol/internal/codecs"
@@ -18,33 +20,74 @@ func testField(t *testing.T) *field.Field {
 	return f
 }
 
+func realCodec(t *testing.T, name string) compressor.Codec {
+	t.Helper()
+	codec, err := codecs.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return codec
+}
+
+// ratioAt is the ratio the codec delivers at a relative bound: a target
+// the search can reach.
+func ratioAt(t *testing.T, codec compressor.Codec, f *field.Field, rel float64) float64 {
+	t.Helper()
+	stream, err := codec.Compress(f, compressor.AbsBound(f, rel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return compressor.Ratio(f, stream)
+}
+
+// curveCodec is a fake whose ratio is a chosen function of the relative
+// bound; its streams are zero bytes of the matching length.
+type curveCodec struct {
+	ratio func(rel float64) float64
+}
+
+func (curveCodec) Name() string { return "curve" }
+
+func (c curveCodec) Compress(f *field.Field, eb float64) ([]byte, error) {
+	n := int(float64(f.SizeBytes()) / c.ratio(eb/f.ValueRange()))
+	return make([]byte, max(n, 1)), nil
+}
+
+func (curveCodec) Decompress([]byte) (*field.Field, error) {
+	return nil, errors.New("curve: no decoder")
+}
+
+// staircase jumps by 15 % in ratio at every doubling of the bound, like
+// ZFP's fixed-accuracy mode.
+func staircase(rel float64) float64 {
+	return 2 * math.Pow(1.15, math.Floor(math.Log2(rel/relLo)))
+}
+
+// wavy rises overall (slope 0.5) but dips locally: up to 12 % below its
+// own trend and not monotone.
+func wavy(rel float64) float64 {
+	x := math.Log(rel / relLo)
+	return 2 * math.Exp(0.5*x+0.12*math.Sin(9*x))
+}
+
 func TestSearchConverges(t *testing.T) {
 	f := testField(t)
 	for _, name := range []string{"szx", "sz3"} {
-		codec, err := codecs.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Pick an achievable target by probing mid-range.
-		probe, err := codec.Compress(f, compressor.AbsBound(f, 3e-3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		target := compressor.Ratio(f, probe)
+		codec := realCodec(t, name)
+		target := ratioAt(t, codec, f, 3e-3)
 		res, err := Search(codec, f, target, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !res.Converged {
-			t.Fatalf("%s: did not converge (achieved %g for %g in %d runs)",
-				name, res.Achieved, target, res.Runs)
+		if !res.Converged || res.Seeded {
+			t.Fatalf("%s: converged %v seeded %v (achieved %g for %g in %d runs)",
+				name, res.Converged, res.Seeded, res.Achieved, target, res.Runs)
 		}
-		rel := res.Achieved/target - 1
-		if rel < -0.06 || rel > 0.06 {
+		if miss := math.Abs(res.Achieved/target - 1); miss > tolerance {
 			t.Fatalf("%s: achieved %g for target %g", name, res.Achieved, target)
 		}
-		if res.Runs < 2 {
-			t.Fatalf("%s: suspiciously few runs (%d)", name, res.Runs)
+		if res.Runs != len(res.Probes) || res.Probes[res.Runs-1] != (Probe{res.RelEB, res.Achieved}) {
+			t.Fatalf("%s: %d runs, probes %v, chose %g", name, res.Runs, res.Probes, res.RelEB)
 		}
 		// The returned stream must be valid.
 		if _, err := codec.Decompress(res.Stream); err != nil {
@@ -53,59 +96,88 @@ func TestSearchConverges(t *testing.T) {
 	}
 }
 
-func TestSearchCostsManyRuns(t *testing.T) {
-	// The point of the comparison with CAROL: trial-and-error needs
-	// several full compressions.
+// TestSeedCutsRuns: a perfect prediction costs one compression, and no
+// prediction, however wrong, costs convergence.
+func TestSeedCutsRuns(t *testing.T) {
 	f := testField(t)
-	codec, err := codecs.ByName("szx")
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"szx", "zfp", "sz3"} {
+		codec := realCodec(t, name)
+		target := ratioAt(t, codec, f, 2e-3)
+		plain, err := Search(codec, f, target, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plain.Converged {
+			t.Fatalf("%s: unseeded search missed a reachable target: %+v", name, plain.Probes)
+		}
+		exact, err := Search(codec, f, target, Options{Seed: plain.RelEB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.Runs != 1 || !exact.Converged || !exact.Seeded || exact.RelEB != plain.RelEB {
+			t.Fatalf("%s: seed = answer took %d runs, chose %g (want %g)", name, exact.Runs, exact.RelEB, plain.RelEB)
+		}
+		for _, seed := range []float64{plain.RelEB / 100, plain.RelEB / 3, plain.RelEB * 3, plain.RelEB * 100, relLo, relHi} {
+			res, err := Search(codec, f, target, Options{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged || res.Runs > maxRuns {
+				t.Errorf("%s seed %g: converged %v in %d runs: %v", name, seed, res.Converged, res.Runs, res.Probes)
+			}
+		}
 	}
-	probe, err := codec.Compress(f, compressor.AbsBound(f, 1e-3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := compressor.Ratio(f, probe)
-	res, err := Search(codec, f, target, Options{Tolerance: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Runs < 3 {
-		t.Fatalf("tight-tolerance search used only %d runs", res.Runs)
+}
+
+// TestHigherTargetNeverLowersBound is the metamorphic check: asking for
+// more compression never selects a tighter bound.
+func TestHigherTargetNeverLowersBound(t *testing.T) {
+	f := testField(t)
+	for _, name := range []string{"szx", "sz3"} {
+		codec := realCodec(t, name)
+		prev := 0.0
+		for _, rel := range []float64{1e-4, 1e-3, 1e-2, 1e-1} {
+			res, err := Search(codec, f, ratioAt(t, codec, f, rel), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.RelEB < prev {
+				t.Fatalf("%s: target at rel %g chose %g, below the previous target's %g", name, rel, res.RelEB, prev)
+			}
+			prev = res.RelEB
+		}
 	}
 }
 
 func TestUnreachableTargetClamps(t *testing.T) {
 	f := testField(t)
-	codec, err := codecs.ByName("szx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Search(codec, f, 1e9, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Fatal("impossible target reported converged")
-	}
-	if res.RelEB != 0.5 { // clamped at RelHi default
-		t.Fatalf("expected clamp at RelHi, got %g", res.RelEB)
-	}
-	// Tiny target: clamps at RelLo.
-	res, err = Search(codec, f, 1.0000001, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RelEB != 1e-6 {
-		t.Fatalf("expected clamp at RelLo, got %g", res.RelEB)
+	// SZ3 is left out: at rel 1e-6 its stream is larger than the field, so
+	// a ratio just above 1 is within its reach.
+	for _, name := range []string{"szx", "zfp"} {
+		codec := realCodec(t, name)
+		for _, seed := range []float64{0, 1e-3} {
+			for target, endpoint := range map[float64]float64{1e9: relHi, 1.0000001: relLo} {
+				res, err := Search(codec, f, target, Options{Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Converged {
+					t.Fatalf("%s: impossible target %g reported converged", name, target)
+				}
+				if res.RelEB != endpoint || res.Runs > 3 {
+					t.Fatalf("%s seed %g: target %g chose %g in %d runs, want %g in <= 3",
+						name, seed, target, res.RelEB, res.Runs, endpoint)
+				}
+				if _, err := codec.Decompress(res.Stream); err != nil {
+					t.Fatalf("%s: endpoint stream invalid: %v", name, err)
+				}
+			}
+		}
 	}
 }
 
 func TestSearchValidation(t *testing.T) {
-	codec, err := codecs.ByName("szx")
-	if err != nil {
-		t.Fatal(err)
-	}
+	codec := realCodec(t, "szx")
 	if _, err := Search(codec, testField(t), 0, Options{}); err == nil {
 		t.Fatal("zero target accepted")
 	}
@@ -114,49 +186,108 @@ func TestSearchValidation(t *testing.T) {
 	}
 }
 
+// TestBadSeedsIgnored: a seed that is no bound at all leaves the search
+// exactly as it is without one; one outside the interval starts on the
+// nearer endpoint.
+func TestBadSeedsIgnored(t *testing.T) {
+	f := testField(t)
+	codec := curveCodec{wavy}
+	plain, err := Search(codec, f, 40, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1e-3} {
+		res, err := Search(codec, f, 40, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Seeded || res.Resolver() != ResolverSearch || res.RelEB != plain.RelEB || res.Runs != plain.Runs {
+			t.Errorf("seed %g: seeded %v, chose %g in %d runs; unseeded chose %g in %d",
+				seed, res.Seeded, res.RelEB, res.Runs, plain.RelEB, plain.Runs)
+		}
+	}
+	for seed, first := range map[float64]float64{1e-12: relLo, 1e300: relHi} {
+		res, err := Search(codec, f, 40, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Seeded || res.Resolver() != ResolverModel || res.Probes[0].RelEB != first || !res.Converged {
+			t.Errorf("seed %g: seeded %v, probes %v, converged %v", seed, res.Seeded, res.Probes, res.Converged)
+		}
+	}
+}
+
+// TestMaxItersRespected drives the search over curves it cannot model — a
+// staircase whose stairs straddle the band, and a locally non-monotone
+// one — from seeds far off and on the endpoints: it must stop inside the
+// cap and hand back the closest probe it made.
 func TestMaxItersRespected(t *testing.T) {
 	f := testField(t)
-	codec, err := codecs.ByName("szx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Search(codec, f, 7.7, Options{Tolerance: 1e-9, MaxIters: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Runs > 5 {
-		t.Fatalf("MaxIters exceeded: %d runs", res.Runs)
-	}
-	if len(res.Stream) == 0 {
-		t.Fatal("no best-effort stream returned")
+	curves := map[string]func(float64) float64{"staircase": staircase, "wavy": wavy}
+	for name, curve := range curves {
+		codec := curveCodec{curve}
+		for _, at := range []float64{3e-5, 2e-3, 0.11} {
+			// Between two stairs on the staircase; reachable on the wavy curve.
+			target := curve(at) * 1.07
+			for _, seed := range []float64{0, at, at / 100, at * 100, relLo, relHi} {
+				res, err := Search(codec, f, target, Options{Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Runs < 1 || res.Runs > maxRuns || res.Runs != len(res.Probes) {
+					t.Fatalf("%s target %g seed %g: %d runs, %d probes", name, target, seed, res.Runs, len(res.Probes))
+				}
+				best := res.Probes[0]
+				for _, p := range res.Probes {
+					if math.Abs(p.Ratio/target-1) < math.Abs(best.Ratio/target-1) {
+						best = p
+					}
+				}
+				if res.RelEB != best.RelEB || res.Achieved != best.Ratio || len(res.Stream) == 0 {
+					t.Fatalf("%s target %g seed %g: returned %g@%g, best probe %v", name, target, seed, res.Achieved, res.RelEB, best)
+				}
+				if name == "staircase" && (res.Converged || res.Runs > 12) {
+					t.Errorf("staircase target %g seed %g: converged %v in %d runs; a jump should stop the search early",
+						target, seed, res.Converged, res.Runs)
+				}
+				if name == "wavy" && !res.Converged {
+					t.Errorf("wavy target %g seed %g: missed in %d runs: %v", target, seed, res.Runs, res.Probes)
+				}
+			}
+		}
 	}
 }
 
 // TestSearchRecordsMetrics checks that a successful search advances the
-// obs.Default iteration histogram and convergence counters.
+// obs.Default run histogram of its resolver, the miss histogram and the
+// convergence counters.
 func TestSearchRecordsMetrics(t *testing.T) {
 	f := testField(t)
-	codec, err := codecs.ByName("szx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runsBefore := searchRuns.Count()
-	totalBefore := searchRunsTotal.Value()
-	convBefore := searchConverged.Value() + searchDiverged.Value()
-	res, err := Search(codec, f, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := searchRuns.Count(); got != runsBefore+1 {
-		t.Fatalf("searchRuns count %d, want %d", got, runsBefore+1)
-	}
-	if got := searchRunsTotal.Value(); got != totalBefore+int64(res.Runs) {
-		t.Fatalf("compressor runs counter %d, want %d", got, totalBefore+int64(res.Runs))
-	}
-	if got := searchConverged.Value() + searchDiverged.Value(); got != convBefore+1 {
-		t.Fatalf("convergence counters %d, want %d", got, convBefore+1)
-	}
-	if probeSeconds.Count() < int64(res.Runs) {
-		t.Fatalf("probe latency count %d < runs %d", probeSeconds.Count(), res.Runs)
+	codec := realCodec(t, "szx")
+	for _, opts := range []Options{{}, {Seed: 1e-3}} {
+		resolver := Result{Seeded: opts.Seed > 0}.Resolver()
+		runsBefore := searchRuns[resolver].Count()
+		missBefore := ratioMiss.Count()
+		totalBefore := searchRunsTotal.Value()
+		convBefore := searchConverged.Value() + searchDiverged.Value()
+		res, err := Search(codec, f, 3, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := searchRuns[resolver].Count(); got != runsBefore+1 {
+			t.Fatalf("%s: searchRuns count %d, want %d", resolver, got, runsBefore+1)
+		}
+		if got := ratioMiss.Count(); got != missBefore+1 {
+			t.Fatalf("%s: ratioMiss count %d, want %d", resolver, got, missBefore+1)
+		}
+		if got := searchRunsTotal.Value(); got != totalBefore+int64(res.Runs) {
+			t.Fatalf("compressor runs counter %d, want %d", got, totalBefore+int64(res.Runs))
+		}
+		if got := searchConverged.Value() + searchDiverged.Value(); got != convBefore+1 {
+			t.Fatalf("convergence counters %d, want %d", got, convBefore+1)
+		}
+		if probeSeconds.Count() < int64(res.Runs) {
+			t.Fatalf("probe latency count %d < runs %d", probeSeconds.Count(), res.Runs)
+		}
 	}
 }

@@ -23,7 +23,7 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 echo "== build"
-go build -o "$bindir" ./cmd/carolserve ./cmd/carolbench ./cmd/caroltrain ./cmd/carolc
+go build -o "$bindir" ./cmd/carolserve ./cmd/carolbench ./cmd/caroltrain ./cmd/carolc ./cmd/carolgen
 
 echo "== carolbench -list"
 "$bindir/carolbench" -list
@@ -121,11 +121,27 @@ curl -fsS --data-binary @"$workdir/field.raw" \
     exit 1
 }
 
+echo "== POST /v1/compress?ratio= starts from the reloaded model's bound"
+"$bindir/carolgen" -dataset miranda -field velocityx -dims 16x16x8 -out "$workdir/velocityx.raw"
+curl -fsS -o /dev/null -D "$workdir/ratio_headers.txt" \
+    --data-binary @"$workdir/velocityx.raw" \
+    "http://$addr/v1/compress?codec=szx&ratio=4&dims=16x16x8"
+tr -d '\r' <"$workdir/ratio_headers.txt" | grep -i '^X-Carol-'
+tr -d '\r' <"$workdir/ratio_headers.txt" | grep -qi '^X-Carol-Resolver: model$' || {
+    echo "smoke: ratio= did not use the loaded model (want X-Carol-Resolver: model)" >&2
+    exit 1
+}
+runs=$(tr -d '\r' <"$workdir/ratio_headers.txt" | awk -F': ' 'tolower($1) == "x-carol-compressor-runs" { print $2 }')
+if [ -z "$runs" ] || [ "$runs" -gt 6 ]; then
+    echo "smoke: ratio= took '$runs' compressor runs, want <= 6" >&2
+    exit 1
+fi
+
 echo "== GET /metrics"
 curl -fsS "http://$addr/metrics" >"$workdir/metrics.txt"
 for metric in http_requests_total http_request_seconds_bucket codec_compress_seconds \
     model_loaded_version model_load_total model_predict_seconds model_forest_trees \
-    carol_model_version; do
+    carol_model_version 'fraz_search_runs_bucket{resolver="model"' fraz_ratio_miss_bucket; do
     grep -q "$metric" "$workdir/metrics.txt" || {
         echo "smoke: /metrics missing $metric" >&2
         exit 1
