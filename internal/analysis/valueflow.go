@@ -608,7 +608,7 @@ func isStreamRead(info *types.Info, call *ast.CallExpr) bool {
 	}
 	if strings.HasSuffix(path, "internal/bitstream") {
 		switch obj.Name() {
-		case "ReadBit", "ReadBits", "ReadBool", "ReadUnary":
+		case "ReadBit", "ReadBits", "ReadBool", "ReadUnary", "Peek":
 			return true
 		}
 	}

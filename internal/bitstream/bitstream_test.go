@@ -245,6 +245,12 @@ func TestReaderRelease(t *testing.T) {
 	if _, err := r.ReadBit(); err != ErrShortStream {
 		t.Fatalf("ReadBit after Release: got err %v, want ErrShortStream", err)
 	}
+	if _, err := r.ReadUnary(); err != ErrShortStream {
+		t.Fatalf("ReadUnary after Release: got err %v, want ErrShortStream", err)
+	}
+	if _, avail := r.Peek(); avail != 0 || r.Remaining() != 0 || r.Consumed() != 0 {
+		t.Fatalf("after Release: Peek avail %d, remaining %d, consumed %d; want all 0", avail, r.Remaining(), r.Consumed())
+	}
 	r.Reset([]byte{0xFF}, 8)
 	if r.Released() {
 		t.Fatal("Released() = true after Reset re-armed the reader")

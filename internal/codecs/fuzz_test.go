@@ -28,7 +28,7 @@ func fuzzSeedStreams(f testing.TB, name string) [][]byte {
 	for i := range fld.Data {
 		fld.Data[i] = float32(math.Sin(float64(i) / 7))
 	}
-	var out [][]byte
+	var out, zeroed [][]byte
 	for _, eb := range []float64{1e-1, 1e-4} {
 		s, err := codec.Compress(fld, eb)
 		if err != nil {
@@ -40,8 +40,12 @@ func fuzzSeedStreams(f testing.TB, name string) [][]byte {
 			bad[30] ^= 0xFF
 		}
 		out = append(out, bad)
+		// A declared bit length of 0 (szx, zfp, szp keep it behind the
+		// header) makes nothing readable. Kept behind the other seeds so
+		// their file numbers stay put.
+		zeroed = append(zeroed, zeroBitLength(s))
 	}
-	return out
+	return append(out, zeroed...)
 }
 
 // fuzzDecompress is the shared decode-hardening target: arbitrary bytes in,

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"carol/internal/compressor"
+	"carol/internal/field"
 	"carol/internal/safedec"
 	"carol/internal/szp"
+	"carol/internal/zfp"
 )
 
 // magicFor returns the header magic byte each registered codec expects.
@@ -114,5 +116,73 @@ func TestLimitsAreHonored(t *testing.T) {
 		if !errors.Is(err, safedec.ErrLimit) {
 			t.Fatalf("%s: tight limits: err = %v, want ErrLimit", codec.Name(), err)
 		}
+	}
+}
+
+// zeroBitLength returns stream with the eight bytes behind the common
+// header zeroed — for szx, zfp and szp that is the big-endian bit length of
+// the payload.
+func zeroBitLength(stream []byte) []byte {
+	out := append([]byte(nil), stream...)
+	for i := 25; i < 33 && i < len(out); i++ {
+		out[i] = 0
+	}
+	return out
+}
+
+// TestZeroBitLengthIsNotUncapped is the regression test for the bug where a
+// declared payload length of 0 bits disabled the cap it exists for:
+// bitstream.Reader treated 0 as "the whole buffer", so a stream whose length
+// field was zeroed still decoded, reading bits the header said were not
+// there. The length is an exact cap now and such a stream is truncated.
+func TestZeroBitLengthIsNotUncapped(t *testing.T) {
+	f := corruptionField()
+	eb := compressor.AbsBound(f, 1e-2)
+	for _, name := range []string{"szx", "zfp", "szp"} {
+		codec, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := codec.Compress(f, eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := codec.Decompress(stream); err != nil {
+			t.Fatalf("%s: valid stream: %v", name, err)
+		}
+		_, err = codec.Decompress(zeroBitLength(stream))
+		if !errors.Is(err, compressor.ErrBadStream) || !errors.Is(err, safedec.ErrTruncated) {
+			t.Errorf("%s: bit length 0: err = %v, want ErrBadStream wrapping ErrTruncated", name, err)
+		}
+	}
+	stream, err := zfp.CompressFixedRate(f, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = zfp.DecompressFixedRate(zeroBitLength(stream))
+	if !errors.Is(err, compressor.ErrBadStream) || !errors.Is(err, safedec.ErrTruncated) {
+		t.Errorf("zfp fixed rate: bit length 0: err = %v, want ErrBadStream wrapping ErrTruncated", err)
+	}
+}
+
+// TestSPERREmptySPECKSectionStaysValid: SPERR is the one codec where a bit
+// length of 0 is what the encoder writes — an all-zero field has no
+// significance pass to code — and it must keep decoding.
+func TestSPERREmptySPECKSectionStaysValid(t *testing.T) {
+	codec, err := ByName("sperr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := field.New("zeros", 9, 7, 5)
+	stream, err := codec.Compress(f, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := codec.Decompress(stream)
+	if err != nil {
+		t.Fatalf("all-zero field: %v", err)
+	}
+	if err := compressor.CheckBound(f, g, 1e-3); err != nil {
+		t.Fatal(err)
 	}
 }

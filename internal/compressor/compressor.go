@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"carol/internal/bitstream"
 	"carol/internal/field"
 	"carol/internal/safedec"
 )
@@ -216,6 +217,17 @@ func AppendHeader(dst []byte, h Header) []byte {
 	binary.LittleEndian.PutUint64(buf[13:], math.Float64bits(h.EB))
 	binary.LittleEndian.PutUint32(buf[21:], headerSum(buf[:21]))
 	return append(dst, buf[:]...)
+}
+
+// SealBits assembles the stream of a bit-packed codec (szx, zfp, szp):
+// header, big-endian bit length of the payload, payload. The buffer is sized
+// once and the payload copied once.
+func SealBits(h Header, w *bitstream.Writer) []byte {
+	bits := w.BitLen()
+	out := make([]byte, 0, headerLen+8+int((bits+7)/8))
+	out = AppendHeader(out, h)
+	out = binary.BigEndian.AppendUint64(out, bits)
+	return w.AppendTo(out)
 }
 
 // ParseHeader decodes a Header and returns the remaining payload, under

@@ -15,6 +15,7 @@ package huffman
 
 import (
 	"fmt"
+	mbits "math/bits"
 	"slices"
 	"sync"
 
@@ -456,7 +457,14 @@ type Decoder struct {
 	count   [maxCodeLen + 1]uint32
 	first   [maxCodeLen + 1]uint64
 	base    [maxCodeLen + 1]uint32
-	r       bitstream.Reader
+
+	// prefix[p] is the symbol and code length the walk finds when the next
+	// prefixBits bits of the stream are p; len 0 when no code that short
+	// matches.
+	prefix     []tableEntry
+	prefixBits uint
+
+	r bitstream.Reader
 }
 
 // NewDecoder returns an empty Decoder.
@@ -559,28 +567,76 @@ func (d *Decoder) AppendDecodeLimited(dst []uint32, stream []byte, lim safedec.L
 	}
 	start := len(dst)
 	dst = slices.Grow(dst, int(capHint))
-	for uint64(len(dst)-start) < nSyms {
-		var code uint64
-		var l uint
-		found := false
-		for l < maxCodeLen {
-			b, err := r.ReadBit()
-			if err != nil {
-				return dst[:start], fmt.Errorf("%w: payload", ErrCorrupt)
-			}
-			code = code<<1 | uint64(b)
-			l++
-			if cnt := d.count[l]; cnt > 0 && code >= d.first[l] && code-d.first[l] < uint64(cnt) {
-				dst = append(dst, d.entries[d.base[l]+uint32(code-d.first[l])].sym)
-				found = true
+	d.buildPrefixTable(nSyms)
+	shift := 64 - d.prefixBits
+	for left := nSyms; left > 0; {
+		// As many symbols as the window holds whole prefixes for.
+		win, avail := r.Peek()
+		used := uint(0)
+		for used+d.prefixBits <= avail && left > 0 {
+			e := d.prefix[win>>shift]
+			if e.len == 0 {
 				break
 			}
+			dst = append(dst, e.sym)
+			win <<= e.len
+			used += uint(e.len)
+			left--
 		}
-		if !found {
+		if used > 0 {
+			r.Skip(used)
+			continue
+		}
+		// A code longer than the prefix, or the last bits of the stream:
+		// one symbol by the walk itself.
+		e := d.walk(win, min(avail, maxCodeLen))
+		if e.len == 0 {
+			if avail < maxCodeLen {
+				return dst[:start], fmt.Errorf("%w: payload", ErrCorrupt)
+			}
 			return dst[:start], fmt.Errorf("%w: no code matched", ErrCorrupt)
 		}
+		r.Skip(uint(e.len))
+		dst = append(dst, e.sym)
+		left--
 	}
 	return dst, nil
+}
+
+// walk is the canonical decode of one symbol from the n (<= maxCodeLen) bits
+// at the top of win: the code grows a bit at a time and the first length at
+// which it falls inside that length's code range wins. A zero len says no
+// code of n bits or fewer matched. For a well-formed table at most one
+// length can match; for an over-subscribed one the order of the walk is the
+// definition of what the stream means.
+func (d *Decoder) walk(win uint64, n uint) tableEntry {
+	for l := uint(1); l <= n; l++ {
+		code := win >> (64 - l)
+		if cnt := d.count[l]; cnt > 0 && code >= d.first[l] && code-d.first[l] < uint64(cnt) {
+			return tableEntry{sym: d.entries[d.base[l]+uint32(code-d.first[l])].sym, len: uint8(l)}
+		}
+	}
+	return tableEntry{}
+}
+
+// maxPrefixBits bounds the prefix table at 2^11 entries (16 KiB): beyond
+// that it falls out of L1 and costs more to fill than it saves.
+const maxPrefixBits = 11
+
+// buildPrefixTable fills d.prefix with the walk's answer for every
+// prefixBits-bit prefix, so the payload loop decodes a symbol with one
+// lookup. It is built by running walk itself over each prefix rather than
+// by laying code ranges out, which makes it agree with the walk by
+// construction — malformed tables included. The table is no wider than the
+// longest code (a lookup then never misses) or than the payload warrants.
+func (d *Decoder) buildPrefixTable(nSyms uint64) {
+	bits := min(maxPrefixBits, uint(d.entries[len(d.entries)-1].len), uint(mbits.Len64(nSyms)))
+	bits = max(bits, 1)
+	d.prefixBits = bits
+	d.prefix = slices.Grow(d.prefix[:0], 1<<bits)[:1<<bits]
+	for p := range d.prefix {
+		d.prefix[p] = d.walk(uint64(p)<<(64-bits), bits)
+	}
 }
 
 // buildTable derives the canonical decode tables from d.entries: entries

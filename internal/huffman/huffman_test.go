@@ -277,13 +277,6 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func BenchmarkEncode(b *testing.B) {
 	rng := xrand.New(1)
 	s := make([]uint32, 1<<16)

@@ -117,16 +117,9 @@ func (*Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 		}
 		prev = p
 	}
-	out := compressor.AppendHeader(nil, compressor.Header{
+	return compressor.SealBits(compressor.Header{
 		Magic: MagicSZP, Nx: f.Nx, Ny: f.Ny, Nz: f.Nz, EB: eb,
-	})
-	bits := w.BitLen()
-	var lenBuf [8]byte
-	for i := 0; i < 8; i++ {
-		lenBuf[i] = byte(bits >> (56 - 8*i))
-	}
-	out = append(out, lenBuf[:]...)
-	return append(out, w.Bytes()...), nil
+	}, w), nil
 }
 
 // Decompress implements compressor.Codec (default safedec limits).

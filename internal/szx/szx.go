@@ -51,17 +51,9 @@ func (*Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 		}
 		encodeBlock(w, f.Data[start:end], eb)
 	}
-	out := compressor.AppendHeader(nil, compressor.Header{
+	return compressor.SealBits(compressor.Header{
 		Magic: compressor.MagicSZx, Nx: f.Nx, Ny: f.Ny, Nz: f.Nz, EB: eb,
-	})
-	// Bit length so the decoder can cap its reader.
-	bits := w.BitLen()
-	var lenBuf [8]byte
-	for i := 0; i < 8; i++ {
-		lenBuf[i] = byte(bits >> (56 - 8*i))
-	}
-	out = append(out, lenBuf[:]...)
-	return append(out, w.Bytes()...), nil
+	}, w), nil
 }
 
 // encodeBlock writes one block.
@@ -104,13 +96,24 @@ func encodeBlock(w *bitstream.Writer, block []float32, eb float64) {
 	}
 	w.WriteBits(uint64(width), 6)
 	w.WriteBits(uint64(math.Float32bits(lo)), 32)
+	// Pack as many codes as a word holds and hand the writer words, not
+	// samples. The division stays a division: multiplying by a reciprocal
+	// rounds differently and would change stream bytes. The quotient lies in
+	// [0, 2^31) here (v >= lo, width < 32), where the conversion's
+	// truncation is the floor.
 	maxQ := uint64(1)<<width - 1
-	for _, v := range block {
-		q := uint64(math.Floor((float64(v) - float64(lo)) / (2 * eb)))
-		if q > maxQ {
-			q = maxQ
+	for per := int(64 / width); len(block) > 0; {
+		word := block[:min(per, len(block))]
+		block = block[len(word):]
+		var acc uint64
+		for _, v := range word {
+			q := uint64((float64(v) - float64(lo)) / (2 * eb))
+			if q > maxQ {
+				q = maxQ
+			}
+			acc = acc<<width | q
 		}
-		w.WriteBits(q, width)
+		w.WriteBits(acc, width*uint(len(word)))
 	}
 }
 
@@ -187,12 +190,23 @@ func decodeBlock(r *bitstream.Reader, block []float32, eb float64) error {
 		return fmt.Errorf("%w: block min: %w", compressor.ErrBadStream, err)
 	}
 	lo := float64(math.Float32frombits(uint32(loBits)))
-	for i := range block {
-		q, err := r.ReadBits(width)
-		if err != nil {
-			return fmt.Errorf("%w: sample code: %w", compressor.ErrBadStream, err)
+	// One length check for the block, then the codes come straight out of
+	// the reader's window, as many as each window holds. Every pass makes
+	// progress: a window holds min(57, Remaining) bits or more, width < 32,
+	// and the check leaves a code's worth remaining while samples do.
+	if r.Remaining() < uint64(width)*uint64(len(block)) {
+		return fmt.Errorf("%w: sample code: %w", compressor.ErrBadStream, bitstream.ErrShortStream)
+	}
+	for i := 0; i < len(block); {
+		win, avail := r.Peek()
+		used := uint(0)
+		for ; used+width <= avail && i < len(block); i++ {
+			q := win >> (64 - width)
+			win <<= width
+			used += width
+			block[i] = float32(lo + (float64(q)+0.5)*2*eb)
 		}
-		block[i] = float32(lo + (float64(q)+0.5)*2*eb)
+		r.Skip(used)
 	}
 	return nil
 }

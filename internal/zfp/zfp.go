@@ -181,144 +181,299 @@ const nbMask = 0xaaaaaaaa
 func int2nb(i int32) uint32 { return (uint32(i) + nbMask) ^ nbMask }
 func nb2int(u uint32) int32 { return int32((u ^ nbMask) - nbMask) }
 
+// transpose8 transposes the 8x8 bit matrix held one row per byte (row r in
+// byte r, column c in bit c of it) with three delta swaps.
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00AA00AA00AA00AA
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000CCCC0000CCCC
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000F0F0F0F0
+	x ^= t ^ t<<28
+	return x
+}
+
+// planeMasks transposes the coefficients into per-plane masks: bit i of
+// planes[k] is bit k of u[i]. Planes below kmin are never coded, so they
+// may be left incomplete. A 64-coefficient block goes through 8x8 bit-block
+// transposes — eight coefficients by one byte lane of their bits at a time,
+// lanes wholly below kmin skipped; the 4- and 16-coefficient blocks of 1D
+// and 2D fields, too narrow for that to pay, scan their set bits.
+func planeMasks(planes *[32]uint64, u []uint32, kmin int) {
+	if len(u) != 64 {
+		for i, c := range u {
+			for c >>= uint(kmin); c != 0; c &= c - 1 {
+				planes[kmin+mbits.TrailingZeros32(c)] |= 1 << uint(i)
+			}
+		}
+		return
+	}
+	for g := uint(0); g < 64; g += 8 {
+		c := u[g : g+8 : g+8]
+		for lane := uint(kmin) &^ 7; lane < 32; lane += 8 {
+			x := uint64(c[0]>>lane&0xFF) | uint64(c[1]>>lane&0xFF)<<8 |
+				uint64(c[2]>>lane&0xFF)<<16 | uint64(c[3]>>lane&0xFF)<<24 |
+				uint64(c[4]>>lane&0xFF)<<32 | uint64(c[5]>>lane&0xFF)<<40 |
+				uint64(c[6]>>lane&0xFF)<<48 | uint64(c[7]>>lane&0xFF)<<56
+			if x == 0 {
+				continue
+			}
+			x = transpose8(x)
+			p := planes[lane : lane+8 : lane+8]
+			p[0] |= (x & 0xFF) << g
+			p[1] |= (x >> 8 & 0xFF) << g
+			p[2] |= (x >> 16 & 0xFF) << g
+			p[3] |= (x >> 24 & 0xFF) << g
+			p[4] |= (x >> 32 & 0xFF) << g
+			p[5] |= (x >> 40 & 0xFF) << g
+			p[6] |= (x >> 48 & 0xFF) << g
+			p[7] |= (x >> 56) << g
+		}
+	}
+}
+
+// coefficients is the inverse of planeMasks: it ORs the planes at or above
+// kmin back into u, through the same 8x8 transposes for a 64-coefficient
+// block and over the set bits of each plane otherwise.
+func coefficients(u []uint32, planes *[32]uint64, kmin int) {
+	if len(u) != 64 {
+		for k := kmin; k < 32; k++ {
+			for x := planes[k]; x != 0; x &= x - 1 {
+				u[mbits.TrailingZeros64(x)] |= 1 << uint(k)
+			}
+		}
+		return
+	}
+	for lane := uint(kmin) &^ 7; lane < 32; lane += 8 {
+		p := planes[lane : lane+8 : lane+8]
+		if p[0]|p[1]|p[2]|p[3]|p[4]|p[5]|p[6]|p[7] == 0 {
+			continue
+		}
+		for g := uint(0); g < 64; g += 8 {
+			x := p[0]>>g&0xFF | (p[1]>>g&0xFF)<<8 | (p[2]>>g&0xFF)<<16 | (p[3]>>g&0xFF)<<24 |
+				(p[4]>>g&0xFF)<<32 | (p[5]>>g&0xFF)<<40 | (p[6]>>g&0xFF)<<48 | (p[7]>>g&0xFF)<<56
+			if x == 0 {
+				continue
+			}
+			x = transpose8(x)
+			c := u[g : g+8 : g+8]
+			c[0] |= uint32(x&0xFF) << lane
+			c[1] |= uint32(x>>8&0xFF) << lane
+			c[2] |= uint32(x>>16&0xFF) << lane
+			c[3] |= uint32(x>>24&0xFF) << lane
+			c[4] |= uint32(x>>32&0xFF) << lane
+			c[5] |= uint32(x>>40&0xFF) << lane
+			c[6] |= uint32(x>>48&0xFF) << lane
+			c[7] |= uint32(x>>56) << lane
+		}
+	}
+}
+
+// unlimited stands in for "no budget" so both modes run the same compare.
+const unlimited = math.MaxInt64
+
 // encodePlanes writes the embedded bit-plane code for the (sequency-ordered)
 // negabinary coefficients, from plane 31 down to kmin. budget < 0 means
-// unlimited. Returns bits written.
+// unlimited (fixed accuracy); otherwise the code is cut after exactly budget
+// bits (fixed rate). Returns bits written.
+//
+// Per plane: the bits of the n coefficients already known significant go out
+// verbatim, coefficient 0 first; then group tests — a 1 says "another
+// coefficient becomes significant in this plane" and is followed by the run
+// of zeros up to it and its own 1 (implied, not written, when the run
+// reaches the last coefficient), a 0 ends the plane. A group test and the
+// run behind it are one code word, written by one WriteBits; every code
+// word passes the single clip point below, which is all the fixed-rate mode
+// adds.
 func encodePlanes(w *bitstream.Writer, u []uint32, kmin int, budget int64) int64 {
-	size := len(u)
-	// Transpose coefficients into per-plane masks, touching each set bit
-	// exactly once.
+	size := uint(len(u))
 	var planes [32]uint64
-	for i, c := range u {
-		for c != 0 {
-			k := mbits.TrailingZeros32(c)
-			planes[k] |= 1 << uint(i)
-			c &= c - 1
-		}
+	planeMasks(&planes, u, kmin)
+	left := budget
+	if budget < 0 {
+		left = unlimited
 	}
-	var written int64
-	emit := func(bit uint64) bool {
-		if budget >= 0 && written >= budget {
-			return false
-		}
-		w.WriteBits(bit, 1)
-		written++
-		return true
-	}
-	n := 0
+	start := left
+	n := uint(0)
 	for k := 31; k >= kmin; k-- {
 		x := planes[k]
-		// Verbatim bits for the first n coefficients, batched. The stream
-		// order is coefficient 0 first, so reverse the low n bits.
-		if n > 0 {
-			m := n
-			if budget >= 0 && written+int64(m) > budget {
-				m = int(budget - written)
+		// First code word of the plane: the verbatim bits (none while n == 0).
+		code, width := mbits.Reverse64(x)>>(64-n), n
+		i, open := n, true
+		for {
+			if int64(width) > left {
+				w.WriteBits(code>>(width-uint(left)), uint(left))
+				return start
 			}
-			if m > 0 {
-				w.WriteBits(mbits.Reverse64(x)>>uint(64-m), uint(m))
-				written += int64(m)
-			}
-			if m < n {
-				return written
-			}
-		}
-		i := n
-		for i < size {
-			rem := x >> uint(i)
-			if rem == 0 {
-				if !emit(0) {
-					return written
-				}
+			w.WriteBits(code, width)
+			left -= int64(width)
+			if !open || i >= size {
 				break
 			}
-			if !emit(1) {
-				return written
+			rest := x >> i
+			if rest == 0 {
+				code, width, open = 0, 1, false
+				continue
 			}
-			for i < size-1 {
-				b := (x >> uint(i)) & 1
-				if !emit(b) {
-					return written
-				}
-				if b != 0 {
-					break
-				}
-				i++
+			z := uint(mbits.TrailingZeros64(rest))
+			if i += z; i == size-1 {
+				code, width = 1<<z, z+1
+			} else {
+				code, width = 1<<(z+1)|1, z+2
 			}
 			i++
 		}
 		n = i
 	}
-	return written
+	return start - left
 }
 
 // decodePlanes mirrors encodePlanes. budget < 0 means unlimited; when the
 // budget (or the stream) is exhausted, the partially decoded plane is
-// discarded and remaining planes decode as zero.
+// discarded and remaining planes decode as zero. Returns bits consumed.
+//
+// The loop works on a local copy of the reader's window — win, of which
+// avail bits are inside both the stream cap and the budget and used bits
+// have been consumed here but not yet skipped in the reader. A code word
+// that lies wholly inside the window is parsed from it: the verbatim bits
+// by one bit reversal, a group test and its run by one LeadingZeros64. One
+// that does not gets a fresh window (used > 0 says the current one is
+// stale), and if even a fresh window cannot hold it — a run of 57 or more,
+// the last bits of the stream, the edge of the budget — that one code word
+// is read from the reader itself, a bit at a time for a group, so a
+// truncated stream consumes exactly the bits the bit-by-bit decoder
+// consumed and fails at the same block.
 func decodePlanes(r *bitstream.Reader, u []uint32, kmin int, budget int64) int64 {
-	size := len(u)
-	var consumed int64
-	grab := func() (uint64, bool) {
-		if budget >= 0 && consumed >= budget {
-			return 0, false
-		}
-		b, err := r.ReadBits(1)
-		if err != nil {
-			return 0, false
-		}
-		consumed++
-		return b, true
+	size := uint(len(u))
+	left := budget
+	if budget < 0 {
+		left = unlimited
 	}
-	n := 0
-planes:
+	start := left
+	var planes [32]uint64
+	win, avail := peekWithin(r, left)
+	used, n := uint(0), uint(0)
+scan:
 	for k := 31; k >= kmin; k-- {
 		var x uint64
 		if n > 0 {
-			// Batched verbatim bits (reverse of the encoder's order).
-			if budget >= 0 && consumed+int64(n) > budget {
-				break planes
+			if n > avail && used > 0 {
+				r.Skip(used)
+				win, avail = peekWithin(r, left)
+				used = 0
 			}
-			v, err := r.ReadBits(uint(n))
-			if err != nil {
-				break planes
+			if n <= avail {
+				x = mbits.Reverse64(win) & (1<<n - 1)
+				win <<= n
+				avail -= n
+				used += n
+				left -= int64(n)
+			} else {
+				// A budget that cannot cover the verbatim bits ends the
+				// block without consuming any of them.
+				if int64(n) > left {
+					break scan
+				}
+				v, err := r.ReadBits(n)
+				if err != nil {
+					break scan
+				}
+				left -= int64(n)
+				x = mbits.Reverse64(v << (64 - n))
+				win, avail = peekWithin(r, left)
 			}
-			consumed += int64(n)
-			x = mbits.Reverse64(v << uint(64-n))
 		}
 		i := n
 		for i < size {
-			gb, ok := grab()
-			if !ok {
-				break planes
-			}
-			if gb == 0 {
+			if avail > 0 && win>>63 == 0 { // group test 0: the plane is done
+				win <<= 1
+				avail--
+				used++
+				left--
 				break
 			}
-			found := false
-			for i < size-1 {
-				b, ok := grab()
-				if !ok {
-					break planes
-				}
-				if b != 0 {
-					x |= 1 << uint(i)
-					found = true
-					break
-				}
+			// Zeros behind the group test. The window is zero below the
+			// cap, so the count can only overshoot; need <= avail catches it.
+			z, run := uint(mbits.LeadingZeros64(win<<1)), size-1-i
+			need := z + 2
+			if z >= run {
+				z, need = run, run+1 // the run reaches the last coefficient: its 1 is implied
+			}
+			if need <= avail {
+				win <<= need
+				avail -= need
+				used += need
+				left -= int64(need)
+				i += z
+				x |= 1 << i
 				i++
+				continue
 			}
-			if !found {
-				x |= 1 << uint(size-1)
-				i = size - 1
+			if used > 0 {
+				r.Skip(used)
+				win, avail = peekWithin(r, left)
+				used = 0
+				continue
 			}
-			i++
+			var more, ok bool
+			i, more, ok = groupSlow(r, i, size, &left)
+			if !ok {
+				break scan
+			}
+			win, avail = peekWithin(r, left)
+			if !more {
+				break
+			}
+			x |= 1 << (i - 1)
 		}
 		n = i
-		for j := range u {
-			u[j] |= uint32((x>>uint(j))&1) << uint(k)
+		planes[k] = x
+	}
+	r.Skip(used)
+	coefficients(u, &planes, kmin)
+	return start - left
+}
+
+// peekWithin is Peek with avail clipped to the bits the budget still allows.
+func peekWithin(r *bitstream.Reader, left int64) (win uint64, avail uint) {
+	win, avail = r.Peek()
+	if int64(avail) > left {
+		avail = uint(left)
+	}
+	return win, avail
+}
+
+// groupSlow decodes one group test and the run behind it a bit at a time,
+// charging every bit to *left. It returns the position after the newly
+// significant coefficient and more = true, or i unchanged and more = false
+// when the group test reads 0; ok = false when the budget or the stream ran
+// out first.
+func groupSlow(r *bitstream.Reader, i, size uint, left *int64) (next uint, more, ok bool) {
+	grab := func() (uint, bool) {
+		if *left <= 0 {
+			return 0, false
+		}
+		b, err := r.ReadBit()
+		if err != nil {
+			return 0, false
+		}
+		*left--
+		return b, true
+	}
+	test, ok := grab()
+	if !ok || test == 0 {
+		return i, false, ok
+	}
+	for ; i < size-1; i++ {
+		b, ok := grab()
+		if !ok {
+			return i, false, false
+		}
+		if b != 0 {
+			break
 		}
 	}
-	return consumed
+	return i + 1, true, true
 }
 
 // gatherBlock copies the block at (bx, by, bz) into blk (float64), padding
@@ -526,21 +681,9 @@ func (*Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 			}
 		}
 	}
-	return sealStream(compressor.MagicZFP, f, eb, w), nil
-}
-
-// sealStream assembles header + bit length + payload.
-func sealStream(magic byte, f *field.Field, eb float64, w *bitstream.Writer) []byte {
-	out := compressor.AppendHeader(nil, compressor.Header{
-		Magic: magic, Nx: f.Nx, Ny: f.Ny, Nz: f.Nz, EB: eb,
-	})
-	bits := w.BitLen()
-	var lenBuf [8]byte
-	for i := 0; i < 8; i++ {
-		lenBuf[i] = byte(bits >> (56 - 8*i))
-	}
-	out = append(out, lenBuf[:]...)
-	return append(out, w.Bytes()...)
+	return compressor.SealBits(compressor.Header{
+		Magic: compressor.MagicZFP, Nx: f.Nx, Ny: f.Ny, Nz: f.Nz, EB: eb,
+	}, w), nil
 }
 
 func openStream(stream []byte, magic byte, lim safedec.Limits) (compressor.Header, *bitstream.Reader, error) {
@@ -622,14 +765,16 @@ func CompressFixedRate(f *field.Field, rate float64) ([]byte, error) {
 					encodePlanes(w, u, 0, budget-used)
 				}
 				// Pad the block to exactly `budget` bits.
-				for int64(w.BitLen())-start < budget {
-					w.WriteBit(0)
+				for pad := budget - (int64(w.BitLen()) - start); pad > 0; pad -= 64 {
+					w.WriteBits(0, uint(min(pad, 64)))
 				}
 			}
 		}
 	}
-	// Encode the rate (bits-per-sample scaled by 2^16) in the EB header slot.
-	return sealStream(compressor.MagicZFP, f, rate, w), nil
+	// The rate (bits per sample) travels in the EB header slot.
+	return compressor.SealBits(compressor.Header{
+		Magic: compressor.MagicZFP, Nx: f.Nx, Ny: f.Ny, Nz: f.Nz, EB: rate,
+	}, w), nil
 }
 
 // DecompressFixedRate reverses CompressFixedRate under default limits.
@@ -681,8 +826,8 @@ func DecompressFixedRateLimited(stream []byte, lim safedec.Limits) (*field.Field
 					nbToSamples(u, sh, int(e64)-1024, blk)
 				}
 				// Skip padding.
-				for int64(r.Consumed())-start < budget {
-					if _, err := r.ReadBit(); err != nil {
+				for pad := budget - (int64(r.Consumed()) - start); pad > 0; pad -= 64 {
+					if _, err := r.ReadBits(uint(min(pad, 64))); err != nil {
 						return nil, fmt.Errorf("%w: zfp-fr padding: %w", compressor.ErrBadStream, err)
 					}
 				}

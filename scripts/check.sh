@@ -13,7 +13,7 @@ go run ./cmd/carollint -tests ./...
 
 # Replay the checked-in fuzz seed corpora as plain tests (no mutation): every
 # seed under testdata/fuzz/ must decode-or-reject without panicking.
-go test -run '^Fuzz' ./internal/codecs ./internal/archive ./internal/chunked ./internal/model ./internal/selector
+go test -run '^Fuzz' ./internal/codecs ./internal/bitstream ./internal/zfp ./internal/huffman ./internal/archive ./internal/chunked ./internal/model ./internal/selector
 
 # Non-test Go lines (ROADMAP item 4: simplification PRs must move this down).
 make -s loc

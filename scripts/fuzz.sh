@@ -22,6 +22,9 @@ run ./internal/codecs FuzzDecompressSZ3
 run ./internal/codecs FuzzDecompressSPERR
 run ./internal/codecs FuzzDecompressSZP
 run ./internal/codecs FuzzCompressRoundTrip
+run ./internal/bitstream FuzzReaderOps
+run ./internal/zfp FuzzPlanes
+run ./internal/huffman FuzzHuffmanTable
 run ./internal/archive FuzzArchiveRead
 run ./internal/chunked FuzzChunkedDecompress
 run ./internal/model FuzzModelRead
