@@ -9,6 +9,7 @@ import (
 	"carol/internal/field"
 	"carol/internal/fuzzseed"
 	"carol/internal/safedec"
+	"carol/internal/zpool"
 )
 
 // fuzzLimits keeps per-exec memory small so the fuzzer spends its budget on
@@ -45,7 +46,29 @@ func fuzzSeedStreams(f testing.TB, name string) [][]byte {
 		// their file numbers stay put.
 		zeroed = append(zeroed, zeroBitLength(s))
 	}
-	return append(out, zeroed...)
+	out = append(out, zeroed...)
+	if name == "sperr" {
+		out = append(out, sperrNaNThreshold(f, out[0]))
+	}
+	return out
+}
+
+// sperrNaNThreshold returns the sperr stream with the first threshold of its
+// payload, the float64 every decoded coefficient is a multiple of, replaced
+// by a NaN: it used to decode to a field of NaNs with a nil error.
+func sperrNaNThreshold(f testing.TB, stream []byte) []byte {
+	f.Helper()
+	const headerLen = 25
+	payload, err := zpool.Inflate(stream[headerLen:], 1<<20)
+	if err != nil {
+		f.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(payload, math.Float64bits(math.NaN()))
+	out, err := zpool.AppendDeflate(append([]byte(nil), stream[:headerLen]...), payload)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return out
 }
 
 // fuzzDecompress is the shared decode-hardening target: arbitrary bytes in,

@@ -83,10 +83,10 @@ func TestSPECKRoundTripAccuracy(t *testing.T) {
 	nPasses := 14
 	w := newWriter()
 	encRecon := make([]float64, len(coeffs))
-	encodeSPECK(w, encRecon, coeffs, nx, ny, nz, t0, nPasses)
+	new(scratch).encodeSPECK(w, encRecon, coeffs, nx, ny, nz, t0, nPasses)
 	r := newReader(w)
 	decRecon := make([]float64, len(coeffs))
-	if err := decodeSPECK(r, decRecon, nx, ny, nz, t0, nPasses, -1); err != nil {
+	if err := new(scratch).decodeSPECK(r, decRecon, nx, ny, nz, t0, nPasses, false); err != nil {
 		t.Fatal(err)
 	}
 	finalT := t0 / math.Pow(2, float64(nPasses-1))

@@ -265,7 +265,7 @@ func (*Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field
 	if err != nil {
 		return nil, err
 	}
-	payload, err := zpool.InflateTail(rest, int64(h.Nx)*int64(h.Ny)*int64(h.Nz), lim)
+	payload, err := zpool.InflateTail(nil, rest, int64(h.Nx)*int64(h.Ny)*int64(h.Nz), lim)
 	if err != nil {
 		return nil, fmt.Errorf("%w: sz3 lossless tail: %w", compressor.ErrBadStream, err)
 	}

@@ -2,6 +2,15 @@
 // transform (the transform SPERR uses) via the standard four-step lifting
 // scheme with symmetric boundary extension. Transforms are provided for 1D
 // signals and for 2D/3D grids as separable dimension-by-dimension passes.
+//
+// Every lifting step is the same expression per sample, x += c·(left+right),
+// whichever routine evaluates it: liftLine walks one contiguous line with the
+// two mirrored boundary taps written out, liftRows applies the step to whole
+// rows at once for the axes whose neighbours are a stride apart. Samples of
+// different lines never meet, so batching lines changes the order in which
+// independent samples are visited and nothing about any one of them; the
+// coefficients are bit-identical to the per-line definition kept in
+// ref_test.go (FuzzGridMatchesReference).
 package wavelet
 
 import "fmt"
@@ -15,127 +24,163 @@ const (
 	kappa = 1.230174104914001
 )
 
-// mirror reflects index i into [0, n) with whole-sample symmetric extension.
-func mirror(i, n int) int {
-	if n == 1 {
-		return 0
+// liftLine adds c·(left+right) to every sample of x at the given parity
+// (0: even, 1: odd). A neighbour outside the line is the one mirrored about
+// the end sample, which is the only other neighbour. len(x) must be >= 2.
+func liftLine(x []float64, parity int, c float64) {
+	n := len(x)
+	i := parity
+	if i == 0 {
+		x[0] += c * (x[1] + x[1])
+		i = 2
 	}
-	period := 2 * (n - 1)
-	i %= period
-	if i < 0 {
-		i += period
+	for ; i < n-1; i += 2 {
+		x[i] += c * (x[i-1] + x[i+1])
 	}
-	if i >= n {
-		i = period - i
+	if i == n-1 {
+		x[i] += c * (x[i-1] + x[i-1])
 	}
-	return i
+}
+
+// liftRows is liftLine along the row index of a block whose row r is
+// d[r*stride:][:w]: each sample of a row at the given parity gets
+// c·(sample above + sample below). rows must be >= 2.
+func liftRows(d []float64, rows, w, stride, parity int, c float64) {
+	for r := parity; r < rows; r += 2 {
+		up, down := r-1, r+1
+		if up < 0 {
+			up = 1
+		}
+		if down == rows {
+			down = r - 1
+		}
+		dst := d[r*stride:][:w]
+		a, b := d[up*stride:][:w], d[down*stride:][:w]
+		for i := range dst {
+			dst[i] += c * (a[i] + b[i])
+		}
+	}
 }
 
 // Forward1D applies one level of the CDF 9/7 transform in place, then
 // de-interleaves: x[0:ceil(n/2)] holds the low-pass (approximation) band and
 // x[ceil(n/2):] the high-pass (detail) band. Signals of length < 2 are
 // returned unchanged.
-func Forward1D(x []float64) { forward1D(x, nil) }
+func Forward1D(x []float64) {
+	if len(x) >= 2 {
+		forwardLine(x, make([]float64, len(x)))
+	}
+}
 
-// forward1D is Forward1D with caller-provided de-interleave scratch (may be
-// nil); Grid passes one buffer down so per-line transforms allocate nothing.
-func forward1D(x, tmp []float64) {
+// forwardLine is Forward1D on a line of length >= 2 with len(x) floats of
+// caller-provided scratch. The scale rides on the de-interleave.
+func forwardLine(x, tmp []float64) {
+	liftLine(x, 1, alpha)
+	liftLine(x, 0, beta)
+	liftLine(x, 1, gamma)
+	liftLine(x, 0, delta)
 	n := len(x)
-	if n < 2 {
-		return
+	lo, hi := tmp[:(n+1)/2], tmp[(n+1)/2:n]
+	for i := range hi {
+		lo[i] = x[2*i] * kappa
+		hi[i] = x[2*i+1] / kappa
 	}
-	at := func(i int) float64 { return x[mirror(i, n)] }
-	// Predict 1.
-	for i := 1; i < n; i += 2 {
-		x[i] += alpha * (at(i-1) + at(i+1))
+	if n%2 == 1 {
+		lo[n/2] = x[n-1] * kappa
 	}
-	// Update 1.
-	for i := 0; i < n; i += 2 {
-		x[i] += beta * (at(i-1) + at(i+1))
-	}
-	// Predict 2.
-	for i := 1; i < n; i += 2 {
-		x[i] += gamma * (at(i-1) + at(i+1))
-	}
-	// Update 2.
-	for i := 0; i < n; i += 2 {
-		x[i] += delta * (at(i-1) + at(i+1))
-	}
-	// Scale.
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			x[i] *= kappa
-		} else {
-			x[i] /= kappa
-		}
-	}
-	deinterleave(x, tmp)
+	copy(x, tmp[:n])
 }
 
 // Inverse1D reverses Forward1D.
-func Inverse1D(x []float64) { inverse1D(x, nil) }
-
-// inverse1D is Inverse1D with caller-provided interleave scratch (may be nil).
-func inverse1D(x, tmp []float64) {
-	n := len(x)
-	if n < 2 {
-		return
-	}
-	interleave(x, tmp)
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			x[i] /= kappa
-		} else {
-			x[i] *= kappa
-		}
-	}
-	at := func(i int) float64 { return x[mirror(i, n)] }
-	for i := 0; i < n; i += 2 {
-		x[i] -= delta * (at(i-1) + at(i+1))
-	}
-	for i := 1; i < n; i += 2 {
-		x[i] -= gamma * (at(i-1) + at(i+1))
-	}
-	for i := 0; i < n; i += 2 {
-		x[i] -= beta * (at(i-1) + at(i+1))
-	}
-	for i := 1; i < n; i += 2 {
-		x[i] -= alpha * (at(i-1) + at(i+1))
+func Inverse1D(x []float64) {
+	if len(x) >= 2 {
+		inverseLine(x, make([]float64, len(x)))
 	}
 }
 
-func deinterleave(x, tmp []float64) {
+// inverseLine reverses forwardLine. x -= c·s is evaluated as x += (-c)·s,
+// which is the same float64: negation is exact.
+func inverseLine(x, tmp []float64) {
 	n := len(x)
-	nLow := (n + 1) / 2
-	if len(tmp) < n {
-		tmp = make([]float64, n)
+	lo, hi := x[:(n+1)/2], x[(n+1)/2:]
+	for i := range hi {
+		tmp[2*i] = lo[i] / kappa
+		tmp[2*i+1] = hi[i] * kappa
 	}
-	tmp = tmp[:n]
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			tmp[i/2] = x[i]
-		} else {
-			tmp[nLow+i/2] = x[i]
-		}
+	if n%2 == 1 {
+		tmp[n-1] = lo[n/2] / kappa
 	}
-	copy(x, tmp)
+	copy(x, tmp[:n])
+	liftLine(x, 0, -delta)
+	liftLine(x, 1, -gamma)
+	liftLine(x, 0, -beta)
+	liftLine(x, 1, -alpha)
 }
 
-func interleave(x, tmp []float64) {
-	n := len(x)
-	nLow := (n + 1) / 2
-	if len(tmp) < n {
-		tmp = make([]float64, n)
-	}
-	tmp = tmp[:n]
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			tmp[i] = x[i/2]
-		} else {
-			tmp[i] = x[nLow+i/2]
+// tileFloats is the working set of one row-batched strip: wide enough that a
+// row operation amortizes its set-up, small enough that the strip and its
+// scratch copy stay in the first-level cache through the four lifting sweeps.
+const tileFloats = 2048
+
+// forwardRows is forwardLine along the row index of a rows×w block (row r at
+// d[r*stride:][:w]), in column strips of at most tileFloats samples.
+func forwardRows(d []float64, rows, w, stride int, tmp []float64) {
+	nLow := (rows + 1) / 2
+	tw := max(1, tileFloats/rows)
+	for x0 := 0; x0 < w; x0 += tw {
+		sw := min(tw, w-x0)
+		s := d[x0:]
+		liftRows(s, rows, sw, stride, 1, alpha)
+		liftRows(s, rows, sw, stride, 0, beta)
+		liftRows(s, rows, sw, stride, 1, gamma)
+		liftRows(s, rows, sw, stride, 0, delta)
+		for r := 0; r < rows; r++ {
+			src := s[r*stride:][:sw]
+			if r%2 == 0 {
+				dst := tmp[(r/2)*sw:][:sw]
+				for i, v := range src {
+					dst[i] = v * kappa
+				}
+			} else {
+				dst := tmp[(nLow+r/2)*sw:][:sw]
+				for i, v := range src {
+					dst[i] = v / kappa
+				}
+			}
+		}
+		for r := 0; r < rows; r++ {
+			copy(s[r*stride:][:sw], tmp[r*sw:])
 		}
 	}
-	copy(x, tmp)
+}
+
+// inverseRows reverses forwardRows.
+func inverseRows(d []float64, rows, w, stride int, tmp []float64) {
+	nLow := (rows + 1) / 2
+	tw := max(1, tileFloats/rows)
+	for x0 := 0; x0 < w; x0 += tw {
+		sw := min(tw, w-x0)
+		s := d[x0:]
+		for r := 0; r < rows; r++ {
+			dst := tmp[r*sw:][:sw]
+			if r%2 == 0 {
+				for i, v := range s[(r/2)*stride:][:sw] {
+					dst[i] = v / kappa
+				}
+			} else {
+				for i, v := range s[(nLow+r/2)*stride:][:sw] {
+					dst[i] = v * kappa
+				}
+			}
+		}
+		for r := 0; r < rows; r++ {
+			copy(s[r*stride:][:sw], tmp[r*sw:])
+		}
+		liftRows(s, rows, sw, stride, 0, -delta)
+		liftRows(s, rows, sw, stride, 1, -gamma)
+		liftRows(s, rows, sw, stride, 0, -beta)
+		liftRows(s, rows, sw, stride, 1, -alpha)
+	}
 }
 
 // Levels returns the number of dyadic decomposition levels appropriate for a
@@ -155,123 +200,96 @@ func Levels(n int) int {
 type Grid struct {
 	Nx, Ny, Nz int
 	Data       []float64
+	tmp        []float64 // one line or one strip of transform scratch
 }
 
 // NewGrid allocates a zeroed grid.
 func NewGrid(nx, ny, nz int) *Grid {
+	g := &Grid{}
+	g.Reset(nx, ny, nz)
+	clear(g.Data)
+	return g
+}
+
+// Reset re-dimensions g, keeping its buffers when they are large enough, so
+// a pooled Grid stops allocating once it has seen its largest field. The
+// contents of Data are unspecified afterwards.
+func (g *Grid) Reset(nx, ny, nz int) {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		panic(fmt.Sprintf("wavelet: invalid grid %dx%dx%d", nx, ny, nz))
 	}
-	return &Grid{Nx: nx, Ny: ny, Nz: nz, Data: make([]float64, nx*ny*nz)}
+	g.Nx, g.Ny, g.Nz = nx, ny, nz
+	g.Data = resize(g.Data, nx*ny*nz)
+	g.tmp = resize(g.tmp, max(nx, ny, nz, tileFloats))
 }
 
-func (g *Grid) idx(x, y, z int) int { return (z*g.Ny+y)*g.Nx + x }
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
 
 // Forward applies `levels` levels of the separable 9/7 transform in place.
 // Level l transforms the low-pass corner sub-grid of dimensions
-// ceil(N/2^l) along each non-trivial axis.
+// ceil(N/2^l) along each non-trivial axis: x line by line, then y and z as
+// whole-row operations over the contiguous x runs.
 func (g *Grid) Forward(levels int) {
-	nx, ny, nz := g.Nx, g.Ny, g.Nz
-	buf := make([]float64, maxInt(nx, maxInt(ny, nz)))
-	tmp := make([]float64, len(buf))
+	plane := g.Nx * g.Ny
 	for l := 0; l < levels; l++ {
+		nx, ny, nz := g.levelDims(l)
 		if nx >= 2 {
 			for z := 0; z < nz; z++ {
 				for y := 0; y < ny; y++ {
-					row := buf[:nx]
-					base := g.idx(0, y, z)
-					copy(row, g.Data[base:base+nx])
-					forward1D(row, tmp)
-					copy(g.Data[base:base+nx], row)
+					forwardLine(g.Data[z*plane+y*g.Nx:][:nx], g.tmp)
 				}
 			}
 		}
 		if ny >= 2 {
 			for z := 0; z < nz; z++ {
-				for x := 0; x < nx; x++ {
-					col := buf[:ny]
-					for y := 0; y < ny; y++ {
-						col[y] = g.Data[g.idx(x, y, z)]
-					}
-					forward1D(col, tmp)
-					for y := 0; y < ny; y++ {
-						g.Data[g.idx(x, y, z)] = col[y]
-					}
-				}
+				forwardRows(g.Data[z*plane:], ny, nx, g.Nx, g.tmp)
 			}
 		}
 		if nz >= 2 {
 			for y := 0; y < ny; y++ {
-				for x := 0; x < nx; x++ {
-					pil := buf[:nz]
-					for z := 0; z < nz; z++ {
-						pil[z] = g.Data[g.idx(x, y, z)]
-					}
-					forward1D(pil, tmp)
-					for z := 0; z < nz; z++ {
-						g.Data[g.idx(x, y, z)] = pil[z]
-					}
-				}
+				forwardRows(g.Data[y*g.Nx:], nz, nx, plane, g.tmp)
 			}
 		}
-		nx, ny, nz = nextDim(nx), nextDim(ny), nextDim(nz)
 	}
 }
 
 // Inverse reverses Forward with the same level count.
 func (g *Grid) Inverse(levels int) {
-	// Recompute the per-level sub-dimensions, then undo levels in reverse.
-	type dims struct{ nx, ny, nz int }
-	seq := make([]dims, levels)
-	nx, ny, nz := g.Nx, g.Ny, g.Nz
-	for l := 0; l < levels; l++ {
-		seq[l] = dims{nx, ny, nz}
+	plane := g.Nx * g.Ny
+	for l := levels - 1; l >= 0; l-- {
+		nx, ny, nz := g.levelDims(l)
+		if nz >= 2 {
+			for y := 0; y < ny; y++ {
+				inverseRows(g.Data[y*g.Nx:], nz, nx, plane, g.tmp)
+			}
+		}
+		if ny >= 2 {
+			for z := 0; z < nz; z++ {
+				inverseRows(g.Data[z*plane:], ny, nx, g.Nx, g.tmp)
+			}
+		}
+		if nx >= 2 {
+			for z := 0; z < nz; z++ {
+				for y := 0; y < ny; y++ {
+					inverseLine(g.Data[z*plane+y*g.Nx:][:nx], g.tmp)
+				}
+			}
+		}
+	}
+}
+
+// levelDims returns the dimensions of the sub-grid level l transforms.
+func (g *Grid) levelDims(l int) (nx, ny, nz int) {
+	nx, ny, nz = g.Nx, g.Ny, g.Nz
+	for ; l > 0; l-- {
 		nx, ny, nz = nextDim(nx), nextDim(ny), nextDim(nz)
 	}
-	buf := make([]float64, maxInt(g.Nx, maxInt(g.Ny, g.Nz)))
-	tmp := make([]float64, len(buf))
-	for l := levels - 1; l >= 0; l-- {
-		d := seq[l]
-		if d.nz >= 2 {
-			for y := 0; y < d.ny; y++ {
-				for x := 0; x < d.nx; x++ {
-					pil := buf[:d.nz]
-					for z := 0; z < d.nz; z++ {
-						pil[z] = g.Data[g.idx(x, y, z)]
-					}
-					inverse1D(pil, tmp)
-					for z := 0; z < d.nz; z++ {
-						g.Data[g.idx(x, y, z)] = pil[z]
-					}
-				}
-			}
-		}
-		if d.ny >= 2 {
-			for z := 0; z < d.nz; z++ {
-				for x := 0; x < d.nx; x++ {
-					col := buf[:d.ny]
-					for y := 0; y < d.ny; y++ {
-						col[y] = g.Data[g.idx(x, y, z)]
-					}
-					inverse1D(col, tmp)
-					for y := 0; y < d.ny; y++ {
-						g.Data[g.idx(x, y, z)] = col[y]
-					}
-				}
-			}
-		}
-		if d.nx >= 2 {
-			for z := 0; z < d.nz; z++ {
-				for y := 0; y < d.ny; y++ {
-					row := buf[:d.nx]
-					base := g.idx(0, y, z)
-					copy(row, g.Data[base:base+d.nx])
-					inverse1D(row, tmp)
-					copy(g.Data[base:base+d.nx], row)
-				}
-			}
-		}
-	}
+	return nx, ny, nz
 }
 
 func nextDim(n int) int {
@@ -279,11 +297,4 @@ func nextDim(n int) int {
 		return n
 	}
 	return (n + 1) / 2
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -76,6 +76,13 @@ var infPool = sync.Pool{New: func() any {
 // decompression bomb, exactly as with io.LimitReader over a fresh
 // flate.Reader.
 func Inflate(data []byte, limit int64) ([]byte, error) {
+	return AppendInflate(nil, data, limit)
+}
+
+// AppendInflate is Inflate into caller-owned memory: the output is appended
+// to dst, which grows only when its capacity runs out, so a decoder that
+// keeps its payload buffer between calls stops allocating here.
+func AppendInflate(dst, data []byte, limit int64) ([]byte, error) {
 	i := infPool.Get().(*inflater)
 	defer func() {
 		// Drop the reference to the caller's input before pooling, or the
@@ -85,25 +92,41 @@ func Inflate(data []byte, limit int64) ([]byte, error) {
 	}()
 	i.br.Reset(data)
 	if err := i.zr.(flate.Resetter).Reset(&i.br, nil); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return io.ReadAll(io.LimitReader(i.zr, limit))
+	for end := int64(len(dst)) + limit; int64(len(dst)) < end; {
+		if dst == nil {
+			dst = make([]byte, 0, 512) // io.ReadAll's first buffer
+		} else if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		room := dst[len(dst):min(int64(cap(dst)), end)]
+		n, err := i.zr.Read(room)
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
 // InflateTail inflates the DEFLATE tail of a codec stream whose header
-// claims n samples. A legitimate tail can never exceed a few words per grid
-// point, so the output is capped at 16 bytes per sample plus 1 MiB of slack
-// (and at lim.MaxAlloc, when tighter): a corrupted or hostile stream must
-// not become a decompression bomb. Exceeding the cap is an error wrapping
-// safedec.ErrLimit; a DEFLATE failure is returned as is, for the caller to
-// wrap as a corrupt stream.
-func InflateTail(data []byte, n int64, lim safedec.Limits) ([]byte, error) {
+// claims n samples, appending to dst (nil for a fresh buffer). A legitimate
+// tail can never exceed a few words per grid point, so the output is capped
+// at 16 bytes per sample plus 1 MiB of slack (and at lim.MaxAlloc, when
+// tighter): a corrupted or hostile stream must not become a decompression
+// bomb. Exceeding the cap is an error wrapping safedec.ErrLimit; a DEFLATE
+// failure is returned as is, for the caller to wrap as a corrupt stream.
+func InflateTail(dst, data []byte, n int64, lim safedec.Limits) ([]byte, error) {
 	maxPayload := min(n*16+1<<20, lim.Norm().MaxAlloc)
-	payload, err := Inflate(data, maxPayload+1)
+	payload, err := AppendInflate(dst, data, maxPayload+1)
 	if err != nil {
 		return nil, fmt.Errorf("inflate: %w", err)
 	}
-	if int64(len(payload)) > maxPayload {
+	if int64(len(payload)-len(dst)) > maxPayload {
 		return nil, fmt.Errorf("payload exceeds %d bytes: %w", maxPayload, safedec.ErrLimit)
 	}
 	return payload, nil

@@ -39,6 +39,27 @@ func TestAppendDeflatePreservesPrefix(t *testing.T) {
 	}
 }
 
+func TestAppendInflateReusesCallerMemory(t *testing.T) {
+	data := bytes.Repeat([]byte("abcdefgh"), 4000)
+	enc, err := AppendDeflate(nil, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append(make([]byte, 0, len(data)+16), "head"...)
+	out, err := AppendInflate(buf, enc, int64(len(data))+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0] != &buf[0] || string(out[:4]) != "head" || !bytes.Equal(out[4:], data) {
+		t.Fatalf("output not appended in place: %d bytes, same array %v", len(out), &out[0] == &buf[0])
+	}
+	// The limit counts appended bytes, and a buffer without room grows.
+	out, err = AppendInflate([]byte("head"), enc, 100)
+	if err != nil || len(out) != 104 {
+		t.Fatalf("limit 100 after a 4-byte prefix: %d bytes, err %v", len(out), err)
+	}
+}
+
 func TestInflateMatchesStdlib(t *testing.T) {
 	// Pooled output must be byte-identical to a fresh flate.Writer at the
 	// same level — the codecs' stream stability depends on it.

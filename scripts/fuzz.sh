@@ -25,6 +25,8 @@ run ./internal/codecs FuzzCompressRoundTrip
 run ./internal/bitstream FuzzReaderOps
 run ./internal/zfp FuzzPlanes
 run ./internal/huffman FuzzHuffmanTable
+run ./internal/sperr FuzzSPECKMatchesReference
+run ./internal/wavelet FuzzGridMatchesReference
 run ./internal/archive FuzzArchiveRead
 run ./internal/chunked FuzzChunkedDecompress
 run ./internal/model FuzzModelRead
