@@ -2,12 +2,14 @@ package codecs
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
 	"carol/internal/compressor"
 	"carol/internal/field"
 	"carol/internal/fuzzseed"
+	"carol/internal/huffman"
 	"carol/internal/safedec"
 	"carol/internal/zpool"
 )
@@ -50,7 +52,68 @@ func fuzzSeedStreams(f testing.TB, name string) [][]byte {
 	if name == "sperr" {
 		out = append(out, sperrNaNThreshold(f, out[0]))
 	}
+	if name == "sz3" {
+		out = append(out, sz3Miscounted(f, out[0])...)
+	}
 	return out
+}
+
+// sz3Miscounted returns the sz3 stream with one anchor, one code or one
+// outlier more or fewer in its payload than the dims call for. The surplus
+// ones used to decode, to the same field as the stream itself.
+func sz3Miscounted(f testing.TB, stream []byte) [][]byte {
+	f.Helper()
+	const headerLen = 25
+	payload, err := zpool.Inflate(stream[headerLen:], 1<<20)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// mode, anchor count (1), anchor, outlier count, outliers, Huffman stream.
+	anchor := payload[5:9]
+	nOut := int(binary.LittleEndian.Uint32(payload[9:]))
+	outliers := payload[13 : 13+4*nOut]
+	codes, err := huffman.Decode(payload[13+4*nOut:])
+	if err != nil {
+		f.Fatal(err)
+	}
+	build := func(anchors, outliers []byte, codes []uint32) []byte {
+		p := binary.LittleEndian.AppendUint32(payload[:1:1], uint32(len(anchors)/4))
+		p = append(p, anchors...)
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(outliers)/4))
+		p = append(p, outliers...)
+		p = huffman.AppendEncode(p, codes)
+		out, err := zpool.AppendDeflate(append([]byte(nil), stream[:headerLen]...), p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return out
+	}
+	twice := func(b []byte) []byte { return append(append([]byte(nil), b...), anchor...) }
+	return [][]byte{
+		build(nil, outliers, codes),
+		build(twice(anchor), outliers, codes),
+		build(anchor, twice(outliers), codes),
+		build(anchor, outliers, append(append([]uint32(nil), codes...), codes[0])),
+		build(anchor, outliers, codes[:len(codes)-1]),
+	}
+}
+
+// TestSZ3MiscountedSeedsRejected: the miscounted seeds are bad streams, not
+// other spellings of the good one.
+func TestSZ3MiscountedSeedsRejected(t *testing.T) {
+	seeds := fuzzSeedStreams(t, "sz3")
+	codec, err := ByName("sz3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := codec.Decompress(seeds[0]); err != nil {
+		t.Fatalf("valid seed: %v", err)
+	}
+	for i, s := range sz3Miscounted(t, seeds[0]) {
+		if _, err := codec.Decompress(s); !errors.Is(err, compressor.ErrBadStream) {
+			t.Errorf("miscounted seed %d: err = %v, want ErrBadStream", i, err)
+		}
+	}
 }
 
 // sperrNaNThreshold returns the sperr stream with the first threshold of its

@@ -281,8 +281,10 @@ func ValidateArgs(f *field.Field, eb float64) error {
 	if !(eb > 0) || math.IsInf(eb, 0) || math.IsNaN(eb) {
 		return fmt.Errorf("compressor: invalid error bound %g", eb)
 	}
+	// NaN and ±Inf are exactly the float32s whose exponent field is all
+	// ones: one integer test per sample, no conversion.
 	for _, v := range f.Data {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
 			return errors.New("compressor: field contains non-finite samples")
 		}
 	}

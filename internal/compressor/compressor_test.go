@@ -154,6 +154,39 @@ func TestValidateArgs(t *testing.T) {
 	}
 }
 
+// TestValidateArgsFiniteScan: the exponent-field test accepts every finite
+// float32 and rejects every NaN payload and both infinities, wherever in the
+// field they sit.
+func TestValidateArgsFiniteScan(t *testing.T) {
+	finite := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x80000001, 0x007fffff, 0x807fffff, // denormals
+		0x00800000, 0x80800000, // ±smallest normal
+		0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+	}
+	bad := []uint32{
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0xffc00000, 0x7fffffff, // quiet NaNs
+		0x7f800001, 0xff800001, 0x7fbfffff, // signalling NaNs
+	}
+	data := make([]float32, len(finite))
+	for i, b := range finite {
+		data[i] = math.Float32frombits(b)
+	}
+	if err := ValidateArgs(field.FromData("finite", len(data), 1, 1, data), 0.1); err != nil {
+		t.Fatalf("finite samples rejected: %v", err)
+	}
+	for _, b := range bad {
+		for _, at := range []int{0, len(data) / 2, len(data) - 1} {
+			d := append([]float32(nil), data...)
+			d[at] = math.Float32frombits(b)
+			if err := ValidateArgs(field.FromData("bad", len(d), 1, 1, d), 0.1); err == nil {
+				t.Errorf("sample %#08x at index %d accepted", b, at)
+			}
+		}
+	}
+}
+
 func TestQuickHeaderRoundTrip(t *testing.T) {
 	fn := func(nx, ny, nz uint16, eb float64) bool {
 		h := Header{

@@ -7,6 +7,7 @@ import (
 
 	"carol/internal/bitstream"
 	"carol/internal/compressor"
+	"carol/internal/zpool"
 )
 
 // maxSamples bounds the grids the coder takes: node ids and the decoder's
@@ -137,15 +138,6 @@ func tableFor(nx, ny, nz int) *nodeTable {
 	return t
 }
 
-// sized returns s with length n, reallocating only when it has to grow.
-// The contents are unspecified.
-func sized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // encodeSPECK writes the set-partitioning bit-plane code of coeffs (an
 // nx×ny×nz grid, thresholds t0, t0/2, … over nPasses >= 1 planes) and, when
 // recon is not nil, fills it with the reconstruction the decoder will arrive
@@ -164,7 +156,7 @@ func sized[T any](s []T, n int) []T {
 func (s *scratch) encodeSPECK(w *bitstream.Writer, recon, coeffs []float64, nx, ny, nz int, t0 float64, nPasses int) {
 	t := tableFor(nx, ny, nz)
 	tLast := math.Ldexp(t0, 1-nPasses)
-	s.vals = sized(s.vals, len(t.node))
+	s.vals = zpool.Sized(s.vals, len(t.node))
 	vals := s.vals
 	nSig := 0
 	// Backwards, so that a parent, which precedes its children, finds their
@@ -202,8 +194,8 @@ func (s *scratch) encodeSPECK(w *bitstream.Writer, recon, coeffs []float64, nx, 
 	// insignificant is written back over the entries already read. lsp
 	// collects the significant coefficients in the order they were found, so
 	// the ones to refine at a plane are a prefix.
-	s.queue = sized(s.queue, len(vals))
-	s.lsp = sized(s.lsp, nSig)
+	s.queue = zpool.Sized(s.queue, len(vals))
+	s.lsp = zpool.Sized(s.lsp, nSig)
 	queue, lsp := s.queue, s.lsp
 	queue[0] = 0
 	qn, nl := 1, 0
@@ -268,9 +260,9 @@ func claim(r *bitstream.Reader) (win uint64, avail uint) {
 func (s *scratch) decodeSPECK(r *bitstream.Reader, recon []float64, nx, ny, nz int, t0 float64, nPasses int, partial bool) error {
 	t := tableFor(nx, ny, nz)
 	clear(recon)
-	s.queue = sized(s.queue, len(t.node))
-	s.lsp = sized(s.lsp, len(recon))
-	s.lspIdx = sized(s.lspIdx, len(recon))
+	s.queue = zpool.Sized(s.queue, len(t.node))
+	s.lsp = zpool.Sized(s.lsp, len(recon))
+	s.lspIdx = zpool.Sized(s.lspIdx, len(recon))
 	queue, lsp, lspIdx := s.queue, s.lsp, s.lspIdx
 	queue[0] = 0
 	qn, nl := 1, 0

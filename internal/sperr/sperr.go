@@ -58,34 +58,18 @@ type scratch struct {
 	outliers []outlier
 }
 
-// scratchPool is a free list rather than a sync.Pool: a collection empties
-// the latter, and a server collects several times between two SPERR calls,
-// so the scratch would be rebuilt from nothing on most of them. What it may
-// pin is bounded instead: four sets, none of which ever served a field of
-// more than maxPooledSamples samples (some 60 bytes of scratch per sample).
-var scratchPool = make(chan *scratch, 4)
+// scratchPool may pin four sets, none of which ever served a field of more
+// than maxPooledSamples samples (some 60 bytes of scratch per sample).
+var scratchPool = make(zpool.FreeList[scratch], 4)
 
 const maxPooledSamples = 1 << 18
-
-func getScratch() *scratch {
-	select {
-	case s := <-scratchPool:
-		return s
-	default:
-		return new(scratch)
-	}
-}
 
 // putScratch returns s to the pool unless a large field, or a hostile
 // stream, has grown it: the grid bounds every array sized from the dims, the
 // payload and the outlier list follow what a stream claims.
 func putScratch(s *scratch) {
-	if cap(s.g.Data) > maxPooledSamples || cap(s.payload) > 16*maxPooledSamples || cap(s.outliers) > maxPooledSamples {
-		return
-	}
-	select {
-	case scratchPool <- s:
-	default:
+	if cap(s.g.Data) <= maxPooledSamples && cap(s.payload) <= 16*maxPooledSamples && cap(s.outliers) <= maxPooledSamples {
+		scratchPool.Put(s)
 	}
 }
 
@@ -137,7 +121,7 @@ func (*Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 	if f.Len() > maxSamples {
 		return nil, fmt.Errorf("sperr: field of %d samples exceeds %d", f.Len(), maxSamples)
 	}
-	s := getScratch()
+	s := scratchPool.Get()
 	defer putScratch(s)
 	levels, t0, nPasses := s.plan(f, eb)
 	// Reconstruct exactly as the decoder will, to find the outliers: the
@@ -244,7 +228,7 @@ func decompress(stream []byte, speckFrac float64, applyOutliers bool, lim safede
 	if n > maxSamples {
 		return nil, fmt.Errorf("%w: sperr grid of %d samples: %w", compressor.ErrBadStream, n, safedec.ErrLimit)
 	}
-	s := getScratch()
+	s := scratchPool.Get()
 	defer putScratch(s)
 	payload, err := zpool.InflateTail(s.payload[:0], rest, int64(n), lim)
 	if err != nil {
@@ -273,7 +257,7 @@ func decompress(stream []byte, speckFrac float64, applyOutliers bool, lim safede
 	if nOut*2 > len(p) {
 		return nil, fmt.Errorf("%w: sperr outlier count %d exceeds payload", compressor.ErrBadStream, nOut)
 	}
-	s.outliers = sized(s.outliers, nOut)
+	s.outliers = zpool.Sized(s.outliers, nOut)
 	prev := 0
 	for i := range s.outliers {
 		d, dn := binary.Uvarint(p)
@@ -335,7 +319,7 @@ func decompress(stream []byte, speckFrac float64, applyOutliers bool, lim safede
 // pass, no DEFLATE), returning the SPECK payload bits produced. Callers pass
 // an already block-sampled field and extrapolate.
 func EstimateSampledBits(f *field.Field, eb float64) uint64 {
-	s := getScratch()
+	s := scratchPool.Get()
 	defer putScratch(s)
 	_, t0, nPasses := s.plan(f, eb)
 	if nPasses == 0 {

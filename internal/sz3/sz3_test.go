@@ -25,15 +25,47 @@ func smoothField(nx, ny, nz int, seed uint64) *field.Field {
 
 // TestTraversalCoversAllNonAnchors is the key structural invariant: the
 // multi-level traversal must visit every point that is not on the anchor
-// grid exactly once.
+// grid exactly once — and the runs must do so in the order, and with the
+// prediction case, of the per-point reference traversal.
 func TestTraversalCoversAllNonAnchors(t *testing.T) {
-	for _, dims := range [][3]int{{17, 1, 1}, {16, 9, 1}, {8, 7, 5}, {1, 1, 1}, {33, 32, 3}} {
+	for _, dims := range append([][3]int{{17, 1, 1}, {16, 9, 1}, {8, 7, 5}, {33, 32, 3}}, interpShapes...) {
 		nx, ny, nz := dims[0], dims[1], dims[2]
 		stride0 := anchorStride(nx, ny, nz)
-		visited := make([]int, nx*ny*nz)
+		type visit struct {
+			idx  int
+			kind runKind
+		}
+		var want, got []visit
 		forEachTarget(nx, ny, nz, stride0, func(tg target) {
-			visited[(tg.z*ny+tg.y)*nx+tg.x]++
+			// The case predict picks: which neighbours are on the grid.
+			c, n := [3]int{tg.x, tg.y, tg.z}[tg.axis], dims[tg.axis]
+			kind := runCopy
+			switch {
+			case c-3*tg.stride >= 0 && c+3*tg.stride < n:
+				kind = runCubic
+			case c+tg.stride < n:
+				kind = runLinear
+			}
+			want = append(want, visit{(tg.z*ny+tg.y)*nx + tg.x, kind})
 		})
+		visited := make([]int, nx*ny*nz)
+		for s := stride0; s >= 1; s /= 2 {
+			levelRuns(nx, ny, nz, s, func(kind runKind, i, step, d, count int) {
+				for ; count > 0; count-- {
+					visited[i]++
+					got = append(got, visit{i, kind})
+					i += step
+				}
+			})
+		}
+		if len(got) != len(want) {
+			t.Fatalf("dims %v: %d points in runs, %d in the reference traversal", dims, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("dims %v: visit %d is %+v, reference %+v", dims, i, got[i], want[i])
+			}
+		}
 		a2 := 2 * stride0
 		for z := 0; z < nz; z++ {
 			for y := 0; y < ny; y++ {
@@ -50,6 +82,9 @@ func TestTraversalCoversAllNonAnchors(t *testing.T) {
 					}
 				}
 			}
+		}
+		if len(got) != nx*ny*nz-ModeInterpolation.anchors() {
+			t.Fatalf("dims %v: %d predicted points, want all but the origin", dims, len(got))
 		}
 	}
 }

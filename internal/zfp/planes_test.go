@@ -3,6 +3,7 @@ package zfp
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -225,13 +226,15 @@ func TestBlockCodecAllocs(t *testing.T) {
 		sh := shapes[dims]
 		rng := rand.New(rand.NewSource(int64(dims)))
 		blk := make([]float64, sh.size)
+		var maxAbs float64
 		for i := range blk {
 			blk[i] = rng.NormFloat64()
+			maxAbs = max(maxAbs, math.Abs(blk[i]))
 		}
 		w := bitstream.NewWriter(1 << 12)
 		if a := testing.AllocsPerRun(200, func() {
 			w.Reset()
-			encodeBlock(w, blk, sh, 1e-4)
+			encodeBlock(w, blk, maxAbs, sh, 1e-4)
 		}); a != 0 {
 			t.Errorf("dims %d: encodeBlock %v allocs/op", dims, a)
 		}

@@ -95,9 +95,8 @@ func sequencyPerm(sh blockShape) []int {
 	return perm
 }
 
-// fwdLift applies ZFP's forward decorrelating lifting to 4 values at stride s.
-func fwdLift(p []int32, off, s int) {
-	x, y, z, w := p[off], p[off+s], p[off+2*s], p[off+3*s]
+// fwdLift is ZFP's forward decorrelating lifting step on 4 values.
+func fwdLift(x, y, z, w int32) (int32, int32, int32, int32) {
 	x += w
 	x >>= 1
 	w -= x
@@ -112,12 +111,11 @@ func fwdLift(p []int32, off, s int) {
 	y -= w
 	w += y >> 1
 	y -= w >> 1
-	p[off], p[off+s], p[off+2*s], p[off+3*s] = x, y, z, w
+	return x, y, z, w
 }
 
 // invLift reverses fwdLift.
-func invLift(p []int32, off, s int) {
-	x, y, z, w := p[off], p[off+s], p[off+2*s], p[off+3*s]
+func invLift(x, y, z, w int32) (int32, int32, int32, int32) {
 	y += w >> 1
 	w -= y >> 1
 	y += w
@@ -132,46 +130,39 @@ func invLift(p []int32, off, s int) {
 	w += x
 	x <<= 1
 	x -= w
-	p[off], p[off+s], p[off+2*s], p[off+3*s] = x, y, z, w
+	return x, y, z, w
 }
 
-func fwdXform(blk []int32, sh blockShape) {
-	for i := 0; i < sh.size; i += side {
-		fwdLift(blk, i, 1)
+// fwdXform lifts the block held in p[:size] along x, then y, then z, with
+// the strides of a full 4x4x4 block (1, 4, 16): a 2D block is its first
+// plane and skips the z pass, a 1D block its first row. The index masks only
+// tell the compiler what the loop bounds already guarantee.
+func fwdXform(p *[64]int32, size int) {
+	for i := 0; i < size; i += 4 {
+		p[i&63], p[(i+1)&63], p[(i+2)&63], p[(i+3)&63] = fwdLift(p[i&63], p[(i+1)&63], p[(i+2)&63], p[(i+3)&63])
 	}
-	if sh.dims >= 2 {
-		for z := 0; z < sh.sz; z++ {
-			for x := 0; x < sh.sx; x++ {
-				fwdLift(blk, z*sh.sx*sh.sy+x, sh.sx)
-			}
+	for z := 0; z+16 <= size; z += 16 {
+		for i := z; i < z+4; i++ {
+			p[i&63], p[(i+4)&63], p[(i+8)&63], p[(i+12)&63] = fwdLift(p[i&63], p[(i+4)&63], p[(i+8)&63], p[(i+12)&63])
 		}
 	}
-	if sh.dims >= 3 {
-		for y := 0; y < sh.sy; y++ {
-			for x := 0; x < sh.sx; x++ {
-				fwdLift(blk, y*sh.sx+x, sh.sx*sh.sy)
-			}
-		}
+	for i := 0; size == 64 && i < 16; i++ {
+		p[i], p[i+16], p[i+32], p[i+48] = fwdLift(p[i], p[i+16], p[i+32], p[i+48])
 	}
 }
 
-func invXform(blk []int32, sh blockShape) {
-	if sh.dims >= 3 {
-		for y := 0; y < sh.sy; y++ {
-			for x := 0; x < sh.sx; x++ {
-				invLift(blk, y*sh.sx+x, sh.sx*sh.sy)
-			}
+// invXform reverses fwdXform: z, then y, then x.
+func invXform(p *[64]int32, size int) {
+	for i := 0; size == 64 && i < 16; i++ {
+		p[i], p[i+16], p[i+32], p[i+48] = invLift(p[i], p[i+16], p[i+32], p[i+48])
+	}
+	for z := 0; z+16 <= size; z += 16 {
+		for i := z; i < z+4; i++ {
+			p[i&63], p[(i+4)&63], p[(i+8)&63], p[(i+12)&63] = invLift(p[i&63], p[(i+4)&63], p[(i+8)&63], p[(i+12)&63])
 		}
 	}
-	if sh.dims >= 2 {
-		for z := 0; z < sh.sz; z++ {
-			for x := 0; x < sh.sx; x++ {
-				invLift(blk, z*sh.sx*sh.sy+x, sh.sx)
-			}
-		}
-	}
-	for i := 0; i < sh.size; i += side {
-		invLift(blk, i, 1)
+	for i := 0; i < size; i += 4 {
+		p[i&63], p[(i+1)&63], p[(i+2)&63], p[(i+3)&63] = invLift(p[i&63], p[(i+1)&63], p[(i+2)&63], p[(i+3)&63])
 	}
 }
 
@@ -476,50 +467,71 @@ func groupSlow(r *bitstream.Reader, i, size uint, left *int64) (next uint, more,
 	return i + 1, true, true
 }
 
+// magBits is |v| as its IEEE bits: among finite float32s, and every sample
+// that reaches a block is one, it orders exactly as the magnitude does.
+func magBits(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
+
 // gatherBlock copies the block at (bx, by, bz) into blk (float64), padding
-// partial blocks by edge replication.
-func gatherBlock(f *field.Field, sh blockShape, bx, by, bz int, blk []float64) {
-	for z := 0; z < sh.sz; z++ {
-		zz := bz + z
-		if zz >= f.Nz {
-			zz = f.Nz - 1
-		}
-		for y := 0; y < sh.sy; y++ {
-			yy := by + y
-			if yy >= f.Ny {
-				yy = f.Ny - 1
+// partial blocks by edge replication, and returns the largest magnitude in
+// it. A block wholly inside the field is sy·sz copies of four adjacent
+// samples; only an edge block pays for the clamping.
+func gatherBlock(f *field.Field, sh blockShape, bx, by, bz int, blk []float64) float64 {
+	var m uint32
+	if bx+side <= f.Nx && by+sh.sy <= f.Ny && bz+sh.sz <= f.Nz {
+		for z, o := 0, 0; z < sh.sz; z++ {
+			at := ((bz+z)*f.Ny+by)*f.Nx + bx
+			for y := 0; y < sh.sy; y++ {
+				src, dst := f.Data[at:at+side:at+side], blk[o:o+side:o+side]
+				dst[0], dst[1], dst[2], dst[3] = float64(src[0]), float64(src[1]), float64(src[2]), float64(src[3])
+				m = max(m, magBits(src[0]), magBits(src[1]), magBits(src[2]), magBits(src[3]))
+				at += f.Nx
+				o += side
 			}
-			for x := 0; x < sh.sx; x++ {
-				xx := bx + x
-				if xx >= f.Nx {
-					xx = f.Nx - 1
-				}
-				blk[(z*sh.sy+y)*sh.sx+x] = float64(f.At(xx, yy, zz))
+		}
+		return float64(math.Float32frombits(m))
+	}
+	for z := 0; z < sh.sz; z++ {
+		zz := min(bz+z, f.Nz-1)
+		for y := 0; y < sh.sy; y++ {
+			row := (zz*f.Ny + min(by+y, f.Ny-1)) * f.Nx
+			for x := 0; x < side; x++ {
+				v := f.Data[row+min(bx+x, f.Nx-1)]
+				blk[(z*sh.sy+y)*side+x] = float64(v)
+				m = max(m, magBits(v))
 			}
 		}
 	}
+	return float64(math.Float32frombits(m))
 }
 
-// scatterBlock writes the valid region of blk back into f.
+// scatterBlock writes the valid region of blk back into f: whole rows of
+// four for a block inside the field, the clipped region for an edge block.
 func scatterBlock(f *field.Field, sh blockShape, bx, by, bz int, blk []float64) {
+	if bx+side <= f.Nx && by+sh.sy <= f.Ny && bz+sh.sz <= f.Nz {
+		for z, o := 0, 0; z < sh.sz; z++ {
+			at := ((bz+z)*f.Ny+by)*f.Nx + bx
+			for y := 0; y < sh.sy; y++ {
+				src, dst := blk[o:o+side:o+side], f.Data[at:at+side:at+side]
+				dst[0], dst[1], dst[2], dst[3] = float32(src[0]), float32(src[1]), float32(src[2]), float32(src[3])
+				at += f.Nx
+				o += side
+			}
+		}
+		return
+	}
 	for z := 0; z < sh.sz && bz+z < f.Nz; z++ {
 		for y := 0; y < sh.sy && by+y < f.Ny; y++ {
-			for x := 0; x < sh.sx && bx+x < f.Nx; x++ {
-				f.Set(bx+x, by+y, bz+z, float32(blk[(z*sh.sy+y)*sh.sx+x]))
+			row := ((bz+z)*f.Ny + by + y) * f.Nx
+			for x := 0; x < side && bx+x < f.Nx; x++ {
+				f.Data[row+bx+x] = float32(blk[(z*sh.sy+y)*side+x])
 			}
 		}
 	}
 }
 
-// blockEmax returns the common block exponent: the smallest e with
-// max|v| <= 2^e. Returns ok=false for an all-zero block.
-func blockEmax(blk []float64) (int, bool) {
-	var m float64
-	for _, v := range blk {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
+// blockEmax returns the common exponent of a block whose largest magnitude
+// is m: the smallest e with m <= 2^e. Returns ok=false for an all-zero block.
+func blockEmax(m float64) (int, bool) {
 	if m == 0 { //carol:allow floateq all-zero block is an exact, common case
 		return 0, false
 	}
@@ -538,8 +550,7 @@ func planeCutoff(emax int, eb float64, sh blockShape) int {
 
 func transformToNB(blk []float64, sh blockShape, emax int, u []uint32) {
 	scale := math.Ldexp(1, intBits-emax)
-	var intsBuf [64]int32
-	ints := intsBuf[:sh.size]
+	var ints [64]int32
 	for i, v := range blk {
 		q := v * scale
 		if q > (1<<intBits)-1 {
@@ -547,34 +558,34 @@ func transformToNB(blk []float64, sh blockShape, emax int, u []uint32) {
 		} else if q < -(1 << intBits) {
 			q = -(1 << intBits)
 		}
-		ints[i] = int32(q)
+		ints[i&63] = int32(q)
 	}
-	fwdXform(ints, sh)
+	fwdXform(&ints, sh.size)
 	for i, p := range sh.perm {
-		u[i] = int2nb(ints[p])
+		u[i] = int2nb(ints[p&63])
 	}
 }
 
 func nbToSamples(u []uint32, sh blockShape, emax int, blk []float64) {
-	var intsBuf [64]int32
-	ints := intsBuf[:sh.size]
+	var ints [64]int32
 	for i, p := range sh.perm {
-		ints[p] = nb2int(u[i])
+		ints[p&63] = nb2int(u[i])
 	}
-	invXform(ints, sh)
+	invXform(&ints, sh.size)
 	scale := math.Ldexp(1, emax-intBits)
-	for i, q := range ints {
-		blk[i] = float64(q) * scale
+	for i := range blk {
+		blk[i] = float64(ints[i&63]) * scale
 	}
 }
 
-// encodeBlock writes one block in fixed-accuracy mode.
+// encodeBlock writes one block, whose largest magnitude is maxAbs, in
+// fixed-accuracy mode.
 //
 // Layout: 1 zero-block bit; if nonzero: 1 raw bit; raw blocks carry 32 bits
 // per sample; coded blocks carry a 16-bit biased exponent, a 6-bit plane
 // cutoff (63 = nothing coded), then the embedded planes.
-func encodeBlock(w *bitstream.Writer, blk []float64, sh blockShape, eb float64) {
-	emax, ok := blockEmax(blk)
+func encodeBlock(w *bitstream.Writer, blk []float64, maxAbs float64, sh blockShape, eb float64) {
+	emax, ok := blockEmax(maxAbs)
 	if !ok {
 		w.WriteBit(1)
 		return
@@ -618,7 +629,7 @@ func decodeBlock(r *bitstream.Reader, blk []float64, sh blockShape) error {
 		return fmt.Errorf("%w: zfp block flag: %w", compressor.ErrBadStream, err)
 	}
 	if zero == 1 {
-		zeroFill(blk)
+		clear(blk)
 		return nil
 	}
 	raw, err := r.ReadBit()
@@ -646,7 +657,7 @@ func decodeBlock(r *bitstream.Reader, blk []float64, sh blockShape) error {
 	}
 	kmin := int(k64)
 	if kmin == 63 {
-		zeroFill(blk)
+		clear(blk)
 		return nil
 	}
 	if kmin > 31 {
@@ -657,12 +668,6 @@ func decodeBlock(r *bitstream.Reader, blk []float64, sh blockShape) error {
 	decodePlanes(r, u, kmin, -1)
 	nbToSamples(u, sh, emax, blk)
 	return nil
-}
-
-func zeroFill(blk []float64) {
-	for i := range blk {
-		blk[i] = 0
-	}
 }
 
 // Compress implements compressor.Codec (fixed-accuracy mode).
@@ -676,8 +681,7 @@ func (*Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 	for bz := 0; bz < f.Nz; bz += sh.sz {
 		for by := 0; by < f.Ny; by += sh.sy {
 			for bx := 0; bx < f.Nx; bx += sh.sx {
-				gatherBlock(f, sh, bx, by, bz, blk)
-				encodeBlock(w, blk, sh, eb)
+				encodeBlock(w, blk, gatherBlock(f, sh, bx, by, bz, blk), sh, eb)
 			}
 		}
 	}
@@ -749,9 +753,8 @@ func CompressFixedRate(f *field.Field, rate float64) ([]byte, error) {
 	for bz := 0; bz < f.Nz; bz += sh.sz {
 		for by := 0; by < f.Ny; by += sh.sy {
 			for bx := 0; bx < f.Nx; bx += sh.sx {
-				gatherBlock(f, sh, bx, by, bz, blk)
+				emax, ok := blockEmax(gatherBlock(f, sh, bx, by, bz, blk))
 				start := int64(w.BitLen())
-				emax, ok := blockEmax(blk)
 				if !ok {
 					w.WriteBit(1)
 				} else {
@@ -812,7 +815,7 @@ func DecompressFixedRateLimited(stream []byte, lim safedec.Limits) (*field.Field
 					return nil, fmt.Errorf("%w: zfp-fr flag: %w", compressor.ErrBadStream, err)
 				}
 				if zero == 1 {
-					zeroFill(blk)
+					clear(blk)
 				} else {
 					e64, err := r.ReadBits(16)
 					if err != nil {
@@ -863,8 +866,7 @@ func EstimateSampledBits(f *field.Field, eb float64, every int) (bits uint64, sa
 			for bx := 0; bx < f.Nx; bx += sh.sx {
 				total++
 				if bx%stepX == 0 && by%stepY == 0 && bz%stepZ == 0 {
-					gatherBlock(f, sh, bx, by, bz, blk)
-					encodeBlock(w, blk, sh, eb)
+					encodeBlock(w, blk, gatherBlock(f, sh, bx, by, bz, blk), sh, eb)
 					sampled++
 				}
 			}

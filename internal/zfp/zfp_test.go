@@ -39,8 +39,8 @@ func TestLiftRoundTrip(t *testing.T) {
 			p[i] = int32(rng.Intn(1<<28) - 1<<27)
 			q[i] = p[i]
 		}
-		fwdLift(q, 0, 1)
-		invLift(q, 0, 1)
+		q[0], q[1], q[2], q[3] = fwdLift(q[0], q[1], q[2], q[3])
+		q[0], q[1], q[2], q[3] = invLift(q[0], q[1], q[2], q[3])
 		// ZFP's integer lifting is only approximately invertible: the
 		// right shifts discard low bits (this is why guard bits exist).
 		for i := range p {
@@ -55,14 +55,13 @@ func TestLiftRoundTrip(t *testing.T) {
 func TestXformRoundTrip3D(t *testing.T) {
 	sh := shapes[3]
 	rng := xrand.New(2)
-	blk := make([]int32, sh.size)
-	orig := make([]int32, sh.size)
+	var blk, orig [64]int32
 	for i := range blk {
 		blk[i] = int32(rng.Intn(1<<26) - 1<<25)
 		orig[i] = blk[i]
 	}
-	fwdXform(blk, sh)
-	invXform(blk, sh)
+	fwdXform(&blk, sh.size)
+	invXform(&blk, sh.size)
 	// Three cascaded approximate liftings: allow a few dozen LSBs of drift.
 	for i := range blk {
 		d := int64(blk[i]) - int64(orig[i])

@@ -3,7 +3,8 @@
 // state and flate.NewReader ~50 KiB per call; in a block pipeline those
 // dominated the allocation profile of SZ3 and SPERR. Both directions are
 // drawn from sync.Pools and Reset between uses, so steady-state callers pay
-// only for their own output.
+// only for their own output. FreeList and Sized are what sperr and sz3 build
+// their per-call scratch from.
 package zpool
 
 import (
@@ -130,4 +131,38 @@ func InflateTail(dst, data []byte, n int64, lim safedec.Limits) ([]byte, error) 
 		return nil, fmt.Errorf("payload exceeds %d bytes: %w", maxPayload, safedec.ErrLimit)
 	}
 	return payload, nil
+}
+
+// FreeList is a bounded free list of scratch objects. Unlike a sync.Pool a
+// collection does not empty it — a server collects several times between two
+// calls of a slow codec, and the scratch would be rebuilt from nothing on
+// most of them. What it may pin is bounded instead: cap(list) objects, and
+// the owner decides before Put whether one has grown too large to keep.
+type FreeList[T any] chan *T
+
+// Get returns a pooled *T, or a new zero one.
+func (l FreeList[T]) Get() *T {
+	select {
+	case x := <-l:
+		return x
+	default:
+		return new(T)
+	}
+}
+
+// Put returns x to the list; a full list drops it.
+func (l FreeList[T]) Put(x *T) {
+	select {
+	case l <- x:
+	default:
+	}
+}
+
+// Sized returns s with length n, reusing its array when that is large
+// enough. The contents are unspecified: the caller overwrites all of it.
+func Sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

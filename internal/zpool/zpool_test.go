@@ -3,6 +3,7 @@ package zpool
 import (
 	"bytes"
 	"compress/flate"
+	"runtime"
 	"testing"
 )
 
@@ -135,5 +136,46 @@ func TestInflatePoolRetention(t *testing.T) {
 	defer infPool.Put(i)
 	if i.br.Size() != 0 {
 		t.Fatalf("pooled inflater retains %d bytes of caller input", i.br.Size())
+	}
+}
+
+// TestFreeListBoundedAndSurvivesGC: the list hands back what it was given,
+// across collections, keeps no more than its capacity, and makes a zero
+// object when empty.
+func TestFreeListBoundedAndSurvivesGC(t *testing.T) {
+	type scratch struct{ buf []byte }
+	list := make(FreeList[scratch], 2)
+	a, b, c := list.Get(), list.Get(), list.Get()
+	if a == nil || a.buf != nil {
+		t.Fatalf("empty list: Get = %+v, want a zero object", a)
+	}
+	a.buf = make([]byte, 8)
+	list.Put(a)
+	list.Put(b)
+	list.Put(c) // full: dropped
+	if len(list) != 2 {
+		t.Fatalf("list holds %d objects, cap 2", len(list))
+	}
+	runtime.GC()
+	runtime.GC()
+	if got := list.Get(); got != a || len(got.buf) != 8 {
+		t.Fatalf("after two collections Get = %p, want the first object put (%p)", got, a)
+	}
+}
+
+func TestSized(t *testing.T) {
+	s := Sized([]int(nil), 3)
+	if len(s) != 3 {
+		t.Fatalf("len %d, want 3", len(s))
+	}
+	s[2] = 7
+	if r := Sized(s, 2); len(r) != 2 || &r[0] != &s[0] {
+		t.Fatal("shrinking reallocated")
+	}
+	if r := Sized(s[:1], 3); &r[0] != &s[0] || r[2] != 7 {
+		t.Fatal("growing within capacity reallocated")
+	}
+	if r := Sized(s, 4); len(r) != 4 || &r[0] == &s[0] {
+		t.Fatal("growing past capacity did not reallocate")
 	}
 }

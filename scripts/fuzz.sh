@@ -27,6 +27,7 @@ run ./internal/zfp FuzzPlanes
 run ./internal/huffman FuzzHuffmanTable
 run ./internal/sperr FuzzSPECKMatchesReference
 run ./internal/wavelet FuzzGridMatchesReference
+run ./internal/sz3 FuzzInterpMatchesReference
 run ./internal/archive FuzzArchiveRead
 run ./internal/chunked FuzzChunkedDecompress
 run ./internal/model FuzzModelRead
