@@ -13,7 +13,9 @@
 //	     X-Carol-Achieved-Ratio arrives as an HTTP trailer
 //	POST /v1/compress?codec=sz3&ratio=100&dims=128x128x64  -> stream (fixed-ratio search,
 //	     started from the loaded model's predicted bound when -model-dir has one for
-//	     the codec; X-Carol-Resolver says model|search, X-Carol-Compressor-Runs the cost)
+//	     the codec and, for szx and zfp, run on the SECRE surrogate before it compresses;
+//	     X-Carol-Resolver says model|search, X-Carol-Compressor-Runs the cost,
+//	     X-Carol-Surrogate-Evals the surrogate evaluations that cost stood in for)
 //	POST /v1/compress?mode=auto&rel=1e-3&dims=...          -> adaptive codec selection:
 //	     every registered codec is scored via its SECRE surrogate, bias-corrected by
 //	     the online bandit, and the winner compresses; X-Carol-Codec-Chosen names it,
@@ -55,6 +57,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"time"
 
 	"carol"
 	"carol/internal/codecs"
@@ -215,7 +218,16 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	case req.Ratio > 0:
 		seed := s.predictBound(tr, codec.Name(), req.Ratio, vector)
 		span = tr.StartSpan("search")
-		res, err := fraz.Search(codec, f, req.Ratio, fraz.Options{Seed: seed})
+		// SZx and ZFP searches root-find on their SECRE surrogate and compress
+		// where it predicts the target; binding it to the field plus every
+		// evaluation is the search's surrogate child span.
+		bindStart := time.Now()
+		opts := fraz.Options{Seed: seed, Surrogate: codecs.SearchSurrogate(codec.Name(), f)}
+		bindTime := time.Since(bindStart)
+		res, err := fraz.Search(codec, f, req.Ratio, opts)
+		if opts.Surrogate != nil {
+			tr.Record("surrogate", bindTime+res.SurrogateTime)
+		}
 		span.End()
 		if err != nil {
 			httpkit.Error(w, http.StatusInternalServerError, "%v", err)
@@ -223,6 +235,7 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		}
 		stream = res.Stream
 		w.Header().Set("X-Carol-Compressor-Runs", strconv.Itoa(res.Runs))
+		w.Header().Set("X-Carol-Surrogate-Evals", strconv.Itoa(res.SurrogateEvals))
 		w.Header().Set("X-Carol-Resolver", res.Resolver())
 		finish(res.Achieved, res.Probes...)
 	case req.Stream:

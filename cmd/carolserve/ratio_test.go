@@ -24,11 +24,11 @@ import (
 	"carol/internal/trainset"
 )
 
-// publishFieldModel publishes, under name, an szx model trained on f's own
-// ratio curve, so its predictions for f are good seeds.
-func publishFieldModel(t testing.TB, dir, name string, f *field.Field) {
+// publishFieldModel publishes, under name, a model for the named codec
+// trained on f's own ratio curve, so its predictions for f are good seeds.
+func publishFieldModel(t testing.TB, dir, name, codecName string, f *field.Field) {
 	t.Helper()
-	codec, err := codecs.ByName("szx")
+	codec, err := codecs.ByName(codecName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func publishFieldModel(t testing.TB, dir, name string, f *field.Field) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &model.Artifact{Codec: "szx", Schema: model.CanonicalSchema(), Regressor: forest}
+	a := &model.Artifact{Codec: codecName, Schema: model.CanonicalSchema(), Regressor: forest}
 	buf, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +69,7 @@ func publishFieldModel(t testing.TB, dir, name string, f *field.Field) {
 type ratioReply struct {
 	body     []byte
 	runs     int
+	evals    string // X-Carol-Surrogate-Evals, as sent
 	resolver string
 	trace    string
 }
@@ -84,7 +85,7 @@ func postRatio(t testing.TB, h http.Handler, query string, body []byte) ratioRep
 	if err != nil || runs < 1 || runs > 16 {
 		t.Fatalf("%s: X-Carol-Compressor-Runs %q", query, rec.Header().Get("X-Carol-Compressor-Runs"))
 	}
-	return ratioReply{rec.Body.Bytes(), runs, rec.Header().Get("X-Carol-Resolver"), rec.Header().Get("X-Carol-Trace")}
+	return ratioReply{rec.Body.Bytes(), runs, rec.Header().Get("X-Carol-Surrogate-Evals"), rec.Header().Get("X-Carol-Resolver"), rec.Header().Get("X-Carol-Trace")}
 }
 
 // TestRatioResolver: with a published model for the codec the search is
@@ -95,7 +96,7 @@ func TestRatioResolver(t *testing.T) {
 	body := buf.Bytes()
 	dir := t.TempDir()
 	// Published under another name: the pick goes by the artifact's codec.
-	publishFieldModel(t, dir, "szx-own", f)
+	publishFieldModel(t, dir, "szx-own", "szx", f)
 	seeded := modelServer(t, dir)
 	plain := newServerWith(defaultConfig())
 
@@ -105,10 +106,15 @@ func TestRatioResolver(t *testing.T) {
 		if got.resolver != fraz.ResolverModel {
 			t.Fatalf("ratio=%s with a model: X-Carol-Resolver %q", target, got.resolver)
 		}
-		for _, stage := range []string{"features=", "predict=", "search="} {
+		for _, stage := range []string{"features=", "predict=", "surrogate=", "search="} {
 			if !strings.Contains(got.trace, stage) {
 				t.Errorf("ratio=%s: X-Carol-Trace %q lacks the %s span", target, got.trace, stage)
 			}
+		}
+		// The SZx search solves on its surrogate; what it says still names
+		// what seeded it, and the runs header counts compressions only.
+		if evals, err := strconv.Atoi(got.evals); err != nil || evals < 1 || got.runs > 2 {
+			t.Errorf("ratio=%s: X-Carol-Surrogate-Evals %q with %d compressor runs", target, got.evals, got.runs)
 		}
 		base := postRatio(t, plain, query, body)
 		if base.resolver != fraz.ResolverSearch || strings.Contains(base.trace, "predict=") {
@@ -123,8 +129,14 @@ func TestRatioResolver(t *testing.T) {
 		}
 	}
 	// No model was trained for sz3: same server, plain search.
-	if got := postRatio(t, seeded, "codec=sz3&dims=24x24x8&ratio=8", body); got.resolver != fraz.ResolverSearch {
+	got := postRatio(t, seeded, "codec=sz3&dims=24x24x8&ratio=8", body)
+	if got.resolver != fraz.ResolverSearch {
 		t.Fatalf("sz3 on an szx-only registry: X-Carol-Resolver %q", got.resolver)
+	}
+	// Nor does SZ3 search on a surrogate: its estimate is flat where the
+	// targets are.
+	if got.evals != "0" || strings.Contains(got.trace, "surrogate=") {
+		t.Errorf("sz3: X-Carol-Surrogate-Evals %q, trace %q", got.evals, got.trace)
 	}
 }
 
@@ -134,7 +146,9 @@ func TestRatioResolver(t *testing.T) {
 func TestRatioExtractsOnceAndHarvestsEveryProbe(t *testing.T) {
 	f, buf := testBody(t)
 	models, harvest := t.TempDir(), t.TempDir()
-	publishFieldModel(t, models, "szx", f)
+	// SZ3 searches on real probes alone (SZx and ZFP solve on their
+	// surrogate first and mostly compress once).
+	publishFieldModel(t, models, "sz3", "sz3", f)
 	cfg := defaultConfig()
 	cfg.modelDir, cfg.harvestDir = models, harvest
 	s := newServerWith(cfg)
@@ -144,10 +158,10 @@ func TestRatioExtractsOnceAndHarvestsEveryProbe(t *testing.T) {
 	extractions := obs.Default.Counter("features_extract_calls_total")
 	records := obs.Default.Counter("harvest_records_total")
 	extBefore, recBefore := extractions.Value(), records.Value()
-	// At 20 the tiny model is off by enough for the search to correct it.
-	got := postRatio(t, s, "codec=szx&dims=24x24x8&ratio=20", buf.Bytes())
+	// At 60 the tiny model is off by enough for the search to correct it.
+	got := postRatio(t, s, "codec=sz3&dims=24x24x8&ratio=60", buf.Bytes())
 	if got.runs < 2 {
-		t.Fatalf("ratio=20 resolved in %d run: nothing but the winner to harvest", got.runs)
+		t.Fatalf("ratio=60 resolved in %d run: nothing but the winner to harvest", got.runs)
 	}
 	if n := extractions.Value() - extBefore; n != 1 {
 		t.Errorf("features extracted %d times for one ratio= request, want 1", n)
@@ -158,14 +172,14 @@ func TestRatioExtractsOnceAndHarvestsEveryProbe(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := trainset.ReadJournal(trainset.JournalPath(harvest, "szx"), 0)
+	recs, err := trainset.ReadJournal(trainset.JournalPath(harvest, "sz3"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != got.runs {
 		t.Fatalf("journal has %d records for %d runs", len(recs), got.runs)
 	}
-	codec, err := codecs.ByName("szx")
+	codec, err := codecs.ByName("sz3")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,6 +81,17 @@ func TestIterativeCompressToRatio(t *testing.T) {
 	if _, err := IterativeCompressToRatio("nope", f, 10); err == nil {
 		t.Fatal("unknown compressor accepted")
 	}
+	// SZx searches on its surrogate first: a reachable target is one run.
+	if probe, err = Compress("szx", f, 3e-3); err != nil {
+		t.Fatal(err)
+	}
+	res, err = IterativeCompressToRatio("szx", f, Ratio(f, probe))
+	if err != nil || !res.Converged || res.CompressorRuns != 1 {
+		t.Fatalf("szx: %d runs, converged %v, achieved %g for %g (%v)", res.CompressorRuns, res.Converged, res.Achieved, Ratio(f, probe), err)
+	}
+	if _, err := Decompress("szx", res.Stream); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestChunkedRoundTrip(t *testing.T) {

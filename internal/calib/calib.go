@@ -139,28 +139,6 @@ func (m *Model) Correct(eb, surrogateRatio float64) float64 {
 	return surrogateRatio / denom
 }
 
-// Estimator wraps a surrogate with a fitted Model, itself satisfying
-// compressor.Estimator. This is the estimator CAROL's data-collection
-// pipeline uses for the high-ratio compressors.
-type Estimator struct {
-	Base  compressor.Estimator
-	Model *Model
-}
-
-var _ compressor.Estimator = (*Estimator)(nil)
-
-// Name implements compressor.Estimator.
-func (c *Estimator) Name() string { return c.Base.Name() }
-
-// EstimateRatio implements compressor.Estimator.
-func (c *Estimator) EstimateRatio(f *field.Field, eb float64) (float64, error) {
-	r, err := c.Base.EstimateRatio(f, eb)
-	if err != nil {
-		return 0, err
-	}
-	return c.Model.Correct(eb, r), nil
-}
-
 // PickCalibrationBounds selects n error bounds spread geometrically across
 // [lo, hi] — the spread the paper uses so the piecewise model sees both
 // bi-modal regimes.

@@ -169,7 +169,6 @@ func TestCalibrationReducesSZ3Error(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal := &Estimator{Base: est, Model: m}
 
 	sweep := PickCalibrationBounds(lo, hi, 9) // includes off-calibration bounds
 	var rawErr, calErr stats.Accumulator
@@ -183,10 +182,7 @@ func TestCalibrationReducesSZ3Error(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corrected, err := cal.EstimateRatio(f, eb)
-		if err != nil {
-			t.Fatal(err)
-		}
+		corrected := m.Correct(eb, raw)
 		rawErr.Add(100 * math.Abs(raw-full) / full)
 		calErr.Add(100 * math.Abs(corrected-full) / full)
 	}
@@ -196,22 +192,5 @@ func TestCalibrationReducesSZ3Error(t *testing.T) {
 	}
 	if calErr.Mean() > 15 {
 		t.Fatalf("calibrated error still %.1f%%", calErr.Mean())
-	}
-}
-
-func TestEstimatorPropagatesBaseError(t *testing.T) {
-	badTruth := func(eb float64) float64 { return 10 }
-	m := &Model{ebs: []float64{1, 2}, rho: []float64{0, 0}}
-	cal := &Estimator{Base: &fakeEstimator{truth: badTruth}, Model: m}
-	if cal.Name() != "fake" {
-		t.Fatalf("Name = %q", cal.Name())
-	}
-	est, err := secre.New("szx", secre.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal2 := &Estimator{Base: est, Model: m}
-	if _, err := cal2.EstimateRatio(smoothField(8, 8, 1, 5), -1); err == nil {
-		t.Fatal("bad bound accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"carol/internal/compressor"
+	"carol/internal/field"
 	"carol/internal/secre"
 	"carol/internal/sperr"
 	"carol/internal/sz3"
@@ -55,6 +56,41 @@ func ByName(name string) (compressor.Codec, error) {
 // default sampling options.
 func SurrogateByName(name string) (compressor.Estimator, error) {
 	return secre.New(name, secre.Options{})
+}
+
+// searchSurrogates are the surrogates a fixed-ratio search may root-find on:
+// the high-throughput group, whose SECRE estimate needs no calibration
+// (SZ3's fixed-width sizing is flat above ratio 10.7, where the targets
+// are). SZx keeps the extrema of up to 8191 blocks — every block of a 64^3
+// field, which makes its estimate the exact payload size there; at the
+// default 16 blocks a search on it is worse than none (DESIGN.md §21).
+var searchSurrogates = map[string]*secre.Estimator{
+	"szx": mustSurrogate("szx", secre.Options{MinSampledBlocks: 4096}),
+	"zfp": mustSurrogate("zfp", secre.Options{}),
+}
+
+func mustSurrogate(name string, opts secre.Options) *secre.Estimator {
+	est, err := secre.New(name, opts)
+	if err != nil {
+		panic(err) // unreachable: both names have a surrogate
+	}
+	return est
+}
+
+// SearchSurrogate binds the named codec's search surrogate to f and returns
+// its per-bound estimate for fraz.Options.Surrogate, or nil where the
+// search should stay on real probes: another codec, or a field the
+// surrogate rejects (the search's first compression then reports why).
+func SearchSurrogate(name string, f *field.Field) func(eb float64) (float64, error) {
+	est := searchSurrogates[name]
+	if est == nil {
+		return nil
+	}
+	b, err := est.Prepare(f)
+	if err != nil {
+		return nil
+	}
+	return b.Ratio
 }
 
 // All returns every full compressor.

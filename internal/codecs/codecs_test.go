@@ -1,6 +1,11 @@
 package codecs
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"carol/internal/field"
+)
 
 func TestByNameAll(t *testing.T) {
 	for _, name := range Names {
@@ -48,5 +53,40 @@ func TestHighThroughputGrouping(t *testing.T) {
 		if got := HighThroughput(name); got != want {
 			t.Errorf("HighThroughput(%s) = %v, want %v", name, got, want)
 		}
+	}
+}
+
+// TestSearchSurrogate: the high-throughput codecs get a field-bound
+// surrogate whose SZx estimate is the exact payload size on a field small
+// enough to sample whole; the others, and unusable fields, get none.
+func TestSearchSurrogate(t *testing.T) {
+	f := field.New("ramp", 32, 32, 8)
+	for i := range f.Data {
+		f.Data[i] = float32(i%97) * 0.25
+	}
+	for _, name := range ExtendedNames {
+		sur := SearchSurrogate(name, f)
+		if (sur != nil) != HighThroughput(name) {
+			t.Fatalf("%s: search surrogate %v", name, sur != nil)
+		}
+	}
+	if SearchSurrogate("szx", nil) != nil || SearchSurrogate("nope", f) != nil {
+		t.Fatal("surrogate for a nil field or an unknown codec")
+	}
+	codec, err := ByName("szx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := codec.Compress(f, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := SearchSurrogate("szx", f)(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stream adds its 33-byte header and pads to a byte.
+	if payload := float64(f.SizeBytes()) / est; math.Abs(payload-float64(len(stream)-33)) > 1 {
+		t.Fatalf("estimated payload %.1f bytes, the stream has %d", payload, len(stream)-33)
 	}
 }

@@ -278,8 +278,8 @@ func ValidateArgs(f *field.Field, eb float64) error {
 	if f == nil || f.Len() == 0 {
 		return errors.New("compressor: empty field")
 	}
-	if !(eb > 0) || math.IsInf(eb, 0) || math.IsNaN(eb) {
-		return fmt.Errorf("compressor: invalid error bound %g", eb)
+	if err := ValidateBound(eb); err != nil {
+		return err
 	}
 	// NaN and ±Inf are exactly the float32s whose exponent field is all
 	// ones: one integer test per sample, no conversion.
@@ -287,6 +287,15 @@ func ValidateArgs(f *field.Field, eb float64) error {
 		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
 			return errors.New("compressor: field contains non-finite samples")
 		}
+	}
+	return nil
+}
+
+// ValidateBound is the error-bound half of ValidateArgs, for callers that
+// check one field once and many bounds after.
+func ValidateBound(eb float64) error {
+	if !(eb > 0) || math.IsInf(eb, 0) {
+		return fmt.Errorf("compressor: invalid error bound %g", eb)
 	}
 	return nil
 }

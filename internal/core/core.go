@@ -28,6 +28,7 @@ import (
 	"carol/internal/gridsearch"
 	"carol/internal/model"
 	"carol/internal/rf"
+	"carol/internal/secre"
 	"carol/internal/trainset"
 )
 
@@ -213,21 +214,30 @@ func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
 	relHi := fw.cfg.ErrorBounds[len(fw.cfg.ErrorBounds)-1]
 	for _, f := range fields {
 		feat := features.ExtractParallel(f, fw.cfg.Features)
-		est := fw.surrogate
+		var cal *calib.Model
 		if nCal >= 2 {
 			bounds := calib.PickCalibrationBounds(
 				compressor.AbsBound(f, relLo), compressor.AbsBound(f, relHi), nCal)
-			cal, err := calib.Fit(fw.codec, fw.surrogate, f, bounds)
-			if err != nil {
+			var err error
+			if cal, err = calib.Fit(fw.codec, fw.surrogate, f, bounds); err != nil {
 				return stats, fmt.Errorf("core: calibrate %s: %w", f.Name, err)
 			}
 			stats.FullCompressorRuns += nCal
-			est = &calib.Estimator{Base: fw.surrogate, Model: cal}
 		}
-		for _, rel := range fw.cfg.ErrorBounds {
-			ratio, err := est.EstimateRatio(f, compressor.AbsBound(f, rel))
-			if err != nil {
-				return stats, fmt.Errorf("core: estimate %s at rel=%g: %w", f.Name, rel, err)
+		// One sweep per field: a SECRE surrogate validates and samples the
+		// field once for all of its bounds.
+		ebs := make([]float64, len(fw.cfg.ErrorBounds))
+		for i, rel := range fw.cfg.ErrorBounds {
+			ebs[i] = compressor.AbsBound(f, rel)
+		}
+		ratios, err := secre.Curve(fw.surrogate, f, ebs)
+		if err != nil {
+			return stats, fmt.Errorf("core: estimate %s: %w", f.Name, err)
+		}
+		for i, rel := range fw.cfg.ErrorBounds {
+			ratio := ratios[i]
+			if cal != nil {
+				ratio = cal.Correct(ebs[i], ratio)
 			}
 			stats.SurrogateRuns++
 			if err := fw.set.Add(trainset.Sample{Features: feat, Ratio: ratio, RelEB: rel}); err != nil {

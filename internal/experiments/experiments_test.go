@@ -145,7 +145,7 @@ func TestRunExt2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment")
 	}
-	smoke(t, "ext2", "FRaZ", "CAROL")
+	smoke(t, "ext2", "FRaZ", "CAROL", "[szx]", "[zfp]", "+surrogate:")
 }
 
 func TestRunExt3(t *testing.T) { smoke(t, "ext3", "surrogate", "rel_eb") }

@@ -9,6 +9,7 @@ import (
 	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/core"
+	"carol/internal/field"
 	"carol/internal/fraz"
 	"carol/internal/model"
 	"carol/internal/sperr"
@@ -70,12 +71,13 @@ func RunExtModels(w io.Writer, s Scale) error {
 }
 
 // RunExtFraz compares a trained CAROL framework against the FRaZ-style
-// trial-and-error baseline and against the search started from CAROL's
-// prediction: fixed-ratio accuracy and the number of compressor executions
-// each needs per request.
+// trial-and-error baseline, against the search started from CAROL's
+// prediction and — for SZx and ZFP, whose surrogate needs no calibration —
+// against that search run on the surrogate first: fixed-ratio accuracy and
+// the number of compressor executions each needs per request.
 func RunExtFraz(w io.Writer, s Scale) error {
 	p := paramsFor(s)
-	header(w, "Ext 2", "CAROL vs FRaZ trial-and-error (reference [24]), SZ3 on Miranda")
+	header(w, "Ext 2", "CAROL vs FRaZ trial-and-error (reference [24]) on Miranda")
 	train, err := datasetFields(p, "miranda", 4)
 	if err != nil {
 		return err
@@ -84,11 +86,21 @@ func RunExtFraz(w io.Writer, s Scale) error {
 	if err != nil {
 		return err
 	}
-	codec, err := codecs.ByName("sz3")
+	for _, name := range []string{"sz3", "szx", "zfp"} {
+		if err := extFraz(w, p, name, train, test); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// extFraz is Ext 2 for one codec.
+func extFraz(w io.Writer, p params, name string, train []*field.Field, test *field.Field) error {
+	codec, err := codecs.ByName(name)
 	if err != nil {
 		return err
 	}
-	fw, err := core.New("sz3", core.Config{
+	fw, err := core.New(name, core.Config{
 		ErrorBounds: p.sweep, BOIterations: p.boIters,
 		ForestCap: p.forestCap, Seed: p.seed,
 	})
@@ -107,54 +119,74 @@ func RunExtFraz(w io.Writer, s Scale) error {
 	if err != nil {
 		return err
 	}
+	// search is a fraz search the way a resolver sets it up; it is timed
+	// with what it needs beyond the trained model (the prediction, binding
+	// the surrogate to the field).
+	search := func(seeded, surrogate bool) func(float64) (float64, int, error) {
+		return func(target float64) (float64, int, error) {
+			var opts fraz.Options
+			if seeded { // what carolserve does for ratio=
+				seed, err := fw.PredictErrorBound(test, target)
+				if err != nil {
+					return 0, 0, err
+				}
+				opts.Seed = seed
+			}
+			if surrogate {
+				opts.Surrogate = codecs.SearchSurrogate(name, test)
+			}
+			res, err := fraz.Search(codec, test, target, opts)
+			return res.Achieved, res.Runs, err
+		}
+	}
+	type resolver struct {
+		name, note string
+		run        func(target float64) (achieved float64, runs int, err error)
+		alpha      stats.Accumulator
+		runs       int
+		time       time.Duration
+	}
+	resolvers := []*resolver{
+		{name: "CAROL", note: fmt.Sprintf("plus one-time setup %s", ms(cs.Duration+ts.Duration)),
+			run: func(target float64) (float64, int, error) {
+				_, achieved, err := fw.CompressToRatio(test, target)
+				return achieved, 1, err // one compression per request
+			}},
+		{name: "FRaZ", note: "no setup", run: search(false, false)},
+		{name: "seeded", note: "CAROL's bound starts the FRaZ search; same setup", run: search(true, false)},
+	}
+	if codecs.SearchSurrogate(name, test) != nil {
+		resolvers = append(resolvers, &resolver{name: "+surrogate", run: search(true, true),
+			note: "the seeded search, root-finding on the SECRE surrogate before it compresses"})
+	}
+	fmt.Fprintf(w, "[%s]\n", name)
 	tw := newTable(w)
-	fmt.Fprintln(tw, "target f\tCAROL achieved\tCAROL runs\tFRaZ achieved\tFRaZ runs\tseeded achieved\tseeded runs")
-	var caAlpha, frAlpha, seAlpha stats.Accumulator
-	var caRuns, frRuns, seRuns int
-	var caTime, frTime, seTime time.Duration
+	fmt.Fprint(tw, "target f")
+	for _, r := range resolvers {
+		fmt.Fprintf(tw, "\t%s achieved\t%s runs", r.name, r.name)
+	}
+	fmt.Fprintln(tw)
 	for _, target := range targets {
-		start := time.Now()
-		_, got, err := fw.CompressToRatio(test, target)
-		if err != nil {
-			return err
+		fmt.Fprintf(tw, "%.2f", target)
+		for _, r := range resolvers {
+			start := time.Now()
+			achieved, runs, err := r.run(target)
+			if err != nil {
+				return err
+			}
+			r.time += time.Since(start)
+			r.runs += runs
+			r.alpha.Add(stats.PctError(achieved, target))
+			fmt.Fprintf(tw, "\t%.2f\t%d", achieved, runs)
 		}
-		caTime += time.Since(start)
-		caRuns++ // one compression per request
-		caAlpha.Add(stats.PctError(got, target))
-
-		start = time.Now()
-		res, err := fraz.Search(codec, test, target, fraz.Options{})
-		if err != nil {
-			return err
-		}
-		frTime += time.Since(start)
-		frRuns += res.Runs
-		frAlpha.Add(stats.PctError(res.Achieved, target))
-
-		// What carolserve does for ratio=: the model's bound starts the search.
-		start = time.Now()
-		seed, err := fw.PredictErrorBound(test, target)
-		if err != nil {
-			return err
-		}
-		seeded, err := fraz.Search(codec, test, target, fraz.Options{Seed: seed})
-		if err != nil {
-			return err
-		}
-		seTime += time.Since(start)
-		seRuns += seeded.Runs
-		seAlpha.Add(stats.PctError(seeded.Achieved, target))
-		fmt.Fprintf(tw, "%.2f\t%.2f\t1\t%.2f\t%d\t%.2f\t%d\n", target, got, res.Achieved, res.Runs, seeded.Achieved, seeded.Runs)
+		fmt.Fprintln(tw)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "CAROL:  α %.1f%%, %d compressor runs, %s (plus one-time setup %s)\n",
-		caAlpha.Mean(), caRuns, ms(caTime), ms(cs.Duration+ts.Duration))
-	fmt.Fprintf(w, "FRaZ:   α %.1f%%, %d compressor runs, %s (no setup)\n",
-		frAlpha.Mean(), frRuns, ms(frTime))
-	fmt.Fprintf(w, "seeded: α %.1f%%, %d compressor runs, %s (CAROL's bound starts the FRaZ search; same setup)\n",
-		seAlpha.Mean(), seRuns, ms(seTime))
+	for _, r := range resolvers {
+		fmt.Fprintf(w, "%-11s α %.1f%%, %d compressor runs, %s (%s)\n", r.name+":", r.alpha.Mean(), r.runs, ms(r.time), r.note)
+	}
 	return nil
 }
 

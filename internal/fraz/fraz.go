@@ -5,7 +5,9 @@
 // the target. It needs no training at all, but costs one full compression
 // per probe — the trade-off CAROL's §3.2 uses to motivate learned
 // prediction. A caller that has such a prediction hands it in as
-// Options.Seed and the search becomes a cheap correction on top of it.
+// Options.Seed and the search becomes a cheap correction on top of it; one
+// that has a cheap surrogate of the codec hands that in too, and the search
+// root-finds on it and compresses only for the answer.
 package fraz
 
 import (
@@ -35,6 +37,13 @@ const (
 	// defaultSlope is d ln(ratio) / d ln(eb) assumed before two probes
 	// give a secant; error-bounded codecs sit between 0.3 and 0.8.
 	defaultSlope = 0.5
+	// surrogateTolerance is the predicted miss at which a surrogate solve
+	// asks for a real compression: well inside tolerance, which leaves room
+	// for the surrogate's own error (stream headers, block sampling).
+	surrogateTolerance = 0.004
+	// maxSurrogateEvals caps one search's surrogate evaluations (a solve
+	// takes 5-15): only a surrogate that leads nowhere gets there.
+	maxSurrogateEvals = 96
 )
 
 // Search metrics (obs.Default). FRaZ's own evaluation shows the probe
@@ -52,6 +61,10 @@ var (
 	searchDiverged  = obs.Default.Counter("fraz_search_unconverged_total")
 	searchErrors    = obs.Default.Counter("fraz_search_errors_total")
 	probeSeconds    = obs.Default.Histogram("fraz_probe_seconds", obs.LatencyBuckets())
+	// Searches given a surrogate: its evaluations per search (compressor
+	// runs they are not), and the searches that gave up on it.
+	surrogateEvals   = obs.Default.Histogram("fraz_surrogate_evals", obs.LinearBuckets(0, 4, 25))
+	surrogateDropped = obs.Default.Counter("fraz_surrogate_dropped_total")
 	// ratioMiss is |achieved/target - 1| of every finished search; the
 	// buckets straddle the acceptance band.
 	ratioMiss = obs.Default.Histogram("fraz_ratio_miss",
@@ -65,13 +78,19 @@ const (
 	ResolverModel  = "model"
 )
 
-// Options carries the search's one input besides the target.
+// Options carries the search's inputs besides the target.
 type Options struct {
 	// Seed is a predicted value-range-relative error bound to start from
 	// (a trained model's answer for this field and target). Zero, negative
 	// and non-finite seeds are ignored and the search starts from the
 	// geometric middle of the interval; a seed outside it is clamped.
 	Seed float64
+	// Surrogate, when set, estimates the codec's ratio on the searched field
+	// at an absolute error bound for a small fraction of a compression (a
+	// secre.Bound's Ratio). The search then root-finds on it and compresses
+	// only where it predicts the target; see solve. Nil leaves the search on
+	// real probes alone.
+	Surrogate func(eb float64) (float64, error)
 }
 
 // Probe is one compressor run of a search.
@@ -95,6 +114,12 @@ type Result struct {
 	Seeded bool
 	// Probes lists every run in order; len(Probes) == Runs.
 	Probes []Probe
+	// SurrogateEvals and SurrogateTime are the calls of Options.Surrogate
+	// (none a compressor run) and the time spent in them; SurrogateDropped
+	// reports that the search gave up on it and finished on real probes.
+	SurrogateEvals   int
+	SurrogateTime    time.Duration
+	SurrogateDropped bool
 }
 
 // Resolver names what started the search: ResolverModel or ResolverSearch.
@@ -126,18 +151,158 @@ func Search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 		searchDiverged.Inc()
 	}
 	ratioMiss.Observe(math.Abs(res.Achieved/targetRatio - 1))
+	if opts.Surrogate != nil {
+		surrogateEvals.Observe(float64(res.SurrogateEvals))
+		if res.SurrogateDropped {
+			surrogateDropped.Inc()
+		}
+	}
 	return res, nil
 }
 
 // point is a probe in the search's coordinates.
 type point struct {
-	x float64 // ln rel-eb
-	y float64 // ln(achieved/target): negative below the target
+	rel float64 // value-range-relative bound
+	x   float64 // ln rel
+	y   float64 // ln(ratio/target): negative below the target
+	w   float64 // y as regula falsi weighs it: halved by the Illinois rule
 }
 
-// search is the uninstrumented loop. Ratio is taken as non-decreasing in
-// the bound; where a codec is locally not, the bracket still shrinks on
-// every step and the run cap bounds the rest.
+// bracket is the state of one root-find on (ln eb, ln ratio/target): the
+// nearest point below and above the target, and the previous point. The
+// real probes drive one; each surrogate solve drives a copy of it.
+type bracket struct {
+	lo, hi, prev                        point
+	haveLo, haveHi, havePrev, lastBelow bool
+}
+
+// closed reports a bracket narrower than minBracket.
+func (b *bracket) closed() bool { return b.haveLo && b.haveHi && b.hi.x-b.lo.x < minBracket }
+
+// step takes in the ratio found at rel, as a fraction of the target, and
+// returns the bound to try next. ok is false when there is none: rel is an
+// endpoint on the near side of the target (out of reach), or the bracket
+// has closed around a jump. Ratio is taken as non-decreasing in the bound;
+// where a codec is locally not, the bracket still shrinks on every step.
+func (b *bracket) step(rel, overTarget float64) (next float64, ok bool) {
+	y := math.Log(overTarget)
+	p := point{rel, math.Log(rel), y, y}
+	below := p.y < 0
+	if below && rel >= relHi || !below && rel <= relLo {
+		return rel, false
+	}
+	// Illinois: an end that survives two steps in a row has its weight
+	// halved, so regula falsi cannot creep along a convex curve.
+	if below {
+		if b.haveHi && b.lastBelow {
+			b.hi.w /= 2
+		}
+		b.lo, b.haveLo = p, true
+	} else {
+		if b.haveLo && !b.lastBelow {
+			b.lo.w /= 2
+		}
+		b.hi, b.haveHi = p, true
+	}
+	b.lastBelow = below
+
+	var x float64
+	if b.haveLo && b.haveHi {
+		if b.closed() {
+			return rel, false
+		}
+		x = (b.lo.x*b.hi.w - b.hi.x*b.lo.w) / (b.hi.w - b.lo.w)
+	} else {
+		// No bracket yet: follow the secant of the last two points; where
+		// they show no rise (a flat stair, a local dip) double the stride.
+		x = p.x - p.y/defaultSlope
+		if b.havePrev {
+			if s := (p.y - b.prev.y) / (p.x - b.prev.x); s > 0 {
+				x = p.x - p.y/s
+			} else {
+				x = p.x + 2*(p.x-b.prev.x)
+			}
+		}
+	}
+	b.prev, b.havePrev = p, true
+	// Clamping in rel keeps the endpoints (and a seed) exact.
+	return math.Min(math.Max(math.Exp(x), relLo), relHi), true
+}
+
+// surrogate is Options.Surrogate with the search's correction of it: bias
+// is achieved/estimated at the latest real probe — package calib's
+// correction with one point, fitted on the request's own field — and 1
+// before there is one. ratio is nil without a surrogate or once dropped.
+type surrogate struct {
+	ratio               func(eb float64) (float64, error)
+	target, scale, bias float64
+	res                 *Result
+}
+
+func (s *surrogate) drop() { s.ratio, s.res.SurrogateDropped = nil, true }
+
+// estimate is the raw surrogate at rel; ok is false when it has no usable
+// answer: an error, no ratio at all, or the evaluation budget is spent.
+func (s *surrogate) estimate(rel float64) (est float64, ok bool) {
+	if s.res.SurrogateEvals >= maxSurrogateEvals {
+		return 0, false
+	}
+	start := time.Now()
+	est, err := s.ratio(rel * s.scale)
+	s.res.SurrogateEvals++
+	s.res.SurrogateTime += time.Since(start)
+	return est, err == nil && est > 0 && !math.IsInf(est, 1)
+}
+
+// anchor refits bias at a real probe; false when the surrogate cannot be.
+func (s *surrogate) anchor(p Probe) bool {
+	est, ok := s.estimate(p.RelEB)
+	s.bias = p.Ratio / est
+	return ok && s.bias > 0
+}
+
+// solve root-finds on bias × surrogate from rel with the real probes' own
+// step, on a copy of their bracket (so strictly inside it), and returns the
+// bound worth a compression: where the predicted miss is within
+// surrogateTolerance or, where the surrogate's curve jumps over the band
+// (ZFP's staircase), a side of the jump. ok is false when it has none: the
+// surrogate failed or puts the target out of reach.
+func (s *surrogate) solve(real bracket, rel float64) (float64, bool) {
+	for b := real; ; {
+		est, ok := s.estimate(rel)
+		if !ok {
+			return 0, false
+		}
+		over := s.bias * est / s.target
+		if math.Abs(over-1) <= surrogateTolerance {
+			return rel, true
+		}
+		if rel, ok = b.step(rel, over); ok {
+			continue
+		}
+		if !b.closed() {
+			return 0, false
+		}
+		// The sides of a jump are worth one compression each, smaller
+		// predicted miss first — unless a real probe within minBracket of the
+		// jump already stands for that side; then the other one closes the
+		// real bracket and ends the search.
+		loOpen := !real.haveLo || b.hi.x-real.lo.x >= minBracket
+		hiOpen := !real.haveHi || real.hi.x-b.lo.x >= minBracket
+		switch {
+		case loOpen && (!hiOpen || math.Abs(b.lo.y) <= math.Abs(b.hi.y)):
+			return b.lo.rel, true
+		case hiOpen:
+			return b.hi.rel, true
+		default:
+			return 0, false
+		}
+	}
+}
+
+// search is the uninstrumented loop: real probes drive a bracket, and while
+// a surrogate is in play every bound they would try is first moved to where
+// the surrogate puts the target.
 func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Options) (Result, error) {
 	if !(targetRatio > 0) {
 		return Result{}, fmt.Errorf("fraz: invalid target ratio %g", targetRatio)
@@ -150,13 +315,25 @@ func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 	if res.Seeded {
 		rel = math.Min(math.Max(opts.Seed, relLo), relHi)
 	}
+	// compressor.AbsBound's rule, with its pass over the field taken once.
+	scale := f.ValueRange()
+	if scale <= 0 {
+		scale = 1
+	}
+	sur := surrogate{opts.Surrogate, targetRatio, scale, 1, &res}
 
-	var lo, hi, prev point // nearest probe below / above the target; previous probe
-	var haveLo, haveHi, lastBelow bool
-	bestMiss := math.Inf(1)
+	var b bracket
+	bestMiss, lastMiss := math.Inf(1), math.Inf(1)
 	for res.Runs < maxRuns {
+		if sur.ratio != nil {
+			if at, ok := sur.solve(b, rel); ok {
+				rel = at
+			} else {
+				sur.drop()
+			}
+		}
 		probeStart := time.Now()
-		stream, err := codec.Compress(f, compressor.AbsBound(f, rel))
+		stream, err := codec.Compress(f, rel*scale)
 		probeSeconds.ObserveSince(probeStart)
 		if err != nil {
 			return res, fmt.Errorf("fraz: probe at rel=%g: %w", rel, err)
@@ -164,7 +341,8 @@ func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 		ratio := compressor.Ratio(f, stream)
 		res.Runs++
 		res.Probes = append(res.Probes, Probe{RelEB: rel, Ratio: ratio})
-		if miss := math.Abs(ratio/targetRatio - 1); miss < bestMiss {
+		miss := math.Abs(ratio/targetRatio - 1)
+		if miss < bestMiss {
 			bestMiss = miss
 			res.RelEB, res.Stream, res.Achieved = rel, stream, ratio
 		}
@@ -172,49 +350,16 @@ func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 			res.Converged = true
 			return res, nil
 		}
-
-		p := point{math.Log(rel), math.Log(ratio / targetRatio)}
-		below := p.y < 0
-		// An endpoint on the near side of the target: out of reach.
-		if below && rel >= relHi || !below && rel <= relLo {
+		next, ok := b.step(rel, ratio/targetRatio)
+		if !ok {
 			return res, nil
 		}
-		// Illinois: an end that survives two steps in a row has its weight
-		// halved, so regula falsi cannot creep along a convex curve.
-		if below {
-			if haveHi && lastBelow {
-				hi.y /= 2
-			}
-			lo, haveLo = p, true
-		} else {
-			if haveLo && !lastBelow {
-				lo.y /= 2
-			}
-			hi, haveHi = p, true
+		// A surrogate whose proposal missed the band without even coming
+		// closer than the probe before it is dropped; else it is re-anchored.
+		if sur.ratio != nil && (miss >= lastMiss || !sur.anchor(res.Probes[res.Runs-1])) {
+			sur.drop()
 		}
-		lastBelow = below
-
-		var x float64
-		if haveLo && haveHi {
-			if hi.x-lo.x < minBracket {
-				return res, nil
-			}
-			x = (lo.x*hi.y - hi.x*lo.y) / (hi.y - lo.y)
-		} else {
-			// No bracket yet: follow the secant of the last two probes; where
-			// they show no rise (a flat stair, a local dip) double the stride.
-			x = p.x - p.y/defaultSlope
-			if res.Runs > 1 {
-				if s := (p.y - prev.y) / (p.x - prev.x); s > 0 {
-					x = p.x - p.y/s
-				} else {
-					x = p.x + 2*(p.x-prev.x)
-				}
-			}
-		}
-		prev = p
-		// Clamping in rel keeps the endpoints (and a seed) exact.
-		rel = math.Min(math.Max(math.Exp(x), relLo), relHi)
+		lastMiss, rel = miss, next
 	}
 	return res, nil
 }

@@ -49,7 +49,11 @@ type curveCodec struct {
 func (curveCodec) Name() string { return "curve" }
 
 func (c curveCodec) Compress(f *field.Field, eb float64) ([]byte, error) {
-	n := int(float64(f.SizeBytes()) / c.ratio(eb/f.ValueRange()))
+	valueRange := f.ValueRange()
+	if valueRange <= 0 {
+		valueRange = 1 // compressor.AbsBound's rule for a constant field
+	}
+	n := int(float64(f.SizeBytes()) / c.ratio(eb/valueRange))
 	return make([]byte, max(n, 1)), nil
 }
 
@@ -130,21 +134,21 @@ func TestSeedCutsRuns(t *testing.T) {
 }
 
 // TestHigherTargetNeverLowersBound is the metamorphic check: asking for
-// more compression never selects a tighter bound.
+// more compression never selects a tighter bound — whatever surrogate, if
+// any, the search is given.
 func TestHigherTargetNeverLowersBound(t *testing.T) {
 	f := testField(t)
 	for _, name := range []string{"szx", "sz3"} {
 		codec := realCodec(t, name)
-		prev := 0.0
-		for _, rel := range []float64{1e-4, 1e-3, 1e-2, 1e-1} {
-			res, err := Search(codec, f, ratioAt(t, codec, f, rel), Options{})
-			if err != nil {
-				t.Fatal(err)
+		for _, sc := range surrogateCases {
+			prev := 0.0
+			for _, rel := range []float64{1e-4, 1e-3, 1e-2, 1e-1} {
+				res := searchChecked(t, codec, f, ratioAt(t, codec, f, rel), 0, sc)
+				if res.RelEB < prev {
+					t.Fatalf("%s/%s: target at rel %g chose %g, below the previous target's %g", name, sc.name, rel, res.RelEB, prev)
+				}
+				prev = res.RelEB
 			}
-			if res.RelEB < prev {
-				t.Fatalf("%s: target at rel %g chose %g, below the previous target's %g", name, rel, res.RelEB, prev)
-			}
-			prev = res.RelEB
 		}
 	}
 }
@@ -155,21 +159,20 @@ func TestUnreachableTargetClamps(t *testing.T) {
 	// a ratio just above 1 is within its reach.
 	for _, name := range []string{"szx", "zfp"} {
 		codec := realCodec(t, name)
-		for _, seed := range []float64{0, 1e-3} {
-			for target, endpoint := range map[float64]float64{1e9: relHi, 1.0000001: relLo} {
-				res, err := Search(codec, f, target, Options{Seed: seed})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Converged {
-					t.Fatalf("%s: impossible target %g reported converged", name, target)
-				}
-				if res.RelEB != endpoint || res.Runs > 3 {
-					t.Fatalf("%s seed %g: target %g chose %g in %d runs, want %g in <= 3",
-						name, seed, target, res.RelEB, res.Runs, endpoint)
-				}
-				if _, err := codec.Decompress(res.Stream); err != nil {
-					t.Fatalf("%s: endpoint stream invalid: %v", name, err)
+		for _, sc := range surrogateCases {
+			for _, seed := range []float64{0, 1e-3} {
+				for target, endpoint := range map[float64]float64{1e9: relHi, 1.0000001: relLo} {
+					res := searchChecked(t, codec, f, target, seed, sc)
+					if res.Converged {
+						t.Fatalf("%s/%s: impossible target %g reported converged", name, sc.name, target)
+					}
+					if res.RelEB != endpoint || res.Runs > 3 {
+						t.Fatalf("%s/%s seed %g: target %g chose %g in %d runs, want %g in <= 3",
+							name, sc.name, seed, target, res.RelEB, res.Runs, endpoint)
+					}
+					if _, err := codec.Decompress(res.Stream); err != nil {
+						t.Fatalf("%s: endpoint stream invalid: %v", name, err)
+					}
 				}
 			}
 		}
@@ -226,32 +229,19 @@ func TestMaxItersRespected(t *testing.T) {
 	curves := map[string]func(float64) float64{"staircase": staircase, "wavy": wavy}
 	for name, curve := range curves {
 		codec := curveCodec{curve}
-		for _, at := range []float64{3e-5, 2e-3, 0.11} {
-			// Between two stairs on the staircase; reachable on the wavy curve.
-			target := curve(at) * 1.07
-			for _, seed := range []float64{0, at, at / 100, at * 100, relLo, relHi} {
-				res, err := Search(codec, f, target, Options{Seed: seed})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Runs < 1 || res.Runs > maxRuns || res.Runs != len(res.Probes) {
-					t.Fatalf("%s target %g seed %g: %d runs, %d probes", name, target, seed, res.Runs, len(res.Probes))
-				}
-				best := res.Probes[0]
-				for _, p := range res.Probes {
-					if math.Abs(p.Ratio/target-1) < math.Abs(best.Ratio/target-1) {
-						best = p
+		for _, sc := range surrogateCases {
+			for _, at := range []float64{3e-5, 2e-3, 0.11} {
+				// Between two stairs on the staircase; reachable on the wavy curve.
+				target := curve(at) * 1.07
+				for _, seed := range []float64{0, at, at / 100, at * 100, relLo, relHi} {
+					res := searchChecked(t, codec, f, target, seed, sc)
+					if name == "staircase" && (res.Converged || res.Runs > 12) {
+						t.Errorf("staircase/%s target %g seed %g: converged %v in %d runs; a jump should stop the search early",
+							sc.name, target, seed, res.Converged, res.Runs)
 					}
-				}
-				if res.RelEB != best.RelEB || res.Achieved != best.Ratio || len(res.Stream) == 0 {
-					t.Fatalf("%s target %g seed %g: returned %g@%g, best probe %v", name, target, seed, res.Achieved, res.RelEB, best)
-				}
-				if name == "staircase" && (res.Converged || res.Runs > 12) {
-					t.Errorf("staircase target %g seed %g: converged %v in %d runs; a jump should stop the search early",
-						target, seed, res.Converged, res.Runs)
-				}
-				if name == "wavy" && !res.Converged {
-					t.Errorf("wavy target %g seed %g: missed in %d runs: %v", target, seed, res.Runs, res.Probes)
+					if name == "wavy" && !res.Converged {
+						t.Errorf("wavy/%s target %g seed %g: missed in %d runs: %v", sc.name, target, seed, res.Runs, res.Probes)
+					}
 				}
 			}
 		}
@@ -260,16 +250,26 @@ func TestMaxItersRespected(t *testing.T) {
 
 // TestSearchRecordsMetrics checks that a successful search advances the
 // obs.Default run histogram of its resolver, the miss histogram and the
-// convergence counters.
+// convergence counters — and, given a surrogate, the evaluation histogram
+// and (for one it has to give up on) the drop counter.
 func TestSearchRecordsMetrics(t *testing.T) {
 	f := testField(t)
 	codec := realCodec(t, "szx")
-	for _, opts := range []Options{{}, {Seed: 1e-3}} {
+	exact, broken := surrogateCases[1], surrogateCases[5]
+	for _, c := range []struct {
+		seed      float64
+		surrogate *surrogateCase
+	}{{0, nil}, {1e-3, nil}, {1e-3, &exact}, {0, &broken}} {
+		opts := Options{Seed: c.seed}
+		if c.surrogate != nil {
+			opts.Surrogate = c.surrogate.wrap(func(eb float64) float64 { return ratioAt(t, codec, f, eb/f.ValueRange()) })
+		}
 		resolver := Result{Seeded: opts.Seed > 0}.Resolver()
 		runsBefore := searchRuns[resolver].Count()
 		missBefore := ratioMiss.Count()
 		totalBefore := searchRunsTotal.Value()
 		convBefore := searchConverged.Value() + searchDiverged.Value()
+		evalsBefore, droppedBefore := surrogateEvals.Count(), surrogateDropped.Value()
 		res, err := Search(codec, f, 3, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -288,6 +288,17 @@ func TestSearchRecordsMetrics(t *testing.T) {
 		}
 		if probeSeconds.Count() < int64(res.Runs) {
 			t.Fatalf("probe latency count %d < runs %d", probeSeconds.Count(), res.Runs)
+		}
+		wantEvals, wantDropped := evalsBefore, droppedBefore
+		if c.surrogate != nil {
+			wantEvals++
+		}
+		if c.surrogate == &broken {
+			wantDropped++
+		}
+		if surrogateEvals.Count() != wantEvals || surrogateDropped.Value() != wantDropped || res.SurrogateDropped != (c.surrogate == &broken) {
+			t.Fatalf("surrogate %v: evaluation histogram count %d (want %d), dropped %d (want %d), Result.SurrogateDropped %v",
+				c.surrogate, surrogateEvals.Count(), wantEvals, surrogateDropped.Value(), wantDropped, res.SurrogateDropped)
 		}
 	}
 }

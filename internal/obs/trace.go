@@ -78,6 +78,18 @@ func (s *Span) End() time.Duration {
 	return d
 }
 
+// Record adds a completed stage whose duration the caller measured itself:
+// time summed over many short calls that a Span would list one by one.
+func (t *Trace) Record(stage string, d time.Duration) {
+	if t == nil {
+		return
+	}
+	t.reg.Histogram(t.name+"_"+stage+"_seconds", LatencyBuckets()).Observe(d.Seconds())
+	t.mu.Lock()
+	t.spans = append(t.spans, SpanRecord{Stage: stage, Duration: d})
+	t.mu.Unlock()
+}
+
 // End completes the trace, recording the total elapsed time into the
 // <name>_seconds histogram, and returns it.
 func (t *Trace) End() time.Duration {

@@ -86,7 +86,6 @@ type Estimator struct {
 	// Metric handles, resolved once at construction (DESIGN.md §10).
 	seconds   *obs.Histogram
 	estimates *obs.Counter
-	lastRatio *obs.Gauge
 }
 
 var _ compressor.Estimator = (*Estimator)(nil)
@@ -101,7 +100,6 @@ func New(name string, opts Options) (*Estimator, error) {
 			opts:      opts.withDefaults(),
 			seconds:   obs.Default.Histogram(obs.Label("secre_estimate_seconds", "codec", name), obs.LatencyBuckets()),
 			estimates: obs.Default.Counter(obs.Label("secre_estimates_total", "codec", name)),
-			lastRatio: obs.Default.Gauge(obs.Label("secre_last_estimated_ratio", "codec", name)),
 		}, nil
 	default:
 		return nil, fmt.Errorf("secre: no surrogate for compressor %q", name)
@@ -111,151 +109,199 @@ func New(name string, opts Options) (*Estimator, error) {
 // Name implements compressor.Estimator.
 func (e *Estimator) Name() string { return e.name }
 
-// EstimateRatio implements compressor.Estimator.
+// EstimateRatio implements compressor.Estimator: Prepare, then one Ratio.
 func (e *Estimator) EstimateRatio(f *field.Field, eb float64) (float64, error) {
 	start := time.Now()
 	defer e.seconds.ObserveSince(start)
-	if err := compressor.ValidateArgs(f, eb); err != nil {
+	b, err := e.Prepare(f)
+	if err != nil {
 		return 0, err
 	}
-	e.estimates.Inc()
-	ratio, err := e.estimateRatio(f, eb)
-	if err == nil {
-		e.lastRatio.Set(ratio)
-	}
-	return ratio, err
+	return b.Ratio(eb)
 }
 
-// estimateRatio dispatches to the per-compressor surrogate.
-func (e *Estimator) estimateRatio(f *field.Field, eb float64) (float64, error) {
+// Bound is a surrogate bound to one field. Everything that does not depend
+// on the error bound — validation, the sample, and per codec whatever of
+// the sample's content the size formula needs — was taken by Prepare, so
+// Ratio costs the per-bound work only: what a search or a collection sweep
+// that asks about one field at many bounds should pay. A Bound serves one
+// goroutine, and its field must not change while it is in use.
+type Bound struct {
+	estimates *obs.Counter
+	ratio     func(eb float64) float64
+}
+
+// Prepare validates f and binds the surrogate to it.
+func (e *Estimator) Prepare(f *field.Field) (*Bound, error) {
+	if err := compressor.ValidateArgs(f, 1); err != nil {
+		return nil, err
+	}
+	b := &Bound{estimates: e.estimates}
 	switch e.name {
 	case "szx":
-		return e.estimateSZx(f, eb)
+		b.ratio = e.bindSZx(f)
 	case "zfp":
-		return e.estimateZFP(f, eb)
+		b.ratio = e.bindZFP(f)
 	case "sz3":
-		return e.estimateSZ3(f, eb)
+		b.ratio = e.bindSZ3(f)
 	case "szp":
-		return e.estimateSZP(f, eb)
+		b.ratio = e.bindSZP(f)
 	default:
-		return e.estimateSPERR(f, eb)
+		b.ratio = e.bindSPERR(f)
 	}
+	return b, nil
 }
 
-// estimateSZP samples one 32-sample block of every SZxBlockEvery (szp and
-// szx share the delta-family sampling pattern) and runs the real per-block
+// Ratio estimates the compression ratio of the bound field at absolute
+// error bound eb, bit for bit what EstimateRatio returns for the pair.
+func (b *Bound) Ratio(eb float64) (float64, error) {
+	if err := compressor.ValidateBound(eb); err != nil {
+		return 0, err
+	}
+	b.estimates.Inc()
+	return b.ratio(eb), nil
+}
+
+// blockEvery is the block stride of the delta-family surrogates (szx, szp):
+// SZxBlockEvery, reduced until MinSampledBlocks are sampled.
+func (e *Estimator) blockEvery(totalBlocks int) int {
+	every := e.opts.SZxBlockEvery
+	if totalBlocks/every < e.opts.MinSampledBlocks {
+		every = max(totalBlocks/e.opts.MinSampledBlocks, 1)
+	}
+	return every
+}
+
+// bindSZP samples one 32-sample block of every SZxBlockEvery (szp and szx
+// share the delta-family sampling pattern) and runs the real per-block
 // encoder on each, threading the previous-quant state through the samples.
-func (e *Estimator) estimateSZP(f *field.Field, eb float64) (float64, error) {
+// The quantized deltas depend on the bound, so nothing is kept between
+// bounds but the stride.
+func (e *Estimator) bindSZP(f *field.Field) func(float64) float64 {
 	totalBlocks := (f.Len() + szp.BlockSize - 1) / szp.BlockSize
-	every := e.opts.SZxBlockEvery
-	if totalBlocks/every < e.opts.MinSampledBlocks {
-		every = totalBlocks / e.opts.MinSampledBlocks
-		if every < 1 {
-			every = 1
+	every := e.blockEvery(totalBlocks)
+	return func(eb float64) float64 {
+		var bits uint64
+		sampled := 0
+		prev := int64(0)
+		for b := 0; b < totalBlocks; b += every {
+			start := b * szp.BlockSize
+			end := min(start+szp.BlockSize, f.Len())
+			var blockBits uint64
+			blockBits, prev = szp.EstimateBlockBits(f.Data[start:end], eb, prev)
+			bits += blockBits
+			sampled++
 		}
+		estBits := float64(bits) / float64(sampled) * float64(totalBlocks)
+		return ratioFromBits(f, estBits)
 	}
-	var bits uint64
-	sampled := 0
-	prev := int64(0)
-	for b := 0; b < totalBlocks; b += every {
-		start := b * szp.BlockSize
-		end := start + szp.BlockSize
-		if end > f.Len() {
-			end = f.Len()
-		}
-		var blockBits uint64
-		blockBits, prev = szp.EstimateBlockBits(f.Data[start:end], eb, prev)
-		bits += blockBits
-		sampled++
-	}
-	estBits := float64(bits) / float64(sampled) * float64(totalBlocks)
-	return ratioFromBits(f, estBits), nil
 }
 
-// estimateSZx samples one 128-sample block of every SZxBlockEvery and runs
-// the real per-block encoder on each sample.
-func (e *Estimator) estimateSZx(f *field.Field, eb float64) (float64, error) {
+// bindSZx samples one 128-sample block of every SZxBlockEvery. A block's
+// encoded size depends on its extrema, its length and the bound alone, so
+// the extrema are kept and an estimate is arithmetic over them — the real
+// per-block size formula, without reading the field again.
+func (e *Estimator) bindSZx(f *field.Field) func(float64) float64 {
 	totalBlocks := (f.Len() + szx.BlockSize - 1) / szx.BlockSize
-	every := e.opts.SZxBlockEvery
-	if totalBlocks/every < e.opts.MinSampledBlocks {
-		every = totalBlocks / e.opts.MinSampledBlocks
-		if every < 1 {
-			every = 1
-		}
+	every := e.blockEvery(totalBlocks)
+	type sampledBlock struct {
+		lo, hi float32
+		n      int32
 	}
-	var bits uint64
-	sampled := 0
+	blocks := make([]sampledBlock, 0, (totalBlocks+every-1)/every)
 	for b := 0; b < totalBlocks; b += every {
 		start := b * szx.BlockSize
-		end := start + szx.BlockSize
-		if end > f.Len() {
-			end = f.Len()
-		}
-		bits += szx.EstimateBlockBits(f.Data[start:end], eb)
-		sampled++
+		end := min(start+szx.BlockSize, f.Len())
+		lo, hi := szx.BlockExtrema(f.Data[start:end])
+		blocks = append(blocks, sampledBlock{lo, hi, int32(end - start)})
 	}
-	estBits := float64(bits) / float64(sampled) * float64(totalBlocks)
-	return ratioFromBits(f, estBits), nil
+	return func(eb float64) float64 {
+		var bits uint64
+		for _, b := range blocks {
+			bits += szx.BlockBits(b.lo, b.hi, int(b.n), eb)
+		}
+		estBits := float64(bits) / float64(len(blocks)) * float64(totalBlocks)
+		return ratioFromBits(f, estBits)
+	}
 }
 
-// estimateZFP samples one 4^d block of every ZFPBlockEvery along each
-// dimension and runs the real block pipeline on each.
-func (e *Estimator) estimateZFP(f *field.Field, eb float64) (float64, error) {
+// bindZFP samples one 4^d block of every ZFPBlockEvery along each dimension
+// and runs the real block pipeline on each. The block coder reads the bound
+// only through floor(log2 eb) (zfp's plane cutoff and its all-below-the-
+// bound test), so within a binade every estimate is the same number and is
+// computed once.
+func (e *Estimator) bindZFP(f *field.Field) func(float64) float64 {
 	every := e.opts.ZFPBlockEvery
 	for every > 1 {
-		_, sampled, _ := zfp.EstimateSampledBits(f, eb, every)
-		if sampled >= e.opts.MinSampledBlocks {
+		if sampled, _ := zfp.SampledBlocks(f, every); sampled >= e.opts.MinSampledBlocks {
 			break
 		}
 		every /= 2
 	}
-	bits, sampled, total := zfp.EstimateSampledBits(f, eb, every)
-	estBits := float64(bits) / float64(sampled) * float64(total)
-	return ratioFromBits(f, estBits), nil
+	memo := make(map[int]float64)
+	return func(eb float64) float64 {
+		// A mantissa within rounding of a power of two (but not on it) is
+		// left out of the memo: there math.Log2 may land on either side.
+		frac, exp := math.Frexp(eb)
+		keyed := frac == 0.5 || frac > 0.5+1e-9 && frac < 1-1e-9 //carol:allow floateq Frexp returns exactly 0.5 for a power of two
+		if r, ok := memo[exp]; ok && keyed {
+			return r
+		}
+		bits, sampled, total := zfp.EstimateSampledBits(f, eb, every)
+		r := ratioFromBits(f, float64(bits)/float64(sampled)*float64(total))
+		if keyed {
+			memo[exp] = r
+		}
+		return r
+	}
 }
 
-// estimateSZ3 strided-samples points, runs only the finest interpolation
-// level, and sizes the codes with a fixed bit width instead of Huffman —
-// the stage skipping that produces SECRE's characteristic SZ3 bias.
-func (e *Estimator) estimateSZ3(f *field.Field, eb float64) (float64, error) {
+// bindSZ3 strided-samples points; an estimate runs only the finest
+// interpolation level on the sample and sizes the codes with a fixed bit
+// width instead of Huffman — the stage skipping that produces SECRE's
+// characteristic SZ3 bias.
+func (e *Estimator) bindSZ3(f *field.Field) func(float64) float64 {
 	s := f.SampleStride(e.opts.SZ3Stride)
-	codes := sz3.LastLevelCodes(s, eb)
-	if len(codes) == 0 {
-		return 1, nil
-	}
-	// Fixed-width sizing: enough bits for the widest residual seen, plus
-	// 32 bits for each outlier (code 0).
-	const center = 32768
-	maxDev := 0
-	outliers := 0
-	for _, c := range codes {
-		if c == 0 {
-			outliers++
-			continue
+	return func(eb float64) float64 {
+		codes := sz3.LastLevelCodes(s, eb)
+		if len(codes) == 0 {
+			return 1
 		}
-		d := int(c) - center
-		if d < 0 {
-			d = -d
+		// Fixed-width sizing: enough bits for the widest residual seen, plus
+		// 32 bits for each outlier (code 0).
+		const center = 32768
+		maxDev := 0
+		outliers := 0
+		for _, c := range codes {
+			if c == 0 {
+				outliers++
+				continue
+			}
+			d := int(c) - center
+			if d < 0 {
+				d = -d
+			}
+			if d > maxDev {
+				maxDev = d
+			}
 		}
-		if d > maxDev {
-			maxDev = d
+		width := 1.0
+		if maxDev > 0 {
+			width = math.Ceil(math.Log2(float64(2*maxDev+1))) + 1
 		}
+		bitsPerPoint := width*float64(len(codes)-outliers)/float64(len(codes)) +
+			32*float64(outliers)/float64(len(codes))
+		estBits := bitsPerPoint * float64(f.Len())
+		return ratioFromBits(f, estBits)
 	}
-	width := 1.0
-	if maxDev > 0 {
-		width = math.Ceil(math.Log2(float64(2*maxDev+1))) + 1
-	}
-	bitsPerPoint := width*float64(len(codes)-outliers)/float64(len(codes)) +
-		32*float64(outliers)/float64(len(codes))
-	estBits := bitsPerPoint * float64(f.Len())
-	return ratioFromBits(f, estBits), nil
 }
 
-// estimateSPERR gathers chunk samples and runs the wavelet+SPECK stages on
-// them, skipping the outlier and Zstd passes. The chunk size adapts down on
-// fields smaller than ChunkSize*ChunkEvery so the sampled fraction stays
-// near (1/ChunkEvery)^dims instead of degenerating to the whole field.
-func (e *Estimator) estimateSPERR(f *field.Field, eb float64) (float64, error) {
+// bindSPERR gathers chunk samples; an estimate runs the wavelet+SPECK
+// stages on them, skipping the outlier and Zstd passes. The chunk size
+// adapts down on fields smaller than ChunkSize*ChunkEvery so the sampled
+// fraction stays near (1/ChunkEvery)^dims instead of degenerating to the
+// whole field.
+func (e *Estimator) bindSPERR(f *field.Field) func(float64) float64 {
 	size, every := e.opts.SPERRChunkSize, e.opts.SPERRChunkEvery
 	minDim := f.Nx
 	if f.Ny > 1 && f.Ny < minDim {
@@ -275,9 +321,11 @@ func (e *Estimator) estimateSPERR(f *field.Field, eb float64) (float64, error) {
 	if s.Len() < 8 {
 		s = f
 	}
-	bits := sperr.EstimateSampledBits(s, eb)
-	estBits := float64(bits) / float64(s.Len()) * float64(f.Len())
-	return ratioFromBits(f, estBits), nil
+	return func(eb float64) float64 {
+		bits := sperr.EstimateSampledBits(s, eb)
+		estBits := float64(bits) / float64(s.Len()) * float64(f.Len())
+		return ratioFromBits(f, estBits)
+	}
 }
 
 // RecordOutcome feeds the online estimator-error metrics: whenever a
@@ -349,11 +397,20 @@ func ratioFromBits(f *field.Field, bits float64) float64 {
 
 // Curve evaluates est at each error bound, producing the sampled
 // compression function f(e) that both FXRZ-style full runs and SECRE
-// surrogate runs feed into model training.
+// surrogate runs feed into model training. A SECRE surrogate is bound to
+// the field once for the whole sweep.
 func Curve(est compressor.Estimator, f *field.Field, ebs []float64) ([]float64, error) {
+	ratio := func(eb float64) (float64, error) { return est.EstimateRatio(f, eb) }
+	if e, ok := est.(*Estimator); ok {
+		b, err := e.Prepare(f)
+		if err != nil {
+			return nil, fmt.Errorf("secre: curve: %w", err)
+		}
+		ratio = b.Ratio
+	}
 	out := make([]float64, len(ebs))
 	for i, eb := range ebs {
-		r, err := est.EstimateRatio(f, eb)
+		r, err := ratio(eb)
 		if err != nil {
 			return nil, fmt.Errorf("secre: curve at eb=%g: %w", eb, err)
 		}

@@ -61,15 +61,7 @@ func (*Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 // Layout: 1 flag bit; constant block: 32-bit float32 payload; otherwise
 // 6-bit width, 32-bit float32 block minimum, then width bits per sample.
 func encodeBlock(w *bitstream.Writer, block []float32, eb float64) {
-	lo, hi := block[0], block[0]
-	for _, v := range block[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
+	lo, hi := BlockExtrema(block)
 	// Constant-block attempt: representative value must land every sample
 	// within eb even after float32 rounding.
 	mid := float32((float64(lo) + float64(hi)) / 2)
@@ -215,7 +207,14 @@ func decodeBlock(r *bitstream.Reader, block []float32, eb float64) error {
 // would produce for the given block, without writing anything. The SECRE
 // SZx surrogate runs this on sampled blocks to extrapolate the ratio.
 func EstimateBlockBits(block []float32, eb float64) uint64 {
-	lo, hi := block[0], block[0]
+	lo, hi := BlockExtrema(block)
+	return BlockBits(lo, hi, len(block), eb)
+}
+
+// BlockExtrema returns the smallest and largest sample of a block: all that
+// its encoded size depends on besides its length and the bound.
+func BlockExtrema(block []float32) (lo, hi float32) {
+	lo, hi = block[0], block[0]
 	for _, v := range block[1:] {
 		if v < lo {
 			lo = v
@@ -224,6 +223,13 @@ func EstimateBlockBits(block []float32, eb float64) uint64 {
 			hi = v
 		}
 	}
+	return lo, hi
+}
+
+// BlockBits is EstimateBlockBits for a block of n samples known by its
+// extrema, so a caller that keeps them sizes the block at any bound
+// without reading it again.
+func BlockBits(lo, hi float32, n int, eb float64) uint64 {
 	mid := float32((float64(lo) + float64(hi)) / 2)
 	if math.Abs(float64(hi)-float64(mid)) <= eb && math.Abs(float64(lo)-float64(mid)) <= eb {
 		return 1 + 32
@@ -235,7 +241,7 @@ func EstimateBlockBits(block []float32, eb float64) uint64 {
 		width = 1
 	}
 	if width >= 32 {
-		return 1 + 6 + 32*uint64(len(block))
+		return 1 + 6 + 32*uint64(n)
 	}
-	return 1 + 6 + 32 + width*uint64(len(block))
+	return 1 + 6 + 32 + width*uint64(n)
 }

@@ -841,26 +841,40 @@ func DecompressFixedRateLimited(stream []byte, lim safedec.Limits) (*field.Field
 	return f, nil
 }
 
-// EstimateSampledBits runs the real per-block encoder on one block of every
-// `every` along each non-trivial dimension and reports the payload bits it
-// produced plus the sampled and total block counts, for compression-ratio
-// extrapolation. This is the computational core of the SECRE ZFP surrogate.
-func EstimateSampledBits(f *field.Field, eb float64, every int) (bits uint64, sampled, total int) {
-	if every < 1 {
-		every = 1
-	}
-	sh := shapes[f.Dims()]
-	blk := make([]float64, sh.size)
-	w := bitstream.NewWriter(1024)
-	stepX := sh.sx * every
-	stepY := sh.sy
-	stepZ := sh.sz
+// sampleSteps returns the per-axis strides, in samples, between the blocks
+// that one-of-every sampling keeps: `every` blocks along each non-trivial
+// dimension.
+func sampleSteps(f *field.Field, sh blockShape, every int) (stepX, stepY, stepZ int) {
+	stepX, stepY, stepZ = sh.sx*every, sh.sy, sh.sz
 	if f.Ny > 1 {
 		stepY *= every
 	}
 	if f.Nz > 1 {
 		stepZ *= every
 	}
+	return stepX, stepY, stepZ
+}
+
+// SampledBlocks returns the block counts EstimateSampledBits reports for
+// the same arguments. They depend on the grid alone, so a caller choosing
+// `every` need not encode anything to learn them.
+func SampledBlocks(f *field.Field, every int) (sampled, total int) {
+	sh := shapes[f.Dims()]
+	stepX, stepY, stepZ := sampleSteps(f, sh, max(every, 1))
+	ceil := func(n, step int) int { return (n + step - 1) / step }
+	return ceil(f.Nx, stepX) * ceil(f.Ny, stepY) * ceil(f.Nz, stepZ),
+		ceil(f.Nx, sh.sx) * ceil(f.Ny, sh.sy) * ceil(f.Nz, sh.sz)
+}
+
+// EstimateSampledBits runs the real per-block encoder on one block of every
+// `every` along each non-trivial dimension and reports the payload bits it
+// produced plus the sampled and total block counts, for compression-ratio
+// extrapolation. This is the computational core of the SECRE ZFP surrogate.
+func EstimateSampledBits(f *field.Field, eb float64, every int) (bits uint64, sampled, total int) {
+	sh := shapes[f.Dims()]
+	blk := make([]float64, sh.size)
+	w := bitstream.NewWriter(1024)
+	stepX, stepY, stepZ := sampleSteps(f, sh, max(every, 1))
 	for bz := 0; bz < f.Nz; bz += sh.sz {
 		for by := 0; by < f.Ny; by += sh.sy {
 			for bx := 0; bx < f.Nx; bx += sh.sx {

@@ -321,6 +321,20 @@ func TestEstimateSampledBitsSubsampling(t *testing.T) {
 	}
 }
 
+// TestSampledBlocksMatchesEstimate: the counts computed from the grid are
+// the counts the sampling loop reports, for every shape and stride.
+func TestSampledBlocksMatchesEstimate(t *testing.T) {
+	for _, dims := range [][3]int{{611, 1, 1}, {3, 1, 1}, {53, 37, 1}, {40, 33, 17}, {16, 1, 9}, {64, 64, 64}} {
+		f := field.New("grid", dims[0], dims[1], dims[2])
+		for _, every := range []int{0, 1, 2, 3, 4, 8} {
+			_, sampled, total := EstimateSampledBits(f, 1, every)
+			if s, n := SampledBlocks(f, every); s != sampled || n != total {
+				t.Errorf("%v every %d: SampledBlocks %d of %d, the loop sampled %d of %d", dims, every, s, n, sampled, total)
+			}
+		}
+	}
+}
+
 func TestDecompressErrors(t *testing.T) {
 	c := New()
 	if _, err := c.Decompress(nil); err == nil {

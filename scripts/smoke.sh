@@ -132,16 +132,21 @@ tr -d '\r' <"$workdir/ratio_headers.txt" | grep -qi '^X-Carol-Resolver: model$' 
     exit 1
 }
 runs=$(tr -d '\r' <"$workdir/ratio_headers.txt" | awk -F': ' 'tolower($1) == "x-carol-compressor-runs" { print $2 }')
-if [ -z "$runs" ] || [ "$runs" -gt 6 ]; then
-    echo "smoke: ratio= took '$runs' compressor runs, want <= 6" >&2
+if [ -z "$runs" ] || [ "$runs" -gt 2 ]; then
+    echo "smoke: ratio= took '$runs' compressor runs, want <= 2 (szx searches on its surrogate first)" >&2
     exit 1
 fi
+tr -d '\r' <"$workdir/ratio_headers.txt" | grep -qiE '^X-Carol-Surrogate-Evals: [0-9]+$' || {
+    echo "smoke: ratio= answer lacks X-Carol-Surrogate-Evals" >&2
+    exit 1
+}
 
 echo "== GET /metrics"
 curl -fsS "http://$addr/metrics" >"$workdir/metrics.txt"
 for metric in http_requests_total http_request_seconds_bucket codec_compress_seconds \
     model_loaded_version model_load_total model_predict_seconds model_forest_trees \
-    carol_model_version 'fraz_search_runs_bucket{resolver="model"' fraz_ratio_miss_bucket; do
+    carol_model_version 'fraz_search_runs_bucket{resolver="model"' fraz_ratio_miss_bucket \
+    fraz_surrogate_evals_bucket fraz_surrogate_dropped_total; do
     grep -q "$metric" "$workdir/metrics.txt" || {
         echo "smoke: /metrics missing $metric" >&2
         exit 1
