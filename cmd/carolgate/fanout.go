@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -34,7 +33,7 @@ func (g *gate) shouldChunk(req httpkit.Compress, sizeBytes, healthy int) bool {
 func (g *gate) readCompress(w http.ResponseWriter, r *http.Request) (req httpkit.Compress, body []byte, ok bool) {
 	req, err := httpkit.ParseCompress(r.URL.Query())
 	if err == nil {
-		body, err = httpkit.ReadBody(r, g.bodyLimit)
+		body, err = httpkit.ReadFieldBody(r, req.Nx, req.Ny, req.Nz, g.bodyLimit)
 	}
 	if err != nil {
 		httpkit.RequestError(w, err)
@@ -76,20 +75,31 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 	}
 	tr := g.reg.StartTrace("gate_compress_fanout")
 	defer tr.End()
-	span := tr.StartSpan("parse")
-	ff, err := field.ReadRaw("gate", req.Nx, req.Ny, req.Nz, bytes.NewReader(body))
-	span.End()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
-	}
-	span = tr.StartSpan("split")
-	eb, err := req.Bound(ff)
-	if err != nil {
+	// The body is decoded only as far as the request needs: whole for
+	// mode=auto's scoring, a value-range scan for rel=, not at all for abs=
+	// with a named codec.
+	var ff *field.Field
+	valueRange := func() float64 { return field.RawValueRange(body) }
+	if req.Auto {
+		span := tr.StartSpan("parse")
+		ff = field.DecodeRaw("gate", req.Nx, req.Ny, req.Nz, body)
 		span.End()
+		valueRange = ff.ValueRange
+	}
+	span := tr.StartSpan("split")
+	eb, err := req.Bound(valueRange)
+	// SplitField slabs are consecutive ranges of the field's samples, so
+	// slab i is body[offs[i]:offs[i+1]] — readCompress has checked that the
+	// body is exactly the dims' size — and is posted as that slice.
+	dims := pipeline.ExpectedSlabDims(req.Nx, req.Ny, req.Nz, len(healthy))
+	offs := make([]int, len(dims)+1)
+	for i, d := range dims {
+		offs[i+1] = offs[i] + 4*d[0]*d[1]*d[2]
+	}
+	span.End()
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
-	slabs := pipeline.SplitField(ff, len(healthy))
-	span.End()
 	codecName, dec, err := req.ResolveCodec(tr, g.sel, ff, eb)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
@@ -98,19 +108,13 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 	cands := g.ring.Lookup(key, g.ring.Len())
 	g.fanned.Inc()
 	span = tr.StartSpan("fanout")
-	streams, err := pipeline.FanOut(len(slabs), g.cfg.fanoutWorkers, func(i int) ([]byte, error) {
-		slab := slabs[i]
-		var raw bytes.Buffer
-		raw.Grow(slab.SizeBytes())
-		if err := slab.WriteRaw(&raw); err != nil {
-			return nil, err
-		}
+	streams, err := pipeline.FanOut(len(dims), g.cfg.fanoutWorkers, func(i int) ([]byte, error) {
 		pq := url.Values{}
 		pq.Set("codec", codecName)
 		pq.Set("abs", strconv.FormatFloat(eb, 'g', 17, 64))
-		pq.Set("dims", fmt.Sprintf("%dx%dx%d", slab.Nx, slab.Ny, slab.Nz))
+		pq.Set("dims", fmt.Sprintf("%dx%dx%d", dims[i][0], dims[i][1], dims[i][2]))
 		resp, err := g.routeCandidates(slabCandidates(cands, i),
-			http.MethodPost, "/v1/compress?"+pq.Encode(), raw.Bytes())
+			http.MethodPost, "/v1/compress?"+pq.Encode(), body[offs[i]:offs[i+1]])
 		if err != nil {
 			return nil, err
 		}
@@ -124,10 +128,17 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 		return nil, err
 	}
 	g.reg.Histogram("gate_fanout_chunks", obs.LinearBuckets(1, 1, 16)).Observe(float64(len(streams)))
-	out := chunked.Assemble(req.Nx, req.Ny, req.Nz, streams)
-	achieved := float64(len(body)) / float64(len(out))
+	// The CCH1 container goes out as its header followed by the shards'
+	// answers themselves; only a job, which keeps its result, joins them.
+	head := chunked.Header(req.Nx, req.Ny, req.Nz, streams)
+	size := len(head)
+	for _, s := range streams {
+		size += len(s)
+	}
+	achieved := float64(len(body)) / float64(size)
 	hdr := http.Header{}
 	hdr.Set("Content-Type", "application/octet-stream")
+	hdr.Set("Content-Length", strconv.Itoa(size))
 	hdr.Set("X-Carol-Achieved-Ratio", strconv.FormatFloat(achieved, 'g', 6, 64))
 	hdr.Set("X-Carol-Fanout-Chunks", strconv.Itoa(len(streams)))
 	if dec != nil {
@@ -136,7 +147,7 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 		g.sel.Observe(*dec, achieved)
 		hdr.Set("X-Carol-Codec-Chosen", codecName)
 	}
-	return &shardResponse{status: http.StatusOK, header: hdr, body: out}, nil
+	return &shardResponse{status: http.StatusOK, header: hdr, body: head, rest: streams}, nil
 }
 
 // slabCandidates rotates the base key's replica walk by the slab index:
@@ -207,6 +218,7 @@ func (g *gate) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	}
 	g.routed("/v1/decompress").Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(4*nx*ny*nz))
 	w.Header().Set("X-Carol-Dims", fmt.Sprintf("%dx%dx%d", nx, ny, nz))
 	w.Header().Set("X-Carol-Fanout-Chunks", strconv.Itoa(len(chunks)))
 	w.Header().Set("X-Carol-Trace", tr.String())

@@ -112,7 +112,7 @@ func newGate(cfg gateConfig, shardURLs []string) (*gate, error) {
 		cfg:    cfg,
 		ring:   r,
 		shards: make(map[string]*shardState, len(shardURLs)),
-		client: &http.Client{Timeout: cfg.shardTimeout},
+		client: &http.Client{Timeout: cfg.shardTimeout, Transport: shardTransport(cfg)},
 		queue: jobs.New(jobs.Options{
 			MaxQueued:   cfg.jobQueue,
 			Workers:     cfg.jobWorkers,
@@ -156,6 +156,17 @@ func newGate(cfg gateConfig, shardURLs []string) (*gate, error) {
 	g.Handle("GET /v1/fleet", g.handleFleet)
 	g.Handle("/readyz", g.handleReadyz)
 	return g, nil
+}
+
+// shardTransport keeps an idle connection per shard for every route that
+// can be in flight (requests and jobs each hold one per shard at a time),
+// where the default transport keeps two and a busy gate would dial for the
+// rest of every fan-out.
+func shardTransport(cfg gateConfig) *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0
+	t.MaxIdleConnsPerHost = cfg.maxInflight + cfg.jobWorkers
+	return t
 }
 
 // handleReadyz: the gate is ready once it can route somewhere.

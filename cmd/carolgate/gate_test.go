@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -32,7 +31,9 @@ const fakeStreamMagic = "FKZ1"
 // endpoints the gate talks to: /healthz, /v1/compress (echo codec),
 // /v1/decompress, /v1/models.
 type fakeShard struct {
-	srv          *httptest.Server
+	srv *httptest.Server
+	// requests counts everything but health probes, on any path.
+	requests     atomic.Int64
 	compresses   atomic.Int64
 	decompresses atomic.Int64
 	// failCompress makes /v1/compress answer 503 (a retryable verdict the
@@ -111,7 +112,12 @@ func newFakeShard(t *testing.T) *fakeShard {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `[{"model":"sz3","version":%d,"backend":%q}]`, v, backend)
 	})
-	fs.srv = httptest.NewServer(mux)
+	fs.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			fs.requests.Add(1)
+		}
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(fs.srv.Close)
 	return fs
 }
@@ -126,28 +132,7 @@ func newTestFleet(t *testing.T, n int, tweak func(*gateConfig)) (*gate, []*fakeS
 		shards[i] = newFakeShard(t)
 		urls[i] = shards[i].srv.URL
 	}
-	cfg := defaultGateConfig()
-	cfg.probeInterval = time.Hour // tests drive probeAll explicitly
-	cfg.probeTimeout = 2 * time.Second
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	g, err := newGate(cfg, urls)
-	if err != nil {
-		t.Fatalf("newGate: %v", err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := g.queue.Close(ctx); err != nil {
-			t.Errorf("queue close: %v", err)
-		}
-	})
-	g.probeAll()
-	if got := len(g.healthyShards()); got != n {
-		t.Fatalf("after probe sweep: %d healthy shards, want %d", got, n)
-	}
-	return g, shards
+	return newGateOver(t, urls, tweak), shards
 }
 
 // rawField builds n little-endian float32 samples with enough value

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -69,7 +70,11 @@ func (g *gate) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		// The mode=auto chosen codec rides along as result metadata, whether
 		// the gate picked it for a fan-out or a shard for a whole request.
-		return resp.body, codecMeta(resp.header.Get("X-Carol-Codec-Chosen")), nil
+		out := resp.body
+		if resp.rest != nil {
+			out = bytes.Join(resp.parts(), nil) // a job keeps one result slice
+		}
+		return out, codecMeta(resp.header.Get("X-Carol-Codec-Chosen")), nil
 	})
 	if err != nil {
 		jobAdmissionError(w, err)

@@ -142,7 +142,13 @@ type shardResponse struct {
 	status int
 	header http.Header
 	body   []byte
+	// rest follows body on the wire: a compress fan-out's slab streams
+	// after its container header. Shard answers have none.
+	rest [][]byte
 }
+
+// parts lists the answer's byte ranges in wire order.
+func (r *shardResponse) parts() [][]byte { return append([][]byte{r.body}, r.rest...) }
 
 // retryable reports whether a shard answer should move to the next
 // replica: transport errors and gateway-ish statuses mean "this shard
@@ -182,13 +188,9 @@ func (g *gate) callShard(shard, method, pathAndQuery string, body []byte) (*shar
 			log.Printf("carolgate: shard body close: %v", cerr)
 		}
 	}()
-	limit := int64(httpkit.MaxBody)
-	out, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	out, err := httpkit.ReadSized(resp.Body, resp.ContentLength, httpkit.MaxBody)
 	if err != nil {
-		return nil, err
-	}
-	if int64(len(out)) > limit {
-		return nil, fmt.Errorf("shard response exceeds %d bytes", limit)
+		return nil, fmt.Errorf("shard response: %w", err)
 	}
 	return &shardResponse{status: resp.StatusCode, header: resp.Header, body: out}, nil
 }
@@ -245,8 +247,11 @@ func writeShardResponse(w http.ResponseWriter, resp *shardResponse) {
 		}
 	}
 	w.WriteHeader(resp.status)
-	if _, err := w.Write(resp.body); err != nil {
-		log.Printf("carolgate: response write: %v", err)
+	for _, p := range resp.parts() {
+		if _, err := w.Write(p); err != nil {
+			log.Printf("carolgate: response write: %v", err)
+			return
+		}
 	}
 }
 
@@ -267,7 +272,14 @@ func (g *gate) handleProxyWhole(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method == http.MethodPost {
 		var err error
-		if body, err = httpkit.ReadBody(r, g.bodyLimit); err != nil {
+		// A field body (estimate, predict) must match its dims= here as at
+		// the shard; unusable dims are left for the shard's verdict.
+		if nx, ny, nz, derr := httpkit.Dims(r.URL.Query().Get("dims")); derr == nil {
+			body, err = httpkit.ReadFieldBody(r, nx, ny, nz, g.bodyLimit)
+		} else {
+			body, err = httpkit.ReadBody(r, g.bodyLimit)
+		}
+		if err != nil {
 			httpkit.RequestError(w, err)
 			return
 		}

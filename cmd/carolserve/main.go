@@ -163,7 +163,7 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	var dec *selector.Decision
 	codecName := req.Codec
 	if !(req.Ratio > 0) {
-		if eb, err = req.Bound(f); err != nil {
+		if eb, err = req.Bound(f.ValueRange); err != nil {
 			httpkit.Error(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -266,6 +266,7 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		}
 		finishBound(actual)
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(stream)))
 	if _, err := w.Write(stream); err != nil {
 		log.Printf("carolserve: compress write: %v", err)
 	}
@@ -336,7 +337,7 @@ func (s *server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	} else {
 		span := tr.StartSpan("read")
 		var stream []byte
-		stream, err = io.ReadAll(br)
+		stream, err = httpkit.ReadSized(br, r.ContentLength, httpkit.MaxBody)
 		span.End()
 		if err != nil {
 			httpkit.Error(w, http.StatusBadRequest, "%v", err)
@@ -358,6 +359,7 @@ func (s *server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(f.SizeBytes()))
 	w.Header().Set("X-Carol-Dims", fmt.Sprintf("%dx%dx%d", f.Nx, f.Ny, f.Nz))
 	w.Header().Set("X-Carol-Trace", tr.String())
 	if err := f.WriteRaw(w); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -410,4 +411,52 @@ func TestRegistryWatchConverges(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("registry watch never converged to v2; serving %+v", s.models.set()["szx"])
+}
+
+// TestBodyLengthMustMatchDims: a field body longer or shorter than dims=
+// says is a 400 on every endpoint that takes one — it used to be served
+// with its tail dropped — whether the length was declared or the body came
+// chunked; the exact body is still a 200.
+func TestBodyLengthMustMatchDims(t *testing.T) {
+	dir := t.TempDir()
+	publishTestModel(t, dir, 1)
+	ts := httptest.NewServer(modelServer(t, dir))
+	defer ts.Close()
+	_, exact := probeField(t)
+	for _, path := range []string{
+		"/v1/compress?codec=szx&abs=0.1&dims=8x8x4",
+		"/v1/compress?codec=szx&rel=1e-3&stream=1&dims=8x8x4",
+		"/v1/compress?codec=szx&ratio=4&dims=8x8x4",
+		"/v1/compress?mode=auto&rel=1e-3&dims=8x8x4",
+		"/v1/estimate?codec=szx&rel=1e-3&dims=8x8x4",
+		"/v1/predict?ratio=10&dims=8x8x4",
+	} {
+		for _, c := range []struct {
+			body []byte
+			want int
+		}{
+			{exact, http.StatusOK},
+			{append(append([]byte(nil), exact...), exact...), http.StatusBadRequest},
+			{append(append([]byte(nil), exact...), 0, 0, 0, 0), http.StatusBadRequest},
+			{exact[:len(exact)-4], http.StatusBadRequest},
+			{nil, http.StatusBadRequest},
+		} {
+			for _, chunked := range []bool{false, true} {
+				var rd io.Reader = bytes.NewReader(c.body)
+				if chunked {
+					rd = io.MultiReader(rd) // no length to declare
+				}
+				resp, err := http.Post(ts.URL+path, "application/octet-stream", rd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg, _ := io.ReadAll(resp.Body)
+				_ = resp.Body.Close()
+				if resp.StatusCode != c.want {
+					t.Errorf("%s, %d-byte body (chunked=%v): status %d (%.80s), want %d",
+						path, len(c.body), chunked, resp.StatusCode, msg, c.want)
+				}
+			}
+		}
+	}
 }

@@ -69,26 +69,28 @@ func Compress(codec compressor.Codec, f *field.Field, eb float64, opts Options) 
 // can compress slabs on remote shards and still emit the exact container
 // a local Compress would have.
 func Assemble(nx, ny, nz int, streams [][]byte) []byte {
-	total := 20 + 4*len(streams)
+	hdr := Header(nx, ny, nz, streams)
+	total := len(hdr)
 	for _, s := range streams {
 		total += len(s)
 	}
-	out := make([]byte, 0, total)
-	out = append(out, Magic[:]...)
-	var u32 [4]byte
-	put := func(v uint32) {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		out = append(out, u32[:]...)
-	}
-	put(uint32(nx))
-	put(uint32(ny))
-	put(uint32(nz))
-	put(uint32(len(streams)))
-	for _, s := range streams {
-		put(uint32(len(s)))
-	}
+	out := append(make([]byte, 0, total), hdr...)
 	for _, s := range streams {
 		out = append(out, s...)
+	}
+	return out
+}
+
+// Header is the part of Assemble's container that precedes the streams
+// (magic, dims, chunk count, length table), for a tier that writes the
+// streams out itself and needs no assembled copy.
+func Header(nx, ny, nz int, streams [][]byte) []byte {
+	out := append(make([]byte, 0, 20+4*len(streams)), Magic[:]...)
+	for _, v := range []int{nx, ny, nz, len(streams)} {
+		out = binary.LittleEndian.AppendUint32(out, uint32(v))
+	}
+	for _, s := range streams {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(s)))
 	}
 	return out
 }

@@ -84,7 +84,11 @@ func Ratio(f *field.Field, stream []byte) float64 {
 // for f. A rel of 1e-3 means 0.1% of the field's value range. Fields with
 // zero range use rel directly so eb stays positive.
 func AbsBound(f *field.Field, rel float64) float64 {
-	r := f.ValueRange()
+	return RangeBound(f.ValueRange(), rel)
+}
+
+// RangeBound is AbsBound for a field whose value range is r.
+func RangeBound(r, rel float64) float64 {
 	if r <= 0 {
 		return rel
 	}

@@ -82,8 +82,16 @@ func (f *Field) Clone() *Field {
 // MinMax returns the smallest and largest finite samples. NaNs are skipped;
 // a field of only NaNs reports (0, 0).
 func (f *Field) MinMax() (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, v := range f.Data {
+	lo, hi = minMax(math.Inf(1), math.Inf(-1), f.Data)
+	if lo > hi { // no finite samples
+		return 0, 0
+	}
+	return lo, hi
+}
+
+// minMax widens [lo, hi] to cover data, skipping NaNs.
+func minMax(lo, hi float64, data []float32) (float64, float64) {
+	for _, v := range data {
 		fv := float64(v)
 		if math.IsNaN(fv) {
 			continue
@@ -94,9 +102,6 @@ func (f *Field) MinMax() (lo, hi float64) {
 		if fv > hi {
 			hi = fv
 		}
-	}
-	if lo > hi { // no finite samples
-		return 0, 0
 	}
 	return lo, hi
 }
@@ -241,17 +246,64 @@ func ParseDims(s string) (nx, ny, nz int, err error) {
 	return vals[0], vals[1], vals[2], nil
 }
 
-// ReadRaw reads nx*ny*nz little-endian float32 samples.
+// rawStrip is the byte size of ReadRaw's staging buffer: reading a field
+// costs its own storage plus this, whatever the field's size.
+const rawStrip = 32 << 10
+
+// decodeRaw fills dst from the little-endian float32 bytes at the head of src.
+func decodeRaw(dst []float32, src []byte) {
+	src = src[:4*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+// ReadRaw reads nx*ny*nz little-endian float32 samples, a strip at a time
+// straight into the field's storage.
 func ReadRaw(name string, nx, ny, nz int, r io.Reader) (*Field, error) {
 	f := New(name, nx, ny, nz)
-	buf := make([]byte, 4*len(f.Data))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("field: read raw: %w", err)
-	}
-	for i := range f.Data {
-		f.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	buf := make([]byte, min(rawStrip, 4*len(f.Data)))
+	for i := 0; i < len(f.Data); {
+		n := min(len(buf)/4, len(f.Data)-i)
+		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
+			if err == io.EOF && i > 0 {
+				// The reader ended on a strip boundary, but not on the field's.
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("field: read raw: %w", err)
+		}
+		decodeRaw(f.Data[i:i+n], buf)
+		i += n
 	}
 	return f, nil
+}
+
+// DecodeRaw is ReadRaw for bytes already in memory. Like FromData it panics
+// if raw is not exactly the grid's size, which its caller has checked.
+func DecodeRaw(name string, nx, ny, nz int, raw []byte) *Field {
+	f := New(name, nx, ny, nz)
+	if len(raw) != 4*len(f.Data) {
+		panic(fmt.Sprintf("field: %d raw bytes for %dx%dx%d grid", len(raw), nx, ny, nz))
+	}
+	decodeRaw(f.Data, raw)
+	return f
+}
+
+// RawValueRange is ValueRange of the field whose little-endian float32
+// samples are raw, computed strip by strip without building the field.
+func RawValueRange(raw []byte) float64 {
+	var strip [4096]float32
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for len(raw) >= 4 {
+		n := min(len(strip), len(raw)/4)
+		decodeRaw(strip[:n], raw)
+		lo, hi = minMax(lo, hi, strip[:n])
+		raw = raw[4*n:]
+	}
+	if lo > hi { // no finite samples
+		return 0
+	}
+	return hi - lo
 }
 
 // Equalish reports whether every sample of g is within eps of the

@@ -100,12 +100,14 @@ func ParseCompress(q url.Values) (Compress, error) {
 // Bound resolves a rel=/abs= request's absolute error bound against the
 // whole field: abs= verbatim — the gate pins a whole-field bound across
 // slab fan-outs with it, where a per-slab rel= would rescale by each slab's
-// own value range — else rel= scaled by f's value range. A bound that is
-// not positive and finite (non-finite samples, overflow) is a client error.
-func (c Compress) Bound(f *field.Field) (float64, error) {
+// own value range — else rel= scaled by the field's value range, which is
+// only asked for (a pass over the samples) when rel= decides. A bound that
+// is not positive and finite (non-finite samples, overflow) is a client
+// error.
+func (c Compress) Bound(valueRange func() float64) (float64, error) {
 	eb := c.Abs
 	if !(eb > 0) {
-		eb = compressor.AbsBound(f, c.Rel)
+		eb = compressor.RangeBound(valueRange(), c.Rel)
 	}
 	if !(eb > 0) || math.IsInf(eb, 0) {
 		return 0, fmt.Errorf("error bound resolves to %g on this field", eb)

@@ -68,21 +68,21 @@ func TestParseCompressFields(t *testing.T) {
 
 func TestBound(t *testing.T) {
 	f := field.FromData("t", 4, 1, 1, []float32{0, 1, 2, 10})
-	eb, err := mustParse(t, "codec=szx&rel=1e-2&dims=4").Bound(f)
+	eb, err := mustParse(t, "codec=szx&rel=1e-2&dims=4").Bound(f.ValueRange)
 	if err != nil || math.Abs(eb-0.1) > 1e-12 {
 		t.Errorf("rel bound = %g, %v; want 0.1 (rel × range 10)", eb, err)
 	}
-	eb, err = mustParse(t, "codec=szx&rel=1e-2&abs=0.5&dims=4").Bound(f)
+	eb, err = mustParse(t, "codec=szx&rel=1e-2&abs=0.5&dims=4").Bound(f.ValueRange)
 	if err != nil || math.Abs(eb-0.5) > 1e-12 {
 		t.Errorf("abs bound = %g, %v; want 0.5 verbatim", eb, err)
 	}
 	// Finite parameters can still resolve to an unusable bound on the data:
 	// that is the client's field, so an error, never a 500 downstream.
 	inf := field.FromData("inf", 2, 1, 1, []float32{0, float32(math.Inf(1))})
-	if eb, err := mustParse(t, "codec=szx&rel=1e-2&dims=2").Bound(inf); err == nil {
+	if eb, err := mustParse(t, "codec=szx&rel=1e-2&dims=2").Bound(inf.ValueRange); err == nil {
 		t.Errorf("bound over an infinite value range = %g, want error", eb)
 	}
-	if eb, err := mustParse(t, "codec=szx&rel=1e308&dims=4").Bound(f); err == nil {
+	if eb, err := mustParse(t, "codec=szx&rel=1e308&dims=4").Bound(f.ValueRange); err == nil {
 		t.Errorf("overflowing bound = %g, want error", eb)
 	}
 }

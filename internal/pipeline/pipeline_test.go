@@ -120,6 +120,36 @@ func TestDimensionalSplits(t *testing.T) {
 	}
 }
 
+// TestSplitFieldSlabsAreContiguous pins what carolgate's fan-out relies on
+// to post body[off:off+len] per slab instead of re-serialising it: the
+// slabs are consecutive, gap-free ranges of the field's samples, in order,
+// with the dims ExpectedSlabDims derives from the shape alone.
+func TestSplitFieldSlabsAreContiguous(t *testing.T) {
+	for _, dims := range [][3]int{{611, 1, 1}, {53, 37, 1}, {40, 33, 17}, {5, 1, 1}, {4, 2, 1}, {3, 3, 2}} {
+		f := field.New("f", dims[0], dims[1], dims[2])
+		for _, chunks := range []int{1, 2, 3, 7} {
+			slabs := SplitField(f, chunks)
+			want := ExpectedSlabDims(f.Nx, f.Ny, f.Nz, chunks)
+			if len(slabs) != len(want) || len(slabs) > chunks {
+				t.Fatalf("dims %v chunks %d: %d slabs, geometry says %d", dims, chunks, len(slabs), len(want))
+			}
+			off := 0
+			for i, s := range slabs {
+				if got := [3]int{s.Nx, s.Ny, s.Nz}; got != want[i] {
+					t.Errorf("dims %v chunks %d slab %d: dims %v, geometry says %v", dims, chunks, i, got, want[i])
+				}
+				if &s.Data[0] != &f.Data[off] {
+					t.Fatalf("dims %v chunks %d slab %d: does not start at sample %d", dims, chunks, i, off)
+				}
+				off += len(s.Data)
+			}
+			if off != len(f.Data) {
+				t.Errorf("dims %v chunks %d: slabs cover %d of %d samples", dims, chunks, off, len(f.Data))
+			}
+		}
+	}
+}
+
 // TestPipelineHammer drives many concurrent pipeline compressions and
 // decompressions through one shared codec; run with -race this is the
 // pipeline's data-race regression test (pooled huffman/bitstream/flate

@@ -113,6 +113,16 @@ if [ "$restored" -ne 65536 ]; then
     exit 1
 fi
 
+echo "== a fan-out body 4 bytes longer than dims= is refused with 400, not served with its tail dropped"
+{ cat "$workdir/big.raw"; printf 'tail'; } >"$workdir/big-long.raw"
+code=$(curl -sS -o /dev/null -w '%{http_code}' --data-binary @"$workdir/big-long.raw" \
+    "http://$ag/v1/compress?codec=szx&rel=1e-3&dims=64x16x16")
+if [ "$code" -ne 400 ]; then
+    echo "smoke-fleet: a 65540-byte body for dims=64x16x16 answered $code, want 400" >&2
+    dump_log carolgate
+    exit 1
+fi
+
 echo "== /v1/fleet: 3 healthy shards, models converged at version 1"
 wait_for carolgate 100 sh -c \
     "curl -fsS 'http://$ag/v1/fleet' | grep -q '\"healthy_shards\":3'"
