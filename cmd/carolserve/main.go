@@ -344,7 +344,7 @@ func (s *server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		span = tr.StartSpan("codec")
-		f, err = compressor.DecompressLimited(codec, stream, s.cfg.decodeLimits)
+		f, err = codec.DecompressLimited(stream, s.cfg.decodeLimits)
 		span.End()
 	}
 	if err != nil {

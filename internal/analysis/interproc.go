@@ -153,11 +153,6 @@ func (p *Program) DeclOf(fn *types.Func) (*Package, *ast.FuncDecl) {
 	return nil, nil
 }
 
-// Callees returns the module-internal functions fn statically calls.
-func (p *Program) Callees(fn *types.Func) []*types.Func {
-	return p.Summary(fn).Calls
-}
-
 // arityOf counts positional parameters, receiver first.
 func arityOf(sig *types.Signature) int {
 	n := sig.Params().Len()

@@ -283,7 +283,7 @@ func (a *Archive) FieldLimited(name string, lim safedec.Limits) (*field.Field, e
 	if isPipeline(e.Stream) {
 		codec = pipeline.New(codec, pipeline.Options{})
 	}
-	f, err := compressor.DecompressLimited(codec, e.Stream, lim)
+	f, err := codec.DecompressLimited(e.Stream, lim)
 	if err != nil {
 		return nil, fmt.Errorf("archive: decompress %q: %w", name, err)
 	}

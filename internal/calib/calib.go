@@ -109,9 +109,6 @@ func Restore(ebs, rho []float64, over bool) (*Model, error) {
 // the majority of calibration points (step 2 of the paper's method).
 func (m *Model) Overestimates() bool { return m.over }
 
-// Points returns the number of calibration points in the model.
-func (m *Model) Points() int { return len(m.ebs) }
-
 // Rho returns the interpolated signed relative estimation error at eb
 // (piecewise linear between calibration points, clamped outside).
 func (m *Model) Rho(eb float64) float64 {

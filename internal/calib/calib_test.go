@@ -8,6 +8,7 @@ import (
 	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/field"
+	"carol/internal/safedec"
 	"carol/internal/secre"
 	"carol/internal/stats"
 	"carol/internal/xrand"
@@ -52,6 +53,9 @@ func (f *fakeCodec) Compress(fl *field.Field, eb float64) ([]byte, error) {
 	return make([]byte, n), nil
 }
 func (f *fakeCodec) Decompress([]byte) (*field.Field, error) {
+	return nil, errors.New("not implemented")
+}
+func (f *fakeCodec) DecompressLimited([]byte, safedec.Limits) (*field.Field, error) {
 	return nil, errors.New("not implemented")
 }
 

@@ -145,7 +145,7 @@ func fuzzDecompress(f *testing.F, name string) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = compressor.DecompressLimited(codec, data, fuzzLimits)
+		_, _ = codec.DecompressLimited(data, fuzzLimits)
 	})
 }
 

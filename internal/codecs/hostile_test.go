@@ -75,7 +75,7 @@ func TestHostileStreams(t *testing.T) {
 						t.Fatalf("panicked: %v", r)
 					}
 				}()
-				_, err := compressor.DecompressLimited(codec, tc.stream, lim)
+				_, err := codec.DecompressLimited(tc.stream, lim)
 				if tc.class == nil {
 					return // error optional; no-panic already proven
 				}
@@ -109,10 +109,10 @@ func TestLimitsAreHonored(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := compressor.DecompressLimited(codec, stream, safedec.Default()); err != nil {
+		if _, err := codec.DecompressLimited(stream, safedec.Default()); err != nil {
 			t.Fatalf("%s: default limits refused a valid stream: %v", codec.Name(), err)
 		}
-		_, err = compressor.DecompressLimited(codec, stream, safedec.Limits{MaxElements: 1000})
+		_, err = codec.DecompressLimited(stream, safedec.Limits{MaxElements: 1000})
 		if !errors.Is(err, safedec.ErrLimit) {
 			t.Fatalf("%s: tight limits: err = %v, want ErrLimit", codec.Name(), err)
 		}

@@ -25,6 +25,9 @@ type Codec interface {
 	Compress(f *field.Field, eb float64) ([]byte, error)
 	// Decompress reconstructs the field encoded in stream.
 	Decompress(stream []byte) (*field.Field, error)
+	// DecompressLimited is Decompress refusing (with an error wrapping
+	// safedec.ErrLimit) any decode whose header-claimed sizes exceed lim.
+	DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field, error)
 }
 
 // Estimator predicts the compression ratio a Codec would achieve without
@@ -49,27 +52,6 @@ type badStreamError struct{}
 func (badStreamError) Error() string { return "compressor: malformed stream" }
 
 func (badStreamError) Is(target error) bool { return target == safedec.ErrCorrupt }
-
-// LimitedDecoder is implemented by codecs whose decoder enforces
-// safedec.Limits. All codecs in this repository implement it; the interface
-// exists so wrappers (Instrument) and generic callers can thread limits
-// without widening the Codec interface.
-type LimitedDecoder interface {
-	// DecompressLimited reconstructs the field encoded in stream, refusing
-	// (with an error wrapping safedec.ErrLimit) any decode whose
-	// header-claimed sizes exceed lim.
-	DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field, error)
-}
-
-// DecompressLimited decodes stream with c under lim when c supports limits
-// (directly or through a wrapper), falling back to plain Decompress — whose
-// own allocations are still bounded by the safedec defaults — otherwise.
-func DecompressLimited(c Codec, stream []byte, lim safedec.Limits) (*field.Field, error) {
-	if ld, ok := c.(LimitedDecoder); ok {
-		return ld.DecompressLimited(stream, lim)
-	}
-	return c.Decompress(stream)
-}
 
 // Ratio returns the compression ratio achieved by stream on f
 // (original bytes / compressed bytes).

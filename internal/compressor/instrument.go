@@ -83,11 +83,11 @@ func (ic *instrumentedCodec) Decompress(stream []byte) (*field.Field, error) {
 	return ic.finishDecompress(f, err)
 }
 
-// DecompressLimited implements LimitedDecoder, forwarding the caller's
-// limits to the wrapped codec.
+// DecompressLimited implements Codec, forwarding the caller's limits to the
+// wrapped codec.
 func (ic *instrumentedCodec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field, error) {
 	start := time.Now()
-	f, err := DecompressLimited(ic.codec, stream, lim)
+	f, err := ic.codec.DecompressLimited(stream, lim)
 	ic.decompressSeconds.ObserveSince(start)
 	return ic.finishDecompress(f, err)
 }

@@ -6,6 +6,7 @@ import (
 
 	"carol/internal/field"
 	"carol/internal/obs"
+	"carol/internal/safedec"
 )
 
 // fakeCodec round-trips a header-only stream and can be forced to fail.
@@ -31,6 +32,10 @@ func (c fakeCodec) Decompress(stream []byte) (*field.Field, error) {
 		return nil, err
 	}
 	return field.New("fake", h.Nx, h.Ny, h.Nz), nil
+}
+
+func (c fakeCodec) DecompressLimited(stream []byte, _ safedec.Limits) (*field.Field, error) {
+	return c.Decompress(stream)
 }
 
 func TestInstrumentRecordsMetrics(t *testing.T) {

@@ -1,8 +1,8 @@
 // Codec throughput: MB/s per codec through the block pipeline, swept over
 // worker counts — the serving-scale cost axis the paper's resource-limited
 // setting cares about, reported next to the ratio/quality numbers the rest
-// of the experiments cover. BENCH_CODECS.json commits the gated
-// go-test-bench form of the same measurement; this experiment is the
+// of the experiments cover. The gated form of the same measurement is
+// bench/'s codec_bulk workload (bench/README.md); this experiment is the
 // human-readable sweep.
 package experiments
 

@@ -9,6 +9,7 @@ import (
 	"carol/internal/compressor"
 	"carol/internal/dataset"
 	"carol/internal/field"
+	"carol/internal/safedec"
 )
 
 func testField(t *testing.T) *field.Field {
@@ -58,6 +59,10 @@ func (c curveCodec) Compress(f *field.Field, eb float64) ([]byte, error) {
 }
 
 func (curveCodec) Decompress([]byte) (*field.Field, error) {
+	return nil, errors.New("curve: no decoder")
+}
+
+func (curveCodec) DecompressLimited([]byte, safedec.Limits) (*field.Field, error) {
 	return nil, errors.New("curve: no decoder")
 }
 

@@ -209,3 +209,21 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("%v allocs/op on a warm Decoder", a)
 	}
 }
+
+// TestEncoderSteadyStateAllocs pins the warm encoder appending into a
+// reused destination (BenchmarkEncoderSteadyState's input) at zero
+// allocations.
+func TestEncoderSteadyStateAllocs(t *testing.T) {
+	rng := xrand.New(1)
+	s := make([]uint32, 1<<16)
+	for i := range s {
+		s[i] = uint32(rng.Intn(64))
+	}
+	e := NewEncoder()
+	dst := e.Encode(s)
+	if a := testing.AllocsPerRun(50, func() {
+		dst = e.AppendEncode(dst[:0], s)
+	}); a != 0 {
+		t.Fatalf("%v allocs/op on a warm Encoder", a)
+	}
+}

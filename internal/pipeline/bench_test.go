@@ -11,11 +11,9 @@ import (
 	"carol/internal/field"
 )
 
-// The BENCH_CODECS.json baseline gates these benchmarks in CI via
-// scripts/benchdiff.sh: per codec, compress and decompress MB/s through the
-// pipeline at one worker and at all workers. Sub-benchmark names follow the
-// BENCH_RF.json convention — workers=all(N) is normalised to workers=all by
-// benchdiff so baselines transfer across hosts.
+// Per codec, compress and decompress MB/s through the pipeline at one
+// worker and at all workers: developer tools with no committed baseline —
+// the gated numbers are bench/'s (bench/README.md).
 
 func benchField(b *testing.B) *field.Field {
 	b.Helper()

@@ -9,8 +9,8 @@
 // Determinism: block boundaries depend only on (dims, Blocks) and every
 // block is emitted in index order, so the container bytes are identical for
 // any Workers value — parallelism changes wall-clock time, never output.
-// This is what lets BENCH_CODECS.json gate throughput while conformance
-// streams stay stable.
+// This is what lets throughput be gated (bench/README.md) while
+// conformance streams stay stable.
 //
 // The container framing is deliberately sequential-friendly: magic, dims,
 // block count, then length-prefixed block frames back to back. Unlike the
@@ -138,24 +138,20 @@ func ExpectedSlabDims(nx, ny, nz, n int) [][3]int {
 	return out
 }
 
-// result carries one block's outcome from a worker to the in-order
-// consumer.
-type result struct {
-	data *field.Field // decompress direction
-	buf  []byte       // compress direction
-	err  error
-}
-
 // runOrdered drives the block pipeline: launch(i) is called for i in
 // [0, n) on a single launcher goroutine, strictly in index order (it is
 // where sequential work like reading the next input frame belongs); the
 // closure it returns runs on one of at most `workers` pool goroutines; and
-// emit(i, result) is invoked strictly in index order as results become
+// emit(i, v) is invoked strictly in index order as results become
 // available. At most 2*workers results are buffered ahead of the consumer,
 // so memory stays bounded regardless of how uneven per-block times are.
 // The first error stops useful work; remaining in-flight blocks are
 // drained so no goroutine leaks.
-func runOrdered(n, workers int, launch func(i int) func() result, emit func(i int, r result) error) error {
+func runOrdered[T any](n, workers int, launch func(i int) func() (T, error), emit func(i int, v T) error) error {
+	type result struct {
+		v   T
+		err error
+	}
 	futures := make(chan chan result, 2*workers)
 	sem := make(chan struct{}, workers)
 	go func() {
@@ -164,9 +160,10 @@ func runOrdered(n, workers int, launch func(i int) func() result, emit func(i in
 			futures <- ch // bounds the reorder window (and launch read-ahead)
 			work := launch(i)
 			sem <- struct{}{} // bounds concurrency before the go statement
-			go func(work func() result, ch chan<- result) {
+			go func(work func() (T, error), ch chan<- result) {
 				defer func() { <-sem }()
-				ch <- work()
+				v, err := work()
+				ch <- result{v, err}
 			}(work, ch)
 		}
 		close(futures)
@@ -178,7 +175,7 @@ func runOrdered(n, workers int, launch func(i int) func() result, emit func(i in
 		if firstErr == nil {
 			if r.err != nil {
 				firstErr = fmt.Errorf("pipeline: block %d: %w", i, r.err)
-			} else if err := emit(i, r); err != nil {
+			} else if err := emit(i, r.v); err != nil {
 				firstErr = err
 			}
 		}
@@ -200,9 +197,6 @@ type Codec struct {
 func New(inner compressor.Codec, opts Options) *Codec {
 	return &Codec{inner: inner, opts: opts.withDefaults()}
 }
-
-// Inner returns the wrapped codec.
-func (c *Codec) Inner() compressor.Codec { return c.inner }
 
 // Name implements compressor.Codec.
 func (c *Codec) Name() string { return c.inner.Name() }
@@ -227,20 +221,17 @@ func (c *Codec) CompressStream(w io.Writer, f *field.Field, eb float64) error {
 		return fmt.Errorf("pipeline: header write: %w", err)
 	}
 	return runOrdered(len(slabs), c.opts.Workers,
-		func(i int) func() result {
+		func(i int) func() ([]byte, error) {
 			slab := slabs[i]
-			return func() result {
-				buf, err := c.inner.Compress(slab, eb)
-				return result{buf: buf, err: err}
-			}
+			return func() ([]byte, error) { return c.inner.Compress(slab, eb) }
 		},
-		func(i int, r result) error {
+		func(i int, buf []byte) error {
 			var lbuf [4]byte
-			binary.LittleEndian.PutUint32(lbuf[:], uint32(len(r.buf)))
+			binary.LittleEndian.PutUint32(lbuf[:], uint32(len(buf)))
 			if _, err := w.Write(lbuf[:]); err != nil {
 				return fmt.Errorf("pipeline: frame write: %w", err)
 			}
-			if _, err := w.Write(r.buf); err != nil {
+			if _, err := w.Write(buf); err != nil {
 				return fmt.Errorf("pipeline: frame write: %w", err)
 			}
 			return nil
@@ -302,11 +293,11 @@ func (c *Codec) DecompressStream(r io.Reader) (*field.Field, error) {
 	// endless input is never buffered beyond O(Workers) frames, each
 	// individually vetted against lim before its buffer is allocated.
 	var readFailed error
-	failure := func(err error) func() result {
-		return func() result { return result{err: err} }
+	failure := func(err error) func() (*field.Field, error) {
+		return func() (*field.Field, error) { return nil, err }
 	}
 	err := runOrdered(n, c.opts.Workers,
-		func(i int) func() result {
+		func(i int) func() (*field.Field, error) {
 			if readFailed != nil {
 				return failure(readFailed)
 			}
@@ -326,20 +317,20 @@ func (c *Codec) DecompressStream(r io.Reader) (*field.Field, error) {
 				return failure(readFailed)
 			}
 			d := want[i]
-			return func() result {
-				g, err := compressor.DecompressLimited(c.inner, buf, lim)
+			return func() (*field.Field, error) {
+				g, err := c.inner.DecompressLimited(buf, lim)
 				if err != nil {
-					return result{err: err}
+					return nil, err
 				}
 				if g.Nx != d[0] || g.Ny != d[1] || g.Nz != d[2] {
-					return result{err: fmt.Errorf("block dims %dx%dx%d, want %dx%dx%d: %w",
-						g.Nx, g.Ny, g.Nz, d[0], d[1], d[2], safedec.ErrCorrupt)}
+					return nil, fmt.Errorf("block dims %dx%dx%d, want %dx%dx%d: %w",
+						g.Nx, g.Ny, g.Nz, d[0], d[1], d[2], safedec.ErrCorrupt)
 				}
-				return result{data: g}
+				return g, nil
 			}
 		},
-		func(i int, res result) error {
-			copy(f.Data[offsets[i]:offsets[i+1]], res.data.Data)
+		func(i int, g *field.Field) error {
+			copy(f.Data[offsets[i]:offsets[i+1]], g.Data)
 			return nil
 		})
 	if err != nil {
@@ -353,7 +344,7 @@ func (c *Codec) Decompress(stream []byte) (*field.Field, error) {
 	return c.DecompressStream(bytes.NewReader(stream))
 }
 
-// DecompressLimited implements compressor.LimitedDecoder.
+// DecompressLimited implements compressor.Codec.
 func (c *Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field, error) {
 	cc := *c
 	cc.opts.Limits = lim.Norm()
@@ -364,26 +355,9 @@ func (c *Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Fie
 // returning the per-slab streams in slab order. It is the fan-out primitive
 // the chunked container format builds on.
 func CompressSlabs(codec compressor.Codec, slabs []*field.Field, eb float64, workers int) ([][]byte, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	streams := make([][]byte, len(slabs))
-	err := runOrdered(len(slabs), workers,
-		func(i int) func() result {
-			slab := slabs[i]
-			return func() result {
-				buf, err := codec.Compress(slab, eb)
-				return result{buf: buf, err: err}
-			}
-		},
-		func(i int, r result) error {
-			streams[i] = r.buf
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return streams, nil
+	return FanOut(len(slabs), workers, func(i int) ([]byte, error) {
+		return codec.Compress(slabs[i], eb)
+	})
 }
 
 // FanOut runs work(i) for i in [0, n) on a bounded worker pool and
@@ -393,20 +367,17 @@ func CompressSlabs(codec compressor.Codec, slabs []*field.Field, eb float64, wor
 // acquired before each go statement, bounded reorder window — for callers
 // whose per-item work is not a codec invocation, e.g. carolgate fanning a
 // field's slabs out to the shards that own them.
-func FanOut(n, workers int, work func(i int) ([]byte, error)) ([][]byte, error) {
+func FanOut[T any](n, workers int, work func(i int) (T, error)) ([]T, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	out := make([][]byte, n)
+	out := make([]T, n)
 	err := runOrdered(n, workers,
-		func(i int) func() result {
-			return func() result {
-				buf, err := work(i)
-				return result{buf: buf, err: err}
-			}
+		func(i int) func() (T, error) {
+			return func() (T, error) { return work(i) }
 		},
-		func(i int, r result) error {
-			out[i] = r.buf
+		func(i int, v T) error {
+			out[i] = v
 			return nil
 		})
 	if err != nil {
@@ -418,25 +389,8 @@ func FanOut(n, workers int, work func(i int) ([]byte, error)) ([][]byte, error) 
 // DecompressSlabs decodes each stream with codec under lim on a bounded
 // worker pool, returning decoded slabs in stream order.
 func DecompressSlabs(codec compressor.Codec, chunks [][]byte, lim safedec.Limits, workers int) ([]*field.Field, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	lim = lim.Norm()
-	slabs := make([]*field.Field, len(chunks))
-	err := runOrdered(len(chunks), workers,
-		func(i int) func() result {
-			chunk := chunks[i]
-			return func() result {
-				g, err := compressor.DecompressLimited(codec, chunk, lim)
-				return result{data: g, err: err}
-			}
-		},
-		func(i int, r result) error {
-			slabs[i] = r.data
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return slabs, nil
+	return FanOut(len(chunks), workers, func(i int) (*field.Field, error) {
+		return codec.DecompressLimited(chunks[i], lim)
+	})
 }

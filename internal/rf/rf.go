@@ -145,9 +145,6 @@ type Forest struct {
 // Config returns the hyper-parameters the forest was trained with.
 func (f *Forest) Config() Config { return f.cfg }
 
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
 // Train grows a forest on the rows of X (features) and targets y.
 //
 // All randomness — each tree's bootstrap sample and its builder seed — is

@@ -7,7 +7,7 @@ import (
 
 // BenchmarkRingLookup is the gate's per-request routing cost: one key
 // hashed and placed on an 8-shard ring with the default virtual-node
-// count. Committed to BENCH_GATE.json and gated by benchdiff in CI.
+// count. The gated number is bench/'s ring.lookup_ns (bench/README.md).
 func BenchmarkRingLookup(b *testing.B) {
 	r := mustNew(b, shardNames(8), Options{})
 	ks := keys(1024)

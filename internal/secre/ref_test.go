@@ -32,7 +32,7 @@ func refEstimate(name string, opts Options, f *field.Field, eb float64) float64 
 
 func refSZP(o Options, f *field.Field, eb float64) float64 {
 	totalBlocks := (f.Len() + szp.BlockSize - 1) / szp.BlockSize
-	every := o.SZxBlockEvery
+	every := szxBlockEvery
 	if totalBlocks/every < o.MinSampledBlocks {
 		every = totalBlocks / o.MinSampledBlocks
 		if every < 1 {
@@ -59,7 +59,7 @@ func refSZP(o Options, f *field.Field, eb float64) float64 {
 
 func refSZx(o Options, f *field.Field, eb float64) float64 {
 	totalBlocks := (f.Len() + szx.BlockSize - 1) / szx.BlockSize
-	every := o.SZxBlockEvery
+	every := szxBlockEvery
 	if totalBlocks/every < o.MinSampledBlocks {
 		every = totalBlocks / o.MinSampledBlocks
 		if every < 1 {
@@ -82,7 +82,7 @@ func refSZx(o Options, f *field.Field, eb float64) float64 {
 }
 
 func refZFP(o Options, f *field.Field, eb float64) float64 {
-	every := o.ZFPBlockEvery
+	every := zfpBlockEvery
 	for every > 1 {
 		_, sampled, _ := zfp.EstimateSampledBits(f, eb, every)
 		if sampled >= o.MinSampledBlocks {
@@ -128,7 +128,7 @@ func refSZ3(o Options, f *field.Field, eb float64) float64 {
 }
 
 func refSPERR(o Options, f *field.Field, eb float64) float64 {
-	size, every := o.SPERRChunkSize, o.SPERRChunkEvery
+	size, every := sperrChunkSize, sperrChunkEvery
 	minDim := f.Nx
 	if f.Ny > 1 && f.Ny < minDim {
 		minDim = f.Ny

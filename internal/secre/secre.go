@@ -34,23 +34,26 @@ import (
 	"carol/internal/zfp"
 )
 
-// Options tunes the sampling aggressiveness of the surrogates. The zero
-// value selects the paper's defaults, adapted down when a field is too small
-// to yield a stable sample (the paper's datasets are 512^3-scale; see
+// The paper's sampling rates, adapted down when a field is too small to
+// yield a stable sample (the paper's datasets are 512^3-scale; see
 // DESIGN.md §2).
+const (
+	// szxBlockEvery keeps one 128-sample block of every N.
+	szxBlockEvery = 128
+	// zfpBlockEvery keeps one 4^d block of every N along each dimension
+	// (1/64 of a 2D field, 1/512 of 3D).
+	zfpBlockEvery = 8
+	// SPERR samples chunks of sperrChunkSize per dimension, one of every
+	// sperrChunkEvery.
+	sperrChunkSize  = 32
+	sperrChunkEvery = 4
+)
+
+// Options tunes the sampling aggressiveness of the surrogates. The zero
+// value selects the paper's defaults.
 type Options struct {
-	// SZxBlockEvery keeps one 128-sample block of every N. Default 128.
-	SZxBlockEvery int
-	// ZFPBlockEvery keeps one 4^d block of every N along each dimension.
-	// Default 8 (1/64 of a 2D field, 1/512 of 3D).
-	ZFPBlockEvery int
 	// SZ3Stride is the point-wise sampling stride. Default 5 (the paper's).
 	SZ3Stride int
-	// SPERRChunkSize and SPERRChunkEvery control chunk sampling: chunks of
-	// SPERRChunkSize per dimension, one of every SPERRChunkEvery. Defaults
-	// 32 and 4.
-	SPERRChunkSize  int
-	SPERRChunkEvery int
 	// MinSampledBlocks is the minimum number of blocks the block-wise
 	// surrogates aim to sample; Every is reduced for small inputs so the
 	// estimate does not hang off one or two blocks. Default 16.
@@ -58,20 +61,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SZxBlockEvery <= 0 {
-		o.SZxBlockEvery = 128
-	}
-	if o.ZFPBlockEvery <= 0 {
-		o.ZFPBlockEvery = 8
-	}
 	if o.SZ3Stride <= 0 {
 		o.SZ3Stride = 5
-	}
-	if o.SPERRChunkSize <= 0 {
-		o.SPERRChunkSize = 32
-	}
-	if o.SPERRChunkEvery <= 0 {
-		o.SPERRChunkEvery = 4
 	}
 	if o.MinSampledBlocks <= 0 {
 		o.MinSampledBlocks = 16
@@ -163,16 +154,16 @@ func (b *Bound) Ratio(eb float64) (float64, error) {
 }
 
 // blockEvery is the block stride of the delta-family surrogates (szx, szp):
-// SZxBlockEvery, reduced until MinSampledBlocks are sampled.
+// szxBlockEvery, reduced until MinSampledBlocks are sampled.
 func (e *Estimator) blockEvery(totalBlocks int) int {
-	every := e.opts.SZxBlockEvery
+	every := szxBlockEvery
 	if totalBlocks/every < e.opts.MinSampledBlocks {
 		every = max(totalBlocks/e.opts.MinSampledBlocks, 1)
 	}
 	return every
 }
 
-// bindSZP samples one 32-sample block of every SZxBlockEvery (szp and szx
+// bindSZP samples one 32-sample block of every szxBlockEvery (szp and szx
 // share the delta-family sampling pattern) and runs the real per-block
 // encoder on each, threading the previous-quant state through the samples.
 // The quantized deltas depend on the bound, so nothing is kept between
@@ -197,7 +188,7 @@ func (e *Estimator) bindSZP(f *field.Field) func(float64) float64 {
 	}
 }
 
-// bindSZx samples one 128-sample block of every SZxBlockEvery. A block's
+// bindSZx samples one 128-sample block of every szxBlockEvery. A block's
 // encoded size depends on its extrema, its length and the bound alone, so
 // the extrema are kept and an estimate is arithmetic over them — the real
 // per-block size formula, without reading the field again.
@@ -225,13 +216,13 @@ func (e *Estimator) bindSZx(f *field.Field) func(float64) float64 {
 	}
 }
 
-// bindZFP samples one 4^d block of every ZFPBlockEvery along each dimension
+// bindZFP samples one 4^d block of every zfpBlockEvery along each dimension
 // and runs the real block pipeline on each. The block coder reads the bound
 // only through floor(log2 eb) (zfp's plane cutoff and its all-below-the-
 // bound test), so within a binade every estimate is the same number and is
 // computed once.
 func (e *Estimator) bindZFP(f *field.Field) func(float64) float64 {
-	every := e.opts.ZFPBlockEvery
+	every := zfpBlockEvery
 	for every > 1 {
 		if sampled, _ := zfp.SampledBlocks(f, every); sampled >= e.opts.MinSampledBlocks {
 			break
@@ -302,7 +293,7 @@ func (e *Estimator) bindSZ3(f *field.Field) func(float64) float64 {
 // fraction stays near (1/ChunkEvery)^dims instead of degenerating to the
 // whole field.
 func (e *Estimator) bindSPERR(f *field.Field) func(float64) float64 {
-	size, every := e.opts.SPERRChunkSize, e.opts.SPERRChunkEvery
+	size, every := sperrChunkSize, sperrChunkEvery
 	minDim := f.Nx
 	if f.Ny > 1 && f.Ny < minDim {
 		minDim = f.Ny

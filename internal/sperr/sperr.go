@@ -179,7 +179,7 @@ func (*Codec) Decompress(stream []byte) (*field.Field, error) {
 	return decompress(stream, -1, true, safedec.Default())
 }
 
-// DecompressLimited implements compressor.LimitedDecoder.
+// DecompressLimited implements compressor.Codec.
 func (*Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field, error) {
 	return decompress(stream, -1, true, lim)
 }

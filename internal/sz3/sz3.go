@@ -444,8 +444,8 @@ func (c *Codec) Decompress(stream []byte) (*field.Field, error) {
 	return c.DecompressLimited(stream, safedec.Default())
 }
 
-// DecompressLimited implements compressor.LimitedDecoder. The stream must
-// carry exactly what the dims call for — the one anchor (none in Lorenzo
+// DecompressLimited implements compressor.Codec. The stream must carry
+// exactly what the dims call for — the one anchor (none in Lorenzo
 // mode), a code per predicted point, an outlier per zero code — so no two
 // payloads decode to the same field by way of ignored surplus.
 func (*Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field, error) {

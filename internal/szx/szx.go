@@ -114,7 +114,7 @@ func (c *Codec) Decompress(stream []byte) (*field.Field, error) {
 	return c.DecompressLimited(stream, safedec.Default())
 }
 
-// DecompressLimited implements compressor.LimitedDecoder.
+// DecompressLimited implements compressor.Codec.
 func (*Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field, error) {
 	h, rest, err := compressor.ParseHeaderLimited(stream, compressor.MagicSZx, lim)
 	if err != nil {

@@ -271,13 +271,6 @@ func (j *Journal) Len() int {
 	return len(j.records)
 }
 
-// Records returns a copy of the in-memory mirror, oldest first.
-func (j *Journal) Records() []Record {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]Record(nil), j.records...)
-}
-
 // Sync flushes appended records to stable storage.
 func (j *Journal) Sync() error {
 	j.mu.Lock()

@@ -65,9 +65,6 @@ func (s *Set) SetCapacity(n int) {
 	}
 }
 
-// Capacity returns the configured bound (0 = unbounded).
-func (s *Set) Capacity() int { return s.capacity }
-
 func (s *Set) evictOldest() {
 	delete(s.seen, s.samples[0])
 	s.samples = s.samples[1:]

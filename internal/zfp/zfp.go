@@ -712,7 +712,7 @@ func (c *Codec) Decompress(stream []byte) (*field.Field, error) {
 	return c.DecompressLimited(stream, safedec.Default())
 }
 
-// DecompressLimited implements compressor.LimitedDecoder.
+// DecompressLimited implements compressor.Codec.
 func (*Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field, error) {
 	h, r, err := openStream(stream, compressor.MagicZFP, lim)
 	if err != nil {

@@ -9,8 +9,7 @@ import (
 
 // BenchmarkZooTrain measures one full zoo cycle per backend — k-fold CV
 // plus the final full-data fit — on the workload the continuous-retraining
-// controller hands it (a few hundred harvested samples). Numbers are
-// committed to BENCH_ZOO.json and gated by scripts/benchdiff.sh.
+// controller hands it (a few hundred harvested samples).
 func BenchmarkZooTrain(b *testing.B) {
 	X, y := synthData(400, 11)
 	for _, backend := range model.KnownBackends() {
