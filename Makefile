@@ -9,13 +9,11 @@ build:
 vet:
 	go vet ./...
 
-# The repo's own static-analysis suite (internal/analysis): determinism,
-# float discipline, bounded concurrency, and the interprocedural safedec /
-# pooling / metric-label disciplines. See DESIGN.md §9 and §14. Runs twice:
-# production packages, then with _test.go files included.
+# The repo's own static-analysis suite (internal/analysis) over non-test
+# files: determinism, float discipline, bounded concurrency, error hygiene
+# and the interprocedural pooling discipline. See DESIGN.md §9 and §14.
 lint:
 	go run ./cmd/carollint ./...
-	go run ./cmd/carollint -tests ./...
 
 test:
 	go test ./...

@@ -120,7 +120,7 @@ func TestFieldHelpers(t *testing.T) {
 		t.Fatal("NewField broken")
 	}
 	g := FieldFromData("y", 2, 2, 1, []float32{1, 2, 3, 4})
-	if g.At(1, 1, 0) != 4 { //carol:allow floateq bit-exact: constructor stores samples verbatim
+	if g.At(1, 1, 0) != 4 {
 		t.Fatal("FieldFromData broken")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"carol/internal/httpkit"
 	"carol/internal/httpkit/kittest"
 	"carol/internal/jobs"
+	"carol/internal/xrand"
 )
 
 // fakeStreamMagic prefixes the fake shard's "compressed" streams: the
@@ -569,6 +571,44 @@ func TestEndpointLabelBounded(t *testing.T) {
 			t.Errorf("Label(%q) = %q, want %q", path, got, want)
 		}
 	}
+}
+
+// TestMetricLabelCardinality sends the gate's request table twice, every
+// query value, codec and model name, job id and unknown path fresh and
+// random, and requires the second pass to mint no /metrics series — the
+// runtime form of TestEndpointLabelBounded, over every route at once.
+func TestMetricLabelCardinality(t *testing.T) {
+	g, _ := newTestFleet(t, 2, func(cfg *gateConfig) { cfg.chunkThresholdKiB = 1 })
+	raw := rawField(kittest.Samples)
+	rng := xrand.New(29)
+	fresh := func() string { return fmt.Sprintf("x%x", rng.Uint64()) }
+	num := func(lo float64) string { return strconv.FormatFloat(lo*(1+rng.Float64()), 'g', -1, 64) }
+	dims := "&dims=" + kittest.Dims
+	kittest.LabelsBounded(t, g, func() {
+		for _, target := range []string{
+			"POST /v1/compress?codec=" + fresh() + "&ratio=4" + dims,
+			"POST /v1/compress?codec=szx&rel=" + num(1e-3) + "&key=" + fresh() + "&tenant=" + fresh() + dims,
+			"POST /v1/compress?codec=szx&abs=" + num(0.1) + dims,
+			"POST /v1/compress?codec=szx&rel=" + fresh() + dims,
+			"POST /v1/compress?mode=" + fresh() + "&rel=1e-3" + dims,
+			"POST /v1/compress?codec=szx&rel=1e-3&dims=" + fresh(),
+			"POST /v1/decompress?codec=" + fresh(),
+			"POST /v1/estimate?codec=" + fresh() + "&rel=" + num(1e-3) + dims,
+			"POST /v1/predict?model=" + fresh() + "&ratio=" + num(10) + dims,
+			"GET /v1/models?" + fresh() + "=" + fresh(),
+			"GET /v1/codecs?key=" + fresh(),
+			"POST /v1/jobs/compress?codec=szx&rel=" + fresh() + "&tenant=" + fresh() + dims,
+			"GET /v1/jobs/" + fresh(),
+			"GET /v1/jobs/" + fresh() + "/result",
+			"GET /v1/fleet?" + fresh() + "=1",
+			"GET /v1/" + fresh(),
+			"POST /" + fresh(),
+			"GET /metrics",
+		} {
+			method, path, _ := strings.Cut(target, " ")
+			doGate(t, g, method, path, raw)
+		}
+	})
 }
 
 func TestSplitShards(t *testing.T) {

@@ -1,13 +1,12 @@
 // Command carollint runs the repository's static-analysis suite (see
-// internal/analysis): determinism, float-discipline and bounded-concurrency
-// checks plus the interprocedural dataflow checks (taintalloc, poolreset,
-// metriclabel) that keep the fixed-ratio pipeline reproducible and safe on
-// hostile input.
+// internal/analysis) over non-test files: the determinism, float-discipline,
+// bounded-concurrency and error-hygiene checks plus poolreset, the pooled-
+// scratch discipline checked through helper calls, that keep the
+// fixed-ratio pipeline reproducible.
 //
 //	carollint ./...                 # whole module (the CI gate)
 //	carollint ./internal/rf         # one package
 //	carollint -checks floateq ./... # a subset of checks
-//	carollint -tests ./...          # include in-package _test.go files
 //	carollint -json ./...           # machine-readable findings on stdout
 //	carollint -github ./...         # GitHub Actions annotation commands
 //
@@ -44,7 +43,6 @@ type finding struct {
 
 func run() int {
 	checkList := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	github := flag.Bool("github", false, "emit findings as GitHub Actions ::error annotations")
 	flag.Parse()
@@ -74,13 +72,13 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "carollint:", err)
 		return 2
 	}
-	loader := analysis.NewLoader(modRoot, modPath, *tests)
+	loader := analysis.NewLoader(modRoot, modPath)
 	known := analysis.Names(analysis.All())
 
 	status := 0
 	var all []analysis.Diagnostic
 	for _, pattern := range patterns {
-		dirs, err := analysis.PackageDirs(pattern, *tests)
+		dirs, err := analysis.PackageDirs(pattern)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "carollint:", err)
 			return 2
@@ -96,7 +94,7 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "carollint: type error:", terr)
 				status = 2
 			}
-			diags, err := analysis.RunChecks(loader.Program(), pkg, checks, known)
+			diags, err := analysis.RunChecks(loader, pkg, checks, known)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "carollint:", err)
 				status = 2

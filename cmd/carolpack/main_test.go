@@ -7,7 +7,7 @@ func TestParseFieldSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "rho" || codec != "sz3" || rel != 1e-3 || nx != 64 || ny != 32 || nz != 16 || path != "/tmp/rho.f32" { //carol:allow floateq bit-exact: parsed literal must round-trip exactly
+	if name != "rho" || codec != "sz3" || rel != 1e-3 || nx != 64 || ny != 32 || nz != 16 || path != "/tmp/rho.f32" {
 		t.Fatalf("parsed %v %v %v %v %v %v %v", name, codec, rel, nx, ny, nz, path)
 	}
 	// Path containing colons (the path is the 5th field, greedy).

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -335,8 +336,8 @@ func parseRatios(s string) ([]float64, error) {
 	out := make([]float64, 0, len(parts))
 	for _, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || !(v > 0) {
-			return nil, fmt.Errorf("bad ratio %q", p)
+		if err != nil || !(v > 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("bad ratio %q: need a positive finite number", p)
 		}
 		out = append(out, v)
 	}

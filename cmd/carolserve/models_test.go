@@ -185,8 +185,12 @@ func TestPredictErrors(t *testing.T) {
 	if code := post("/v1/predict?model=ghost&ratio=10&dims=8x8x4"); code != http.StatusNotFound {
 		t.Fatalf("unknown model = %d", code)
 	}
-	if code := post("/v1/predict?ratio=-3&dims=8x8x4"); code != http.StatusBadRequest {
-		t.Fatalf("bad ratio = %d", code)
+	// Infinities parse as floats but have no JSON form: they used to
+	// answer 200 with an empty body.
+	for _, ratio := range []string{"-3", "Inf", "%2BInf", "infinity", "10,Inf"} {
+		if code := post("/v1/predict?ratio=" + ratio + "&dims=8x8x4"); code != http.StatusBadRequest {
+			t.Fatalf("ratio=%s: %d, want 400", ratio, code)
+		}
 	}
 	if code := post("/v1/predict?ratio=10&dims=bogus"); code != http.StatusBadRequest {
 		t.Fatalf("bad dims = %d", code)

@@ -11,13 +11,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"carol/internal/httpkit"
+	"carol/internal/httpkit/kittest"
 	"carol/internal/obs"
+	"carol/internal/xrand"
 )
 
 // TestMetricsEndpoint drives real traffic through the server and checks
@@ -217,4 +220,47 @@ func TestMetricsRegistered(t *testing.T) {
 	if s.reg != obs.Default {
 		t.Fatal("server must expose obs.Default so internal package metrics appear in /metrics")
 	}
+}
+
+// TestMetricLabelCardinality sends carolserve's request table twice, every
+// query value, model name, codec name and unknown path fresh and random,
+// and requires the second pass to mint no /metrics series: a label value
+// derived from a request before its membership check (the predict model
+// label above the loaded-set lookup, say) fails here.
+func TestMetricLabelCardinality(t *testing.T) {
+	dir := t.TempDir()
+	publishTestModel(t, dir, 1)
+	s := modelServer(t, dir)
+	_, body := probeField(t)
+	rng := xrand.New(29)
+	fresh := func() string { return fmt.Sprintf("x%x", rng.Uint64()) }
+	num := func(lo float64) string { return strconv.FormatFloat(lo*(1+rng.Float64()), 'g', -1, 64) }
+	kittest.LabelsBounded(t, s, func() {
+		for _, target := range []string{
+			"POST /v1/compress?codec=" + fresh() + "&rel=1e-3&dims=8x8x4",
+			"POST /v1/compress?codec=szx&rel=" + num(1e-3) + "&dims=8x8x4",
+			"POST /v1/compress?codec=zfp&abs=" + num(0.1) + "&stream=1&workers=2&dims=8x8x4",
+			"POST /v1/compress?codec=szx&rel=" + fresh() + "&dims=8x8x4",
+			"POST /v1/compress?codec=szx&ratio=" + fresh() + "&dims=8x8x4",
+			"POST /v1/compress?codec=szx&rel=1e-3&stream=1&workers=" + fresh() + "&dims=8x8x4",
+			"POST /v1/compress?mode=" + fresh() + "&rel=1e-3&dims=8x8x4",
+			"POST /v1/compress?mode=auto&rel=1e-3&target=" + fresh() + "&dims=8x8x4",
+			"POST /v1/compress?codec=szx&rel=1e-3&dims=" + fresh(),
+			"POST /v1/compress?codec=szx&rel=1e-3&dims=8x8x4&" + fresh() + "=" + fresh(),
+			"POST /v1/decompress?codec=" + fresh(),
+			"POST /v1/estimate?codec=" + fresh() + "&rel=1e-3&dims=8x8x4",
+			"POST /v1/estimate?codec=szx&rel=" + num(1e-3) + "&dims=8x8x4",
+			"POST /v1/predict?model=" + fresh() + "&ratio=10&dims=8x8x4",
+			"POST /v1/predict?model=szx&ratio=" + num(10) + "&dims=8x8x4",
+			"POST /v1/predict?model=szx&ratio=" + fresh() + "&dims=8x8x4",
+			"GET /v1/models?" + fresh() + "=" + fresh(),
+			"GET /v1/codecs/" + fresh(),
+			"GET /v1/" + fresh(),
+			"POST /" + fresh(),
+			"GET /metrics",
+		} {
+			method, path, _ := strings.Cut(target, " ")
+			s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(method, path, bytes.NewReader(body)))
+		}
+	})
 }

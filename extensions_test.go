@@ -37,7 +37,7 @@ func TestSaveLoadCheckpoint(t *testing.T) {
 		t.Fatalf("loaded %d observations, want %d", len(loaded), len(ckpt))
 	}
 	for i := range ckpt {
-		if loaded[i].Score != ckpt[i].Score || len(loaded[i].U) != len(ckpt[i].U) { //carol:allow floateq bit-exact: checkpoint round trip must not perturb scores
+		if loaded[i].Score != ckpt[i].Score || len(loaded[i].U) != len(ckpt[i].U) {
 			t.Fatalf("observation %d corrupted by round trip", i)
 		}
 	}
@@ -192,8 +192,8 @@ func TestPointwiseRelAPI(t *testing.T) {
 	}
 	for i := range f.Data {
 		a, b := float64(f.Data[i]), float64(g.Data[i])
-		if a == 0 { //carol:allow floateq bit-exact: exact-zero sentinel
-			if b != 0 { //carol:allow floateq bit-exact: exact-zero sentinel
+		if a == 0 {
+			if b != 0 {
 				t.Fatalf("zero at %d -> %g", i, b)
 			}
 			continue

@@ -6,9 +6,10 @@
 // the analyzers shipped with the framework (see checks.go) machine-check the
 // invariants that keep runs bit-identical — no global RNG state, no
 // map-iteration-order-dependent serialization, no unbounded goroutine
-// fan-out — plus the float-equality and dropped-error hygiene the CLI tools
-// need. The framework itself is generic: an Analyzer is a named Run function
-// over a Pass, and cmd/carollint drives the whole suite across ./...
+// fan-out, no pooled scratch reused stale or holding caller memory — plus
+// the float-equality and dropped-error hygiene the CLI tools need. The
+// framework itself is generic: an Analyzer is a named Run function over a
+// Pass, and cmd/carollint drives the whole suite across ./...
 //
 // Everything here is built on go/parser, go/types and go/importer only.
 package analysis
@@ -49,12 +50,12 @@ type Pass struct {
 	Pkg *types.Package
 	// Info holds the type-checker's expression/object resolutions.
 	Info *types.Info
-	// Package is the loaded package (syntax, types and directory together);
-	// the dataflow checks build value flows from it.
+	// Package is the loaded package (syntax and types together); poolreset
+	// builds its alias flows from it.
 	Package *Package
-	// Prog is the module-wide interprocedural view (call graph and
-	// per-function summaries) shared by every pass of one carollint run.
-	Prog *Program
+	// Loader is the run's one loader; its per-function summaries are shared
+	// by every pass.
+	Loader *Loader
 
 	report func(Diagnostic)
 }
@@ -186,7 +187,7 @@ func (idx allowIndex) suppressed(d Diagnostic) bool {
 // analyzer that is not currently selected is not reported as a typo).
 // A directive whose check DID run but suppressed nothing is reported as an
 // unused directive — stale allows hide future regressions.
-func RunChecks(prog *Program, pkg *Package, analyzers []*Analyzer, knownChecks map[string]bool) ([]Diagnostic, error) {
+func RunChecks(l *Loader, pkg *Package, analyzers []*Analyzer, knownChecks map[string]bool) ([]Diagnostic, error) {
 	idx, entries, diags := buildAllowIndex(pkg.Fset, pkg.Files, knownChecks)
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -196,7 +197,7 @@ func RunChecks(prog *Program, pkg *Package, analyzers []*Analyzer, knownChecks m
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
 			Package:  pkg,
-			Prog:     prog,
+			Loader:   l,
 			report: func(d Diagnostic) {
 				if !idx.suppressed(d) {
 					diags = append(diags, d)

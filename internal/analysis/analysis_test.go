@@ -32,7 +32,7 @@ func fixtureLoader(t *testing.T) *Loader {
 			loaderErr = err
 			return
 		}
-		loader = NewLoader(root, path, false)
+		loader = NewLoader(root, path)
 	})
 	if loaderErr != nil {
 		t.Fatal(loaderErr)
@@ -50,7 +50,7 @@ func runFixture(t *testing.T, name string, analyzers []*Analyzer) (*Package, []D
 	for _, terr := range pkg.TypeErrors {
 		t.Errorf("fixture %s: type error: %v", name, terr)
 	}
-	diags, err := RunChecks(fixtureLoader(t).Program(), pkg, analyzers, Names(All()))
+	diags, err := RunChecks(fixtureLoader(t), pkg, analyzers, Names(All()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,18 +149,8 @@ func TestErrDropGolden(t *testing.T) {
 	checkGolden(t, pkg, diags)
 }
 
-func TestTaintAllocGolden(t *testing.T) {
-	pkg, diags := runFixture(t, "taintalloc", []*Analyzer{TaintAlloc})
-	checkGolden(t, pkg, diags)
-}
-
 func TestPoolResetGolden(t *testing.T) {
 	pkg, diags := runFixture(t, "poolreset", []*Analyzer{PoolReset})
-	checkGolden(t, pkg, diags)
-}
-
-func TestMetricLabelGolden(t *testing.T) {
-	pkg, diags := runFixture(t, "metriclabel", []*Analyzer{MetricLabel})
 	checkGolden(t, pkg, diags)
 }
 
@@ -204,7 +194,7 @@ func TestEmptyDirective(t *testing.T) {
 // TestPackageDirs checks pattern expansion skips testdata during walks but
 // honors explicit mention.
 func TestPackageDirs(t *testing.T) {
-	dirs, err := PackageDirs("./...", false)
+	dirs, err := PackageDirs("./...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +206,7 @@ func TestPackageDirs(t *testing.T) {
 	if len(dirs) == 0 {
 		t.Error("walk found no packages")
 	}
-	explicit, err := PackageDirs(filepath.Join("testdata", "src", "floateq"), false)
+	explicit, err := PackageDirs(filepath.Join("testdata", "src", "floateq"))
 	if err != nil || len(explicit) != 1 {
 		t.Errorf("explicit dir: got %v, %v", explicit, err)
 	}

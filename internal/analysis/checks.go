@@ -1,9 +1,9 @@
 package analysis
 
 // All returns the full carollint suite in reporting order: the five
-// determinism/hygiene checks from PR 2 plus the four interprocedural
-// dataflow checks (taintalloc, poolreset, metriclabel, and gopool's
-// summary-aware upgrade rides on the original gopool entry).
+// determinism/hygiene checks plus poolreset, the one check built on the
+// interprocedural alias flow (gopool also reads the summaries, for
+// goroutine launchers behind helper calls).
 func All() []*Analyzer {
-	return []*Analyzer{GlobalRand, FloatEq, MapOrder, GoPool, ErrDrop, TaintAlloc, PoolReset, MetricLabel}
+	return []*Analyzer{GlobalRand, FloatEq, MapOrder, GoPool, ErrDrop, PoolReset}
 }

@@ -69,44 +69,20 @@ func (p *Pass) walkGoPool(n ast.Node, loop ast.Node) {
 			// descending into the closure body and the arguments.
 			if c.Call != nil {
 				p.walkGoPool(c.Call.Fun, loop)
-				p.walkGoPoolCalls(c.Call.Args, loop)
+				for _, a := range c.Call.Args {
+					p.walkGoPool(a, loop)
+				}
 			}
 			return false
 		case *ast.CallExpr:
-			if loop != nil && p.spawnsPerCallHelper(c) && !p.loopBounded(loop) {
-				name := "helper"
-				if fn, ok := objectOf(p.Info, c.Fun).(*types.Func); ok {
-					name = fn.Name()
-				}
-				p.Reportf(c.Pos(), "%s launches an unjoined goroutine per call; calling it per loop iteration is unbounded fan-out", name)
+			// A helper whose summary launches an unjoined goroutine per call.
+			if fn, ok := objectOf(p.Info, c.Fun).(*types.Func); ok && loop != nil &&
+				p.Loader.Summary(fn).SpawnsPerCall && !p.loopBounded(loop) {
+				p.Reportf(c.Pos(), "%s launches an unjoined goroutine per call; calling it per loop iteration is unbounded fan-out", fn.Name())
 			}
 		}
 		return true
 	})
-}
-
-// walkGoPoolCalls re-inspects argument expressions skipped when a GoStmt
-// short-circuits descent.
-func (p *Pass) walkGoPoolCalls(args []ast.Expr, loop ast.Node) {
-	for _, a := range args {
-		p.walkGoPool(a, loop)
-	}
-}
-
-// spawnsPerCallHelper consults the interprocedural summary: does the callee
-// launch a goroutine per invocation with no visible join?
-func (p *Pass) spawnsPerCallHelper(call *ast.CallExpr) bool {
-	if p.Prog == nil {
-		return false
-	}
-	fn, ok := objectOf(p.Info, call.Fun).(*types.Func)
-	if !ok {
-		return false
-	}
-	if _, decl := p.Prog.DeclOf(fn); decl == nil {
-		return false
-	}
-	return p.Prog.Summary(fn).SpawnsPerCall
 }
 
 // loopBounded reports whether the loop's fan-out is visibly bounded.

@@ -16,7 +16,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -26,8 +25,6 @@ type Package struct {
 	// directories under testdata it is synthesized the same way and never
 	// imported by real code).
 	ImportPath string
-	// Dir is the absolute directory the files came from.
-	Dir string
 	// Fset is the loader's shared file set.
 	Fset *token.FileSet
 	// Files are the parsed sources, comments included.
@@ -44,36 +41,46 @@ type Package struct {
 // Loader loads and caches packages for analysis. It implements
 // types.Importer so module-internal dependencies are type-checked from
 // source exactly once, while standard-library imports delegate to the
-// go/importer "source" importer.
+// go/importer "source" importer. One loader serves every package of a
+// carollint run, so each function is summarized once.
 type Loader struct {
 	// Fset is shared by every package the loader touches.
 	Fset *token.FileSet
 
-	modRoot      string
-	modPath      string
-	includeTests bool
-	std          types.Importer
-	ctxt         build.Context
-	pkgs         map[string]*Package // keyed by import path
-	loading      map[string]bool     // cycle guard
-	prog         *Program            // lazy interprocedural view (Program())
+	modRoot string
+	modPath string
+	std     types.Importer
+	ctxt    build.Context
+	pkgs    map[string]*Package      // keyed by import path
+	decls   map[*types.Func]declSite // every loaded function declaration
+	loading map[string]bool          // cycle guard
+	sums    map[*types.Func]*Summary // memoized summaries (interproc.go)
+	busy    map[*types.Func]bool     // summaries being computed: recursion guard
+}
+
+// declSite is where a module function is declared.
+type declSite struct {
+	pkg  *Package
+	decl *ast.FuncDecl
 }
 
 // NewLoader returns a loader rooted at the module directory modRoot whose
-// go.mod declares module path modPath. If includeTests is true, in-package
-// _test.go files are parsed and analyzed too (external _test packages are
-// not).
-func NewLoader(modRoot, modPath string, includeTests bool) *Loader {
+// go.mod declares module path modPath. Only non-test files are loaded, so a
+// package's one build serves both as a dependency and as an analysis
+// target.
+func NewLoader(modRoot, modPath string) *Loader {
 	fset := token.NewFileSet()
 	return &Loader{
-		Fset:         fset,
-		modRoot:      modRoot,
-		modPath:      modPath,
-		includeTests: includeTests,
-		std:          importer.ForCompiler(fset, "source", nil),
-		ctxt:         build.Default,
-		pkgs:         make(map[string]*Package),
-		loading:      make(map[string]bool),
+		Fset:    fset,
+		modRoot: modRoot,
+		modPath: modPath,
+		std:     importer.ForCompiler(fset, "source", nil),
+		ctxt:    build.Default,
+		pkgs:    make(map[string]*Package),
+		decls:   make(map[*types.Func]declSite),
+		loading: make(map[string]bool),
+		sums:    make(map[*types.Func]*Summary),
+		busy:    make(map[*types.Func]bool),
 	}
 }
 
@@ -83,7 +90,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return types.Unsafe, nil
 	}
 	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
-		pkg, err := l.load(path, false)
+		pkg, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
@@ -93,8 +100,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // LoadDir loads the package in dir (absolute or relative to the current
-// directory) for analysis, including test files if the loader was built
-// with includeTests.
+// directory) for analysis.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -108,15 +114,12 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	if rel != "." {
 		path = l.modPath + "/" + filepath.ToSlash(rel)
 	}
-	return l.load(path, l.includeTests)
+	return l.load(path)
 }
 
-// load parses and type-checks the package at the given module import path.
-// Dependency loads (withTests=false) and analysis loads are cached under
-// the same key; the first load wins, so a package analyzed after being
-// pulled in as a dependency reuses the dependency's (test-free) build —
-// fine, because its own analysis entry was or will be requested explicitly.
-func (l *Loader) load(path string, withTests bool) (*Package, error) {
+// load parses and type-checks the package at the given module import path,
+// once: dependency and analysis loads share the cached build.
+func (l *Loader) load(path string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil
 	}
@@ -134,14 +137,8 @@ func (l *Loader) load(path string, withTests bool) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s: %w", dir, err)
 	}
-	names := append([]string(nil), bp.GoFiles...)
-	if withTests {
-		names = append(names, bp.TestGoFiles...)
-	}
-	sort.Strings(names)
-
 	var files []*ast.File
-	for _, name := range names {
+	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
@@ -151,7 +148,6 @@ func (l *Loader) load(path string, withTests bool) (*Package, error) {
 
 	pkg := &Package{
 		ImportPath: path,
-		Dir:        dir,
 		Fset:       l.Fset,
 		Files:      files,
 		Info: &types.Info{
@@ -171,6 +167,15 @@ func (l *Loader) load(path string, withTests bool) (*Package, error) {
 	// hard failures are already captured in pkg.TypeErrors.
 	pkg.Types, _ = conf.Check(path, l.Fset, files, pkg.Info)
 	l.pkgs[path] = pkg
+	for _, f := range files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					l.decls[fn] = declSite{pkg: pkg, decl: fd}
+				}
+			}
+		}
+	}
 	return pkg, nil
 }
 
@@ -212,7 +217,7 @@ func ModulePath(modRoot string) (string, error) {
 // directory (which may be under testdata — explicit mention overrides the
 // usual skip). Walks skip testdata, vendor, hidden and underscore-prefixed
 // directories, and directories with no non-test Go files.
-func PackageDirs(pattern string, includeTests bool) ([]string, error) {
+func PackageDirs(pattern string) ([]string, error) {
 	root, walk := strings.CutSuffix(pattern, "/...")
 	if root == "" || root == "."+string(filepath.Separator) {
 		root = "."
@@ -233,7 +238,7 @@ func PackageDirs(pattern string, includeTests bool) ([]string, error) {
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		if hasGoFiles(path, includeTests) {
+		if hasGoFiles(path) {
 			dirs = append(dirs, path)
 		}
 		return nil
@@ -241,21 +246,18 @@ func PackageDirs(pattern string, includeTests bool) ([]string, error) {
 	return dirs, err
 }
 
-// hasGoFiles reports whether dir directly contains analyzable Go sources.
-func hasGoFiles(dir string, includeTests bool) bool {
+// hasGoFiles reports whether dir directly contains non-test Go sources.
+func hasGoFiles(dir string) bool {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return false
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") &&
+			!strings.HasPrefix(name, ".") && !strings.HasPrefix(name, "_") {
+			return true
 		}
-		if !includeTests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		return true
 	}
 	return false
 }

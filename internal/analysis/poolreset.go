@@ -43,8 +43,8 @@ func runPoolReset(p *Pass) error {
 }
 
 func (p *Pass) poolResetFunc(fd *ast.FuncDecl) {
-	aliasFl := newFlow(p.Prog, p.Package, domAlias, fd.Name.Name, paramObjects(p.Package, fd), fd.Body)
-	events := writeEvents(p.Prog, p.Package, aliasFl, fd.Body)
+	aliasFl := newFlow(p.Loader, p.Package, paramObjects(p.Package, fd), fd.Body)
+	events := writeEvents(p.Loader, p.Package, aliasFl, fd.Body)
 	resets := make(map[types.Object]bool)
 	clears := make(map[types.Object]bool)
 	stores := make(map[types.Object]uint64)

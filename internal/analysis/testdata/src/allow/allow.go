@@ -3,13 +3,7 @@
 // nothing here.
 package allow
 
-import (
-	"encoding/binary"
-	"net/url"
-	"sync"
-
-	"carol/internal/obs"
-)
+import "sync"
 
 func trailing(a, b float64) bool {
 	return a == b //carol:allow floateq fixture: trailing-directive placement
@@ -54,11 +48,6 @@ func helperFanOut(items []int, f func(int)) {
 	}
 }
 
-func allowTaint(stream []byte) []byte {
-	n, _ := binary.Uvarint(stream)
-	return make([]byte, n) //carol:allow taintalloc fixture: caller enforces the bound
-}
-
 type pooled struct{ buf []byte }
 
 var pool = sync.Pool{New: func() any { return new(pooled) }}
@@ -75,9 +64,4 @@ func allowPoolPut(data []byte) int {
 	n := len(s.buf)
 	pool.Put(s) //carol:allow poolreset fixture: caller owns the retained buffer
 	return n
-}
-
-func allowLabel(q url.Values) {
-	codec := q.Get("codec")
-	obs.Default.Counter(obs.Label("x_total", "codec", codec)).Inc() //carol:allow metriclabel fixture: cardinality bounded upstream
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"carol/internal/safedec"
+	"carol/internal/safedec/safedectest"
 )
 
 // hostileArchive builds archive bytes claiming one entry with the given
@@ -52,10 +53,11 @@ func TestHostileStreamLengthNoUpfrontAlloc(t *testing.T) {
 // refused as limit errors before any read.
 func TestStreamLengthOverAllocLimit(t *testing.T) {
 	lim := safedec.Limits{MaxAlloc: 1 << 20}
-	_, err := ReadLimited(bytes.NewReader(hostileArchive(1<<21, 64)), lim)
-	if !errors.Is(err, safedec.ErrLimit) {
-		t.Fatalf("err = %v, want ErrLimit", err)
-	}
+	stream := hostileArchive(1<<21, 64)
+	safedectest.Rejects(t, lim.MaxAlloc, func() error {
+		_, err := ReadLimited(bytes.NewReader(stream), lim)
+		return err
+	})
 }
 
 // TestEntryCountOverCountLimit: entry counts beyond Limits.MaxCount are
@@ -66,10 +68,10 @@ func TestEntryCountOverCountLimit(t *testing.T) {
 	var v [binary.MaxVarintLen64]byte
 	buf.Write(v[:binary.PutUvarint(v[:], 1<<16)])
 	lim := safedec.Limits{MaxCount: 1 << 10}
-	_, err := ReadLimited(&buf, lim)
-	if !errors.Is(err, safedec.ErrLimit) {
-		t.Fatalf("err = %v, want ErrLimit", err)
-	}
+	safedectest.Rejects(t, 0, func() error {
+		_, err := ReadLimited(&buf, lim)
+		return err
+	})
 }
 
 // TestFieldLimited threads decode limits through entry decompression.
@@ -90,8 +92,8 @@ func TestFieldLimited(t *testing.T) {
 	if _, err := a.FieldLimited("density", safedec.Default()); err != nil {
 		t.Fatal(err)
 	}
-	_, err = a.FieldLimited("density", safedec.Limits{MaxElements: 100})
-	if !errors.Is(err, safedec.ErrLimit) {
-		t.Fatalf("err = %v, want ErrLimit", err)
-	}
+	safedectest.Rejects(t, 4*100, func() error {
+		_, err := a.FieldLimited("density", safedec.Limits{MaxElements: 100})
+		return err
+	})
 }

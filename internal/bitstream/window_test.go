@@ -210,7 +210,9 @@ func TestWindowEdges(t *testing.T) {
 						if _, err := r.ReadBits(min(left, 64)); err != nil {
 							t.Fatalf("size %d off %d: skip: %v", size, off, err)
 						}
-						ref.ReadBits(min(left, 64))
+						if _, err := ref.ReadBits(min(left, 64)); err != nil {
+							t.Fatalf("size %d off %d: oracle skip: %v", size, off, err)
+						}
 					}
 					before := r.Consumed()
 					got, gerr := r.ReadBits(width)

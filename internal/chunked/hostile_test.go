@@ -5,7 +5,9 @@ import (
 	"errors"
 	"testing"
 
+	"carol/internal/field"
 	"carol/internal/safedec"
+	"carol/internal/safedec/safedectest"
 	"carol/internal/szx"
 )
 
@@ -59,9 +61,26 @@ func TestChunkCountLimit(t *testing.T) {
 	}
 	stream = container(64, 1, 1, 64)
 	opts := Options{Limits: safedec.Limits{MaxCount: 8}}
-	if _, err := Decompress(szx.New(), stream, opts); !errors.Is(err, safedec.ErrLimit) {
-		t.Fatalf("err = %v, want ErrLimit", err)
+	safedectest.Rejects(t, 0, func() error {
+		_, err := Decompress(szx.New(), stream, opts)
+		return err
+	})
+}
+
+// TestContainerElementsOverLimit: the container's own dims are charged to
+// MaxElements before any chunk is decoded — every chunk here fits the cap
+// on its own, only their sum does not.
+func TestContainerElementsOverLimit(t *testing.T) {
+	f := field.New("zeros", 256, 64, 64)
+	stream, err := Compress(szx.New(), f, 1e-3, Options{Chunks: 16})
+	if err != nil {
+		t.Fatal(err)
 	}
+	opts := Options{Limits: safedec.Limits{MaxElements: 1 << 16}}
+	safedectest.Rejects(t, 4<<16, func() error {
+		_, err := Decompress(szx.New(), stream, opts)
+		return err
+	})
 }
 
 // TestSlabDimsMismatchRejected: a decoded slab whose dimensions disagree

@@ -96,7 +96,7 @@ func TestConformanceDecodeDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range a.Data {
-			if a.Data[i] != b.Data[i] { //carol:allow floateq decode determinism requires exact equality
+			if a.Data[i] != b.Data[i] {
 				t.Fatalf("%s: decode nondeterministic at sample %d", codec.Name(), i)
 			}
 		}

@@ -156,27 +156,6 @@ func Generate(dataset, fieldName string, opts Options) (*field.Field, error) {
 	return f, nil
 }
 
-// GenerateSeries synthesizes one field across a range of time steps
-// [from, to) — the workload for incremental-refinement experiments on
-// time-evolving datasets (Hurricane, NYX).
-func GenerateSeries(dataset, fieldName string, opts Options, from, to int) ([]*field.Field, error) {
-	if from < 0 || to <= from {
-		return nil, fmt.Errorf("dataset: invalid step range [%d, %d)", from, to)
-	}
-	out := make([]*field.Field, 0, to-from)
-	for step := from; step < to; step++ {
-		o := opts
-		o.TimeStep = step
-		f, err := Generate(dataset, fieldName, o)
-		if err != nil {
-			return nil, err
-		}
-		f.Name = fmt.Sprintf("%s/%s@%d", dataset, fieldName, step)
-		out = append(out, f)
-	}
-	return out, nil
-}
-
 // GenerateAll synthesizes every field of a dataset at one time step.
 func GenerateAll(dataset string, opts Options) ([]*field.Field, error) {
 	spec, err := Lookup(dataset)

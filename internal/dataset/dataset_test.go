@@ -184,28 +184,6 @@ func TestSmoothnessOrderingAcrossDatasets(t *testing.T) {
 	}
 }
 
-func TestGenerateSeries(t *testing.T) {
-	series, err := GenerateSeries("hurricane", "P", Options{Nx: 16, Ny: 16, Nz: 8}, 2, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 4 {
-		t.Fatalf("series length %d", len(series))
-	}
-	if series[0].Name != "hurricane/P@2" {
-		t.Fatalf("series name %q", series[0].Name)
-	}
-	if err := series[0].Equalish(series[3], 1e-6); err == nil {
-		t.Fatal("series steps identical")
-	}
-	if _, err := GenerateSeries("hurricane", "P", Options{}, 3, 3); err == nil {
-		t.Fatal("empty range accepted")
-	}
-	if _, err := GenerateSeries("hurricane", "P", Options{}, -1, 2); err == nil {
-		t.Fatal("negative start accepted")
-	}
-}
-
 func TestITIsotropyAndPositivity(t *testing.T) {
 	f, err := Generate("it", "velocity_magnitude", Options{Nx: 32, Ny: 32, Nz: 32})
 	if err != nil {

@@ -74,7 +74,7 @@ func TestCollectedTrainingData(t *testing.T) {
 		if i%2 == 1 {
 			want = -3.0
 		}
-		if y[i] != want { //carol:allow floateq log10 of exact powers of ten is exact
+		if y[i] != want {
 			t.Fatalf("sample %d: target %g, want %g", i, y[i], want)
 		}
 	}

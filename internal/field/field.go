@@ -204,12 +204,6 @@ func (f *Field) SampleBlocks(spec BlockSpec) *Field {
 	return FromData(f.Name+"/blocks", len(data), 1, 1, data)
 }
 
-// SamplingFraction reports the fraction of points SampleBlocks would keep.
-func (f *Field) SamplingFraction(spec BlockSpec) float64 {
-	s := f.SampleBlocks(spec)
-	return float64(s.Len()) / float64(f.Len())
-}
-
 // WriteRaw writes the samples as little-endian float32, the format raw
 // scientific dumps use.
 func (f *Field) WriteRaw(w io.Writer) error {

@@ -152,14 +152,6 @@ func TestSampleBlocksFirstBlockContents(t *testing.T) {
 	}
 }
 
-func TestSamplingFraction(t *testing.T) {
-	f := ramp(64, 64, 64)
-	got := f.SamplingFraction(BlockSpec{Size: 8, Every: 2})
-	if math.Abs(got-1.0/8) > 1e-9 {
-		t.Fatalf("fraction = %v, want 1/8", got)
-	}
-}
-
 func TestRawRoundTrip(t *testing.T) {
 	f := ramp(6, 5, 4)
 	f.Data[3] = -1.5

@@ -1,7 +1,8 @@
 // Package kittest holds the one /v1/compress query table that
 // httpkit.ParseCompress, carolserve, and carolgate (whole routing and slab
 // fan-out) are all tested against: the four must agree on every row, so the
-// serving tiers cannot drift apart on what a valid request is.
+// serving tiers cannot drift apart on what a valid request is. It also holds
+// the label-cardinality check both tiers run (LabelsBounded).
 package kittest
 
 // Dims is the shape every well-formed row declares, Samples its element

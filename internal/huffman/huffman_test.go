@@ -9,6 +9,7 @@ import (
 
 	"carol/internal/bitstream"
 	"carol/internal/safedec"
+	"carol/internal/safedec/safedectest"
 	"carol/internal/xrand"
 )
 
@@ -128,6 +129,19 @@ func TestDecodeTruncatedPayload(t *testing.T) {
 	if _, err := Decode(trunc); err == nil {
 		t.Fatal("expected error for truncated payload")
 	}
+}
+
+// TestSymbolCountOverAllocLimit: a symbol count the stream really backs
+// (one bit a symbol) but the caller's MaxAlloc does not is refused before
+// the output slice is grown for it.
+func TestSymbolCountOverAllocLimit(t *testing.T) {
+	stream := Encode(make([]uint32, 1<<20))
+	lim := safedec.Limits{MaxAlloc: 64 << 10}
+	d := NewDecoder()
+	safedectest.Rejects(t, lim.MaxAlloc, func() error {
+		_, err := d.DecodeLimited(stream, lim)
+		return err
+	})
 }
 
 func TestCanonicalCodesPrefixFree(t *testing.T) {
@@ -359,7 +373,7 @@ func TestDecodePoolRetention(t *testing.T) {
 	if _, err := Decode(stream); err != nil {
 		t.Fatal(err)
 	}
-	d := decPool.Get().(*Decoder) //carol:allow poolreset test inspects pooled state without using it
+	d := decPool.Get().(*Decoder)
 	defer decPool.Put(d)
 	if !d.r.Released() {
 		t.Fatal("pooled Decoder still references the caller's stream after Decode")

@@ -73,7 +73,8 @@ func tableSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(19))
 	payload := func(n int) []byte {
 		b := make([]byte, n)
-		rng.Read(b)
+		// math/rand's Read always returns len(p), nil.
+		_, _ = rng.Read(b)
 		return b
 	}
 	seed := func(nSyms int, trim byte, lens []byte, pay []byte) []byte {
@@ -124,7 +125,8 @@ func TestTableMatchesWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(2019))
 	for iter := 0; iter < 2000; iter++ {
 		data := make([]byte, 4+rng.Intn(40)+rng.Intn(100))
-		rng.Read(data)
+		// math/rand's Read always returns len(p), nil.
+		_, _ = rng.Read(data)
 		if iter%2 == 0 { // short lengths: dense, mostly over-subscribed tables
 			for i := 4; i < len(data) && i < 44; i++ {
 				data[i] = byte(1 + rng.Intn(6))

@@ -105,7 +105,9 @@ func TestBoundedAdmission(t *testing.T) {
 	q := New(Options{Workers: 1, MaxQueued: 2, TenantQuota: 100})
 	defer func() {
 		close(block)
-		q.Close(context.Background())
+		if err := q.Close(context.Background()); err != nil {
+			t.Error(err)
+		}
 	}()
 	wait := func(ctx context.Context) ([]byte, error) {
 		select {
@@ -133,7 +135,9 @@ func TestTenantQuota(t *testing.T) {
 	q := New(Options{Workers: 1, MaxQueued: 100, TenantQuota: 3})
 	defer func() {
 		close(block)
-		q.Close(context.Background())
+		if err := q.Close(context.Background()); err != nil {
+			t.Error(err)
+		}
 	}()
 	wait := func(ctx context.Context) ([]byte, error) {
 		select {

@@ -2,7 +2,6 @@ package model
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -14,6 +13,7 @@ import (
 	"carol/internal/knn"
 	"carol/internal/rf"
 	"carol/internal/safedec"
+	"carol/internal/safedec/safedectest"
 	"carol/internal/trainset"
 	"carol/internal/xrand"
 )
@@ -226,12 +226,14 @@ func TestBackendConformance(t *testing.T) {
 				}
 			}
 			// The payload's claimed sizes are charged to the caller's budget.
-			if _, err := ReadLimited(valid, safedec.Limits{MaxAlloc: 128}); !errors.Is(err, safedec.ErrLimit) {
-				t.Fatalf("alloc budget: %v, want ErrLimit", err)
-			}
-			if _, err := ReadLimited(valid, safedec.Limits{MaxCount: 2}); !errors.Is(err, safedec.ErrLimit) {
-				t.Fatalf("count budget: %v, want ErrLimit", err)
-			}
+			safedectest.Rejects(t, 128, func() error {
+				_, err := ReadLimited(valid, safedec.Limits{MaxAlloc: 128})
+				return err
+			})
+			safedectest.Rejects(t, 0, func() error {
+				_, err := ReadLimited(valid, safedec.Limits{MaxCount: 2})
+				return err
+			})
 			if _, err := ReadLimited(valid, safedec.Default()); err != nil {
 				t.Fatalf("generous limits: %v", err)
 			}

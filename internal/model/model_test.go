@@ -11,6 +11,7 @@ import (
 	"carol/internal/features"
 	"carol/internal/rf"
 	"carol/internal/safedec"
+	"carol/internal/safedec/safedectest"
 	"carol/internal/trainset"
 	"carol/internal/xrand"
 )
@@ -221,6 +222,31 @@ func TestReadHostileStreams(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSectionCountLimits: each structural count is charged to MaxCount on
+// its own, so the forest's trees and the calibration table are each refused
+// by a cap the other section fits under.
+func TestSectionCountLimits(t *testing.T) {
+	a := testArtifact(t) // 8 trees
+	a.Calib = nil
+	trees := mustEncode(t, a)
+	safedectest.Rejects(t, 0, func() error {
+		_, err := ReadLimited(trees, safedec.Limits{MaxCount: 4})
+		return err
+	})
+	a.Calib = &CalibState{EBs: make([]float64, 16), Rho: make([]float64, 16)}
+	for i := range a.Calib.EBs {
+		a.Calib.EBs[i] = math.Ldexp(1, i-20)
+	}
+	calib := mustEncode(t, a)
+	if _, err := ReadLimited(calib, safedec.Limits{MaxCount: 16}); err != nil {
+		t.Fatalf("16 calibration points under MaxCount 16: %v", err)
+	}
+	safedectest.Rejects(t, 0, func() error {
+		_, err := ReadLimited(calib, safedec.Limits{MaxCount: 8})
+		return err
+	})
 }
 
 func TestWriteReadFile(t *testing.T) {

@@ -30,11 +30,11 @@ func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("inflight")
 	g.Set(2.5)
-	if got := g.Value(); got != 2.5 { //carol:allow floateq exact value stored and reloaded
+	if got := g.Value(); got != 2.5 {
 		t.Fatalf("Value() = %g, want 2.5", got)
 	}
 	g.Add(-1.5)
-	if got := g.Value(); got != 1 { //carol:allow floateq exact float arithmetic on representable values
+	if got := g.Value(); got != 1 {
 		t.Fatalf("after Add: Value() = %g, want 1", got)
 	}
 }
@@ -104,12 +104,12 @@ func TestLabel(t *testing.T) {
 func TestBucketHelpers(t *testing.T) {
 	lin := LinearBuckets(1, 1, 4)
 	for i, want := range []float64{1, 2, 3, 4} {
-		if lin[i] != want { //carol:allow floateq exact linear bucket construction
+		if lin[i] != want {
 			t.Fatalf("LinearBuckets = %v", lin)
 		}
 	}
 	exp := ExpBuckets(1e-6, 4, 3)
-	if exp[0] != 1e-6 || exp[2] != 1.6e-5 { //carol:allow floateq exact binary-representable products
+	if exp[0] != 1e-6 || exp[2] != 1.6e-5 {
 		t.Fatalf("ExpBuckets = %v", exp)
 	}
 	if n := len(LatencyBuckets()); n != 13 {
@@ -144,7 +144,7 @@ func TestConcurrentObserve(t *testing.T) {
 	if got := c.Value(); got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := g.Value(); got != workers*perWorker { //carol:allow floateq integral float adds are exact
+	if got := g.Value(); got != workers*perWorker {
 		t.Fatalf("gauge = %g, want %d", got, workers*perWorker)
 	}
 	if got := h.Count(); got != workers*perWorker {

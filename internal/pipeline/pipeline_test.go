@@ -14,6 +14,7 @@ import (
 	"carol/internal/dataset"
 	"carol/internal/field"
 	"carol/internal/safedec"
+	"carol/internal/safedec/safedectest"
 )
 
 func testField(t testing.TB, nx, ny, nz int) *field.Field {
@@ -232,7 +233,8 @@ func TestHostileHeader(t *testing.T) {
 
 func TestHostileBlockCount(t *testing.T) {
 	// nblocks beyond MaxCount must be refused with ErrLimit before any
-	// frame is read.
+	// frame is read. The dims pass the element cap, so the count guard is
+	// the one that must fire.
 	inner, err := codecs.ByName("szx")
 	if err != nil {
 		t.Fatal(err)
@@ -240,15 +242,15 @@ func TestHostileBlockCount(t *testing.T) {
 	c := New(inner, Options{Limits: safedec.Limits{MaxCount: 64}})
 	hdr := make([]byte, headerLen)
 	copy(hdr, Magic[:])
-	putU32(hdr[4:], 1024)
-	putU32(hdr[8:], 1024)
-	putU32(hdr[12:], 1024)
+	putU32(hdr[4:], 1<<20)
+	putU32(hdr[8:], 1)
+	putU32(hdr[12:], 1)
 	putU32(hdr[16:], 1<<20)
 	er := &endlessReader{}
-	_, err = c.DecompressStream(io.MultiReader(bytes.NewReader(hdr), er))
-	if !errors.Is(err, safedec.ErrLimit) {
-		t.Fatalf("got %v, want ErrLimit", err)
-	}
+	safedectest.Rejects(t, 0, func() error {
+		_, err := c.DecompressStream(io.MultiReader(bytes.NewReader(hdr), er))
+		return err
+	})
 	if er.n != 0 {
 		t.Fatalf("read %d bytes past a rejected header", er.n)
 	}
@@ -274,13 +276,32 @@ func TestHostileBlockLength(t *testing.T) {
 	putU32(lbuf[:], 1<<31-1) // ~2 GiB claimed block
 	buf.Write(lbuf[:])
 	er := &endlessReader{}
-	_, err = c.DecompressStream(io.MultiReader(&buf, er))
-	if !errors.Is(err, safedec.ErrLimit) {
-		t.Fatalf("got %v, want ErrLimit", err)
-	}
+	safedectest.Rejects(t, 1<<16, func() error {
+		_, err := c.DecompressStream(io.MultiReader(&buf, er))
+		return err
+	})
 	if er.n != 0 {
 		t.Fatalf("consumed %d bytes of a rejected block body", er.n)
 	}
+}
+
+// TestContainerElementsOverLimit: the container's dims are charged to
+// MaxElements before the output field is allocated — every block here fits
+// the cap on its own, only their sum does not.
+func TestContainerElementsOverLimit(t *testing.T) {
+	inner, err := codecs.ByName("szx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := New(inner, Options{Blocks: 16}).Compress(field.New("zeros", 256, 64, 64), 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(inner, Options{Limits: safedec.Limits{MaxElements: 1 << 16}})
+	safedectest.Rejects(t, 4<<16, func() error {
+		_, err := c.DecompressStream(bytes.NewReader(stream))
+		return err
+	})
 }
 
 func TestEndlessInputBounded(t *testing.T) {

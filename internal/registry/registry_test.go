@@ -11,6 +11,7 @@ import (
 	"carol/internal/model"
 	"carol/internal/rf"
 	"carol/internal/safedec"
+	"carol/internal/safedec/safedectest"
 	"carol/internal/trainset"
 	"carol/internal/xrand"
 )
@@ -177,9 +178,10 @@ func TestLoadHonorsLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Load(v, safedec.Limits{MaxAlloc: 16}); !errors.Is(err, safedec.ErrLimit) {
-		t.Fatalf("tiny-limit load = %v, want ErrLimit", err)
-	}
+	safedectest.Rejects(t, 16, func() error {
+		_, err := r.Load(v, safedec.Limits{MaxAlloc: 16})
+		return err
+	})
 }
 
 func TestGC(t *testing.T) {

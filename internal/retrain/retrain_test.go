@@ -277,13 +277,13 @@ func TestBaseCorpusAndGC(t *testing.T) {
 
 func TestQuantileNearestRank(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
-	if got := quantile(append([]float64(nil), xs...), 0.5); got != 3 { //carol:allow floateq exact rank value
+	if got := quantile(append([]float64(nil), xs...), 0.5); got != 3 {
 		t.Fatalf("p50 %g", got)
 	}
-	if got := quantile(append([]float64(nil), xs...), 0.9); got != 5 { //carol:allow floateq exact rank value
+	if got := quantile(append([]float64(nil), xs...), 0.9); got != 5 {
 		t.Fatalf("p90 %g", got)
 	}
-	if got := quantile([]float64{7}, 0.9); got != 7 { //carol:allow floateq exact rank value
+	if got := quantile([]float64{7}, 0.9); got != 7 {
 		t.Fatalf("single-sample %g", got)
 	}
 	if !math.IsNaN(quantile(nil, 0.5)) {

@@ -81,15 +81,6 @@ type Flat struct {
 	Gain    []float64
 }
 
-// NumNodes returns the total node count claimed by TreeNodes.
-func (fl *Flat) NumNodes() int {
-	total := 0
-	for _, n := range fl.TreeNodes {
-		total += int(n)
-	}
-	return total
-}
-
 // Flatten exports the forest into its serialization form. The returned
 // arrays are fresh copies; mutating them does not affect the forest.
 func (f *Forest) Flatten() *Flat {

@@ -71,9 +71,6 @@ func TestStatsSingleLeaf(t *testing.T) {
 func TestFlattenRoundTrip(t *testing.T) {
 	f, X := trainSmallForest(t, 10, 400, 4)
 	fl := f.Flatten()
-	if got := fl.NumNodes(); got != f.Stats().Nodes {
-		t.Fatalf("NumNodes = %d, want %d", got, f.Stats().Nodes)
-	}
 	g, err := FromFlat(fl)
 	if err != nil {
 		t.Fatalf("FromFlat: %v", err)

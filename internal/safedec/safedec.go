@@ -156,9 +156,6 @@ func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 // Remaining reports the unread byte count.
 func (r *Reader) Remaining() int { return len(r.buf) - r.pos }
 
-// Offset reports how many bytes have been consumed.
-func (r *Reader) Offset() int { return r.pos }
-
 func (r *Reader) short(what string, n int) error {
 	return fmt.Errorf("%w: need %d bytes for %s at offset %d, have %d",
 		ErrTruncated, n, what, r.pos, r.Remaining())

@@ -140,7 +140,7 @@ func TestBoundsConcurrent(t *testing.T) {
 				}
 				for _, eb := range sweepBounds(f)[:18] {
 					got, err := b.Ratio(eb)
-					if want := refEstimate(name, Options{}, f, eb); err != nil || got != want { //carol:allow floateq bit-identity is the contract
+					if want := refEstimate(name, Options{}, f, eb); err != nil || got != want {
 						t.Errorf("%s eb=%g: %v (%v), want %v", name, eb, got, err, want)
 					}
 				}

@@ -66,7 +66,7 @@ func TestDecideZeroAlloc(t *testing.T) {
 		_, _ = sel.decideLocked(scores, 7)
 	})
 	sel.mu.Unlock()
-	if allocs != 0 { //carol:allow floateq AllocsPerRun returns an exact integer count
+	if allocs != 0 {
 		t.Fatalf("decideLocked allocates %.1f per run, want 0", allocs)
 	}
 	f := smoothGrid("za", 48, 8, 1, 9)
@@ -75,7 +75,7 @@ func TestDecideZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs = testing.AllocsPerRun(200, func() { sel.Observe(d, 5.5) })
-	if allocs != 0 { //carol:allow floateq AllocsPerRun returns an exact integer count
+	if allocs != 0 {
 		t.Fatalf("Observe allocates %.1f per run, want 0", allocs)
 	}
 }

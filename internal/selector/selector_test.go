@@ -290,7 +290,7 @@ func TestFallbackAllEstimatorsFail(t *testing.T) {
 	if d.Codec != "szx" {
 		t.Fatalf("all-failed fallback = %s, want cheapest szx", d.Codec)
 	}
-	if d.PredictedRatio() != 0 { //carol:allow floateq zero is the documented "no prediction" sentinel
+	if d.PredictedRatio() != 0 {
 		t.Fatalf("fallback predicted ratio = %g, want 0", d.PredictedRatio())
 	}
 	// Observing a fallback decision (no usable prediction) must reject, not

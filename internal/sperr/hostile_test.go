@@ -10,6 +10,7 @@ import (
 
 	"carol/internal/compressor"
 	"carol/internal/safedec"
+	"carol/internal/safedec/safedectest"
 	"carol/internal/zpool"
 )
 
@@ -127,9 +128,16 @@ func TestOutlierCountBeyondPayloadRejected(t *testing.T) {
 		Magic: compressor.MagicSPERR, Nx: 256, Ny: 256, Nz: 256, EB: 0.5,
 	})
 	var zbuf bytes.Buffer
-	zw, _ := flate.NewWriter(&zbuf, flate.BestSpeed)
-	zw.Write(payload.Bytes())
-	zw.Close()
+	zw, err := flate.NewWriter(&zbuf, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
 	stream := append(out, zbuf.Bytes()...)
 	if _, err := New().Decompress(stream); err == nil {
 		t.Fatal("outlier count beyond payload accepted")
@@ -140,9 +148,10 @@ func TestOutlierCountBeyondPayloadRejected(t *testing.T) {
 // path too.
 func TestProgressiveLimited(t *testing.T) {
 	stream := hostileOutlierStream(t, 0)
-	if _, err := DecompressProgressiveLimited(stream, 1, safedec.Limits{MaxElements: 4}); !errors.Is(err, safedec.ErrLimit) {
-		t.Fatalf("err = %v, want ErrLimit", err)
-	}
+	safedectest.Rejects(t, 4*4, func() error {
+		_, err := DecompressProgressiveLimited(stream, 1, safedec.Limits{MaxElements: 4})
+		return err
+	})
 }
 
 // TestLosslessTailBombClassifiedAsLimit pins the shared inflate guard's
@@ -164,4 +173,12 @@ func TestLosslessTailBombClassifiedAsLimit(t *testing.T) {
 	if got := safedec.Classify(err); got != "limit" {
 		t.Fatalf("Classify = %q, want limit", got)
 	}
+	// The inflate buffer grows 1.25x a step, so the default 1 MiB cap costs
+	// about 5 MiB in all; under a 64 KiB MaxAlloc the whole rejection fits
+	// the budget.
+	lim := safedec.Limits{MaxAlloc: 64 << 10}
+	safedectest.Rejects(t, lim.MaxAlloc, func() error {
+		_, err := New().DecompressLimited(stream, lim)
+		return err
+	})
 }

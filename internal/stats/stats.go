@@ -68,75 +68,3 @@ func EstimationError(est, truth []float64) float64 {
 	}
 	return acc.Mean()
 }
-
-// MeanSquaredError returns the MSE between two equal-length series.
-func MeanSquaredError(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range a {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return sum / float64(len(a))
-}
-
-// Interp1D linearly interpolates y(x) through the (ascending xs, ys) sample,
-// clamping outside the range. It is the interpolation both FXRZ and CAROL
-// use to turn sampled (error bound, ratio) pairs into a continuous
-// compression function f(e).
-func Interp1D(xs, ys []float64, x float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if x <= xs[0] {
-		return ys[0]
-	}
-	if x >= xs[n-1] {
-		return ys[n-1]
-	}
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if xs[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	t := (x - xs[lo]) / (xs[hi] - xs[lo])
-	return ys[lo] + t*(ys[hi]-ys[lo])
-}
-
-// InvInterp1D inverts a monotone non-decreasing sampled function: it returns
-// the x at which the interpolated y(x) equals target, clamped to the sample
-// range. This is how a framework converts a desired compression ratio into
-// an error bound once f(e) is known.
-func InvInterp1D(xs, ys []float64, target float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if target <= ys[0] {
-		return xs[0]
-	}
-	if target >= ys[n-1] {
-		return xs[n-1]
-	}
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if ys[mid] <= target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	if ys[hi] == ys[lo] { //carol:allow floateq flat interpolation segment guard before dividing
-		return xs[lo]
-	}
-	t := (target - ys[lo]) / (ys[hi] - ys[lo])
-	return xs[lo] + t*(xs[hi]-xs[lo])
-}

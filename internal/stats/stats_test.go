@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestAccumulatorBasics(t *testing.T) {
@@ -54,71 +53,5 @@ func TestEstimationError(t *testing.T) {
 	}
 	if EstimationError(nil, nil) != 0 {
 		t.Fatal("empty input")
-	}
-}
-
-func TestMeanSquaredError(t *testing.T) {
-	if got := MeanSquaredError([]float64{1, 2}, []float64{3, 2}); got != 2 {
-		t.Fatalf("MSE = %g", got)
-	}
-	if MeanSquaredError([]float64{1}, []float64{}) != 0 {
-		t.Fatal("mismatch not rejected")
-	}
-}
-
-func TestInterp1D(t *testing.T) {
-	xs := []float64{0, 1, 3}
-	ys := []float64{0, 10, 30}
-	cases := []struct{ x, want float64 }{
-		{-1, 0}, {0, 0}, {0.5, 5}, {1, 10}, {2, 20}, {3, 30}, {9, 30},
-	}
-	for _, c := range cases {
-		if got := Interp1D(xs, ys, c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Interp1D(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-	if Interp1D(nil, nil, 1) != 0 {
-		t.Fatal("empty sample")
-	}
-}
-
-func TestInvInterp1D(t *testing.T) {
-	xs := []float64{0, 1, 3}
-	ys := []float64{0, 10, 30}
-	cases := []struct{ target, want float64 }{
-		{-5, 0}, {0, 0}, {5, 0.5}, {10, 1}, {20, 2}, {30, 3}, {99, 3},
-	}
-	for _, c := range cases {
-		if got := InvInterp1D(xs, ys, c.target); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("InvInterp1D(%g) = %g, want %g", c.target, got, c.want)
-		}
-	}
-}
-
-func TestInvInterp1DFlatSegment(t *testing.T) {
-	// Step-wise functions (like ZFP's ratio curve) have flat segments; the
-	// inverse must not divide by zero.
-	xs := []float64{0, 1, 2}
-	ys := []float64{0, 10, 10}
-	got := InvInterp1D(xs, ys, 10)
-	if math.IsNaN(got) || got < 1 || got > 2 {
-		t.Fatalf("flat segment inverse = %g", got)
-	}
-}
-
-// Property: InvInterp1D is a right-inverse of Interp1D for strictly
-// increasing samples, within the sampled range.
-func TestQuickInverseConsistency(t *testing.T) {
-	f := func(seed int64, t01 float64) bool {
-		t01 = math.Abs(math.Mod(t01, 1))
-		xs := []float64{0, 1, 2, 4, 8}
-		ys := []float64{1, 3, 7, 20, 100}
-		target := 1 + t01*99
-		x := InvInterp1D(xs, ys, target)
-		back := Interp1D(xs, ys, x)
-		return math.Abs(back-target) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

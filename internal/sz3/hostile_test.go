@@ -10,6 +10,8 @@ import (
 	"carol/internal/compressor"
 	"carol/internal/field"
 	"carol/internal/huffman"
+	"carol/internal/safedec"
+	"carol/internal/safedec/safedectest"
 	"carol/internal/zpool"
 )
 
@@ -88,6 +90,28 @@ func TestCountsMustMatchDims(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLosslessTailBombClassifiedAsLimit: a tail that inflates past anything
+// an 8-sample field could need is a resource-limit rejection from the shared
+// inflate cap (zpool.InflateTail, as in sperr), not a decode — and under a
+// 64 KiB MaxAlloc the whole rejection fits the allocation budget.
+func TestLosslessTailBombClassifiedAsLimit(t *testing.T) {
+	stream := compressor.AppendHeader(nil, compressor.Header{
+		Magic: compressor.MagicSZ3, Nx: 2, Ny: 2, Nz: 2, EB: 0.5,
+	})
+	stream, err := zpool.AppendDeflate(stream, make([]byte, 2<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New().Decompress(stream); !errors.Is(err, safedec.ErrLimit) || !errors.Is(err, compressor.ErrBadStream) {
+		t.Fatalf("err = %v, want ErrBadStream wrapping ErrLimit", err)
+	}
+	lim := safedec.Limits{MaxAlloc: 64 << 10}
+	safedectest.Rejects(t, lim.MaxAlloc, func() error {
+		_, err := New().DecompressLimited(stream, lim)
+		return err
+	})
 }
 
 // perRun is testing.AllocsPerRun with a collection before every run, and the

@@ -6,6 +6,7 @@ import (
 
 	"carol/internal/compressor"
 	"carol/internal/safedec"
+	"carol/internal/safedec/safedectest"
 )
 
 // TestBitLengthBeyondPayloadRejected is the regression test for the missing
@@ -30,8 +31,8 @@ func TestBitLengthBeyondPayloadRejected(t *testing.T) {
 func TestDecompressLimited(t *testing.T) {
 	f := compressor.Header{Magic: compressor.MagicSZx, Nx: 1 << 10, Ny: 1 << 10, Nz: 4, EB: 1e-3}
 	stream := compressor.AppendHeader(nil, f)
-	_, err := New().DecompressLimited(stream, safedec.Limits{MaxElements: 1 << 20})
-	if !errors.Is(err, safedec.ErrLimit) {
-		t.Fatalf("err = %v, want ErrLimit", err)
-	}
+	safedectest.Rejects(t, 4<<20, func() error {
+		_, err := New().DecompressLimited(stream, safedec.Limits{MaxElements: 1 << 20})
+		return err
+	})
 }

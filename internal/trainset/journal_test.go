@@ -54,7 +54,7 @@ func TestJournalAppendRead(t *testing.T) {
 	if err != nil || len(newest) != 3 {
 		t.Fatalf("capped read: %d, %v", len(newest), err)
 	}
-	if newest[2].Features.Mean != rec(9).Features.Mean { //carol:allow floateq exact round-trip values
+	if newest[2].Features.Mean != rec(9).Features.Mean {
 		t.Fatal("capped read did not keep newest records")
 	}
 }
@@ -85,7 +85,9 @@ func TestJournalReopenContinues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	j.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 	got, err := ReadJournal(path, 0)
 	if err != nil || len(got) != 8 {
 		t.Fatalf("after reopen: %d records, %v", len(got), err)
@@ -105,7 +107,9 @@ func TestJournalTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	j.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 	// Tear the last record.
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -134,12 +138,14 @@ func TestJournalTornTail(t *testing.T) {
 	if err := j.Append(rec(99)); err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 	got, err = ReadJournal(path, 0)
 	if err != nil || len(got) != 4 {
 		t.Fatalf("after recovery: %d records, %v", len(got), err)
 	}
-	if got[3].Ratio != rec(99).Ratio { //carol:allow floateq exact round-trip values
+	if got[3].Ratio != rec(99).Ratio {
 		t.Fatal("post-recovery append lost")
 	}
 }
@@ -149,16 +155,26 @@ func TestJournalTornTail(t *testing.T) {
 // the writer must truncate everything from the corruption point.
 func TestJournalCorruptMidFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "szx.journal")
-	j, _ := OpenJournal(path, 100)
+	j, err := OpenJournal(path, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 6; i++ {
 		if err := j.Append(rec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	j.Close()
-	data, _ := os.ReadFile(path)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	data[len(JournalMagic)+2*journalRecordLen+10] ^= 0xFF // inside record 2
-	os.WriteFile(path, data, 0o644)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	got, err := ReadJournal(path, 0)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("corrupt mid-file: %d records, %v", len(got), err)
@@ -190,7 +206,9 @@ func TestJournalRetentionCompaction(t *testing.T) {
 	if j.Len() != capacity {
 		t.Fatalf("mirror len %d, want %d", j.Len(), capacity)
 	}
-	j.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +222,7 @@ func TestJournalRetentionCompaction(t *testing.T) {
 	}
 	// The newest record must be the last appended; the oldest surviving
 	// record must be newer than everything evicted.
-	if got[len(got)-1].Ratio != rec(total-1).Ratio { //carol:allow floateq exact round-trip values
+	if got[len(got)-1].Ratio != rec(total-1).Ratio {
 		t.Fatal("newest record lost in compaction")
 	}
 	if got[0].Features.Mean < float64(total-capacity-journalSlack-1) {
@@ -233,7 +251,9 @@ func TestReadJournalMissingAndForeign(t *testing.T) {
 		t.Fatalf("missing journal: %v, %v", got, err)
 	}
 	foreign := filepath.Join(dir, "bad.journal")
-	os.WriteFile(foreign, []byte("NOTAJRNL123"), 0o644)
+	if err := os.WriteFile(foreign, []byte("NOTAJRNL123"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ReadJournal(foreign, 0); err == nil {
 		t.Fatal("foreign file accepted")
 	}
@@ -294,7 +314,7 @@ func TestSetCapacityEviction(t *testing.T) {
 	if err := s.Add(mk(1)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 3 || s.Samples()[0].Features.Mean != 0 { //carol:allow floateq exact constructed values
+	if s.Len() != 3 || s.Samples()[0].Features.Mean != 0 {
 		t.Fatalf("duplicate add changed set: len=%d", s.Len())
 	}
 	// Overflow: evicts sample 0, keeps 1,2,3 in order.
@@ -305,7 +325,7 @@ func TestSetCapacityEviction(t *testing.T) {
 		t.Fatalf("len %d", s.Len())
 	}
 	for i, want := range []float64{1, 2, 3} {
-		if got := s.Samples()[i].Features.Mean; got != want { //carol:allow floateq exact constructed values
+		if got := s.Samples()[i].Features.Mean; got != want {
 			t.Fatalf("slot %d = %g, want %g (eviction order broken)", i, got, want)
 		}
 	}
@@ -313,7 +333,7 @@ func TestSetCapacityEviction(t *testing.T) {
 	if err := s.Add(mk(0)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Samples()[2].Features.Mean; got != 0 { //carol:allow floateq exact constructed values
+	if got := s.Samples()[2].Features.Mean; got != 0 {
 		t.Fatalf("re-add of evicted sample landed at %g", got)
 	}
 	// Heavy churn keeps memory bounded near capacity.
@@ -334,8 +354,8 @@ func TestSetCapacityEviction(t *testing.T) {
 	}
 	p.SetCapacity(2)
 	if p.Len() != 2 ||
-		p.Samples()[0].Features.Mean != 7 || //carol:allow floateq exact constructed values
-		p.Samples()[1].Features.Mean != 8 { //carol:allow floateq exact constructed values
+		p.Samples()[0].Features.Mean != 7 ||
+		p.Samples()[1].Features.Mean != 8 {
 		t.Fatalf("SetCapacity trim: %+v", p.Samples())
 	}
 	// Merge routes through dedup/eviction on bounded sets.
@@ -347,8 +367,8 @@ func TestSetCapacityEviction(t *testing.T) {
 	}
 	p.Merge(&q)
 	if p.Len() != 2 ||
-		p.Samples()[0].Features.Mean != 8 || //carol:allow floateq exact constructed values
-		p.Samples()[1].Features.Mean != 9 { //carol:allow floateq exact constructed values
+		p.Samples()[0].Features.Mean != 8 ||
+		p.Samples()[1].Features.Mean != 9 {
 		t.Fatalf("bounded merge: %+v", p.Samples())
 	}
 	// Unbounding restores plain append (duplicates allowed again).

@@ -7,6 +7,7 @@ import (
 	"carol/internal/compressor"
 	"carol/internal/field"
 	"carol/internal/safedec"
+	"carol/internal/safedec/safedectest"
 )
 
 // TestFixedRateHostileRate is the regression test for the unvalidated rate
@@ -48,9 +49,10 @@ func TestFixedRateLimitedRoundTrip(t *testing.T) {
 	if g.Nx != 16 || g.Ny != 16 || g.Nz != 1 {
 		t.Fatalf("dims %dx%dx%d", g.Nx, g.Ny, g.Nz)
 	}
-	if _, err := DecompressFixedRateLimited(stream, safedec.Limits{MaxElements: 100}); !errors.Is(err, safedec.ErrLimit) {
-		t.Fatalf("err = %v, want ErrLimit", err)
-	}
+	safedectest.Rejects(t, 4*100, func() error {
+		_, err := DecompressFixedRateLimited(stream, safedec.Limits{MaxElements: 100})
+		return err
+	})
 }
 
 // TestBitLengthBeyondPayloadRejected: a header-claimed bit length larger

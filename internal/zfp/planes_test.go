@@ -80,7 +80,9 @@ func checkDecodeAgainstRef(t *testing.T, c planeCase, stream []byte, bits uint64
 	if _, err := gr.ReadBits(c.skew); err != nil {
 		return // fewer bits than the skew: nothing to decode
 	}
-	wr.ReadBits(c.skew)
+	if _, err := wr.ReadBits(c.skew); err != nil {
+		t.Fatalf("oracle reader refused the skew its twin read: %v", err)
+	}
 	gu, wu := make([]uint32, c.size), make([]uint32, c.size)
 	gn := decodePlanes(gr, gu, c.kmin, c.budget)
 	wn := refDecodePlanes(wr, wu, c.kmin, c.budget)
@@ -130,7 +132,8 @@ func planeSeeds() [][]byte {
 	add(2, 31, 40, 63, false, coeffs(64, func(i int) uint32 { return 1 << 31 }))
 	// Arbitrary bits, and all-ones / all-zeros streams.
 	noise := make([]byte, 96)
-	rng.Read(noise)
+	// math/rand's Read always returns len(p), nil.
+	_, _ = rng.Read(noise)
 	add(2, 3, -1, 11, true, noise)
 	add(1, 0, 200, 0, true, noise[:40])
 	add(2, 0, -1, 1, true, bytes.Repeat([]byte{0xFF}, 64))
@@ -173,7 +176,8 @@ func TestPlanesMatchReference(t *testing.T) {
 		}
 		if c.decode {
 			c.rest = make([]byte, rng.Intn(120))
-			rng.Read(c.rest)
+			// math/rand's Read always returns len(p), nil.
+			_, _ = rng.Read(c.rest)
 			if rng.Intn(3) == 0 { // sparse bits: long zero runs
 				for i := range c.rest {
 					c.rest[i] &= byte(rng.Intn(256)) & byte(rng.Intn(256)) & byte(rng.Intn(256))

@@ -283,7 +283,7 @@ func refBlockEmax(blk []float64) (int, bool) {
 			m = a
 		}
 	}
-	if m == 0 { //carol:allow floateq all-zero block is an exact, common case
+	if m == 0 {
 		return 0, false
 	}
 	_, e := math.Frexp(m) // m = f * 2^e, f in [0.5, 1)

@@ -132,7 +132,7 @@ func TestInflatePoolRetention(t *testing.T) {
 	if _, err := Inflate(enc, 1<<16); err != nil {
 		t.Fatal(err)
 	}
-	i := infPool.Get().(*inflater) //carol:allow poolreset test inspects pooled state without using it
+	i := infPool.Get().(*inflater)
 	defer infPool.Put(i)
 	if i.br.Size() != 0 {
 		t.Fatalf("pooled inflater retains %d bytes of caller input", i.br.Size())

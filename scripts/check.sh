@@ -9,7 +9,6 @@ go build ./...
 go vet ./...
 go test -race ./...
 go run ./cmd/carollint ./...
-go run ./cmd/carollint -tests ./...
 
 # Non-test Go lines (ROADMAP item 10: simplification PRs must move this down).
 make -s loc
