@@ -485,19 +485,19 @@ func TestGateFleetConvergence(t *testing.T) {
 	shards[1].modelVersion.Store(2)
 	// Same version but a different serving backend (a retrain publish that
 	// swapped backends mid-rollout) is also divergence.
-	shards[1].modelBackend.Store("knn")
+	shards[1].modelBackend.Store("boost")
 	st = fetch()
 	if st.Converged {
 		t.Fatalf("backend-diverged fleet reported converged")
 	}
-	var knnShards int
+	var boostShards int
 	for _, fs := range st.Shards {
-		if fs.ModelBackend["sz3"] == "knn" {
-			knnShards++
+		if fs.ModelBackend["sz3"] == "boost" {
+			boostShards++
 		}
 	}
-	if knnShards != 1 {
-		t.Fatalf("fleet backends: %d knn shards, want 1", knnShards)
+	if boostShards != 1 {
+		t.Fatalf("fleet backends: %d boost shards, want 1", boostShards)
 	}
 }
 

@@ -51,7 +51,7 @@ func TestOneShotBootstrap(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{
 		"-codec", "szx", "-model-dir", regDir, "-harvest-dir", harvest,
-		"-kfolds", "3", "-backends", "rf,knn",
+		"-kfolds", "3", "-backends", "rf,boost",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -86,9 +86,25 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-codec", "szx"}, &strings.Builder{}); err == nil {
 		t.Fatal("missing dirs accepted")
 	}
-	for _, bad := range []string{"svm", "rf,rf", ","} {
+	for _, bad := range []string{"svm", "rf,rf", ",", "knn"} {
 		if err := run([]string{"-codec", "szx", "-model-dir", "m", "-harvest-dir", "h", "-backends", bad}, &strings.Builder{}); err == nil {
 			t.Fatalf("-backends %q accepted", bad)
 		}
+	}
+	// The retired knn tag is refused before the journal is read: a journal
+	// full enough to retrain on yields no report and no model.
+	dir := t.TempDir()
+	harvest, regDir := filepath.Join(dir, "harvest"), filepath.Join(dir, "models")
+	fillJournal(t, harvest, "szx", 120)
+	var out strings.Builder
+	err := run([]string{"-codec", "szx", "-model-dir", regDir, "-harvest-dir", harvest, "-backends", "rf,knn"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `"knn"`) {
+		t.Fatalf("-backends rf,knn: error %v, want the unknown knn tag", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("-backends rf,knn reported a cycle:\n%s", out.String())
+	}
+	if _, err := os.Stat(regDir); !os.IsNotExist(err) {
+		t.Fatalf("registry created for a refused backend list: %v", err)
 	}
 }

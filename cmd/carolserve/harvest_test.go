@@ -10,7 +10,7 @@ import (
 	"strconv"
 	"testing"
 
-	"carol/internal/knn"
+	"carol/internal/boost"
 	"carol/internal/model"
 	"carol/internal/registry"
 	"carol/internal/trainset"
@@ -125,9 +125,9 @@ func TestHarvestDisabledWritesNothing(t *testing.T) {
 	}
 }
 
-// publishKNNModel publishes a knn-backend artifact as the next "szx"
-// version — the shape the retraining pipeline produces when knn wins.
-func publishKNNModel(t testing.TB, dir string) registry.Version {
+// publishBoostModel publishes a boost-backend artifact as the next "szx"
+// version — the shape the retraining pipeline produces when boost wins.
+func publishBoostModel(t testing.TB, dir string) registry.Version {
 	t.Helper()
 	rng := xrand.New(12)
 	const rows = 80
@@ -141,11 +141,11 @@ func publishKNNModel(t testing.TB, dir string) registry.Version {
 		X[i] = row
 		y[i] = -2 - row[1]
 	}
-	m, err := knn.Train(X, y, knn.Config{K: 7})
+	m, err := boost.Train(X, y, boost.Config{Rounds: 7, Depth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &model.Artifact{Codec: "szx", Backend: model.BackendKNN, Schema: model.CanonicalSchema(), Regressor: m}
+	a := &model.Artifact{Codec: "szx", Backend: model.BackendBoost, Schema: model.CanonicalSchema(), Regressor: m}
 	buf, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func publishKNNModel(t testing.TB, dir string) registry.Version {
 	return v
 }
 
-// TestModelsBackendHotSwap loads an rf model, hot-swaps to a knn-backend
+// TestModelsBackendHotSwap loads an rf model, hot-swaps to a boost-backend
 // version (the retraining pipeline's publish shape), and checks both
 // /v1/models metadata and /v1/predict keep working across the swap.
 func TestModelsBackendHotSwap(t *testing.T) {
@@ -192,19 +192,17 @@ func TestModelsBackendHotSwap(t *testing.T) {
 		t.Fatalf("rf stats missing: %+v", infos[0])
 	}
 
-	v := publishKNNModel(t, dir)
+	v := publishBoostModel(t, dir)
 	if err := s.models.Reload(); err != nil {
 		t.Fatal(err)
 	}
 	infos = getInfos()
-	if len(infos) != 1 || infos[0].Backend != "knn" || infos[0].Version != v.Number {
+	if len(infos) != 1 || infos[0].Backend != "boost" || infos[0].Version != v.Number {
 		t.Fatalf("after swap: %+v", infos)
 	}
-	if infos[0].Samples != 80 || infos[0].K != 7 {
-		t.Fatalf("knn stats missing: %+v", infos[0])
-	}
-	if infos[0].Trees != 0 {
-		t.Fatalf("knn backend reports forest stats: %+v", infos[0])
+	// For boost, Trees counts the boosting stages.
+	if infos[0].Trees != 7 || infos[0].Nodes == 0 || infos[0].MaxDepth == 0 {
+		t.Fatalf("boost stats missing: %+v", infos[0])
 	}
 
 	_, body := testBody(t)

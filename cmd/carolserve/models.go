@@ -277,15 +277,12 @@ type modelInfo struct {
 	SHA256  string `json:"sha256"`
 	Size    int64  `json:"size"`
 	Codec   string `json:"codec"`
-	// Backend is the regressor family serving this model (rf|boost|knn);
+	// Backend is the regressor family serving this model (rf|boost);
 	// the continuous-retraining pipeline can change it between versions.
 	Backend  string `json:"backend"`
 	Trees    int    `json:"trees"`
 	Nodes    int    `json:"nodes"`
 	MaxDepth int    `json:"max_depth"`
-	// Samples and K describe a knn backend (zero otherwise).
-	Samples int `json:"samples,omitempty"`
-	K       int `json:"k,omitempty"`
 }
 
 // handleModels lists the currently served models (GET /v1/models).
@@ -313,8 +310,6 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 			Trees:    lm.stats.Trees,
 			Nodes:    lm.stats.Nodes,
 			MaxDepth: lm.stats.MaxDepth,
-			Samples:  lm.stats.Samples,
-			K:        lm.stats.K,
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -2,14 +2,20 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -18,6 +24,7 @@ import (
 	"carol/internal/features"
 	"carol/internal/field"
 	"carol/internal/model"
+	"carol/internal/obs"
 	"carol/internal/registry"
 	"carol/internal/rf"
 	"carol/internal/safedec"
@@ -342,6 +349,85 @@ func TestReloadKeepsOldModelOnBadPublish(t *testing.T) {
 	}
 	if !s.models.Ready() {
 		t.Fatal("store lost readiness on failed reload")
+	}
+}
+
+// storeRetiredKNN stores a knn-backend artifact as version number of "szx"
+// the way a build that still had the knn backend published it: the bytes
+// are the model package's checked-in knn corpus seed, the manifest row is
+// appended by hand because today's Publish refuses the tag.
+func storeRetiredKNN(t *testing.T, dir string, number int) {
+	t.Helper()
+	raw, err := os.ReadFile("../../internal/model/testdata/fuzz/FuzzModelRead/seed-07")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := strings.Split(string(raw), "\n")[1]
+	text, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(line, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte(text)
+	modelDir := filepath.Join(dir, "szx")
+	if err := os.MkdirAll(modelDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(modelDir, fmt.Sprintf("v%06d.model", number)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.OpenFile(filepath.Join(modelDir, "MANIFEST"), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if _, err := fmt.Fprintf(manifest, "%d %s %d\n", number, hex.EncodeToString(sum[:]), len(data)); err != nil {
+		t.Fatal(err)
+	}
+	if err := manifest.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReloadRefusesStoredKNNArtifact: a registry version written while the
+// knn backend existed fails to load as an unknown backend tag. A reload
+// keeps serving the previous generation and counts the failure; a boot
+// whose registry holds only that artifact never turns ready.
+func TestReloadRefusesStoredKNNArtifact(t *testing.T) {
+	loadErrors := obs.Default.Counter(obs.Label("model_load_total", "result", "error"))
+
+	dir := t.TempDir()
+	publishTestModel(t, dir, 1)
+	s := modelServer(t, dir)
+	storeRetiredKNN(t, dir, 2)
+	before := loadErrors.Value()
+	err := s.models.Reload()
+	if !errors.Is(err, safedec.ErrCorrupt) || !strings.Contains(err.Error(), `unknown backend tag "knn"`) {
+		t.Fatalf("reload of a stored knn artifact: %v, want ErrCorrupt naming the tag", err)
+	}
+	if lm := s.models.set()["szx"]; lm == nil || lm.version.Number != 1 {
+		t.Fatalf("serving %+v, want retained v1", lm)
+	}
+	if n := loadErrors.Value() - before; n != 1 {
+		t.Fatalf("model_load_total{result=\"error\"} rose by %d, want 1", n)
+	}
+
+	only := t.TempDir()
+	storeRetiredKNN(t, only, 1)
+	cfg := defaultConfig()
+	cfg.modelDir = only
+	boot := newServerWith(cfg)
+	if err := boot.models.Reload(); err == nil {
+		t.Fatal("warm load of a knn-only registry reported success")
+	}
+	ts := httptest.NewServer(boot)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("readyz with only a knn artifact = %d, want 503", resp.StatusCode)
 	}
 }
 

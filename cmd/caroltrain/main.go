@@ -1,8 +1,8 @@
 // Command caroltrain is the offline half of CAROL's model lifecycle: it
-// runs the full training pipeline — surrogate data collection, optional
-// calibration, Bayesian-optimized random-forest fitting — and publishes
-// the result as a versioned artifact in an on-disk model registry, where
-// a warm-loading carolserve picks it up (DESIGN.md §12).
+// runs the full training pipeline — surrogate data collection (calibrated
+// for the high-ratio codecs), Bayesian-optimized random-forest fitting —
+// and publishes the result as a versioned artifact in an on-disk model
+// registry, where a warm-loading carolserve picks it up (DESIGN.md §12).
 //
 //	caroltrain -codec sz3 -model-dir ./models -datasets miranda,cesm
 //	caroltrain -codec szx -model-dir ./models -datasets miranda:viscosity \
@@ -22,9 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"carol/internal/calib"
-	"carol/internal/codecs"
-	"carol/internal/compressor"
 	"carol/internal/core"
 	"carol/internal/dataset"
 	"carol/internal/field"
@@ -54,7 +51,6 @@ type options struct {
 	boIters   int
 	forestCap int
 	kfolds    int
-	calibPts  int
 	workers   int
 	seed      uint64
 	gcKeep    int
@@ -77,8 +73,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.boIters, "bo-iters", 10, "Bayesian-optimization iterations")
 	fs.IntVar(&o.forestCap, "forest-cap", 0, "cap NEstimators in the final forest (0 = none)")
 	fs.IntVar(&o.kfolds, "kfolds", 3, "cross-validation folds per BO evaluation")
-	fs.IntVar(&o.calibPts, "calib", -1,
-		"calibration points stored in the artifact: -1 auto (0 for high-throughput codecs, 4 otherwise), 0 none")
 	fs.IntVar(&o.workers, "workers", 0, "CPU parallelism for training (0 = all cores)")
 	fs.Uint64Var(&o.seed, "seed", 1, "master seed for every randomized component")
 	fs.IntVar(&o.gcKeep, "gc", 0, "after publishing, keep only the newest N versions (0 = keep all)")
@@ -137,42 +131,11 @@ func generateFields(spec, dims string) ([]*field.Field, error) {
 	return fields, nil
 }
 
-// fitCalibration fits the artifact's calibration state on a representative
-// field, mirroring core's per-codec default (high-throughput codecs skip
-// calibration; the high-ratio group uses 4 points).
-func fitCalibration(codecName string, points int, f *field.Field) (*model.CalibState, error) {
-	if points == -1 {
-		if codecs.HighThroughput(codecName) {
-			points = 0
-		} else {
-			points = 4
-		}
-	}
-	if points < 2 {
-		return nil, nil
-	}
-	codec, err := codecs.ByName(codecName)
-	if err != nil {
-		return nil, err
-	}
-	sur, err := codecs.SurrogateByName(codecName)
-	if err != nil {
-		return nil, err
-	}
-	lo := compressor.AbsBound(f, 1e-4)
-	hi := compressor.AbsBound(f, 1e-1)
-	m, err := calib.Fit(codec, sur, f, calib.PickCalibrationBounds(lo, hi, points))
-	if err != nil {
-		return nil, fmt.Errorf("calibration fit on %s: %w", f.Name, err)
-	}
-	return model.FromCalib(m), nil
-}
-
 // trainZoo runs the multi-backend sweep on the framework's collected
 // training set and returns the winner's artifact with the CV scoreboard
 // recorded in its metadata.
 func trainZoo(out io.Writer, fw *core.Framework, o options, rfCfg rf.Config,
-	calState *model.CalibState, meta map[string]string) (*model.Artifact, error) {
+	meta map[string]string) (*model.Artifact, error) {
 	if o.forestCap > 0 && rfCfg.NEstimators > o.forestCap {
 		rfCfg.NEstimators = o.forestCap
 	}
@@ -205,7 +168,7 @@ func trainZoo(out io.Writer, fw *core.Framework, o options, rfCfg rf.Config,
 	for k, v := range res.Scoreboard() {
 		meta[k] = v
 	}
-	return winner.Artifact(o.codec, calState, meta)
+	return winner.Artifact(o.codec, meta)
 }
 
 func run(args []string, out io.Writer) error {
@@ -254,10 +217,6 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "caroltrain: forest: %d trees, %d nodes, max depth %d\n",
 		stats.Trees, stats.Nodes, stats.MaxDepth)
 
-	calState, err := fitCalibration(o.codec, o.calibPts, fields[0])
-	if err != nil {
-		return err
-	}
 	meta := map[string]string{
 		"trained_at":    time.Now().UTC().Format(time.RFC3339),
 		"datasets":      o.datasets,
@@ -276,7 +235,6 @@ func run(args []string, out io.Writer) error {
 		art = &model.Artifact{
 			Codec:     o.codec,
 			Schema:    model.CanonicalSchema(),
-			Calib:     calState,
 			Regressor: forest,
 			Meta:      meta,
 		}
@@ -284,7 +242,7 @@ func run(args []string, out io.Writer) error {
 		// Zoo path: cross-validate every requested backend on the same
 		// fold split (the rf entrant reuses the BO-tuned config) and
 		// publish whichever wins on this dataset.
-		art, err = trainZoo(out, fw, o, ts.BestConfig, calState, meta)
+		art, err = trainZoo(out, fw, o, ts.BestConfig, meta)
 		if err != nil {
 			return err
 		}

@@ -119,19 +119,19 @@ func TestRunMatchesInProcessTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := features.ParallelOptions{Workers: 1}
-	for _, ratio := range []float64{2, 8, 32, 128} {
-		want, err := fw.PredictErrorBound(probe, ratio)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := art.PredictErrorBound(probe, ratio, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
+	ratios := []float64{2, 8, 32, 128}
+	want, err := fw.PredictErrorBounds(probe, ratios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := art.PredictErrorBounds(probe, ratios, features.ParallelOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ratio := range ratios {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("ratio %g: artifact predicts %x, framework predicts %x",
-				ratio, math.Float64bits(got), math.Float64bits(want))
+				ratio, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 	}
 }
@@ -195,10 +195,10 @@ func TestRunGC(t *testing.T) {
 func TestRunZooBackends(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
-	if err := run(tinyArgs(dir, "-backends", "rf,boost,knn"), &out); err != nil {
+	if err := run(tinyArgs(dir, "-backends", "rf,boost"), &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"zoo: rf cv mse", "zoo: boost cv mse", "zoo: knn cv mse", "zoo: winner"} {
+	for _, want := range []string{"zoo: rf cv mse", "zoo: boost cv mse", "zoo: winner"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
@@ -222,14 +222,14 @@ func TestRunZooBackends(t *testing.T) {
 	if winner == "" || art.BackendTag() != winner {
 		t.Fatalf("backend %q, scoreboard winner %q (meta %v)", art.BackendTag(), winner, art.Meta)
 	}
-	for _, b := range []string{"rf", "boost", "knn"} {
+	for _, b := range []string{"rf", "boost"} {
 		if _, ok := art.Meta["zoo_cv_mse_"+b]; !ok {
 			t.Fatalf("scoreboard missing %s: %v", b, art.Meta)
 		}
 	}
-	// A bad -backends list is a flag error: rejected before any training
-	// work, so nothing of the pipeline has printed yet.
-	for _, bad := range []string{"nope", "rf,nope", "rf,rf", ","} {
+	// A bad -backends list, the retired knn tag included, is a flag error:
+	// rejected before collection, so nothing of the pipeline has printed yet.
+	for _, bad := range []string{"nope", "rf,nope", "rf,rf", ",", "knn", "rf,knn"} {
 		out.Reset()
 		if err := run(tinyArgs(dir, "-backends", bad), &out); err == nil {
 			t.Fatalf("-backends %q accepted", bad)

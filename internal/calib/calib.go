@@ -69,14 +69,8 @@ func Fit(codec compressor.Codec, est compressor.Estimator, f *field.Field, ebs [
 	return m, nil
 }
 
-// Export returns the model's state — calibration bounds, signed relative
-// errors and the majority-overestimation flag — as fresh copies, for
-// persistence in a model artifact (internal/model).
-func (m *Model) Export() (ebs, rho []float64, over bool) {
-	return append([]float64(nil), m.ebs...), append([]float64(nil), m.rho...), m.over
-}
-
-// Restore rebuilds a Model from exported state, validating what Fit
+// Restore rebuilds a Model from persisted state (the calibration section
+// of a model artifact, internal/model), validating what Fit
 // guarantees by construction: at least two points, matching lengths,
 // strictly ascending positive bounds and finite correction factors. The
 // input slices are copied.

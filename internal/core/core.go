@@ -57,10 +57,9 @@ type Config struct {
 	Features features.ParallelOptions
 	// Model selects the regression model by its model.KnownBackends tag:
 	// "rf" (random forest with Bayesian-optimized hyper-parameters — the
-	// paper's design) or any other registered backend, fitted with its
-	// default hyper-parameters. The alternatives implement the paper's
-	// "different machine learning models" future-work direction.
-	// Default "rf".
+	// paper's design) or "boost" (gradient-boosted trees with default
+	// hyper-parameters, the paper's "different machine learning models"
+	// future-work direction). Collect refuses any other tag. Default "rf".
 	Model string
 	// Feedback enables the paper's second future-work direction, the
 	// on-the-fly improvement loop: every CompressToRatio outcome is fed
@@ -207,6 +206,11 @@ func (fw *Framework) calibrationPoints() int {
 // feature extraction, optional per-field calibration, then a surrogate
 // estimate per error bound.
 func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
+	// Refuse a model tag Train cannot fit before paying for extraction and
+	// calibration runs.
+	if err := model.CheckBackends([]string{fw.cfg.Model}); err != nil {
+		return CollectStats{}, fmt.Errorf("core: %w", err)
+	}
 	start := time.Now()
 	stats := CollectStats{Fields: len(fields)}
 	nCal := fw.calibrationPoints()

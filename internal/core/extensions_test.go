@@ -75,18 +75,34 @@ func TestAlternativeModels(t *testing.T) {
 	}
 }
 
+// TestUnknownModelRejected: a tag outside the model table (including the
+// retired knn backend) is refused by Collect before it extracts a feature
+// or runs the compressor for calibration, on every path that collects.
 func TestUnknownModelRejected(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Model = "svm"
-	fw, err := New("szx", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fw.Collect(trainFields(t)[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fw.Train(); err == nil {
-		t.Fatal("unknown model accepted")
+	fields := trainFields(t)[:1]
+	extractions := obs.Default.Counter("features_extract_calls_total")
+	for _, tag := range []string{"svm", "knn"} {
+		cfg := fastConfig()
+		cfg.Model = tag
+		fw, err := New("sz3", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := extractions.Value()
+		cs, err := fw.Collect(fields)
+		if err == nil {
+			t.Fatalf("%s: Collect accepted the model tag", tag)
+		}
+		if _, _, err := fw.Refine(fields); err == nil {
+			t.Fatalf("%s: Refine accepted the model tag", tag)
+		}
+		if n := extractions.Value() - before; n != 0 || cs.FullCompressorRuns != 0 || fw.TrainingSize() != 0 {
+			t.Fatalf("%s: refused collection still ran %d extractions, %d calibration runs, %d samples",
+				tag, n, cs.FullCompressorRuns, fw.TrainingSize())
+		}
+		if _, err := fw.Train(); err == nil {
+			t.Fatalf("%s: unknown model accepted", tag)
+		}
 	}
 }
 

@@ -155,7 +155,7 @@ func Registry() []Runner {
 		{"table4", "Collection time: full compressor vs SECRE", RunTable4},
 		{"table5", "Calibration effectiveness (SZ3, SPERR)", RunTable5},
 		{"fig10", "Real vs SECRE vs calibrated ratio curves (Miranda viscosity)", RunFig10},
-		{"ext1", "Extension: alternative models (rf/boost/knn)", RunExtModels},
+		{"ext1", "Extension: alternative models (rf/boost)", RunExtModels},
 		{"ext2", "Extension: CAROL vs FRaZ trial-and-error", RunExtFraz},
 		{"ext3", "Extension: SZP codec surrogate", RunExtSZP},
 		{"ext4", "Extension: feedback loop", RunExtFeedback},

@@ -138,7 +138,7 @@ func TestRunExt1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment")
 	}
-	smoke(t, "ext1", "boost", "knn")
+	smoke(t, "ext1", "rf", "boost")
 }
 
 func TestRunExt2(t *testing.T) {

@@ -21,9 +21,9 @@ import (
 // paper's own future-work directions plus the FRaZ trial-and-error
 // baseline and the cuSZp-style szp codec).
 
-// RunExtModels compares the random forest against the alternative models
-// (gradient-boosted trees, k-NN) on the single-domain protocol: training
-// time and end-to-end ratio error.
+// RunExtModels compares the random forest against the alternative model
+// (gradient-boosted trees) on the single-domain protocol: training time and
+// end-to-end ratio error.
 func RunExtModels(w io.Writer, s Scale) error {
 	p := paramsFor(s)
 	backends := model.KnownBackends()

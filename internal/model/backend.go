@@ -6,16 +6,15 @@ import (
 	"strings"
 
 	"carol/internal/boost"
-	"carol/internal/knn"
 	"carol/internal/rf"
 	"carol/internal/safedec"
 )
 
 // Regressor is the one seam between training and serving: CAROL's whole
 // inference step is features + target ratio → one regressor call → error
-// bound, and this is that call. *rf.Forest, *boost.Model and *knn.Model
-// satisfy it; everything else a backend needs (validation, stats, payload
-// layout, fitting) is its row in the backends table below.
+// bound, and this is that call. *rf.Forest and *boost.Model satisfy it;
+// everything else a backend needs (validation, stats, payload layout,
+// fitting) is its row in the backends table below.
 type Regressor interface {
 	// PredictBatch predicts every row; each result is bit-identical to a
 	// single-row prediction, for every SetWorkers value.
@@ -31,7 +30,6 @@ type Regressor interface {
 const (
 	BackendRF    = "rf"
 	BackendBoost = "boost"
-	BackendKNN   = "knn"
 )
 
 // FitConfig is the input of the table's fit column: every backend's
@@ -40,7 +38,6 @@ const (
 type FitConfig struct {
 	RF    rf.Config
 	Boost boost.Config
-	KNN   knn.Config
 	// Seed seeds a randomized backend whose own config leaves Seed zero.
 	Seed uint64
 	// Workers bounds training parallelism for whichever backend is fitted;
@@ -127,31 +124,6 @@ var backends = []backend{
 			}
 			c.Workers = cfg.Workers
 			return fitted(boost.Train(X, y, c))
-		},
-	},
-	{
-		tag: BackendKNN,
-		check: func(r Regressor) error {
-			m, ok := r.(*knn.Model)
-			if !ok {
-				return wrongType(BackendKNN, r)
-			}
-			if m.Len() > maxKNNSamples {
-				return fmt.Errorf("model: %d knn samples (max %d)", m.Len(), maxKNNSamples)
-			}
-			return nil
-		},
-		stats: func(r Regressor, s *Stats) {
-			if m, ok := r.(*knn.Model); ok {
-				s.Samples, s.K = m.Len(), m.K()
-			}
-		},
-		write: writeKNN,
-		read:  readKNN,
-		fit: func(X [][]float64, y []float64, cfg FitConfig) (Regressor, error) {
-			c := cfg.KNN
-			c.Workers = cfg.Workers
-			return fitted(knn.Train(X, y, c))
 		},
 	},
 }
@@ -282,20 +254,6 @@ func writeBoost(w *writer, r Regressor) {
 	w.uvarint(uint64(len(fl.Stages)))
 	for _, st := range fl.Stages {
 		writeForest(w, st)
-	}
-}
-
-// writeKNN appends the knn payload: k, dims, sample count, then the mean /
-// scale / standardized-X / Y float arrays.
-func writeKNN(w *writer, r Regressor) {
-	fl := r.(*knn.Model).Flatten()
-	w.u32(uint32(fl.K))
-	w.u32(uint32(fl.Dims))
-	w.uvarint(uint64(len(fl.Y)))
-	for _, arr := range [][]float64{fl.Mean, fl.Scale, fl.X, fl.Y} {
-		for _, v := range arr {
-			w.f64(v)
-		}
 	}
 }
 
@@ -469,60 +427,6 @@ func readBoost(r *safedec.Reader, lim safedec.Limits, schemaLen int) (Regressor,
 		fl.Stages[i] = st
 	}
 	m, err := boost.FromFlat(fl)
-	if err != nil {
-		return nil, corrupt("%v", err)
-	}
-	return m, nil
-}
-
-// readKNN parses the knn payload: k, dims, sample count, then the mean /
-// scale / standardized-X / Y float arrays. Semantic validation is
-// delegated to knn.FromFlat.
-func readKNN(r *safedec.Reader, lim safedec.Limits, schemaLen int) (Regressor, error) {
-	k, err := r.U32("knn k")
-	if err != nil {
-		return nil, err
-	}
-	dims, err := r.U32("knn dims")
-	if err != nil {
-		return nil, err
-	}
-	if int(dims) != schemaLen {
-		return nil, corrupt("knn dims %d != schema entries %d", dims, schemaLen)
-	}
-	n, err := r.Uvarint("knn sample count")
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 || n > maxKNNSamples {
-		return nil, corrupt("knn sample count %d outside [1, %d]", n, maxKNNSamples)
-	}
-	if err := lim.Count("knn sample", int64(n)); err != nil {
-		return nil, err
-	}
-	// Total payload: mean + scale (dims each) + X (n*dims) + Y (n), all f64.
-	floats := 2*int64(dims) + int64(n)*int64(dims) + int64(n)
-	if err := lim.Alloc("knn payload", floats*8); err != nil {
-		return nil, err
-	}
-	if int64(r.Remaining()) < floats*8 {
-		return nil, fmt.Errorf("%w: model: knn payload needs %d bytes, have %d",
-			safedec.ErrTruncated, floats*8, r.Remaining())
-	}
-	readF64s := func(count int, what string) []float64 {
-		dst := make([]float64, count)
-		for i := range dst {
-			v, _ := r.U64(what) // length pre-checked above
-			dst[i] = math.Float64frombits(v)
-		}
-		return dst
-	}
-	fl := &knn.Flat{K: int(k), Dims: int(dims)}
-	fl.Mean = readF64s(int(dims), "knn mean")
-	fl.Scale = readF64s(int(dims), "knn scale")
-	fl.X = readF64s(int(n)*int(dims), "knn x")
-	fl.Y = readF64s(int(n), "knn y")
-	m, err := knn.FromFlat(fl)
 	if err != nil {
 		return nil, corrupt("%v", err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"carol/internal/boost"
 	"carol/internal/field"
-	"carol/internal/knn"
 	"carol/internal/rf"
 	"carol/internal/safedec"
 	"carol/internal/safedec/safedectest"
@@ -29,8 +28,8 @@ func testField(t testing.TB) *field.Field {
 	return f
 }
 
-// zooTrainingData builds a small canonical-schema training set shared by
-// the boost/knn artifact helpers.
+// zooTrainingData builds a small canonical-schema training set for the
+// boost artifact helper.
 func zooTrainingData(t testing.TB, rows int, seed uint64) ([][]float64, []float64) {
 	t.Helper()
 	rng := xrand.New(seed)
@@ -63,22 +62,6 @@ func boostArtifact(t testing.TB) *Artifact {
 	}
 }
 
-func knnArtifact(t testing.TB) *Artifact {
-	t.Helper()
-	X, y := zooTrainingData(t, 150, 22)
-	m, err := knn.Train(X, y, knn.Config{K: 5})
-	if err != nil {
-		t.Fatalf("knn train: %v", err)
-	}
-	return &Artifact{
-		Codec:     "sperr",
-		Backend:   BackendKNN,
-		Schema:    CanonicalSchema(),
-		Regressor: m,
-		Meta:      map[string]string{"samples": "150"},
-	}
-}
-
 // conformanceFixtures returns one small trained artifact per backend tag.
 // TestBackendConformance fails on a table row without one, so adding a
 // backend means adding its fixture here — and nothing else in this file.
@@ -86,7 +69,6 @@ func conformanceFixtures(t testing.TB) map[string]*Artifact {
 	return map[string]*Artifact{
 		BackendRF:    testArtifact(t),
 		BackendBoost: boostArtifact(t),
-		BackendKNN:   knnArtifact(t),
 	}
 }
 
@@ -191,10 +173,11 @@ func TestBackendConformance(t *testing.T) {
 				t.Fatalf("batch predict: %v", err)
 			}
 			for i, ratio := range ratios {
-				eb, err := a.PredictErrorBound(f, ratio, featuresOpts())
+				single, err := a.PredictErrorBounds(f, []float64{ratio}, featuresOpts())
 				if err != nil {
 					t.Fatalf("single predict: %v", err)
 				}
+				eb := single[0]
 				if math.Float64bits(eb) != math.Float64bits(batch[i]) {
 					t.Fatalf("ratio %g: single %v != batch %v", ratio, eb, batch[i])
 				}
@@ -245,17 +228,19 @@ func TestBackendStats(t *testing.T) {
 	if s := boostArtifact(t).Stats(); s.Trees != 10 || s.Nodes == 0 || s.MaxDepth == 0 {
 		t.Fatalf("boost stats %+v", s)
 	}
-	if s := knnArtifact(t).Stats(); s.Samples != 150 || s.K != 5 {
-		t.Fatalf("knn stats %+v", s)
-	}
 	if s := testArtifact(t).Stats(); s.Trees != 8 || s.Nodes == 0 {
 		t.Fatalf("rf stats %+v", s)
 	}
 }
 
+// retiredBackend is a tag the table once held: artifacts carrying it must
+// be refused on both the write and the read side.
+const retiredBackend = "knn"
+
 // TestValidateBackendPairing pins what the single Regressor field still
 // lets a caller get wrong: no regressor at all, a regressor of another
-// backend's type, or a tag outside the table.
+// backend's type, or a tag outside the table (an unknown one, or the
+// retired knn tag with any regressor).
 func TestValidateBackendPairing(t *testing.T) {
 	fixtures := conformanceFixtures(t)
 	type pairing struct {
@@ -265,7 +250,7 @@ func TestValidateBackendPairing(t *testing.T) {
 	cases := []pairing{
 		{"unknown tag", &Artifact{Codec: "szx", Backend: "svm", Schema: CanonicalSchema(), Regressor: fixtures[BackendRF].Regressor}},
 	}
-	for _, tag := range KnownBackends() {
+	for _, tag := range append(KnownBackends(), retiredBackend) {
 		cases = append(cases, pairing{tag + " tag without regressor",
 			&Artifact{Codec: "szx", Backend: tag, Schema: CanonicalSchema()}})
 		for _, other := range KnownBackends() {

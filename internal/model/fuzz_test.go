@@ -2,8 +2,10 @@ package model
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,10 +18,32 @@ import (
 // coverage, not to zeroing node arrays a hostile header claimed.
 var fuzzLimits = safedec.Limits{MaxElements: 1 << 18, MaxAlloc: 1 << 24, MaxCount: 1 << 10}
 
-// modelFuzzSeeds returns one valid artifact per backend tag (rf, boost,
-// knn — all three payload layouts), a legacy version-1 stream, plus the
-// classic mutations: truncations, a mid-stream bit flip, and a bare
-// header.
+// retiredSeeds are the corpus seeds written when the table still held the
+// knn backend (a valid artifact, its truncation and its bit flip). No
+// encoder here can produce them any more, so they are replayed from the
+// checked-in files: real stored bytes of the retired tag.
+var retiredSeeds = []int{7, 9, 11}
+
+// checkedInSeed reads seed i of the FuzzModelRead corpus: a version line,
+// then one `[]byte("...")` line.
+func checkedInSeed(t testing.TB, i int) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(fmt.Sprintf("testdata/fuzz/FuzzModelRead/seed-%02d", i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := strings.Split(string(raw), "\n")[1]
+	quoted := strings.TrimSuffix(strings.TrimPrefix(line, "[]byte("), ")")
+	text, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatalf("seed %d: %v", i, err)
+	}
+	return []byte(text)
+}
+
+// modelFuzzSeeds returns one valid artifact per backend tag (rf, boost),
+// a legacy version-1 stream, the retired knn seeds, plus the classic
+// mutations: truncations, a mid-stream bit flip, and a bare header.
 func modelFuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	valid := mustEncode(t, testArtifact(t))
@@ -29,11 +53,8 @@ func modelFuzzSeeds(t testing.TB) [][]byte {
 	minimal.Calib = nil
 	minimal.Meta = nil
 	boostValid := mustEncode(t, boostArtifact(t))
-	knnValid := mustEncode(t, knnArtifact(t))
 	boostFlip := append([]byte(nil), boostValid...)
 	boostFlip[len(boostFlip)/2] ^= 0xFF
-	knnFlip := append([]byte(nil), knnValid...)
-	knnFlip[len(knnFlip)/2] ^= 0xFF
 	return [][]byte{
 		valid,
 		mustEncode(t, minimal),
@@ -42,11 +63,11 @@ func modelFuzzSeeds(t testing.TB) [][]byte {
 		flip,
 		[]byte(Magic),
 		boostValid,
-		knnValid,
+		checkedInSeed(t, 7),
 		boostValid[:len(boostValid)/2],
-		knnValid[:len(knnValid)/2],
+		checkedInSeed(t, 9),
 		boostFlip,
-		knnFlip,
+		checkedInSeed(t, 11),
 		encodeV1(t, testArtifact(t)),
 	}
 }
@@ -92,29 +113,25 @@ func TestFuzzCorpusCheckedIn(t *testing.T) {
 // pin: it was written by an earlier encoder, so today's encoder must
 // reproduce every seed byte for byte from the same fixtures, and every
 // seed that is a valid stream must decode and (for the current format
-// version) re-encode to exactly its own bytes.
+// version) re-encode to exactly its own bytes. The retired knn seeds must
+// be refused as corrupt, naming their tag.
 func TestFuzzCorpusPinsFormat(t *testing.T) {
 	if fuzzseed.Regenerate() {
 		t.Skip("corpus is being regenerated")
 	}
 	decoded := 0
 	for i, want := range modelFuzzSeeds(t) {
-		raw, err := os.ReadFile(fmt.Sprintf("testdata/fuzz/FuzzModelRead/seed-%02d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Corpus file: version line, then one `[]byte("...")` line.
-		line := strings.Split(string(raw), "\n")[1]
-		quoted := strings.TrimSuffix(strings.TrimPrefix(line, "[]byte("), ")")
-		text, err := strconv.Unquote(quoted)
-		if err != nil {
-			t.Fatalf("seed %d: %v", i, err)
-		}
-		seed := []byte(text)
+		seed := checkedInSeed(t, i)
 		if !bytes.Equal(seed, want) {
 			t.Fatalf("seed %d: today's encoder no longer reproduces the checked-in bytes", i)
 		}
 		a, err := Read(seed)
+		if slices.Contains(retiredSeeds, i) {
+			if !errors.Is(err, safedec.ErrCorrupt) || !strings.Contains(err.Error(), `unknown backend tag "knn"`) {
+				t.Fatalf("seed %d: retired knn artifact: error %v, want ErrCorrupt naming the tag", i, err)
+			}
+			continue
+		}
 		if err != nil {
 			continue
 		}
@@ -123,8 +140,8 @@ func TestFuzzCorpusPinsFormat(t *testing.T) {
 			t.Fatalf("seed %d: re-encode differs from the checked-in bytes", i)
 		}
 	}
-	// Valid seeds: rf, rf-minimal, boost, knn, and the v1 stream.
-	if decoded != 5 {
-		t.Fatalf("%d corpus seeds decode, want 5", decoded)
+	// Valid seeds: rf, rf-minimal, boost, and the v1 stream.
+	if decoded != 4 {
+		t.Fatalf("%d corpus seeds decode, want 4", decoded)
 	}
 }

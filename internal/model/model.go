@@ -2,7 +2,7 @@
 // versioned, self-describing binary serialization of everything a serving
 // process needs to answer ratio→error-bound queries without retraining —
 // the codec the model was trained for, the regressor backend tag, the
-// feature schema, optional surrogate-calibration state, the flattened
+// feature schema, an optional surrogate-calibration section, the flattened
 // regressor itself, and free-form training metadata, all integrity-checked
 // with a trailing CRC.
 //
@@ -13,7 +13,7 @@
 // §12, §17).
 //
 // Format version 2 generalizes the artifact beyond random forests: a
-// backend tag (rf | boost | knn) follows the codec name and selects the
+// backend tag (rf | boost) follows the codec name and selects the
 // regressor payload layout. Version-1 streams (RF-only, no tag) remain
 // readable; Encode always writes version 2.
 //
@@ -38,9 +38,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
-	"os"
 	"sort"
 
 	"carol/internal/calib"
@@ -54,8 +52,8 @@ import (
 const Magic = "CAROLMF1"
 
 // FormatVersion is the current artifact format version. Version 2 added
-// the backend tag and the boost/knn payload layouts; version 1 (RF-only)
-// is still read.
+// the backend tag and the boost payload layout; version 1 (RF-only) is
+// still read.
 const FormatVersion = 2
 
 // Format hard caps, independent of caller Limits: violating these is
@@ -67,7 +65,6 @@ const (
 	maxMetaPairs   = 1 << 10 // metadata key/value pairs
 	maxTotalNodes  = 1<<31 - 1
 	maxBoostStages = 1 << 12 // boosting rounds
-	maxKNNSamples  = 1 << 22 // stored k-NN training rows
 )
 
 // nodeEncSize is the fixed per-node payload: i32 feature + u32 left +
@@ -81,12 +78,6 @@ type CalibState struct {
 	Over bool      // surrogate overestimated at the majority of points
 }
 
-// FromCalib exports a fitted calibration model into its artifact form.
-func FromCalib(m *calib.Model) *CalibState {
-	ebs, rho, over := m.Export()
-	return &CalibState{EBs: ebs, Rho: rho, Over: over}
-}
-
 // Model rebuilds the calib.Model (validating the state).
 func (c *CalibState) Model() (*calib.Model, error) {
 	return calib.Restore(c.EBs, c.Rho, c.Over)
@@ -96,14 +87,15 @@ func (c *CalibState) Model() (*calib.Model, error) {
 type Artifact struct {
 	// Codec names the compressor the model was trained for ("szx", ...).
 	Codec string
-	// Backend tags the regressor family ("rf" | "boost" | "knn"). Empty is
+	// Backend tags the regressor family ("rf" | "boost"). Empty is
 	// normalized to "rf" so pre-zoo construction sites keep working.
 	Backend string
 	// Schema names the model inputs in order; serving refuses artifacts
 	// whose schema does not match CanonicalSchema().
 	Schema []string
-	// Calib optionally carries the surrogate-calibration state fitted
-	// during data collection (high-ratio codecs); nil when uncalibrated.
+	// Calib is the optional surrogate-calibration section. It is read,
+	// validated and re-encoded so stored artifacts that carry one still
+	// round-trip, but no trainer fills it and no server reads it.
 	Calib *CalibState
 	// Regressor is the trained model; its concrete type must be the one
 	// the Backend tag's table row expects.
@@ -152,16 +144,13 @@ func (a *Artifact) Dims() int {
 	return a.Regressor.Dims()
 }
 
-// Stats summarizes the regressor's shape for dashboards and /v1/models.
-// Trees/Nodes/MaxDepth describe tree backends (for boost, Trees is the
-// stage count); Samples/K describe the k-NN training set.
+// Stats summarizes the regressor's shape for dashboards and /v1/models
+// (for boost, Trees is the stage count).
 type Stats struct {
 	Backend  string
 	Trees    int
 	Nodes    int
 	MaxDepth int
-	Samples  int
-	K        int
 }
 
 // Stats computes the backend-appropriate shape summary.
@@ -280,28 +269,9 @@ func (a *Artifact) Encode() ([]byte, error) {
 	return w.buf, nil
 }
 
-// Write encodes the artifact and writes it to w.
-func (a *Artifact) Write(w io.Writer) error {
-	buf, err := a.Encode()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // Read parses an artifact with the permissive default limits.
 func Read(data []byte) (*Artifact, error) {
 	return ReadLimited(data, safedec.Limits{})
-}
-
-// ReadFile reads and parses one artifact file under the given limits.
-func ReadFile(path string, lim safedec.Limits) (*Artifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ReadLimited(data, lim)
 }
 
 // corrupt wraps a structural-validity failure.

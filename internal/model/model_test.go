@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"os"
 	"strings"
 	"testing"
 
@@ -17,8 +16,6 @@ import (
 )
 
 func featuresOpts() features.ParallelOptions { return features.ParallelOptions{} }
-
-func writeFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }
 
 // testArtifact trains a small forest over the canonical serving schema and
 // wraps it with calibration state and metadata, exercising every section
@@ -146,7 +143,7 @@ func TestRoundTripMinimal(t *testing.T) {
 func TestPredictHelpersReject(t *testing.T) {
 	a := testArtifact(t)
 	f := testField(t)
-	if _, err := a.PredictErrorBound(f, -1, featuresOpts()); err == nil {
+	if _, err := a.PredictErrorBounds(f, []float64{10, -1}, featuresOpts()); err == nil {
 		t.Fatal("negative ratio accepted")
 	}
 	if _, err := a.PredictErrorBounds(f, nil, featuresOpts()); err == nil {
@@ -155,7 +152,7 @@ func TestPredictHelpersReject(t *testing.T) {
 	// A foreign schema must be refused before any prediction happens.
 	b := testArtifact(t)
 	b.Schema = append([]string{"alien"}, b.Schema[1:]...)
-	if _, err := b.PredictErrorBound(f, 10, featuresOpts()); err == nil {
+	if _, err := b.PredictErrorBounds(f, []float64{10}, featuresOpts()); err == nil {
 		t.Fatal("foreign schema served")
 	}
 }
@@ -247,26 +244,4 @@ func TestSectionCountLimits(t *testing.T) {
 		_, err := ReadLimited(calib, safedec.Limits{MaxCount: 8})
 		return err
 	})
-}
-
-func TestWriteReadFile(t *testing.T) {
-	a := testArtifact(t)
-	var buf bytes.Buffer
-	if err := a.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/m.model"
-	if err := writeFile(path, buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadFile(path, safedec.Limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Codec != a.Codec {
-		t.Fatalf("codec %q", b.Codec)
-	}
-	if _, err := ReadFile(path+".missing", safedec.Limits{}); err == nil {
-		t.Fatal("missing file read")
-	}
 }

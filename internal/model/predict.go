@@ -47,20 +47,11 @@ func PredictErrorBounds(r Regressor, feat features.Vector, targetRatios []float6
 	return out, nil
 }
 
-// PredictErrorBound predicts the value-range-relative error bound that
-// should achieve targetRatio on f — the one-shot answer that replaces a
-// per-request FRaZ-style iterative search. Feature extraction uses the
-// same parallel extractor the training pipeline used.
-func (a *Artifact) PredictErrorBound(f *field.Field, targetRatio float64, opts features.ParallelOptions) (float64, error) {
-	out, err := a.PredictErrorBounds(f, []float64{targetRatio}, opts)
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
-// PredictErrorBounds is the batch form: one feature extraction, one
-// regressor batch pass over every target ratio.
+// PredictErrorBounds predicts the value-range-relative error bound that
+// should achieve each target ratio on f — the one-shot answer that replaces
+// a per-request FRaZ-style iterative search: one feature extraction (the
+// same parallel extractor the training pipeline used), one regressor batch
+// pass over every target ratio.
 func (a *Artifact) PredictErrorBounds(f *field.Field, targetRatios []float64, opts features.ParallelOptions) ([]float64, error) {
 	if err := a.ServingCheck(); err != nil {
 		return nil, err

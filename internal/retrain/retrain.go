@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -270,20 +271,15 @@ func RunOnce(cfg Config) (*Report, error) {
 		}
 	}
 
-	// The candidate inherits the live model's calibration: calibration
-	// maps surrogate ratios to this codec's real ratios and is
-	// independent of which regressor predicts error bounds.
-	var calibState *model.CalibState
-	if live != nil {
-		calibState = live.Calib
-	}
-	meta := rep.Scoreboard
+	// The artifact's metadata is the scoreboard plus provenance; the
+	// report's scoreboard stays the zoo's alone.
+	meta := maps.Clone(rep.Scoreboard)
 	meta["retrained_at"] = cfg.Now().UTC().Format(time.RFC3339)
 	meta["harvested"] = strconv.Itoa(rep.Harvested)
 	meta["train_rows"] = strconv.Itoa(rep.TrainRows)
 	meta["holdout_rows"] = strconv.Itoa(rep.HoldoutRows)
 	meta["source"] = "retrain"
-	cand, err := best.Artifact(cfg.Codec, calibState, meta)
+	cand, err := best.Artifact(cfg.Codec, meta)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,7 +102,6 @@ func testConfig(harvestDir, regDir string) Config {
 	zcfg.RF.MinSamplesLeaf = 2
 	zcfg.RF.Seed = 2
 	zcfg.Boost.Rounds = 20
-	zcfg.KNN.K = 5
 	return Config{
 		Codec:       "szx",
 		RegistryDir: regDir,
@@ -158,6 +158,13 @@ func TestBootstrapPublish(t *testing.T) {
 	}
 	if rep.CandidateBackend == "" {
 		t.Fatal("no candidate backend recorded")
+	}
+	// The report's scoreboard is the zoo's alone: the provenance added to
+	// the artifact's metadata must not leak into it.
+	for k := range rep.Scoreboard {
+		if !strings.HasPrefix(k, "zoo_") {
+			t.Fatalf("scoreboard carries non-zoo key %q: %v", k, rep.Scoreboard)
+		}
 	}
 	// The published artifact carries the retrain provenance metadata.
 	reg, err := registry.Open(regDir)
@@ -321,7 +328,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("zero interval accepted")
 	}
 	// A bad backend list is a config error, caught before any journal is read.
-	for _, bad := range [][]string{{"svm"}, {"rf", "rf"}} {
+	for _, bad := range [][]string{{"svm"}, {"knn"}, {"rf", "rf"}} {
 		cfg := Config{Codec: "szx", RegistryDir: "r", HarvestDir: "h"}
 		cfg.Zoo.Backends = bad
 		if _, err := NewController(cfg, time.Hour); err == nil {

@@ -47,7 +47,7 @@ func BenchmarkZooPredict(b *testing.B) {
 		if c.Err != nil {
 			b.Fatalf("backend %s failed: %v", c.Backend, c.Err)
 		}
-		a, err := c.Artifact("szx", nil, nil)
+		a, err := c.Artifact("szx", nil)
 		if err != nil {
 			b.Fatal(err)
 		}

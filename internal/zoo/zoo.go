@@ -1,5 +1,5 @@
 // Package zoo trains and compares every registered surrogate-model
-// backend (random forest, gradient boosting, k-NN) on one training set,
+// backend (random forest, gradient boosting) on one training set,
 // scoring each with the same deterministic k-fold split so the comparison
 // is fair, and picking the winner by cross-validated MSE with a
 // deterministic tie-break (backend priority order). The black-box
@@ -16,7 +16,6 @@ import (
 	"strconv"
 
 	"carol/internal/boost"
-	"carol/internal/knn"
 	"carol/internal/model"
 	"carol/internal/rf"
 	"carol/internal/xrand"
@@ -32,8 +31,6 @@ type Config struct {
 	RF rf.Config
 	// Boost configures the gradient-boosting backend (zero = defaults).
 	Boost boost.Config
-	// KNN configures the k-NN backend (zero = defaults).
-	KNN knn.Config
 	// KFolds is the cross-validation fold count. Default 5.
 	KFolds int
 	// Seed drives the fold assignment (shared by every backend).
@@ -72,7 +69,7 @@ type Candidate struct {
 
 // Artifact wraps the candidate's model into a publishable artifact with
 // the canonical schema.
-func (c *Candidate) Artifact(codec string, calib *model.CalibState, meta map[string]string) (*model.Artifact, error) {
+func (c *Candidate) Artifact(codec string, meta map[string]string) (*model.Artifact, error) {
 	if c.Err != nil {
 		return nil, fmt.Errorf("zoo: backend %s failed: %w", c.Backend, c.Err)
 	}
@@ -80,7 +77,6 @@ func (c *Candidate) Artifact(codec string, calib *model.CalibState, meta map[str
 		Codec:     codec,
 		Backend:   c.Backend,
 		Schema:    model.CanonicalSchema(),
-		Calib:     calib,
 		Regressor: c.Model,
 		Meta:      meta,
 	}
@@ -150,7 +146,7 @@ func Train(X [][]float64, y []float64, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	k := cfg.KFolds
-	fc := model.FitConfig{RF: cfg.RF, Boost: cfg.Boost, KNN: cfg.KNN, Workers: cfg.Workers}
+	fc := model.FitConfig{RF: cfg.RF, Boost: cfg.Boost, Workers: cfg.Workers}
 	perm := xrand.New(cfg.Seed).Perm(len(X))
 	foldOf := make([]int, len(X))
 	for i, p := range perm {

@@ -35,7 +35,6 @@ func smallConfig(workers int) Config {
 	cfg.RF.MinSamplesLeaf = 2
 	cfg.RF.Seed = 3
 	cfg.Boost.Rounds = 15
-	cfg.KNN.K = 5
 	return cfg
 }
 
@@ -45,7 +44,7 @@ func TestTrainAllBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Candidates) != 3 {
+	if len(res.Candidates) != len(model.KnownBackends()) {
 		t.Fatalf("%d candidates", len(res.Candidates))
 	}
 	for _, c := range res.Candidates {
@@ -108,16 +107,15 @@ func TestTieBreakPriority(t *testing.T) {
 	r := &Result{Candidates: []Candidate{
 		{Backend: "rf", CVMSE: 0.5},
 		{Backend: "boost", CVMSE: 0.5},
-		{Backend: "knn", CVMSE: 0.5},
 	}}
 	if r.Best().Backend != "rf" {
 		t.Fatalf("tie resolved to %s", r.Best().Backend)
 	}
-	r.Candidates[2].CVMSE = 0.25
-	if r.Best().Backend != "knn" {
+	r.Candidates[1].CVMSE = 0.25
+	if r.Best().Backend != "boost" {
 		t.Fatalf("strict winner %s", r.Best().Backend)
 	}
-	r.Candidates[2].Err = errors.New("boom")
+	r.Candidates[1].Err = errors.New("boom")
 	if r.Best().Backend != "rf" {
 		t.Fatalf("failed candidate won: %s", r.Best().Backend)
 	}
@@ -135,7 +133,7 @@ func TestCandidateArtifact(t *testing.T) {
 	}
 	for i := range res.Candidates {
 		c := &res.Candidates[i]
-		a, err := c.Artifact("szx", nil, res.Scoreboard())
+		a, err := c.Artifact("szx", res.Scoreboard())
 		if err != nil {
 			t.Fatalf("%s artifact: %v", c.Backend, err)
 		}
@@ -155,7 +153,7 @@ func TestCandidateArtifact(t *testing.T) {
 		}
 	}
 	failed := &Candidate{Backend: "rf", Err: errors.New("nope")}
-	if _, err := failed.Artifact("szx", nil, nil); err == nil {
+	if _, err := failed.Artifact("szx", nil); err == nil {
 		t.Fatal("failed candidate produced artifact")
 	}
 }
@@ -168,8 +166,10 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train(X[:4], y[:4], Config{KFolds: 3}); err == nil {
 		t.Fatal("too-few samples accepted")
 	}
-	if _, err := Train(X, y, Config{KFolds: 2, Backends: []string{"svm"}}); err == nil {
-		t.Fatal("unknown backend accepted")
+	for _, tag := range []string{"svm", "knn"} {
+		if _, err := Train(X, y, Config{KFolds: 2, Backends: []string{tag}}); err == nil {
+			t.Fatalf("unknown backend %q accepted", tag)
+		}
 	}
 	if _, err := Train(X, y, Config{KFolds: 2, Backends: []string{"rf", "rf"}}); err == nil {
 		t.Fatal("duplicate backend accepted")
@@ -181,12 +181,12 @@ func TestTrainValidation(t *testing.T) {
 func TestSubsetBackends(t *testing.T) {
 	X, y := synthData(100, 5)
 	cfg := smallConfig(0)
-	cfg.Backends = []string{"knn", "boost"}
+	cfg.Backends = []string{"boost"}
 	res, err := Train(X, y, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Candidates) != 2 || res.Candidates[0].Backend != "knn" || res.Candidates[1].Backend != "boost" {
+	if len(res.Candidates) != 1 || res.Candidates[0].Backend != "boost" {
 		t.Fatalf("candidates %+v", res.Candidates)
 	}
 	if _, ok := res.Scoreboard()["zoo_cv_mse_rf"]; ok {

@@ -12,8 +12,9 @@
 #      candidate, which ties — and a tie is not a win, so nothing is
 #      published and the registry provably stays at the retrained version.
 #
-# Around that loop it checks caroltrain's -backends flag on the real
-# binaries: a bad list is refused before any training work, and a
+# Around that loop it checks the -backends flag on the real binaries: a
+# bad list or the retired knn tag is refused by caroltrain before any
+# training work and by carolretrain before it reads the journal, and a
 # non-forest (boost) publish is listed and answered by the live server.
 #
 # Everything is seeded and the traffic is fixed, so both verdicts are
@@ -34,17 +35,19 @@ trap cleanup EXIT INT TERM
 echo "== build"
 go build -o "$bindir" ./cmd/carolserve ./cmd/caroltrain ./cmd/carolretrain ./cmd/carolgen
 
-echo "== caroltrain: a bad -backends list is refused before any training work"
-if "$bindir/caroltrain" -codec szx -model-dir "$workdir/models" -dims 16x16x8 \
-    -backends rf,bogus >"$workdir/badflag.txt" 2>&1; then
-    echo "smoke_train: caroltrain accepted -backends rf,bogus" >&2
-    exit 1
-fi
-if grep -q "collected" "$workdir/badflag.txt"; then
-    echo "smoke_train: -backends rf,bogus was rejected only after data collection:" >&2
-    cat "$workdir/badflag.txt" >&2
-    exit 1
-fi
+echo "== caroltrain: a bad or retired -backends list is refused before any training work"
+for bad in rf,bogus knn; do
+    if "$bindir/caroltrain" -codec szx -model-dir "$workdir/models" -dims 16x16x8 \
+        -backends "$bad" >"$workdir/badflag.txt" 2>&1; then
+        echo "smoke_train: caroltrain accepted -backends $bad" >&2
+        exit 1
+    fi
+    if grep -q "collected" "$workdir/badflag.txt"; then
+        echo "smoke_train: -backends $bad was rejected only after data collection:" >&2
+        cat "$workdir/badflag.txt" >&2
+        exit 1
+    fi
+done
 
 echo "== generate traffic fields"
 dims=32x32x8
@@ -85,6 +88,19 @@ done
     dump_log carolserve
     exit 1
 }
+
+echo "== carolretrain: the retired -backends knn is refused before the journal is read"
+if "$bindir/carolretrain" -codec szx -model-dir "$workdir/models" \
+    -harvest-dir "$workdir/harvest" -min-samples 20 -backends knn \
+    >"$workdir/retrain-knn.txt" 2>&1; then
+    echo "smoke_train: carolretrain accepted -backends knn" >&2
+    exit 1
+fi
+if grep -q "harvested=" "$workdir/retrain-knn.txt"; then
+    echo "smoke_train: -backends knn was rejected only after reading the journal:" >&2
+    cat "$workdir/retrain-knn.txt" >&2
+    exit 1
+fi
 
 echo "== carolretrain cycle 1: traffic-trained candidate must win and publish v2"
 "$bindir/carolretrain" -codec szx -model-dir "$workdir/models" \
