@@ -118,10 +118,15 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 		if err != nil {
 			return nil, err
 		}
-		if resp.status != http.StatusOK {
-			return nil, fmt.Errorf("slab %d: shard status %d: %s", i, resp.status, truncate(resp.body))
+		switch resp.status {
+		case http.StatusOK:
+			return resp.body, nil
+		case http.StatusBadRequest:
+			// The query was checked at the door, so the slab's own samples
+			// were refused (NaN, ±Inf): the client's data, relayed as theirs.
+			return nil, fmt.Errorf("%w: slab %d: %s", errBadRequest, i, truncate(resp.body))
 		}
-		return resp.body, nil
+		return nil, fmt.Errorf("slab %d: shard status %d: %s", i, resp.status, truncate(resp.body))
 	})
 	span.End()
 	if err != nil {

@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -25,11 +27,13 @@ import (
 // codecShard is a carolserve stand-in that really compresses: the two
 // endpoints a fan-out talks to, built from the same httpkit request path
 // carolserve uses, so a slab posted as a slice of the client's body is
-// parsed, bounded and coded exactly as a shard would.
-func codecShard(t testing.TB) *httptest.Server {
+// parsed, bounded, coded and refused exactly as a shard would. compresses
+// counts the /v1/compress requests it receives.
+func codecShard(t testing.TB, compresses *atomic.Int64) *httptest.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
 	mux.HandleFunc("/v1/compress", func(w http.ResponseWriter, r *http.Request) {
+		compresses.Add(1)
 		req, err := httpkit.ParseCompress(r.URL.Query())
 		if err != nil {
 			httpkit.RequestError(w, err)
@@ -52,7 +56,7 @@ func codecShard(t testing.TB) *httptest.Server {
 		}
 		stream, err := codec.Compress(f, eb)
 		if err != nil {
-			httpkit.Error(w, http.StatusInternalServerError, "%v", err)
+			httpkit.CodecError(w, err)
 			return
 		}
 		if _, err := w.Write(stream); err != nil {
@@ -138,7 +142,7 @@ func fanoutDifferentialLeg(t *testing.T, nShards int) {
 	}
 	urls := make([]string, nShards)
 	for i := range urls {
-		urls[i] = codecShard(t).URL
+		urls[i] = codecShard(t, new(atomic.Int64)).URL
 	}
 	g := newGateOver(t, urls, func(cfg *gateConfig) { cfg.chunkThresholdKiB = 1 })
 	for _, s := range shapes {
@@ -222,6 +226,45 @@ func fanoutDifferentialLeg(t *testing.T, nShards int) {
 	}
 	if w = doGate(t, g, http.MethodGet, acc.ResultURL, nil); !bytes.Equal(w.Body.Bytes(), want) {
 		t.Errorf("%d shards: job result (%d bytes) differs from chunked.Compress (%d bytes)", nShards, w.Body.Len(), len(want))
+	}
+}
+
+// TestGateRelaysNonFiniteFieldAs400: a field with a NaN or ±Inf sample is
+// the client's 400 through the gate, routed whole or fanned out. Each shard
+// request is made once: a shard's 400 is a verdict no replica would change,
+// so none is retried (a 500 was, on every replica, and came back a 503).
+func TestGateRelaysNonFiniteFieldAs400(t *testing.T) {
+	const n = 16 * 16 * 16
+	for _, leg := range []struct {
+		name         string
+		thresholdKiB int
+		maxHits      int64 // one request, or one per slab
+	}{{"whole", 1024, 1}, {"fanout", 1, 3}} {
+		var hits [3]atomic.Int64
+		urls := make([]string, len(hits))
+		for i := range urls {
+			urls[i] = codecShard(t, &hits[i]).URL
+		}
+		g := newGateOver(t, urls, func(cfg *gateConfig) { cfg.chunkThresholdKiB = leg.thresholdKiB })
+		for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+			for _, q := range []string{"codec=szx&abs=0.1", "codec=zfp&rel=1e-3"} {
+				raw := rawField(n)
+				binary.LittleEndian.PutUint32(raw[4*(n-7):], math.Float32bits(bad))
+				for i := range hits {
+					hits[i].Store(0)
+				}
+				retried := g.retried.Value()
+				w := doGate(t, g, http.MethodPost, "/v1/compress?"+q+"&dims=16x16x16", raw)
+				var total int64
+				for i := range hits {
+					total += hits[i].Load()
+				}
+				if w.Code != http.StatusBadRequest || total > leg.maxHits || g.retried.Value() != retried {
+					t.Errorf("%s %s with %g: status %d (%.80s) after %d shard requests, %d retries; want 400 after at most %d, no retry",
+						leg.name, q, bad, w.Code, w.Body.String(), total, g.retried.Value()-retried, leg.maxHits)
+				}
+			}
+		}
 	}
 }
 

@@ -230,7 +230,7 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		}
 		span.End()
 		if err != nil {
-			httpkit.Error(w, http.StatusInternalServerError, "%v", err)
+			httpkit.CodecError(w, err)
 			return
 		}
 		stream = res.Stream
@@ -246,7 +246,7 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		stream, err = codec.Compress(f, eb)
 		span.End()
 		if err != nil {
-			httpkit.Error(w, http.StatusInternalServerError, "%v", err)
+			httpkit.CodecError(w, err)
 			return
 		}
 		actual := compressor.Ratio(f, stream)
@@ -300,7 +300,7 @@ func compressStreaming(w http.ResponseWriter, tr *obs.Trace, p *pipeline.Codec, 
 	span.End()
 	if err != nil {
 		if cw.n == 0 {
-			httpkit.Error(w, http.StatusInternalServerError, "%v", err)
+			httpkit.CodecError(w, err)
 			return
 		}
 		// Mid-body failure: the status line is gone; the truncated body is
@@ -392,7 +392,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	ratio, err := sur.EstimateRatio(f, compressor.AbsBound(f, rel))
 	span.End()
 	if err != nil {
-		httpkit.Error(w, http.StatusInternalServerError, "%v", err)
+		httpkit.CodecError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

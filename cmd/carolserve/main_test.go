@@ -313,25 +313,34 @@ func TestCompressQueryTable(t *testing.T) {
 	}
 }
 
-// TestNonFiniteFieldIs400: finite parameters over a field with infinite
-// samples resolve to an unusable bound — the client's data, so 400.
+// TestNonFiniteFieldIs400: finite parameters over a field with a NaN or
+// infinite sample — every bound source, every ratio= codec, the streamed
+// container, mode=auto and the estimate — are the client's 400, not a 500
+// the gate would retry on every replica.
 func TestNonFiniteFieldIs400(t *testing.T) {
 	srv := httptest.NewServer(newServer())
 	defer srv.Close()
-	f := field.New("inf", 8, 1, 1)
-	f.Data[3] = float32(math.Inf(1))
-	var body bytes.Buffer
-	if err := f.WriteRaw(&body); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{"codec=szx&rel=1e-3&dims=8", "mode=auto&rel=1e-3&dims=8", "codec=szx&rel=1e300&dims=8"} {
-		resp, err := http.Post(srv.URL+"/v1/compress?"+q, "application/octet-stream", bytes.NewReader(body.Bytes()))
-		if err != nil {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		f := field.New("bad", 8, 1, 1)
+		f.Data[1], f.Data[3] = 2, float32(bad)
+		var body bytes.Buffer
+		if err := f.WriteRaw(&body); err != nil {
 			t.Fatal(err)
 		}
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", q, resp.StatusCode)
+		for _, q := range []string{
+			"compress?codec=szx&rel=1e-3", "compress?codec=szx&rel=1e300", "compress?codec=sz3&abs=0.1",
+			"compress?codec=szx&ratio=4", "compress?codec=zfp&ratio=4", "compress?codec=sz3&ratio=4",
+			"compress?codec=szx&rel=1e-3&stream=1", "compress?mode=auto&rel=1e-3", "estimate?codec=szx&rel=1e-3",
+		} {
+			resp, err := http.Post(srv.URL+"/v1/"+q+"&dims=8", "application/octet-stream", bytes.NewReader(body.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%g sample, %s: status %d (%.80s), want 400", bad, q, resp.StatusCode, msg)
+			}
 		}
 	}
 }

@@ -259,6 +259,10 @@ const (
 	MagicSPERR byte = 0xA4
 )
 
+// ErrNonFinite is wrapped by every refusal of a field holding a NaN or ±Inf
+// sample: the caller's data, which no codec and no retry can serve.
+var ErrNonFinite = errors.New("compressor: field contains non-finite samples")
+
 // ValidateArgs performs the shared argument checks for Compress.
 func ValidateArgs(f *field.Field, eb float64) error {
 	if f == nil || f.Len() == 0 {
@@ -271,7 +275,7 @@ func ValidateArgs(f *field.Field, eb float64) error {
 	// ones: one integer test per sample, no conversion.
 	for _, v := range f.Data {
 		if math.Float32bits(v)&0x7f800000 == 0x7f800000 {
-			return errors.New("compressor: field contains non-finite samples")
+			return ErrNonFinite
 		}
 	}
 	return nil

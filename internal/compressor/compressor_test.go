@@ -1,6 +1,7 @@
 package compressor
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -180,8 +181,8 @@ func TestValidateArgsFiniteScan(t *testing.T) {
 		for _, at := range []int{0, len(data) / 2, len(data) - 1} {
 			d := append([]float32(nil), data...)
 			d[at] = math.Float32frombits(b)
-			if err := ValidateArgs(field.FromData("bad", len(d), 1, 1, d), 0.1); err == nil {
-				t.Errorf("sample %#08x at index %d accepted", b, at)
+			if err := ValidateArgs(field.FromData("bad", len(d), 1, 1, d), 0.1); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("sample %#08x at index %d: %v, want ErrNonFinite", b, at, err)
 			}
 		}
 	}

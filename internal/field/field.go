@@ -79,31 +79,87 @@ func (f *Field) Clone() *Field {
 	return &Field{Name: f.Name, Nx: f.Nx, Ny: f.Ny, Nz: f.Nz, Data: data}
 }
 
-// MinMax returns the smallest and largest finite samples. NaNs are skipped;
-// a field of only NaNs reports (0, 0).
+// MinMax returns the smallest and largest samples, ±Inf included. NaNs are
+// skipped; a field of only NaNs reports (0, 0).
 func (f *Field) MinMax() (lo, hi float64) {
 	lo, hi = minMax(math.Inf(1), math.Inf(-1), f.Data)
-	if lo > hi { // no finite samples
+	if lo > hi { // no non-NaN samples
 		return 0, 0
 	}
 	return lo, hi
 }
 
-// minMax widens [lo, hi] to cover data, skipping NaNs.
+// minMax widens [lo, hi] to cover data, skipping NaNs, and returns bit for
+// bit what comparing every sample in order against lo and hi would (the
+// serial loop in ref_test.go). Four float32 lanes compare independently; a
+// NaN fails every comparison, so it is skipped as there. Lanes lose which of
+// two equal samples came first, and the only equal floats with different
+// bits are ±0: a zero extreme taken from data is the first zero in data.
 func minMax(lo, hi float64, data []float32) (float64, float64) {
-	for _, v := range data {
-		fv := float64(v)
-		if math.IsNaN(fv) {
-			continue
+	inf := float32(math.Inf(1))
+	l0, l1, l2, l3 := inf, inf, inf, inf
+	h0, h1, h2, h3 := -inf, -inf, -inf, -inf
+	rest := data
+	for len(rest) >= 4 {
+		a, b, c, d := rest[0], rest[1], rest[2], rest[3]
+		rest = rest[4:]
+		if a < l0 {
+			l0 = a
 		}
-		if fv < lo {
-			lo = fv
+		if a > h0 {
+			h0 = a
 		}
-		if fv > hi {
-			hi = fv
+		if b < l1 {
+			l1 = b
+		}
+		if b > h1 {
+			h1 = b
+		}
+		if c < l2 {
+			l2 = c
+		}
+		if c > h2 {
+			h2 = c
+		}
+		if d < l3 {
+			l3 = d
+		}
+		if d > h3 {
+			h3 = d
+		}
+	}
+	for _, v := range rest {
+		if v < l0 {
+			l0 = v
+		}
+		if v > h0 {
+			h0 = v
+		}
+	}
+	if l := float64(min(l0, l1, l2, l3)); l < lo {
+		lo = l
+		if lo == 0 { //carol:allow floateq ±0 compare equal; the first zero's sign is the serial answer
+			lo = firstZero(data)
+		}
+	}
+	if h := float64(max(h0, h1, h2, h3)); h > hi {
+		hi = h
+		if hi == 0 { //carol:allow floateq ±0 compare equal; the first zero's sign is the serial answer
+			hi = firstZero(data)
 		}
 	}
 	return lo, hi
+}
+
+// firstZero returns the first sample of data equal to zero, which minMax's
+// caller has seen to exist.
+func firstZero(data []float32) float64 {
+	for _, v := range data {
+		if v == 0 { //carol:allow floateq looking for +0 or -0, whichever comes first
+			return float64(v)
+		}
+	}
+	return 0
 }
 
 // ValueRange returns max - min; compressors use it to convert value-range-
@@ -294,7 +350,7 @@ func RawValueRange(raw []byte) float64 {
 		lo, hi = minMax(lo, hi, strip[:n])
 		raw = raw[4*n:]
 	}
-	if lo > hi { // no finite samples
+	if lo > hi { // no non-NaN samples
 		return 0
 	}
 	return hi - lo
@@ -313,11 +369,4 @@ func (f *Field) Equalish(g *Field, eps float64) error {
 		}
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

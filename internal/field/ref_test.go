@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/iotest"
+
+	"carol/internal/xrand"
 )
 
 // refReadRaw is ReadRaw as it stood before the strip-wise rewrite, kept
@@ -24,6 +26,117 @@ func refReadRaw(name string, nx, ny, nz int, r io.Reader) (*Field, error) {
 		f.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
 	return f, nil
+}
+
+// refMinMax is minMax as it stood before the four-lane scan, kept verbatim
+// as the oracle: one comparison per sample, in order.
+func refMinMax(lo, hi float64, data []float32) (float64, float64) {
+	for _, v := range data {
+		fv := float64(v)
+		if math.IsNaN(fv) {
+			continue
+		}
+		if fv < lo {
+			lo = fv
+		}
+		if fv > hi {
+			hi = fv
+		}
+	}
+	return lo, hi
+}
+
+// minMaxSpecials are the samples whose bits a scan could get wrong: NaNs
+// of both signs, ±Inf, ±0, denormals and the finite extremes.
+var minMaxSpecials = []uint32{
+	0x7fc00000, 0xffc00001, 0x7f800001, // NaNs
+	0x7f800000, 0xff800000, // ±Inf
+	0x00000000, 0x80000000, // ±0
+	0x00000001, 0x80000001, 0x007fffff, 0x807fffff, // denormals
+	0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+}
+
+// minMaxStarts are the bounds minMax widens from: MinMax's, zeros of both
+// signs (a zero in data then ties them), and a finite pair inside the data.
+var minMaxStarts = [][2]float64{{math.Inf(1), math.Inf(-1)}, {0, math.Copysign(0, -1)}, {math.Copysign(0, -1), 0}, {-3, 5}}
+
+// checkMinMax holds minMax to the reference, bit for bit, from every start.
+func checkMinMax(t *testing.T, data []float32) {
+	t.Helper()
+	for _, s := range minMaxStarts {
+		gl, gh := minMax(s[0], s[1], data)
+		wl, wh := refMinMax(s[0], s[1], data)
+		if math.Float64bits(gl) != math.Float64bits(wl) || math.Float64bits(gh) != math.Float64bits(wh) {
+			t.Fatalf("minMax(%v, %v) over %d samples %v = (%v, %v), reference (%v, %v)", s[0], s[1], len(data), data, gl, gh, wl, wh)
+		}
+	}
+}
+
+// TestMinMaxMatchesReference: every length 0–300, with specials sprinkled
+// at every density into ordinary values of both signs — all zeros and all
+// NaNs among them — scans to the reference's bits.
+func TestMinMaxMatchesReference(t *testing.T) {
+	rng := xrand.New(31)
+	for n := 0; n <= 300; n++ {
+		for _, every := range []int{1, 2, 7, 64, 1 << 30} {
+			data := make([]float32, n)
+			for i := range data {
+				data[i] = float32(rng.Norm() * 10)
+				if rng.Intn(every) == 0 {
+					data[i] = math.Float32frombits(minMaxSpecials[rng.Intn(len(minMaxSpecials))])
+				}
+			}
+			checkMinMax(t, data)
+		}
+		for _, bits := range minMaxSpecials {
+			data := make([]float32, n)
+			for i := range data {
+				data[i] = math.Float32frombits(bits)
+			}
+			checkMinMax(t, data)
+		}
+	}
+}
+
+// FuzzMinMaxMatchesReference: any bytes, read as up to 300 little-endian
+// float32 samples, scan to the reference's bits.
+func FuzzMinMaxMatchesReference(f *testing.F) {
+	for _, n := range []int{0, 1, 3, 4, 5, 8, 9, 63, 300} {
+		f.Add(hostileRaw(n))
+	}
+	zeros := make([]byte, 4*9)
+	binary.LittleEndian.PutUint32(zeros[4*6:], 0x80000000)
+	f.Add(zeros)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		n := min(len(raw)/4, 300)
+		data := make([]float32, n)
+		decodeRaw(data, raw)
+		checkMinMax(t, data)
+	})
+}
+
+// BenchmarkValueRange is the one pass over a 64³ field that every rel=,
+// ratio= and CompressToRatio request pays: the four-lane scan beside the
+// reference loop.
+func BenchmarkValueRange(b *testing.B) {
+	raw := hostileRaw(64 * 64 * 64)
+	data := make([]float32, len(raw)/4)
+	decodeRaw(data, raw)
+	for i := range data {
+		if math.IsNaN(float64(data[i])) || math.IsInf(float64(data[i]), 0) {
+			data[i] = float32(i % 113)
+		}
+	}
+	for name, scan := range map[string]func(lo, hi float64, data []float32) (float64, float64){"lanes": minMax, "reference": refMinMax} {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(4 * len(data)))
+			for i := 0; i < b.N; i++ {
+				if lo, hi := scan(math.Inf(1), math.Inf(-1), data); !(hi > lo) {
+					b.Fatalf("range [%g, %g]", lo, hi)
+				}
+			}
+		})
+	}
 }
 
 // hostileRaw is n samples' worth of raw bytes that visit what a decoder

@@ -65,6 +65,9 @@ var (
 	// runs they are not), and the searches that gave up on it.
 	surrogateEvals   = obs.Default.Histogram("fraz_surrogate_evals", obs.LinearBuckets(0, 4, 25))
 	surrogateDropped = obs.Default.Counter("fraz_surrogate_dropped_total")
+	// jumpSkips counts searches ended without compressing the far side of a
+	// jump that the surrogate priced no closer than their best probe.
+	jumpSkips = obs.Default.Counter("fraz_surrogate_jump_skips_total")
 	// ratioMiss is |achieved/target - 1| of every finished search; the
 	// buckets straddle the acceptance band.
 	ratioMiss = obs.Default.Histogram("fraz_ratio_miss",
@@ -263,25 +266,26 @@ func (s *surrogate) anchor(p Probe) bool {
 
 // solve root-finds on bias × surrogate from rel with the real probes' own
 // step, on a copy of their bracket (so strictly inside it), and returns the
-// bound worth a compression: where the predicted miss is within
-// surrogateTolerance or, where the surrogate's curve jumps over the band
-// (ZFP's staircase), a side of the jump. ok is false when it has none: the
-// surrogate failed or puts the target out of reach.
-func (s *surrogate) solve(real bracket, rel float64) (float64, bool) {
+// bound worth a compression with its predicted miss |bias × estimate /
+// target − 1|: where that is within surrogateTolerance or, where the
+// surrogate's curve jumps over the band (ZFP's staircase), a side of the
+// jump. ok is false when it has none: the surrogate failed or puts the
+// target out of reach.
+func (s *surrogate) solve(real bracket, rel float64) (at, miss float64, ok bool) {
 	for b := real; ; {
 		est, ok := s.estimate(rel)
 		if !ok {
-			return 0, false
+			return 0, 0, false
 		}
 		over := s.bias * est / s.target
-		if math.Abs(over-1) <= surrogateTolerance {
-			return rel, true
+		if d := math.Abs(over - 1); d <= surrogateTolerance {
+			return rel, d, true
 		}
 		if rel, ok = b.step(rel, over); ok {
 			continue
 		}
 		if !b.closed() {
-			return 0, false
+			return 0, 0, false
 		}
 		// The sides of a jump are worth one compression each, smaller
 		// predicted miss first — unless a real probe within minBracket of the
@@ -291,11 +295,11 @@ func (s *surrogate) solve(real bracket, rel float64) (float64, bool) {
 		hiOpen := !real.haveHi || real.hi.x-b.lo.x >= minBracket
 		switch {
 		case loOpen && (!hiOpen || math.Abs(b.lo.y) <= math.Abs(b.hi.y)):
-			return b.lo.rel, true
+			return b.lo.rel, math.Abs(math.Expm1(b.lo.y)), true
 		case hiOpen:
-			return b.hi.rel, true
+			return b.hi.rel, math.Abs(math.Expm1(b.hi.y)), true
 		default:
-			return 0, false
+			return 0, 0, false
 		}
 	}
 }
@@ -316,7 +320,12 @@ func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 		rel = math.Min(math.Max(opts.Seed, relLo), relHi)
 	}
 	// compressor.AbsBound's rule, with its pass over the field taken once.
+	// An infinite sample makes the range non-finite, and no bound of it a
+	// bound: the field is refused before any probe.
 	scale := f.ValueRange()
+	if math.IsInf(scale, 0) || math.IsNaN(scale) {
+		return res, fmt.Errorf("fraz: value range %g: %w", scale, compressor.ErrNonFinite)
+	}
 	if scale <= 0 {
 		scale = 1
 	}
@@ -326,10 +335,21 @@ func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 	bestMiss, lastMiss := math.Inf(1), math.Inf(1)
 	for res.Runs < maxRuns {
 		if sur.ratio != nil {
-			if at, ok := sur.solve(b, rel); ok {
-				rel = at
-			} else {
+			at, predicted, ok := sur.solve(b, rel)
+			switch {
+			case !ok:
 				sur.drop()
+			case predicted >= bestMiss:
+				// Only a side of a jump can be predicted this far off (bestMiss
+				// is outside the band). Anchored on the last probe, the
+				// surrogate prices it no closer than a probe already made, and
+				// since the ratio rises with the bound, nothing else on that
+				// side is closer either: its compression cannot change the
+				// answer.
+				jumpSkips.Inc()
+				return res, nil
+			default:
+				rel = at
 			}
 		}
 		probeStart := time.Now()

@@ -168,13 +168,15 @@ func validationFields(t testing.TB) []*field.Field {
 
 // TestSurrogateSearchOnValidationFields is the served search on the served
 // inputs: the real codecs with their SECRE search surrogate, the benchmark's
-// validation fields and targets, seeded as by a model and unseeded. SZx
-// compresses once; ZFP compresses once where the target is on a stair and
-// at most four times around the jump where it is not, and then ends no
-// farther from the target than the plain search's best probe.
+// validation fields and targets, seeded as by a model and unseeded. Every
+// search returns the answer in validationAnswers. SZx compresses once. ZFP
+// compresses once where the target is on a stair or the surrogate prices the
+// far side of the jump no closer than that first probe, twice where it
+// prices it closer, and ends no farther from the target than the plain
+// search's best probe.
 func TestSurrogateSearchOnValidationFields(t *testing.T) {
 	if testing.Short() {
-		t.Skip("72 searches on 64^3 fields")
+		t.Skip("96 searches on 64^3 fields")
 	}
 	fields := validationFields(t)
 	for name, c := range map[string]struct {
@@ -182,7 +184,7 @@ func TestSurrogateSearchOnValidationFields(t *testing.T) {
 		meanRuns float64
 	}{
 		"szx": {[]float64{10, 25, 50}, 1.25},
-		"zfp": {[]float64{3, 4, 5}, 2.0},
+		"zfp": {[]float64{3, 4, 5}, 1.15}, // 26 runs in 24 searches
 	} {
 		codec := realCodec(t, name)
 		for _, seed := range []float64{0.05, 0} {
@@ -199,6 +201,10 @@ func TestSurrogateSearchOnValidationFields(t *testing.T) {
 					}
 					runs += res.Runs
 					searches++
+					key := validationSearch{name, f.Name, target, seed}
+					if want := validationAnswers[key]; res.RelEB != want[0] || res.Achieved != want[1] {
+						t.Errorf("%v: %g at rel %g, recorded %g at rel %g", key, res.Achieved, res.RelEB, want[1], want[0])
+					}
 					if res.Converged || name != "zfp" {
 						continue
 					}
@@ -206,7 +212,7 @@ func TestSurrogateSearchOnValidationFields(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if res.Runs > 4 || math.Abs(res.Achieved/target-1) > math.Abs(plain.Achieved/target-1) {
+					if res.Runs > 2 || math.Abs(res.Achieved/target-1) > math.Abs(plain.Achieved/target-1) {
 						t.Errorf("zfp %s target %g seed %g: %d runs for %g; the plain search: %d runs for %g",
 							f.Name, target, seed, res.Runs, res.Achieved, plain.Runs, plain.Achieved)
 					}
@@ -214,6 +220,183 @@ func TestSurrogateSearchOnValidationFields(t *testing.T) {
 			}
 			if mean := float64(runs) / float64(searches); mean > c.meanRuns {
 				t.Errorf("%s seed %g: %.3f compressor runs per search, want <= %g", name, seed, mean, c.meanRuns)
+			}
+		}
+	}
+}
+
+// TestSearchSurrogatesMonotone is the metamorphic check on the two search
+// surrogates: on every validation field a looser bound never estimates a
+// lower ratio, over 400 log-spaced bounds from 1e-6 to 0.5 of the value
+// range. The search's step and its jump rule both take the ratio as
+// non-decreasing in the bound.
+func TestSearchSurrogatesMonotone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("6400 estimates on 64^3 fields")
+	}
+	const n = 400
+	for _, f := range validationFields(t) {
+		scale := f.ValueRange()
+		for _, name := range []string{"szx", "zfp"} {
+			sur := codecs.SearchSurrogate(name, f)
+			prev, prevRel := 0.0, 0.0
+			for i := 0; i < n; i++ {
+				rel := relLo * math.Pow(relHi/relLo, float64(i)/(n-1))
+				r, err := sur(rel * scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r < prev {
+					t.Errorf("%s on %s: ratio %g at rel %g, below %g at rel %g", name, f.Name, r, rel, prev, prevRel)
+				}
+				prev, prevRel = r, rel
+			}
+		}
+	}
+}
+
+// validationSearch names one search of TestSurrogateSearchOnValidationFields.
+type validationSearch struct {
+	codec, field string
+	target, seed float64
+}
+
+// validationAnswers are the (RelEB, Achieved) each of those searches
+// returned before ZFP stopped compressing the far side of a jump its
+// surrogate prices no closer: the rule saves runs and changes no answer.
+var validationAnswers = map[validationSearch][2]float64{
+	{"szx", "miranda/density", 10, 0.05}:    {0.04719312051514011, 9.988626079998475},
+	{"szx", "miranda/density", 25, 0.05}:    {0.17714927837002456, 25.005389421471836},
+	{"szx", "miranda/density", 50, 0.05}:    {0.27817640070471195, 49.94646089358864},
+	{"szx", "miranda/velocityx", 10, 0.05}:  {0.04490396686030374, 9.985582188193392},
+	{"szx", "miranda/velocityx", 25, 0.05}:  {0.16671219591386313, 24.88787619861388},
+	{"szx", "miranda/velocityx", 50, 0.05}:  {0.25593987131158025, 49.86807438055833},
+	{"szx", "nyx/baryon_density", 10, 0.05}: {0.012243941605055864, 9.985677281730915},
+	{"szx", "nyx/baryon_density", 25, 0.05}: {0.05, 25.21949107701188},
+	{"szx", "nyx/baryon_density", 50, 0.05}: {0.10196573240495978, 49.82305426209256},
+	{"szx", "nyx/temperature", 10, 0.05}:    {0.026645628304042473, 9.98101982733183},
+	{"szx", "nyx/temperature", 25, 0.05}:    {0.10361281294326248, 24.92040782375169},
+	{"szx", "nyx/temperature", 50, 0.05}:    {0.17570707519783282, 50.008393742846245},
+	{"szx", "hurricane/P", 10, 0.05}:        {0.026336441976129787, 9.970390514315055},
+	{"szx", "hurricane/P", 25, 0.05}:        {0.09977797161945348, 24.955400066638106},
+	{"szx", "hurricane/P", 50, 0.05}:        {0.1776014942475845, 49.78993352326685},
+	{"szx", "hurricane/U", 10, 0.05}:        {0.024653130958313504, 9.99624393452625},
+	{"szx", "hurricane/U", 25, 0.05}:        {0.09156001257131077, 24.68283037521774},
+	{"szx", "hurricane/U", 50, 0.05}:        {0.16436054504442665, 50.06330866555264},
+	{"szx", "hurricane/QCLOUD", 10, 0.05}:   {0.024411415322211555, 9.982540150988662},
+	{"szx", "hurricane/QCLOUD", 25, 0.05}:   {0.09262735701569204, 24.981560013341593},
+	{"szx", "hurricane/QCLOUD", 50, 0.05}:   {0.17844565948429233, 50.02509422260388},
+	{"szx", "hurricane/QVAPOR", 10, 0.05}:   {0.022981946629033714, 10.034508167698593},
+	{"szx", "hurricane/QVAPOR", 25, 0.05}:   {0.08636371905884527, 25.065761480171158},
+	{"szx", "hurricane/QVAPOR", 50, 0.05}:   {0.1580763731621015, 49.81595325193596},
+	{"szx", "miranda/density", 10, 0}:       {0.04744306492924071, 10.003873417479989},
+	{"szx", "miranda/density", 25, 0}:       {0.17715497145065914, 25.005389421471836},
+	{"szx", "miranda/density", 50, 0}:       {0.278313254926021, 50.027480916030534},
+	{"szx", "miranda/velocityx", 10, 0}:     {0.0450647628948466, 10.008456699978048},
+	{"szx", "miranda/velocityx", 25, 0}:     {0.16714885104118793, 25.013740458015267},
+	{"szx", "miranda/velocityx", 50, 0}:     {0.25503352676486085, 49.47280018872375},
+	{"szx", "nyx/baryon_density", 10, 0}:    {0.012266038197970782, 9.993385877800756},
+	{"szx", "nyx/baryon_density", 25, 0}:    {0.049571254389508955, 24.954806159118494},
+	{"szx", "nyx/baryon_density", 50, 0}:    {0.10214744132185226, 49.86096053257251},
+	{"szx", "nyx/temperature", 10, 0}:       {0.026795335554064485, 10.005400711825269},
+	{"szx", "nyx/temperature", 25, 0}:       {0.10356778044075368, 24.90028733585049},
+	{"szx", "nyx/temperature", 50, 0}:       {0.1751237844418731, 49.72854026368206},
+	{"szx", "hurricane/P", 10, 0}:           {0.02635673032510826, 9.973425150042326},
+	{"szx", "hurricane/P", 25, 0}:           {0.09993768753863086, 25.00360063905382},
+	{"szx", "hurricane/P", 50, 0}:           {0.17790549678503392, 49.941703181558395},
+	{"szx", "hurricane/U", 10, 0}:           {0.024586176474924788, 9.991671828100433},
+	{"szx", "hurricane/U", 25, 0}:           {0.09226856688047325, 24.916262712669898},
+	{"szx", "hurricane/U", 50, 0}:           {0.16358737954936997, 49.91080013327621},
+	{"szx", "hurricane/QCLOUD", 10, 0}:      {0.024558617077229172, 10.008456699978048},
+	{"szx", "hurricane/QCLOUD", 25, 0}:      {0.09266195966629107, 25.00121599389619},
+	{"szx", "hurricane/QCLOUD", 50, 0}:      {0.178501724951528, 50.02509422260388},
+	{"szx", "hurricane/QVAPOR", 10, 0}:      {0.022860360773240017, 10.013044184070052},
+	{"szx", "hurricane/QVAPOR", 25, 0}:      {0.08620866364112681, 25.026874791159482},
+	{"szx", "hurricane/QVAPOR", 50, 0}:      {0.15840875970288548, 49.929812866054},
+	{"zfp", "miranda/density", 3, 0.05}:     {0.0026009657569438355, 2.9809500254435566},
+	{"zfp", "miranda/density", 4, 0.05}:     {0.010520038611151332, 4.136916691653385},
+	{"zfp", "miranda/density", 5, 0.05}:     {0.04166540020378308, 4.747738365827817},
+	{"zfp", "miranda/velocityx", 3, 0.05}:   {0.005056252384544813, 3.0388134271911342},
+	{"zfp", "miranda/velocityx", 4, 0.05}:   {0.03980076702035938, 3.7513317425166623},
+	{"zfp", "miranda/velocityx", 5, 0.05}:   {0.15926563766035, 4.900826793918461},
+	{"zfp", "nyx/baryon_density", 3, 0.05}:  {0.0025100512544624512, 2.9554502049076365},
+	{"zfp", "nyx/baryon_density", 4, 0.05}:  {0.020113756944467272, 4.0883981347182585},
+	{"zfp", "nyx/baryon_density", 5, 0.05}:  {0.040568088764884554, 4.687273978909913},
+	{"zfp", "nyx/temperature", 3, 0.05}:     {0.0012740369548076863, 2.9775556565197636},
+	{"zfp", "nyx/temperature", 4, 0.05}:     {0.0051416925065970375, 4.130544908787949},
+	{"zfp", "nyx/temperature", 5, 0.05}:     {0.020421050405896486, 4.739990687960799},
+	{"zfp", "hurricane/P", 3, 0.05}:         {0.004219843182006799, 2.9123389789082506},
+	{"zfp", "hurricane/P", 4, 0.05}:         {0.01695188008280511, 4.006327131012876},
+	{"zfp", "hurricane/P", 5, 0.05}:         {0.06790771111927964, 5.344260624038001},
+	{"zfp", "hurricane/U", 3, 0.05}:         {0.0038588620361305653, 3.0583568611895373},
+	{"zfp", "hurricane/U", 4, 0.05}:         {0.030760984664653813, 3.7811184953068486},
+	{"zfp", "hurricane/U", 5, 0.05}:         {0.0670867466396885, 4.951391577814085},
+	{"zfp", "hurricane/QCLOUD", 3, 0.05}:    {0.003891258178281772, 3.005333830125679},
+	{"zfp", "hurricane/QCLOUD", 4, 0.05}:    {0.031232332968843694, 4.184245074840084},
+	{"zfp", "hurricane/QCLOUD", 5, 0.05}:    {0.1234428201532254, 4.8136912850269935},
+	{"zfp", "hurricane/QVAPOR", 3, 0.05}:    {0.0022723600415499247, 3.0099232718953535},
+	{"zfp", "hurricane/QVAPOR", 4, 0.05}:    {0.018037789091033835, 4.193482077512807},
+	{"zfp", "hurricane/QVAPOR", 5, 0.05}:    {0.07103854857397739, 4.826164800316658},
+	{"zfp", "miranda/density", 3, 0}:        {0.002596294851388709, 2.9809500254435566},
+	{"zfp", "miranda/density", 4, 0}:        {0.010604591978609619, 4.136916691653385},
+	{"zfp", "miranda/density", 5, 0}:        {0.0412528472538825, 4.747738365827817},
+	{"zfp", "miranda/velocityx", 3, 0}:      {0.0050544095111625074, 3.0388134271911342},
+	{"zfp", "miranda/velocityx", 4, 0}:      {0.039786403963696135, 3.7513317425166623},
+	{"zfp", "miranda/velocityx", 5, 0}:      {0.15948799790680407, 4.900826793918461},
+	{"zfp", "nyx/baryon_density", 3, 0}:     {0.002542188680472723, 2.9554502049076365},
+	{"zfp", "nyx/baryon_density", 4, 0}:     {0.02035739701520249, 4.0883981347182585},
+	{"zfp", "nyx/baryon_density", 5, 0}:     {0.04048931698238307, 4.687273978909913},
+	{"zfp", "nyx/temperature", 3, 0}:        {0.001264153620436027, 2.9775556565197636},
+	{"zfp", "nyx/temperature", 4, 0}:        {0.005146775604134299, 4.130544908787949},
+	{"zfp", "nyx/temperature", 5, 0}:        {0.020393227119815956, 4.739990687960799},
+	{"zfp", "hurricane/P", 3, 0}:            {0.004176626068952814, 2.9123389789082506},
+	{"zfp", "hurricane/P", 4, 0}:            {0.0170821771346367, 4.006327131012876},
+	{"zfp", "hurricane/P", 5, 0}:            {0.0681604483999395, 5.344260624038001},
+	{"zfp", "hurricane/U", 3, 0}:            {0.003855094356960222, 3.0583568611895373},
+	{"zfp", "hurricane/U", 4, 0}:            {0.0305898860224041, 3.7811184953068486},
+	{"zfp", "hurricane/U", 5, 0}:            {0.11545357695356617, 4.951391577814085},
+	{"zfp", "hurricane/QCLOUD", 3, 0}:       {0.0038792781079392807, 3.005333830125679},
+	{"zfp", "hurricane/QCLOUD", 4, 0}:       {0.03108461207036716, 4.184245074840084},
+	{"zfp", "hurricane/QCLOUD", 5, 0}:       {0.12353394473531085, 4.8136912850269935},
+	{"zfp", "hurricane/QVAPOR", 3, 0}:       {0.0022733035569483338, 3.0099232718953535},
+	{"zfp", "hurricane/QVAPOR", 4, 0}:       {0.018121130592523557, 4.193482077512807},
+	{"zfp", "hurricane/QVAPOR", 5, 0}:       {0.07184681190169602, 4.826164800316658},
+}
+
+// TestJumpFarSideCompressedOnlyIfPredictedCloser drives the search onto a
+// stair edge of the staircase codec with the target between two stairs.
+// With an exact surrogate the first probe is the closer side, the far side
+// is priced no better, and the search stops after that one run. With one
+// 10 % high, the first probe lands on the farther side; re-anchored, the
+// surrogate prices the other side closer, and that second run is returned.
+func TestJumpFarSideCompressedOnlyIfPredictedCloser(t *testing.T) {
+	f := testField(t)
+	scale := f.ValueRange()
+	codec := curveCodec{staircase}
+	for _, c := range []struct {
+		name       string
+		k, over    float64 // surrogate = k × truth; target = over × the stair at 2e-3
+		runs       int
+		wantStairs float64 // the returned ratio, in stairs above the one at 2e-3
+	}{
+		{"exact, lower stair closer", 1, 1.07, 1, 0},
+		{"exact, upper stair closer", 1, 1.09, 1, 1},
+		{"high, upper stair closer", 1.1, 1.09, 2, 1},
+	} {
+		target := staircase(2e-3) * c.over
+		for _, seed := range []float64{0, 2e-3, 1e-5, 0.3} {
+			skips := jumpSkips.Value()
+			opts := Options{Seed: seed, Surrogate: func(eb float64) (float64, error) { return c.k * staircase(eb/scale), nil }}
+			res, err := Search(codec, f, target, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The codec's streams are whole bytes, so its ratios are the
+			// stair's to within a byte in ~10^4.
+			want := staircase(2e-3) * math.Pow(1.15, c.wantStairs)
+			if res.Runs != c.runs || math.Abs(res.Achieved/want-1) > 1e-3 || res.Converged || res.SurrogateDropped || jumpSkips.Value() != skips+1 {
+				t.Errorf("%s, seed %g: %d runs %v, achieved %g (want %d runs, %g), converged %v, dropped %v, %d jump skips",
+					c.name, seed, res.Runs, res.Probes, res.Achieved, c.runs, want, res.Converged, res.SurrogateDropped, jumpSkips.Value()-skips)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"carol/internal/compressor"
 	"carol/internal/field"
 )
 
@@ -30,6 +31,18 @@ func RequestError(w http.ResponseWriter, err error) {
 		return
 	}
 	Error(w, http.StatusBadRequest, "%v", err)
+}
+
+// CodecError maps a failed compression or estimate to its status code: 400
+// for a field holding NaN or ±Inf (compressor.ErrNonFinite), the client's
+// data that every replica would refuse alike, so the gate relays it instead
+// of retrying; 500 for everything else.
+func CodecError(w http.ResponseWriter, err error) {
+	if errors.Is(err, compressor.ErrNonFinite) {
+		Error(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	Error(w, http.StatusInternalServerError, "%v", err)
 }
 
 // CheckLength refuses a declared Content-Length over limit before a byte

@@ -1,11 +1,15 @@
 package secre
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
 
+	"carol/internal/compressor"
 	"carol/internal/field"
+	"carol/internal/szx"
+	"carol/internal/xrand"
 )
 
 var surrogateNames = []string{"szx", "zfp", "sz3", "sperr", "szp"}
@@ -170,6 +174,74 @@ func TestPrepareAndRatioValidate(t *testing.T) {
 	for _, eb := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		if _, err := b.Ratio(eb); err == nil {
 			t.Errorf("bound %g accepted", eb)
+		}
+	}
+}
+
+// TestBlockExtremaMatchesSZx: the branchless extrema are szx.BlockExtrema's
+// bits on every block length — zeros of both signs in every order among
+// them, as the minimum, the maximum or neither — and the finite verdict is
+// ValidateArgs's.
+func TestBlockExtremaMatchesSZx(t *testing.T) {
+	specials := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x80000001, 0x007fffff, // denormals
+		0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+	}
+	nonFinite := []uint32{0x7f800000, 0xff800000, 0x7fc00000, 0xffc00001, 0x7f800001}
+	rng := xrand.New(7)
+	for n := 1; n <= szx.BlockSize; n++ {
+		for trial := 0; trial < 40; trial++ {
+			block := make([]float32, n)
+			for i := range block {
+				bits := math.Float32bits(float32(rng.Float64() - 0.5))
+				if rng.Intn(3) == 0 {
+					bits = specials[rng.Intn(len(specials))]
+				}
+				if bits&0x7fffffff != 0 { // zeros keep their sign
+					switch trial % 3 {
+					case 0: // zero, if any, is the minimum
+						bits &^= 0x80000000
+					case 1: // ... the maximum
+						bits |= 0x80000000
+					}
+				}
+				block[i] = math.Float32frombits(bits)
+			}
+			if trial%5 == 4 {
+				block[rng.Intn(n)] = math.Float32frombits(nonFinite[rng.Intn(len(nonFinite))])
+			}
+			lo, hi, finite := blockExtrema(block)
+			if want := compressor.ValidateArgs(field.FromData("b", n, 1, 1, block), 1) == nil; finite != want {
+				t.Fatalf("%v: finite %v, ValidateArgs says %v", block, finite, want)
+			}
+			if wlo, whi := szx.BlockExtrema(block); finite && (math.Float32bits(lo) != math.Float32bits(wlo) || math.Float32bits(hi) != math.Float32bits(whi)) {
+				t.Fatalf("%v: extrema (%v, %v), szx.BlockExtrema (%v, %v)", block, lo, hi, wlo, whi)
+			}
+		}
+	}
+}
+
+// TestPrepareRefusesNonFinite: a NaN or ±Inf anywhere — in a block the
+// surrogate samples or in one it skips — is ErrNonFinite from every
+// surrogate at both samplings. SZx at 4096 blocks reads every block of
+// this field and finds it in its extrema pass alone.
+func TestPrepareRefusesNonFinite(t *testing.T) {
+	for _, opts := range []Options{{}, {MinSampledBlocks: 4096}} {
+		for _, name := range surrogateNames {
+			est, err := New(name, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, at := range []int{0, 128 + 5, 64*64*16 - 1} {
+				for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					f := smoothField(64, 64, 16, 43)
+					f.Data[at] = float32(v)
+					if _, err := est.Prepare(f); !errors.Is(err, compressor.ErrNonFinite) {
+						t.Errorf("%s %+v: %g at %d: %v, want ErrNonFinite", name, opts, v, at, err)
+					}
+				}
+			}
 		}
 	}
 }

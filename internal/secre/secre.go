@@ -124,13 +124,18 @@ type Bound struct {
 
 // Prepare validates f and binds the surrogate to it.
 func (e *Estimator) Prepare(f *field.Field) (*Bound, error) {
+	b := &Bound{estimates: e.estimates}
+	if e.name == "szx" {
+		var err error
+		if b.ratio, err = e.bindSZx(f); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
 	if err := compressor.ValidateArgs(f, 1); err != nil {
 		return nil, err
 	}
-	b := &Bound{estimates: e.estimates}
 	switch e.name {
-	case "szx":
-		b.ratio = e.bindSZx(f)
 	case "zfp":
 		b.ratio = e.bindZFP(f)
 	case "sz3":
@@ -188,23 +193,36 @@ func (e *Estimator) bindSZP(f *field.Field) func(float64) float64 {
 	}
 }
 
-// bindSZx samples one 128-sample block of every szxBlockEvery. A block's
-// encoded size depends on its extrema, its length and the bound alone, so
-// the extrema are kept and an estimate is arithmetic over them — the real
-// per-block size formula, without reading the field again.
-func (e *Estimator) bindSZx(f *field.Field) func(float64) float64 {
+// bindSZx validates f and samples one 128-sample block of every
+// szxBlockEvery. A block's encoded size depends on its extrema, its length
+// and the bound alone, so the extrema are kept and an estimate is
+// arithmetic over them — the real per-block size formula, without reading
+// the field again. Where every block is sampled (the search surrogate's
+// MinSampledBlocks at 64³) the extrema pass is the field's one read, and it
+// tests finiteness on the way.
+func (e *Estimator) bindSZx(f *field.Field) (func(float64) float64, error) {
+	if f == nil || f.Len() == 0 {
+		return nil, compressor.ValidateArgs(f, 1)
+	}
 	totalBlocks := (f.Len() + szx.BlockSize - 1) / szx.BlockSize
 	every := e.blockEvery(totalBlocks)
+	if every > 1 {
+		if err := compressor.ValidateArgs(f, 1); err != nil {
+			return nil, err
+		}
+	}
 	type sampledBlock struct {
 		lo, hi float32
 		n      int32
 	}
 	blocks := make([]sampledBlock, 0, (totalBlocks+every-1)/every)
 	for b := 0; b < totalBlocks; b += every {
-		start := b * szx.BlockSize
-		end := min(start+szx.BlockSize, f.Len())
-		lo, hi := szx.BlockExtrema(f.Data[start:end])
-		blocks = append(blocks, sampledBlock{lo, hi, int32(end - start)})
+		block := f.Data[b*szx.BlockSize : min((b+1)*szx.BlockSize, f.Len())]
+		lo, hi, finite := blockExtrema(block)
+		if !finite {
+			return nil, compressor.ErrNonFinite
+		}
+		blocks = append(blocks, sampledBlock{lo, hi, int32(len(block))})
 	}
 	return func(eb float64) float64 {
 		var bits uint64
@@ -213,7 +231,50 @@ func (e *Estimator) bindSZx(f *field.Field) func(float64) float64 {
 		}
 		estBits := float64(bits) / float64(len(blocks)) * float64(totalBlocks)
 		return ratioFromBits(f, estBits)
+	}, nil
+}
+
+// orderKey maps float32 bits to an int32 whose order is the floats':
+// finite values as < orders them (with -0 below +0), ±Inf at ±infKey and
+// NaNs beyond. It is its own inverse.
+func orderKey(bits uint32) int32 {
+	s := int32(bits)
+	return s ^ (s >> 31 & 0x7fffffff)
+}
+
+// infKey is orderKey of +Inf; -infKey is that of -MaxFloat32.
+const infKey = 0x7f800000
+
+// blockExtrema is szx.BlockExtrema bit for bit, without a branch per
+// sample (within a 128-sample block a new extreme is too frequent for a
+// branch to predict), plus ValidateArgs's verdict on the block: finite is
+// false for a NaN or ±Inf, whose keys lie outside [-infKey, infKey).
+func blockExtrema(block []float32) (lo, hi float32, finite bool) {
+	kmin, kmax := int32(math.MaxInt32), int32(math.MinInt32)
+	for _, v := range block {
+		k := orderKey(math.Float32bits(v))
+		kmin, kmax = min(kmin, k), max(kmax, k)
 	}
+	// Keys order as < does except that -0 < +0 (keys -1 and 0): a zero
+	// extreme is the block's first zero, which BlockExtrema's first-wins
+	// comparisons keep.
+	zero := func(k int32) bool { return uint32(k+1) <= 1 }
+	if zero(kmin) || zero(kmax) {
+		for _, v := range block {
+			if bits := math.Float32bits(v); bits&0x7fffffff == 0 {
+				if zero(kmin) {
+					kmin = orderKey(bits)
+				}
+				if zero(kmax) {
+					kmax = orderKey(bits)
+				}
+				break
+			}
+		}
+	}
+	lo = math.Float32frombits(uint32(orderKey(uint32(kmin))))
+	hi = math.Float32frombits(uint32(orderKey(uint32(kmax))))
+	return lo, hi, -infKey <= kmin && kmax < infKey
 }
 
 // bindZFP samples one 4^d block of every zfpBlockEvery along each dimension

@@ -171,11 +171,27 @@ func TestBiasSignConsistent(t *testing.T) {
 
 // TestSurrogateFasterThanFull mirrors Table 4: estimation must be
 // substantially cheaper than full compression for the high-ratio group.
+// Each call is warmed up once and timed at its fastest of five, so one
+// descheduled or cold run cannot decide the comparison.
 func TestSurrogateFasterThanFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
 	f := smoothField(64, 64, 64, 5)
+	fastest := func(call func() error) time.Duration {
+		t.Helper()
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 6; i++ {
+			t0 := time.Now()
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(t0); i > 0 && d < best {
+				best = d
+			}
+		}
+		return best
+	}
 	for _, name := range []string{"sz3", "sperr"} {
 		est, err := New(name, Options{})
 		if err != nil {
@@ -183,16 +199,8 @@ func TestSurrogateFasterThanFull(t *testing.T) {
 		}
 		c := codecFor(t, name)
 		eb := compressor.AbsBound(f, 1e-3)
-		t0 := time.Now()
-		if _, err := c.Compress(f, eb); err != nil {
-			t.Fatal(err)
-		}
-		fullTime := time.Since(t0)
-		t0 = time.Now()
-		if _, err := est.EstimateRatio(f, eb); err != nil {
-			t.Fatal(err)
-		}
-		estTime := time.Since(t0)
+		fullTime := fastest(func() error { _, err := c.Compress(f, eb); return err })
+		estTime := fastest(func() error { _, err := est.EstimateRatio(f, eb); return err })
 		if estTime*3 > fullTime {
 			t.Errorf("%s: estimate %v not ≪ full %v", name, estTime, fullTime)
 		}

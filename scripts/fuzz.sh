@@ -28,6 +28,7 @@ run ./internal/huffman FuzzHuffmanTable
 run ./internal/sperr FuzzSPECKMatchesReference
 run ./internal/wavelet FuzzGridMatchesReference
 run ./internal/sz3 FuzzInterpMatchesReference
+run ./internal/field FuzzMinMaxMatchesReference
 run ./internal/archive FuzzArchiveRead
 run ./internal/chunked FuzzChunkedDecompress
 run ./internal/model FuzzModelRead

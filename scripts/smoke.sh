@@ -60,6 +60,16 @@ if [ "$code" -ne 400 ]; then
     exit 1
 fi
 
+echo "== POST /v1/compress?ratio= over a field with a NaN sample is the client's 400, not a 500"
+# The first sample is a quiet NaN (little-endian 0x7fc00000), the rest zeros.
+{ printf '\000\000\300\177'; head -c 4092 /dev/zero; } >"$workdir/nan.raw"
+code=$(curl -sS -o /dev/null -w '%{http_code}' --data-binary @"$workdir/nan.raw" \
+    "http://$addr/v1/compress?codec=szx&ratio=4&dims=32x32x1")
+if [ "$code" -ne 400 ]; then
+    echo "smoke: ratio= over a NaN sample answered $code, want 400" >&2
+    exit 1
+fi
+
 echo "== streaming CLI path: carolc -stream round trip (CPL1 container)"
 "$bindir/carolc" -stream -compressor sz3 -dims 32x32x1 -eb 1e-3 \
     -in "$workdir/field.raw" -out "$workdir/field.cpl"
@@ -146,7 +156,7 @@ curl -fsS "http://$addr/metrics" >"$workdir/metrics.txt"
 for metric in http_requests_total http_request_seconds_bucket codec_compress_seconds \
     model_loaded_version model_load_total model_predict_seconds model_forest_trees \
     carol_model_version 'fraz_search_runs_bucket{resolver="model"' fraz_ratio_miss_bucket \
-    fraz_surrogate_evals_bucket fraz_surrogate_dropped_total; do
+    fraz_surrogate_evals_bucket fraz_surrogate_dropped_total fraz_surrogate_jump_skips_total; do
     grep -q "$metric" "$workdir/metrics.txt" || {
         echo "smoke: /metrics missing $metric" >&2
         exit 1

@@ -89,6 +89,21 @@ if [ "$code" -ne 400 ]; then
     exit 1
 fi
 
+echo "== a NaN sample is the shard's 400, relayed by the gate whole-routed and fanned out"
+# The last sample is a quiet NaN (little-endian 0x7fc00000), in the last slab
+# of a fan-out; 4 KiB routes whole, 64 KiB fans out.
+for req in 4096:32x32x1 65536:64x16x16; do
+    size=${req%%:*}; dims=${req#*:}
+    { head -c $((size - 4)) /dev/zero; printf '\000\000\300\177'; } >"$workdir/nan.raw"
+    code=$(curl -sS -o /dev/null -w '%{http_code}' --data-binary @"$workdir/nan.raw" \
+        "http://$ag/v1/compress?codec=szx&abs=0.01&dims=$dims")
+    if [ "$code" -ne 400 ]; then
+        echo "smoke-fleet: a $size-byte body with a NaN sample answered $code, want 400" >&2
+        dump_log carolgate
+        exit 1
+    fi
+done
+
 echo "== chunked fan-out round trip through the gate (64 KiB field)"
 dd if=/dev/zero of="$workdir/big.raw" bs=65536 count=1 2>/dev/null
 curl -fsS -o "$workdir/big.cch" -D "$workdir/big-headers.txt" \
