@@ -60,10 +60,11 @@ func ReadRawField(name string, nx, ny, nz int, r io.Reader) (*Field, error) {
 type Framework = core.Framework
 
 // Config tunes a Framework; the zero value reproduces the paper's defaults
-// (35-bound collection sweep, auto calibration, 10 BO iterations). Model
-// training runs on every core by default; Config.Workers caps that CPU
-// parallelism for resource-limited hosts (1 = fully serial) without
-// changing the trained model — forests are bit-identical for every value.
+// (35-bound collection sweep, auto calibration, 10 BO iterations). Data
+// collection and model training run on every core by default;
+// Config.Workers caps that CPU parallelism for resource-limited hosts (1 =
+// fully serial) without changing the result — training sets and forests
+// are bit-identical for every value.
 type Config = core.Config
 
 // CollectStats reports the cost of a data-collection run.
@@ -97,7 +98,9 @@ type Estimator = compressor.Estimator
 // NewWith builds a framework from a custom compressor and ratio estimator —
 // the extension path for compressors beyond the built-in four. Pair a
 // secre-style sampled estimator with Config.CalibrationPoints >= 3 when no
-// purpose-built surrogate exists.
+// purpose-built surrogate exists. Collect calls both from up to
+// Config.Workers goroutines at once; set Workers to 1 for a pair that is
+// not safe for concurrent use.
 func NewWith(codec Codec, surrogate Estimator, cfg Config) *Framework {
 	return core.NewWith(codec, surrogate, cfg)
 }

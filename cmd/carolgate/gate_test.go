@@ -591,6 +591,7 @@ func TestMetricLabelCardinality(t *testing.T) {
 			"POST /v1/compress?codec=szx&abs=" + num(0.1) + dims,
 			"POST /v1/compress?codec=szx&rel=" + fresh() + dims,
 			"POST /v1/compress?mode=" + fresh() + "&rel=1e-3" + dims,
+			"POST /v1/compress?mode=auto&rel=" + num(1e-3) + dims,
 			"POST /v1/compress?codec=szx&rel=1e-3&dims=" + fresh(),
 			"POST /v1/decompress?codec=" + fresh(),
 			"POST /v1/estimate?codec=" + fresh() + "&rel=" + num(1e-3) + dims,

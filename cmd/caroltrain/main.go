@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -26,6 +27,7 @@ import (
 	"carol/internal/dataset"
 	"carol/internal/field"
 	"carol/internal/model"
+	"carol/internal/pipeline"
 	"carol/internal/registry"
 	"carol/internal/rf"
 	"carol/internal/trainset"
@@ -73,7 +75,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.boIters, "bo-iters", 10, "Bayesian-optimization iterations")
 	fs.IntVar(&o.forestCap, "forest-cap", 0, "cap NEstimators in the final forest (0 = none)")
 	fs.IntVar(&o.kfolds, "kfolds", 3, "cross-validation folds per BO evaluation")
-	fs.IntVar(&o.workers, "workers", 0, "CPU parallelism for training (0 = all cores)")
+	fs.IntVar(&o.workers, "workers", 0, "CPU parallelism for field generation, collection and training (0 = all cores)")
 	fs.Uint64Var(&o.seed, "seed", 1, "master seed for every randomized component")
 	fs.IntVar(&o.gcKeep, "gc", 0, "after publishing, keep only the newest N versions (0 = keep all)")
 	if err := fs.Parse(args); err != nil {
@@ -95,8 +97,11 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
-// generateFields expands the -datasets spec into training fields.
-func generateFields(spec, dims string) ([]*field.Field, error) {
+// generateFields expands the -datasets spec into training fields. The
+// entries are checked in order, so an error names the first bad one; the
+// fields are then generated on up to workers goroutines and returned in
+// spec order.
+func generateFields(spec, dims string, workers int) ([]*field.Field, error) {
 	var opts dataset.Options
 	if dims != "" {
 		nx, ny, nz, err := field.ParseDims(dims)
@@ -105,30 +110,35 @@ func generateFields(spec, dims string) ([]*field.Field, error) {
 		}
 		opts.Nx, opts.Ny, opts.Nz = nx, ny, nz
 	}
-	var fields []*field.Field
+	type dsField struct{ ds, name string }
+	var todo []dsField
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
 			continue
 		}
-		if ds, fname, ok := strings.Cut(entry, ":"); ok {
-			f, err := dataset.Generate(ds, fname, opts)
-			if err != nil {
-				return nil, err
-			}
-			fields = append(fields, f)
-		} else {
-			fs, err := dataset.GenerateAll(entry, opts)
-			if err != nil {
-				return nil, err
-			}
-			fields = append(fields, fs...)
+		ds, name, one := strings.Cut(entry, ":")
+		s, err := dataset.Lookup(ds)
+		if err != nil {
+			return nil, fmt.Errorf("-datasets entry %q: %w", entry, err)
 		}
+		if !one {
+			for _, fn := range s.Fields {
+				todo = append(todo, dsField{ds, fn})
+			}
+			continue
+		}
+		if !slices.Contains(s.Fields, name) {
+			return nil, fmt.Errorf("-datasets entry %q: %s has no field %q (have %v)", entry, ds, name, s.Fields)
+		}
+		todo = append(todo, dsField{ds, name})
 	}
-	if len(fields) == 0 {
+	if len(todo) == 0 {
 		return nil, fmt.Errorf("no training fields from -datasets %q", spec)
 	}
-	return fields, nil
+	return pipeline.FanOut(len(todo), workers, func(i int) (*field.Field, error) {
+		return dataset.Generate(todo[i].ds, todo[i].name, opts)
+	})
 }
 
 // trainZoo runs the multi-backend sweep on the framework's collected
@@ -179,10 +189,12 @@ func run(args []string, out io.Writer) error {
 	if err := registry.CheckName(o.name); err != nil {
 		return err
 	}
-	fields, err := generateFields(o.datasets, o.dims)
+	start := time.Now()
+	fields, err := generateFields(o.datasets, o.dims, o.workers)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(out, "caroltrain: generated %d fields in %v\n", len(fields), time.Since(start).Round(time.Millisecond))
 	cfg := core.Config{
 		ErrorBounds:  trainset.GeometricBounds(1e-4, 1e-1, o.bounds),
 		BOIterations: o.boIters,

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,7 +40,7 @@ func TestRunPublishesLoadableVersions(t *testing.T) {
 	if err := run(tinyArgs(dir), &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"collected", "forest:", "published szx v1"} {
+	for _, want := range []string{"generated 1 fields in", "collected", "forest:", "published szx v1"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
@@ -161,6 +163,41 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if err := run(tinyArgs(dir, "-codec", "nosuchcodec"), &out); err == nil {
 		t.Fatal("unknown codec accepted")
+	}
+}
+
+// TestGenerateFieldsNamesFirstBadEntry: generation fans out, but the
+// spec is checked in order, so the error names the first bad entry and
+// good specs come back in spec order whatever the worker count.
+func TestGenerateFieldsNamesFirstBadEntry(t *testing.T) {
+	for _, c := range []struct{ spec, bad string }{
+		{"miranda,nosuch,alsobad", "nosuch"},
+		{"miranda:velocityx,miranda:nosuch,nosuch", "miranda:nosuch"},
+		{"nyx:nosuch,nosuch", "nyx:nosuch"},
+	} {
+		for _, workers := range []int{1, 0} {
+			_, err := generateFields(c.spec, "8x8x4", workers)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("entry %q", c.bad)) {
+				t.Errorf("-datasets %s, workers %d: error %v, want one naming %q", c.spec, workers, err, c.bad)
+			}
+		}
+	}
+	var want []string
+	for _, workers := range []int{1, 0, 3} {
+		fields, err := generateFields("hurricane:TC, miranda ,nyx:temperature", "8x8x4", workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, f := range fields {
+			got = append(got, f.Name)
+		}
+		if want == nil {
+			want = got
+		}
+		if len(got) != 9 || got[0] != "hurricane/TC" || got[8] != "nyx/temperature" || !slices.Equal(got, want) {
+			t.Fatalf("workers %d generated %v", workers, got)
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"carol/internal/field"
 	"carol/internal/gridsearch"
 	"carol/internal/model"
+	"carol/internal/pipeline"
 	"carol/internal/rf"
 	"carol/internal/secre"
 	"carol/internal/trainset"
@@ -69,12 +70,15 @@ type Config struct {
 	Feedback bool
 	// FeedbackEvery is the refit cadence for Feedback. Default 8.
 	FeedbackEvery int
-	// Workers bounds the CPU parallelism of model training: tree growth,
-	// cross-validation folds, batch prediction and acquisition scoring all
-	// stay within this many goroutines. 0 uses every core, 1 forces the
-	// serial engine. Models are bit-identical for every value; the knob
-	// only trades wall-clock for CPU on resource-limited hosts. (Feature
-	// extraction has its own knob, Features.Workers.)
+	// Workers bounds the CPU parallelism of data collection and model
+	// training: fields collected at once, tree growth, cross-validation
+	// folds, batch prediction and acquisition scoring all stay within this
+	// many goroutines. 0 uses every core, 1 forces the serial engine.
+	// Training sets and models are bit-identical for every value; the knob
+	// only trades wall-clock for CPU on resource-limited hosts. Collect
+	// calls the codec and surrogate from up to Workers goroutines, so a
+	// pair given to NewWith must be safe for concurrent use unless Workers
+	// is 1. (Feature extraction has its own knob, Features.Workers.)
 	Workers int
 	// Seed drives all randomized components.
 	Seed uint64
@@ -204,7 +208,10 @@ func (fw *Framework) calibrationPoints() int {
 
 // Collect runs CAROL's data collection on the given fields: parallel
 // feature extraction, optional per-field calibration, then a surrogate
-// estimate per error bound.
+// estimate per error bound. Fields are collected on up to Config.Workers
+// goroutines and their samples added in field order, so the training set,
+// the stats and the error (the first failing field's) are those of a
+// serial loop.
 func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
 	// Refuse a model tag Train cannot fit before paying for extraction and
 	// calibration runs.
@@ -213,38 +220,20 @@ func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
 	}
 	start := time.Now()
 	stats := CollectStats{Fields: len(fields)}
-	nCal := fw.calibrationPoints()
-	relLo := fw.cfg.ErrorBounds[0]
-	relHi := fw.cfg.ErrorBounds[len(fw.cfg.ErrorBounds)-1]
-	for _, f := range fields {
-		feat := features.ExtractParallel(f, fw.cfg.Features)
-		var cal *calib.Model
-		if nCal >= 2 {
-			bounds := calib.PickCalibrationBounds(
-				compressor.AbsBound(f, relLo), compressor.AbsBound(f, relHi), nCal)
-			var err error
-			if cal, err = calib.Fit(fw.codec, fw.surrogate, f, bounds); err != nil {
-				return stats, fmt.Errorf("core: calibrate %s: %w", f.Name, err)
-			}
-			stats.FullCompressorRuns += nCal
-		}
-		// One sweep per field: a SECRE surrogate validates and samples the
-		// field once for all of its bounds.
-		ebs := make([]float64, len(fw.cfg.ErrorBounds))
-		for i, rel := range fw.cfg.ErrorBounds {
-			ebs[i] = compressor.AbsBound(f, rel)
-		}
-		ratios, err := secre.Curve(fw.surrogate, f, ebs)
-		if err != nil {
-			return stats, fmt.Errorf("core: estimate %s: %w", f.Name, err)
+	curves, err := pipeline.FanOut(len(fields), fw.cfg.Workers, func(i int) (fieldCurve, error) {
+		return fw.collectField(fields[i]), nil
+	})
+	if err != nil {
+		return stats, err
+	}
+	for _, c := range curves {
+		stats.FullCompressorRuns += c.calibrationRuns
+		if c.err != nil {
+			return stats, c.err
 		}
 		for i, rel := range fw.cfg.ErrorBounds {
-			ratio := ratios[i]
-			if cal != nil {
-				ratio = cal.Correct(ebs[i], ratio)
-			}
 			stats.SurrogateRuns++
-			if err := fw.set.Add(trainset.Sample{Features: feat, Ratio: ratio, RelEB: rel}); err != nil {
+			if err := fw.set.Add(trainset.Sample{Features: c.feat, Ratio: c.ratios[i], RelEB: rel}); err != nil {
 				return stats, err
 			}
 			stats.Samples++
@@ -252,6 +241,50 @@ func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
+}
+
+// fieldCurve is one field's share of a Collect: its features and one
+// (calibrated) ratio per error bound, or the error that stopped it.
+type fieldCurve struct {
+	feat            features.Vector
+	ratios          []float64
+	calibrationRuns int
+	err             error
+}
+
+func (fw *Framework) collectField(f *field.Field) fieldCurve {
+	c := fieldCurve{feat: features.ExtractParallel(f, fw.cfg.Features)}
+	var cal *calib.Model
+	if nCal := fw.calibrationPoints(); nCal >= 2 {
+		relLo := fw.cfg.ErrorBounds[0]
+		relHi := fw.cfg.ErrorBounds[len(fw.cfg.ErrorBounds)-1]
+		bounds := calib.PickCalibrationBounds(
+			compressor.AbsBound(f, relLo), compressor.AbsBound(f, relHi), nCal)
+		var err error
+		if cal, err = calib.Fit(fw.codec, fw.surrogate, f, bounds); err != nil {
+			c.err = fmt.Errorf("core: calibrate %s: %w", f.Name, err)
+			return c
+		}
+		c.calibrationRuns = nCal
+	}
+	// One sweep per field: a SECRE surrogate validates and samples the
+	// field once for all of its bounds.
+	ebs := make([]float64, len(fw.cfg.ErrorBounds))
+	for i, rel := range fw.cfg.ErrorBounds {
+		ebs[i] = compressor.AbsBound(f, rel)
+	}
+	ratios, err := secre.Curve(fw.surrogate, f, ebs)
+	if err != nil {
+		c.err = fmt.Errorf("core: estimate %s: %w", f.Name, err)
+		return c
+	}
+	if cal != nil {
+		for i := range ratios {
+			ratios[i] = cal.Correct(ebs[i], ratios[i])
+		}
+	}
+	c.ratios = ratios
+	return c
 }
 
 // Train runs Bayesian-optimized hyper-parameter search and fits the final

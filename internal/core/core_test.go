@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"carol/internal/compressor"
@@ -267,5 +270,65 @@ func TestPredictErrorBoundsMatchesSingle(t *testing.T) {
 	}
 	if _, err := fw.PredictErrorBounds(test, []float64{10, -1}); err == nil {
 		t.Fatal("negative target ratio accepted")
+	}
+}
+
+// collectWith runs one Collect with the given Workers and returns what it
+// left behind: the samples, the stats (minus the wall clock) and the error.
+func collectWith(t *testing.T, codec string, workers int, fields []*field.Field) ([]trainset.Sample, CollectStats, error) {
+	t.Helper()
+	cfg := fastConfig()
+	cfg.Workers = workers
+	fw, err := New(codec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := fw.Collect(fields)
+	cs.Duration = 0
+	return fw.TrainingSet().Samples(), cs, err
+}
+
+// TestCollectWorkersBitIdentical: fanning fields out over workers must
+// leave the training set and stats of the serial loop, bit for bit. SZ3
+// covers the calibrated path, SZx the uncalibrated one.
+func TestCollectWorkersBitIdentical(t *testing.T) {
+	fields := trainFields(t)
+	for _, codec := range []string{"szx", "sz3"} {
+		want, wantStats, err := collectWith(t, codec, 1, fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 3} {
+			got, gotStats, err := collectWith(t, codec, workers, fields)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+				t.Fatalf("%s: Workers=%d collected %d samples %+v, serial %d samples %+v",
+					codec, workers, len(got), gotStats, len(want), wantStats)
+			}
+		}
+	}
+}
+
+// TestCollectFirstErrorInFieldOrder: with two bad fields after a good one,
+// every Workers value reports the first bad field and keeps exactly the
+// good field's samples, as the serial loop did.
+func TestCollectFirstErrorInFieldOrder(t *testing.T) {
+	good := trainFields(t)[0]
+	bad := func(name string) *field.Field {
+		f := field.New(name, 16, 16, 4)
+		f.Data[5] = float32(math.NaN())
+		return f
+	}
+	fields := []*field.Field{good, bad("first-bad"), bad("second-bad")}
+	for _, workers := range []int{1, 0, 3} {
+		got, cs, err := collectWith(t, "szx", workers, fields)
+		if err == nil || !strings.Contains(err.Error(), "first-bad") {
+			t.Fatalf("Workers=%d: error %v, want one naming first-bad", workers, err)
+		}
+		if len(got) != 12 || cs.Samples != 12 || cs.SurrogateRuns != 12 {
+			t.Fatalf("Workers=%d: kept %d samples, stats %+v; want the good field's 12", workers, len(got), cs)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"carol/internal/features"
 	"carol/internal/field"
 	"carol/internal/gridsearch"
+	"carol/internal/pipeline"
 	"carol/internal/rf"
 	"carol/internal/trainset"
 )
@@ -40,9 +41,10 @@ type Config struct {
 	// ForestCap limits NEstimators during training to keep scaled-down
 	// experiments fast; 0 means no cap.
 	ForestCap int
-	// Workers bounds the CPU parallelism of forest training and
-	// cross-validation: 0 uses every core, 1 forces the serial engine.
-	// Training output is bit-identical for every value.
+	// Workers bounds the CPU parallelism of data collection (fields
+	// compressed at once), forest training and cross-validation: 0 uses
+	// every core, 1 forces the serial engine. Training sets and models are
+	// bit-identical for every value.
 	Workers int
 	// Seed drives all randomized components.
 	Seed uint64
@@ -104,27 +106,53 @@ func (fw *Framework) TrainingSize() int { return fw.set.Len() }
 
 // Collect runs FXRZ's data collection on the given fields: features via
 // strided serial extraction, then a full compressor run per error bound.
+// Fields are compressed on up to Config.Workers goroutines, as CAROL's
+// Collect does, and their samples added in field order, so the training
+// set, the stats and the error are those of a serial loop.
 func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
 	start := time.Now()
 	stats := CollectStats{Fields: len(fields)}
-	for _, f := range fields {
-		feat := features.ExtractSampled(f, fw.cfg.FeatureStride)
-		for _, rel := range fw.cfg.ErrorBounds {
-			eb := compressor.AbsBound(f, rel)
-			stream, err := fw.codec.Compress(f, eb)
-			if err != nil {
-				return stats, fmt.Errorf("fxrz: collect %s at rel=%g: %w", f.Name, rel, err)
-			}
+	curves, err := pipeline.FanOut(len(fields), fw.cfg.Workers, func(i int) (fieldCurve, error) {
+		return fw.collectField(fields[i]), nil
+	})
+	if err != nil {
+		return stats, err
+	}
+	for _, c := range curves {
+		for i, ratio := range c.ratios {
 			stats.CompressorRuns++
-			ratio := compressor.Ratio(f, stream)
-			if err := fw.set.Add(trainset.Sample{Features: feat, Ratio: ratio, RelEB: rel}); err != nil {
+			if err := fw.set.Add(trainset.Sample{Features: c.feat, Ratio: ratio, RelEB: fw.cfg.ErrorBounds[i]}); err != nil {
 				return stats, err
 			}
 			stats.Samples++
 		}
+		if c.err != nil {
+			return stats, c.err
+		}
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
+}
+
+// fieldCurve is one field's share of a Collect: its features and the
+// measured ratio at each error bound up to the first compressor error.
+type fieldCurve struct {
+	feat   features.Vector
+	ratios []float64
+	err    error
+}
+
+func (fw *Framework) collectField(f *field.Field) fieldCurve {
+	c := fieldCurve{feat: features.ExtractSampled(f, fw.cfg.FeatureStride)}
+	for _, rel := range fw.cfg.ErrorBounds {
+		stream, err := fw.codec.Compress(f, compressor.AbsBound(f, rel))
+		if err != nil {
+			c.err = fmt.Errorf("fxrz: collect %s at rel=%g: %w", f.Name, rel, err)
+			return c
+		}
+		c.ratios = append(c.ratios, compressor.Ratio(f, stream))
+	}
+	return c
 }
 
 // Train runs the randomized grid search from scratch (FXRZ has no warm

@@ -1,6 +1,9 @@
 package fxrz
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"carol/internal/compressor"
@@ -113,5 +116,33 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if fw.cfg.GridConfigs != 10 || fw.cfg.FeatureStride != 4 {
 		t.Fatalf("defaults %+v", fw.cfg)
+	}
+}
+
+// TestCollectWorkersBitIdentical: FXRZ's collection fans out like CAROL's
+// and must leave the serial loop's training set, stats and first error.
+func TestCollectWorkersBitIdentical(t *testing.T) {
+	bad := field.New("bad", 16, 16, 4)
+	bad.Data[3] = float32(math.Inf(1))
+	for _, fields := range [][]*field.Field{trainFields(t), append(trainFields(t)[:1], bad, bad)} {
+		collect := func(workers int) ([]trainset.Sample, CollectStats, error) {
+			cfg := fastConfig()
+			cfg.Workers = workers
+			fw := New(szx.New(), cfg)
+			cs, err := fw.Collect(fields)
+			cs.Duration = 0
+			return fw.set.Samples(), cs, err
+		}
+		want, wantStats, wantErr := collect(1)
+		if (wantErr != nil) != (fields[1] == bad) {
+			t.Fatalf("serial collect error %v", wantErr)
+		}
+		for _, workers := range []int{0, 3} {
+			got, gotStats, err := collect(workers)
+			if !reflect.DeepEqual(got, want) || gotStats != wantStats || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("Workers=%d: %d samples %+v err %v; serial %d samples %+v err %v",
+					workers, len(got), gotStats, err, len(want), wantStats, wantErr)
+			}
+		}
 	}
 }

@@ -36,6 +36,27 @@ func BenchmarkTrain(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainTied grows serial 32-tree forests on the tie-heavy
+// training matrix (see tiedData), where the split search's sort dominates.
+func BenchmarkTrainTied(b *testing.B) {
+	X, y := tiedData(b)
+	for _, mf := range []MaxFeatures{MaxFeaturesAuto, MaxFeaturesSqrt} {
+		b.Run(mf.String(), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.NEstimators = 32
+			cfg.MaxFeatures = mf
+			cfg.Workers = 1
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Train(X, y, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkCrossValidate(b *testing.B) {
 	X, y := synthData(1200, 1, 0.1)
 	for _, w := range workerVariants() {

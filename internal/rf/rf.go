@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -303,20 +302,6 @@ func (f *Forest) FeatureImportance() []float64 {
 	return imp
 }
 
-// pairSorter sorts a feature-value slice while keeping the target slice
-// aligned; it lives inside builder so sort.Sort gets a pre-existing pointer
-// and no per-node allocation happens.
-type pairSorter struct {
-	v, y []float64
-}
-
-func (s *pairSorter) Len() int           { return len(s.v) }
-func (s *pairSorter) Less(i, j int) bool { return s.v[i] < s.v[j] }
-func (s *pairSorter) Swap(i, j int) {
-	s.v[i], s.v[j] = s.v[j], s.v[i]
-	s.y[i], s.y[j] = s.y[j], s.y[i]
-}
-
 // builder grows a single tree. All per-node working storage is reused
 // across the whole tree: sample indices are partitioned in place, and the
 // split search sorts into fixed scratch buffers.
@@ -328,12 +313,10 @@ type builder struct {
 	rng   *xrand.Source
 	nodes []node
 
-	idx    []int // sample indices; grow partitions segments of this in place
-	part   []int // stable-partition scratch (right-child indices)
-	feats  []int // feature-permutation scratch, one Fisher-Yates draw per split
-	vals   []float64
-	ys     []float64
-	sorter pairSorter
+	idx   []int  // sample indices; grow partitions segments of this in place
+	part  []int  // stable-partition scratch (right-child indices)
+	feats []int  // feature-permutation scratch, one Fisher-Yates draw per split
+	pairs []pair // split-search sort buffer
 }
 
 // build grows the tree over the bootstrap sample idx (which the builder
@@ -342,8 +325,7 @@ func (b *builder) build(idx []int) []node {
 	b.idx = idx
 	b.part = make([]int, 0, len(idx))
 	b.feats = make([]int, b.dims)
-	b.vals = make([]float64, len(idx))
-	b.ys = make([]float64, len(idx))
+	b.pairs = make([]pair, len(idx))
 	b.grow(0, len(idx), 0)
 	return b.nodes
 }
@@ -449,20 +431,17 @@ func (b *builder) bestSplit(lo, hi int) (feat int, thresh, score float64, ok boo
 	feats := b.feats[:nFeat]
 
 	n := hi - lo
-	vals := b.vals[:n]
-	ys := b.ys[:n]
+	ps := b.pairs[:n]
 	bestScore := math.Inf(1)
 	for _, ft := range feats {
 		for k, i := range b.idx[lo:hi] {
-			vals[k] = b.X[i][ft]
-			ys[k] = b.y[i]
+			ps[k] = pair{b.X[i][ft], b.y[i]}
 		}
-		b.sorter.v, b.sorter.y = vals, ys
-		sort.Sort(&b.sorter)
+		sortPairs(ps)
 		var sumT, sqT float64
-		for _, t := range ys {
-			sumT += t
-			sqT += t * t
+		for _, p := range ps {
+			sumT += p.y
+			sqT += p.y * p.y
 		}
 		// Candidate thresholds: midpoints between distinct consecutive
 		// values, evenly subsampled if too many.
@@ -473,16 +452,16 @@ func (b *builder) bestSplit(lo, hi int) (feat int, thresh, score float64, ok boo
 		j := 0
 		var sumL, sqL float64
 		for vi := 0; vi+step < n; vi += step {
-			a, c := vals[vi], vals[vi+step]
+			a, c := ps[vi].v, ps[vi+step].v
 			if a == c { //carol:allow floateq equal sorted values admit no threshold between them
 				continue
 			}
 			t := (a + c) / 2
 			// Thresholds increase monotonically, so the left-side prefix
 			// sums advance with a single cursor over the sorted pairs.
-			for j < n && vals[j] <= t {
-				sumL += ys[j]
-				sqL += ys[j] * ys[j]
+			for j < n && ps[j].v <= t {
+				sumL += ps[j].y
+				sqL += ps[j].y * ps[j].y
 				j++
 			}
 			nL, nR := float64(j), float64(n-j)

@@ -100,6 +100,11 @@ const (
 	biasMax = 9.0
 )
 
+// missBuckets bound selector_prediction_miss, |predicted/achieved - 1| of
+// the chosen codec's corrected prediction: the buckets of fraz_ratio_miss,
+// so the two misses read on one scale.
+var missBuckets = []float64{0.005, 0.01, 0.02, 0.03, 0.05, 0.1, 0.25, 0.5, 1}
+
 // Config tunes a Selector. The zero value selects every registered codec
 // with seed 0, epsilon 0.05 and bias EMA weight 0.3.
 type Config struct {
@@ -181,8 +186,7 @@ type Selector struct {
 	decTotal      []*obs.Counter
 	outTotal      []*obs.Counter
 	biasGauge     []*obs.Gauge
-	predGauge     []*obs.Gauge
-	achGauge      []*obs.Gauge
+	missHist      []*obs.Histogram
 	exploreTotal  *obs.Counter
 	rejectTotal   *obs.Counter
 	selectSeconds *obs.Histogram
@@ -220,8 +224,7 @@ func New(cfg Config) (*Selector, error) {
 		s.decTotal = append(s.decTotal, cfg.Registry.Counter(obs.Label("selector_decisions_total", "codec", name)))
 		s.outTotal = append(s.outTotal, cfg.Registry.Counter(obs.Label("selector_outcomes_total", "codec", name)))
 		s.biasGauge = append(s.biasGauge, cfg.Registry.Gauge(obs.Label("selector_bias_ema", "codec", name)))
-		s.predGauge = append(s.predGauge, cfg.Registry.Gauge(obs.Label("selector_last_predicted_ratio", "codec", name)))
-		s.achGauge = append(s.achGauge, cfg.Registry.Gauge(obs.Label("selector_last_achieved_ratio", "codec", name)))
+		s.missHist = append(s.missHist, cfg.Registry.Histogram(obs.Label("selector_prediction_miss", "codec", name), missBuckets))
 	}
 	return s, nil
 }
@@ -432,10 +435,11 @@ func (s *Selector) decideLocked(scores []float64, target float64) (choice int, e
 }
 
 // Observe closes the bandit loop: the caller compressed with d.Codec and
-// achieved `actual`. The pair feeds the per-arm bias EMA and the shared
-// secre estimate-vs-actual gauges. Non-finite or non-positive outcomes
-// (and decisions whose surrogate failed) are rejected with a counter
-// instead of poisoning the state.
+// achieved `actual`. The pair feeds the per-arm bias EMA, the shared
+// secre estimate-vs-actual metrics and the codec's prediction-miss
+// histogram. Non-finite or non-positive outcomes (and decisions whose
+// surrogate failed) are rejected with a counter instead of poisoning the
+// state.
 func (s *Selector) Observe(d Decision, actual float64) {
 	raw := d.rawPredicted()
 	if d.index < 0 || d.index >= len(s.names) || d.bucket < 0 || d.bucket >= bucketCount ||
@@ -468,8 +472,7 @@ func (s *Selector) Observe(d Decision, actual float64) {
 	s.mu.Unlock()
 	s.outTotal[d.index].Inc()
 	s.biasGauge[d.index].Set(bias)
-	s.predGauge[d.index].Set(raw)
-	s.achGauge[d.index].Set(actual)
+	s.missHist[d.index].Observe(math.Abs(d.PredictedRatio()/actual - 1))
 }
 
 // ArmStats is one (codec, bucket) arm's snapshot.

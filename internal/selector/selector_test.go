@@ -3,12 +3,14 @@ package selector
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/field"
+	"carol/internal/obs"
 	"carol/internal/xrand"
 )
 
@@ -299,6 +301,46 @@ func TestFallbackAllEstimatorsFail(t *testing.T) {
 	s.Observe(d, 3)
 	if got := s.Stats().RejectedOutcomes - before; got != 1 {
 		t.Fatalf("fallback observe rejects = %d, want 1", got)
+	}
+}
+
+// TestPredictionMissHistogram: every accepted outcome lands in the chosen
+// codec's selector_prediction_miss histogram as |corrected/achieved - 1|,
+// a rejected one nowhere, and no last-writer-wins gauge is exported.
+func TestPredictionMissHistogram(t *testing.T) {
+	reg := obs.NewRegistry()
+	sel, err := New(Config{
+		Codecs:     []string{"szx", "zfp"},
+		Seed:       1,
+		Epsilon:    -1,
+		Registry:   reg,
+		Estimators: map[string]compressor.Estimator{"szx": fixedEst{name: "szx", ratio: 10}, "zfp": fixedEst{name: "zfp", ratio: 8}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := sel.Select(smoothGrid("h", 64, 1, 1, 15), 1e-3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel.Observe(d, 8)          // miss |10/8 - 1| = 0.25
+	sel.Observe(d, math.NaN()) // rejected
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`selector_prediction_miss_bucket{codec="szx",le="0.1"} 0`,
+		`selector_prediction_miss_bucket{codec="szx",le="0.25"} 1`,
+		`selector_prediction_miss_count{codec="szx"} 1`,
+		`selector_prediction_miss_count{codec="zfp"} 0`,
+	} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("exposition lacks %s:\n%s", want, text.String())
+		}
+	}
+	if strings.Contains(text.String(), "selector_last_") {
+		t.Errorf("last-value gauges still exported:\n%s", text.String())
 	}
 }
 

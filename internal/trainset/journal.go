@@ -70,14 +70,7 @@ func (r Record) Sample() Sample {
 	return Sample{Features: r.Features, Ratio: r.Ratio, RelEB: r.RelEB}
 }
 
-func (r Record) valid() bool {
-	for _, v := range append(r.Features.Slice(), r.Ratio, r.RelEB) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return r.Ratio > 0 && r.RelEB > 0
-}
+func (r Record) valid() bool { return r.Sample().check() == nil }
 
 func (r Record) encode(dst []byte) []byte {
 	var payload [journalPayloadLen]byte

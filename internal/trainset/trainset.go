@@ -75,12 +75,27 @@ func (s *Set) evictOldest() {
 	}
 }
 
-// Add appends a sample, rejecting non-positive ratios or bounds. On a
-// bounded set an exact duplicate is dropped silently and an overflowing
-// add evicts the oldest sample first.
+// check is the one rule every stored sample obeys: all five features
+// finite, the ratio and the bound finite and positive. A non-finite model
+// input would also leave the forest's split sort without an order.
+func (sm Sample) check() error {
+	for _, v := range sm.Features.Slice() {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return errors.New("trainset: features must be finite")
+		}
+	}
+	if !(sm.Ratio > 0) || math.IsInf(sm.Ratio, 1) || !(sm.RelEB > 0) || math.IsInf(sm.RelEB, 1) {
+		return errors.New("trainset: ratio and relative error bound must be finite and positive")
+	}
+	return nil
+}
+
+// Add appends a sample, rejecting one that breaks the finiteness and
+// positivity rule. On a bounded set an exact duplicate is dropped silently
+// and an overflowing add evicts the oldest sample first.
 func (s *Set) Add(sm Sample) error {
-	if !(sm.Ratio > 0) || !(sm.RelEB > 0) {
-		return errors.New("trainset: ratio and relative error bound must be positive")
+	if err := sm.check(); err != nil {
+		return err
 	}
 	if s.seen != nil {
 		if _, dup := s.seen[sm]; dup {

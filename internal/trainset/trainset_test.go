@@ -23,6 +23,42 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
+// TestAddRejectsNonFinite sets one slot of an otherwise good sample to
+// each non-finite value: Add must refuse every one, and so must the
+// journal's record check, which applies the same rule.
+func TestAddRejectsNonFinite(t *testing.T) {
+	good := Sample{Features: features.Vector{Mean: 1, Range: 2, MND: 3, MLD: 4, MSD: 5}, Ratio: 10, RelEB: 1e-3}
+	for _, row := range []struct {
+		slot string
+		set  func(*Sample, float64)
+	}{
+		{"mean", func(s *Sample, v float64) { s.Features.Mean = v }},
+		{"range", func(s *Sample, v float64) { s.Features.Range = v }},
+		{"mnd", func(s *Sample, v float64) { s.Features.MND = v }},
+		{"mld", func(s *Sample, v float64) { s.Features.MLD = v }},
+		{"msd", func(s *Sample, v float64) { s.Features.MSD = v }},
+		{"ratio", func(s *Sample, v float64) { s.Ratio = v }},
+		{"relEB", func(s *Sample, v float64) { s.RelEB = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			sm := good
+			row.set(&sm, v)
+			var s Set
+			if err := s.Add(sm); err == nil {
+				t.Errorf("%s = %v: Add accepted it", row.slot, v)
+			}
+			rec := Record{Features: sm.Features, Ratio: sm.Ratio, RelEB: sm.RelEB}
+			if rec.valid() {
+				t.Errorf("%s = %v: journal record counted as valid", row.slot, v)
+			}
+		}
+	}
+	var s Set
+	if err := s.Add(good); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMatrixShapeAndScaling(t *testing.T) {
 	var s Set
 	v := features.Vector{Mean: 1, Range: 2, MND: 3, MLD: 4, MSD: 5}

@@ -16,6 +16,8 @@
 # bad list or the retired knn tag is refused by caroltrain before any
 # training work and by carolretrain before it reads the journal, and a
 # non-forest (boost) publish is listed and answered by the live server.
+# It also checks that caroltrain -workers 1 and -workers 0 publish
+# artifacts that differ only in their trained_at stamp.
 #
 # Everything is seeded and the traffic is fixed, so both verdicts are
 # deterministic. Pure sh + curl; helpers in scripts/lib.sh.
@@ -48,6 +50,28 @@ for bad in rf,bogus knn; do
         exit 1
     fi
 done
+
+echo "== caroltrain: -workers 1 and -workers 0 publish the same artifact"
+# Generation, collection and training fan out over -workers without
+# changing a bit. trained_at is the one value that may differ: a 20-byte
+# RFC 3339 stamp behind its key and a one-byte length, covered by the
+# artifact's 4-byte CRC trailer. Every differing byte must lie in those.
+for w in 1 0; do
+    "$bindir/caroltrain" -codec szx -name "szx-w$w" -model-dir "$workdir/ident" \
+        -datasets miranda,hurricane:TC -dims 16x16x8 -bounds 12 -bo-iters 2 \
+        -forest-cap 8 -kfolds 2 -seed 7 -workers "$w" >/dev/null
+done
+a="$workdir/ident/szx-w1/v000001.model"
+b="$workdir/ident/szx-w0/v000001.model"
+size=$(wc -c <"$a")
+key=$(grep -abo trained_at "$a" | head -n 1 | cut -d: -f1)
+if [ "$size" -ne "$(wc -c <"$b")" ] || [ -z "$key" ] ||
+    ! cmp -l "$a" "$b" | awk -v lo=$((key + 12)) -v hi=$((key + 31)) -v crc=$((size - 3)) \
+        '!(($1 >= lo && $1 <= hi) || $1 >= crc) { bad = 1 } END { exit bad }'; then
+    echo "smoke_train: -workers 1 and -workers 0 artifacts differ beyond trained_at:" >&2
+    cmp -l "$a" "$b" | head -n 20 >&2
+    exit 1
+fi
 
 echo "== generate traffic fields"
 dims=32x32x8
