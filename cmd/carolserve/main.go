@@ -13,7 +13,7 @@
 //	     X-Carol-Achieved-Ratio arrives as an HTTP trailer
 //	POST /v1/compress?codec=sz3&ratio=100&dims=128x128x64  -> stream (fixed-ratio search,
 //	     started from the loaded model's predicted bound when -model-dir has one for
-//	     the codec and, for szx and zfp, run on the SECRE surrogate before it compresses;
+//	     the codec and, for szx, zfp and sz3, run on the SECRE surrogate before it compresses;
 //	     X-Carol-Resolver says model|search, X-Carol-Compressor-Runs the cost,
 //	     X-Carol-Surrogate-Evals the surrogate evaluations that cost stood in for)
 //	POST /v1/compress?mode=auto&rel=1e-3&dims=...          -> adaptive codec selection:
@@ -218,9 +218,9 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	case req.Ratio > 0:
 		seed := s.predictBound(tr, codec.Name(), req.Ratio, vector)
 		span = tr.StartSpan("search")
-		// SZx and ZFP searches root-find on their SECRE surrogate and compress
-		// where it predicts the target; binding it to the field plus every
-		// evaluation is the search's surrogate child span.
+		// SZx, ZFP and SZ3 searches root-find on their SECRE surrogate and
+		// compress where it predicts the target; binding it to the field plus
+		// every evaluation is the search's surrogate child span.
 		bindStart := time.Now()
 		opts := fraz.Options{Seed: seed, Surrogate: codecs.SearchSurrogate(codec.Name(), f)}
 		bindTime := time.Since(bindStart)

@@ -128,14 +128,13 @@ func TestRatioResolver(t *testing.T) {
 				target, again.runs, got.runs, len(again.body), len(got.body))
 		}
 	}
-	// No model was trained for sz3: same server, plain search.
+	// No model was trained for sz3: same server, unseeded search, which
+	// still root-finds on SZ3's entropy-sized surrogate.
 	got := postRatio(t, seeded, "codec=sz3&dims=24x24x8&ratio=8", body)
 	if got.resolver != fraz.ResolverSearch {
 		t.Fatalf("sz3 on an szx-only registry: X-Carol-Resolver %q", got.resolver)
 	}
-	// Nor does SZ3 search on a surrogate: its estimate is flat where the
-	// targets are.
-	if got.evals != "0" || strings.Contains(got.trace, "surrogate=") {
+	if evals, err := strconv.Atoi(got.evals); err != nil || evals < 1 || !strings.Contains(got.trace, "surrogate=") {
 		t.Errorf("sz3: X-Carol-Surrogate-Evals %q, trace %q", got.evals, got.trace)
 	}
 }
@@ -146,8 +145,6 @@ func TestRatioResolver(t *testing.T) {
 func TestRatioExtractsOnceAndHarvestsEveryProbe(t *testing.T) {
 	f, buf := testBody(t)
 	models, harvest := t.TempDir(), t.TempDir()
-	// SZ3 searches on real probes alone (SZx and ZFP solve on their
-	// surrogate first and mostly compress once).
 	publishFieldModel(t, models, "sz3", "sz3", f)
 	cfg := defaultConfig()
 	cfg.modelDir, cfg.harvestDir = models, harvest

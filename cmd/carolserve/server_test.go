@@ -77,6 +77,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`fraz_search_runs_bucket{resolver="search",le=`,
 		"fraz_ratio_miss_bucket",
 		"fraz_search_compressor_runs_total",
+		"fraz_surrogate_refine_runs_total",
 		`secre_estimate_rel_error{codec="szx"}`,
 		`codec_compress_seconds_bucket{codec="szx",le=`,
 		"http_inflight_requests",

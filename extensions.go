@@ -59,8 +59,8 @@ type TrialAndErrorResult struct {
 // trained model, by a FRaZ-style search on the error bound with the real
 // compressor (Underwood et al., IPDPS 2020). It is exact but costs several
 // compressor runs — the baseline a trained Framework replaces with a single
-// prediction. For SZx and ZFP the search runs on their SECRE surrogate
-// first and compresses only where it predicts the target.
+// prediction. For SZx, ZFP and SZ3 the search runs on their SECRE search
+// surrogate first and compresses only where it predicts the target.
 func IterativeCompressToRatio(compressorName string, f *Field, targetRatio float64) (TrialAndErrorResult, error) {
 	codec, err := codecs.ByName(compressorName)
 	if err != nil {

@@ -59,20 +59,22 @@ func SurrogateByName(name string) (compressor.Estimator, error) {
 }
 
 // searchSurrogates are the surrogates a fixed-ratio search may root-find on:
-// the high-throughput group, whose SECRE estimate needs no calibration
-// (SZ3's fixed-width sizing is flat above ratio 10.7, where the targets
-// are). SZx keeps the extrema of up to 8191 blocks — every block of a 64^3
-// field, which makes its estimate the exact payload size there; at the
-// default 16 blocks a search on it is worse than none (DESIGN.md §21).
+// those that can say the ratios asked for. SZx keeps the extrema of up to
+// 8191 blocks — every block of a 64^3 field, which makes its estimate the
+// exact payload size there; at the default 16 blocks a search on it is
+// worse than none. SZ3 sizes its codes by their entropy: SECRE's fixed
+// width is flat above ratio 10.7, where the targets are. SPERR and SZP have
+// none (DESIGN.md §21).
 var searchSurrogates = map[string]*secre.Estimator{
 	"szx": mustSurrogate("szx", secre.Options{MinSampledBlocks: 4096}),
 	"zfp": mustSurrogate("zfp", secre.Options{}),
+	"sz3": mustSurrogate("sz3", secre.Options{EntropySized: true}),
 }
 
 func mustSurrogate(name string, opts secre.Options) *secre.Estimator {
 	est, err := secre.New(name, opts)
 	if err != nil {
-		panic(err) // unreachable: both names have a surrogate
+		panic(err) // unreachable: every name has a surrogate
 	}
 	return est
 }

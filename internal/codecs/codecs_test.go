@@ -56,9 +56,9 @@ func TestHighThroughputGrouping(t *testing.T) {
 	}
 }
 
-// TestSearchSurrogate: the high-throughput codecs get a field-bound
-// surrogate whose SZx estimate is the exact payload size on a field small
-// enough to sample whole; the others, and unusable fields, get none.
+// TestSearchSurrogate: SZx, ZFP and SZ3 get a field-bound surrogate, whose
+// SZx estimate is the exact payload size on a field small enough to sample
+// whole; SPERR, SZP, unknown codecs and unusable fields get none.
 func TestSearchSurrogate(t *testing.T) {
 	f := field.New("ramp", 32, 32, 8)
 	for i := range f.Data {
@@ -66,12 +66,19 @@ func TestSearchSurrogate(t *testing.T) {
 	}
 	for _, name := range ExtendedNames {
 		sur := SearchSurrogate(name, f)
-		if (sur != nil) != HighThroughput(name) {
+		if want := name != "sperr" && name != "szp"; (sur != nil) != want {
 			t.Fatalf("%s: search surrogate %v", name, sur != nil)
 		}
 	}
-	if SearchSurrogate("szx", nil) != nil || SearchSurrogate("nope", f) != nil {
-		t.Fatal("surrogate for a nil field or an unknown codec")
+	nan := field.FromData("nan", 32, 32, 8, append([]float32(nil), f.Data...))
+	nan.Data[1000] = float32(math.NaN())
+	for _, name := range []string{"szx", "zfp", "sz3"} {
+		if SearchSurrogate(name, nil) != nil || SearchSurrogate(name, nan) != nil {
+			t.Fatalf("%s: surrogate for a nil field or one with a NaN", name)
+		}
+	}
+	if SearchSurrogate("nope", f) != nil {
+		t.Fatal("surrogate for an unknown codec")
 	}
 	codec, err := ByName("szx")
 	if err != nil {

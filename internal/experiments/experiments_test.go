@@ -75,7 +75,7 @@ func smoke(t *testing.T, id string, markers ...string) {
 
 func TestRunTable2(t *testing.T) { smoke(t, "table2", "miranda", "hurricane", "paper dims") }
 
-func TestRunFig2(t *testing.T) { smoke(t, "fig2", "[szx]", "[sperr]", "f_SECRE(e)") }
+func TestRunFig2(t *testing.T) { smoke(t, "fig2", "[szx]", "[sperr]", "f_SECRE(e)", "f_search(e)") }
 
 func TestRunFig3(t *testing.T) {
 	if testing.Short() {

@@ -72,7 +72,7 @@ func RunExtModels(w io.Writer, s Scale) error {
 
 // RunExtFraz compares a trained CAROL framework against the FRaZ-style
 // trial-and-error baseline, against the search started from CAROL's
-// prediction and — for SZx and ZFP, whose surrogate needs no calibration —
+// prediction and — for the codecs with a search surrogate (SZx, ZFP, SZ3) —
 // against that search run on the surrogate first: fixed-ratio accuracy and
 // the number of compressor executions each needs per request.
 func RunExtFraz(w io.Writer, s Scale) error {

@@ -38,8 +38,9 @@ const (
 	// give a secant; error-bounded codecs sit between 0.3 and 0.8.
 	defaultSlope = 0.5
 	// surrogateTolerance is the predicted miss at which a surrogate solve
-	// asks for a real compression: well inside tolerance, which leaves room
-	// for the surrogate's own error (stream headers, block sampling).
+	// asks for a real compression, and the real miss below which a surrogate
+	// search stops refining inside the band: well inside tolerance, which
+	// leaves room for the surrogate's own error (stream headers, sampling).
 	surrogateTolerance = 0.004
 	// maxSurrogateEvals caps one search's surrogate evaluations (a solve
 	// takes 5-15): only a surrogate that leads nowhere gets there.
@@ -68,6 +69,9 @@ var (
 	// jumpSkips counts searches ended without compressing the far side of a
 	// jump that the surrogate priced no closer than their best probe.
 	jumpSkips = obs.Default.Counter("fraz_surrogate_jump_skips_total")
+	// refineRuns counts the compressions a surrogate search spent inside the
+	// band, taking an answer already in it closer to the target.
+	refineRuns = obs.Default.Counter("fraz_surrogate_refine_runs_total")
 	// ratioMiss is |achieved/target - 1| of every finished search; the
 	// buckets straddle the acceptance band.
 	ratioMiss = obs.Default.Histogram("fraz_ratio_miss",
@@ -306,7 +310,8 @@ func (s *surrogate) solve(real bracket, rel float64) (at, miss float64, ok bool)
 
 // search is the uninstrumented loop: real probes drive a bracket, and while
 // a surrogate is in play every bound they would try is first moved to where
-// the surrogate puts the target.
+// the surrogate puts the target — also after a probe inside the band, which
+// the surrogate, anchored on it, may still take closer.
 func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Options) (Result, error) {
 	if !(targetRatio > 0) {
 		return Result{}, fmt.Errorf("fraz: invalid target ratio %g", targetRatio)
@@ -340,17 +345,22 @@ func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 			case !ok:
 				sur.drop()
 			case predicted >= bestMiss:
-				// Only a side of a jump can be predicted this far off (bestMiss
-				// is outside the band). Anchored on the last probe, the
-				// surrogate prices it no closer than a probe already made, and
-				// since the ratio rises with the bound, nothing else on that
-				// side is closer either: its compression cannot change the
-				// answer.
-				jumpSkips.Inc()
+				// Anchored on the last probe, the surrogate prices its proposal
+				// no closer than a probe already made: a refinement in the band
+				// that would not refine, or (outside it, where only a side of a
+				// jump is predicted this far off) a side of which, since the
+				// ratio rises with the bound, nothing is closer either. Its
+				// compression cannot change the answer.
+				if !res.Converged {
+					jumpSkips.Inc()
+				}
 				return res, nil
 			default:
 				rel = at
 			}
+		}
+		if res.Converged {
+			refineRuns.Inc()
 		}
 		probeStart := time.Now()
 		stream, err := codec.Compress(f, rel*scale)
@@ -366,8 +376,11 @@ func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 			bestMiss = miss
 			res.RelEB, res.Stream, res.Achieved = rel, stream, ratio
 		}
-		if bestMiss <= tolerance {
-			res.Converged = true
+		res.Converged = bestMiss <= tolerance
+		// In the band the search ends unless its surrogate may still take it
+		// closer: this probe missed by more than the surrogate's tolerance and
+		// came closer than the probe before it.
+		if res.Converged && (sur.ratio == nil || miss <= surrogateTolerance || miss >= lastMiss) {
 			return res, nil
 		}
 		next, ok := b.step(rel, ratio/targetRatio)
@@ -378,6 +391,9 @@ func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 		// closer than the probe before it is dropped; else it is re-anchored.
 		if sur.ratio != nil && (miss >= lastMiss || !sur.anchor(res.Probes[res.Runs-1])) {
 			sur.drop()
+			if res.Converged {
+				return res, nil
+			}
 		}
 		lastMiss, rel = miss, next
 	}

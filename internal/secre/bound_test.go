@@ -8,6 +8,7 @@ import (
 
 	"carol/internal/compressor"
 	"carol/internal/field"
+	"carol/internal/sz3"
 	"carol/internal/szx"
 	"carol/internal/xrand"
 )
@@ -227,7 +228,7 @@ func TestBlockExtremaMatchesSZx(t *testing.T) {
 // surrogate at both samplings. SZx at 4096 blocks reads every block of
 // this field and finds it in its extrema pass alone.
 func TestPrepareRefusesNonFinite(t *testing.T) {
-	for _, opts := range []Options{{}, {MinSampledBlocks: 4096}} {
+	for _, opts := range []Options{{}, {MinSampledBlocks: 4096}, {EntropySized: true}} {
 		for _, name := range surrogateNames {
 			est, err := New(name, opts)
 			if err != nil {
@@ -244,4 +245,95 @@ func TestPrepareRefusesNonFinite(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEntropySizedSZ3 is the SZ3 search surrogate against the codec on the
+// 3D sweep fields, at bounds whose real ratio lies between 5 and 120: the
+// entropy-sized estimate stays within 20 % where the fixed-width one cannot
+// say a ratio above 32/3 and still prices the loosest of them as if it
+// were the tightest.
+func TestEntropySizedSZ3(t *testing.T) {
+	est, err := New("sz3", Options{EntropySized: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, err := New("sz3", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range sweepFields()[2:] {
+		b, err := est.Prepare(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, rel := range []float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2} {
+			eb := compressor.AbsBound(f, rel)
+			stream, err := sz3.New().Compress(f, eb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := compressor.Ratio(f, stream)
+			if full < 5 || full > 120 {
+				continue
+			}
+			checked++
+			got, err := b.Ratio(eb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got/full-1) > 0.2 {
+				t.Errorf("%dx%dx%d rel %g: entropy-sized %.2f, the codec %.2f", f.Nx, f.Ny, f.Nz, rel, got, full)
+			}
+			if flat, err := fixed.EstimateRatio(f, eb); err != nil || full > 32 && flat > 32.0/3 {
+				t.Errorf("%dx%dx%d rel %g: fixed-width %.2f (%v) for the codec's %.2f", f.Nx, f.Ny, f.Nz, rel, flat, err, full)
+			}
+		}
+		if checked < 3 {
+			t.Errorf("%dx%dx%d: %d bounds in range", f.Nx, f.Ny, f.Nz, checked)
+		}
+	}
+}
+
+// TestEntropySizedBoundsConcurrent: entropy-sized SZ3 bounds keep their
+// histogram per Bound, so two goroutines sweeping two fields get the numbers
+// a fresh bound gives each alone (go test -race).
+func TestEntropySizedBoundsConcurrent(t *testing.T) {
+	est, err := New("sz3", Options{EntropySized: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := []*field.Field{smoothField(32, 32, 16, 31), smoothField(32, 32, 16, 32)}
+	want := make([][]float64, len(fields))
+	for i, f := range fields {
+		b, err := est.Prepare(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eb := range sweepBounds(f) {
+			r, err := b.Ratio(eb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], r)
+		}
+	}
+	var wg sync.WaitGroup
+	for i, f := range fields {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b, err := est.Prepare(f)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for k, eb := range sweepBounds(f) {
+				if got, err := b.Ratio(eb); err != nil || math.Float64bits(got) != math.Float64bits(want[i][k]) {
+					t.Errorf("field %d eb=%g: %v (%v), alone %v", i, eb, got, err, want[i][k])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

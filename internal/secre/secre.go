@@ -31,6 +31,7 @@ import (
 	"carol/internal/sz3"
 	"carol/internal/szp"
 	"carol/internal/szx"
+	"carol/internal/xrand"
 	"carol/internal/zfp"
 )
 
@@ -58,6 +59,12 @@ type Options struct {
 	// surrogates aim to sample; Every is reduced for small inputs so the
 	// estimate does not hang off one or two blocks. Default 16.
 	MinSampledBlocks int
+	// EntropySized sizes SZ3's codes by their entropy, which stands for
+	// Huffman plus DEFLATE, over residuals sampled on every interpolation
+	// level (bindSZ3Entropy). False keeps SECRE's fixed width, which trained
+	// models and Fig. 2 rest on and which cannot say a ratio above 32/3 once
+	// one code leaves the centre.
+	EntropySized bool
 }
 
 func (o Options) withDefaults() Options {
@@ -139,7 +146,11 @@ func (e *Estimator) Prepare(f *field.Field) (*Bound, error) {
 	case "zfp":
 		b.ratio = e.bindZFP(f)
 	case "sz3":
-		b.ratio = e.bindSZ3(f)
+		if e.opts.EntropySized {
+			b.ratio = bindSZ3Entropy(f)
+		} else {
+			b.ratio = e.bindSZ3(f)
+		}
 	case "szp":
 		b.ratio = e.bindSZP(f)
 	default:
@@ -345,6 +356,72 @@ func (e *Estimator) bindSZ3(f *field.Field) func(float64) float64 {
 			32*float64(outliers)/float64(len(codes))
 		estBits := bitsPerPoint * float64(f.Len())
 		return ratioFromBits(f, estBits)
+	}
+}
+
+// The entropy-sized SZ3 estimate's constants.
+const (
+	// histHalf bins either side of the centre keep the histogram at 32 KiB,
+	// in cache beside the residuals; a code beyond it is sized as an escape,
+	// 32 bits like SZ3's raw outliers.
+	histHalf = 4096
+	// ditherSD stands in for the reconstruction feedback the residuals were
+	// sampled without: the cubic stencil (-1, 9, 9, -1)/16 over errors
+	// uniform in ±eb has standard deviation eb·√(164/256 · 1/3), 0.231 of a
+	// bin of 2eb.
+	ditherSD = 0.231
+	// sz3HeaderBits is what an SZ3 stream carries besides its codes: the
+	// codec header, mode byte, anchor and outlier counts, DEFLATE framing.
+	sz3HeaderBits = 8 * 48
+)
+
+// sz3Dither is the fixed dither table: normal, ditherSD bins, a power of
+// two long.
+var sz3Dither = func() []float64 {
+	rng := xrand.New(0x5a3d)
+	d := make([]float64, 1024)
+	for i := range d {
+		for d[i] = 1; math.Abs(d[i]) >= 0.5; {
+			d[i] = ditherSD * rng.Norm()
+		}
+	}
+	return d
+}()
+
+// bindSZ3Entropy keeps sz3.SampledResiduals of f. An estimate quantizes
+// each as round(r/2eb + d_i) into a bounded histogram and sizes the stream
+// as (n−1)·H + 32·escapes + 16 bits per distinct code (the Huffman table) +
+// the header, the entropy H standing for Huffman plus DEFLATE together.
+func bindSZ3Entropy(f *field.Field) func(float64) float64 {
+	res := sz3.SampledResiduals(f)
+	hist := make([]uint32, 2*histHalf)
+	coded := float64(f.Len() - 1) // every point but the anchor
+	return func(eb float64) float64 {
+		if len(res) == 0 {
+			return 1
+		}
+		inv := 1 / (2 * eb)
+		escapes := 0
+		for i, r := range res {
+			// The code's bin, offset so that truncation rounds: a NaN or ±Inf
+			// (a bound so tight the quotient overflows) fails the test too.
+			k := float64(r)*inv + sz3Dither[i&(len(sz3Dither)-1)] + (histHalf + 0.5)
+			if k >= 0 && k < 2*histHalf {
+				hist[int(k)]++
+			} else {
+				escapes++
+			}
+		}
+		m := float64(len(res))
+		bits, distinct := 32*float64(escapes), 0
+		for j, c := range hist {
+			if c != 0 {
+				bits += float64(c) * math.Log2(m/float64(c))
+				distinct++
+				hist[j] = 0
+			}
+		}
+		return ratioFromBits(f, bits/m*coded+16*float64(distinct)+sz3HeaderBits)
 	}
 }
 

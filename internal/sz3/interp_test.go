@@ -1,6 +1,7 @@
 package sz3
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -204,4 +205,32 @@ func FuzzInterpMatchesReference(f *testing.F) {
 		fld := fuzzField(seed, nx, ny, nz, float64(rough%8))
 		checkInterpMatchesReference(t, fld, boundFor(fld, sel), mode)
 	})
+}
+
+// TestSampledResidualsMatchReference: every residual SampledResiduals
+// returns is data − prediction at the point the run walk samples, with the
+// prediction the reference traversal makes from the original samples, and
+// every run gives its first point and every residualEvery-th after it.
+func TestSampledResidualsMatchReference(t *testing.T) {
+	for _, d := range interpShapes {
+		f := fuzzField(uint64(d[0]*d[1]+d[2]), d[0], d[1], d[2], 0.1)
+		data := make([]float64, len(f.Data))
+		for i, v := range f.Data {
+			data[i] = float64(v)
+		}
+		targets := make(map[int]target)
+		forEachTarget(f.Nx, f.Ny, f.Nz, anchorStride(f.Nx, f.Ny, f.Nz), func(t target) {
+			targets[(t.z*f.Ny+t.y)*f.Nx+t.x] = t
+		})
+		var want []float32
+		for s := anchorStride(f.Nx, f.Ny, f.Nz); s >= 1; s /= 2 {
+			levelRuns(f.Nx, f.Ny, f.Nz, s, func(_ runKind, i, step, _, count int) {
+				for j := 0; j < count; j += residualEvery {
+					at := i + j*step
+					want = append(want, float32(data[at]-predict(data, f.Nx, f.Ny, f.Nz, targets[at])))
+				}
+			})
+		}
+		sameSamples(t, fmt.Sprintf("%v residuals", d), SampledResiduals(f), want)
+	}
 }

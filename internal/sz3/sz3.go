@@ -531,3 +531,35 @@ func LastLevelCodes(f *field.Field, eb float64) []uint32 {
 	levelRuns(f.Nx, f.Ny, f.Nz, 1, s.surrogateRun)
 	return s.codes
 }
+
+// residualEvery is the sampling stride of SampledResiduals within a run.
+const residualEvery = 8
+
+// SampledResiduals returns data − prediction for every residualEvery-th
+// point of every run, on every interpolation level, with the predictions
+// taken from the *original* samples: what the quantizer sees at any bound,
+// bar the reconstruction feedback, in the codec's own prediction cases and
+// order. The SECRE entropy-sized SZ3 surrogate bins them per bound.
+func SampledResiduals(f *field.Field) []float32 {
+	data := f.Data
+	out := make([]float32, 0, len(data)/residualEvery+1024)
+	run := func(kind runKind, i, step, d, count int) {
+		for j := 0; j < count; j += residualEvery {
+			var pred float64
+			switch kind {
+			case runCubic:
+				pred = (-float64(data[i-3*d]) + 9*float64(data[i-d]) + 9*float64(data[i+d]) - float64(data[i+3*d])) / 16
+			case runLinear:
+				pred = (float64(data[i-d]) + float64(data[i+d])) / 2
+			default:
+				pred = float64(data[i-d])
+			}
+			out = append(out, float32(float64(data[i])-pred))
+			i += residualEvery * step
+		}
+	}
+	for st := anchorStride(f.Nx, f.Ny, f.Nz); st >= 1; st /= 2 {
+		levelRuns(f.Nx, f.Ny, f.Nz, st, run)
+	}
+	return out
+}

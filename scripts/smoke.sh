@@ -151,12 +151,27 @@ tr -d '\r' <"$workdir/ratio_headers.txt" | grep -qiE '^X-Carol-Surrogate-Evals: 
     exit 1
 }
 
+echo "== POST /v1/compress?codec=sz3&ratio= root-finds on SZ3's surrogate"
+"$bindir/carolgen" -dataset miranda -field velocityx -dims 32x32x32 -out "$workdir/velocityx32.raw"
+curl -fsS -o /dev/null -D "$workdir/sz3_headers.txt" \
+    --data-binary @"$workdir/velocityx32.raw" \
+    "http://$addr/v1/compress?codec=sz3&ratio=25&dims=32x32x32"
+tr -d '\r' <"$workdir/sz3_headers.txt" | grep -i '^X-Carol-'
+header_value() { tr -d '\r' <"$1" | awk -F': ' -v h="$2" 'tolower($1) == h { print $2 }'; }
+runs=$(header_value "$workdir/sz3_headers.txt" x-carol-compressor-runs)
+evals=$(header_value "$workdir/sz3_headers.txt" x-carol-surrogate-evals)
+if [ -z "$runs" ] || [ "$runs" -gt 3 ] || [ -z "$evals" ] || [ "$evals" -lt 1 ]; then
+    echo "smoke: sz3 ratio=25 took '$runs' compressor runs and '$evals' surrogate evaluations, want <= 3 and > 0" >&2
+    exit 1
+fi
+
 echo "== GET /metrics"
 curl -fsS "http://$addr/metrics" >"$workdir/metrics.txt"
 for metric in http_requests_total http_request_seconds_bucket codec_compress_seconds \
     model_loaded_version model_load_total model_predict_seconds model_forest_trees \
     carol_model_version 'fraz_search_runs_bucket{resolver="model"' fraz_ratio_miss_bucket \
-    fraz_surrogate_evals_bucket fraz_surrogate_dropped_total fraz_surrogate_jump_skips_total; do
+    fraz_surrogate_evals_bucket fraz_surrogate_dropped_total fraz_surrogate_jump_skips_total \
+    fraz_surrogate_refine_runs_total; do
     grep -q "$metric" "$workdir/metrics.txt" || {
         echo "smoke: /metrics missing $metric" >&2
         exit 1
