@@ -39,7 +39,7 @@ func codecShard(t testing.TB, compresses *atomic.Int64) *httptest.Server {
 			httpkit.RequestError(w, err)
 			return
 		}
-		f, err := httpkit.ReadField(r, req.Nx, req.Ny, req.Nz)
+		f, err := httpkit.ReadField(r, req.Nx, req.Ny, req.Nz, nil)
 		if err != nil {
 			httpkit.RequestError(w, err)
 			return

@@ -131,13 +131,39 @@ func (s *server) handleCodecs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// readFieldBody reads a raw float32 body shaped by the dims query parameter.
-func readFieldBody(r *http.Request) (*field.Field, error) {
+// readField reads the request's nx × ny × nz field body into storage from
+// s.fields, so a warm server allocates none per request (DESIGN.md §22).
+// The caller gives it back with releaseField once nothing reads the field.
+func (s *server) readField(r *http.Request, nx, ny, nz int) (*field.Field, error) {
+	buf := s.fields.Get()
+	f, err := httpkit.ReadField(r, nx, ny, nz, *buf)
+	if err != nil {
+		s.fields.Put(buf)
+		return nil, err
+	}
+	if cap(*buf) >= len(f.Data) {
+		s.fieldsReused.Inc()
+	} else {
+		s.fieldsAllocated.Inc()
+	}
+	return f, nil
+}
+
+// releaseField returns f's storage to s.fields unless it is over 16 MiB, so
+// the list pins at most 64 MiB; a larger field allocates every time.
+func (s *server) releaseField(f *field.Field) {
+	if data := f.Data; cap(data) <= 4<<20 {
+		s.fields.Put(&data)
+	}
+}
+
+// readFieldBody is readField shaped by the dims query parameter.
+func (s *server) readFieldBody(r *http.Request) (*field.Field, error) {
 	nx, ny, nz, err := httpkit.Dims(r.URL.Query().Get("dims"))
 	if err != nil {
 		return nil, err
 	}
-	return httpkit.ReadField(r, nx, ny, nz)
+	return s.readField(r, nx, ny, nz)
 }
 
 // handleCompress is parse → read field → resolve bound (for ratio= a
@@ -153,12 +179,14 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span := tr.StartSpan("parse")
-	f, err := httpkit.ReadField(r, req.Nx, req.Ny, req.Nz)
+	f, err := s.readField(r, req.Nx, req.Ny, req.Nz)
 	span.End()
 	if err != nil {
 		httpkit.RequestError(w, err)
 		return
 	}
+	// Every reader of f is done when the handler returns (DESIGN.md §22).
+	defer s.releaseField(f)
 	var eb float64
 	var dec *selector.Decision
 	codecName := req.Codec
@@ -382,12 +410,13 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span := tr.StartSpan("parse")
-	f, err := readFieldBody(r)
+	f, err := s.readFieldBody(r)
 	span.End()
 	if err != nil {
 		httpkit.RequestError(w, err)
 		return
 	}
+	defer s.releaseField(f)
 	span = tr.StartSpan("estimate")
 	ratio, err := sur.EstimateRatio(f, compressor.AbsBound(f, rel))
 	span.End()

@@ -378,11 +378,12 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpkit.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	f, err := readFieldBody(r)
+	f, err := s.readFieldBody(r)
 	if err != nil {
 		httpkit.RequestError(w, err)
 		return
 	}
+	defer s.releaseField(f)
 	hist := s.reg.Histogram(obs.Label("model_predict_seconds", "model", name), obs.LatencyBuckets())
 	start := time.Now()
 	ebs, err := lm.artifact.PredictErrorBounds(f, ratios, features.ParallelOptions{})

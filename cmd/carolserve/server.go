@@ -13,6 +13,7 @@ import (
 	"carol/internal/safedec"
 	"carol/internal/selector"
 	"carol/internal/trainset"
+	"carol/internal/zpool"
 )
 
 // config carries the server hardening knobs, set from flags in main and
@@ -94,9 +95,12 @@ type server struct {
 	selector *selector.Selector
 	// harvester journals served-traffic outcomes, nil without -harvest-dir.
 	harvester *trainset.Harvester
+	// fields lends request fields their sample storage (readField).
+	fields zpool.FreeList[[]float32]
 
-	harvested     *obs.Counter
-	harvestErrors *obs.Counter
+	harvested                     *obs.Counter
+	harvestErrors                 *obs.Counter
+	fieldsReused, fieldsAllocated *obs.Counter
 }
 
 // newServer builds the HTTP handler with default settings (separated from
@@ -105,7 +109,9 @@ func newServer() http.Handler { return newServerWith(defaultConfig()) }
 
 // newServerWith builds the server for cfg.
 func newServerWith(cfg config) *server {
-	s := &server{cfg: cfg, reg: obs.Default}
+	s := &server{cfg: cfg, reg: obs.Default, fields: make(zpool.FreeList[[]float32], 4),
+		fieldsReused:    obs.Default.Counter(obs.Label("http_field_storage_total", "result", "reused")),
+		fieldsAllocated: obs.Default.Counter(obs.Label("http_field_storage_total", "result", "allocated"))}
 	if cfg.modelDir != "" {
 		s.models = newModelStore(cfg.modelDir, cfg.decodeLimits)
 	}

@@ -81,6 +81,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`secre_estimate_rel_error{codec="szx"}`,
 		`codec_compress_seconds_bucket{codec="szx",le=`,
 		"http_inflight_requests",
+		`http_field_storage_total{result="reused"}`,
+		`http_field_storage_total{result="allocated"}`,
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -14,8 +14,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Field is a named scalar field on a regular grid. 2D fields use Nz == 1 and
@@ -296,34 +298,53 @@ func ParseDims(s string) (nx, ny, nz int, err error) {
 	return vals[0], vals[1], vals[2], nil
 }
 
-// rawStrip is the byte size of ReadRaw's staging buffer: reading a field
-// costs its own storage plus this, whatever the field's size.
-const rawStrip = 32 << 10
+// littleEndian reports whether the host stores a float32 in the raw
+// format's byte order, so that samples can take the raw bytes as they are.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// decodeRaw fills dst from the little-endian float32 bytes at the head of src.
-func decodeRaw(dst []float32, src []byte) {
-	src = src[:4*len(dst)]
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+// rawBytes views samples as the 4·len(samples) bytes of their storage.
+func rawBytes(samples []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(samples))), 4*len(samples))
+}
+
+// swapWords reverses the bytes of every sample in place. On a big-endian
+// host that turns samples holding the raw little-endian bytes into floats.
+func swapWords(samples []float32) {
+	words := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(samples))), len(samples))
+	for i, w := range words {
+		words[i] = bits.ReverseBytes32(w)
 	}
 }
 
-// ReadRaw reads nx*ny*nz little-endian float32 samples, a strip at a time
-// straight into the field's storage.
+// decodeRaw fills dst from the little-endian float32 bytes at the head of src.
+func decodeRaw(dst []float32, src []byte) {
+	copy(rawBytes(dst), src[:4*len(dst)])
+	if !littleEndian {
+		swapWords(dst)
+	}
+}
+
+// ReadRaw reads nx*ny*nz little-endian float32 samples straight into the
+// field's storage.
 func ReadRaw(name string, nx, ny, nz int, r io.Reader) (*Field, error) {
-	f := New(name, nx, ny, nz)
-	buf := make([]byte, min(rawStrip, 4*len(f.Data)))
-	for i := 0; i < len(f.Data); {
-		n := min(len(buf)/4, len(f.Data)-i)
-		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
-			if err == io.EOF && i > 0 {
-				// The reader ended on a strip boundary, but not on the field's.
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("field: read raw: %w", err)
-		}
-		decodeRaw(f.Data[i:i+n], buf)
-		i += n
+	return ReadRawInto(name, nx, ny, nz, r, nil)
+}
+
+// ReadRawInto is ReadRaw into buf's array when it can hold the field, and
+// into fresh storage otherwise. Every sample is overwritten, so what buf
+// held does not matter; on an error its contents are unspecified.
+func ReadRawInto(name string, nx, ny, nz int, r io.Reader, buf []float32) (*Field, error) {
+	var f *Field
+	if n := nx * ny * nz; nx > 0 && ny > 0 && nz > 0 && cap(buf) >= n {
+		f = FromData(name, nx, ny, nz, buf[:n])
+	} else {
+		f = New(name, nx, ny, nz)
+	}
+	if _, err := io.ReadFull(r, rawBytes(f.Data)); err != nil {
+		return nil, fmt.Errorf("field: read raw: %w", err)
+	}
+	if !littleEndian {
+		swapWords(f.Data)
 	}
 	return f, nil
 }

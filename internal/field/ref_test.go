@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"carol/internal/fuzzseed"
 	"carol/internal/xrand"
 )
 
@@ -175,29 +176,54 @@ func sameBits(t *testing.T, what string, got, want *Field) {
 	}
 }
 
-// TestReadRawMatchesReference: the strip-wise reader, through readers that
-// hand out whole strips, one byte at a time and half of what was asked, and
-// the in-memory DecodeRaw all produce the reference's bits.
+// dirtyStorage is reused storage of n samples and room for extra more, every
+// one a NaN with a payload no body sample has.
+func dirtyStorage(n, extra int) []float32 {
+	buf := make([]float32, n, n+extra)
+	whole := buf[:cap(buf)]
+	for i := range whole {
+		whole[i] = math.Float32frombits(0x7fa5a5a5)
+	}
+	return buf
+}
+
+// TestReadRawMatchesReference: the in-place reader, into fresh storage and
+// into dirty reused storage of exactly and more than the field's size,
+// through readers that hand out everything, one byte at a time and half of
+// what was asked, and the in-memory DecodeRaw all produce the reference's
+// bits. Reused storage holds the field itself.
 func TestReadRawMatchesReference(t *testing.T) {
 	for _, s := range rawShapes {
-		raw := hostileRaw(s[0] * s[1] * s[2])
+		n := s[0] * s[1] * s[2]
+		raw := hostileRaw(n)
 		want, err := refReadRaw("ref", s[0], s[1], s[2], bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
-		readers := map[string]io.Reader{
-			"whole": bytes.NewReader(raw),
-			"half":  iotest.HalfReader(bytes.NewReader(raw)),
+		readers := map[string]func() io.Reader{
+			"whole": func() io.Reader { return bytes.NewReader(raw) },
+			"half":  func() io.Reader { return iotest.HalfReader(bytes.NewReader(raw)) },
 		}
 		if len(raw) <= 4*16385 {
-			readers["bytewise"] = iotest.OneByteReader(bytes.NewReader(raw))
+			readers["bytewise"] = func() io.Reader { return iotest.OneByteReader(bytes.NewReader(raw)) }
 		}
 		for name, rd := range readers {
-			got, err := ReadRaw("new", s[0], s[1], s[2], rd)
+			got, err := ReadRaw("new", s[0], s[1], s[2], rd())
 			if err != nil {
 				t.Fatalf("%v %s: %v", s, name, err)
 			}
 			sameBits(t, fmt.Sprint(s, " ", name), got, want)
+			for _, extra := range []int{0, 5} {
+				buf := dirtyStorage(n, extra)
+				got, err := ReadRawInto("reused", s[0], s[1], s[2], rd(), buf[:0]) // capacity is what counts
+				if err != nil {
+					t.Fatalf("%v %s reused+%d: %v", s, name, extra, err)
+				}
+				sameBits(t, fmt.Sprint(s, " ", name, " reused+", extra), got, want)
+				if &got.Data[0] != &buf[0] {
+					t.Errorf("%v %s reused+%d: the field is not in the storage it was given", s, name, extra)
+				}
+			}
 		}
 		sameBits(t, fmt.Sprint(s, " DecodeRaw"), DecodeRaw("mem", s[0], s[1], s[2], raw), want)
 		if g, w := RawValueRange(raw), want.ValueRange(); g != w && !(math.IsNaN(g) && math.IsNaN(w)) {
@@ -237,19 +263,24 @@ func TestRawValueRangeFinite(t *testing.T) {
 }
 
 // TestReadRawShortIsUnexpectedEOF: a reader that ends inside the field —
-// mid-sample, mid-strip or exactly on a strip boundary — is an error
-// wrapping io.ErrUnexpectedEOF; only an empty reader is a plain io.EOF, as
-// it was.
+// mid-sample or on a sample boundary — is an error wrapping
+// io.ErrUnexpectedEOF; only an empty reader is a plain io.EOF. Both read the
+// reference's error, into fresh storage and into reused storage.
 func TestReadRawShortIsUnexpectedEOF(t *testing.T) {
-	raw := hostileRaw(40 * 33 * 17)
-	for _, cut := range []int{1, 10, rawStrip - 1, rawStrip, rawStrip + 4, len(raw) - 1} {
-		_, err := ReadRaw("short", 40, 33, 17, bytes.NewReader(raw[:cut]))
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("cut at %d: err = %v, want io.ErrUnexpectedEOF", cut, err)
+	const n = 40 * 33 * 17
+	raw := hostileRaw(n)
+	for _, cut := range []int{0, 1, 10, 4<<10 - 1, 4 << 10, 4<<10 + 4, len(raw) - 1} {
+		wantErr := io.ErrUnexpectedEOF
+		if cut == 0 {
+			wantErr = io.EOF
 		}
-	}
-	if _, err := ReadRaw("empty", 40, 33, 17, bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
-		t.Errorf("empty reader: err = %v, want io.EOF", err)
+		_, ref := refReadRaw("ref", 40, 33, 17, bytes.NewReader(raw[:cut]))
+		for _, buf := range [][]float32{nil, dirtyStorage(n, 0)} {
+			_, err := ReadRawInto("short", 40, 33, 17, bytes.NewReader(raw[:cut]), buf)
+			if !errors.Is(err, wantErr) || fmt.Sprint(err) != fmt.Sprint(ref) {
+				t.Errorf("cut at %d, reused=%v: err = %v, want %v as the reference's %v", cut, buf != nil, err, wantErr, ref)
+			}
+		}
 	}
 	for _, nz := range []int{16, 18} { // a grid smaller and larger than raw
 		func() {
@@ -263,31 +294,136 @@ func TestReadRawShortIsUnexpectedEOF(t *testing.T) {
 	}
 }
 
-// TestReadRawAllocations pins what reading a 64³ field costs: the field's
-// storage plus at most 64 KiB (it was twice the field), in three
-// allocations — Field, samples, strip.
+// TestSwapWordsIsBigEndian: swapWords turns every sample the host's byte
+// view read into the sample the opposite byte order reads from the same
+// bytes, so the big-endian branch of the in-place read is checked on a
+// little-endian host too.
+func TestSwapWordsIsBigEndian(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 4, 5, 4097} {
+		raw := hostileRaw(n)
+		samples := make([]float32, n)
+		copy(rawBytes(samples), raw)
+		swapWords(samples)
+		other := binary.ByteOrder(binary.BigEndian)
+		if !littleEndian {
+			other = binary.LittleEndian
+		}
+		for i, v := range samples {
+			if got, want := math.Float32bits(v), other.Uint32(raw[4*i:]); got != want {
+				t.Fatalf("n=%d: sample %d = %#08x, want %#08x", n, i, got, want)
+			}
+		}
+	}
+}
+
+// TestReadRawAllocations pins what reading a 64³ field costs: its storage
+// plus at most 1 KiB (it was twice the field, then the field + 64 KiB), in
+// two allocations — Field and samples — and into reused storage just the
+// Field.
 func TestReadRawAllocations(t *testing.T) {
 	const n = 64
 	raw := hostileRaw(n * n * n)
 	rd := bytes.NewReader(raw)
-	read := func() {
-		rd.Reset(raw)
-		if _, err := ReadRaw("a", n, n, n, rd); err != nil {
-			t.Fatal(err)
+	reuse := make([]float32, n*n*n)
+	cost := func(buf []float32) (allocs float64, perRun uint64) {
+		read := func() {
+			rd.Reset(raw)
+			if _, err := ReadRawInto("a", n, n, n, rd, buf); err != nil {
+				t.Fatal(err)
+			}
 		}
+		allocs = testing.AllocsPerRun(10, read)
+		const runs = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			read()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	if allocs := testing.AllocsPerRun(10, read); allocs > 3 {
-		t.Errorf("ReadRaw of 64³: %v allocations, want at most 3", allocs)
+	if allocs, perRun := cost(nil); allocs > 2 || perRun > uint64(len(raw)+1<<10) {
+		t.Errorf("ReadRaw of 64³: %v allocations of %d bytes, want at most 2 and the field + 1 KiB (%d)", allocs, perRun, len(raw)+1<<10)
 	}
-	const runs = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		read()
+	if allocs, perRun := cost(reuse); allocs > 1 || perRun > 1<<10 {
+		t.Errorf("ReadRawInto of 64³ into reused storage: %v allocations of %d bytes, want at most 1 and 1 KiB", allocs, perRun)
 	}
-	runtime.ReadMemStats(&after)
-	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	if budget := uint64(len(raw) + 64<<10); perRun > budget {
-		t.Errorf("ReadRaw of 64³ allocates %d bytes, want at most %d (the field + 64 KiB)", perRun, budget)
+}
+
+// rawCase is one FuzzReadRawMatchesReference input: a grid, a body cut at
+// some byte, and reused storage of some capacity, or none.
+type rawCase struct {
+	nx, ny, nz int
+	body       []byte
+	reuse      []float32
+}
+
+// parseRawCase reads a rawCase from fuzz bytes: dims from the first three
+// (up to 24×6×4), a cut from the next two (0xffff: none), a storage byte
+// (0: fresh, else capacity grid-3+byte%8, dirty), then the body.
+func parseRawCase(data []byte) (rawCase, bool) {
+	if len(data) < 6 {
+		return rawCase{}, false
 	}
+	c := rawCase{nx: int(data[0]%24) + 1, ny: int(data[1]%6) + 1, nz: int(data[2]%4) + 1, body: data[6:]}
+	if cut := int(binary.LittleEndian.Uint16(data[3:])); cut < len(c.body) {
+		c.body = c.body[:cut]
+	}
+	if data[5] != 0 {
+		c.reuse = dirtyStorage(max(0, c.nx*c.ny*c.nz-3+int(data[5]%8)), 0)
+	}
+	return c, true
+}
+
+// rawSeeds are FuzzReadRawMatchesReference's checked-in corpus: exact, long,
+// cut mid-sample, cut on a sample, empty, into fresh, short, exact and
+// roomy reused storage.
+func rawSeeds() [][]byte {
+	seed := func(nx, ny, nz byte, cut uint16, reuse byte, body []byte) []byte {
+		s := []byte{nx - 1, ny - 1, nz - 1, byte(cut), byte(cut >> 8), reuse}
+		return append(s, body...)
+	}
+	return [][]byte{
+		seed(8, 4, 2, 0xffff, 0, hostileRaw(64)),
+		seed(8, 4, 2, 0xffff, 3, hostileRaw(64)),
+		seed(8, 4, 2, 0xffff, 7, hostileRaw(70)),
+		seed(24, 6, 4, 0xffff, 1, hostileRaw(576)),
+		seed(24, 6, 4, 1001, 5, hostileRaw(576)),
+		seed(5, 1, 1, 8, 4, hostileRaw(5)),
+		seed(3, 3, 1, 0, 6, hostileRaw(9)),
+		seed(1, 1, 1, 0xffff, 2, nil),
+	}
+}
+
+// FuzzReadRawMatchesReference: any body for any grid, cut anywhere, read
+// into fresh or dirty reused storage, gives the reference's samples or the
+// reference's error; reused storage that holds the field holds it in place.
+func FuzzReadRawMatchesReference(f *testing.F) {
+	for _, s := range rawSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, ok := parseRawCase(data)
+		if !ok {
+			return
+		}
+		want, werr := refReadRaw("ref", c.nx, c.ny, c.nz, bytes.NewReader(c.body))
+		got, err := ReadRawInto("fuzz", c.nx, c.ny, c.nz, bytes.NewReader(c.body), c.reuse)
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("%dx%dx%d, %d-byte body: err = %v, reference %v", c.nx, c.ny, c.nz, len(c.body), err, werr)
+		}
+		if werr != nil {
+			return
+		}
+		sameBits(t, "fuzz", got, want)
+		if cap(c.reuse) >= len(want.Data) && &got.Data[0] != &c.reuse[:1][0] {
+			t.Fatal("the field is not in the reused storage that could hold it")
+		}
+	})
+}
+
+// TestWriteFuzzCorpus regenerates the checked-in seed corpus when
+// CAROL_WRITE_CORPUS is set; otherwise it asserts the corpus exists.
+func TestWriteFuzzCorpus(t *testing.T) {
+	fuzzseed.Check(t, ".", map[string][][]byte{"FuzzReadRawMatchesReference": rawSeeds()})
 }

@@ -161,14 +161,15 @@ func ReadFieldBody(r *http.Request, nx, ny, nz int, limit int64) ([]byte, error)
 	return body, fieldEnd(r, want)
 }
 
-// ReadField is ReadFieldBody decoded: the body goes strip-wise into the
-// field's own storage and is never buffered whole.
-func ReadField(r *http.Request, nx, ny, nz int) (*field.Field, error) {
+// ReadField is ReadFieldBody decoded: the body is read straight into the
+// field's storage, buf's array when it can hold the field (field.ReadRawInto),
+// and is never buffered elsewhere.
+func ReadField(r *http.Request, nx, ny, nz int, buf []float32) (*field.Field, error) {
 	want, err := fieldBytes(r, nx, ny, nz, MaxBody)
 	if err != nil {
 		return nil, err
 	}
-	f, err := field.ReadRaw("http", nx, ny, nz, r.Body)
+	f, err := field.ReadRawInto("http", nx, ny, nz, r.Body, buf)
 	if err != nil {
 		return nil, err
 	}

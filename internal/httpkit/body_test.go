@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -122,11 +123,20 @@ func TestFieldBodyLengthMustMatchDims(t *testing.T) {
 			return err
 		},
 		"ReadField": func(r *http.Request) error {
-			f, err := ReadField(r, nx, ny, nz)
+			// Reused storage, larger than the field and dirty: every sample is
+			// the body's, read in place.
+			buf := make([]float32, nx*ny*nz+7)
+			for i := range buf {
+				buf[i] = float32(math.NaN())
+			}
+			f, err := ReadField(r, nx, ny, nz, buf)
 			if err == nil {
 				var back bytes.Buffer
 				if werr := f.WriteRaw(&back); werr != nil || !bytes.Equal(back.Bytes(), exact) {
 					t.Errorf("ReadField: wrong samples (%v)", werr)
+				}
+				if &f.Data[0] != &buf[0] {
+					t.Error("ReadField: the field is not in the storage it was given")
 				}
 			}
 			return err

@@ -29,6 +29,7 @@ run ./internal/sperr FuzzSPECKMatchesReference
 run ./internal/wavelet FuzzGridMatchesReference
 run ./internal/sz3 FuzzInterpMatchesReference
 run ./internal/field FuzzMinMaxMatchesReference
+run ./internal/field FuzzReadRawMatchesReference
 run ./internal/rf FuzzSplitSortMatchesReference
 run ./internal/archive FuzzArchiveRead
 run ./internal/chunked FuzzChunkedDecompress

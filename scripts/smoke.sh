@@ -178,6 +178,13 @@ for metric in http_requests_total http_request_seconds_bucket codec_compress_sec
     }
 done
 wc -l "$workdir/metrics.txt"
+# The 32x32x1 requests above after the first read their bodies into storage
+# an earlier one gave back.
+reused=$(awk '$1 == "http_field_storage_total{result=\"reused\"}" { print $2 }' "$workdir/metrics.txt")
+if [ -z "$reused" ] || [ "$reused" -lt 1 ]; then
+    echo "smoke: http_field_storage_total{result=\"reused\"} is '$reused', want > 0 after repeated same-dims requests" >&2
+    exit 1
+fi
 
 echo "== GET /debug/vars"
 curl -fsS -o /dev/null "http://$addr/debug/vars"
