@@ -250,10 +250,19 @@ func TestGeneratedDataCompressesWell(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerateNYX(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate("nyx", "baryon_density", Options{Nx: 32, Ny: 32, Nz: 32}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkGenerate times one 64³ field of each family the benchmark's
+// workloads draw from.
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct{ dataset, field string }{
+		{"miranda", "density"}, {"nyx", "baryon_density"}, {"hurricane", "U"},
+	} {
+		b.Run(c.dataset+"/"+c.field, func(b *testing.B) {
+			b.SetBytes(4 * 64 * 64 * 64)
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(c.dataset, c.field, Options{Nx: 64, Ny: 64, Nz: 64}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

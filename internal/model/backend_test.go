@@ -281,7 +281,7 @@ func TestValidateBackendPairing(t *testing.T) {
 }
 
 // encodeV1 hand-writes the legacy version-1 layout (no backend tag,
-// RF-only) so the compat path is tested against real old bytes, not
+// RF-only, with legacyCalib's table) so the compat path is tested against real old bytes, not
 // against whatever the current encoder happens to produce.
 func encodeV1(t testing.TB, a *Artifact) []byte {
 	t.Helper()
@@ -293,20 +293,7 @@ func encodeV1(t testing.TB, a *Artifact) []byte {
 	for _, s := range a.Schema {
 		w.str(s)
 	}
-	if a.Calib == nil {
-		w.uvarint(0)
-	} else {
-		w.uvarint(uint64(len(a.Calib.EBs)))
-		if a.Calib.Over {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		for i := range a.Calib.EBs {
-			w.f64(a.Calib.EBs[i])
-			w.f64(a.Calib.Rho[i])
-		}
-	}
+	w.buf = append(w.buf, legacyCalib...)
 	writeForest(w, a.Regressor.(*rf.Forest).Flatten())
 	keys := make([]string, 0, len(a.Meta))
 	for k := range a.Meta {

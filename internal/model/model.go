@@ -2,9 +2,9 @@
 // versioned, self-describing binary serialization of everything a serving
 // process needs to answer ratio→error-bound queries without retraining —
 // the codec the model was trained for, the regressor backend tag, the
-// feature schema, an optional surrogate-calibration section, the flattened
-// regressor itself, and free-form training metadata, all integrity-checked
-// with a trailing CRC.
+// feature schema, an always-empty surrogate-calibration section, the
+// flattened regressor itself, and free-form training metadata, all
+// integrity-checked with a trailing CRC.
 //
 // The format is the bridge between the train-offline and serve-online
 // halves of the repository: cmd/caroltrain and cmd/carolretrain write
@@ -41,7 +41,6 @@ import (
 	"math"
 	"sort"
 
-	"carol/internal/calib"
 	"carol/internal/features"
 	"carol/internal/safedec"
 )
@@ -61,7 +60,6 @@ const FormatVersion = 2
 const (
 	maxStringLen   = 1 << 12 // codec names, schema entries, meta keys/values
 	maxSchema      = 256     // feature-schema entries
-	maxCalib       = 1 << 12 // calibration points
 	maxMetaPairs   = 1 << 10 // metadata key/value pairs
 	maxTotalNodes  = 1<<31 - 1
 	maxBoostStages = 1 << 12 // boosting rounds
@@ -70,18 +68,6 @@ const (
 // nodeEncSize is the fixed per-node payload: i32 feature + u32 left +
 // u32 right + f64 thresh + f64 value + f64 gain.
 const nodeEncSize = 4 + 4 + 4 + 8 + 8 + 8
-
-// CalibState is the serializable form of a fitted calib.Model.
-type CalibState struct {
-	EBs  []float64 // calibration error bounds, strictly ascending
-	Rho  []float64 // signed relative estimation error at each bound
-	Over bool      // surrogate overestimated at the majority of points
-}
-
-// Model rebuilds the calib.Model (validating the state).
-func (c *CalibState) Model() (*calib.Model, error) {
-	return calib.Restore(c.EBs, c.Rho, c.Over)
-}
 
 // Artifact is one trained, publishable CAROL model.
 type Artifact struct {
@@ -93,10 +79,6 @@ type Artifact struct {
 	// Schema names the model inputs in order; serving refuses artifacts
 	// whose schema does not match CanonicalSchema().
 	Schema []string
-	// Calib is the optional surrogate-calibration section. It is read,
-	// validated and re-encoded so stored artifacts that carry one still
-	// round-trip, but no trainer fills it and no server reads it.
-	Calib *CalibState
 	// Regressor is the trained model; its concrete type must be the one
 	// the Backend tag's table row expects.
 	Regressor Regressor
@@ -190,11 +172,6 @@ func (a *Artifact) Validate() error {
 		return fmt.Errorf("model: regressor has %d input dims but schema has %d entries",
 			dims, len(a.Schema))
 	}
-	if a.Calib != nil {
-		if _, err := a.Calib.Model(); err != nil {
-			return fmt.Errorf("model: %w", err)
-		}
-	}
 	if len(a.Meta) > maxMetaPairs {
 		return fmt.Errorf("model: %d metadata pairs (max %d)", len(a.Meta), maxMetaPairs)
 	}
@@ -237,20 +214,8 @@ func (a *Artifact) Encode() ([]byte, error) {
 	for _, s := range a.Schema {
 		w.str(s)
 	}
-	if a.Calib == nil {
-		w.uvarint(0)
-	} else {
-		w.uvarint(uint64(len(a.Calib.EBs)))
-		if a.Calib.Over {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		for i := range a.Calib.EBs {
-			w.f64(a.Calib.EBs[i])
-			w.f64(a.Calib.Rho[i])
-		}
-	}
+	// The calibration section is always empty: a 0 point count.
+	w.uvarint(0)
 	b, _ := lookup(a.BackendTag()) // Validate above vouched for the tag
 	b.write(w, a.Regressor)
 	// Metadata in sorted key order: map iteration order must not leak
@@ -354,14 +319,13 @@ func ReadLimited(data []byte, lim safedec.Limits) (*Artifact, error) {
 			return nil, corrupt("empty schema entry %d", i)
 		}
 	}
+	// Nothing reads the calibration section any more; a stream written when
+	// it was filled has its table skipped, unread, under the section's guards.
 	nCalib, err := r.Uvarint("calibration count")
 	if err != nil {
 		return nil, err
 	}
 	if nCalib > 0 {
-		if nCalib > maxCalib {
-			return nil, corrupt("calibration count %d exceeds %d", nCalib, maxCalib)
-		}
 		if err := lim.Count("calibration point", int64(nCalib)); err != nil {
 			return nil, err
 		}
@@ -372,26 +336,14 @@ func ReadLimited(data []byte, lim safedec.Limits) (*Artifact, error) {
 		if over > 1 {
 			return nil, corrupt("calibration flag %d", over)
 		}
-		// 16 bytes per point; reject truncation before allocating.
-		if int64(r.Remaining()) < int64(nCalib)*16 {
-			return nil, fmt.Errorf("%w: model: calibration table needs %d bytes, have %d",
-				safedec.ErrTruncated, nCalib*16, r.Remaining())
+		// 16 bytes per point, compared without overflowing.
+		if nCalib > uint64(r.Remaining())/16 {
+			return nil, fmt.Errorf("%w: model: calibration table needs %d×16 bytes, have %d",
+				safedec.ErrTruncated, nCalib, r.Remaining())
 		}
-		cs := &CalibState{
-			EBs:  make([]float64, nCalib),
-			Rho:  make([]float64, nCalib),
-			Over: over == 1,
+		if _, err := r.Take("calibration table", int(nCalib)*16); err != nil {
+			return nil, err
 		}
-		for i := range cs.EBs {
-			eb, _ := r.U64("calibration eb")
-			rho, _ := r.U64("calibration rho")
-			cs.EBs[i] = math.Float64frombits(eb)
-			cs.Rho[i] = math.Float64frombits(rho)
-		}
-		if _, err := cs.Model(); err != nil {
-			return nil, corrupt("%v", err)
-		}
-		a.Calib = cs
 	}
 	if a.Regressor, err = backend.read(r, lim, len(a.Schema)); err != nil {
 		return nil, err

@@ -2,7 +2,9 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -18,8 +20,7 @@ import (
 func featuresOpts() features.ParallelOptions { return features.ParallelOptions{} }
 
 // testArtifact trains a small forest over the canonical serving schema and
-// wraps it with calibration state and metadata, exercising every section
-// of the format.
+// wraps it with metadata, exercising every section the encoder fills.
 func testArtifact(t testing.TB) *Artifact {
 	t.Helper()
 	rng := xrand.New(11)
@@ -42,13 +43,8 @@ func testArtifact(t testing.TB) *Artifact {
 		t.Fatalf("train: %v", err)
 	}
 	return &Artifact{
-		Codec:  "sz3",
-		Schema: CanonicalSchema(),
-		Calib: &CalibState{
-			EBs:  []float64{1e-4, 1e-3, 1e-2, 1e-1},
-			Rho:  []float64{0.12, 0.08, -0.02, -0.05},
-			Over: true,
-		},
+		Codec:     "sz3",
+		Schema:    CanonicalSchema(),
 		Regressor: forest,
 		Meta: map[string]string{
 			"samples":    "300",
@@ -65,6 +61,90 @@ func mustEncode(t testing.TB, a *Artifact) []byte {
 		t.Fatalf("encode: %v", err)
 	}
 	return buf
+}
+
+// calibSection lays out a calibration section as encoders before the
+// section was retired wrote it: point count, overshoot flag, then each
+// point's eb and rho as float64 bits.
+func calibSection(ebs, rho []float64, over bool) []byte {
+	w := &writer{}
+	w.uvarint(uint64(len(ebs)))
+	if over {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+	for i := range ebs {
+		w.f64(ebs[i])
+		w.f64(rho[i])
+	}
+	return w.buf
+}
+
+// legacyCalib is the table testArtifact carried while the section was
+// filled; the checked-in FuzzModelRead corpus holds exactly these bytes.
+var legacyCalib = calibSection([]float64{1e-4, 1e-3, 1e-2, 1e-1}, []float64{0.12, 0.08, -0.02, -0.05}, true)
+
+// withCalib returns a's encoding with section in place of its empty
+// calibration section and the CRC resealed: the bytes an older encoder
+// wrote for a with that table.
+func withCalib(t testing.TB, a *Artifact, section []byte) []byte {
+	t.Helper()
+	plain := mustEncode(t, a)
+	w := &writer{}
+	w.buf = append(w.buf, Magic...)
+	w.u32(FormatVersion)
+	w.str(a.Codec)
+	w.str(a.BackendTag())
+	w.uvarint(uint64(len(a.Schema)))
+	for _, s := range a.Schema {
+		w.str(s)
+	}
+	at := len(w.buf)
+	if plain[at] != 0 {
+		t.Fatalf("calibration count at offset %d is %d, want 0", at, plain[at])
+	}
+	w.buf = append(append(w.buf, section...), plain[at+1:len(plain)-4]...)
+	w.u32(crc32.ChecksumIEEE(w.buf))
+	return w.buf
+}
+
+// TestCalibrationSectionSkipped: a stored calibration table is stepped
+// over unread, so the artifact decodes as if the section were empty, and
+// re-encodes without it. The section's guards still classify a hostile
+// table; one calib.Restore would refuse is skipped like any other.
+func TestCalibrationSectionSkipped(t *testing.T) {
+	a := testArtifact(t)
+	plain := mustEncode(t, a)
+	for name, section := range map[string][]byte{
+		"legacy":        legacyCalib,
+		"not ascending": calibSection([]float64{1e-3, 1e-3}, []float64{0, 0}, false),
+		"NaN":           calibSection([]float64{math.NaN()}, []float64{math.Inf(1)}, true),
+	} {
+		b, err := Read(withCalib(t, a, section))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(mustEncode(t, b), plain) {
+			t.Fatalf("%s: re-encode is not the artifact without its table", name)
+		}
+	}
+	hostile := []struct {
+		name    string
+		section []byte
+		lim     safedec.Limits
+		want    error
+	}{
+		{"flag 2", append([]byte{1, 2}, make([]byte, 16)...), safedec.Limits{}, safedec.ErrCorrupt},
+		{"count over MaxCount", legacyCalib, safedec.Limits{MaxCount: 3}, safedec.ErrLimit},
+		{"count past the end", []byte{0xff, 0xff, 0x3f, 0}, safedec.Limits{}, safedec.ErrTruncated},
+		{"count overflows ×16", append(binary.AppendUvarint(nil, 1<<62), 0), safedec.Limits{MaxCount: math.MaxInt64}, safedec.ErrTruncated},
+	}
+	for _, c := range hostile {
+		if _, err := ReadLimited(withCalib(t, a, c.section), c.lim); !errors.Is(err, c.want) {
+			t.Errorf("%s: error %v, want %v", c.name, err, c.want)
+		}
+	}
 }
 
 func TestEncodeDeterministic(t *testing.T) {
@@ -90,16 +170,6 @@ func TestRoundTrip(t *testing.T) {
 	if !schemaMatches(a.Schema, b.Schema) {
 		t.Fatalf("schema %v != %v", b.Schema, a.Schema)
 	}
-	if b.Calib == nil || !b.Calib.Over ||
-		len(b.Calib.EBs) != len(a.Calib.EBs) {
-		t.Fatalf("calibration state lost: %+v", b.Calib)
-	}
-	for i := range a.Calib.EBs {
-		if math.Float64bits(a.Calib.EBs[i]) != math.Float64bits(b.Calib.EBs[i]) ||
-			math.Float64bits(a.Calib.Rho[i]) != math.Float64bits(b.Calib.Rho[i]) {
-			t.Fatalf("calibration point %d not bit-identical", i)
-		}
-	}
 	if len(b.Meta) != len(a.Meta) {
 		t.Fatalf("meta %v != %v", b.Meta, a.Meta)
 	}
@@ -123,15 +193,14 @@ func TestRoundTrip(t *testing.T) {
 
 func TestRoundTripMinimal(t *testing.T) {
 	a := testArtifact(t)
-	a.Calib = nil
 	a.Meta = nil
 	buf := mustEncode(t, a)
 	b, err := Read(buf)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if b.Calib != nil || len(b.Meta) != 0 {
-		t.Fatalf("minimal artifact grew sections: calib=%v meta=%v", b.Calib, b.Meta)
+	if len(b.Meta) != 0 {
+		t.Fatalf("minimal artifact grew metadata: %v", b.Meta)
 	}
 	if !bytes.Equal(buf, mustEncode(t, b)) {
 		t.Fatal("minimal re-encode differs")
@@ -167,7 +236,6 @@ func TestValidateRejects(t *testing.T) {
 		{"blank schema entry", func(a *Artifact) { a.Schema[2] = "" }},
 		{"nil regressor", func(a *Artifact) { a.Regressor = nil }},
 		{"dims mismatch", func(a *Artifact) { a.Schema = a.Schema[:3] }},
-		{"bad calibration", func(a *Artifact) { a.Calib.EBs[1] = a.Calib.EBs[0] }},
 		{"empty meta key", func(a *Artifact) { a.Meta[""] = "x" }},
 		{"oversized meta value", func(a *Artifact) { a.Meta["k"] = strings.Repeat("x", maxStringLen+1) }},
 	}
@@ -226,17 +294,16 @@ func TestReadHostileStreams(t *testing.T) {
 // by a cap the other section fits under.
 func TestSectionCountLimits(t *testing.T) {
 	a := testArtifact(t) // 8 trees
-	a.Calib = nil
 	trees := mustEncode(t, a)
 	safedectest.Rejects(t, 0, func() error {
 		_, err := ReadLimited(trees, safedec.Limits{MaxCount: 4})
 		return err
 	})
-	a.Calib = &CalibState{EBs: make([]float64, 16), Rho: make([]float64, 16)}
-	for i := range a.Calib.EBs {
-		a.Calib.EBs[i] = math.Ldexp(1, i-20)
+	ebs := make([]float64, 16)
+	for i := range ebs {
+		ebs[i] = math.Ldexp(1, i-20)
 	}
-	calib := mustEncode(t, a)
+	calib := withCalib(t, a, calibSection(ebs, make([]float64, 16), false))
 	if _, err := ReadLimited(calib, safedec.Limits{MaxCount: 16}); err != nil {
 		t.Fatalf("16 calibration points under MaxCount 16: %v", err)
 	}

@@ -107,9 +107,19 @@ func smooth(t float64) float64 { return t * t * (3 - 2*t) }
 
 // Noise is seeded 3D value noise. Evaluate it at any continuous coordinate;
 // nearby points yield correlated values, giving the smooth fields scientific
-// data exhibits.
+// data exhibits. A Noise is not safe for concurrent use (FBm keeps a per-octave
+// memo in it); build one per goroutine, as every generator builds one per field.
 type Noise struct {
 	seed uint64
+	memo [8]cell // FBm octave o's last cell, for o < len(memo)
+}
+
+// cell holds the 8 lattice corner values of the unit cell whose low corner is
+// (ix, iy, iz), at index dz<<2 | dy<<1 | dx. ok is false until it is filled.
+type cell struct {
+	ix, iy, iz int64
+	ok         bool
+	c          [8]float64
 }
 
 // NewNoise returns value noise with the given seed.
@@ -117,23 +127,41 @@ func NewNoise(seed uint64) *Noise { return &Noise{seed: seed} }
 
 // At evaluates the noise at (x, y, z); the result is in [-1, 1].
 func (n *Noise) At(x, y, z float64) float64 {
+	var m cell
+	return n.at(&m, x, y, z)
+}
+
+// at evaluates the noise at (x, y, z), taking the cell's corners from m when
+// m holds the same cell, sliding them when the cell is m's +x neighbour, and
+// leaving this cell's corners in m. Only latticeValue calls are saved: they
+// are pure, and every floating-point expression is the same as without m, so
+// the result is bit-identical whatever m held.
+func (n *Noise) at(m *cell, x, y, z float64) float64 {
 	x0, y0, z0 := math.Floor(x), math.Floor(y), math.Floor(z)
 	tx, ty, tz := smooth(x-x0), smooth(y-y0), smooth(z-z0)
 	ix, iy, iz := int64(x0), int64(y0), int64(z0)
 
-	var c [2][2][2]float64
-	for dz := int64(0); dz < 2; dz++ {
-		for dy := int64(0); dy < 2; dy++ {
-			for dx := int64(0); dx < 2; dx++ {
-				c[dz][dy][dx] = latticeValue(ix+dx, iy+dy, iz+dz, n.seed)
-			}
+	c := &m.c
+	switch {
+	case m.ok && ix == m.ix && iy == m.iy && iz == m.iz:
+	case m.ok && ix == m.ix+1 && iy == m.iy && iz == m.iz:
+		c[0], c[2], c[4], c[6] = c[1], c[3], c[5], c[7]
+		c[1] = latticeValue(ix+1, iy, iz, n.seed)
+		c[3] = latticeValue(ix+1, iy+1, iz, n.seed)
+		c[5] = latticeValue(ix+1, iy, iz+1, n.seed)
+		c[7] = latticeValue(ix+1, iy+1, iz+1, n.seed)
+	default:
+		for i := range c {
+			c[i] = latticeValue(ix+int64(i&1), iy+int64(i>>1&1), iz+int64(i>>2), n.seed)
 		}
 	}
+	m.ix, m.iy, m.iz, m.ok = ix, iy, iz, true
+
 	lerp := func(a, b, t float64) float64 { return a + (b-a)*t }
-	x00 := lerp(c[0][0][0], c[0][0][1], tx)
-	x10 := lerp(c[0][1][0], c[0][1][1], tx)
-	x01 := lerp(c[1][0][0], c[1][0][1], tx)
-	x11 := lerp(c[1][1][0], c[1][1][1], tx)
+	x00 := lerp(c[0], c[1], tx)
+	x10 := lerp(c[2], c[3], tx)
+	x01 := lerp(c[4], c[5], tx)
+	x11 := lerp(c[6], c[7], tx)
 	y0v := lerp(x00, x10, ty)
 	y1v := lerp(x01, x11, ty)
 	return lerp(y0v, y1v, tz)
@@ -141,12 +169,20 @@ func (n *Noise) At(x, y, z float64) float64 {
 
 // FBm evaluates fractal Brownian motion: `octaves` layers of value noise
 // with per-octave frequency doubling (lacunarity 2) and amplitude decay
-// `gain`. Result is approximately in [-1, 1].
+// `gain`. Result is approximately in [-1, 1]. Octave o < len(n.memo) reuses
+// the lattice corners of the cell it visited on the previous call, so a sweep
+// along +x hashes no corners while an octave stays in one cell and 4 (not 8)
+// when it steps into the next.
 func (n *Noise) FBm(x, y, z float64, octaves int, gain float64) float64 {
 	var sum, norm float64
 	amp, freq := 1.0, 1.0
 	for o := 0; o < octaves; o++ {
-		sum += amp * n.At(x*freq+float64(o)*17.31, y*freq-float64(o)*9.7, z*freq+float64(o)*3.3)
+		px, py, pz := x*freq+float64(o)*17.31, y*freq-float64(o)*9.7, z*freq+float64(o)*3.3
+		if o < len(n.memo) {
+			sum += amp * n.at(&n.memo[o], px, py, pz)
+		} else {
+			sum += amp * n.At(px, py, pz)
+		}
 		norm += amp
 		amp *= gain
 		freq *= 2

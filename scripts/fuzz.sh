@@ -31,6 +31,7 @@ run ./internal/sz3 FuzzInterpMatchesReference
 run ./internal/field FuzzMinMaxMatchesReference
 run ./internal/field FuzzReadRawMatchesReference
 run ./internal/rf FuzzSplitSortMatchesReference
+run ./internal/xrand FuzzFBmMatchesReference
 run ./internal/archive FuzzArchiveRead
 run ./internal/chunked FuzzChunkedDecompress
 run ./internal/model FuzzModelRead
