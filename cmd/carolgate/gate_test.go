@@ -483,8 +483,8 @@ func TestGateFleetConvergence(t *testing.T) {
 		t.Fatalf("diverged fleet reported converged")
 	}
 	shards[1].modelVersion.Store(2)
-	// Same version but a different serving backend (a retrain publish that
-	// swapped backends mid-rollout) is also divergence.
+	// Same version but a different serving backend (a publish that swapped
+	// backends mid-rollout) is also divergence.
 	shards[1].modelBackend.Store("boost")
 	st = fetch()
 	if st.Converged {

@@ -322,7 +322,7 @@ func routeError(w http.ResponseWriter, err error) {
 
 // shardModel is one model as a shard's /v1/models endpoint reports it:
 // the published version plus the surrogate backend serving it. After a
-// retrain publish swaps backends the fleet view must show both, or a
+// publish swaps backends the fleet view must show both, or a
 // half-converged fleet (same version, different backend tag) would look
 // healthy.
 type shardModel struct {

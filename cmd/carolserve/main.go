@@ -35,7 +35,8 @@
 //
 // With -model-dir pointing at a caroltrain registry, the newest version
 // of every model is loaded before traffic is accepted and hot-swapped on
-// SIGHUP without dropping in-flight requests (DESIGN.md §12).
+// SIGHUP, or when -registry-watch sees a new publish, without dropping
+// in-flight requests (DESIGN.md §12, §17).
 //
 // The server is hardened for production traffic: read/write/idle
 // timeouts, a semaphore-bounded in-flight request limit (503 +
@@ -46,7 +47,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -56,13 +56,11 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"carol"
 	"carol/internal/codecs"
 	"carol/internal/compressor"
-	"carol/internal/features"
 	"carol/internal/field"
 	"carol/internal/fraz"
 	"carol/internal/httpkit"
@@ -82,10 +80,6 @@ func main() {
 		"maximum concurrently served /v1/ requests; excess get 503 + Retry-After")
 	flag.DurationVar(&cfg.registryWatch, "registry-watch", cfg.registryWatch,
 		"poll the model registry at this interval and hot-swap on change (0 disables; SIGHUP always works)")
-	flag.StringVar(&cfg.harvestDir, "harvest-dir", cfg.harvestDir,
-		"journal every served compressor run's outcome here for carolretrain (empty disables)")
-	flag.IntVar(&cfg.harvestCap, "harvest-cap", cfg.harvestCap,
-		"records retained per harvest journal (0 = default)")
 	flag.BoolVar(&cfg.trackEstimatorError, "track-estimator-error", cfg.trackEstimatorError,
 		"run the SECRE surrogate alongside rel= compresses and export estimate-vs-actual error gauges")
 	flag.Uint64Var(&cfg.selectorSeed, "selector-seed", cfg.selectorSeed,
@@ -103,9 +97,7 @@ func main() {
 	os.Exit(run(cfg, *addr))
 }
 
-// run boots the server: models are warm-loaded before the listener opens,
-// and a graceful drain flushes and closes the harvest journals so the
-// torn-tail window on a clean shutdown is empty.
+// run boots the server: models are warm-loaded before the listener opens.
 func run(cfg config, addr string) int {
 	s := newServerWith(cfg)
 	if s.models != nil {
@@ -121,7 +113,7 @@ func run(cfg config, addr string) int {
 			defer stopWatch()
 		}
 	}
-	return s.Run(addr, cfg.timeouts, "", func(context.Context) error { return s.Close() })
+	return s.Run(addr, cfg.timeouts, "", nil)
 }
 
 func (s *server) handleCodecs(w http.ResponseWriter, r *http.Request) {
@@ -211,40 +203,21 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("X-Carol-Predicted-Ratio", strconv.FormatFloat(p, 'g', 6, 64))
 		}
 	}
-	// The feature vector is extracted at most once per request, by
-	// whichever of the ratio= prediction and the harvest asks first.
-	vector := sync.OnceValue(func() features.Vector {
-		span := tr.StartSpan("features")
-		defer span.End()
-		return features.ExtractParallel(f, features.ParallelOptions{})
-	})
 	// finish is the one epilogue: the achieved ratio and trace go out (as
-	// trailers once a streamed body has been sent), every compressor run's
-	// outcome is harvested, and a mode=auto decision learns what its pick
-	// delivered.
-	finish := func(actual float64, runs ...fraz.Probe) {
+	// trailers once a streamed body has been sent), and a mode=auto decision
+	// learns what its pick delivered.
+	finish := func(actual float64) {
 		w.Header().Set("X-Carol-Achieved-Ratio", strconv.FormatFloat(actual, 'g', 6, 64))
 		w.Header().Set("X-Carol-Trace", tr.String())
-		s.harvest(codec.Name(), f, vector, runs)
 		if dec != nil {
 			s.selector.Observe(*dec, actual)
 		}
-	}
-	// finishBound is finish for a request that ran the compressor once, at
-	// eb. The value range is a pass over the field, so it is only taken when
-	// there is a journal to write it to.
-	finishBound := func(actual float64) {
-		if s.harvester == nil {
-			finish(actual)
-			return
-		}
-		finish(actual, fraz.Probe{RelEB: eb / f.ValueRange(), Ratio: actual})
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	var stream []byte
 	switch {
 	case req.Ratio > 0:
-		seed := s.predictBound(tr, codec.Name(), req.Ratio, vector)
+		seed := s.predictBound(tr, codec.Name(), req.Ratio, f)
 		span = tr.StartSpan("search")
 		// SZx, ZFP and SZ3 searches root-find on their SECRE surrogate and
 		// compress where it predicts the target; binding it to the field plus
@@ -265,9 +238,9 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Carol-Compressor-Runs", strconv.Itoa(res.Runs))
 		w.Header().Set("X-Carol-Surrogate-Evals", strconv.Itoa(res.SurrogateEvals))
 		w.Header().Set("X-Carol-Resolver", res.Resolver())
-		finish(res.Achieved, res.Probes...)
+		finish(res.Achieved)
 	case req.Stream:
-		compressStreaming(w, tr, pipeline.New(codec, pipeline.Options{Workers: req.Workers}), f, eb, finishBound)
+		compressStreaming(w, tr, pipeline.New(codec, pipeline.Options{Workers: req.Workers}), f, eb, finish)
 		return
 	default:
 		span = tr.StartSpan("codec")
@@ -292,7 +265,7 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		finishBound(actual)
+		finish(actual)
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(stream)))
 	if _, err := w.Write(stream); err != nil {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"carol/internal/features"
+	"carol/internal/field"
 	"carol/internal/httpkit"
 	"carol/internal/model"
 	"carol/internal/obs"
@@ -81,11 +82,12 @@ func (set modelSet) forCodec(codec string) *loadedModel {
 }
 
 // predictBound asks the loaded model for codec which relative bound should
-// reach ratio on the field whose features vector extracts — the seed of the
-// ratio= search. It reads one generation of the store, so a concurrent hot
-// swap cannot change the model under it. Zero (the search then starts
-// unseeded) without a model for the codec or when the model cannot answer.
-func (s *server) predictBound(tr *obs.Trace, codec string, ratio float64, vector func() features.Vector) float64 {
+// reach ratio on f — the seed of the ratio= search. It reads one generation
+// of the store, so a concurrent hot swap cannot change the model under it.
+// Zero (the search then starts unseeded) without a model for the codec or
+// when the model cannot answer; f's features are extracted only when there
+// is a model to ask.
+func (s *server) predictBound(tr *obs.Trace, codec string, ratio float64, f *field.Field) float64 {
 	if s.models == nil {
 		return 0
 	}
@@ -93,8 +95,10 @@ func (s *server) predictBound(tr *obs.Trace, codec string, ratio float64, vector
 	if lm == nil || lm.artifact.ServingCheck() != nil {
 		return 0
 	}
-	feat := vector()
-	span := tr.StartSpan("predict")
+	span := tr.StartSpan("features")
+	feat := features.ExtractParallel(f, features.ParallelOptions{})
+	span.End()
+	span = tr.StartSpan("predict")
 	ebs, err := model.PredictErrorBounds(lm.artifact.Regressor, feat, []float64{ratio})
 	span.End()
 	if err != nil {
@@ -277,8 +281,8 @@ type modelInfo struct {
 	SHA256  string `json:"sha256"`
 	Size    int64  `json:"size"`
 	Codec   string `json:"codec"`
-	// Backend is the regressor family serving this model (rf|boost);
-	// the continuous-retraining pipeline can change it between versions.
+	// Backend is the regressor family serving this model (rf|boost); a
+	// new caroltrain publish can change it between versions.
 	Backend  string `json:"backend"`
 	Trees    int    `json:"trees"`
 	Nodes    int    `json:"nodes"`

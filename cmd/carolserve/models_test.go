@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"carol/internal/boost"
 	"carol/internal/features"
 	"carol/internal/field"
 	"carol/internal/model"
@@ -547,6 +548,113 @@ func TestBodyLengthMustMatchDims(t *testing.T) {
 						path, len(c.body), chunked, resp.StatusCode, msg, c.want)
 				}
 			}
+		}
+	}
+}
+
+// publishBoostModel publishes a boost-backend artifact as the next "szx"
+// version — the shape caroltrain -backends boost produces.
+func publishBoostModel(t testing.TB, dir string) registry.Version {
+	t.Helper()
+	rng := xrand.New(12)
+	const rows = 80
+	X := make([][]float64, rows)
+	y := make([]float64, rows)
+	for i := range X {
+		row := make([]float64, trainset.InputDim)
+		for j := range row {
+			row[j] = rng.Float64()
+		}
+		X[i] = row
+		y[i] = -2 - row[1]
+	}
+	m, err := boost.Train(X, y, boost.Config{Rounds: 7, Depth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &model.Artifact{Codec: "szx", Backend: model.BackendBoost, Schema: model.CanonicalSchema(), Regressor: m}
+	buf, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := registry.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := reg.Publish("szx", buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestModelsBackendHotSwap loads an rf model, hot-swaps to a boost-backend
+// version, and checks both
+// /v1/models metadata and /v1/predict keep working across the swap.
+func TestModelsBackendHotSwap(t *testing.T) {
+	dir := t.TempDir()
+	publishTestModel(t, dir, 1)
+	s := modelServer(t, dir)
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	getInfos := func() []modelInfo {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/models")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var infos []modelInfo
+		if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+			t.Fatal(err)
+		}
+		return infos
+	}
+	infos := getInfos()
+	if len(infos) != 1 || infos[0].Backend != "rf" || infos[0].Version != 1 {
+		t.Fatalf("infos %+v", infos)
+	}
+	if infos[0].Trees == 0 {
+		t.Fatalf("rf stats missing: %+v", infos[0])
+	}
+
+	v := publishBoostModel(t, dir)
+	if err := s.models.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	infos = getInfos()
+	if len(infos) != 1 || infos[0].Backend != "boost" || infos[0].Version != v.Number {
+		t.Fatalf("after swap: %+v", infos)
+	}
+	// For boost, Trees counts the boosting stages.
+	if infos[0].Trees != 7 || infos[0].Nodes == 0 || infos[0].MaxDepth == 0 {
+		t.Fatalf("boost stats missing: %+v", infos[0])
+	}
+
+	_, body := testBody(t)
+	resp, err := http.Post(srv.URL+"/v1/predict?model=szx&ratio=10,50&dims=24x24x8",
+		"application/octet-stream", bytes.NewReader(body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict status %d", resp.StatusCode)
+	}
+	var pred struct {
+		Version     int       `json:"version"`
+		ErrorBounds []float64 `json:"error_bounds"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&pred); err != nil {
+		t.Fatal(err)
+	}
+	if pred.Version != v.Number || len(pred.ErrorBounds) != 2 {
+		t.Fatalf("predict response %+v", pred)
+	}
+	for _, eb := range pred.ErrorBounds {
+		if !(eb > 0 && eb <= 1) {
+			t.Fatalf("error bound %g out of range", eb)
 		}
 	}
 }

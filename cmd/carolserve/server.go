@@ -1,18 +1,13 @@
 package main
 
 import (
-	"log"
 	"net/http"
 	"time"
 
-	"carol/internal/features"
-	"carol/internal/field"
-	"carol/internal/fraz"
 	"carol/internal/httpkit"
 	"carol/internal/obs"
 	"carol/internal/safedec"
 	"carol/internal/selector"
-	"carol/internal/trainset"
 	"carol/internal/zpool"
 )
 
@@ -35,14 +30,6 @@ type config struct {
 	// version of every model is warm-loaded at boot, served on /v1/predict,
 	// and hot-swapped on SIGHUP. Empty disables model serving.
 	modelDir string
-
-	// harvestDir, when set, journals the outcome of every compressor run a
-	// request paid for (features, achieved ratio, relative error bound) into
-	// per-codec journals that the continuous-retraining pipeline
-	// (carolretrain) trains on. Empty disables harvesting.
-	harvestDir string
-	// harvestCap bounds each journal's retained records (0 = default).
-	harvestCap int
 
 	// registryWatch, when positive, polls the registry manifests at this
 	// interval and hot-swaps on change — fleet convergence without SIGHUP
@@ -93,13 +80,9 @@ type server struct {
 	models *modelStore
 	// selector is the mode=auto adaptive codec chooser (DESIGN.md §16).
 	selector *selector.Selector
-	// harvester journals served-traffic outcomes, nil without -harvest-dir.
-	harvester *trainset.Harvester
 	// fields lends request fields their sample storage (readField).
 	fields zpool.FreeList[[]float32]
 
-	harvested                     *obs.Counter
-	harvestErrors                 *obs.Counter
 	fieldsReused, fieldsAllocated *obs.Counter
 }
 
@@ -114,15 +97,6 @@ func newServerWith(cfg config) *server {
 		fieldsAllocated: obs.Default.Counter(obs.Label("http_field_storage_total", "result", "allocated"))}
 	if cfg.modelDir != "" {
 		s.models = newModelStore(cfg.modelDir, cfg.decodeLimits)
-	}
-	if cfg.harvestDir != "" {
-		capacity := cfg.harvestCap
-		if capacity <= 0 {
-			capacity = trainset.DefaultJournalCap
-		}
-		s.harvester = trainset.NewHarvester(cfg.harvestDir, capacity)
-		s.harvested = obs.Default.Counter("harvest_records_total")
-		s.harvestErrors = obs.Default.Counter("harvest_errors_total")
 	}
 	sel, err := selector.New(selector.Config{Seed: cfg.selectorSeed, Epsilon: cfg.selectorEpsilon})
 	if err != nil {
@@ -139,37 +113,4 @@ func newServerWith(cfg config) *server {
 	s.Handle("POST /v1/predict", s.handlePredict)
 	s.Handle("/readyz", s.handleReadyz)
 	return s
-}
-
-// harvest journals a served request's compressor runs for the retraining
-// pipeline: the field's features with, per run, the ratio the codec
-// delivered and the value-range-relative error bound that produced it. A
-// ratio= search hands in every probe, so the next model also learns from
-// the bounds that missed. Harvesting is best-effort telemetry — failures
-// are counted and logged, never surfaced to the request.
-func (s *server) harvest(codec string, f *field.Field, feat func() features.Vector, runs []fraz.Probe) {
-	if s.harvester == nil || !(f.ValueRange() > 0) {
-		return // constant fields train nothing useful
-	}
-	for _, run := range runs {
-		if !(run.RelEB > 0) || !(run.Ratio > 0) {
-			continue
-		}
-		rec := trainset.Record{Features: feat(), Ratio: run.Ratio, RelEB: run.RelEB}
-		if err := s.harvester.Record(codec, rec); err != nil {
-			s.harvestErrors.Inc()
-			log.Printf("carolserve: harvest %s: %v", codec, err)
-			return
-		}
-		s.harvested.Inc()
-	}
-}
-
-// Close releases background resources (the harvest journals). Safe on a
-// server without a harvester.
-func (s *server) Close() error {
-	if s.harvester == nil {
-		return nil
-	}
-	return s.harvester.Close()
 }

@@ -69,36 +69,6 @@ func Fit(codec compressor.Codec, est compressor.Estimator, f *field.Field, ebs [
 	return m, nil
 }
 
-// Restore rebuilds a Model from persisted state (the calibration section
-// of a model artifact, internal/model), validating what Fit
-// guarantees by construction: at least two points, matching lengths,
-// strictly ascending positive bounds and finite correction factors. The
-// input slices are copied.
-func Restore(ebs, rho []float64, over bool) (*Model, error) {
-	if len(ebs) < 2 {
-		return nil, errors.New("calib: restore needs at least 2 calibration points")
-	}
-	if len(ebs) != len(rho) {
-		return nil, fmt.Errorf("calib: restore with %d bounds but %d errors", len(ebs), len(rho))
-	}
-	for i := range ebs {
-		if !(ebs[i] > 0) || math.IsInf(ebs[i], 0) {
-			return nil, fmt.Errorf("calib: restore bound %d is %g", i, ebs[i])
-		}
-		if i > 0 && !(ebs[i] > ebs[i-1]) {
-			return nil, fmt.Errorf("calib: restore bounds not strictly ascending at %d", i)
-		}
-		if math.IsNaN(rho[i]) || math.IsInf(rho[i], 0) {
-			return nil, fmt.Errorf("calib: restore error %d is not finite", i)
-		}
-	}
-	return &Model{
-		ebs:  append([]float64(nil), ebs...),
-		rho:  append([]float64(nil), rho...),
-		over: over,
-	}, nil
-}
-
 // Overestimates reports whether the surrogate overestimated the ratio at
 // the majority of calibration points (step 2 of the paper's method).
 func (m *Model) Overestimates() bool { return m.over }

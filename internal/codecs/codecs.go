@@ -94,16 +94,3 @@ func SearchSurrogate(name string, f *field.Field) func(eb float64) (float64, err
 	}
 	return b.Ratio
 }
-
-// All returns every full compressor.
-func All() []compressor.Codec {
-	out := make([]compressor.Codec, 0, len(Names))
-	for _, n := range Names {
-		c, err := ByName(n)
-		if err != nil {
-			panic(err) // unreachable: Names is the source of truth
-		}
-		out = append(out, c)
-	}
-	return out
-}

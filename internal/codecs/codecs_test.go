@@ -35,18 +35,6 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
-func TestAll(t *testing.T) {
-	all := All()
-	if len(all) != len(Names) {
-		t.Fatalf("All() returned %d codecs", len(all))
-	}
-	for i, c := range all {
-		if c.Name() != Names[i] {
-			t.Fatalf("All()[%d] = %s, want %s", i, c.Name(), Names[i])
-		}
-	}
-}
-
 func TestHighThroughputGrouping(t *testing.T) {
 	groups := map[string]bool{"szx": true, "zfp": true, "sz3": false, "sperr": false}
 	for name, want := range groups {

@@ -293,7 +293,7 @@ func (s *Server) Run(addr string, t Timeouts, detail string, drain func(context.
 		code = 1
 	}
 	// HTTP is drained (or abandoned); now the background work, so accepted
-	// jobs and buffered journal records are not silently lost.
+	// jobs are not silently lost.
 	if drain != nil {
 		if err := drain(sctx); err != nil {
 			log.Printf("%s: drain: %v", s.name, err)

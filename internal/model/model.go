@@ -7,10 +7,9 @@
 // integrity-checked with a trailing CRC.
 //
 // The format is the bridge between the train-offline and serve-online
-// halves of the repository: cmd/caroltrain and cmd/carolretrain write
-// artifacts into an internal/registry directory, and carolserve warm-loads
-// them at boot, on SIGHUP, and on -registry-watch convergence (DESIGN.md
-// §12, §17).
+// halves of the repository: cmd/caroltrain writes artifacts into an
+// internal/registry directory, and carolserve warm-loads them at boot, on
+// SIGHUP, and on -registry-watch convergence (DESIGN.md §12, §17).
 //
 // Format version 2 generalizes the artifact beyond random forests: a
 // backend tag (rf | boost) follows the codec name and selects the

@@ -112,7 +112,7 @@ func withCalib(t testing.TB, a *Artifact, section []byte) []byte {
 // TestCalibrationSectionSkipped: a stored calibration table is stepped
 // over unread, so the artifact decodes as if the section were empty, and
 // re-encodes without it. The section's guards still classify a hostile
-// table; one calib.Restore would refuse is skipped like any other.
+// table; one with unordered or non-finite points is skipped like any other.
 func TestCalibrationSectionSkipped(t *testing.T) {
 	a := testArtifact(t)
 	plain := mustEncode(t, a)

@@ -23,7 +23,7 @@
 // version file is created exclusively, so the loser errors instead of
 // overwriting — but retry is the caller's job. Within one process, a
 // Registry handle additionally serializes its mutators (Publish, GC) so a
-// retraining loop and a GC sweep sharing the handle cannot interleave
+// publisher and a GC sweep sharing the handle cannot interleave
 // their manifest read-modify-write cycles and resurrect deleted versions.
 package registry
 

@@ -100,6 +100,10 @@ const (
 	biasMax = 9.0
 )
 
+// biasAlpha is the EMA weight of the newest estimate-vs-actual relative
+// error.
+const biasAlpha = 0.3
+
 // missBuckets bound selector_prediction_miss, |predicted/achieved - 1| of
 // the chosen codec's corrected prediction: the buckets of fraz_ratio_miss,
 // so the two misses read on one scale.
@@ -117,16 +121,10 @@ type Config struct {
 	// Epsilon is the exploration probability per decision. Default 0.05;
 	// any negative value disables exploration entirely.
 	Epsilon float64
-	// BiasAlpha is the EMA weight of the newest estimate-vs-actual
-	// relative error. Default 0.3.
-	BiasAlpha float64
 	// Estimators overrides the surrogate for the named codecs (tests
 	// inject fixed-ratio estimators here). Codecs not in the map use
 	// codecs.SurrogateByName.
 	Estimators map[string]compressor.Estimator
-	// Extract overrides feature extraction. Default features.ExtractParallel
-	// with the paper's sampling parameters.
-	Extract func(*field.Field) features.Vector
 	// Registry receives the selector metrics. Default obs.Default.
 	Registry *obs.Registry
 }
@@ -140,14 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Epsilon < 0 {
 		c.Epsilon = 0
-	}
-	if c.BiasAlpha <= 0 || c.BiasAlpha > 1 {
-		c.BiasAlpha = 0.3
-	}
-	if c.Extract == nil {
-		c.Extract = func(f *field.Field) features.Vector {
-			return features.ExtractParallel(f, features.ParallelOptions{})
-		}
 	}
 	if c.Registry == nil {
 		c.Registry = obs.Default
@@ -296,7 +286,7 @@ func (s *Selector) Select(f *field.Field, eb, targetRatio float64) (Decision, er
 	if targetRatio < 0 || math.IsNaN(targetRatio) || math.IsInf(targetRatio, 0) {
 		return Decision{}, fmt.Errorf("selector: invalid target ratio %g", targetRatio)
 	}
-	return s.SelectVec(f, s.cfg.Extract(f), eb, targetRatio)
+	return s.SelectVec(f, features.ExtractParallel(f, features.ParallelOptions{}), eb, targetRatio)
 }
 
 // SelectVec is Select with a caller-supplied feature vector (callers that
@@ -458,7 +448,7 @@ func (s *Selector) Observe(d Decision, actual float64) {
 	if a.outcomes == 1 {
 		a.bias = relErr
 	} else {
-		a.bias = (1-s.cfg.BiasAlpha)*a.bias + s.cfg.BiasAlpha*relErr
+		a.bias = (1-biasAlpha)*a.bias + biasAlpha*relErr
 	}
 	if a.bias < biasMin {
 		a.bias = biasMin
@@ -508,7 +498,7 @@ func (s *Selector) Stats() Stats {
 		Codecs:    append([]string(nil), s.names...),
 		Seed:      s.cfg.Seed,
 		Epsilon:   s.cfg.Epsilon,
-		BiasAlpha: s.cfg.BiasAlpha,
+		BiasAlpha: biasAlpha,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -25,54 +25,9 @@ type Sample struct {
 	RelEB float64
 }
 
-// Set is an appendable collection of samples. The zero value is an
-// unbounded plain append log (the offline training path). SetCapacity
-// turns it into a bounded, deduplicating buffer with oldest-first
-// eviction — the shape the harvest pipeline needs so served-traffic
-// collection can never grow memory without bound.
+// Set is an appendable collection of samples.
 type Set struct {
 	samples []Sample
-	// capacity > 0 bounds the set; seen is non-nil exactly then and holds
-	// every sample currently in the buffer for O(1) dedup.
-	capacity int
-	seen     map[Sample]struct{}
-}
-
-// SetCapacity bounds the set to at most n samples, deduplicating exact
-// repeats and evicting the oldest sample when a new distinct one arrives
-// at capacity. Existing contents are deduplicated (first occurrence kept)
-// and then trimmed oldest-first to fit. n <= 0 removes the bound and the
-// dedup behaviour.
-func (s *Set) SetCapacity(n int) {
-	if n <= 0 {
-		s.capacity = 0
-		s.seen = nil
-		return
-	}
-	s.capacity = n
-	s.seen = make(map[Sample]struct{})
-	kept := s.samples[:0]
-	for _, sm := range s.samples {
-		if _, dup := s.seen[sm]; dup {
-			continue
-		}
-		s.seen[sm] = struct{}{}
-		kept = append(kept, sm)
-	}
-	s.samples = kept
-	for len(s.samples) > n {
-		s.evictOldest()
-	}
-}
-
-func (s *Set) evictOldest() {
-	delete(s.seen, s.samples[0])
-	s.samples = s.samples[1:]
-	// The front-trimmed backing array leaks forward; compact once it has
-	// drifted well past the bound so memory stays O(capacity).
-	if cap(s.samples) > 2*s.capacity {
-		s.samples = append(make([]Sample, 0, s.capacity), s.samples...)
-	}
 }
 
 // check is the one rule every stored sample obeys: all five features
@@ -91,20 +46,10 @@ func (sm Sample) check() error {
 }
 
 // Add appends a sample, rejecting one that breaks the finiteness and
-// positivity rule. On a bounded set an exact duplicate is dropped silently
-// and an overflowing add evicts the oldest sample first.
+// positivity rule.
 func (s *Set) Add(sm Sample) error {
 	if err := sm.check(); err != nil {
 		return err
-	}
-	if s.seen != nil {
-		if _, dup := s.seen[sm]; dup {
-			return nil
-		}
-		for len(s.samples) >= s.capacity {
-			s.evictOldest()
-		}
-		s.seen[sm] = struct{}{}
 	}
 	s.samples = append(s.samples, sm)
 	return nil
@@ -116,17 +61,8 @@ func (s *Set) Len() int { return len(s.samples) }
 // Samples returns the underlying slice (not a copy).
 func (s *Set) Samples() []Sample { return s.samples }
 
-// Merge appends all samples of other. On a bounded set every sample goes
-// through the dedup/eviction path; invalid samples are skipped.
-func (s *Set) Merge(other *Set) {
-	if s.seen != nil {
-		for _, sm := range other.samples {
-			_ = s.Add(sm) // invalid samples (zero value, etc.) are skipped
-		}
-		return
-	}
-	s.samples = append(s.samples, other.samples...)
-}
+// Merge appends all samples of other.
+func (s *Set) Merge(other *Set) { s.samples = append(s.samples, other.samples...) }
 
 // InputDim is the model input dimensionality: the five features plus the
 // log-ratio.

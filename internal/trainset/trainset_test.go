@@ -24,8 +24,7 @@ func TestAddValidation(t *testing.T) {
 }
 
 // TestAddRejectsNonFinite sets one slot of an otherwise good sample to
-// each non-finite value: Add must refuse every one, and so must the
-// journal's record check, which applies the same rule.
+// each non-finite value: Add must refuse every one.
 func TestAddRejectsNonFinite(t *testing.T) {
 	good := Sample{Features: features.Vector{Mean: 1, Range: 2, MND: 3, MLD: 4, MSD: 5}, Ratio: 10, RelEB: 1e-3}
 	for _, row := range []struct {
@@ -46,10 +45,6 @@ func TestAddRejectsNonFinite(t *testing.T) {
 			var s Set
 			if err := s.Add(sm); err == nil {
 				t.Errorf("%s = %v: Add accepted it", row.slot, v)
-			}
-			rec := Record{Features: sm.Features, Ratio: sm.Ratio, RelEB: sm.RelEB}
-			if rec.valid() {
-				t.Errorf("%s = %v: journal record counted as valid", row.slot, v)
 			}
 		}
 	}

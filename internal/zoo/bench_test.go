@@ -8,8 +8,7 @@ import (
 )
 
 // BenchmarkZooTrain measures one full zoo cycle per backend — k-fold CV
-// plus the final full-data fit — on the workload the continuous-retraining
-// controller hands it (a few hundred harvested samples).
+// plus the final full-data fit — on a few hundred samples.
 func BenchmarkZooTrain(b *testing.B) {
 	X, y := synthData(400, 11)
 	for _, backend := range model.KnownBackends() {

@@ -5,9 +5,8 @@
 // deterministic tie-break (backend priority order). The black-box
 // prediction literature (PAPERS.md) shows different statistical predictors
 // win on different datasets — the zoo turns that observation into
-// mechanism: caroltrain and the continuous-retraining controller
-// (internal/retrain) both train the zoo and publish whichever backend
-// actually wins on the data at hand (DESIGN.md §17).
+// mechanism: caroltrain -backends trains the zoo and publishes whichever
+// backend actually wins on the data at hand (DESIGN.md §17).
 package zoo
 
 import (
