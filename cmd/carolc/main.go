@@ -33,12 +33,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"carol"
+	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/field"
+	"carol/internal/pipeline"
 	"carol/internal/selector"
-	"carol/internal/szp"
 	"carol/internal/trainset"
 )
 
@@ -50,7 +52,7 @@ func main() {
 }
 
 func run() error {
-	comp := flag.String("compressor", "sz3", "compressor: szx, zfp, sz3, sperr, szp")
+	comp := flag.String("compressor", "sz3", "compressor: "+strings.Join(codecs.ExtendedNames, ", "))
 	codec := flag.String("codec", "",
 		"alias for -compressor; \"auto\" selects adaptively (-eb compress, sniffed -d)")
 	selectorSeed := flag.Uint64("selector-seed", 1, "RNG seed for -codec auto exploration")
@@ -163,25 +165,6 @@ func doCompressAuto(f *carol.Field, relEB float64, out string, seed uint64) erro
 	return nil
 }
 
-// sniffCodec maps a stream's leading magic byte back to the codec that
-// wrote it, so -d -codec auto round-trips without the user remembering
-// which codec the selector picked at compress time.
-func sniffCodec(magic byte) (string, error) {
-	switch magic {
-	case compressor.MagicSZx:
-		return "szx", nil
-	case compressor.MagicZFP:
-		return "zfp", nil
-	case compressor.MagicSZ3:
-		return "sz3", nil
-	case compressor.MagicSPERR:
-		return "sperr", nil
-	case szp.MagicSZP:
-		return "szp", nil
-	}
-	return "", fmt.Errorf("unrecognized stream magic 0x%02X; pass the codec explicitly", magic)
-}
-
 // doCompressStream writes the CPL1 pipeline container straight to the
 // output file: compressed blocks leave memory as soon as they are emitted.
 func doCompressStream(comp string, f *carol.Field, eb float64, out string, workers int) error {
@@ -270,7 +253,7 @@ func doDecompress(comp, in, out string, workers int) error {
 // name and need one passed explicitly.
 func decodeAny(comp string, r io.Reader, workers int) (*carol.Field, error) {
 	br := bufio.NewReader(r)
-	if peek, err := br.Peek(4); err == nil && string(peek) == "CPL1" {
+	if peek, err := br.Peek(len(pipeline.Magic)); err == nil && [4]byte(peek) == pipeline.Magic {
 		if comp == "auto" {
 			return nil, fmt.Errorf("CPL1 containers do not name their codec; pass one with -codec or -compressor")
 		}
@@ -281,8 +264,8 @@ func decodeAny(comp string, r io.Reader, workers int) (*carol.Field, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sniff codec: %w", err)
 		}
-		if comp, err = sniffCodec(peek[0]); err != nil {
-			return nil, err
+		if comp, err = codecs.Sniff(peek[0]); err != nil {
+			return nil, fmt.Errorf("%w; pass the codec explicitly", err)
 		}
 	}
 	stream, err := io.ReadAll(br)

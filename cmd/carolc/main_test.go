@@ -25,12 +25,12 @@ func TestSniffCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s compress: %v", name, err)
 		}
-		sniffed, err := sniffCodec(blob[0])
+		sniffed, err := codecs.Sniff(blob[0])
 		if err != nil {
 			t.Fatalf("%s: sniff: %v", name, err)
 		}
 		if sniffed != name {
-			t.Fatalf("sniffCodec(0x%02X) = %q, want %q", blob[0], sniffed, name)
+			t.Fatalf("Sniff(0x%02X) = %q, want %q", blob[0], sniffed, name)
 		}
 		g, err := decodeAny("auto", bytes.NewReader(blob), 0)
 		if err != nil {
@@ -40,8 +40,8 @@ func TestSniffCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: auto round trip out of bound: %v", name, err)
 		}
 	}
-	if _, err := sniffCodec(0x00); err == nil {
-		t.Fatal("sniffCodec accepted an unknown magic byte")
+	if _, err := decodeAny("auto", bytes.NewReader([]byte{0x00, 1, 2, 3}), 0); err == nil {
+		t.Fatal("decodeAny(auto) accepted an unknown magic byte")
 	}
 }
 

@@ -60,7 +60,7 @@ func (g *gate) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Snapshot the routing-relevant request state; the job outlives r.
 	rawQuery, key := r.URL.RawQuery, routeKey(r)
-	id, err := g.queue.SubmitMeta(tenant, "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
+	id, err := g.queue.Submit(tenant, "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
 		resp, err := g.routeCompress(req, rawQuery, key, body)
 		if err != nil {
 			return nil, nil, err

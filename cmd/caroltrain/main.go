@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"carol/internal/codecs"
 	"carol/internal/core"
 	"carol/internal/dataset"
 	"carol/internal/field"
@@ -62,7 +63,7 @@ func parseFlags(args []string) (options, error) {
 	var o options
 	var backends string
 	fs := flag.NewFlagSet("caroltrain", flag.ContinueOnError)
-	fs.StringVar(&o.codec, "codec", "", "compressor to train for (szx|zfp|sz3|sperr|szp)")
+	fs.StringVar(&o.codec, "codec", "", "compressor to train for ("+strings.Join(codecs.ExtendedNames, "|")+")")
 	fs.StringVar(&o.modelDir, "model-dir", "", "registry root directory to publish into")
 	fs.StringVar(&o.name, "name", "", "model name in the registry (default: codec name)")
 	fs.StringVar(&o.datasets, "datasets", "miranda",

@@ -21,7 +21,6 @@ import (
 	"carol/internal/field"
 	"carol/internal/pipeline"
 	"carol/internal/safedec"
-	"carol/internal/szp"
 )
 
 var magic = [4]byte{'C', 'A', 'R', '1'}
@@ -199,13 +198,6 @@ func ReadLimited(r io.Reader, lim safedec.Limits) (*Archive, error) {
 	return a, nil
 }
 
-func min(a uint64, b int) int {
-	if a < uint64(b) {
-		return int(a)
-	}
-	return b
-}
-
 // readAllN reads exactly n bytes, growing the buffer in bounded steps so a
 // hostile length claim costs at most one chunk of memory before the stream
 // runs dry — never an upfront make([]byte, claimed).
@@ -213,10 +205,7 @@ func readAllN(r io.Reader, n uint64) ([]byte, error) {
 	const step = 1 << 20
 	buf := make([]byte, 0, min(n, step))
 	for uint64(len(buf)) < n {
-		grab := n - uint64(len(buf))
-		if grab > step {
-			grab = step
-		}
+		grab := min(n-uint64(len(buf)), step)
 		chunk := len(buf)
 		buf = append(buf, make([]byte, grab)...)
 		if _, err := io.ReadFull(r, buf[chunk:]); err != nil {
@@ -226,7 +215,7 @@ func readAllN(r io.Reader, n uint64) ([]byte, error) {
 	return buf, nil
 }
 
-func readString(br io.ByteReader) (string, error) {
+func readString(br byteReader) (string, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return "", fmt.Errorf("%w: %w", safedec.ErrTruncated, err)
@@ -235,11 +224,7 @@ func readString(br io.ByteReader) (string, error) {
 		return "", fmt.Errorf("string too long: %w", safedec.ErrCorrupt)
 	}
 	buf := make([]byte, n)
-	r, ok := br.(io.Reader)
-	if !ok {
-		return "", errors.New("reader does not support bulk reads")
-	}
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(br, buf); err != nil {
 		return "", err
 	}
 	return string(buf), nil
@@ -306,7 +291,7 @@ func (a *Archive) TotalCompressed() int {
 func (a *Archive) Ratio() (float64, error) {
 	var raw int64
 	for _, e := range a.entries {
-		h, _, err := headerOf(e)
+		h, err := headerOf(e)
 		if err != nil {
 			return 0, err
 		}
@@ -323,35 +308,23 @@ func isPipeline(stream []byte) bool {
 	return len(stream) >= len(pipeline.Magic) && [4]byte(stream[:4]) == pipeline.Magic
 }
 
-func headerOf(e Entry) (compressor.Header, []byte, error) {
+// headerOf reads an entry's field dims from its stream's header.
+func headerOf(e Entry) (compressor.Header, error) {
 	// Pipeline containers carry the field dims in their own header; the
 	// codec headers live per block inside the frames.
 	if isPipeline(e.Stream) {
-		if len(e.Stream) < 20 {
-			return compressor.Header{}, nil, fmt.Errorf("archive: truncated pipeline container: %w", safedec.ErrTruncated)
+		h, err := pipeline.ParseHeader(e.Stream, safedec.Default())
+		if err != nil {
+			return compressor.Header{}, fmt.Errorf("archive: %w", err)
 		}
-		return compressor.Header{
-			Nx: int(binary.LittleEndian.Uint32(e.Stream[4:])),
-			Ny: int(binary.LittleEndian.Uint32(e.Stream[8:])),
-			Nz: int(binary.LittleEndian.Uint32(e.Stream[12:])),
-		}, nil, nil
+		return compressor.Header{Nx: h.Nx, Ny: h.Ny, Nz: h.Nz}, nil
 	}
-	var want byte
-	switch e.Codec {
-	case "szx":
-		want = compressor.MagicSZx
-	case "zfp":
-		want = compressor.MagicZFP
-	case "sz3":
-		want = compressor.MagicSZ3
-	case "sperr":
-		want = compressor.MagicSPERR
-	case "szp":
-		want = szp.MagicSZP
-	default:
-		return compressor.Header{}, nil, fmt.Errorf("archive: unknown codec %q", e.Codec)
+	magic, err := codecs.Magic(e.Codec)
+	if err != nil {
+		return compressor.Header{}, fmt.Errorf("archive: %w", err)
 	}
-	return compressor.ParseHeader(e.Stream, want)
+	h, _, err := compressor.ParseHeader(e.Stream, magic)
+	return h, err
 }
 
 // bufioReader adapts any reader into a ByteReader without double-buffering

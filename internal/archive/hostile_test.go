@@ -97,3 +97,53 @@ func TestFieldLimited(t *testing.T) {
 		return err
 	})
 }
+
+// cpl1 returns a CPL1 container header claiming the given dims and block
+// count, followed by pad zero bytes.
+func cpl1(nx, ny, nz, blocks uint32, pad int) []byte {
+	b := []byte("CPL1")
+	for _, v := range []uint32{nx, ny, nz, blocks} {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return append(b, make([]byte, pad)...)
+}
+
+// TestRatioRejectsHostileCPL1: Ratio reads a pipeline entry's dims from its
+// container header, so every claim there must pass the same checks a
+// decode applies. A 24-byte entry claiming 2^32-1 on each axis used to
+// report a ratio of 2.1e9.
+func TestRatioRejectsHostileCPL1(t *testing.T) {
+	const huge = 1<<32 - 1
+	cases := map[string]struct {
+		stream []byte
+		class  error
+	}{
+		"huge dims":        {cpl1(huge, huge, huge, 1, 4), safedec.ErrCorrupt},
+		"over elements":    {cpl1(1<<20, 1<<20, 1, 1, 4), safedec.ErrLimit},
+		"zero blocks":      {cpl1(8, 8, 8, 0, 4), safedec.ErrCorrupt},
+		"blocks over dims": {cpl1(8, 8, 2, 5, 4), safedec.ErrCorrupt},
+		"over count":       {cpl1(8, 8, 8, 1<<21, 4), safedec.ErrLimit},
+		"short header":     {cpl1(8, 8, 8, 1, 0)[:18], safedec.ErrTruncated},
+	}
+	for name, tc := range cases {
+		w := NewWriter()
+		if err := w.AddRaw(Entry{Name: "p", Codec: "szx", Stream: tc.stream}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		a, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ratio, err := a.Ratio()
+		if !errors.Is(err, tc.class) {
+			t.Errorf("%s: Ratio = %g, %v; want %v", name, ratio, err, tc.class)
+		}
+		if _, err := a.Field("p"); !errors.Is(err, tc.class) {
+			t.Errorf("%s: Field error %v, want %v", name, err, tc.class)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package codecs
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"carol/internal/field"
@@ -23,6 +24,69 @@ func TestByNameAll(t *testing.T) {
 		if s.Name() != name {
 			t.Fatalf("surrogate %s reports name %s", name, s.Name())
 		}
+	}
+}
+
+// TestRegistryRows holds every row of the codec table to the codec it
+// names: its stream's magic, its surrogate and its search surrogate, and
+// the order and groupings the rest of the tree relies on.
+func TestRegistryRows(t *testing.T) {
+	f := field.New("rows", 16, 8, 4)
+	for i := range f.Data {
+		f.Data[i] = float32(i%37) * 0.5
+	}
+	for _, r := range registry {
+		c, err := ByName(r.name)
+		if err != nil || c.Name() != r.name {
+			t.Fatalf("ByName(%s) = %v, %v", r.name, c, err)
+		}
+		stream, err := c.Compress(f, 0.1)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if m, err := Magic(r.name); err != nil || stream[0] != m {
+			t.Fatalf("%s: stream starts 0x%02X, Magic = 0x%02X, %v", r.name, stream[0], m, err)
+		}
+		if got, err := Sniff(stream[0]); err != nil || got != r.name {
+			t.Fatalf("Sniff(0x%02X) = %q, %v; want %q", stream[0], got, err, r.name)
+		}
+		s, err := SurrogateByName(r.name)
+		if err != nil || s.Name() != r.name {
+			t.Fatalf("SurrogateByName(%s) = %v, %v", r.name, s, err)
+		}
+		if again, _ := SurrogateByName(r.name); again != s {
+			t.Fatalf("SurrogateByName(%s) built a new estimator", r.name)
+		}
+		if r.search != nil && r.search.Name() != r.name {
+			t.Fatalf("%s: search surrogate named %s", r.name, r.search.Name())
+		}
+		wantSearch := r.name == "szx" || r.name == "zfp" || r.name == "sz3"
+		if got := SearchSurrogate(r.name, f) != nil; got != wantSearch {
+			t.Fatalf("%s: search surrogate %v, want %v", r.name, got, wantSearch)
+		}
+		if got, want := HighThroughput(r.name), r.name == "szx" || r.name == "zfp"; got != want {
+			t.Fatalf("HighThroughput(%s) = %v", r.name, got)
+		}
+	}
+	// bench/ reads both lists, and mode=auto breaks ties in their order.
+	if want := []string{"szx", "zfp", "sz3", "sperr"}; !slices.Equal(Names, want) {
+		t.Fatalf("Names = %v, want %v", Names, want)
+	}
+	if want := append(slices.Clone(Names), "szp"); !slices.Equal(ExtendedNames, want) {
+		t.Fatalf("ExtendedNames = %v, want %v", ExtendedNames, want)
+	}
+	order := []string{"szx", "szp", "zfp", "sz3", "sperr", "unknown"}
+	for i := 1; i < len(order); i++ {
+		if Cost(order[i-1]) >= Cost(order[i]) {
+			t.Fatalf("Cost(%s) = %d, not below Cost(%s) = %d",
+				order[i-1], Cost(order[i-1]), order[i], Cost(order[i]))
+		}
+	}
+	if _, err := Magic("lzma"); err == nil {
+		t.Fatal("Magic of an unknown codec")
+	}
+	if _, err := Sniff(0x00); err == nil {
+		t.Fatal("Sniff accepted an unknown magic byte")
 	}
 }
 

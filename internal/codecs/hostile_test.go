@@ -9,28 +9,8 @@ import (
 	"carol/internal/field"
 	"carol/internal/safedec"
 	"carol/internal/safedec/safedectest"
-	"carol/internal/szp"
 	"carol/internal/zfp"
 )
-
-// magicFor returns the header magic byte each registered codec expects.
-func magicFor(t *testing.T, name string) byte {
-	t.Helper()
-	switch name {
-	case "szx":
-		return compressor.MagicSZx
-	case "zfp":
-		return compressor.MagicZFP
-	case "sz3":
-		return compressor.MagicSZ3
-	case "sperr":
-		return compressor.MagicSPERR
-	case "szp":
-		return szp.MagicSZP
-	}
-	t.Fatalf("no magic for codec %q", name)
-	return 0
-}
 
 func header(magic byte, nx, ny, nz int, eb float64) []byte {
 	return compressor.AppendHeader(nil, compressor.Header{
@@ -46,7 +26,10 @@ func header(magic byte, nx, ny, nz int, eb float64) []byte {
 func TestHostileStreams(t *testing.T) {
 	lim := safedec.Limits{MaxElements: 1 << 20, MaxAlloc: 1 << 24, MaxCount: 1 << 10}
 	for _, codec := range allExtended(t) {
-		m := magicFor(t, codec.Name())
+		m, err := Magic(codec.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
 		cases := []struct {
 			name   string
 			stream []byte

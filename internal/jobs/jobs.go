@@ -53,15 +53,12 @@ var (
 	ErrNotFound = errors.New("jobs: not found")
 )
 
-// Func is the work a job performs. It runs on a pool goroutine; the
+// MetaFunc is the work a job performs. It runs on a pool goroutine; the
 // context is cancelled when the queue shuts down, and implementations
 // should return promptly once it is. The returned bytes become the
-// streamable result.
-type Func func(ctx context.Context) ([]byte, error)
-
-// MetaFunc is a Func that also returns bounded key/value result metadata
-// (e.g. which codec an adaptive compress chose), surfaced in Status.Meta
-// once the job is done. Submit wraps plain Funcs into this shape.
+// streamable result, and the bounded key/value metadata (e.g. which codec
+// an adaptive compress chose, or nil) surfaces in Status.Meta once the job
+// is done.
 type MetaFunc func(ctx context.Context) ([]byte, map[string]string, error)
 
 // Options tunes a Queue. Zero values take defaults.
@@ -111,8 +108,8 @@ type Status struct {
 	Finished int64   `json:"finished_unix_ms,omitempty"`
 	Bytes    int     `json:"result_bytes,omitempty"`
 	Seconds  float64 `json:"run_seconds,omitempty"`
-	// Meta carries the job's result metadata (MetaFunc jobs only), present
-	// once the job is Done.
+	// Meta carries the job's result metadata, present once the job is Done
+	// and its MetaFunc returned any.
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
@@ -198,18 +195,7 @@ func newID() (string, error) {
 
 // Submit admits a job or refuses with a classified error. kind is a
 // bounded caller-chosen label ("compress", "train") used in Status only.
-func (q *Queue) Submit(tenant, kind string, fn Func) (string, error) {
-	if fn == nil {
-		return "", errors.New("jobs: nil func")
-	}
-	return q.SubmitMeta(tenant, kind, func(ctx context.Context) ([]byte, map[string]string, error) {
-		res, err := fn(ctx)
-		return res, nil, err
-	})
-}
-
-// SubmitMeta is Submit for jobs that attach result metadata.
-func (q *Queue) SubmitMeta(tenant, kind string, fn MetaFunc) (string, error) {
+func (q *Queue) Submit(tenant, kind string, fn MetaFunc) (string, error) {
 	if fn == nil {
 		return "", errors.New("jobs: nil func")
 	}

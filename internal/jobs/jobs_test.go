@@ -32,8 +32,8 @@ func TestLifecycle(t *testing.T) {
 	q := New(Options{Workers: 2})
 	defer q.Close(context.Background())
 
-	id, err := q.Submit("t1", "compress", func(ctx context.Context) ([]byte, error) {
-		return []byte("payload"), nil
+	id, err := q.Submit("t1", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
+		return []byte("payload"), nil, nil
 	})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -55,8 +55,8 @@ func TestFailedJob(t *testing.T) {
 	q := New(Options{})
 	defer q.Close(context.Background())
 	boom := errors.New("boom")
-	id, err := q.Submit("t1", "compress", func(ctx context.Context) ([]byte, error) {
-		return nil, boom
+	id, err := q.Submit("t1", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
+		return nil, nil, boom
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestFailedJob(t *testing.T) {
 func TestPanickingJobFailsWithoutKillingQueue(t *testing.T) {
 	q := New(Options{})
 	defer q.Close(context.Background())
-	id, err := q.Submit("t1", "compress", func(ctx context.Context) ([]byte, error) {
+	id, err := q.Submit("t1", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
 		panic("job bug")
 	})
 	if err != nil {
@@ -78,8 +78,8 @@ func TestPanickingJobFailsWithoutKillingQueue(t *testing.T) {
 	}
 	waitState(t, q, id, StateFailed)
 	// Queue still works afterwards.
-	id2, err := q.Submit("t1", "compress", func(ctx context.Context) ([]byte, error) {
-		return []byte("ok"), nil
+	id2, err := q.Submit("t1", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
+		return []byte("ok"), nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,12 +109,12 @@ func TestBoundedAdmission(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	wait := func(ctx context.Context) ([]byte, error) {
+	wait := func(ctx context.Context) ([]byte, map[string]string, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():
 		}
-		return nil, nil
+		return nil, nil, nil
 	}
 	// One running + fill the queue. The dispatcher may pull one pending job
 	// into its claimed slot, so saturate by submitting until refused.
@@ -139,12 +139,12 @@ func TestTenantQuota(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	wait := func(ctx context.Context) ([]byte, error) {
+	wait := func(ctx context.Context) ([]byte, map[string]string, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():
 		}
-		return nil, nil
+		return nil, nil, nil
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := q.Submit("greedy", "compress", wait); err != nil {
@@ -168,7 +168,7 @@ func TestWorkerBound(t *testing.T) {
 	var mu sync.Mutex
 	cur, peak := 0, 0
 	for i := 0; i < 20; i++ {
-		_, err := q.Submit("t", "compress", func(ctx context.Context) ([]byte, error) {
+		_, err := q.Submit("t", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
 			mu.Lock()
 			cur++
 			if cur > peak {
@@ -179,7 +179,7 @@ func TestWorkerBound(t *testing.T) {
 			mu.Lock()
 			cur--
 			mu.Unlock()
-			return nil, nil
+			return nil, nil, nil
 		})
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
@@ -209,8 +209,8 @@ func TestRetentionEviction(t *testing.T) {
 	var ids []string
 	for i := 0; i < 5; i++ {
 		payload := []byte(fmt.Sprintf("r%d", i))
-		id, err := q.Submit("t", "compress", func(ctx context.Context) ([]byte, error) {
-			return payload, nil
+		id, err := q.Submit("t", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
+			return payload, nil, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -237,17 +237,17 @@ func TestCloseDrains(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	q := New(Options{Workers: 1, MaxQueued: 8})
-	runID, err := q.Submit("t", "compress", func(ctx context.Context) ([]byte, error) {
+	runID, err := q.Submit("t", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
 		close(started)
 		<-release
-		return []byte("late but done"), nil
+		return []byte("late but done"), nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	pendID, err := q.Submit("t", "compress", func(ctx context.Context) ([]byte, error) {
-		return []byte("never runs"), nil
+	pendID, err := q.Submit("t", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
+		return []byte("never runs"), nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestCloseDrains(t *testing.T) {
 	// Admission is refused as soon as Close begins.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := q.Submit("t", "compress", func(ctx context.Context) ([]byte, error) { return nil, nil }); errors.Is(err, ErrClosed) {
+		if _, err := q.Submit("t", "compress", func(ctx context.Context) ([]byte, map[string]string, error) { return nil, nil, nil }); errors.Is(err, ErrClosed) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -288,10 +288,10 @@ func TestCloseDrains(t *testing.T) {
 func TestCloseDeadline(t *testing.T) {
 	started := make(chan struct{})
 	q := New(Options{Workers: 1})
-	if _, err := q.Submit("t", "compress", func(ctx context.Context) ([]byte, error) {
+	if _, err := q.Submit("t", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
 		close(started)
 		<-ctx.Done()
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +315,8 @@ func TestConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			tenant := fmt.Sprintf("t%d", g%3)
 			for i := 0; i < 20; i++ {
-				id, err := q.Submit(tenant, "compress", func(ctx context.Context) ([]byte, error) {
-					return []byte{byte(i)}, nil
+				id, err := q.Submit(tenant, "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
+					return []byte{byte(i)}, nil, nil
 				})
 				if err != nil {
 					continue // admission refusals are expected under load
@@ -340,11 +340,11 @@ func TestSubmitMeta(t *testing.T) {
 	}()
 
 	src := map[string]string{"codec": "sz3"}
-	id, err := q.SubmitMeta("t1", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
+	id, err := q.Submit("t1", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
 		return []byte("payload"), src, nil
 	})
 	if err != nil {
-		t.Fatalf("SubmitMeta: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
 	st := waitState(t, q, id, StateDone)
 	if st.Meta["codec"] != "sz3" {
@@ -359,17 +359,17 @@ func TestSubmitMeta(t *testing.T) {
 		t.Fatal("status meta aliases job state")
 	}
 
-	fid, err := q.SubmitMeta("t1", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
+	fid, err := q.Submit("t1", "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
 		return nil, map[string]string{"codec": "szx"}, errors.New("boom")
 	})
 	if err != nil {
-		t.Fatalf("SubmitMeta: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
 	if st := waitState(t, q, fid, StateFailed); st.Meta != nil {
 		t.Fatalf("failed job carries meta %v", st.Meta)
 	}
 
-	if _, err := q.SubmitMeta("t1", "compress", nil); err == nil {
+	if _, err := q.Submit("t1", "compress", nil); err == nil {
 		t.Fatal("nil MetaFunc accepted")
 	}
 }

@@ -80,38 +80,24 @@ func SlabRanges(n, k int) [][2]int {
 }
 
 // SplitField cuts f into at most chunks slabs along its slowest-varying
-// non-trivial axis. Slabs alias f's data; no samples are copied.
+// non-trivial axis, with ExpectedSlabDims' geometry. Slabs alias f's data;
+// no samples are copied.
 func SplitField(f *field.Field, chunks int) []*field.Field {
-	switch {
-	case f.Nz > 1:
-		ranges := SlabRanges(f.Nz, chunks)
-		out := make([]*field.Field, len(ranges))
-		slabSize := f.Nx * f.Ny
-		for i, r := range ranges {
-			out[i] = field.FromData(
-				fmt.Sprintf("%s/z%d", f.Name, i), f.Nx, f.Ny, r[1]-r[0],
-				f.Data[r[0]*slabSize:r[1]*slabSize])
-		}
-		return out
-	case f.Ny > 1:
-		ranges := SlabRanges(f.Ny, chunks)
-		out := make([]*field.Field, len(ranges))
-		for i, r := range ranges {
-			out[i] = field.FromData(
-				fmt.Sprintf("%s/y%d", f.Name, i), f.Nx, r[1]-r[0], 1,
-				f.Data[r[0]*f.Nx:r[1]*f.Nx])
-		}
-		return out
-	default:
-		ranges := SlabRanges(f.Nx, chunks)
-		out := make([]*field.Field, len(ranges))
-		for i, r := range ranges {
-			out[i] = field.FromData(
-				fmt.Sprintf("%s/x%d", f.Name, i), r[1]-r[0], 1, 1,
-				f.Data[r[0]:r[1]])
-		}
-		return out
+	axis := 'x'
+	if f.Nz > 1 {
+		axis = 'z'
+	} else if f.Ny > 1 {
+		axis = 'y'
 	}
+	dims := ExpectedSlabDims(f.Nx, f.Ny, f.Nz, chunks)
+	out := make([]*field.Field, len(dims))
+	off := 0
+	for i, d := range dims {
+		n := d[0] * d[1] * d[2]
+		out[i] = field.FromData(fmt.Sprintf("%s/%c%d", f.Name, axis, i), d[0], d[1], d[2], f.Data[off:off+n])
+		off += n
+	}
+	return out
 }
 
 // ExpectedSlabDims recomputes encoder slab geometry from container
@@ -248,6 +234,48 @@ func (c *Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// Header is what a CPL1 container's fixed prefix says: the field's dims and
+// each block's dims, in order.
+type Header struct {
+	Nx, Ny, Nz int
+	Blocks     [][3]int
+}
+
+// ParseHeader validates the fixed prefix at the start of a CPL1 container:
+// its magic, its dims against lim.Elements, its block count against
+// lim.Count, and that the blocks tile the field. Every container-claimed
+// size is checked before anything is allocated from it.
+func ParseHeader(b []byte, lim safedec.Limits) (Header, error) {
+	if len(b) < headerLen {
+		return Header{}, fmt.Errorf("pipeline: short container header: %w", safedec.ErrTruncated)
+	}
+	if [4]byte(b[:4]) != Magic {
+		return Header{}, fmt.Errorf("pipeline: bad container magic: %w", safedec.ErrCorrupt)
+	}
+	h := Header{
+		Nx: int(binary.LittleEndian.Uint32(b[4:])),
+		Ny: int(binary.LittleEndian.Uint32(b[8:])),
+		Nz: int(binary.LittleEndian.Uint32(b[12:])),
+	}
+	n := int(binary.LittleEndian.Uint32(b[16:]))
+	if n <= 0 {
+		return Header{}, fmt.Errorf("pipeline: implausible block count %d: %w", n, safedec.ErrCorrupt)
+	}
+	if err := lim.Count("pipeline blocks", int64(n)); err != nil {
+		return Header{}, fmt.Errorf("pipeline: %w", err)
+	}
+	// Validate the dims product before anyone computes it; a hostile header
+	// otherwise overflows the multiply or allocates petabytes.
+	if _, err := lim.Elements(h.Nx, h.Ny, h.Nz); err != nil {
+		return Header{}, fmt.Errorf("pipeline: container dims: %w", err)
+	}
+	if h.Blocks = ExpectedSlabDims(h.Nx, h.Ny, h.Nz, n); len(h.Blocks) != n {
+		return Header{}, fmt.Errorf("pipeline: %d blocks cannot tile a %dx%dx%d field: %w",
+			n, h.Nx, h.Ny, h.Nz, safedec.ErrCorrupt)
+	}
+	return h, nil
+}
+
 // DecompressStream reconstructs the field encoded on r. Frames are read one
 // at a time and decoded on the worker pool; the input is never buffered
 // beyond the bounded in-flight window, and every container-claimed size is
@@ -258,31 +286,13 @@ func (c *Codec) DecompressStream(r io.Reader) (*field.Field, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pipeline: short container header: %w", safedec.ErrTruncated)
 	}
-	if [4]byte(hdr[:4]) != Magic {
-		return nil, fmt.Errorf("pipeline: bad container magic: %w", safedec.ErrCorrupt)
+	h, err := ParseHeader(hdr[:], lim)
+	if err != nil {
+		return nil, err
 	}
-	nx := int(binary.LittleEndian.Uint32(hdr[4:]))
-	ny := int(binary.LittleEndian.Uint32(hdr[8:]))
-	nz := int(binary.LittleEndian.Uint32(hdr[12:]))
-	n := int(binary.LittleEndian.Uint32(hdr[16:]))
-	if n <= 0 {
-		return nil, fmt.Errorf("pipeline: implausible block count %d: %w", n, safedec.ErrCorrupt)
-	}
-	if err := lim.Count("pipeline blocks", int64(n)); err != nil {
-		return nil, fmt.Errorf("pipeline: %w", err)
-	}
-	// Validate the dims product before field.New computes it; a hostile
-	// header otherwise overflows the multiply or allocates petabytes.
-	if _, err := lim.Elements(nx, ny, nz); err != nil {
-		return nil, fmt.Errorf("pipeline: container dims: %w", err)
-	}
-	want := ExpectedSlabDims(nx, ny, nz, n)
-	if len(want) != n {
-		return nil, fmt.Errorf("pipeline: %d blocks cannot tile a %dx%dx%d field: %w",
-			n, nx, ny, nz, safedec.ErrCorrupt)
-	}
-	f := field.New("pipeline", nx, ny, nz)
-	offsets := make([]int, n+1)
+	want := h.Blocks
+	f := field.New("pipeline", h.Nx, h.Ny, h.Nz)
+	offsets := make([]int, len(want)+1)
 	for i, d := range want {
 		offsets[i+1] = offsets[i] + d[0]*d[1]*d[2]
 	}
@@ -296,7 +306,7 @@ func (c *Codec) DecompressStream(r io.Reader) (*field.Field, error) {
 	failure := func(err error) func() (*field.Field, error) {
 		return func() (*field.Field, error) { return nil, err }
 	}
-	err := runOrdered(n, c.opts.Workers,
+	err = runOrdered(len(want), c.opts.Workers,
 		func(i int) func() (*field.Field, error) {
 			if readFailed != nil {
 				return failure(readFailed)

@@ -46,29 +46,6 @@ import (
 	"carol/internal/xrand"
 )
 
-// costRank orders candidates by the compute cost of a full compression
-// run, following the paper's throughput grouping: the delta-family codecs
-// (SZx, SZP) are cheapest, ZFP's block transform is next, and the
-// prediction/wavelet codecs (SZ3, SPERR) are the expensive
-// high-compression end. "Cheapest candidate predicted to meet the target"
-// means lowest rank here.
-func costRank(name string) int {
-	switch name {
-	case "szx":
-		return 0
-	case "szp":
-		return 1
-	case "zfp":
-		return 2
-	case "sz3":
-		return 3
-	case "sperr":
-		return 4
-	default:
-		return 5
-	}
-}
-
 // Shape buckets: dimensionality × roughness. Per-bucket bias state is what
 // makes the feedback loop shape-aware — a surrogate can be well calibrated
 // on smooth 3D fields and badly biased on noisy 1D traces, and the two
@@ -200,7 +177,7 @@ func New(cfg Config) (*Selector, error) {
 			return nil, fmt.Errorf("selector: duplicate codec %q", name)
 		}
 		seen[name] = true
-		s.costs = append(s.costs, costRank(name))
+		s.costs = append(s.costs, codecs.Cost(name))
 		est := cfg.Estimators[name]
 		if est == nil {
 			var err error

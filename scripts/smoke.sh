@@ -23,7 +23,7 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 echo "== build"
-go build -o "$bindir" ./cmd/carolserve ./cmd/carolbench ./cmd/caroltrain ./cmd/carolc ./cmd/carolgen
+go build -o "$bindir" ./cmd/carolserve ./cmd/carolbench ./cmd/caroltrain ./cmd/carolc ./cmd/carolgen ./cmd/carolpack
 
 echo "== carolbench -list"
 "$bindir/carolbench" -list
@@ -83,6 +83,38 @@ if [ "$restored" -ne 4096 ]; then
     echo "smoke: streaming round trip restored $restored bytes, want 4096" >&2
     exit 1
 fi
+
+echo "== carolc -codec auto round trip (the codec is sniffed from the stream magic)"
+# 16x16x8 float32 = 8192 bytes.
+"$bindir/carolgen" -dataset miranda -field velocityx -dims 16x16x8 -out "$workdir/cli.raw"
+"$bindir/carolc" -codec auto -dims 16x16x8 -eb 1e-3 -in "$workdir/cli.raw" -out "$workdir/cli.auto"
+"$bindir/carolc" -d -codec auto -in "$workdir/cli.auto" -out "$workdir/cli.auto.raw"
+restored=$(wc -c <"$workdir/cli.auto.raw")
+if [ "$restored" -ne 8192 ]; then
+    echo "smoke: carolc -codec auto round trip restored $restored bytes, want 8192" >&2
+    exit 1
+fi
+
+echo "== carolpack -pack (plain, then -stream), -list and -extract"
+for flags in "" -stream; do
+    "$bindir/carolpack" -pack $flags -out "$workdir/snap.car" \
+        -field a:szx:1e-3:16x16x8:"$workdir/cli.raw" -field b:sz3:1e-3:16x16x8:"$workdir/cli.raw"
+    "$bindir/carolpack" -list -in "$workdir/snap.car" | tee "$workdir/list.txt"
+    ratio=$(awk '/overall ratio/ { print $NF }' "$workdir/list.txt")
+    case "$ratio" in
+    [0-9]*.[0-9]) ;;
+    *)
+        echo "smoke: carolpack -list $flags printed overall ratio '$ratio', want a finite number" >&2
+        exit 1
+        ;;
+    esac
+    "$bindir/carolpack" -extract b -in "$workdir/snap.car" -out "$workdir/snap.b.raw"
+    restored=$(wc -c <"$workdir/snap.b.raw")
+    if [ "$restored" -ne 8192 ]; then
+        echo "smoke: carolpack -extract $flags restored $restored bytes, want 8192" >&2
+        exit 1
+    fi
+done
 
 echo "== POST /v1/compress?stream=1 (pipeline container) and decompress auto-detect"
 curl -fsS -o "$workdir/stream-cpl.bin" --data-binary @"$workdir/field.raw" \
