@@ -16,8 +16,8 @@
 //
 //	carolc -stream -compressor sz3 -dims 256x256x256 -eb 1e-3 -in data.f32 -out data.cpl
 //
-// Let the adaptive selector pick the codec (prints the choice and the
-// predicted ratio; decompression sniffs the codec from the stream magic):
+// Let the selector pick the codec (prints the choice and the predicted
+// ratio; decompression sniffs the codec from the stream magic):
 //
 //	carolc -codec auto -dims 256x256x256 -eb 1e-3 -in data.f32 -out data.carolc
 //	carolc -d -codec auto -in data.carolc -out restored.f32
@@ -55,7 +55,6 @@ func run() error {
 	comp := flag.String("compressor", "sz3", "compressor: "+strings.Join(codecs.ExtendedNames, ", "))
 	codec := flag.String("codec", "",
 		"alias for -compressor; \"auto\" selects adaptively (-eb compress, sniffed -d)")
-	selectorSeed := flag.Uint64("selector-seed", 1, "RNG seed for -codec auto exploration")
 	dims := flag.String("dims", "", "grid dims NXxNYxNZ (compression only)")
 	eb := flag.Float64("eb", 0, "value-range-relative error bound")
 	ratio := flag.Float64("ratio", 0, "target compression ratio (fixed-ratio mode)")
@@ -104,7 +103,7 @@ func run() error {
 		case !(*eb > 0):
 			return fmt.Errorf("-codec auto needs -eb")
 		}
-		return doCompressAuto(f, *eb, *out, *selectorSeed)
+		return doCompressAuto(f, *eb, *out)
 	}
 	if *stream {
 		if !(*eb > 0) {
@@ -132,12 +131,11 @@ func run() error {
 	return nil
 }
 
-// doCompressAuto lets the bandit selector score every registered codec on
-// the field's own features and compress with the cheapest one predicted to
-// behave; the achieved ratio is fed back so a long-running shell loop over
-// many files sharpens the estimates within the process.
-func doCompressAuto(f *carol.Field, relEB float64, out string, seed uint64) error {
-	sel, err := selector.New(selector.Config{Seed: seed})
+// doCompressAuto lets the selector score every registered codec's ranking
+// surrogate on this field and bound, and compresses with the best predicted
+// ratio — the same pick carolserve makes for mode=auto.
+func doCompressAuto(f *carol.Field, relEB float64, out string) error {
+	sel, err := selector.New(selector.Config{})
 	if err != nil {
 		return err
 	}
@@ -158,10 +156,8 @@ func doCompressAuto(f *carol.Field, relEB float64, out string, seed uint64) erro
 	if err := os.WriteFile(out, blob, 0o644); err != nil {
 		return err
 	}
-	achieved := carol.Ratio(f, blob)
-	sel.Observe(dec, achieved)
 	fmt.Printf("%s: %d -> %d bytes (ratio %.2f)\n",
-		dec.Codec, f.SizeBytes(), len(blob), achieved)
+		dec.Codec, f.SizeBytes(), len(blob), carol.Ratio(f, blob))
 	return nil
 }
 

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"carol"
 	"carol/internal/codecs"
 	"carol/internal/compressor"
+	"carol/internal/dataset"
 	"carol/internal/field"
-	"carol/internal/selector"
 )
 
 // TestSniffCodecRoundTrip compresses a field with every registered codec
@@ -61,40 +64,45 @@ func TestDecodeAnyAutoRejectsCPL1(t *testing.T) {
 	}
 }
 
-// TestAutoCompressChoosesRegistered: the auto path picks a registered
-// codec deterministically under a fixed seed.
+// TestAutoCompressChoosesRegistered: carolc -codec auto writes a stream of
+// a registered codec, byte for byte the same on a second run, and on a
+// generated 32³ field that codec is the one with the best real ratio.
 func TestAutoCompressChoosesRegistered(t *testing.T) {
-	f := field.New("auto", 32, 8, 2)
-	for i := range f.Data {
-		f.Data[i] = float32(i%97) + 0.5
-	}
-	abs := compressor.AbsBound(f, 1e-3)
-	sel, err := selector.New(selector.Config{Seed: 7})
+	f, err := dataset.Generate("hurricane", "U", dataset.Options{Nx: 32, Ny: 32, Nz: 32, TimeStep: 36})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := sel.Select(f, abs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var known bool
-	for _, n := range codecs.ExtendedNames {
-		if n == first.Codec {
-			known = true
+	const rel = 1e-3
+	dir := t.TempDir()
+	var blobs [2][]byte
+	for i := range blobs {
+		out := filepath.Join(dir, fmt.Sprintf("auto%d.carolc", i))
+		if err := doCompressAuto(f, rel, out); err != nil {
+			t.Fatal(err)
+		}
+		if blobs[i], err = os.ReadFile(out); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !known {
-		t.Fatalf("auto chose unregistered codec %q", first.Codec)
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatal("two runs of -codec auto wrote different streams")
 	}
-	sel2, err := selector.New(selector.Config{Seed: 7})
+	chosen, err := codecs.Sniff(blobs[0][0])
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("auto wrote a stream of no registered codec: %v", err)
 	}
-	again, err := sel2.Select(f, abs, 0)
-	if err != nil {
-		t.Fatal(err)
+	best, bestRatio := "", 0.0
+	for _, name := range codecs.ExtendedNames {
+		blob, err := carol.Compress(name, f, rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := carol.Ratio(f, blob); r > bestRatio {
+			best, bestRatio = name, r
+		}
 	}
-	if again.Codec != first.Codec {
-		t.Fatalf("same seed chose %q then %q", first.Codec, again.Codec)
+	if chosen != best {
+		t.Fatalf("auto chose %s (ratio %.2f), best is %s (ratio %.2f)",
+			chosen, carol.Ratio(f, blobs[0]), best, bestRatio)
 	}
 }

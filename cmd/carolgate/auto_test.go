@@ -11,6 +11,7 @@ import (
 	"carol/internal/chunked"
 	"carol/internal/codecs"
 	"carol/internal/jobs"
+	"carol/internal/obs"
 )
 
 // knownCodec reports whether name is in the registered extended set.
@@ -25,14 +26,21 @@ func knownCodec(name string) bool {
 
 // TestGateAutoChunkedFanout: mode=auto on a chunk-eligible request resolves
 // the codec at the gate BEFORE the slab split — one decision, one codec on
-// every slab, mode never forwarded — and the gate's own bandit records the
-// decision and the assembled outcome.
+// every slab, mode never forwarded — and the gate's own selector counts the
+// decision and observes the assembled ratio's prediction miss.
 func TestGateAutoChunkedFanout(t *testing.T) {
 	g, shards := newTestFleet(t, 3, func(cfg *gateConfig) {
 		cfg.chunkThresholdKiB = 1
 	})
 	const nx, ny, nz = 64, 4, 4
 	raw := rawField(nx * ny * nz) // 4 KiB, above the 1 KiB threshold
+	missCount := func(name string) int64 {
+		return obs.Default.Histogram(obs.Label("selector_prediction_miss", "codec", name), nil).Count()
+	}
+	before := make(map[string]int64)
+	for _, name := range codecs.ExtendedNames {
+		before[name] = missCount(name)
+	}
 
 	w := doGate(t, g, http.MethodPost,
 		fmt.Sprintf("/v1/compress?mode=auto&rel=1e-3&dims=%dx%dx%d", nx, ny, nz), raw)
@@ -69,17 +77,14 @@ func TestGateAutoChunkedFanout(t *testing.T) {
 			t.Errorf("shard %d slab request missing pinned abs= bound", i)
 		}
 	}
-	// The gate-local bandit saw the decision and the assembled ratio.
+	// The gate-local selector counted the decision and scored its
+	// prediction against the assembled ratio.
 	sw := doGate(t, g, http.MethodGet, "/v1/selector", nil)
 	if sw.Code != http.StatusOK {
 		t.Fatalf("/v1/selector status %d", sw.Code)
 	}
 	var stats struct {
 		Decisions int64 `json:"decisions"`
-		Arms      []struct {
-			Codec    string `json:"codec"`
-			Outcomes int64  `json:"outcomes"`
-		} `json:"arms"`
 	}
 	if err := json.Unmarshal(sw.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
@@ -87,14 +92,14 @@ func TestGateAutoChunkedFanout(t *testing.T) {
 	if stats.Decisions < 1 {
 		t.Fatalf("gate selector decisions = %d after auto fan-out", stats.Decisions)
 	}
-	var sawOutcome bool
-	for _, a := range stats.Arms {
-		if a.Codec == chosen && a.Outcomes >= 1 {
-			sawOutcome = true
+	for _, name := range codecs.ExtendedNames {
+		want := before[name]
+		if name == chosen {
+			want++
 		}
-	}
-	if !sawOutcome {
-		t.Errorf("no recorded outcome for chosen codec %s in %+v", chosen, stats.Arms)
+		if got := missCount(name); got != want {
+			t.Errorf("selector_prediction_miss_count{codec=%q} went %d -> %d, want %d", name, before[name], got, want)
+		}
 	}
 }
 

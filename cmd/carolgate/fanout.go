@@ -147,7 +147,7 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 	hdr.Set("X-Carol-Achieved-Ratio", strconv.FormatFloat(achieved, 'g', 6, 64))
 	hdr.Set("X-Carol-Fanout-Chunks", strconv.Itoa(len(streams)))
 	if dec != nil {
-		// Close the bandit loop with the end-to-end achieved ratio of the
+		// Score the prediction against the end-to-end achieved ratio of the
 		// assembled container — the number the client actually sees.
 		g.sel.Observe(*dec, achieved)
 		hdr.Set("X-Carol-Codec-Chosen", codecName)

@@ -34,13 +34,6 @@ type gateConfig struct {
 	jobQueue    int
 	tenantQuota int
 
-	// selectorSeed/selectorEpsilon configure the gate's own mode=auto
-	// chooser, used on the slab fan-out path where the codec must be
-	// resolved once before the field splits (every slab of one field uses
-	// one codec). Whole-routed auto requests are decided by the shard.
-	selectorSeed    uint64
-	selectorEpsilon float64
-
 	// proxyLimits bounds what the gate will allocate from client- or
 	// shard-claimed sizes (container headers on the decompress fan-out
 	// path, bodies everywhere). Zero-value fields take safedec defaults.
@@ -64,8 +57,6 @@ func defaultGateConfig() gateConfig {
 		jobWorkers:        2,
 		jobQueue:          64,
 		tenantQuota:       8,
-		selectorSeed:      1,
-		selectorEpsilon:   0.05,
 		proxyLimits: safedec.Limits{
 			MaxElements: httpkit.MaxBody / 4,
 			MaxAlloc:    1 << 30,
@@ -86,8 +77,11 @@ type gate struct {
 	shards map[string]*shardState
 	client *http.Client
 	queue  *jobs.Queue
-	sel    *selector.Selector
-	reg    *obs.Registry
+	// sel resolves mode=auto on the slab fan-out path, once before the
+	// field splits (every slab of one field uses one codec). Whole-routed
+	// auto requests are decided by the shard.
+	sel *selector.Selector
+	reg *obs.Registry
 	// bodyLimit caps buffered client bodies: MaxBody, or the proxy
 	// allocation limit when that is tighter.
 	bodyLimit int64
@@ -124,7 +118,7 @@ func newGate(cfg gateConfig, shardURLs []string) (*gate, error) {
 		retried:      obs.Default.Counter("gate_retried_total"),
 		fanned:       obs.Default.Counter("gate_fanout_total"),
 	}
-	sel, err := selector.New(selector.Config{Seed: cfg.selectorSeed, Epsilon: cfg.selectorEpsilon})
+	sel, err := selector.New(selector.Config{})
 	if err != nil {
 		return nil, err
 	}

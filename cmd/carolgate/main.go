@@ -24,7 +24,7 @@
 //	GET  /v1/jobs/{id}                            -> JSON job status
 //	GET  /v1/jobs/{id}/result                     -> result stream once done
 //	GET  /v1/fleet                                -> shard health + model versions
-//	GET  /v1/selector                             -> gate-local mode=auto bandit state
+//	GET  /v1/selector                             -> gate-local mode=auto codecs and counters
 //	GET  /metrics, /debug/vars                    -> gate metrics
 //	GET  /healthz                                 -> gate liveness
 //	GET  /readyz                                  -> 200 once >=1 shard healthy
@@ -69,10 +69,8 @@ func main() {
 		"maximum queued async jobs (503 beyond)")
 	flag.IntVar(&cfg.tenantQuota, "tenant-quota", cfg.tenantQuota,
 		"maximum queued+running async jobs per tenant (429 beyond)")
-	flag.Uint64Var(&cfg.selectorSeed, "selector-seed", cfg.selectorSeed,
-		"seed for the gate's mode=auto exploration RNG (fan-out path); fixed seed = reproducible decisions")
-	flag.Float64Var(&cfg.selectorEpsilon, "selector-epsilon", cfg.selectorEpsilon,
-		"gate mode=auto exploration probability (negative disables exploration)")
+	flag.Uint64("selector-seed", 1,
+		"ignored: mode=auto draws no random numbers (kept until the benchmark harness stops passing it)")
 	cfg.timeouts.Flags(flag.CommandLine)
 	flag.Parse()
 

@@ -11,7 +11,9 @@ import (
 
 	"carol/internal/codecs"
 	"carol/internal/compressor"
+	"carol/internal/dataset"
 	"carol/internal/field"
+	"carol/internal/obs"
 	"carol/internal/pipeline"
 )
 
@@ -25,13 +27,24 @@ func knownCodec(name string) bool {
 	return false
 }
 
+// missCounts reads every codec's selector_prediction_miss count.
+func missCounts() map[string]int64 {
+	out := make(map[string]int64)
+	for _, name := range codecs.ExtendedNames {
+		out[name] = obs.Default.Histogram(obs.Label("selector_prediction_miss", "codec", name), nil).Count()
+	}
+	return out
+}
+
 // TestAutoCompressSync: mode=auto picks a registered codec, reports it in
 // X-Carol-Codec-Chosen, the stream round-trips through /v1/decompress with
-// that codec within bound, and /v1/selector shows the decision.
+// that codec within bound, /v1/selector counts the decision, and the
+// chosen codec's prediction miss is observed once.
 func TestAutoCompressSync(t *testing.T) {
 	srv := httptest.NewServer(newServer())
 	defer srv.Close()
 	f, body := testBody(t)
+	before := missCounts()
 
 	resp, err := http.Post(srv.URL+"/v1/compress?mode=auto&rel=1e-3&dims=24x24x8",
 		"application/octet-stream", body)
@@ -79,10 +92,6 @@ func TestAutoCompressSync(t *testing.T) {
 	defer sresp.Body.Close()
 	var stats struct {
 		Decisions int64 `json:"decisions"`
-		Arms      []struct {
-			Codec    string `json:"codec"`
-			Outcomes int64  `json:"outcomes"`
-		} `json:"arms"`
 	}
 	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
@@ -90,20 +99,20 @@ func TestAutoCompressSync(t *testing.T) {
 	if stats.Decisions < 1 {
 		t.Fatalf("selector decisions = %d after auto request", stats.Decisions)
 	}
-	var sawOutcome bool
-	for _, a := range stats.Arms {
-		if a.Codec == chosen && a.Outcomes >= 1 {
-			sawOutcome = true
+	after := missCounts()
+	for _, name := range codecs.ExtendedNames {
+		want := before[name]
+		if name == chosen {
+			want++
 		}
-	}
-	if !sawOutcome {
-		t.Errorf("no recorded outcome for chosen codec %s in %+v", chosen, stats.Arms)
+		if after[name] != want {
+			t.Errorf("selector_prediction_miss_count{codec=%q} went %d -> %d, want %d", name, before[name], after[name], want)
+		}
 	}
 }
 
 // TestAutoCompressStream: mode=auto composes with stream=1 — the body is a
-// CPL1 container decodable with the chosen codec, and the feedback loop
-// still records the outcome.
+// CPL1 container decodable with the chosen codec.
 func TestAutoCompressStream(t *testing.T) {
 	srv := httptest.NewServer(newServer())
 	defer srv.Close()
@@ -205,5 +214,54 @@ func TestSelectorEndpointMethod(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /v1/selector = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestAutoAnswersIgnoreRequestOrder: a mode=auto answer is a pure function
+// of (field, bound, target). Two fresh servers get the same twelve requests
+// (three fields × two bounds, with and without target=), one in order and
+// one reversed; every body and X-Carol-Codec-Chosen must match.
+func TestAutoAnswersIgnoreRequestOrder(t *testing.T) {
+	type request struct{ target, body string }
+	var reqs []request
+	for _, s := range []struct{ dataset, field string }{
+		{"miranda", "density"}, {"nyx", "temperature"}, {"hurricane", "U"},
+	} {
+		f, err := dataset.Generate(s.dataset, s.field, dataset.Options{Nx: 16, Ny: 16, Nz: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := f.WriteRaw(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"rel=1e-3", "rel=1e-2", "rel=1e-3&target=4", "rel=1e-2&target=8"} {
+			reqs = append(reqs, request{"/v1/compress?mode=auto&dims=16x16x16&" + q, buf.String()})
+		}
+	}
+	type answer struct{ chosen, body string }
+	serve := func(order []int) map[int]answer {
+		h := newServerWith(defaultConfig())
+		out := make(map[int]answer)
+		for _, i := range order {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, reqs[i].target, strings.NewReader(reqs[i].body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", reqs[i].target, rec.Code, rec.Body)
+			}
+			out[i] = answer{rec.Header().Get("X-Carol-Codec-Chosen"), rec.Body.String()}
+		}
+		return out
+	}
+	forward, backward := make([]int, len(reqs)), make([]int, len(reqs))
+	for i := range reqs {
+		forward[i], backward[len(reqs)-1-i] = i, i
+	}
+	a, b := serve(forward), serve(backward)
+	for i, r := range reqs {
+		if a[i].chosen != b[i].chosen || a[i].body != b[i].body {
+			t.Errorf("request %d (%s): chose %s (%d bytes) in order, %s (%d bytes) reversed",
+				i, r.target, a[i].chosen, len(a[i].body), b[i].chosen, len(b[i].body))
+		}
 	}
 }

@@ -17,8 +17,8 @@
 //	     X-Carol-Resolver says model|search, X-Carol-Compressor-Runs the cost,
 //	     X-Carol-Surrogate-Evals the surrogate evaluations that cost stood in for)
 //	POST /v1/compress?mode=auto&rel=1e-3&dims=...          -> adaptive codec selection:
-//	     every registered codec is scored via its SECRE surrogate, bias-corrected by
-//	     the online bandit, and the winner compresses; X-Carol-Codec-Chosen names it,
+//	     every registered codec is scored by its ranking surrogate at this field and
+//	     bound, and the winner compresses; X-Carol-Codec-Chosen names it,
 //	     optional target=R asks for the cheapest codec predicted to reach ratio R;
 //	     composes with stream=1 (but not ratio=, which already self-selects the eb)
 //	POST /v1/decompress?codec=sz3                          -> raw float32
@@ -27,7 +27,7 @@
 //	POST /v1/predict?model=sz3&ratio=50,100&dims=...       -> JSON error-bound predictions
 //	GET  /v1/models                                        -> JSON loaded-model listing
 //	GET  /v1/codecs                                        -> JSON codec list
-//	GET  /v1/selector                                      -> JSON mode=auto bandit state
+//	GET  /v1/selector                                      -> JSON mode=auto codecs and counters
 //	GET  /metrics                                          -> text metrics exposition
 //	GET  /debug/vars                                       -> JSON metrics snapshot
 //	GET  /healthz                                          -> liveness probe
@@ -82,10 +82,8 @@ func main() {
 		"poll the model registry at this interval and hot-swap on change (0 disables; SIGHUP always works)")
 	flag.BoolVar(&cfg.trackEstimatorError, "track-estimator-error", cfg.trackEstimatorError,
 		"run the SECRE surrogate alongside rel= compresses and export estimate-vs-actual error gauges")
-	flag.Uint64Var(&cfg.selectorSeed, "selector-seed", cfg.selectorSeed,
-		"seed for the mode=auto exploration RNG; a fixed seed reproduces the decision sequence")
-	flag.Float64Var(&cfg.selectorEpsilon, "selector-epsilon", cfg.selectorEpsilon,
-		"mode=auto exploration probability (negative disables exploration)")
+	flag.Uint64("selector-seed", 1,
+		"ignored: mode=auto draws no random numbers (kept until the benchmark harness stops passing it)")
 	cfg.timeouts.Flags(flag.CommandLine)
 	flag.Int64Var(&cfg.decodeLimits.MaxElements, "max-decode-elements", cfg.decodeLimits.MaxElements,
 		"maximum samples a /v1/decompress stream may claim (413 beyond)")
@@ -205,7 +203,7 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	}
 	// finish is the one epilogue: the achieved ratio and trace go out (as
 	// trailers once a streamed body has been sent), and a mode=auto decision
-	// learns what its pick delivered.
+	// records how far its prediction was off.
 	finish := func(actual float64) {
 		w.Header().Set("X-Carol-Achieved-Ratio", strconv.FormatFloat(actual, 'g', 6, 64))
 		w.Header().Set("X-Carol-Trace", tr.String())

@@ -68,7 +68,7 @@ func freshAnswer(t *testing.T, target string, body []byte) []byte {
 // ends early (a 400 that dirties pooled storage mid-read). Storage passes
 // from request to request, yet every answer is byte for byte what a fresh
 // server returns for that body; a mode=auto answer is the chosen codec's
-// rel= stream, whichever codec the bandit picked.
+// rel= stream, whichever codec the selector picked.
 func TestFieldStorageReuseUnderConcurrency(t *testing.T) {
 	bodies := poolBodies(t)
 	want := map[string][]byte{}

@@ -36,14 +36,6 @@ type config struct {
 	// fan-out. Zero disables the poll (SIGHUP still works).
 	registryWatch time.Duration
 
-	// selectorSeed seeds the mode=auto bandit's exploration RNG — a fixed
-	// seed makes the decision sequence reproducible (tests and the smoke
-	// fleet pin outcomes on it).
-	selectorSeed uint64
-	// selectorEpsilon is the mode=auto exploration probability; negative
-	// disables exploration entirely.
-	selectorEpsilon float64
-
 	timeouts httpkit.Timeouts
 }
 
@@ -62,9 +54,7 @@ func defaultConfig() config {
 			MaxAlloc:    1 << 30,
 			MaxCount:    1 << 16,
 		},
-		selectorSeed:    1,
-		selectorEpsilon: 0.05,
-		timeouts:        httpkit.DefaultTimeouts(),
+		timeouts: httpkit.DefaultTimeouts(),
 	}
 }
 
@@ -78,7 +68,7 @@ type server struct {
 	reg *obs.Registry
 	// models is the hot-swappable model store, nil without -model-dir.
 	models *modelStore
-	// selector is the mode=auto adaptive codec chooser (DESIGN.md §16).
+	// selector is the mode=auto codec chooser (DESIGN.md §16).
 	selector *selector.Selector
 	// fields lends request fields their sample storage (readField).
 	fields zpool.FreeList[[]float32]
@@ -98,7 +88,7 @@ func newServerWith(cfg config) *server {
 	if cfg.modelDir != "" {
 		s.models = newModelStore(cfg.modelDir, cfg.decodeLimits)
 	}
-	sel, err := selector.New(selector.Config{Seed: cfg.selectorSeed, Epsilon: cfg.selectorEpsilon})
+	sel, err := selector.New(selector.Config{})
 	if err != nil {
 		// Only reachable with a broken built-in codec registry.
 		panic("carolserve: selector: " + err.Error())

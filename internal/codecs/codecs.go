@@ -147,6 +147,20 @@ func SurrogateByName(name string) (compressor.Estimator, error) {
 	return r.surrogate, nil
 }
 
+// RankingSurrogate returns the estimator mode=auto ranks name by: the
+// row's search surrogate where it has one, else its default surrogate
+// (DESIGN.md §16). The estimator is immutable and shared.
+func RankingSurrogate(name string) (compressor.Estimator, error) {
+	r, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if r.search != nil {
+		return r.search, nil
+	}
+	return r.surrogate, nil
+}
+
 // SearchSurrogate binds the named codec's search surrogate to f and returns
 // its per-bound estimate for fraz.Options.Surrogate, or nil where the
 // search should stay on real probes: another codec, or a field the

@@ -64,6 +64,9 @@ func TestRegistryRows(t *testing.T) {
 		if got := SearchSurrogate(r.name, f) != nil; got != wantSearch {
 			t.Fatalf("%s: search surrogate %v, want %v", r.name, got, wantSearch)
 		}
+		if rank, err := RankingSurrogate(r.name); err != nil || (r.search != nil && rank != r.search) || (r.search == nil && rank != s) {
+			t.Fatalf("RankingSurrogate(%s) = %v, %v; want the search surrogate, else the default", r.name, rank, err)
+		}
 		if got, want := HighThroughput(r.name), r.name == "szx" || r.name == "zfp"; got != want {
 			t.Fatalf("HighThroughput(%s) = %v", r.name, got)
 		}

@@ -117,11 +117,11 @@ func (c Compress) Bound(valueRange func() float64) (float64, error) {
 
 // ResolveCodec names the codec that serves the request at (f, eb): codec=
 // verbatim with a nil decision, or for mode=auto the selector's pick —
-// every candidate scored by its SECRE surrogate at this exact (field, eb),
-// bias-corrected by the bandit. The caller closes the loop by handing the
-// decision and the achieved ratio to sel.Observe. A selection error means
-// the field itself is unusable (e.g. non-finite), so it is the client's.
-// The selection is timed as tr's "select" span.
+// every candidate scored by its ranking surrogate at this exact (field,
+// eb). The caller hands the decision and the achieved ratio to sel.Observe,
+// which records the prediction's miss. A selection error means the field
+// itself is unusable (e.g. non-finite), so it is the client's. The
+// selection is timed as tr's "select" span.
 func (c Compress) ResolveCodec(tr *obs.Trace, sel *selector.Selector, f *field.Field, eb float64) (string, *selector.Decision, error) {
 	if !c.Auto {
 		return c.Codec, nil, nil

@@ -88,7 +88,7 @@ func TestBound(t *testing.T) {
 }
 
 func TestResolveCodec(t *testing.T) {
-	sel, err := selector.New(selector.Config{Seed: 1, Epsilon: -1})
+	sel, err := selector.New(selector.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

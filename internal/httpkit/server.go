@@ -102,8 +102,8 @@ func New(name, prefix string, maxInflight int, sel *selector.Selector) *Server {
 		w.Header().Set("Content-Type", "application/json")
 		return obs.Default.WriteJSON(w)
 	}))
-	// The mode=auto bandit state: candidate set, seed, decision counters and
-	// every active arm with its learned bias — "why did auto pick that".
+	// The mode=auto selector: its candidate set and counters. A pick is a
+	// pure function of (field, bound, target), so there is no state to show.
 	s.Handle("GET /v1/selector", s.doc(func(w http.ResponseWriter) error {
 		w.Header().Set("Content-Type", "application/json")
 		return json.NewEncoder(w).Encode(sel.Stats())

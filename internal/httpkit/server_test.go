@@ -29,7 +29,7 @@ var prefixes = []struct{ name, prefix string }{
 
 func newTestServer(t *testing.T, name, prefix string, maxInflight int) *Server {
 	t.Helper()
-	sel, err := selector.New(selector.Config{Seed: 1})
+	sel, err := selector.New(selector.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,11 @@ import (
 )
 
 // BenchmarkAutoSelect measures the selection cost at three depths: the
-// bare decision core (must stay allocation-free — it runs under the state
-// lock), the outcome-observation path (also lock-holding, also
-// allocation-free), and the full Select including feature extraction and
-// all five SECRE surrogate estimates.
+// bare decision core and the outcome-observation path (both must stay
+// allocation-free), and the full Select with all five surrogate
+// estimates.
 func BenchmarkAutoSelect(b *testing.B) {
-	sel, err := New(Config{Seed: 1, Epsilon: 0.05})
+	sel, err := New(Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -25,12 +24,10 @@ func BenchmarkAutoSelect(b *testing.B) {
 
 	b.Run("decide", func(b *testing.B) {
 		scores := []float64{4.1, 8.9, 6.5, 12.2, 11.7}
-		sel.mu.Lock()
-		defer sel.mu.Unlock()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, _ = sel.decideLocked(scores, 7)
+			_ = sel.decide(scores, 7)
 		}
 	})
 
@@ -53,21 +50,19 @@ func BenchmarkAutoSelect(b *testing.B) {
 	})
 }
 
-// TestDecideZeroAlloc pins the allocation-free contract of the lock-held
-// hot path independently of the bench gate.
+// TestDecideZeroAlloc pins the allocation-free contract of decide and
+// Observe independently of the bench gate.
 func TestDecideZeroAlloc(t *testing.T) {
-	sel, err := New(Config{Seed: 1, Epsilon: 0.05})
+	sel, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	scores := []float64{4.1, 8.9, 6.5, 12.2, 11.7}
-	sel.mu.Lock()
 	allocs := testing.AllocsPerRun(200, func() {
-		_, _ = sel.decideLocked(scores, 7)
+		_ = sel.decide(scores, 7)
 	})
-	sel.mu.Unlock()
 	if allocs != 0 {
-		t.Fatalf("decideLocked allocates %.1f per run, want 0", allocs)
+		t.Fatalf("decide allocates %.1f per run, want 0", allocs)
 	}
 	f := smoothGrid("za", 48, 8, 1, 9)
 	d, err := sel.Select(f, 1e-3, 0)

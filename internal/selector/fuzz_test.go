@@ -3,15 +3,18 @@ package selector
 import (
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 
+	"carol/internal/codecs"
 	"carol/internal/field"
 	"carol/internal/fuzzseed"
 )
 
 // autoSelectSeeds builds the checked-in seed corpus for FuzzAutoSelect:
-// a selector seed byte, an epsilon byte, packed small dims, an eb exponent,
-// a target byte, then raw float32 samples.
+// two unread bytes (they seeded and tuned a selector that no longer has
+// either knob; the corpus keeps them so it replays byte for byte), packed
+// small dims, an eb exponent, a target byte, then raw float32 samples.
 func autoSelectSeeds() [][]byte {
 	base := make([]byte, 7+4*64)
 	base[0], base[1] = 1, 10
@@ -49,7 +52,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 // inputs: whatever field, error bound, target and achieved-ratio bytes the
 // fuzzer constructs, Select must never panic and never return a codec
 // outside the configured set, and Observe must absorb arbitrary (including
-// non-finite) outcomes without corrupting state.
+// non-finite) outcomes without moving a later decision.
 func FuzzAutoSelect(f *testing.F) {
 	for _, s := range autoSelectSeeds() {
 		f.Add(s)
@@ -58,15 +61,12 @@ func FuzzAutoSelect(f *testing.F) {
 		if len(data) < 8 {
 			return
 		}
-		sel, err := New(Config{
-			Seed:    uint64(data[0]),
-			Epsilon: float64(data[1]%128) / 100, // 0 .. 1.27, 0 = default
-		})
+		sel, err := New(Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		known := make(map[string]bool)
-		for _, n := range sel.Codecs() {
+		for _, n := range codecs.ExtendedNames {
 			known[n] = true
 		}
 		nx := int(data[2])%32 + 1
@@ -91,15 +91,15 @@ func FuzzAutoSelect(f *testing.F) {
 			t.Fatalf("Select returned unregistered codec %q", dec.Codec)
 		}
 		// Feed an arbitrary outcome back — including NaN/Inf bit patterns —
-		// then select again: state must stay usable.
+		// then select again: the answer must not move.
 		actual := float64(math.Float32frombits(binary.LittleEndian.Uint32(data[2:6])))
 		sel.Observe(dec, actual)
-		dec2, err := sel.Select(fld, eb, 0)
+		dec2, err := sel.Select(fld, eb, target)
 		if err != nil {
 			t.Fatalf("second Select failed after Observe(%g): %v", actual, err)
 		}
-		if !known[dec2.Codec] {
-			t.Fatalf("second Select returned unregistered codec %q", dec2.Codec)
+		if !reflect.DeepEqual(dec2, dec) {
+			t.Fatalf("Select moved after Observe(%g): %+v then %+v", actual, dec, dec2)
 		}
 	})
 }

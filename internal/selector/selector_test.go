@@ -3,6 +3,7 @@ package selector
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -74,12 +75,12 @@ func conformanceGrid() []gridCase {
 // codecs — the assertion pins that invariant against future drift, e.g. a
 // selector that post-processes streams).
 func TestSelectionConformance(t *testing.T) {
-	sel, err := New(Config{Seed: 7, Epsilon: -1}) // pure exploitation
+	sel, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	known := make(map[string]bool)
-	for _, n := range sel.Codecs() {
+	for _, n := range codecs.ExtendedNames {
 		known[n] = true
 	}
 	for _, tc := range conformanceGrid() {
@@ -111,7 +112,7 @@ func TestSelectionConformance(t *testing.T) {
 			sel.Observe(dec, achieved)
 
 			worst := math.Inf(1)
-			for _, name := range sel.Codecs() {
+			for _, name := range codecs.ExtendedNames {
 				sc, err := codecs.ByName(name)
 				if err != nil {
 					t.Fatal(err)
@@ -128,48 +129,6 @@ func TestSelectionConformance(t *testing.T) {
 				t.Errorf("%s rel=%g: chosen %s achieved %.3f, below worst static %.3f",
 					tc.name, rel, dec.Codec, achieved, worst)
 			}
-		}
-	}
-}
-
-// TestDeterministicUnderSeed: two selectors with the same seed fed the same
-// request sequence (including exploration draws and observations) must
-// produce identical decision streams.
-func TestDeterministicUnderSeed(t *testing.T) {
-	build := func() *Selector {
-		s, err := New(Config{Seed: 99, Epsilon: 0.3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a, b := build(), build()
-	grid := conformanceGrid()
-	type pick struct {
-		codec    string
-		explored bool
-	}
-	run := func(s *Selector) []pick {
-		var out []pick
-		for round := 0; round < 4; round++ {
-			for _, tc := range grid {
-				eb := compressor.AbsBound(tc.f, 1e-3)
-				d, err := s.Select(tc.f, eb, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, pick{d.Codec, d.Explored})
-				// Feed a deterministic synthetic outcome so bias state also
-				// evolves identically.
-				s.Observe(d, 4+float64(round))
-			}
-		}
-		return out
-	}
-	pa, pb := run(a), run(b)
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatalf("decision %d diverged under same seed: %+v vs %+v", i, pa[i], pb[i])
 		}
 	}
 }
@@ -191,9 +150,7 @@ func (e fixedEst) EstimateRatio(f *field.Field, eb float64) (float64, error) {
 func twoCodecSelector(t *testing.T, ratioSZx, ratioZFP float64) *Selector {
 	t.Helper()
 	s, err := New(Config{
-		Codecs:  []string{"szx", "zfp"},
-		Seed:    1,
-		Epsilon: -1,
+		Codecs: []string{"szx", "zfp"},
 		Estimators: map[string]compressor.Estimator{
 			"szx": fixedEst{name: "szx", ratio: ratioSZx},
 			"zfp": fixedEst{name: "zfp", ratio: ratioZFP},
@@ -203,48 +160,6 @@ func twoCodecSelector(t *testing.T, ratioSZx, ratioZFP float64) *Selector {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// TestMispredictionShiftsSelection is the closed-loop acceptance test: szx's
-// surrogate overpromises (predicts 10, real outcomes land at 2), and after a
-// few observed outcomes the bias correction must move selection to zfp,
-// whose honest 8 now wins.
-func TestMispredictionShiftsSelection(t *testing.T) {
-	sel := twoCodecSelector(t, 10, 8)
-	f := smoothGrid("m", 64, 1, 1, 11)
-
-	d, err := sel.Select(f, 1e-3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Codec != "szx" {
-		t.Fatalf("initial pick = %s, want szx (highest raw prediction)", d.Codec)
-	}
-	shifted := false
-	for i := 0; i < 12; i++ {
-		sel.Observe(d, 2) // szx actually achieves 2, not 10
-		d, err = sel.Select(f, 1e-3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Codec == "zfp" {
-			shifted = true
-			break
-		}
-	}
-	if !shifted {
-		t.Fatalf("selection never shifted away from overpromising szx; stats: %+v", sel.Stats())
-	}
-	// The learned bias must be visible in the snapshot.
-	var sawBias bool
-	for _, a := range sel.Stats().Arms {
-		if a.Codec == "szx" && a.BiasEMA > 1 {
-			sawBias = true
-		}
-	}
-	if !sawBias {
-		t.Error("szx arm bias EMA not reflecting the observed overprediction")
-	}
 }
 
 // TestTargetPicksCheapestEligible: with a ratio target, the cheapest codec
@@ -273,9 +188,7 @@ func TestTargetPicksCheapestEligible(t *testing.T) {
 // a valid (cheapest) codec, never a panic or an error.
 func TestFallbackAllEstimatorsFail(t *testing.T) {
 	s, err := New(Config{
-		Codecs:  []string{"sperr", "szx"},
-		Seed:    1,
-		Epsilon: -1,
+		Codecs: []string{"sperr", "szx"},
 		Estimators: map[string]compressor.Estimator{
 			"sperr": fixedEst{name: "sperr", err: errFixed},
 			"szx":   fixedEst{name: "szx", err: errFixed},
@@ -295,8 +208,7 @@ func TestFallbackAllEstimatorsFail(t *testing.T) {
 	if d.PredictedRatio() != 0 {
 		t.Fatalf("fallback predicted ratio = %g, want 0", d.PredictedRatio())
 	}
-	// Observing a fallback decision (no usable prediction) must reject, not
-	// corrupt state.
+	// Observing a fallback decision (no usable prediction) must reject.
 	before := s.Stats().RejectedOutcomes
 	s.Observe(d, 3)
 	if got := s.Stats().RejectedOutcomes - before; got != 1 {
@@ -305,14 +217,12 @@ func TestFallbackAllEstimatorsFail(t *testing.T) {
 }
 
 // TestPredictionMissHistogram: every accepted outcome lands in the chosen
-// codec's selector_prediction_miss histogram as |corrected/achieved - 1|,
+// codec's selector_prediction_miss histogram as |predicted/achieved - 1|,
 // a rejected one nowhere, and no last-writer-wins gauge is exported.
 func TestPredictionMissHistogram(t *testing.T) {
 	reg := obs.NewRegistry()
 	sel, err := New(Config{
 		Codecs:     []string{"szx", "zfp"},
-		Seed:       1,
-		Epsilon:    -1,
 		Registry:   reg,
 		Estimators: map[string]compressor.Estimator{"szx": fixedEst{name: "szx", ratio: 10}, "zfp": fixedEst{name: "zfp", ratio: 8}},
 	})
@@ -350,31 +260,35 @@ type errEstimator string
 
 func (e errEstimator) Error() string { return string(e) }
 
-// TestObserveRejectsNonFinite: NaN/Inf/non-positive achieved ratios must
-// not move the bias state.
+// TestObserveRejectsNonFinite: NaN/Inf/non-positive achieved ratios are
+// counted as rejects and never reach the miss histogram.
 func TestObserveRejectsNonFinite(t *testing.T) {
-	sel := twoCodecSelector(t, 10, 8)
-	f := smoothGrid("nf", 64, 1, 1, 14)
-	d, err := sel.Select(f, 1e-3, 0)
+	reg := obs.NewRegistry()
+	sel, err := New(Config{
+		Codecs:     []string{"szx", "zfp"},
+		Registry:   reg,
+		Estimators: map[string]compressor.Estimator{"szx": fixedEst{name: "szx", ratio: 10}, "zfp": fixedEst{name: "zfp", ratio: 8}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := sel.Select(smoothGrid("nf", 64, 1, 1, 14), 1e-3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -2} {
 		sel.Observe(d, bad)
 	}
-	st := sel.Stats()
-	if st.RejectedOutcomes != 5 {
-		t.Errorf("rejected = %d, want 5", st.RejectedOutcomes)
+	if got := sel.Stats().RejectedOutcomes; got != 5 {
+		t.Errorf("rejected = %d, want 5", got)
 	}
-	for _, a := range st.Arms {
-		if a.Outcomes != 0 {
-			t.Errorf("arm %s/%s recorded %d outcomes from garbage", a.Codec, a.Bucket, a.Outcomes)
-		}
-	}
-	// State still works afterwards.
 	sel.Observe(d, 9)
-	if got := sel.Stats().Arms; len(got) == 0 {
-		t.Fatal("no arms after valid observe")
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := `selector_prediction_miss_count{codec="szx"} 1`; !strings.Contains(text.String(), want) {
+		t.Errorf("exposition lacks %s after five rejects and one outcome:\n%s", want, text.String())
 	}
 }
 
@@ -408,10 +322,12 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestConcurrentAutoHammer drives Select+Observe+Stats from many
-// goroutines; run with -race it is the bandit-state race check the issue
-// asks for.
+// goroutines; run with -race it is the selector's race check. Every
+// concurrent decision must equal the one a serial Select made for the same
+// field before the hammer started: outcomes fed back in between move
+// nothing.
 func TestConcurrentAutoHammer(t *testing.T) {
-	sel, err := New(Config{Seed: 5, Epsilon: 0.2})
+	sel, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,6 +336,12 @@ func TestConcurrentAutoHammer(t *testing.T) {
 		noisyGrid("h2", 16, 12, 1, 22),
 		constantGrid("h3", 16, 8, 4),
 	}
+	want := make([]Decision, len(fields))
+	for i, f := range fields {
+		if want[i], err = sel.Select(f, compressor.AbsBound(f, 1e-3), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -427,11 +349,15 @@ func TestConcurrentAutoHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				f := fields[(w+i)%len(fields)]
-				eb := compressor.AbsBound(f, 1e-3)
-				d, err := sel.Select(f, eb, 0)
+				k := (w + i) % len(fields)
+				f := fields[k]
+				d, err := sel.Select(f, compressor.AbsBound(f, 1e-3), 0)
 				if err != nil {
 					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(d, want[k]) {
+					t.Errorf("%s: concurrent decision %+v, serial %+v", f.Name, d, want[k])
 					return
 				}
 				sel.Observe(d, 3+float64(i%7))
@@ -443,7 +369,7 @@ func TestConcurrentAutoHammer(t *testing.T) {
 	}
 	wg.Wait()
 	st := sel.Stats()
-	if want := int64(workers * 30); st.Decisions != want {
+	if want := int64(workers*30 + len(fields)); st.Decisions != want {
 		t.Fatalf("decisions = %d, want %d", st.Decisions, want)
 	}
 }
@@ -466,7 +392,7 @@ func TestStatsJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"codecs", "seed", "epsilon", "decisions", "arms"} {
+	for _, key := range []string{"codecs", "decisions", "rejected_outcomes"} {
 		if _, ok := back[key]; !ok {
 			t.Errorf("stats JSON missing %q: %s", key, raw)
 		}

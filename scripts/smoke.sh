@@ -35,7 +35,10 @@ echo "== caroltrain: publish model version 1"
 
 addr="127.0.0.1:$(random_port)"
 echo "== boot carolserve on $addr with -model-dir"
-"$bindir/carolserve" -addr "$addr" -model-dir "$workdir/models" \
+# -selector-seed is ignored, but the benchmark passes it (bench/serve.go,
+# through bench/procs.go's startServer): booting with it here makes deleting
+# the flag fail this smoke instead of the benchmark.
+"$bindir/carolserve" -addr "$addr" -model-dir "$workdir/models" -selector-seed 1 \
     >"$(log_path carolserve)" 2>&1 &
 server_pid=$!
 wait_healthz carolserve "$addr" "$server_pid"

@@ -13,8 +13,8 @@
 #      registry-watch poll (no SIGHUP fan-out)
 #   6. the async job API accepts, runs, and serves a chunked compress
 #   7. mode=auto picks a codec adaptively — whole-routed (shard decides)
-#      and fan-out (gate decides once for all slabs) — and the bandit
-#      state is inspectable at /v1/selector on gate and shards
+#      and fan-out (gate decides once for all slabs) — and the selector
+#      counters are inspectable at /v1/selector on gate and shards
 #   8. SIGTERM drains gate and shards to clean exits
 #
 # Pure sh + curl. Set SMOKE_LOG_DIR to keep per-process logs (CI uploads
@@ -47,10 +47,13 @@ p1=$(random_port 1); p2=$(random_port 2); p3=$(random_port 3); pg=$(random_port 
 a1="127.0.0.1:$p1"; a2="127.0.0.1:$p2"; a3="127.0.0.1:$p3"; ag="127.0.0.1:$pg"
 
 echo "== boot 3 shards on $a1 $a2 $a3 (registry-watch 200ms)"
+# -selector-seed is ignored, but the benchmark passes it to shards and gate
+# (bench/fleet.go, through bench/procs.go's startServer): booting with it
+# here makes deleting the flag fail this smoke instead of the benchmark.
 for i in 1 2 3; do
     eval "addr=\$a$i"
     "$bindir/carolserve" -addr "$addr" -model-dir "$workdir/models" \
-        -registry-watch 200ms >"$(log_path "shard$i")" 2>&1 &
+        -registry-watch 200ms -selector-seed 1 >"$(log_path "shard$i")" 2>&1 &
     eval "s${i}_pid=$!"
 done
 wait_healthz shard1 "$a1" "$s1_pid"
@@ -60,7 +63,7 @@ wait_healthz shard3 "$a3" "$s3_pid"
 echo "== boot carolgate on $ag over the 3 shards"
 "$bindir/carolgate" -addr "$ag" \
     -shards "http://$a1,http://$a2,http://$a3" \
-    -chunk-threshold-kib 16 -probe-interval 200ms \
+    -chunk-threshold-kib 16 -probe-interval 200ms -selector-seed 1 \
     >"$(log_path carolgate)" 2>&1 &
 gate_pid=$!
 wait_healthz carolgate "$ag" "$gate_pid"
@@ -272,7 +275,7 @@ if [ "$restored" -ne 65536 ]; then
     exit 1
 fi
 
-echo "== /v1/selector: bandit state inspectable on gate and live shards"
+echo "== /v1/selector: selector counters inspectable on gate and live shards"
 for ep in "$ag" "$a1" "$a3"; do
     curl -fsS "http://$ep/v1/selector" >"$workdir/selector-$ep.json" || {
         echo "smoke-fleet: /v1/selector failed on $ep" >&2
