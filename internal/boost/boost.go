@@ -90,9 +90,14 @@ func Train(X [][]float64, y []float64, cfg Config) (*Model, error) {
 		Bootstrap:       false,
 		Workers:         cfg.Workers,
 	}
+	// Every round fits the same X, so its columns are ranked once.
+	train, err := rf.TrainerFor(X)
+	if err != nil {
+		return nil, fmt.Errorf("boost: %w", err)
+	}
 	for round := 0; round < cfg.Rounds; round++ {
 		treeCfg.Seed = cfg.Seed + uint64(round)
-		tree, err := rf.Train(X, resid, treeCfg)
+		tree, err := train(resid, treeCfg)
 		if err != nil {
 			return nil, fmt.Errorf("boost: round %d: %w", round, err)
 		}

@@ -18,8 +18,10 @@ var cvSeconds = obs.Default.Histogram("rf_crossvalidate_seconds", obs.LatencyBuc
 // perfect). This is the scoring function FXRZ's randomized grid search and
 // CAROL's Bayesian optimizer both maximize.
 //
-// Folds run concurrently, bounded by Config.Workers; fold scores are summed
-// in fold order, so the result is bit-identical for any Workers value.
+// X is ranked once for every fold: a fold trains on a list of X's rows, and
+// grows the forest Train grows on those rows copied out in order. Folds run
+// concurrently, bounded by Config.Workers; fold scores are summed in fold
+// order, so the result is bit-identical for any Workers value.
 func CrossValidate(X [][]float64, y []float64, cfg Config, k int, seed uint64) (float64, error) {
 	start := time.Now()
 	defer cvSeconds.ObserveSince(start)
@@ -28,6 +30,13 @@ func CrossValidate(X [][]float64, y []float64, cfg Config, k int, seed uint64) (
 	}
 	if len(X) < k {
 		return 0, errors.New("rf: fewer samples than folds")
+	}
+	rk, err := rankMatrix(X)
+	if err != nil {
+		return 0, err
+	}
+	if err := checkTargets(y, len(X)); err != nil {
+		return 0, err
 	}
 	perm := xrand.New(seed).Perm(len(X))
 	foldOf := make([]int, len(X))
@@ -43,8 +52,7 @@ func CrossValidate(X [][]float64, y []float64, cfg Config, k int, seed uint64) (
 				nTest++
 			}
 		}
-		trX := make([][]float64, 0, len(X)-nTest)
-		trY := make([]float64, 0, len(X)-nTest)
+		rows := make([]int, 0, len(X)-nTest)
 		teX := make([][]float64, 0, nTest)
 		teY := make([]float64, 0, nTest)
 		for i := range X {
@@ -52,11 +60,10 @@ func CrossValidate(X [][]float64, y []float64, cfg Config, k int, seed uint64) (
 				teX = append(teX, X[i])
 				teY = append(teY, y[i])
 			} else {
-				trX = append(trX, X[i])
-				trY = append(trY, y[i])
+				rows = append(rows, i)
 			}
 		}
-		f, err := Train(trX, trY, cfg)
+		f, err := rk.train(rows, y, cfg, (*builder).bestSplit)
 		if err != nil {
 			errs[fold] = err
 			return

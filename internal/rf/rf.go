@@ -11,9 +11,7 @@
 package rf
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -144,13 +142,45 @@ type Forest struct {
 // Config returns the hyper-parameters the forest was trained with.
 func (f *Forest) Config() Config { return f.cfg }
 
-// Train grows a forest on the rows of X (features) and targets y.
+// Train grows a forest on the rows of X (features) and targets y. Every
+// value of X and y must be finite. It is TrainerFor(X) followed by one call
+// of the returned trainer.
+func Train(X [][]float64, y []float64, cfg Config) (*Forest, error) {
+	train, err := TrainerFor(X)
+	if err != nil {
+		return nil, err
+	}
+	return train(y, cfg)
+}
+
+// TrainerFor checks X and ranks each of its columns once, then returns a
+// trainer that grows forests on X against any target vector, as Train
+// does. A caller fitting many forests to one X (boosting rounds) ranks it
+// once instead of once per fit. X must not change while the trainer is in
+// use; the trainer may be called from several goroutines.
+func TrainerFor(X [][]float64) (func(y []float64, cfg Config) (*Forest, error), error) {
+	rk, err := rankMatrix(X)
+	if err != nil {
+		return nil, err
+	}
+	return func(y []float64, cfg Config) (*Forest, error) {
+		return rk.train(nil, y, cfg, (*builder).bestSplit)
+	}, nil
+}
+
+// splitSearch finds a node's best (feature, threshold) and its child score.
+type splitSearch func(b *builder, lo, hi int) (feat int, thresh, score float64, ok bool)
+
+// train grows a forest on the given rows of rk.X (every row when rows is
+// nil) against y, which is indexed like rk.X.
 //
 // All randomness — each tree's bootstrap sample and its builder seed — is
 // drawn from the master RNG serially, in tree order, before any tree is
 // grown; the worker pool only parallelizes the (deterministic) growth, so
-// the result does not depend on Config.Workers.
-func Train(X [][]float64, y []float64, cfg Config) (*Forest, error) {
+// the result does not depend on Config.Workers. A bootstrap draw picks a
+// position in rows, so training on a row list grows the forest Train grows
+// on those rows copied out in order.
+func (rk *ranked) train(rows []int, y []float64, cfg Config, search splitSearch) (*Forest, error) {
 	start := time.Now()
 	defer trainSeconds.ObserveSince(start)
 	if err := cfg.validate(); err != nil {
@@ -158,35 +188,33 @@ func Train(X [][]float64, y []float64, cfg Config) (*Forest, error) {
 	}
 	trainTotal.Inc()
 	trainTreesTotal.Add(int64(cfg.NEstimators))
-	if len(X) == 0 || len(X) != len(y) {
-		return nil, errors.New("rf: empty or mismatched training data")
+	if err := checkTargets(y, len(rk.X)); err != nil {
+		return nil, err
 	}
-	dims := len(X[0])
-	for i, row := range X {
-		if len(row) != dims {
-			return nil, fmt.Errorf("rf: row %d has %d features, want %d", i, len(row), dims)
+	if rows == nil {
+		rows = make([]int, len(rk.X))
+		for i := range rows {
+			rows[i] = i
 		}
 	}
-	f := &Forest{trees: make([]tree, cfg.NEstimators), dims: dims, cfg: cfg}
+	f := &Forest{trees: make([]tree, cfg.NEstimators), dims: rk.dims, cfg: cfg}
 	rng := xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
 	boots := make([][]int, cfg.NEstimators)
 	seeds := make([]uint64, cfg.NEstimators)
 	for ti := range boots {
-		idx := make([]int, len(X))
+		idx := make([]int, len(rows))
 		if cfg.Bootstrap {
 			for i := range idx {
-				idx[i] = rng.Intn(len(X))
+				idx[i] = rows[rng.Intn(len(rows))]
 			}
 		} else {
-			for i := range idx {
-				idx[i] = i
-			}
+			copy(idx, rows)
 		}
 		boots[ti] = idx
 		seeds[ti] = rng.Uint64()
 	}
 	growTree := func(ti int) {
-		b := &builder{X: X, y: y, cfg: cfg, dims: dims, rng: xrand.New(seeds[ti])}
+		b := &builder{ranked: rk, y: y, cfg: cfg, rng: xrand.New(seeds[ti]), search: search}
 		f.trees[ti] = tree{nodes: b.build(boots[ti])}
 	}
 	workers := resolveWorkers(cfg.Workers)
@@ -304,19 +332,21 @@ func (f *Forest) FeatureImportance() []float64 {
 
 // builder grows a single tree. All per-node working storage is reused
 // across the whole tree: sample indices are partitioned in place, and the
-// split search sorts into fixed scratch buffers.
+// split search sorts and bins into fixed scratch buffers.
 type builder struct {
-	X     [][]float64
-	y     []float64
-	cfg   Config
-	dims  int
-	rng   *xrand.Source
-	nodes []node
+	*ranked
+	y      []float64
+	cfg    Config
+	rng    *xrand.Source
+	search splitSearch
+	nodes  []node
 
-	idx   []int  // sample indices; grow partitions segments of this in place
-	part  []int  // stable-partition scratch (right-child indices)
-	feats []int  // feature-permutation scratch, one Fisher-Yates draw per split
-	pairs []pair // split-search sort buffer
+	idx   []int       // sample indices; grow partitions segments of this in place
+	part  []int       // stable-partition scratch (right-child indices)
+	feats []int       // feature-permutation scratch, one Fisher-Yates draw per split
+	pairs []pair      // split-search sort buffer
+	bins  []bin       // counting-score buffer, one entry per rank
+	res   []featSplit // per-feature outcomes of one split search
 }
 
 // build grows the tree over the bootstrap sample idx (which the builder
@@ -326,6 +356,14 @@ func (b *builder) build(idx []int) []node {
 	b.part = make([]int, 0, len(idx))
 	b.feats = make([]int, b.dims)
 	b.pairs = make([]pair, len(idx))
+	nBins := 0 // the most ranks of a feature any node may count
+	for _, vals := range b.vals {
+		if len(vals) <= len(idx) {
+			nBins = max(nBins, len(vals))
+		}
+	}
+	b.bins = make([]bin, nBins)
+	b.res = make([]featSplit, b.dims)
 	b.grow(0, len(idx), 0)
 	return b.nodes
 }
@@ -345,7 +383,7 @@ func (b *builder) grow(lo, hi, depth int) int32 {
 	if depth >= b.cfg.MaxDepth || hi-lo < b.cfg.MinSamplesSplit || b.pureTargets(lo, hi) {
 		return b.leaf(lo, hi)
 	}
-	feat, thresh, childScore, ok := b.bestSplit(lo, hi)
+	feat, thresh, childScore, ok := b.search(b, lo, hi)
 	if !ok {
 		return b.leaf(lo, hi)
 	}
@@ -407,72 +445,4 @@ func (b *builder) pureTargets(lo, hi int) bool {
 		}
 	}
 	return true
-}
-
-// maxSplitCandidates caps the thresholds evaluated per feature; above this
-// the sorted values are subsampled evenly.
-const maxSplitCandidates = 32
-
-// bestSplit finds the (feature, threshold) minimizing the weighted child
-// variance over the candidate feature subset, returning that variance too.
-//
-// Instead of rescanning all samples per candidate threshold, each feature
-// is processed with one sorted sweep: the (value, target) pairs are sorted
-// once, and running prefix sums of the targets give every candidate's
-// weighted child variance in O(1), for O(n log n) per feature.
-func (b *builder) bestSplit(lo, hi int) (feat int, thresh, score float64, ok bool) {
-	nFeat := b.dims
-	if b.cfg.MaxFeatures == MaxFeaturesSqrt {
-		nFeat = int(math.Ceil(math.Sqrt(float64(b.dims))))
-	}
-	// The full permutation is always drawn — even when every feature is
-	// considered — to keep RNG consumption identical across configurations.
-	b.rng.PermInto(b.feats)
-	feats := b.feats[:nFeat]
-
-	n := hi - lo
-	ps := b.pairs[:n]
-	bestScore := math.Inf(1)
-	for _, ft := range feats {
-		for k, i := range b.idx[lo:hi] {
-			ps[k] = pair{b.X[i][ft], b.y[i]}
-		}
-		sortPairs(ps)
-		var sumT, sqT float64
-		for _, p := range ps {
-			sumT += p.y
-			sqT += p.y * p.y
-		}
-		// Candidate thresholds: midpoints between distinct consecutive
-		// values, evenly subsampled if too many.
-		step := 1
-		if n > maxSplitCandidates {
-			step = n / maxSplitCandidates
-		}
-		j := 0
-		var sumL, sqL float64
-		for vi := 0; vi+step < n; vi += step {
-			a, c := ps[vi].v, ps[vi+step].v
-			if a == c { //carol:allow floateq equal sorted values admit no threshold between them
-				continue
-			}
-			t := (a + c) / 2
-			// Thresholds increase monotonically, so the left-side prefix
-			// sums advance with a single cursor over the sorted pairs.
-			for j < n && ps[j].v <= t {
-				sumL += ps[j].y
-				sqL += ps[j].y * ps[j].y
-				j++
-			}
-			nL, nR := float64(j), float64(n-j)
-			sumR, sqR := sumT-sumL, sqT-sqL
-			varL := sqL/nL - (sumL/nL)*(sumL/nL)
-			varR := sqR/nR - (sumR/nR)*(sumR/nR)
-			if s := (nL*varL + nR*varR) / (nL + nR); s < bestScore {
-				bestScore = s
-				feat, thresh, ok = ft, t, true
-			}
-		}
-	}
-	return feat, thresh, bestScore, ok
 }

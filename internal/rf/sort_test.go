@@ -104,8 +104,9 @@ func TestTrainTiedGolden(t *testing.T) {
 	}
 }
 
-// pairSorter is the split search's old sort.Sort adapter, kept as the
-// oracle sortPairs must match permutation for permutation.
+// pairSorter is the split search's old sort.Sort adapter over (value,
+// target) pairs, kept as the oracle sortPairs must match permutation for
+// permutation, and as refBestSplit's sort.
 type pairSorter struct {
 	v, y []float64
 }
@@ -117,23 +118,38 @@ func (s *pairSorter) Swap(i, j int) {
 	s.y[i], s.y[j] = s.y[j], s.y[i]
 }
 
-// checkSplitSort sorts keys both ways, tagging each key with its input
-// index as the target, and fails unless the two permutations are equal
-// bit for bit (so +0 and -0, equal under <, must land in the same order).
+// checkSplitSort ranks keys with the production ranking, sorts the (rank,
+// row) pairs, and fails unless the rows come out in the permutation
+// sort.Sort gives the float64 keys (so +0 and -0, equal under <, must land
+// in the same order). Ranking must refuse keys with a NaN or ±Inf.
 func checkSplitSort(t *testing.T, name string, keys []float64) {
 	t.Helper()
+	ranks, _, err := rankColumn(keys)
+	finite := true
+	for _, v := range keys {
+		finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+	}
+	if !finite {
+		if err == nil {
+			t.Fatalf("%s, n=%d: ranking accepted non-finite keys", name, len(keys))
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s, n=%d: %v", name, len(keys), err)
+	}
 	ref := pairSorter{v: append([]float64(nil), keys...), y: make([]float64, len(keys))}
 	got := make([]pair, len(keys))
-	for i, v := range keys {
+	for i := range keys {
 		ref.y[i] = float64(i)
-		got[i] = pair{v, float64(i)}
+		got[i] = mkpair(ranks[i], uint32(i))
 	}
 	sort.Sort(&ref)
 	sortPairs(got)
 	for i := range got {
-		if math.Float64bits(got[i].v) != math.Float64bits(ref.v[i]) || got[i].y != ref.y[i] {
+		if float64(got[i].row()) != ref.y[i] {
 			t.Fatalf("%s, n=%d: position %d holds input %v (%v), sort.Sort put input %v (%v) there",
-				name, len(keys), i, got[i].y, got[i].v, ref.y[i], ref.v[i])
+				name, len(keys), i, got[i].row(), keys[got[i].row()], ref.y[i], ref.v[i])
 		}
 	}
 }
@@ -236,8 +252,9 @@ func TestSplitSortMatchesSortSort(t *testing.T) {
 }
 
 // FuzzSplitSortMatchesReference feeds arbitrary float64 keys, NaN and ±Inf
-// included, through both sorts. Every comparison is the same a.v < b.v, so
-// even keys with no total order must come out in the same permutation.
+// included, to checkSplitSort: finite keys must come out of the rank-keyed
+// sort in sort.Sort's permutation, and keys with no total order must be
+// refused by the ranking.
 func FuzzSplitSortMatchesReference(f *testing.F) {
 	le := func(vs ...float64) []byte {
 		var out []byte

@@ -3,20 +3,28 @@
 // license that can be found in the LICENSE file.
 
 // This file is the Go toolchain's pdqsort (slices/zsortanyfunc.go, Go 1.24)
-// specialised to the split search's (value, target) pairs: cmp(a, b) < 0 is
-// written inline as a.v < b.v and the stable-sort half is dropped. The
+// specialised to the split search's (rank, row) pairs: cmp(a, b) < 0 is
+// written inline as a.r() < b.r() and the stable-sort half is dropped. The
 // control flow, the pivot choices and the pattern-breaking xorshift are the
-// originals, so sortPairs leaves pairs in exactly the order sort.Sort over
-// the same keys would, ties included (TestSplitSortMatchesSortSort).
+// originals. A rank orders exactly as the feature value it stands for, so
+// every comparison answers as a.v < b.v would on the values, and sortPairs
+// leaves rows in exactly the order sort.Sort over the float64 keys would,
+// ties included (TestSplitSortMatchesSortSort).
 
 package rf
 
 import "math/bits"
 
-// pair is one (feature value, target) pair of the split search.
-type pair struct{ v, y float64 }
+// pair is one (feature rank, row) pair of the split search, packed in one
+// word (rank in the high half) so that a swap is a single 8-byte move. The
+// sort compares ranks only: rows tied on rank keep pdqsort's order.
+type pair uint64
 
-// sortPairs sorts data by v, with the permutation sort.Sort produces.
+func mkpair(r, row uint32) pair { return pair(uint64(r)<<32 | uint64(row)) }
+func (p pair) r() uint32        { return uint32(p >> 32) }
+func (p pair) row() uint32      { return uint32(p) }
+
+// sortPairs sorts data by rank, with the permutation sort.Sort produces.
 func sortPairs(data []pair) {
 	n := len(data)
 	if n <= 1 {
@@ -50,7 +58,7 @@ func nextPowerOfTwo(length int) uint {
 // insertionSortPairs sorts data[a:b] using insertion sort.
 func insertionSortPairs(data []pair, a, b int) {
 	for i := a + 1; i < b; i++ {
-		for j := i; j > a && (data[j].v < data[j-1].v); j-- {
+		for j := i; j > a && (data[j].r() < data[j-1].r()); j-- {
 			data[j], data[j-1] = data[j-1], data[j]
 		}
 	}
@@ -65,10 +73,10 @@ func siftDownPairs(data []pair, lo, hi, first int) {
 		if child >= hi {
 			break
 		}
-		if child+1 < hi && (data[first+child].v < data[first+child+1].v) {
+		if child+1 < hi && (data[first+child].r() < data[first+child+1].r()) {
 			child++
 		}
-		if !(data[first+root].v < data[first+child].v) {
+		if !(data[first+root].r() < data[first+child].r()) {
 			return
 		}
 		data[first+root], data[first+child] = data[first+child], data[first+root]
@@ -146,7 +154,7 @@ func pdqsortPairs(data []pair, a, b, limit int) {
 
 		// Probably the slice contains many duplicate elements, partition the slice into
 		// elements equal to and elements greater than the pivot.
-		if a > 0 && !(data[a-1].v < data[pivot].v) {
+		if a > 0 && !(data[a-1].r() < data[pivot].r()) {
 			mid := partitionEqualPairs(data, a, b, pivot)
 			a = mid
 			continue
@@ -177,10 +185,10 @@ func partitionPairs(data []pair, a, b, pivot int) (newpivot int, alreadyPartitio
 	data[a], data[pivot] = data[pivot], data[a]
 	i, j := a+1, b-1 // i and j are inclusive of the elements remaining to be partitioned
 
-	for i <= j && (data[i].v < data[a].v) {
+	for i <= j && (data[i].r() < data[a].r()) {
 		i++
 	}
-	for i <= j && !(data[j].v < data[a].v) {
+	for i <= j && !(data[j].r() < data[a].r()) {
 		j--
 	}
 	if i > j {
@@ -192,10 +200,10 @@ func partitionPairs(data []pair, a, b, pivot int) (newpivot int, alreadyPartitio
 	j--
 
 	for {
-		for i <= j && (data[i].v < data[a].v) {
+		for i <= j && (data[i].r() < data[a].r()) {
 			i++
 		}
-		for i <= j && !(data[j].v < data[a].v) {
+		for i <= j && !(data[j].r() < data[a].r()) {
 			j--
 		}
 		if i > j {
@@ -216,10 +224,10 @@ func partitionEqualPairs(data []pair, a, b, pivot int) (newpivot int) {
 	i, j := a+1, b-1 // i and j are inclusive of the elements remaining to be partitioned
 
 	for {
-		for i <= j && !(data[a].v < data[i].v) {
+		for i <= j && !(data[a].r() < data[i].r()) {
 			i++
 		}
-		for i <= j && (data[a].v < data[j].v) {
+		for i <= j && (data[a].r() < data[j].r()) {
 			j--
 		}
 		if i > j {
@@ -240,7 +248,7 @@ func partialInsertionSortPairs(data []pair, a, b int) bool {
 	)
 	i := a + 1
 	for j := 0; j < maxSteps; j++ {
-		for i < b && !(data[i].v < data[i-1].v) {
+		for i < b && !(data[i].r() < data[i-1].r()) {
 			i++
 		}
 
@@ -257,7 +265,7 @@ func partialInsertionSortPairs(data []pair, a, b int) bool {
 		// Shift the smaller one to the left.
 		if i-a >= 2 {
 			for j := i - 1; j >= 1; j-- {
-				if !(data[j].v < data[j-1].v) {
+				if !(data[j].r() < data[j-1].r()) {
 					break
 				}
 				data[j], data[j-1] = data[j-1], data[j]
@@ -266,7 +274,7 @@ func partialInsertionSortPairs(data []pair, a, b int) bool {
 		// Shift the greater one to the right.
 		if b-i >= 2 {
 			for j := i + 1; j < b; j++ {
-				if !(data[j].v < data[j-1].v) {
+				if !(data[j].r() < data[j-1].r()) {
 					break
 				}
 				data[j], data[j-1] = data[j-1], data[j]
@@ -337,7 +345,7 @@ func choosePivotPairs(data []pair, a, b int) (pivot int, hint sortedHint) {
 
 // order2Pairs returns x,y where data[x] <= data[y], where x,y=a,b or x,y=b,a.
 func order2Pairs(data []pair, a, b int, swaps *int) (int, int) {
-	if data[b].v < data[a].v {
+	if data[b].r() < data[a].r() {
 		*swaps++
 		return b, a
 	}

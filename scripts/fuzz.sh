@@ -32,6 +32,7 @@ run ./internal/field FuzzMinMaxMatchesReference
 run ./internal/field FuzzScanMatchesReference
 run ./internal/field FuzzReadRawMatchesReference
 run ./internal/rf FuzzSplitSortMatchesReference
+run ./internal/rf FuzzSplitSearchMatchesReference
 run ./internal/xrand FuzzFBmMatchesReference
 run ./internal/archive FuzzArchiveRead
 run ./internal/chunked FuzzChunkedDecompress
