@@ -6,10 +6,12 @@
 //
 //	carolc -compressor sz3 -dims 256x256x256 -eb 1e-3 -in data.f32 -out data.sz3c
 //
-// Compress to a target ratio (trains a small CAROL model on the input's own
-// statistics first — self-training mode):
+// Compress to a target ratio (the FRaZ search on the error bound that
+// carolserve's ratio= runs: SZx, ZFP and SZ3 root-find on their SECRE
+// search surrogate and then compress once to three times; the achieved
+// ratio, the compressor runs and whether it landed within 3 % are printed):
 //
-//	carolc -compressor sperr -dims 256x256x256 -ratio 100 -in data.f32 -out data.szc
+//	carolc -compressor sz3 -dims 256x256x256 -ratio 40 -in data.f32 -out data.sz3c
 //
 // Compress via the streaming block pipeline (peak memory stops scaling
 // with field size; output is the CPL1 pipeline container):
@@ -41,7 +43,6 @@ import (
 	"carol/internal/field"
 	"carol/internal/pipeline"
 	"carol/internal/selector"
-	"carol/internal/trainset"
 )
 
 func main() {
@@ -97,7 +98,7 @@ func run() error {
 	if name == "auto" {
 		switch {
 		case *ratio > 0:
-			return fmt.Errorf("-codec auto needs -eb; fixed-ratio mode trains per codec, pass one explicitly")
+			return fmt.Errorf("-codec auto needs -eb; pass a codec with -ratio")
 		case *stream:
 			return fmt.Errorf("-codec auto cannot write CPL1 containers (they do not name their codec); pass a codec with -stream")
 		case !(*eb > 0):
@@ -190,29 +191,22 @@ func doCompressStream(comp string, f *carol.Field, eb float64, out string, worke
 	return nil
 }
 
-// compressToRatio self-trains a small CAROL model on the input field and
-// compresses to the requested ratio.
+// compressToRatio resolves the error bound for the requested ratio with
+// the FRaZ search carolserve's ratio= runs (carol.IterativeCompressToRatio):
+// it root-finds on the codec's SECRE search surrogate where the codec has
+// one, and compresses only where the search predicts the target.
 func compressToRatio(comp string, f *carol.Field, target float64) ([]byte, error) {
-	fw, err := carol.New(comp, carol.Config{
-		ErrorBounds:  trainset.GeometricBounds(1e-4, 1e-1, 12),
-		BOIterations: 6,
-		ForestCap:    30,
-	})
+	res, err := carol.IterativeCompressToRatio(comp, f, target)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fw.Collect([]*carol.Field{f}); err != nil {
-		return nil, err
+	band := "inside"
+	if !res.Converged {
+		band = "outside"
 	}
-	if _, err := fw.Train(); err != nil {
-		return nil, err
-	}
-	stream, achieved, err := fw.CompressToRatio(f, target)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("requested ratio %.1f, achieved %.2f\n", target, achieved)
-	return stream, nil
+	fmt.Printf("requested ratio %.1f, achieved %.2f at rel eb %.3g (%d compressor runs, %s the 3%% band)\n",
+		target, res.Achieved, res.RelErrorBound, res.CompressorRuns, band)
+	return res.Stream, nil
 }
 
 func doDecompress(comp, in, out string, workers int) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -104,5 +105,30 @@ func TestAutoCompressChoosesRegistered(t *testing.T) {
 	if chosen != best {
 		t.Fatalf("auto chose %s (ratio %.2f), best is %s (ratio %.2f)",
 			chosen, carol.Ratio(f, blobs[0]), best, bestRatio)
+	}
+}
+
+// TestCompressToRatioReachesTarget: -ratio resolves the bound by search, so
+// SZx at target 40 on a generated 32³ field lands within the 3 % band
+// (a forest trained on the field's own [1e-4, 1e-1] sweep stopped near 6.5).
+func TestCompressToRatioReachesTarget(t *testing.T) {
+	f, err := dataset.Generate("miranda", "viscosity", dataset.Options{Nx: 32, Ny: 32, Nz: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const target = 40
+	blob, err := compressToRatio("szx", f, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := carol.Ratio(f, blob); math.Abs(got-target) > 0.03*target {
+		t.Fatalf("szx -ratio %d achieved %.2f, outside the 3%% band", target, got)
+	}
+	g, err := decodeAny("szx", bytes.NewReader(blob), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Len() != f.Len() {
+		t.Fatalf("decoded %d samples, want %d", g.Len(), f.Len())
 	}
 }

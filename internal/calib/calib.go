@@ -23,6 +23,7 @@ import (
 
 	"carol/internal/compressor"
 	"carol/internal/field"
+	"carol/internal/secre"
 )
 
 // Model is a fitted calibration correction for one (dataset, compressor)
@@ -37,30 +38,30 @@ type Model struct {
 }
 
 // Fit runs the full compressor at each of the given error bounds, compares
-// against the surrogate, and fits the correction model. The paper finds 3–4
-// bounds sufficient; Fit accepts any count >= 2.
+// against the surrogate, and fits the correction model. Both sides are one
+// secre.Curve each, so a SECRE surrogate binds the field once. The paper
+// finds 3–4 bounds sufficient; Fit accepts any count >= 2.
 func Fit(codec compressor.Codec, est compressor.Estimator, f *field.Field, ebs []float64) (*Model, error) {
 	if len(ebs) < 2 {
 		return nil, errors.New("calib: need at least 2 calibration points")
 	}
 	pts := append([]float64(nil), ebs...)
 	sort.Float64s(pts)
+	fulls, err := secre.Curve(&secre.FullEstimator{Codec: codec}, f, pts)
+	if err != nil {
+		return nil, fmt.Errorf("calib: full compressor: %w", err)
+	}
+	guesses, err := secre.Curve(est, f, pts)
+	if err != nil {
+		return nil, fmt.Errorf("calib: surrogate: %w", err)
+	}
 	m := &Model{ebs: pts, rho: make([]float64, len(pts))}
 	overCount := 0
-	for i, eb := range pts {
-		stream, err := codec.Compress(f, eb)
-		if err != nil {
-			return nil, fmt.Errorf("calib: full compressor at eb=%g: %w", eb, err)
-		}
-		full := compressor.Ratio(f, stream)
+	for i, full := range fulls {
 		if full <= 0 {
-			return nil, fmt.Errorf("calib: non-positive full ratio at eb=%g", eb)
+			return nil, fmt.Errorf("calib: non-positive full ratio at eb=%g", pts[i])
 		}
-		guess, err := est.EstimateRatio(f, eb)
-		if err != nil {
-			return nil, fmt.Errorf("calib: surrogate at eb=%g: %w", eb, err)
-		}
-		m.rho[i] = (guess - full) / full
+		m.rho[i] = (guesses[i] - full) / full
 		if m.rho[i] > 0 {
 			overCount++
 		}
@@ -98,6 +99,16 @@ func (m *Model) Correct(eb, surrogateRatio float64) float64 {
 		denom = 0.05 // defensive: never blow the estimate up by >20x
 	}
 	return surrogateRatio / denom
+}
+
+// CorrectCurve is Correct at every point of a surrogate curve: ratios[i]
+// estimated at ebs[i]. It returns a new slice.
+func (m *Model) CorrectCurve(ebs, ratios []float64) []float64 {
+	out := make([]float64, len(ratios))
+	for i, r := range ratios {
+		out[i] = m.Correct(ebs[i], r)
+	}
+	return out
 }
 
 // PickCalibrationBounds selects n error bounds spread geometrically across

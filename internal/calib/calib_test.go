@@ -198,3 +198,46 @@ func TestCalibrationReducesSZ3Error(t *testing.T) {
 		t.Fatalf("calibrated error still %.1f%%", calErr.Mean())
 	}
 }
+
+// TestFitMatchesPointwise: Fit's two curves (the compressor's, and a SECRE
+// surrogate bound once) give, bit for bit, the correction a per-bound loop
+// of Compress and EstimateRatio gives, and CorrectCurve is Correct at every
+// point.
+func TestFitMatchesPointwise(t *testing.T) {
+	f := smoothField(24, 24, 8, 9)
+	for _, name := range []string{"sz3", "sperr"} {
+		codec, err := codecs.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := secre.New(name, secre.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ebs := PickCalibrationBounds(compressor.AbsBound(f, 1e-3), compressor.AbsBound(f, 1e-1), 4)
+		m, err := Fit(codec, est, f, ebs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws := make([]float64, len(ebs))
+		for i, eb := range ebs {
+			stream, err := codec.Compress(f, eb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := compressor.Ratio(f, stream)
+			if raws[i], err = est.EstimateRatio(f, eb); err != nil {
+				t.Fatal(err)
+			}
+			if want := (raws[i] - full) / full; math.Float64bits(m.rho[i]) != math.Float64bits(want) {
+				t.Fatalf("%s eb=%g: rho %v, per-bound %v", name, eb, m.rho[i], want)
+			}
+		}
+		cals := m.CorrectCurve(ebs, raws)
+		for i, eb := range ebs {
+			if want := m.Correct(eb, raws[i]); math.Float64bits(cals[i]) != math.Float64bits(want) {
+				t.Fatalf("%s eb=%g: CorrectCurve %v, Correct %v", name, eb, cals[i], want)
+			}
+		}
+	}
+}

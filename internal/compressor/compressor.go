@@ -69,6 +69,17 @@ func AbsBound(f *field.Field, rel float64) float64 {
 	return RangeBound(f.ValueRange(), rel)
 }
 
+// AbsBounds is AbsBound at each of rels, bit for bit, from one scan of
+// f's value range: the absolute bounds of an error-bound sweep.
+func AbsBounds(f *field.Field, rels []float64) []float64 {
+	r := f.ValueRange()
+	out := make([]float64, len(rels))
+	for i, rel := range rels {
+		out[i] = RangeBound(r, rel)
+	}
+	return out
+}
+
 // RangeBound is AbsBound for a field whose value range is r.
 func RangeBound(r, rel float64) float64 {
 	if r <= 0 {

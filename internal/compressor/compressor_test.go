@@ -31,6 +31,26 @@ func TestAbsBound(t *testing.T) {
 	}
 }
 
+// TestAbsBoundsMatchesAbsBound: the one-scan sweep form returns, bit for
+// bit, AbsBound at every bound, zero-range fields included.
+func TestAbsBoundsMatchesAbsBound(t *testing.T) {
+	rels := []float64{1e-4, 3.7e-3, 0.1, 0.5}
+	for _, f := range []*field.Field{
+		field.FromData("a", 4, 1, 1, []float32{-1.3, 5, 10.25, 2}),
+		field.New("z", 4, 1, 1),
+	} {
+		got := AbsBounds(f, rels)
+		if len(got) != len(rels) {
+			t.Fatalf("%s: %d bounds for %d rels", f.Name, len(got), len(rels))
+		}
+		for i, rel := range rels {
+			if want := AbsBound(f, rel); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s rel=%g: AbsBounds %g, AbsBound %g", f.Name, rel, got[i], want)
+			}
+		}
+	}
+}
+
 func TestCheckBound(t *testing.T) {
 	f := field.FromData("f", 3, 1, 1, []float32{1, 2, 3})
 	g := field.FromData("g", 3, 1, 1, []float32{1.05, 2, 2.95})

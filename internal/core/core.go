@@ -254,14 +254,12 @@ type fieldCurve struct {
 
 func (fw *Framework) collectField(f *field.Field) fieldCurve {
 	c := fieldCurve{feat: features.ExtractParallel(f, fw.cfg.Features)}
+	ebs := compressor.AbsBounds(f, fw.cfg.ErrorBounds)
 	var cal *calib.Model
 	if nCal := fw.calibrationPoints(); nCal >= 2 {
-		relLo := fw.cfg.ErrorBounds[0]
-		relHi := fw.cfg.ErrorBounds[len(fw.cfg.ErrorBounds)-1]
-		bounds := calib.PickCalibrationBounds(
-			compressor.AbsBound(f, relLo), compressor.AbsBound(f, relHi), nCal)
 		var err error
-		if cal, err = calib.Fit(fw.codec, fw.surrogate, f, bounds); err != nil {
+		cal, err = calib.Fit(fw.codec, fw.surrogate, f, calib.PickCalibrationBounds(ebs[0], ebs[len(ebs)-1], nCal))
+		if err != nil {
 			c.err = fmt.Errorf("core: calibrate %s: %w", f.Name, err)
 			return c
 		}
@@ -269,19 +267,13 @@ func (fw *Framework) collectField(f *field.Field) fieldCurve {
 	}
 	// One sweep per field: a SECRE surrogate validates and samples the
 	// field once for all of its bounds.
-	ebs := make([]float64, len(fw.cfg.ErrorBounds))
-	for i, rel := range fw.cfg.ErrorBounds {
-		ebs[i] = compressor.AbsBound(f, rel)
-	}
 	ratios, err := secre.Curve(fw.surrogate, f, ebs)
 	if err != nil {
 		c.err = fmt.Errorf("core: estimate %s: %w", f.Name, err)
 		return c
 	}
 	if cal != nil {
-		for i := range ratios {
-			ratios[i] = cal.Correct(ebs[i], ratios[i])
-		}
+		ratios = cal.CorrectCurve(ebs, ratios)
 	}
 	c.ratios = ratios
 	return c

@@ -199,48 +199,17 @@ func RunExtSZP(w io.Writer, s Scale) error {
 	if err != nil {
 		return err
 	}
-	codec, err := codecs.ByName("szp")
-	if err != nil {
-		return err
-	}
-	sur, err := codecs.SurrogateByName("szp")
-	if err != nil {
-		return err
-	}
-	truths := make([]float64, len(p.sweep))
-	fullTime, err := timeIt(func() error {
-		for i, rel := range p.sweep {
-			stream, err := codec.Compress(f, compressor.AbsBound(f, rel))
-			if err != nil {
-				return err
-			}
-			truths[i] = compressor.Ratio(f, stream)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	ests := make([]float64, len(p.sweep))
-	estTime, err := timeIt(func() error {
-		for i, rel := range p.sweep {
-			ests[i], err = sur.EstimateRatio(f, compressor.AbsBound(f, rel))
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	c, err := measureSweep("szp", f, p.sweep)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "sweep: full %s, surrogate %s (%.1fx), α=%.1f%%\n",
-		ms(fullTime), ms(estTime), float64(fullTime)/float64(estTime),
-		stats.EstimationError(ests, truths))
+		ms(c.fullTime), ms(c.rawTime), float64(c.fullTime)/float64(c.rawTime),
+		stats.EstimationError(c.raw, c.truth))
 	tw := newTable(w)
 	fmt.Fprintln(tw, "rel_eb\tf(e) real\tf(e) surrogate")
 	for i, rel := range p.sweep {
-		fmt.Fprintf(tw, "%.2e\t%.2f\t%.2f\n", rel, truths[i], ests[i])
+		fmt.Fprintf(tw, "%.2e\t%.2f\t%.2f\n", rel, c.truth[i], c.raw[i])
 	}
 	return tw.Flush()
 }

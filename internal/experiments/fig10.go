@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"carol/internal/calib"
 	"carol/internal/codecs"
-	"carol/internal/compressor"
 	"carol/internal/stats"
 )
 
@@ -21,49 +19,24 @@ func RunFig10(w io.Writer, s Scale) error {
 		return err
 	}
 	for _, name := range codecs.Names {
-		codec, err := codecs.ByName(name)
+		c, err := measureSweep(name, f, p.sweep)
 		if err != nil {
 			return err
 		}
-		sur, err := codecs.SurrogateByName(name)
+		cals, model, _, err := c.calibrate(4)
 		if err != nil {
 			return err
-		}
-		truths := make([]float64, len(p.sweep))
-		raws := make([]float64, len(p.sweep))
-		for i, rel := range p.sweep {
-			eb := compressor.AbsBound(f, rel)
-			stream, err := codec.Compress(f, eb)
-			if err != nil {
-				return err
-			}
-			truths[i] = compressor.Ratio(f, stream)
-			raws[i], err = sur.EstimateRatio(f, eb)
-			if err != nil {
-				return err
-			}
-		}
-		nCal := 4
-		lo := compressor.AbsBound(f, p.sweep[0])
-		hi := compressor.AbsBound(f, p.sweep[len(p.sweep)-1])
-		model, err := calib.Fit(codec, sur, f, calib.PickCalibrationBounds(lo, hi, nCal))
-		if err != nil {
-			return err
-		}
-		cals := make([]float64, len(p.sweep))
-		for i, rel := range p.sweep {
-			cals[i] = model.Correct(compressor.AbsBound(f, rel), raws[i])
 		}
 		mode := "under"
 		if model.Overestimates() {
 			mode = "over"
 		}
 		fmt.Fprintf(w, "\n[%s] SECRE %sestimates; α raw %.1f%% -> calibrated %.1f%%\n",
-			name, mode, stats.EstimationError(raws, truths), stats.EstimationError(cals, truths))
+			name, mode, stats.EstimationError(c.raw, c.truth), stats.EstimationError(cals, c.truth))
 		tw := newTable(w)
 		fmt.Fprintln(tw, "rel_eb\treal\tSECRE\tcalibrated")
 		for i, rel := range p.sweep {
-			fmt.Fprintf(tw, "%.2e\t%.2f\t%.2f\t%.2f\n", rel, truths[i], raws[i], cals[i])
+			fmt.Fprintf(tw, "%.2e\t%.2f\t%.2f\t%.2f\n", rel, c.truth[i], c.raw[i], cals[i])
 		}
 		if err := tw.Flush(); err != nil {
 			return err

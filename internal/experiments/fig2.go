@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"carol/internal/codecs"
-	"carol/internal/compressor"
-	"carol/internal/field"
 	"carol/internal/stats"
 )
 
@@ -16,7 +14,9 @@ import (
 // Miranda viscosity field, for all four compressors — together with the
 // time each estimation sweep takes. Codecs with a search surrogate (the one
 // a fixed-ratio search root-finds on) get a third column, f_search(e), timed
-// with its binding to the field.
+// with its binding to the field. Every column sweeps bounds converted from
+// one range scan, and SECRE is bound to the field once per sweep, as
+// CAROL's collection binds it (measureSweep).
 func RunFig2(w io.Writer, s Scale) error {
 	p := paramsFor(s)
 	header(w, "Fig 2", "f(e) estimated by full compressor (FXRZ) vs SECRE, Miranda viscosity")
@@ -25,40 +25,26 @@ func RunFig2(w io.Writer, s Scale) error {
 		return err
 	}
 	for _, name := range codecs.Names {
-		codec, err := codecs.ByName(name)
-		if err != nil {
-			return err
-		}
-		sur, err := codecs.SurrogateByName(name)
-		if err != nil {
-			return err
-		}
-		fullRatios, fullTime, err := sweep(f, p.sweep, func(eb float64) (float64, error) {
-			stream, err := codec.Compress(f, eb)
-			return compressor.Ratio(f, stream), err
-		})
-		if err != nil {
-			return err
-		}
-		estRatios, estTime, err := sweep(f, p.sweep, func(eb float64) (float64, error) { return sur.EstimateRatio(f, eb) })
+		c, err := measureSweep(name, f, p.sweep)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "\n[%s] sweep of %d bounds: FXRZ(full) %s, SECRE %s (%.1fx speedup), α=%.1f%%",
-			name, len(p.sweep), ms(fullTime), ms(estTime),
-			float64(fullTime)/float64(estTime),
-			stats.EstimationError(estRatios, fullRatios))
-		bindStart := time.Now()
+			name, len(p.sweep), ms(c.fullTime), ms(c.rawTime),
+			float64(c.fullTime)/float64(c.rawTime),
+			stats.EstimationError(c.raw, c.truth))
 		var searchRatios []float64
+		searchStart := time.Now()
 		if search := codecs.SearchSurrogate(name, f); search != nil {
-			bind := time.Since(bindStart)
-			ratios, d, err := sweep(f, p.sweep, search)
-			if err != nil {
-				return err
+			searchRatios = make([]float64, len(c.ebs))
+			for i, eb := range c.ebs {
+				if searchRatios[i], err = search(eb); err != nil {
+					return err
+				}
 			}
-			searchRatios, d = ratios, d+bind
+			d := time.Since(searchStart)
 			fmt.Fprintf(w, "; search %s (%.1fx), α=%.1f%%", ms(d),
-				float64(fullTime)/float64(d), stats.EstimationError(searchRatios, fullRatios))
+				float64(c.fullTime)/float64(d), stats.EstimationError(searchRatios, c.truth))
 		}
 		fmt.Fprintln(w)
 		tw := newTable(w)
@@ -67,7 +53,7 @@ func RunFig2(w io.Writer, s Scale) error {
 			fmt.Fprint(tw, "\tf_search(e)")
 		}
 		for i, rel := range p.sweep {
-			fmt.Fprintf(tw, "\n%.2e\t%.2f\t%.2f", rel, fullRatios[i], estRatios[i])
+			fmt.Fprintf(tw, "\n%.2e\t%.2f\t%.2f", rel, c.truth[i], c.raw[i])
 			if searchRatios != nil {
 				fmt.Fprintf(tw, "\t%.2f", searchRatios[i])
 			}
@@ -78,20 +64,4 @@ func RunFig2(w io.Writer, s Scale) error {
 		}
 	}
 	return nil
-}
-
-// sweep evaluates ratio at each value-range-relative bound in rels, timed.
-func sweep(f *field.Field, rels []float64, ratio func(eb float64) (float64, error)) ([]float64, time.Duration, error) {
-	out := make([]float64, len(rels))
-	d, err := timeIt(func() error {
-		for i, rel := range rels {
-			r, err := ratio(compressor.AbsBound(f, rel))
-			if err != nil {
-				return err
-			}
-			out[i] = r
-		}
-		return nil
-	})
-	return out, d, err
 }

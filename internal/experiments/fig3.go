@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"carol/internal/calib"
-	"carol/internal/codecs"
-	"carol/internal/compressor"
 	"carol/internal/field"
 	"carol/internal/stats"
 )
@@ -35,40 +32,15 @@ func RunFig3(w io.Writer, s Scale) error {
 }
 
 func fig3One(w io.Writer, p params, f *field.Field) error {
-	codec, err := codecs.ByName("sperr")
+	c, err := measureSweep("sperr", f, p.sweep)
 	if err != nil {
 		return err
-	}
-	sur, err := codecs.SurrogateByName("sperr")
-	if err != nil {
-		return err
-	}
-	// Ground truth and raw surrogate curves.
-	truths := make([]float64, len(p.sweep))
-	raws := make([]float64, len(p.sweep))
-	for i, rel := range p.sweep {
-		eb := compressor.AbsBound(f, rel)
-		stream, err := codec.Compress(f, eb)
-		if err != nil {
-			return err
-		}
-		truths[i] = compressor.Ratio(f, stream)
-		raws[i], err = sur.EstimateRatio(f, eb)
-		if err != nil {
-			return err
-		}
 	}
 	// Calibrate with 4 points (the paper's recommendation for SPERR is 3,
 	// 4 gives headroom on SZ3; Figure 3 plots the constructed α' curve).
-	lo := compressor.AbsBound(f, p.sweep[0])
-	hi := compressor.AbsBound(f, p.sweep[len(p.sweep)-1])
-	model, err := calib.Fit(codec, sur, f, calib.PickCalibrationBounds(lo, hi, 4))
+	cals, model, _, err := c.calibrate(4)
 	if err != nil {
 		return err
-	}
-	cals := make([]float64, len(p.sweep))
-	for i, rel := range p.sweep {
-		cals[i] = model.Correct(compressor.AbsBound(f, rel), raws[i])
 	}
 	mode := "underestimates"
 	if model.Overestimates() {
@@ -76,15 +48,15 @@ func fig3One(w io.Writer, p params, f *field.Field) error {
 	}
 	fmt.Fprintf(w, "\n[%s] SECRE %s; α %.1f%% -> %.1f%% after 4-point calibration\n",
 		f.Name, mode,
-		stats.EstimationError(raws, truths),
-		stats.EstimationError(cals, truths))
+		stats.EstimationError(c.raw, c.truth),
+		stats.EstimationError(cals, c.truth))
 	tw := newTable(w)
 	fmt.Fprintln(tw, "rel_eb\tf(e) true\tα(e)%\tα'(e)% (calibrated)")
 	for i, rel := range p.sweep {
 		fmt.Fprintf(tw, "%.2e\t%.2f\t%.1f\t%.1f\n",
-			rel, truths[i],
-			stats.PctError(raws[i], truths[i]),
-			stats.PctError(cals[i], truths[i]))
+			rel, c.truth[i],
+			stats.PctError(c.raw[i], c.truth[i]),
+			stats.PctError(cals[i], c.truth[i]))
 	}
 	return tw.Flush()
 }

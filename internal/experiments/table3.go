@@ -9,6 +9,7 @@ import (
 	"carol/internal/core"
 	"carol/internal/field"
 	"carol/internal/fxrz"
+	"carol/internal/secre"
 	"carol/internal/stats"
 )
 
@@ -121,21 +122,14 @@ func singleDomainAlpha(p params, codecName string, train []*field.Field, test *f
 }
 
 // achievableTargets samples n target ratios the compressor can actually
-// reach on f, by probing the interior of the sweep.
+// reach on f: its full-compressor curve at interior points of the sweep.
 func achievableTargets(codec compressor.Codec, f *field.Field, p params, n int) ([]float64, error) {
-	var targets []float64
-	step := (len(p.sweep) - 2) / n
-	if step < 1 {
-		step = 1
+	step := max((len(p.sweep)-2)/n, 1)
+	var rels []float64
+	for i := 1; i < len(p.sweep)-1 && len(rels) < n; i += step {
+		rels = append(rels, p.sweep[i])
 	}
-	for i := 1; i < len(p.sweep)-1 && len(targets) < n; i += step {
-		stream, err := codec.Compress(f, compressor.AbsBound(f, p.sweep[i]))
-		if err != nil {
-			return nil, err
-		}
-		targets = append(targets, compressor.Ratio(f, stream))
-	}
-	return targets, nil
+	return secre.Curve(&secre.FullEstimator{Codec: codec}, f, compressor.AbsBounds(f, rels))
 }
 
 // endToEndAlpha measures the mean percentage gap between requested and

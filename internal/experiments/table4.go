@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"carol/internal/codecs"
-	"carol/internal/compressor"
-	"carol/internal/field"
 )
 
 // collectionDatasets are the five dataset rows of Tables 4 and 5.
@@ -21,7 +19,7 @@ var collectionDatasets = []struct{ ds, field string }{
 
 // RunTable4 reproduces Table 4: training-data collection time per dataset
 // using the full compressor vs SECRE surrogate estimation, with per-codec
-// speedups.
+// speedups. Each cell times one sweep's secre.Curve (measureSweep).
 func RunTable4(w io.Writer, s Scale) error {
 	p := paramsFor(s)
 	header(w, "Table 4", "Collection time: full compressor (full) vs SECRE estimation (est)")
@@ -41,13 +39,13 @@ func RunTable4(w io.Writer, s Scale) error {
 		}
 		fmt.Fprint(tw, row.ds)
 		for _, name := range codecs.Names {
-			full, est, err := collectTimes(p, name, f)
+			c, err := measureSweep(name, f, p.sweep)
 			if err != nil {
 				return err
 			}
-			sumFull[name] += full
-			sumEst[name] += est
-			fmt.Fprintf(tw, "\t%s\t%s", ms(full), ms(est))
+			sumFull[name] += c.fullTime
+			sumEst[name] += c.rawTime
+			fmt.Fprintf(tw, "\t%s\t%s", ms(c.fullTime), ms(c.rawTime))
 		}
 		fmt.Fprintln(tw)
 	}
@@ -57,37 +55,4 @@ func RunTable4(w io.Writer, s Scale) error {
 	}
 	fmt.Fprintln(tw)
 	return tw.Flush()
-}
-
-// collectTimes measures one error-bound sweep on f with the full
-// compressor and with the SECRE surrogate.
-func collectTimes(p params, codecName string, f *field.Field) (full, est time.Duration, err error) {
-	codec, err := codecs.ByName(codecName)
-	if err != nil {
-		return 0, 0, err
-	}
-	sur, err := codecs.SurrogateByName(codecName)
-	if err != nil {
-		return 0, 0, err
-	}
-	full, err = timeIt(func() error {
-		for _, rel := range p.sweep {
-			if _, err := codec.Compress(f, compressor.AbsBound(f, rel)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	est, err = timeIt(func() error {
-		for _, rel := range p.sweep {
-			if _, err := sur.EstimateRatio(f, compressor.AbsBound(f, rel)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	return full, est, err
 }

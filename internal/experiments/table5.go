@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"carol/internal/calib"
-	"carol/internal/codecs"
-	"carol/internal/compressor"
 	"carol/internal/stats"
 )
 
@@ -29,76 +25,24 @@ func RunTable5(w io.Writer, s Scale) error {
 			if err != nil {
 				return err
 			}
-			codec, err := codecs.ByName(codecName)
-			if err != nil {
-				return err
-			}
-			sur, err := codecs.SurrogateByName(codecName)
-			if err != nil {
-				return err
-			}
-			// Ground truth sweep (timed: the "full" baseline).
-			truths := make([]float64, len(p.sweep))
-			fullTime, err := timeIt(func() error {
-				for i, rel := range p.sweep {
-					stream, err := codec.Compress(f, compressor.AbsBound(f, rel))
-					if err != nil {
-						return err
-					}
-					truths[i] = compressor.Ratio(f, stream)
-				}
-				return nil
-			})
+			c, err := measureSweep(codecName, f, p.sweep)
 			if err != nil {
 				return err
 			}
 			fmt.Fprint(tw, row.ds)
 			for pi, nCal := range []int{0, 3, 4, 5} {
-				ests := make([]float64, len(p.sweep))
-				var estTime time.Duration
-				if nCal == 0 {
-					estTime, err = timeIt(func() error {
-						for i, rel := range p.sweep {
-							ests[i], err = sur.EstimateRatio(f, compressor.AbsBound(f, rel))
-							if err != nil {
-								return err
-							}
-						}
-						return nil
-					})
+				// S(kpt) is the full sweep over the surrogate sweep plus the
+				// k-point calibration (its fit and the correction).
+				ests, estTime := c.raw, c.rawTime
+				if nCal > 0 {
+					cals, _, calTime, err := c.calibrate(nCal)
 					if err != nil {
 						return err
 					}
-				} else {
-					lo := compressor.AbsBound(f, p.sweep[0])
-					hi := compressor.AbsBound(f, p.sweep[len(p.sweep)-1])
-					var model *calib.Model
-					calTime, err := timeIt(func() error {
-						var err error
-						model, err = calib.Fit(codec, sur, f, calib.PickCalibrationBounds(lo, hi, nCal))
-						return err
-					})
-					if err != nil {
-						return err
-					}
-					sweepTime, err := timeIt(func() error {
-						for i, rel := range p.sweep {
-							eb := compressor.AbsBound(f, rel)
-							raw, err := sur.EstimateRatio(f, eb)
-							if err != nil {
-								return err
-							}
-							ests[i] = model.Correct(eb, raw)
-						}
-						return nil
-					})
-					if err != nil {
-						return err
-					}
-					estTime = calTime + sweepTime
+					ests, estTime = cals, c.rawTime+calTime
 				}
-				speedup := float64(fullTime) / float64(estTime)
-				alpha := stats.EstimationError(ests, truths)
+				speedup := float64(c.fullTime) / float64(estTime)
+				alpha := stats.EstimationError(ests, c.truth)
 				avgS[pi] += speedup
 				avgA[pi] += alpha
 				fmt.Fprintf(tw, "\t%.1fx\t%.1f%%", speedup, alpha)

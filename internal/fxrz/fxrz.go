@@ -21,6 +21,7 @@ import (
 	"carol/internal/gridsearch"
 	"carol/internal/pipeline"
 	"carol/internal/rf"
+	"carol/internal/secre"
 	"carol/internal/trainset"
 )
 
@@ -105,10 +106,12 @@ func (fw *Framework) Codec() compressor.Codec { return fw.codec }
 func (fw *Framework) TrainingSize() int { return fw.set.Len() }
 
 // Collect runs FXRZ's data collection on the given fields: features via
-// strided serial extraction, then a full compressor run per error bound.
-// Fields are compressed on up to Config.Workers goroutines, as CAROL's
-// Collect does, and their samples added in field order, so the training
-// set, the stats and the error are those of a serial loop.
+// strided serial extraction, then the full compressor's curve over the
+// error-bound sweep (secre.Curve of a secre.FullEstimator). Fields are
+// compressed on up to Config.Workers goroutines, as CAROL's Collect does,
+// and their samples added in field order, so the training set, the stats
+// and the error (the first failing field's, which adds no sample) are those
+// of a serial loop.
 func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
 	start := time.Now()
 	stats := CollectStats{Fields: len(fields)}
@@ -119,6 +122,9 @@ func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
 		return stats, err
 	}
 	for _, c := range curves {
+		if c.err != nil {
+			return stats, c.err
+		}
 		for i, ratio := range c.ratios {
 			stats.CompressorRuns++
 			if err := fw.set.Add(trainset.Sample{Features: c.feat, Ratio: ratio, RelEB: fw.cfg.ErrorBounds[i]}); err != nil {
@@ -126,16 +132,13 @@ func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
 			}
 			stats.Samples++
 		}
-		if c.err != nil {
-			return stats, c.err
-		}
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
 }
 
 // fieldCurve is one field's share of a Collect: its features and the
-// measured ratio at each error bound up to the first compressor error.
+// measured ratio at each error bound, or the error that stopped it.
 type fieldCurve struct {
 	feat   features.Vector
 	ratios []float64
@@ -144,13 +147,10 @@ type fieldCurve struct {
 
 func (fw *Framework) collectField(f *field.Field) fieldCurve {
 	c := fieldCurve{feat: features.ExtractSampled(f, fw.cfg.FeatureStride)}
-	for _, rel := range fw.cfg.ErrorBounds {
-		stream, err := fw.codec.Compress(f, compressor.AbsBound(f, rel))
-		if err != nil {
-			c.err = fmt.Errorf("fxrz: collect %s at rel=%g: %w", f.Name, rel, err)
-			return c
-		}
-		c.ratios = append(c.ratios, compressor.Ratio(f, stream))
+	ebs := compressor.AbsBounds(f, fw.cfg.ErrorBounds)
+	c.ratios, c.err = secre.Curve(&secre.FullEstimator{Codec: fw.codec}, f, ebs)
+	if c.err != nil {
+		c.err = fmt.Errorf("fxrz: collect %s: %w", f.Name, c.err)
 	}
 	return c
 }

@@ -146,3 +146,37 @@ func TestCollectWorkersBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// capCodec is szx that fails above an absolute error bound.
+type capCodec struct {
+	compressor.Codec
+	maxEB float64
+}
+
+func (c capCodec) Compress(f *field.Field, eb float64) ([]byte, error) {
+	if eb > c.maxEB {
+		return nil, fmt.Errorf("capCodec: eb %g above %g", eb, c.maxEB)
+	}
+	return c.Codec.Compress(f, eb)
+}
+
+// TestCollectDropsFailedField: a field whose sweep fails part-way adds no
+// sample, as in CAROL's Collect; the fields before it keep theirs.
+func TestCollectDropsFailedField(t *testing.T) {
+	cfg := fastConfig()
+	good := trainFields(t)[0]
+	// bad is good scaled by 100: its bounds pass the cap up to rel 1e-3,
+	// so its sweep fails after four successful runs.
+	bad := field.New("bad", good.Nx, good.Ny, good.Nz)
+	for i, v := range good.Data {
+		bad.Data[i] = 100 * v
+	}
+	maxEB := compressor.AbsBound(good, cfg.ErrorBounds[len(cfg.ErrorBounds)-1])
+	fw := New(capCodec{Codec: szx.New(), maxEB: maxEB}, cfg)
+	if _, err := fw.Collect([]*field.Field{good, bad}); err == nil {
+		t.Fatal("Collect accepted a failing sweep")
+	}
+	if got, want := fw.TrainingSize(), len(cfg.ErrorBounds); got != want {
+		t.Fatalf("TrainingSize %d after the failed Collect, want %d (the good field's only)", got, want)
+	}
+}

@@ -98,6 +98,23 @@ if [ "$restored" -ne 8192 ]; then
     exit 1
 fi
 
+echo "== carolc -ratio (FRaZ search on the error bound) lands within 3 % and round-trips"
+# 32x32x32 float32 = 131072 bytes.
+"$bindir/carolgen" -dataset miranda -field viscosity -dims 32x32x32 -out "$workdir/visc.raw"
+"$bindir/carolc" -compressor szx -dims 32x32x32 -ratio 20 \
+    -in "$workdir/visc.raw" -out "$workdir/visc.szx" | tee "$workdir/ratio.txt"
+achieved=$(awk '/^requested ratio/ { print $5 }' "$workdir/ratio.txt")
+if ! awk -v a="$achieved" 'BEGIN { d = a - 20; if (d < 0) d = -d; exit !(a != "" && d <= 0.6) }'; then
+    echo "smoke: carolc -ratio 20 achieved '$achieved', want within 3 % of 20" >&2
+    exit 1
+fi
+"$bindir/carolc" -d -compressor szx -in "$workdir/visc.szx" -out "$workdir/visc.restored"
+restored=$(wc -c <"$workdir/visc.restored")
+if [ "$restored" -ne 131072 ]; then
+    echo "smoke: carolc -ratio round trip restored $restored bytes, want 131072" >&2
+    exit 1
+fi
+
 echo "== carolpack -pack (plain, then -stream), -list and -extract"
 for flags in "" -stream; do
     "$bindir/carolpack" -pack $flags -out "$workdir/snap.car" \
