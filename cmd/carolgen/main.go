@@ -4,37 +4,42 @@
 //
 //	carolgen -dataset miranda -field viscosity -dims 128x128x128 -out visc.f32
 //	carolgen -list
+//
+// -dims is NXxNYxNZ; a missing trailing axis is 1, so 32x32 is a 32×32×1
+// field, as everywhere else in the repository (field.ParseDims).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"carol/internal/dataset"
+	"carol/internal/field"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "carolgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	ds := flag.String("dataset", "", "dataset name (see -list)")
-	fieldName := flag.String("field", "", "field name (see -list)")
-	dims := flag.String("dims", "", "override grid dims NXxNYxNZ")
-	step := flag.Int("step", 0, "time step (time-evolving datasets)")
-	out := flag.String("out", "", "output file")
-	list := flag.Bool("list", false, "list datasets and fields")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("carolgen", flag.ExitOnError)
+	ds := fs.String("dataset", "", "dataset name (see -list)")
+	fieldName := fs.String("field", "", "field name (see -list)")
+	dims := fs.String("dims", "", "override grid dims NXxNYxNZ (a missing trailing axis is 1)")
+	step := fs.Int("step", 0, "time step (time-evolving datasets)")
+	out := fs.String("out", "", "output file")
+	list := fs.Bool("list", false, "list datasets and fields")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, -h exits 0
 
 	if *list {
 		for _, spec := range dataset.Summary() {
-			fmt.Printf("%-10s %-24s steps=%-3d default=%dx%dx%d fields=%s\n",
+			fmt.Fprintf(stdout, "%-10s %-24s steps=%-3d default=%dx%dx%d fields=%s\n",
 				spec.Name, spec.Domain, spec.TimeSteps, spec.Nx, spec.Ny, spec.Nz,
 				strings.Join(spec.Fields, ","))
 		}
@@ -45,19 +50,10 @@ func run() error {
 	}
 	opts := dataset.Options{TimeStep: *step}
 	if *dims != "" {
-		parts := strings.Split(strings.ToLower(*dims), "x")
-		vals := []int{0, 0, 0}
-		for i, p := range parts {
-			if i >= 3 {
-				return fmt.Errorf("bad -dims %q", *dims)
-			}
-			v, err := strconv.Atoi(p)
-			if err != nil || v < 1 {
-				return fmt.Errorf("bad -dims %q", *dims)
-			}
-			vals[i] = v
+		var err error
+		if opts.Nx, opts.Ny, opts.Nz, err = field.ParseDims(*dims); err != nil {
+			return fmt.Errorf("-dims: %w", err)
 		}
-		opts.Nx, opts.Ny, opts.Nz = vals[0], vals[1], vals[2]
 	}
 	f, err := dataset.Generate(*ds, *fieldName, opts)
 	if err != nil {
@@ -74,6 +70,6 @@ func run() error {
 	if err := outF.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %s %dx%dx%d (%d bytes)\n", *out, f.Name, f.Nx, f.Ny, f.Nz, f.SizeBytes())
+	fmt.Fprintf(stdout, "wrote %s: %s %dx%dx%d (%d bytes)\n", *out, f.Name, f.Nx, f.Ny, f.Nz, f.SizeBytes())
 	return nil
 }

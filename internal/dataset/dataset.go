@@ -98,13 +98,19 @@ func Lookup(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("dataset: unknown dataset %q (have %v)", name, Names())
 }
 
+// MaxSamples caps the grid one Generate call synthesizes: 1<<28 samples, a
+// 1 GiB float32 field, the element cap safedec.Default puts on a decoded
+// field. Generate refuses a larger grid before it allocates anything.
+const MaxSamples = 1 << 28
+
 // Options controls generation. Zero values use the dataset defaults.
 type Options struct {
 	Nx, Ny, Nz int // grid dims; 0 uses the dataset default
 	TimeStep   int // snapshot index for time-evolving datasets
 }
 
-// Generate synthesizes one field of one dataset.
+// Generate synthesizes one field of one dataset. It returns an error naming
+// the grid when nx·ny·nz exceeds MaxSamples.
 func Generate(dataset, fieldName string, opts Options) (*field.Field, error) {
 	spec, err := Lookup(dataset)
 	if err != nil {
@@ -132,6 +138,11 @@ func Generate(dataset, fieldName string, opts Options) (*field.Field, error) {
 	}
 	if spec.Nz == 1 {
 		nz = 1
+	}
+	// nx·ny ≤ ⌊MaxSamples/nz⌋ exactly when nx·ny·nz ≤ MaxSamples, and neither
+	// side can overflow once nx and ny are within the cap.
+	if nx > MaxSamples || ny > MaxSamples || int64(nx)*int64(ny) > MaxSamples/int64(nz) {
+		return nil, fmt.Errorf("dataset: %s/%s: %dx%dx%d grid exceeds %d samples", dataset, fieldName, nx, ny, nz, MaxSamples)
 	}
 	seed := seedFor(dataset, fieldName)
 	f := field.New(dataset+"/"+fieldName, nx, ny, nz)
@@ -181,15 +192,41 @@ func seedFor(dataset, fieldName string) uint64 {
 	return h.Sum64()
 }
 
-// fill evaluates fn over the grid with coordinates normalized by scale.
-func fill(f *field.Field, fn func(x, y, z float64) float64) {
+// fillRows fills f one x-row at a time: row(y, z, out) writes the Nx
+// samples of row (y, z) into out, and fillRows stores them as float32.
+func fillRows(f *field.Field, row func(y, z int, out []float64)) {
+	out := make([]float64, f.Nx)
 	for z := 0; z < f.Nz; z++ {
 		for y := 0; y < f.Ny; y++ {
-			for x := 0; x < f.Nx; x++ {
-				f.Set(x, y, z, float32(fn(float64(x), float64(y), float64(z))))
+			row(y, z, out)
+			dst := f.Data[(z*f.Ny+y)*f.Nx:][:f.Nx]
+			for i, v := range out {
+				dst[i] = float32(v)
 			}
 		}
 	}
+}
+
+// axis returns the FBmRow axis of the n x coordinates coord(0), ...,
+// coord(n-1), given as float64.
+func axis(n int, coord func(x float64) float64) *xrand.Axis {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = coord(float64(i))
+	}
+	return xrand.NewAxis(xs)
+}
+
+// columns tabulates fn, a term of a generator that does not depend on z,
+// once per (x, y) column, at index y*Nx + x.
+func columns(f *field.Field, fn func(x, y float64) float64) []float64 {
+	out := make([]float64, f.Nx*f.Ny)
+	for y := 0; y < f.Ny; y++ {
+		for x := 0; x < f.Nx; x++ {
+			out[y*f.Nx+x] = fn(float64(x), float64(y))
+		}
+	}
+	return out
 }
 
 // genMiranda produces turbulence-simulation fields: smooth multi-octave fBm
@@ -211,8 +248,12 @@ func genMiranda(f *field.Field, name string, seed uint64) {
 	default: // velocity components: zero-mean, more fine-scale energy
 		octaves, gain, amp, offset = 5, 0.55, 1.2, 0
 	}
-	fill(f, func(x, y, z float64) float64 {
-		return offset + amp*n.FBm(x/24, y/24, z/24, octaves, gain)
+	ax := axis(f.Nx, func(x float64) float64 { return x / 24 })
+	fillRows(f, func(y, z int, out []float64) {
+		n.FBmRow(out, ax, float64(y)/24, float64(z)/24, octaves, gain)
+		for i, v := range out {
+			out[i] = offset + amp*v
+		}
 	})
 }
 
@@ -223,27 +264,34 @@ func genNYX(f *field.Field, name string, seed uint64, step int) {
 	// Structure sharpens slightly with time (gravitational collapse).
 	sharp := 1 + 0.08*float64(step)
 	toff := 7.9 * float64(step)
+	var scale, gain float64
+	var octaves int
+	var shape func(v float64) float64
 	switch name {
 	case "baryon_density":
-		fill(f, func(x, y, z float64) float64 {
-			v := n.FBm(x/20+toff, y/20, z/20, 5, 0.55)
+		scale, octaves, gain = 20, 5, 0.55
+		shape = func(v float64) float64 {
 			return math.Exp(3.5 * sharp * v) // log-normal, range ~e^-3.5..e^3.5
-		})
+		}
 	case "dark_matter_density":
-		fill(f, func(x, y, z float64) float64 {
-			v := n.FBm(x/16+toff, y/16, z/16, 6, 0.6)
-			return math.Exp(4.5 * sharp * v)
-		})
+		scale, octaves, gain = 16, 6, 0.6
+		shape = func(v float64) float64 { return math.Exp(4.5 * sharp * v) }
 	case "temperature":
-		fill(f, func(x, y, z float64) float64 {
-			v := n.FBm(x/24+toff, y/24, z/24, 4, 0.5)
+		scale, octaves, gain = 24, 4, 0.5
+		shape = func(v float64) float64 {
 			return 1e4 * math.Exp(2.5*v) // ~5e2 .. 2e5 K
-		})
+		}
 	default: // velocity_x
-		fill(f, func(x, y, z float64) float64 {
-			return 3e2 * n.FBm(x/28+toff, y/28, z/28, 4, 0.5)
-		})
+		scale, octaves, gain = 28, 4, 0.5
+		shape = func(v float64) float64 { return 3e2 * v }
 	}
+	ax := axis(f.Nx, func(x float64) float64 { return x/scale + toff })
+	fillRows(f, func(y, z int, out []float64) {
+		n.FBmRow(out, ax, float64(y)/scale, float64(z)/scale, octaves, gain)
+		for i, v := range out {
+			out[i] = shape(v)
+		}
+	})
 }
 
 // genCESM produces 2D climate fields with latitudinal banding plus
@@ -265,10 +313,15 @@ func genCESM(f *field.Field, name string, seed uint64) {
 	default: // cloud fractions etc. in [0,1]
 		amp, offset = 0.4, 0.5
 	}
-	fill(f, func(x, y, _ float64) float64 {
+	ax := axis(f.Nx, func(x float64) float64 { return x / 30 })
+	fillRows(f, func(yi, _ int, out []float64) {
+		y := float64(yi)
 		lat := math.Pi * (y/ny - 0.5) // -pi/2 .. pi/2
 		band := math.Cos(lat) + 0.3*math.Cos(3*lat)
-		return offset + amp*(0.5*band+0.5*n.FBm(x/30, y/30, 0.5, 4, 0.55))
+		n.FBmRow(out, ax, y/30, 0.5, 4, 0.55)
+		for i, v := range out {
+			out[i] = offset + amp*(0.5*band+0.5*v)
+		}
 	})
 }
 
@@ -300,12 +353,20 @@ func genHurricane(f *field.Field, name string, seed uint64, step int) {
 		amp, offset = 0.02, 0.01
 	}
 	nx, ny := float64(f.Nx), float64(f.Ny)
-	fill(f, func(x, y, z float64) float64 {
+	eye := columns(f, func(x, y float64) float64 {
 		dx, dy := x/nx-cx, y/ny-cy
 		r2 := dx*dx + dy*dy
-		vortex := strength * math.Exp(-r2*40) * (1 - 0.5*z/float64(f.Nz))
-		noise := n.FBm(x/18+0.7*t, y/18+0.4*t, z/10, rough, 0.55)
-		return offset + amp*(vortex+0.35*noise)
+		return strength * math.Exp(-r2*40)
+	})
+	ax := axis(f.Nx, func(x float64) float64 { return x/18 + 0.7*t })
+	fillRows(f, func(yi, zi int, out []float64) {
+		y, z := float64(yi), float64(zi)
+		decay := 1 - 0.5*z/float64(f.Nz)
+		n.FBmRow(out, ax, y/18+0.4*t, z/10, rough, 0.55)
+		for i, noise := range out {
+			vortex := eye[yi*f.Nx+i] * decay
+			out[i] = offset + amp*(vortex+0.35*noise)
+		}
 	})
 }
 
@@ -323,13 +384,19 @@ func genHCCI(f *field.Field, seed uint64) {
 		}
 	}
 	nx, ny, nz := float64(f.Nx), float64(f.Ny), float64(f.Nz)
-	fill(f, func(x, y, z float64) float64 {
-		v := 800 + 30*n.FBm(x/20, y/20, z/20, 3, 0.5)
-		for _, k := range kernels {
-			dx, dy, dz := x/nx-k.x, y/ny-k.y, z/nz-k.z
-			v += k.amp * math.Exp(-(dx*dx+dy*dy+dz*dz)/(2*k.r*k.r))
+	ax := axis(f.Nx, func(x float64) float64 { return x / 20 })
+	fillRows(f, func(yi, zi int, out []float64) {
+		y, z := float64(yi), float64(zi)
+		n.FBmRow(out, ax, y/20, z/20, 3, 0.5)
+		for i, fbm := range out {
+			x := float64(i)
+			v := 800 + 30*fbm
+			for _, k := range kernels {
+				dx, dy, dz := x/nx-k.x, y/ny-k.y, z/nz-k.z
+				v += k.amp * math.Exp(-(dx*dx+dy*dy+dz*dz)/(2*k.r*k.r))
+			}
+			out[i] = v
 		}
-		return v
 	})
 }
 
@@ -338,11 +405,18 @@ func genHCCI(f *field.Field, seed uint64) {
 // magnitude (non-negative, heavy intermittent tails).
 func genIT(f *field.Field, seed uint64) {
 	nu, nv, nw := xrand.NewNoise(seed), xrand.NewNoise(seed^0x55aa), xrand.NewNoise(seed^0x1234)
-	fill(f, func(x, y, z float64) float64 {
-		u := nu.FBm(x/14, y/14, z/14, 6, 0.62)
-		v := nv.FBm(x/14, y/14, z/14, 6, 0.62)
-		w := nw.FBm(x/14, y/14, z/14, 6, 0.62)
-		return math.Sqrt(u*u + v*v + w*w)
+	// One Axis per Noise: each keeps the cell cache of its own seed.
+	coord := func(x float64) float64 { return x / 14 }
+	au, av, aw := axis(f.Nx, coord), axis(f.Nx, coord), axis(f.Nx, coord)
+	v, w := make([]float64, f.Nx), make([]float64, f.Nx)
+	fillRows(f, func(yi, zi int, u []float64) {
+		y, z := float64(yi)/14, float64(zi)/14
+		nu.FBmRow(u, au, y, z, 6, 0.62)
+		nv.FBmRow(v, av, y, z, 6, 0.62)
+		nw.FBmRow(w, aw, y, z, 6, 0.62)
+		for i := range u {
+			u[i] = math.Sqrt(u[i]*u[i] + v[i]*v[i] + w[i]*w[i])
+		}
 	})
 }
 
@@ -351,21 +425,26 @@ func genIT(f *field.Field, seed uint64) {
 func genJIC(f *field.Field, seed uint64) {
 	n := xrand.NewNoise(seed)
 	nx, ny, nz := float64(f.Nx), float64(f.Ny), float64(f.Nz)
-	fill(f, func(x, y, z float64) float64 {
-		// Jet enters at (x=0, center of y/z) and bends downstream (+x).
-		t := x / nx
-		cy := 0.5 + 0.25*t*t // trajectory bends with distance
-		dy := y/ny - cy
-		dz := z/nz - 0.5
-		r2 := dy*dy + dz*dz
-		width := 0.02 + 0.12*t // jet spreads
-		core := math.Exp(-r2 / (2 * width))
-		turb := 0.25 * (1 + t) * n.FBm(x/10, y/10, z/10, 5, 0.6)
-		v := core*(1-0.5*t) + core*turb
-		if v < 0 {
-			v = 0
+	ax := axis(f.Nx, func(x float64) float64 { return x / 10 })
+	fillRows(f, func(yi, zi int, out []float64) {
+		y, z := float64(yi), float64(zi)
+		n.FBmRow(out, ax, y/10, z/10, 5, 0.6)
+		for i, fbm := range out {
+			// Jet enters at (x=0, center of y/z) and bends downstream (+x).
+			t := float64(i) / nx
+			cy := 0.5 + 0.25*t*t // trajectory bends with distance
+			dy := y/ny - cy
+			dz := z/nz - 0.5
+			r2 := dy*dy + dz*dz
+			width := 0.02 + 0.12*t // jet spreads
+			core := math.Exp(-r2 / (2 * width))
+			turb := 0.25 * (1 + t) * fbm
+			v := core*(1-0.5*t) + core*turb
+			if v < 0 {
+				v = 0
+			}
+			out[i] = v
 		}
-		return v
 	})
 }
 
@@ -375,11 +454,17 @@ func genMRS(f *field.Field, seed uint64) {
 	n := xrand.NewNoise(seed)
 	ny := float64(f.Ny)
 	nx := float64(f.Nx)
-	fill(f, func(x, y, z float64) float64 {
+	sheet := columns(f, func(x, y float64) float64 {
 		// Sheet at mid-plane, rippled by the island wavenumber.
 		ripple := 0.06 * math.Sin(4*math.Pi*x/nx)
 		d := (y/ny - 0.5 - ripple) * 14
-		sheet := 1 / (math.Cosh(d) * math.Cosh(d)) // sech^2 current profile
-		return sheet + 0.08*n.FBm(x/16, y/16, z/16, 5, 0.6)
+		return 1 / (math.Cosh(d) * math.Cosh(d)) // sech^2 current profile
+	})
+	ax := axis(f.Nx, func(x float64) float64 { return x / 16 })
+	fillRows(f, func(yi, zi int, out []float64) {
+		n.FBmRow(out, ax, float64(yi)/16, float64(zi)/16, 5, 0.6)
+		for i, v := range out {
+			out[i] = sheet[yi*f.Nx+i] + 0.08*v
+		}
 	})
 }

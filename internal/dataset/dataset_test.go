@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"carol/internal/compressor"
@@ -264,5 +265,30 @@ func BenchmarkGenerate(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestGenerateRefusesOversizedGrids: a grid past MaxSamples is an error
+// naming its dims, returned before any allocation, whether its float32
+// bytes cannot be allocated (100000³) or its sample count overflows int64
+// (2²²·2²¹·2²¹ = 2⁶⁴ wraps to 0, 2⁶³ to a negative length). Every case is
+// far past anything a host could allocate, so a broken check fails here
+// without filling memory.
+func TestGenerateRefusesOversizedGrids(t *testing.T) {
+	for _, c := range []struct {
+		opts Options
+		dims string
+	}{
+		{Options{Nx: 100000, Ny: 100000, Nz: 100000}, "100000x100000x100000"},
+		{Options{Nx: 1 << 22, Ny: 1 << 21, Nz: 1 << 21}, "4194304x2097152x2097152"},
+		{Options{Nx: 1 << 21, Ny: 1 << 21, Nz: 1 << 21}, "2097152x2097152x2097152"},
+	} {
+		f, err := Generate("miranda", "density", c.opts)
+		if err == nil || f != nil {
+			t.Fatalf("%s: Generate returned (%v, %v), want an error", c.dims, f, err)
+		}
+		if !strings.Contains(err.Error(), c.dims) {
+			t.Fatalf("%s: error %q does not name the grid", c.dims, err)
+		}
 	}
 }

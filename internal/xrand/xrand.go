@@ -105,21 +105,23 @@ func latticeValue(x, y, z int64, seed uint64) float64 {
 
 func smooth(t float64) float64 { return t * t * (3 - 2*t) }
 
-// Noise is seeded 3D value noise. Evaluate it at any continuous coordinate;
-// nearby points yield correlated values, giving the smooth fields scientific
-// data exhibits. A Noise is not safe for concurrent use (FBm keeps a per-octave
-// memo in it); build one per goroutine, as every generator builds one per field.
-type Noise struct {
-	seed uint64
-	memo [8]cell // FBm octave o's last cell, for o < len(memo)
+func lerp(a, b, t float64) float64 { return a + (b-a)*t }
+
+// corners returns the lattice values at the 8 corners of the unit cell whose
+// low corner is (ix, iy, iz), at index dz<<2 | dy<<1 | dx.
+func corners(ix, iy, iz int64, seed uint64) (c [8]float64) {
+	for i := range c {
+		c[i] = latticeValue(ix+int64(i&1), iy+int64(i>>1&1), iz+int64(i>>2), seed)
+	}
+	return c
 }
 
-// cell holds the 8 lattice corner values of the unit cell whose low corner is
-// (ix, iy, iz), at index dz<<2 | dy<<1 | dx. ok is false until it is filled.
-type cell struct {
-	ix, iy, iz int64
-	ok         bool
-	c          [8]float64
+// Noise is seeded 3D value noise. Evaluate it at any continuous coordinate;
+// nearby points yield correlated values, giving the smooth fields scientific
+// data exhibits. A Noise holds only its seed, so one Noise may be evaluated
+// from any number of goroutines.
+type Noise struct {
+	seed uint64
 }
 
 // NewNoise returns value noise with the given seed.
@@ -127,37 +129,11 @@ func NewNoise(seed uint64) *Noise { return &Noise{seed: seed} }
 
 // At evaluates the noise at (x, y, z); the result is in [-1, 1].
 func (n *Noise) At(x, y, z float64) float64 {
-	var m cell
-	return n.at(&m, x, y, z)
-}
-
-// at evaluates the noise at (x, y, z), taking the cell's corners from m when
-// m holds the same cell, sliding them when the cell is m's +x neighbour, and
-// leaving this cell's corners in m. Only latticeValue calls are saved: they
-// are pure, and every floating-point expression is the same as without m, so
-// the result is bit-identical whatever m held.
-func (n *Noise) at(m *cell, x, y, z float64) float64 {
 	x0, y0, z0 := math.Floor(x), math.Floor(y), math.Floor(z)
 	tx, ty, tz := smooth(x-x0), smooth(y-y0), smooth(z-z0)
 	ix, iy, iz := int64(x0), int64(y0), int64(z0)
 
-	c := &m.c
-	switch {
-	case m.ok && ix == m.ix && iy == m.iy && iz == m.iz:
-	case m.ok && ix == m.ix+1 && iy == m.iy && iz == m.iz:
-		c[0], c[2], c[4], c[6] = c[1], c[3], c[5], c[7]
-		c[1] = latticeValue(ix+1, iy, iz, n.seed)
-		c[3] = latticeValue(ix+1, iy+1, iz, n.seed)
-		c[5] = latticeValue(ix+1, iy, iz+1, n.seed)
-		c[7] = latticeValue(ix+1, iy+1, iz+1, n.seed)
-	default:
-		for i := range c {
-			c[i] = latticeValue(ix+int64(i&1), iy+int64(i>>1&1), iz+int64(i>>2), n.seed)
-		}
-	}
-	m.ix, m.iy, m.iz, m.ok = ix, iy, iz, true
-
-	lerp := func(a, b, t float64) float64 { return a + (b-a)*t }
+	c := corners(ix, iy, iz, n.seed)
 	x00 := lerp(c[0], c[1], tx)
 	x10 := lerp(c[2], c[3], tx)
 	x01 := lerp(c[4], c[5], tx)
@@ -169,20 +145,13 @@ func (n *Noise) at(m *cell, x, y, z float64) float64 {
 
 // FBm evaluates fractal Brownian motion: `octaves` layers of value noise
 // with per-octave frequency doubling (lacunarity 2) and amplitude decay
-// `gain`. Result is approximately in [-1, 1]. Octave o < len(n.memo) reuses
-// the lattice corners of the cell it visited on the previous call, so a sweep
-// along +x hashes no corners while an octave stays in one cell and 4 (not 8)
-// when it steps into the next.
+// `gain`. Result is approximately in [-1, 1]. It is the point form of
+// FBmRow, which returns the same bits for a whole row at a time.
 func (n *Noise) FBm(x, y, z float64, octaves int, gain float64) float64 {
 	var sum, norm float64
 	amp, freq := 1.0, 1.0
 	for o := 0; o < octaves; o++ {
-		px, py, pz := x*freq+float64(o)*17.31, y*freq-float64(o)*9.7, z*freq+float64(o)*3.3
-		if o < len(n.memo) {
-			sum += amp * n.at(&n.memo[o], px, py, pz)
-		} else {
-			sum += amp * n.At(px, py, pz)
-		}
+		sum += amp * n.At(x*freq+float64(o)*17.31, y*freq-float64(o)*9.7, z*freq+float64(o)*3.3)
 		norm += amp
 		amp *= gain
 		freq *= 2
@@ -191,4 +160,106 @@ func (n *Noise) FBm(x, y, z float64, octaves int, gain float64) float64 {
 		return 0
 	}
 	return sum / norm
+}
+
+// Axis is the x side of a row of FBm samples: the x coordinates of one row,
+// shared by every row of a field. Per octave it holds each x's lattice cell
+// and smoothed offset, computed once, and the x-lerped corners of the last
+// (iy, iz) cell a row visited, which every row in that cell reuses. An Axis
+// is not safe for concurrent use; build one per goroutine and field.
+type Axis struct {
+	xs  []float64
+	oct []axisOctave
+}
+
+// axisOctave is one octave of an Axis. ix and tx are each x's cell and
+// smoothed offset. lx holds, for the cell (iy, iz) of noise seed, each x's
+// four x-lerps (x00, x10, x01, x11 in At's names); ok is false until then.
+type axisOctave struct {
+	ix     []int64
+	tx     []float64
+	ok     bool
+	seed   uint64
+	iy, iz int64
+	lx     [][4]float64
+}
+
+// NewAxis returns an Axis over the x coordinates xs, which it keeps.
+func NewAxis(xs []float64) *Axis { return &Axis{xs: xs} }
+
+// octave returns octave o, tabulating it at frequency freq on first use.
+// Octaves are asked for in order, so o <= len(a.oct).
+func (a *Axis) octave(o int, freq float64) *axisOctave {
+	if o < len(a.oct) {
+		return &a.oct[o]
+	}
+	oc := axisOctave{ix: make([]int64, len(a.xs)), tx: make([]float64, len(a.xs)), lx: make([][4]float64, len(a.xs))}
+	for i, x := range a.xs {
+		px := x*freq + float64(o)*17.31
+		x0 := math.Floor(px)
+		oc.ix[i], oc.tx[i] = int64(x0), smooth(px-x0)
+	}
+	a.oct = append(a.oct, oc)
+	return &a.oct[o]
+}
+
+// cell makes oc.lx hold the x-lerps of cell (iy, iz) of noise seed. Along
+// the row, a sample in the same x cell as the one before reuses its corners
+// and one in the next cell along +x hashes only its 4 new ones.
+func (oc *axisOctave) cell(seed uint64, iy, iz int64) {
+	if oc.ok && oc.seed == seed && oc.iy == iy && oc.iz == iz {
+		return
+	}
+	oc.ok, oc.seed, oc.iy, oc.iz = true, seed, iy, iz
+	var c [8]float64 // corners' layout
+	for i, ix := range oc.ix {
+		switch {
+		case i > 0 && ix == oc.ix[i-1]:
+		case i > 0 && ix == oc.ix[i-1]+1:
+			c[0], c[2], c[4], c[6] = c[1], c[3], c[5], c[7]
+			c[1] = latticeValue(ix+1, iy, iz, seed)
+			c[3] = latticeValue(ix+1, iy+1, iz, seed)
+			c[5] = latticeValue(ix+1, iy, iz+1, seed)
+			c[7] = latticeValue(ix+1, iy+1, iz+1, seed)
+		default:
+			c = corners(ix, iy, iz, seed)
+		}
+		t := oc.tx[i]
+		oc.lx[i] = [4]float64{lerp(c[0], c[1], t), lerp(c[2], c[3], t), lerp(c[4], c[5], t), lerp(c[6], c[7], t)}
+	}
+}
+
+// FBmRow sets out[i] to FBm(xs[i], y, z, octaves, gain) for every x
+// coordinate xs[i] of a, bit for bit: each octave's coordinates, cell,
+// smoothed offsets and lerps are FBm's expressions in FBm's order, and the
+// octaves are summed in the same order. The x side comes from a's tables and
+// the y and z side is computed once per octave, so a sample costs each
+// octave two y-lerps, a z-lerp and the weighted add. out must have an entry
+// per x coordinate.
+func (n *Noise) FBmRow(out []float64, a *Axis, y, z float64, octaves int, gain float64) {
+	out = out[:len(a.xs)]
+	clear(out)
+	var norm float64
+	amp, freq := 1.0, 1.0
+	for o := 0; o < octaves; o++ {
+		oc := a.octave(o, freq)
+		py, pz := y*freq-float64(o)*9.7, z*freq+float64(o)*3.3
+		y0, z0 := math.Floor(py), math.Floor(pz)
+		ty, tz := smooth(py-y0), smooth(pz-z0)
+		oc.cell(n.seed, int64(y0), int64(z0))
+		for i, l := range oc.lx {
+			y0v := lerp(l[0], l[1], ty)
+			y1v := lerp(l[2], l[3], ty)
+			out[i] += amp * lerp(y0v, y1v, tz)
+		}
+		norm += amp
+		amp *= gain
+		freq *= 2
+	}
+	if norm == 0 { //carol:allow floateq zero-octave FBm normalizer guard before dividing
+		return
+	}
+	for i := range out {
+		out[i] /= norm
+	}
 }

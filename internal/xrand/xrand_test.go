@@ -3,6 +3,7 @@ package xrand
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -197,9 +198,10 @@ func BenchmarkUint64(b *testing.B) {
 	}
 }
 
-// refAt and refFBm are Noise.At and Noise.FBm as they were before FBm kept a
-// per-octave corner memo: every call hashes all 8 corners of every octave's
-// cell. The memoized FBm must match them bit for bit on any access pattern.
+// refAt and refFBm are Noise.At and Noise.FBm as they were recorded with the
+// dataset golden digests: every call hashes all 8 corners of every octave's
+// cell. FBm and the row form FBmRow must match them bit for bit on any
+// access pattern.
 func refAt(n *Noise, x, y, z float64) float64 {
 	x0, y0, z0 := math.Floor(x), math.Floor(y), math.Floor(z)
 	tx, ty, tz := smooth(x-x0), smooth(y-y0), smooth(z-z0)
@@ -406,9 +408,180 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	fuzzseed.Check(t, ".", map[string][][]byte{"FuzzFBmMatchesReference": fbmSeeds()})
 }
 
-// BenchmarkFBmRow sweeps one 64-sample row along +x at Miranda density's
-// scale and octaves, the access pattern of every dataset generator.
+// checkRow evaluates one row with FBmRow and requires refFBm's bits at
+// every x.
+func checkRow(t *testing.T, n *Noise, a *Axis, xs []float64, y, z float64, octaves int, gain float64) {
+	t.Helper()
+	out := make([]float64, len(xs))
+	for i := range out {
+		out[i] = math.NaN() // FBmRow must not read what out held
+	}
+	n.FBmRow(out, a, y, z, octaves, gain)
+	for i, x := range xs {
+		if want := refFBm(n, x, y, z, octaves, gain); !sameFloat(out[i], want) {
+			t.Fatalf("FBmRow at x[%d]=%v, y=%v, z=%v, %d octaves, gain %v: %v (%#x), reference %v (%#x)",
+				i, x, y, z, octaves, gain, out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
+		}
+	}
+}
+
+// testRows are x rows FBmRow must get right: the generators' rows (x/scale
+// plus an offset, at 1/28 to 1/10 cell per sample), rows that cross a cell
+// or many per sample, rows through zero into negative coordinates, a
+// decreasing row, a scattered one, and lattice points with their ulp
+// neighbours.
+func testRows() [][]float64 {
+	row := func(n int, fn func(i int) float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = fn(i)
+		}
+		return xs
+	}
+	lattice := []float64{}
+	for x := -3.0; x <= 3; x++ {
+		lattice = append(lattice, math.Nextafter(x, math.Inf(-1)), x, math.Nextafter(x, math.Inf(1)))
+	}
+	return [][]float64{
+		row(64, func(i int) float64 { return float64(i) / 24 }),
+		row(40, func(i int) float64 { return float64(i)/20 + 7.9*3 }),
+		row(33, func(i int) float64 { return float64(i)/18 + 0.7*21 }),
+		row(40, func(i int) float64 { return float64(i)/1.3 + 1.9 }),
+		row(50, func(i int) float64 { return float64(i)*3.7 - 90 }),
+		row(81, func(i int) float64 { return float64(i-40) / 7 }),
+		row(30, func(i int) float64 { return 5 - float64(i)*0.45 }),
+		row(37, func(i int) float64 { return float64(i*17%37) * 0.61 }),
+		lattice,
+		{},
+	}
+}
+
+// TestFBmRowMatchesReference runs every test row at 0–12 octaves over a
+// grid of y and z that moves within a cell, into the next and across
+// several, on negative coordinates too, with two Noise values taking turns
+// on one Axis, then over the same grid with z varying fastest, so the Axis's
+// cell cache is reused, replaced and re-keyed by seed, iy and iz.
+func TestFBmRowMatchesReference(t *testing.T) {
+	noises := [2]*Noise{NewNoise(7), NewNoise(7 ^ 0x55aa)}
+	for octaves := 0; octaves <= 12; octaves++ {
+		for _, xs := range testRows() {
+			// Seed 0 in cell (0, 0) first: what a fresh Axis's zero cache
+			// would claim to hold.
+			a := NewAxis(xs)
+			checkRow(t, NewNoise(0), a, xs, 0.5, 0.5, octaves, 0.55)
+			ys, zs := []float64{-1.75, 0, 0.04, 0.08, 0.5, 0.9, 1.2, 4.7}, []float64{-2.5, -0.5, 0, 0.05, 1.3}
+			k := 0
+			for _, z := range zs {
+				for _, y := range ys {
+					checkRow(t, noises[k/3%2], a, xs, y, z, octaves, 0.55)
+					k++
+				}
+			}
+			// z moving under a fixed y: the cell changes in iz alone.
+			for _, y := range ys {
+				for _, z := range zs {
+					checkRow(t, noises[0], a, xs, y, z, octaves, 0.55)
+				}
+			}
+		}
+	}
+}
+
+// fbmRowCase decodes a fuzz input: an 8-byte seed, an octave count (0–10),
+// a gain, a row start x0 and step dx, a sample count and a layout byte (odd
+// scatters the row), then 5-byte rows [which y y z z] evaluated on one Axis
+// by one of two Noise values.
+func fbmRowCase(t *testing.T, data []byte) {
+	if len(data) < 16 {
+		return
+	}
+	seed := binary.LittleEndian.Uint64(data)
+	noises := [2]*Noise{NewNoise(seed), NewNoise(^seed)}
+	octaves, gain := int(data[8]%11), 0.25+float64(data[9])/256
+	i16 := func(b []byte, div float64) float64 { return float64(int16(binary.LittleEndian.Uint16(b))) / div }
+	x0, dx := i16(data[10:], 64), i16(data[12:], 256)
+	xs := make([]float64, 1+int(data[14])%96)
+	for i := range xs {
+		j := i
+		if data[15]&1 == 1 {
+			j = i * 7 % len(xs)
+		}
+		xs[i] = x0 + float64(j)*dx
+	}
+	a := NewAxis(xs)
+	for rows := data[16:]; len(rows) >= 5; rows = rows[5:] {
+		checkRow(t, noises[rows[0]&1], a, xs, i16(rows[1:], 64), i16(rows[3:], 64), octaves, gain)
+	}
+}
+
+// FuzzFBmRowMatchesReference: any row of x coordinates, evaluated at any
+// y and z by either of two Noise values at 0–10 octaves, gives refFBm's bits
+// at every x.
+func FuzzFBmRowMatchesReference(f *testing.F) {
+	seed := func(octaves, gain byte, x0, dx int16, n, layout byte, rows ...byte) []byte {
+		s := []byte{1, 2, 3, 4, 5, 6, 7, 8, octaves, gain, byte(x0), byte(x0 >> 8), byte(dx), byte(dx >> 8), n, layout}
+		return append(s, rows...)
+	}
+	f.Add(seed(4, 128, 0, 11, 64, 0, 0, 0, 0, 32, 0, 0, 2, 0, 32, 0, 1, 40, 0, 32, 0, 0, 0, 1, 64, 0))
+	f.Add(seed(10, 140, -2000, 300, 95, 0, 0, 0x10, 0xff, 0x20, 0xfe, 1, 0x10, 0xff, 0x20, 0xfe, 0, 0, 0x80, 0, 0x7f))
+	f.Add(seed(9, 90, 500, -40, 50, 1, 1, 5, 0, 9, 0, 0, 5, 0, 9, 0, 0, 6, 0, 9, 0))
+	f.Add(seed(0, 0, 3, 1, 1, 0, 0, 1, 0, 1, 0))
+	f.Fuzz(fbmRowCase)
+}
+
+// TestNoiseConcurrentUse evaluates one Noise from several goroutines, each
+// with its own Axis, through FBmRow, FBm and At, and requires every result
+// to equal a serial run's. Under -race it also shows a Noise keeps no state.
+func TestNoiseConcurrentUse(t *testing.T) {
+	n := NewNoise(42)
+	xs := testRows()[0]
+	eval := func() []float64 {
+		a := NewAxis(xs)
+		row := make([]float64, len(xs))
+		var out []float64
+		for z := 0; z < 6; z++ {
+			for y := 0; y < 12; y++ {
+				n.FBmRow(row, a, float64(y)/24, float64(z)/24, 5, 0.6)
+				out = append(out, row...)
+				out = append(out, n.FBm(float64(y)/5, float64(z)/3, 0.5, 5, 0.6), n.At(float64(z), float64(y)/7, 0.25))
+			}
+		}
+		return out
+	}
+	want := eval()
+	const workers = 4
+	got := make([][]float64, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = eval()
+		}()
+	}
+	wg.Wait()
+	for w, g := range got {
+		for i := range want {
+			if !sameFloat(g[i], want[i]) {
+				t.Fatalf("goroutine %d, value %d: %v, serial %v", w, i, g[i], want[i])
+			}
+		}
+	}
+}
+
+// BenchmarkFBmRow evaluates 64-sample rows at Miranda density's scale and
+// octaves, as the dataset generators do; BenchmarkFBm is the same samples
+// one FBm call at a time.
 func BenchmarkFBmRow(b *testing.B) {
+	n := NewNoise(1)
+	xs := testRows()[0]
+	a, out := NewAxis(xs), make([]float64, len(xs))
+	for i := 0; i < b.N; i++ {
+		n.FBmRow(out, a, float64(i%64)/24, 0.5, 4, 0.5)
+	}
+}
+
+func BenchmarkFBm(b *testing.B) {
 	n := NewNoise(1)
 	for i := 0; i < b.N; i++ {
 		y := float64(i%64) / 24

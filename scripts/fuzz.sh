@@ -34,6 +34,7 @@ run ./internal/field FuzzReadRawMatchesReference
 run ./internal/rf FuzzSplitSortMatchesReference
 run ./internal/rf FuzzSplitSearchMatchesReference
 run ./internal/xrand FuzzFBmMatchesReference
+run ./internal/xrand FuzzFBmRowMatchesReference
 run ./internal/archive FuzzArchiveRead
 run ./internal/chunked FuzzChunkedDecompress
 run ./internal/model FuzzModelRead
