@@ -16,7 +16,6 @@ import (
 	"carol/internal/core"
 	"carol/internal/dataset"
 	"carol/internal/features"
-	"carol/internal/fxrz"
 	"carol/internal/gridsearch"
 	"carol/internal/rf"
 	"carol/internal/secre"
@@ -296,7 +295,7 @@ func BenchmarkFig8SetupFXRZ(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		fw := fxrz.New(codec, fxrz.Config{ErrorBounds: bounds, GridConfigs: 4, ForestCap: 10, Seed: 1})
+		fw := core.NewFXRZ(codec, core.Config{ErrorBounds: bounds, BOIterations: 4, ForestCap: 10, Seed: 1})
 		if _, err := fw.Collect(fields); err != nil {
 			b.Fatal(err)
 		}

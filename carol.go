@@ -3,7 +3,9 @@
 // (ICPP 2024), together with everything it builds on: the SZx, ZFP, SZ3 and
 // SPERR error-bounded lossy compressors, the SECRE surrogate ratio
 // estimators, bi-modal calibration, Bayesian-optimized random-forest
-// training, parallel feature extraction, and the FXRZ baseline framework.
+// training, parallel feature extraction, and the FXRZ baseline framework
+// (a preset of the same internal framework with FXRZ's collection,
+// grid-search training and strided feature extraction).
 //
 // # Quick start
 //

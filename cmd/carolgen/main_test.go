@@ -38,3 +38,22 @@ func TestBadDims(t *testing.T) {
 		}
 	}
 }
+
+// TestBadStep: a step the dataset does not have is an error, and nothing is
+// written (NYX has steps 0..7; Miranda has only step 0).
+func TestBadStep(t *testing.T) {
+	for _, c := range []struct{ dataset, field, step string }{
+		{"nyx", "temperature", "500"},
+		{"nyx", "temperature", "-3"},
+		{"miranda", "density", "7"},
+	} {
+		out := filepath.Join(t.TempDir(), "d.f32")
+		err := run([]string{"-dataset", c.dataset, "-field", c.field, "-dims", "8x8x8", "-step", c.step, "-out", out}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "time step "+c.step) {
+			t.Fatalf("%s -step %s: error %v, want one naming the step", c.dataset, c.step, err)
+		}
+		if _, statErr := os.Stat(out); statErr == nil {
+			t.Fatalf("%s -step %s: %s written despite %v", c.dataset, c.step, out, err)
+		}
+	}
+}

@@ -88,8 +88,22 @@ func parseFlags(args []string) (options, error) {
 	if o.name == "" {
 		o.name = o.codec
 	}
-	if o.bounds < 2 {
-		return o, fmt.Errorf("-bounds %d < 2", o.bounds)
+	// Below its minimum, each of these would silently become its default
+	// (or, for -kfolds 1, fail only after generating and collecting).
+	for _, c := range []struct {
+		flag     string
+		val, min int
+	}{
+		{"bounds", o.bounds, 2},
+		{"bo-iters", o.boIters, 1},
+		{"kfolds", o.kfolds, 2},
+		{"forest-cap", o.forestCap, 0},
+		{"workers", o.workers, 0},
+		{"gc", o.gcKeep, 0},
+	} {
+		if c.val < c.min {
+			return o, fmt.Errorf("-%s %d < %d", c.flag, c.val, c.min)
+		}
 	}
 	var err error
 	if o.backends, err = model.ParseBackends(backends); err != nil {

@@ -152,6 +152,41 @@ func TestParseFlagErrors(t *testing.T) {
 	}
 }
 
+// TestParseFlagRanges: a numeric flag below its range is refused before any
+// work, instead of silently becoming the framework's default; the values
+// the benchmark and the smoke scripts pass stay valid.
+func TestParseFlagRanges(t *testing.T) {
+	for _, c := range []struct {
+		flag, val string
+		ok        bool
+	}{
+		{"-bo-iters", "0", false},
+		{"-bo-iters", "-2", false},
+		{"-bo-iters", "1", true},
+		{"-kfolds", "0", false},
+		{"-kfolds", "1", false},
+		{"-kfolds", "2", true},
+		{"-forest-cap", "-3", false},
+		{"-forest-cap", "0", true},
+		{"-forest-cap", "4", true},
+		{"-workers", "-4", false},
+		{"-workers", "0", true},
+		{"-workers", "1", true},
+		{"-bounds", "1", false},
+		{"-bounds", "4", true},
+		{"-gc", "-3", false},
+		{"-gc", "0", true},
+	} {
+		_, err := parseFlags([]string{"-codec", "szx", "-model-dir", "m", c.flag, c.val})
+		if (err == nil) != c.ok {
+			t.Errorf("%s %s: error %v, want ok=%v", c.flag, c.val, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), c.flag+" "+c.val) {
+			t.Errorf("%s %s: error %q does not name the flag and value", c.flag, c.val, err)
+		}
+	}
+}
+
 func TestRunRejectsBadInput(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer

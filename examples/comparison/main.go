@@ -12,8 +12,8 @@ import (
 
 	"carol"
 	"carol/internal/codecs"
+	"carol/internal/core"
 	"carol/internal/dataset"
-	"carol/internal/fxrz"
 	"carol/internal/stats"
 )
 
@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fx := fxrz.New(codec, fxrz.Config{ForestCap: 50})
+	fx := core.NewFXRZ(codec, core.Config{ForestCap: 50})
 	start := time.Now()
 	if _, err := fx.Collect(train); err != nil {
 		log.Fatal(err)

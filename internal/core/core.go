@@ -10,6 +10,10 @@
 //  4. extracts prediction features with the block-parallel extractor
 //     (core contribution 4).
 //
+// NewFXRZ builds the same Framework with each of those four stages set
+// back to FXRZ's (Rahman et al., ICDE 2023), the baseline CAROL is
+// evaluated against.
+//
 // The exported, documented entry point for users is the root package carol,
 // which wraps this one.
 package core
@@ -121,7 +125,8 @@ type CollectStats struct {
 	Duration time.Duration
 	Fields   int
 	Samples  int
-	// FullCompressorRuns counts calibration runs of the real compressor.
+	// FullCompressorRuns counts runs of the real compressor: calibration
+	// runs, or FXRZ's whole sweep.
 	FullCompressorRuns int
 	// SurrogateRuns counts SECRE estimations.
 	SurrogateRuns int
@@ -134,17 +139,25 @@ type TrainStats struct {
 	BestScore  float64
 	BestConfig rf.Config
 	// Trajectory records the configuration evaluated at each BO iteration
-	// (Figure 5b of the paper plots NEstimators from this).
+	// (Figure 5b of the paper plots NEstimators from this); the grid search
+	// leaves it empty.
 	Trajectory []rf.Config
 	// Resumed reports whether the run continued from a checkpoint.
 	Resumed bool
 }
 
-// Framework is a CAROL instance bound to one compressor.
+// Framework is a CAROL (or, from NewFXRZ, an FXRZ) instance bound to one
+// compressor.
 type Framework struct {
 	codec     compressor.Codec
 	surrogate compressor.Estimator
 	cfg       Config
+	// The stages NewFXRZ swaps: the feature extractor (collection and
+	// prediction), whether the surrogate's sweep is the real compressor's,
+	// and the forest's hyper-parameter search.
+	extract   func(*field.Field) features.Vector
+	fullSweep bool
+	search    func(X [][]float64, y []float64, iterations int) (TrainStats, error)
 	set       trainset.Set
 	opt       *bayesopt.Optimizer
 	model     model.Regressor
@@ -175,8 +188,36 @@ func New(name string, cfg Config) (*Framework, error) {
 // estimator with calibration when no purpose-built surrogate exists).
 func NewWith(codec compressor.Codec, surrogate compressor.Estimator, cfg Config) *Framework {
 	fw := &Framework{codec: codec, surrogate: surrogate, cfg: cfg.withDefaults()}
+	fw.extract = func(f *field.Field) features.Vector { return features.ExtractParallel(f, fw.cfg.Features) }
+	fw.search = fw.bayesSearch
 	fw.opt = bayesopt.New(gridsearch.BOSpace(), fw.cfg.Seed)
 	fw.opt.Workers = fw.cfg.Workers
+	return fw
+}
+
+// fxrzFeatureStride is FXRZ's point-sampling stride for feature extraction.
+const fxrzFeatureStride = 4
+
+// NewFXRZ returns the FXRZ baseline for codec: this Framework with each
+// stage CAROL replaces set back to FXRZ's.
+//
+//   - Collection runs the full compressor over the sweep
+//     (secre.FullEstimator), without calibration; CollectStats counts the
+//     runs as FullCompressorRuns.
+//   - Features come from serial strided extraction
+//     (features.ExtractSampled, stride 4), for collection and prediction.
+//   - Train is a randomized grid search over Config.BOIterations
+//     configurations (gridsearch.Search), and Refine runs it again from
+//     scratch: FXRZ has no warm start.
+//
+// CalibrationPoints, RefineIterations and Features are ignored.
+func NewFXRZ(codec compressor.Codec, cfg Config) *Framework {
+	fw := NewWith(codec, &secre.FullEstimator{Codec: codec}, cfg)
+	fw.cfg.CalibrationPoints = NoCalibration
+	fw.cfg.RefineIterations = fw.cfg.BOIterations
+	fw.extract = func(f *field.Field) features.Vector { return features.ExtractSampled(f, fxrzFeatureStride) }
+	fw.fullSweep = true
+	fw.search = fw.gridSearch
 	return fw
 }
 
@@ -206,9 +247,9 @@ func (fw *Framework) calibrationPoints() int {
 	}
 }
 
-// Collect runs CAROL's data collection on the given fields: parallel
-// feature extraction, optional per-field calibration, then a surrogate
-// estimate per error bound. Fields are collected on up to Config.Workers
+// Collect runs the data collection on the given fields: feature
+// extraction, optional per-field calibration, then a surrogate estimate
+// per error bound. Fields are collected on up to Config.Workers
 // goroutines and their samples added in field order, so the training set,
 // the stats and the error (the first failing field's) are those of a
 // serial loop.
@@ -220,6 +261,10 @@ func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
 	}
 	start := time.Now()
 	stats := CollectStats{Fields: len(fields)}
+	sweepRuns := &stats.SurrogateRuns
+	if fw.fullSweep {
+		sweepRuns = &stats.FullCompressorRuns
+	}
 	curves, err := pipeline.FanOut(len(fields), fw.cfg.Workers, func(i int) (fieldCurve, error) {
 		return fw.collectField(fields[i]), nil
 	})
@@ -232,7 +277,7 @@ func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
 			return stats, c.err
 		}
 		for i, rel := range fw.cfg.ErrorBounds {
-			stats.SurrogateRuns++
+			*sweepRuns++
 			if err := fw.set.Add(trainset.Sample{Features: c.feat, Ratio: c.ratios[i], RelEB: rel}); err != nil {
 				return stats, err
 			}
@@ -253,7 +298,7 @@ type fieldCurve struct {
 }
 
 func (fw *Framework) collectField(f *field.Field) fieldCurve {
-	c := fieldCurve{feat: features.ExtractParallel(f, fw.cfg.Features)}
+	c := fieldCurve{feat: fw.extract(f)}
 	ebs := compressor.AbsBounds(f, fw.cfg.ErrorBounds)
 	var cal *calib.Model
 	if nCal := fw.calibrationPoints(); nCal >= 2 {
@@ -279,9 +324,9 @@ func (fw *Framework) collectField(f *field.Field) fieldCurve {
 	return c
 }
 
-// Train runs Bayesian-optimized hyper-parameter search and fits the final
-// forest. If the optimizer already holds observations (from a previous
-// Train or a restored checkpoint) the search resumes instead of restarting.
+// Train runs the hyper-parameter search and fits the final forest. If the
+// Bayesian optimizer already holds observations (from a previous Train or a
+// restored checkpoint) the search resumes instead of restarting.
 func (fw *Framework) Train() (TrainStats, error) {
 	return fw.train(fw.cfg.BOIterations)
 }
@@ -289,7 +334,7 @@ func (fw *Framework) Train() (TrainStats, error) {
 // Refine performs incremental model refinement: collect data from the new
 // fields with the surrogate pipeline, resume the BO search from its
 // checkpoint for a few iterations, and refit. This is the path FXRZ cannot
-// take — its grid search starts over each time.
+// take: NewFXRZ's grid search starts over each time.
 func (fw *Framework) Refine(newFields []*field.Field) (CollectStats, TrainStats, error) {
 	cs, err := fw.Collect(newFields)
 	if err != nil {
@@ -313,6 +358,25 @@ func (fw *Framework) train(iterations int) (TrainStats, error) {
 		}
 		return TrainStats{Duration: time.Since(start), Evaluated: 1}, nil
 	}
+	stats, err := fw.search(X, y, iterations)
+	if err != nil {
+		return stats, err
+	}
+	bestCfg := stats.BestConfig
+	if fw.cfg.ForestCap > 0 && bestCfg.NEstimators > fw.cfg.ForestCap {
+		bestCfg.NEstimators = fw.cfg.ForestCap
+	}
+	fw.bestCfg = bestCfg
+	if err := fw.fit(X, y); err != nil {
+		return stats, err
+	}
+	stats.Duration = time.Since(start)
+	return stats, nil
+}
+
+// bayesSearch is CAROL's search: iterations more evaluations of the
+// checkpointable Bayesian optimizer. BestConfig is the incumbent, uncapped.
+func (fw *Framework) bayesSearch(X [][]float64, y []float64, iterations int) (TrainStats, error) {
 	stats := TrainStats{Resumed: len(fw.opt.Observations()) > 0}
 	for i := 0; i < iterations; i++ {
 		values := fw.opt.Suggest()
@@ -345,15 +409,17 @@ func (fw *Framework) train(iterations int) (TrainStats, error) {
 	}
 	stats.BestScore = bestScore
 	stats.BestConfig = bestCfg
-	if fw.cfg.ForestCap > 0 && bestCfg.NEstimators > fw.cfg.ForestCap {
-		bestCfg.NEstimators = fw.cfg.ForestCap
-	}
-	fw.bestCfg = bestCfg
-	if err := fw.fit(X, y); err != nil {
-		return stats, err
-	}
-	stats.Duration = time.Since(start)
 	return stats, nil
+}
+
+// gridSearch is FXRZ's search: iterations random grid configurations,
+// drawn afresh from Config.Seed on every call.
+func (fw *Framework) gridSearch(X [][]float64, y []float64, iterations int) (TrainStats, error) {
+	res, err := gridsearch.Search(X, y, iterations, fw.cfg.KFolds, fw.cfg.Seed, fw.cfg.ForestCap, fw.cfg.Workers)
+	if err != nil {
+		return TrainStats{}, fmt.Errorf("core: %w", err)
+	}
+	return TrainStats{Evaluated: res.Evaluated, BestScore: res.Score, BestConfig: res.Config}, nil
 }
 
 // Trained reports whether a model is available.
@@ -393,8 +459,7 @@ func (fw *Framework) RestoreCheckpoint(obs []bayesopt.Observation) error {
 }
 
 // PredictErrorBound estimates the value-range-relative error bound that
-// should achieve targetRatio on f, using CAROL's parallel feature
-// extraction and the trained model.
+// should achieve targetRatio on f, from f's features and the trained model.
 func (fw *Framework) PredictErrorBound(f *field.Field, targetRatio float64) (float64, error) {
 	out, err := fw.PredictErrorBounds(f, []float64{targetRatio})
 	if err != nil {
@@ -408,7 +473,7 @@ func (fw *Framework) PredictErrorBound(f *field.Field, targetRatio float64) (flo
 // one regressor batch pass. This is the cheap way to build a ratio→bound
 // curve for one field.
 func (fw *Framework) PredictErrorBounds(f *field.Field, targetRatios []float64) ([]float64, error) {
-	return fw.predict(features.ExtractParallel(f, fw.cfg.Features), targetRatios)
+	return fw.predict(fw.extract(f), targetRatios)
 }
 
 // predict runs the shared ratio→bound predictor (model.PredictErrorBounds,
@@ -426,7 +491,7 @@ func (fw *Framework) predict(feat features.Vector, targetRatios []float64) ([]fl
 // outcome is folded back into the training set — the paper's on-the-fly
 // model-improvement loop.
 func (fw *Framework) CompressToRatio(f *field.Field, targetRatio float64) ([]byte, float64, error) {
-	feat := features.ExtractParallel(f, fw.cfg.Features)
+	feat := fw.extract(f)
 	rels, err := fw.predict(feat, []float64{targetRatio})
 	if err != nil {
 		return nil, 0, err

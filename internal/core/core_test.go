@@ -208,26 +208,32 @@ func TestNewWithCustomSurrogate(t *testing.T) {
 	}
 }
 
+// TestErrorPaths: training without data, predicting untrained and
+// predicting a non-positive target are errors, for CAROL and FXRZ alike.
 func TestErrorPaths(t *testing.T) {
-	fw, err := New("szx", fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fw.Train(); err == nil {
-		t.Fatal("train without data accepted")
-	}
 	f := trainFields(t)[0]
-	if _, err := fw.PredictErrorBound(f, 10); err == nil {
-		t.Fatal("untrained predict accepted")
-	}
-	if _, err := fw.Collect([]*field.Field{f}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fw.Train(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fw.PredictErrorBound(f, 0); err == nil {
-		t.Fatal("zero target accepted")
+	for _, preset := range []string{"szx", "fxrz-szx"} {
+		fw, err := presets[preset](fastConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fw.Train(); err == nil {
+			t.Fatalf("%s: train without data accepted", preset)
+		}
+		if _, err := fw.PredictErrorBound(f, 10); err == nil {
+			t.Fatalf("%s: untrained predict accepted", preset)
+		}
+		if _, err := fw.Collect([]*field.Field{f}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fw.Train(); err != nil {
+			t.Fatal(err)
+		}
+		for _, target := range []float64{0, -5} {
+			if _, err := fw.PredictErrorBound(f, target); err == nil {
+				t.Fatalf("%s: target %g accepted", preset, target)
+			}
+		}
 	}
 }
 
@@ -273,13 +279,23 @@ func TestPredictErrorBoundsMatchesSingle(t *testing.T) {
 	}
 }
 
+// presets builds the frameworks the Collect and error-path tests run: CAROL
+// on szx (uncalibrated) and sz3 (calibrated), and the FXRZ preset on szx.
+var presets = map[string]func(Config) (*Framework, error){
+	"szx": func(cfg Config) (*Framework, error) { return New("szx", cfg) },
+	"sz3": func(cfg Config) (*Framework, error) { return New("sz3", cfg) },
+	"fxrz-szx": func(cfg Config) (*Framework, error) {
+		return NewFXRZ(szx.New(), cfg), nil
+	},
+}
+
 // collectWith runs one Collect with the given Workers and returns what it
 // left behind: the samples, the stats (minus the wall clock) and the error.
-func collectWith(t *testing.T, codec string, workers int, fields []*field.Field) ([]trainset.Sample, CollectStats, error) {
+func collectWith(t *testing.T, preset string, workers int, fields []*field.Field) ([]trainset.Sample, CollectStats, error) {
 	t.Helper()
 	cfg := fastConfig()
 	cfg.Workers = workers
-	fw, err := New(codec, cfg)
+	fw, err := presets[preset](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,10 +306,11 @@ func collectWith(t *testing.T, codec string, workers int, fields []*field.Field)
 
 // TestCollectWorkersBitIdentical: fanning fields out over workers must
 // leave the training set and stats of the serial loop, bit for bit. SZ3
-// covers the calibrated path, SZx the uncalibrated one.
+// covers the calibrated path, SZx the uncalibrated one, and the FXRZ
+// preset the full-compressor sweep over sampled features.
 func TestCollectWorkersBitIdentical(t *testing.T) {
 	fields := trainFields(t)
-	for _, codec := range []string{"szx", "sz3"} {
+	for _, codec := range []string{"szx", "sz3", "fxrz-szx"} {
 		want, wantStats, err := collectWith(t, codec, 1, fields)
 		if err != nil {
 			t.Fatal(err)
@@ -313,7 +330,7 @@ func TestCollectWorkersBitIdentical(t *testing.T) {
 
 // TestCollectFirstErrorInFieldOrder: with two bad fields after a good one,
 // every Workers value reports the first bad field and keeps exactly the
-// good field's samples, as the serial loop did.
+// good field's samples, as the serial loop did, for CAROL and FXRZ alike.
 func TestCollectFirstErrorInFieldOrder(t *testing.T) {
 	good := trainFields(t)[0]
 	bad := func(name string) *field.Field {
@@ -322,13 +339,15 @@ func TestCollectFirstErrorInFieldOrder(t *testing.T) {
 		return f
 	}
 	fields := []*field.Field{good, bad("first-bad"), bad("second-bad")}
-	for _, workers := range []int{1, 0, 3} {
-		got, cs, err := collectWith(t, "szx", workers, fields)
-		if err == nil || !strings.Contains(err.Error(), "first-bad") {
-			t.Fatalf("Workers=%d: error %v, want one naming first-bad", workers, err)
-		}
-		if len(got) != 12 || cs.Samples != 12 || cs.SurrogateRuns != 12 {
-			t.Fatalf("Workers=%d: kept %d samples, stats %+v; want the good field's 12", workers, len(got), cs)
+	for _, preset := range []string{"szx", "fxrz-szx"} {
+		for _, workers := range []int{1, 0, 3} {
+			got, cs, err := collectWith(t, preset, workers, fields)
+			if err == nil || !strings.Contains(err.Error(), "first-bad") {
+				t.Fatalf("%s Workers=%d: error %v, want one naming first-bad", preset, workers, err)
+			}
+			if len(got) != 12 || cs.Samples != 12 || cs.SurrogateRuns+cs.FullCompressorRuns != 12 {
+				t.Fatalf("%s Workers=%d: kept %d samples, stats %+v; want the good field's 12", preset, workers, len(got), cs)
+			}
 		}
 	}
 }

@@ -106,11 +106,12 @@ const MaxSamples = 1 << 28
 // Options controls generation. Zero values use the dataset defaults.
 type Options struct {
 	Nx, Ny, Nz int // grid dims; 0 uses the dataset default
-	TimeStep   int // snapshot index for time-evolving datasets
+	TimeStep   int // snapshot index in [0, Spec.TimeSteps)
 }
 
 // Generate synthesizes one field of one dataset. It returns an error naming
-// the grid when nx·ny·nz exceeds MaxSamples.
+// the grid when nx·ny·nz exceeds MaxSamples, and one naming the step when
+// opts.TimeStep is outside [0, Spec.TimeSteps).
 func Generate(dataset, fieldName string, opts Options) (*field.Field, error) {
 	spec, err := Lookup(dataset)
 	if err != nil {
@@ -125,6 +126,9 @@ func Generate(dataset, fieldName string, opts Options) (*field.Field, error) {
 	}
 	if !found {
 		return nil, fmt.Errorf("dataset: %s has no field %q (have %v)", dataset, fieldName, spec.Fields)
+	}
+	if opts.TimeStep < 0 || opts.TimeStep >= spec.TimeSteps {
+		return nil, fmt.Errorf("dataset: %s has no time step %d (have 0..%d)", dataset, opts.TimeStep, spec.TimeSteps-1)
 	}
 	nx, ny, nz := spec.Nx, spec.Ny, spec.Nz
 	if opts.Nx > 0 {

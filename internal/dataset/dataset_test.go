@@ -292,3 +292,33 @@ func TestGenerateRefusesOversizedGrids(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateRefusesOutOfRangeSteps: a step outside [0, TimeSteps) is an
+// error naming the dataset, the step and the valid range, not a field (NYX
+// has no step 500, and Miranda's one snapshot is not its step 7).
+func TestGenerateRefusesOutOfRangeSteps(t *testing.T) {
+	for _, c := range []struct {
+		dataset, field string
+		step           int
+		want           string
+	}{
+		{"nyx", "temperature", 500, "nyx has no time step 500 (have 0..7)"},
+		{"nyx", "temperature", 8, "nyx has no time step 8 (have 0..7)"},
+		{"nyx", "temperature", -3, "nyx has no time step -3 (have 0..7)"},
+		{"miranda", "density", 7, "miranda has no time step 7 (have 0..0)"},
+		{"hurricane", "P", 48, "hurricane has no time step 48 (have 0..47)"},
+	} {
+		f, err := Generate(c.dataset, c.field, Options{Nx: 8, Ny: 8, Nz: 8, TimeStep: c.step})
+		if err == nil || f != nil {
+			t.Fatalf("%s step %d: Generate returned error %v, want an error and no field", c.dataset, c.step, err)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s step %d: error %q, want it to say %q", c.dataset, c.step, err, c.want)
+		}
+	}
+	for _, step := range []int{0, 7} {
+		if _, err := Generate("nyx", "temperature", Options{Nx: 8, Ny: 8, Nz: 8, TimeStep: step}); err != nil {
+			t.Fatalf("nyx step %d: %v", step, err)
+		}
+	}
+}

@@ -5,9 +5,7 @@ import (
 	"io"
 
 	"carol/internal/codecs"
-	"carol/internal/core"
 	"carol/internal/field"
-	"carol/internal/fxrz"
 	"carol/internal/stats"
 )
 
@@ -56,34 +54,11 @@ func RunFig7(w io.Writer, s Scale) error {
 		return err
 	}
 	for _, name := range codecs.Names {
-		codec, err := codecs.ByName(name)
+		fx, ca, err := trainBoth(p, name, train)
 		if err != nil {
 			return err
 		}
-		fx := fxrz.New(codec, fxrz.Config{
-			ErrorBounds: p.sweep, GridConfigs: p.gridCfgs,
-			ForestCap: p.forestCap, Seed: p.seed,
-		})
-		if _, err := fx.Collect(train); err != nil {
-			return err
-		}
-		if _, err := fx.Train(); err != nil {
-			return err
-		}
-		ca, err := core.New(name, core.Config{
-			ErrorBounds: p.sweep, BOIterations: p.boIters,
-			ForestCap: p.forestCap, Seed: p.seed,
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := ca.Collect(train); err != nil {
-			return err
-		}
-		if _, err := ca.Train(); err != nil {
-			return err
-		}
-		targets, err := achievableTargets(codec, test, p, 6)
+		targets, err := achievableTargets(fx.fw.Codec(), test, p, 6)
 		if err != nil {
 			return err
 		}
@@ -92,11 +67,11 @@ func RunFig7(w io.Writer, s Scale) error {
 		fmt.Fprintln(tw, "requested f\tachieved f_FXRZ\tachieved f_CAROL")
 		var accF, accC stats.Accumulator
 		for _, target := range targets {
-			_, gotF, err := fx.CompressToRatio(test, target)
+			_, gotF, err := fx.fw.CompressToRatio(test, target)
 			if err != nil {
 				return err
 			}
-			_, gotC, err := ca.CompressToRatio(test, target)
+			_, gotC, err := ca.fw.CompressToRatio(test, target)
 			if err != nil {
 				return err
 			}
@@ -125,42 +100,15 @@ func RunFig8(w io.Writer, s Scale) error {
 	tw := newTable(w)
 	fmt.Fprintln(tw, "compressor\tFXRZ collect\tFXRZ train\tCAROL collect\tCAROL train\tsetup speedup")
 	for _, name := range codecs.Names {
-		codec, err := codecs.ByName(name)
+		fx, ca, err := trainBoth(p, name, train)
 		if err != nil {
 			return err
 		}
-		fx := fxrz.New(codec, fxrz.Config{
-			ErrorBounds: p.sweep, GridConfigs: p.gridCfgs,
-			ForestCap: p.forestCap, Seed: p.seed,
-		})
-		csF, err := fx.Collect(train)
-		if err != nil {
-			return err
-		}
-		tsF, err := fx.Train()
-		if err != nil {
-			return err
-		}
-		ca, err := core.New(name, core.Config{
-			ErrorBounds: p.sweep, BOIterations: p.boIters,
-			ForestCap: p.forestCap, Seed: p.seed,
-		})
-		if err != nil {
-			return err
-		}
-		csC, err := ca.Collect(train)
-		if err != nil {
-			return err
-		}
-		tsC, err := ca.Train()
-		if err != nil {
-			return err
-		}
-		fxTotal := csF.Duration + tsF.Duration
-		caTotal := csC.Duration + tsC.Duration
+		fxTotal := fx.collect.Duration + fx.train.Duration
+		caTotal := ca.collect.Duration + ca.train.Duration
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%.1fx\n",
-			name, ms(csF.Duration), ms(tsF.Duration),
-			ms(csC.Duration), ms(tsC.Duration),
+			name, ms(fx.collect.Duration), ms(fx.train.Duration),
+			ms(ca.collect.Duration), ms(ca.train.Duration),
 			float64(fxTotal)/float64(caTotal))
 	}
 	return tw.Flush()

@@ -8,7 +8,6 @@ import (
 	"carol/internal/compressor"
 	"carol/internal/core"
 	"carol/internal/field"
-	"carol/internal/fxrz"
 	"carol/internal/secre"
 	"carol/internal/stats"
 )
@@ -75,49 +74,56 @@ func RunTable3(w io.Writer, s Scale) error {
 	return tw.Flush()
 }
 
+// setup is one framework trained on an experiment's training set, with
+// what its collection and training cost.
+type setup struct {
+	fw      *core.Framework
+	collect core.CollectStats
+	train   core.TrainStats
+}
+
+// trainBoth trains the FXRZ and the CAROL preset for codecName on train,
+// as Table 3, Fig. 7 and Fig. 8 compare them: the same sweep, forest cap
+// and seed, with p.gridCfgs grid configurations for FXRZ and p.boIters BO
+// iterations for CAROL.
+func trainBoth(p params, codecName string, train []*field.Field) (fx, ca setup, err error) {
+	codec, err := codecs.ByName(codecName)
+	if err != nil {
+		return fx, ca, err
+	}
+	cfg := core.Config{ErrorBounds: p.sweep, BOIterations: p.gridCfgs, ForestCap: p.forestCap, Seed: p.seed}
+	fx.fw = core.NewFXRZ(codec, cfg)
+	cfg.BOIterations = p.boIters
+	if ca.fw, err = core.New(codecName, cfg); err != nil {
+		return fx, ca, err
+	}
+	for _, s := range []*setup{&fx, &ca} {
+		if s.collect, err = s.fw.Collect(train); err != nil {
+			return fx, ca, err
+		}
+		if s.train, err = s.fw.Train(); err != nil {
+			return fx, ca, err
+		}
+	}
+	return fx, ca, nil
+}
+
 // singleDomainAlpha trains both frameworks on train and reports their
 // end-to-end estimation error on test.
 func singleDomainAlpha(p params, codecName string, train []*field.Field, test *field.Field) (alphaFXRZ, alphaCAROL float64, err error) {
-	codec, err := codecs.ByName(codecName)
+	fx, ca, err := trainBoth(p, codecName, train)
 	if err != nil {
 		return 0, 0, err
 	}
-	fx := fxrz.New(codec, fxrz.Config{
-		ErrorBounds: p.sweep,
-		GridConfigs: p.gridCfgs,
-		ForestCap:   p.forestCap,
-		Seed:        p.seed,
-	})
-	if _, err := fx.Collect(train); err != nil {
-		return 0, 0, err
-	}
-	if _, err := fx.Train(); err != nil {
-		return 0, 0, err
-	}
-	ca, err := core.New(codecName, core.Config{
-		ErrorBounds:  p.sweep,
-		BOIterations: p.boIters,
-		ForestCap:    p.forestCap,
-		Seed:         p.seed,
-	})
+	targets, err := achievableTargets(fx.fw.Codec(), test, p, 5)
 	if err != nil {
 		return 0, 0, err
 	}
-	if _, err := ca.Collect(train); err != nil {
-		return 0, 0, err
-	}
-	if _, err := ca.Train(); err != nil {
-		return 0, 0, err
-	}
-	targets, err := achievableTargets(codec, test, p, 5)
+	alphaFXRZ, err = endToEndAlpha(test, targets, fx.fw.CompressToRatio)
 	if err != nil {
 		return 0, 0, err
 	}
-	alphaFXRZ, err = endToEndAlpha(test, targets, fx.CompressToRatio)
-	if err != nil {
-		return 0, 0, err
-	}
-	alphaCAROL, err = endToEndAlpha(test, targets, ca.CompressToRatio)
+	alphaCAROL, err = endToEndAlpha(test, targets, ca.fw.CompressToRatio)
 	return alphaFXRZ, alphaCAROL, err
 }
 

@@ -28,6 +28,9 @@ go build -o "$bindir" ./cmd/carolserve ./cmd/carolbench ./cmd/caroltrain ./cmd/c
 echo "== carolbench -list"
 "$bindir/carolbench" -list
 
+echo "== examples/comparison: the FXRZ preset beside CAROL"
+go run ./examples/comparison
+
 echo "== caroltrain: publish model version 1"
 "$bindir/caroltrain" -codec szx -model-dir "$workdir/models" \
     -datasets miranda:velocityx -dims 16x16x8 -bounds 6 -bo-iters 2 \
