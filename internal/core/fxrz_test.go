@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"carol/internal/compressor"
@@ -52,6 +54,60 @@ func TestFXRZCollectTrainPredict(t *testing.T) {
 	}
 	if a := stats.PctError(achieved, target); a > 60 {
 		t.Fatalf("achieved %g for target %g (α=%.0f%%)", achieved, target, a)
+	}
+}
+
+func TestFXRZPredictBeforeTrain(t *testing.T) {
+	fw := NewFXRZ(szx.New(), fxrzConfig())
+	if _, err := fw.PredictErrorBound(trainFields(t)[0], 10); err == nil {
+		t.Fatal("untrained predict accepted")
+	}
+}
+
+func TestFXRZTrainWithoutData(t *testing.T) {
+	fw := NewFXRZ(szx.New(), fxrzConfig())
+	if _, err := fw.Train(); err == nil {
+		t.Fatal("train without data accepted")
+	}
+}
+
+func TestFXRZPredictInvalidTarget(t *testing.T) {
+	fw := NewFXRZ(szx.New(), fxrzConfig())
+	fields := trainFields(t)
+	if _, err := fw.Collect(fields[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Train(); err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []float64{0, -5} {
+		if _, err := fw.PredictErrorBound(fields[0], target); err == nil {
+			t.Fatalf("target %g accepted", target)
+		}
+	}
+}
+
+// TestFXRZCollectWorkersBitIdentical: the preset's collection fans out like
+// CAROL's and must leave the serial loop's training set, stats and first
+// error, with and without failing fields.
+func TestFXRZCollectWorkersBitIdentical(t *testing.T) {
+	bad := field.New("bad", 16, 16, 4)
+	bad.Data[3] = float32(math.Inf(1))
+	for _, fields := range [][]*field.Field{trainFields(t), append(trainFields(t)[:1], bad, bad)} {
+		want, wantStats, wantErr := collectWith(t, "fxrz-szx", 1, fields)
+		if (wantErr != nil) != (fields[1] == bad) {
+			t.Fatalf("serial collect error %v", wantErr)
+		}
+		if wantStats.FullCompressorRuns != wantStats.Samples || wantStats.SurrogateRuns != 0 {
+			t.Fatalf("serial collect stats %+v", wantStats)
+		}
+		for _, workers := range []int{0, 3} {
+			got, gotStats, err := collectWith(t, "fxrz-szx", workers, fields)
+			if !reflect.DeepEqual(got, want) || gotStats != wantStats || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("Workers=%d: %d samples %+v err %v; serial %d samples %+v err %v",
+					workers, len(got), gotStats, err, len(want), wantStats, wantErr)
+			}
+		}
 	}
 }
 
