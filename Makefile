@@ -1,4 +1,4 @@
-.PHONY: check build vet lint test race loc
+.PHONY: check build vet lint test race loc pkgs
 
 check: ## build + vet + race-enabled tests + carollint (the tier-1 gate)
 	./scripts/check.sh
@@ -25,3 +25,7 @@ race:
 # and testdata/. ROADMAP item 10 tracks it per PR in CHANGES.md.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
+
+# The number of internal packages; ROADMAP item 10 tracks it beside loc.
+pkgs:
+	@go list ./internal/... | wc -l

@@ -31,6 +31,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -46,89 +47,124 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	o, err := parseFlags(os.Args[1:])
+	if err == nil {
+		err = run(o)
+	}
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "carolc:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	comp := flag.String("compressor", "sz3", "compressor: "+strings.Join(codecs.ExtendedNames, ", "))
-	codec := flag.String("codec", "",
-		"alias for -compressor; \"auto\" selects adaptively (-eb compress, sniffed -d)")
-	dims := flag.String("dims", "", "grid dims NXxNYxNZ (compression only)")
-	eb := flag.Float64("eb", 0, "value-range-relative error bound")
-	ratio := flag.Float64("ratio", 0, "target compression ratio (fixed-ratio mode)")
-	in := flag.String("in", "", "input file (raw little-endian float32, or compressed stream with -d/-verify)")
-	out := flag.String("out", "", "output file")
-	decompress := flag.Bool("d", false, "decompress instead of compress")
-	stream := flag.Bool("stream", false,
-		"compress via the block pipeline: CPL1 container, bounded peak memory (-eb mode only)")
-	workers := flag.Int("workers", 0, "pipeline worker count for -stream/-d (0 = GOMAXPROCS)")
-	verify := flag.String("verify", "", "original raw file: decompress -in and print a quality report against it")
-	flag.Parse()
+// options carries the parsed flag set.
+type options struct {
+	codec      string // -codec, else -compressor
+	dims       string
+	eb, ratio  float64
+	in, out    string
+	decompress bool
+	stream     bool
+	workers    int
+	verify     string
+}
 
-	name := *comp
+// parseFlags reads the flags and refuses a value out of range, or -eb and
+// -ratio together, before any work.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("carolc", flag.ContinueOnError)
+	comp := fs.String("compressor", "sz3", "compressor: "+strings.Join(codecs.ExtendedNames, ", "))
+	codec := fs.String("codec", "",
+		"alias for -compressor; \"auto\" selects adaptively (-eb compress, sniffed -d)")
+	fs.StringVar(&o.dims, "dims", "", "grid dims NXxNYxNZ (compression only)")
+	fs.Float64Var(&o.eb, "eb", 0, "value-range-relative error bound")
+	fs.Float64Var(&o.ratio, "ratio", 0, "target compression ratio (fixed-ratio mode)")
+	fs.StringVar(&o.in, "in", "", "input file (raw little-endian float32, or compressed stream with -d/-verify)")
+	fs.StringVar(&o.out, "out", "", "output file")
+	fs.BoolVar(&o.decompress, "d", false, "decompress instead of compress")
+	fs.BoolVar(&o.stream, "stream", false,
+		"compress via the block pipeline: CPL1 container, bounded peak memory (-eb mode only)")
+	fs.IntVar(&o.workers, "workers", 0, "pipeline worker count for -stream/-d (0 = GOMAXPROCS)")
+	fs.StringVar(&o.verify, "verify", "", "original raw file: decompress -in and print a quality report against it")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	o.codec = *comp
 	if *codec != "" {
-		name = *codec
+		o.codec = *codec
 	}
-	if *verify != "" {
-		return doVerify(name, *in, *verify, *dims)
+	switch {
+	case o.workers < 0:
+		return o, fmt.Errorf("-workers %d < 0", o.workers)
+	case !(o.eb >= 0): // NaN too
+		return o, fmt.Errorf("-eb %g out of range: want a relative error bound > 0", o.eb)
+	case !(o.ratio >= 0):
+		return o, fmt.Errorf("-ratio %g out of range: want a target ratio > 0", o.ratio)
+	case o.eb > 0 && o.ratio > 0:
+		return o, fmt.Errorf("-eb %g and -ratio %g: pass one of them", o.eb, o.ratio)
 	}
-	if *in == "" || *out == "" {
+	return o, nil
+}
+
+func run(o options) error {
+	if o.verify != "" {
+		return doVerify(o.codec, o.in, o.verify, o.dims)
+	}
+	if o.in == "" || o.out == "" {
 		return fmt.Errorf("need -in and -out")
 	}
-	if *decompress {
-		return doDecompress(name, *in, *out, *workers)
+	if o.decompress {
+		return doDecompress(o.codec, o.in, o.out, o.workers)
 	}
-	nx, ny, nz, err := field.ParseDims(*dims)
+	nx, ny, nz, err := field.ParseDims(o.dims)
 	if err != nil {
 		return err
 	}
-	inF, err := os.Open(*in)
+	inF, err := os.Open(o.in)
 	if err != nil {
 		return err
 	}
 	defer inF.Close()
-	f, err := carol.ReadRawField(*in, nx, ny, nz, inF)
+	f, err := carol.ReadRawField(o.in, nx, ny, nz, inF)
 	if err != nil {
 		return err
 	}
 
-	if name == "auto" {
+	if o.codec == "auto" {
 		switch {
-		case *ratio > 0:
+		case o.ratio > 0:
 			return fmt.Errorf("-codec auto needs -eb; pass a codec with -ratio")
-		case *stream:
+		case o.stream:
 			return fmt.Errorf("-codec auto cannot write CPL1 containers (they do not name their codec); pass a codec with -stream")
-		case !(*eb > 0):
+		case !(o.eb > 0):
 			return fmt.Errorf("-codec auto needs -eb")
 		}
-		return doCompressAuto(f, *eb, *out)
+		return doCompressAuto(f, o.eb, o.out)
 	}
-	if *stream {
-		if !(*eb > 0) {
+	if o.stream {
+		if !(o.eb > 0) {
 			return fmt.Errorf("-stream needs -eb")
 		}
-		return doCompressStream(name, f, *eb, *out, *workers)
+		return doCompressStream(o.codec, f, o.eb, o.out, o.workers)
 	}
 	var blob []byte
 	switch {
-	case *ratio > 0:
-		blob, err = compressToRatio(name, f, *ratio)
-	case *eb > 0:
-		blob, err = carol.Compress(name, f, *eb)
+	case o.ratio > 0:
+		blob, err = compressToRatio(o.codec, f, o.ratio)
+	case o.eb > 0:
+		blob, err = carol.Compress(o.codec, f, o.eb)
 	default:
 		return fmt.Errorf("need -eb or -ratio")
 	}
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(*out, blob, 0o644); err != nil {
+	if err := os.WriteFile(o.out, blob, 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("%s: %d -> %d bytes (ratio %.2f)\n",
-		name, f.SizeBytes(), len(blob), carol.Ratio(f, blob))
+		o.codec, f.SizeBytes(), len(blob), carol.Ratio(f, blob))
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"carol"
@@ -130,5 +131,40 @@ func TestCompressToRatioReachesTarget(t *testing.T) {
 	}
 	if g.Len() != f.Len() {
 		t.Fatalf("decoded %d samples, want %d", g.Len(), f.Len())
+	}
+}
+
+// TestParseFlagRanges: an out-of-range -workers, -eb or -ratio, or -eb
+// and -ratio together, is refused before any work instead of running on
+// every core, dropping -eb or reporting a missing bound; the flags the
+// smoke scripts pass stay valid.
+func TestParseFlagRanges(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		err  string // "" = accepted
+	}{
+		{[]string{"-stream", "-workers", "-5", "-eb", "1e-3"}, "-workers -5 < 0"},
+		{[]string{"-d", "-workers", "-2"}, "-workers -2 < 0"},
+		{[]string{"-stream", "-workers", "0", "-eb", "1e-3"}, ""},
+		{[]string{"-d", "-workers", "3"}, ""},
+		{[]string{"-eb", "1e-3", "-ratio", "10"}, "-eb 0.001 and -ratio 10"},
+		{[]string{"-eb", "-1e-3"}, "-eb -0.001 out of range"},
+		{[]string{"-eb", "NaN"}, "-eb NaN out of range"},
+		{[]string{"-ratio", "-4"}, "-ratio -4 out of range"},
+		{[]string{"-eb", "1e-3"}, ""},
+		{[]string{"-compressor", "szx", "-ratio", "20"}, ""},
+		{[]string{"-codec", "auto", "-eb", "1e-3"}, ""},
+	} {
+		_, err := parseFlags(c.args)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%v: %v", c.args, err)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("%v: error %v, want one containing %q", c.args, err, c.err)
+		}
+	}
+	o, err := parseFlags([]string{"-compressor", "szx", "-codec", "zfp"})
+	if err != nil || o.codec != "zfp" {
+		t.Fatalf("-codec does not override -compressor: %q, %v", o.codec, err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"carol/internal/chunked"
 	"carol/internal/codecs"
-	"carol/internal/jobs"
 	"carol/internal/obs"
 )
 
@@ -199,7 +198,7 @@ func TestGateAutoJobMeta(t *testing.T) {
 			t.Fatalf("%s: accept decode: %v", tc.name, err)
 		}
 		st := pollJob(t, g, acc.ID)
-		if st.State != jobs.StateDone {
+		if st.State != jobDone {
 			t.Fatalf("%s: job ended %s (%s), want done", tc.name, st.State, st.Error)
 		}
 		got := st.Meta["codec"]

@@ -104,7 +104,7 @@ func newGateOver(t testing.TB, urls []string, tweak func(*gateConfig)) *gate {
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if err := g.queue.Close(ctx); err != nil {
+		if err := g.queue.close(ctx); err != nil {
 			t.Errorf("queue close: %v", err)
 		}
 	})

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"carol/internal/httpkit"
-	"carol/internal/jobs"
 	"carol/internal/obs"
 	"carol/internal/ring"
 	"carol/internal/safedec"
@@ -76,7 +75,7 @@ type gate struct {
 	ring   *ring.Ring
 	shards map[string]*shardState
 	client *http.Client
-	queue  *jobs.Queue
+	queue  *queue
 	// sel resolves mode=auto on the slab fan-out path, once before the
 	// field splits (every slab of one field uses one codec). Whole-routed
 	// auto requests are decided by the shard.
@@ -103,15 +102,11 @@ func newGate(cfg gateConfig, shardURLs []string) (*gate, error) {
 		return nil, err
 	}
 	g := &gate{
-		cfg:    cfg,
-		ring:   r,
-		shards: make(map[string]*shardState, len(shardURLs)),
-		client: &http.Client{Timeout: cfg.shardTimeout, Transport: shardTransport(cfg)},
-		queue: jobs.New(jobs.Options{
-			MaxQueued:   cfg.jobQueue,
-			Workers:     cfg.jobWorkers,
-			TenantQuota: cfg.tenantQuota,
-		}),
+		cfg:          cfg,
+		ring:         r,
+		shards:       make(map[string]*shardState, len(shardURLs)),
+		client:       &http.Client{Timeout: cfg.shardTimeout, Transport: shardTransport(cfg)},
+		queue:        newQueue(cfg.jobQueue, cfg.jobWorkers, cfg.tenantQuota),
 		reg:          obs.Default,
 		bodyLimit:    min(httpkit.MaxBody, cfg.proxyLimits.MaxAlloc),
 		healthyGauge: obs.Default.Gauge("carol_fleet_healthy_shards"),
@@ -233,7 +228,7 @@ func (g *gate) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if st.Healthy == 0 {
 		st.Converged = false
 	}
-	queued, running := g.queue.Depth()
+	queued, running := g.queue.counts()
 	st.JobsQueued, st.JobsActive = queued, running
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(st); err != nil {

@@ -19,7 +19,6 @@ import (
 	"carol/internal/chunked"
 	"carol/internal/httpkit"
 	"carol/internal/httpkit/kittest"
-	"carol/internal/jobs"
 	"carol/internal/xrand"
 )
 
@@ -383,7 +382,7 @@ func TestGateReadyz(t *testing.T) {
 	}
 }
 
-func pollJob(t *testing.T, g *gate, id string) jobs.Status {
+func pollJob(t *testing.T, g *gate, id string) jobStatus {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -391,11 +390,11 @@ func pollJob(t *testing.T, g *gate, id string) jobs.Status {
 		if w.Code != http.StatusOK {
 			t.Fatalf("job status: %d: %s", w.Code, w.Body.String())
 		}
-		var st jobs.Status
+		var st jobStatus
 		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 			t.Fatalf("job status decode: %v", err)
 		}
-		if st.State == jobs.StateDone || st.State == jobs.StateFailed {
+		if st.State == jobDone || st.State == jobFailed {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -421,7 +420,7 @@ func TestGateJobLifecycle(t *testing.T) {
 	}
 
 	st := pollJob(t, g, acc.ID)
-	if st.State != jobs.StateDone {
+	if st.State != jobDone {
 		t.Fatalf("job ended %s (%s), want done", st.State, st.Error)
 	}
 	w = doGate(t, g, http.MethodGet, acc.ResultURL, nil)
@@ -666,6 +665,50 @@ func TestSplitShards(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("splitShards[%d] = %q, want %q", i, got[i], want[i])
 		}
+	}
+}
+
+// TestParseJobFlagRanges: a job-queue flag below 1 is refused at parse
+// instead of silently becoming a default, the defaults are the gate
+// config's, and the flags the benchmark and smoke scripts pass stay valid.
+func TestParseJobFlagRanges(t *testing.T) {
+	for _, c := range []struct {
+		flag, val string
+		ok        bool
+	}{
+		{"-job-workers", "0", false},
+		{"-job-workers", "-2", false},
+		{"-job-workers", "1", true},
+		{"-job-queue", "0", false},
+		{"-job-queue", "-64", false},
+		{"-job-queue", "1", true},
+		{"-tenant-quota", "0", false},
+		{"-tenant-quota", "-1", false},
+		{"-tenant-quota", "1", true},
+		{"-tenant-quota", "32", true},
+	} {
+		_, _, _, err := parseFlags([]string{"-shards", "http://a:1", c.flag, c.val})
+		if (err == nil) != c.ok {
+			t.Errorf("%s %s: error %v, want ok=%v", c.flag, c.val, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), c.flag+" "+c.val) {
+			t.Errorf("%s %s: error %q does not name the flag and value", c.flag, c.val, err)
+		}
+	}
+	cfg, addr, shards, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-shards", "http://a:1/,http://b:2", "-selector-seed", "7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := defaultGateConfig()
+	if cfg.jobWorkers != def.jobWorkers || cfg.jobQueue != def.jobQueue || cfg.tenantQuota != def.tenantQuota {
+		t.Fatalf("job defaults %d/%d/%d, want the gate config's %d/%d/%d",
+			cfg.jobWorkers, cfg.jobQueue, cfg.tenantQuota, def.jobWorkers, def.jobQueue, def.tenantQuota)
+	}
+	if addr != "127.0.0.1:0" || len(shards) != 2 || shards[0] != "http://a:1" {
+		t.Fatalf("addr %q, shards %v", addr, shards)
+	}
+	if _, _, _, err := parseFlags(nil); err == nil {
+		t.Fatal("missing -shards accepted")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"carol/internal/httpkit"
-	"carol/internal/jobs"
 )
 
 // tenantOf extracts the tenant a job is accounted to: the X-Carol-Tenant
@@ -60,7 +59,7 @@ func (g *gate) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Snapshot the routing-relevant request state; the job outlives r.
 	rawQuery, key := r.URL.RawQuery, routeKey(r)
-	id, err := g.queue.Submit(tenant, "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
+	id, err := g.queue.submit(tenant, "compress", func(ctx context.Context) ([]byte, map[string]string, error) {
 		resp, err := g.routeCompress(req, rawQuery, key, body)
 		if err != nil {
 			return nil, nil, err
@@ -105,10 +104,10 @@ func codecMeta(chosen string) map[string]string {
 // tenant over quota → 429 (you specifically come back), closed → 503.
 func jobAdmissionError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, jobs.ErrTenantQuota):
+	case errors.Is(err, errTenantQuota):
 		w.Header().Set("Retry-After", "5")
 		httpkit.Error(w, http.StatusTooManyRequests, "%v", err)
-	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrClosed):
+	case errors.Is(err, errQueueFull), errors.Is(err, errQueueClosed):
 		w.Header().Set("Retry-After", "5")
 		httpkit.Error(w, http.StatusServiceUnavailable, "%v", err)
 	default:
@@ -132,7 +131,7 @@ func (g *gate) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		g.serveJobResult(w, id)
 		return
 	}
-	st, err := g.queue.Get(id)
+	st, err := g.queue.get(id)
 	if err != nil {
 		httpkit.Error(w, http.StatusNotFound, "%v", err)
 		return
@@ -147,22 +146,22 @@ func (g *gate) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // answers 202 with its status so pollers can share code with the status
 // endpoint, and a failed job surfaces its error as 502.
 func (g *gate) serveJobResult(w http.ResponseWriter, id string) {
-	res, st, err := g.queue.Result(id)
+	res, st, err := g.queue.result(id)
 	if err != nil {
 		httpkit.Error(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	switch st.State {
-	case jobs.StateQueued, jobs.StateRunning:
+	case jobQueued, jobRunning:
 		w.Header().Set("Retry-After", "1")
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
 		if err := json.NewEncoder(w).Encode(st); err != nil {
 			log.Printf("carolgate: job result encode: %v", err)
 		}
-	case jobs.StateFailed:
+	case jobFailed:
 		httpkit.Error(w, http.StatusBadGateway, "job failed: %s", st.Error)
-	default: // StateDone
+	default: // jobDone
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("X-Carol-Job-Id", id)
 		if c := st.Meta["codec"]; c != "" {

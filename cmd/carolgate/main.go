@@ -3,7 +3,7 @@
 // (internal/ring), splits large fields into slabs that are compressed in
 // parallel on the shards that own them (internal/chunked geometry,
 // internal/pipeline fan-out discipline), and absorbs large jobs into a
-// bounded async queue (internal/jobs) behind a 202-Accepted API.
+// bounded async queue (queue.go) behind a 202-Accepted API.
 //
 //	carolgate -addr :8080 -shards http://s1:8081,http://s2:8082,http://s3:8083
 //
@@ -36,6 +36,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -44,42 +45,71 @@ import (
 )
 
 func main() {
-	cfg := defaultGateConfig()
-	addr := flag.String("addr", ":8080", "listen address")
-	shardList := flag.String("shards", "", "comma-separated backend carolserve base URLs (required)")
-	flag.IntVar(&cfg.virtualNodes, "vnodes", cfg.virtualNodes,
-		"virtual nodes per shard on the consistent-hash ring")
-	flag.IntVar(&cfg.maxInflight, "max-inflight", cfg.maxInflight,
-		"maximum concurrently served /v1/ requests; excess get 503 + Retry-After")
-	flag.IntVar(&cfg.fanoutWorkers, "fanout-workers", cfg.fanoutWorkers,
-		"maximum concurrent shard requests per fanned-out field")
-	flag.IntVar(&cfg.chunkThresholdKiB, "chunk-threshold-kib", cfg.chunkThresholdKiB,
-		"fields at least this many KiB are slab-fanned across shards (0 disables chunking)")
-	flag.DurationVar(&cfg.probeInterval, "probe-interval", cfg.probeInterval,
-		"shard /healthz probe interval (healthy shards)")
-	flag.DurationVar(&cfg.probeTimeout, "probe-timeout", cfg.probeTimeout,
-		"per-probe timeout")
-	flag.DurationVar(&cfg.probeMaxBackoff, "probe-max-backoff", cfg.probeMaxBackoff,
-		"cap on the exponential probe backoff for failing shards")
-	flag.DurationVar(&cfg.shardTimeout, "shard-timeout", cfg.shardTimeout,
-		"per-attempt timeout for proxied shard requests")
-	flag.IntVar(&cfg.jobWorkers, "job-workers", cfg.jobWorkers,
-		"concurrently running async jobs")
-	flag.IntVar(&cfg.jobQueue, "job-queue", cfg.jobQueue,
-		"maximum queued async jobs (503 beyond)")
-	flag.IntVar(&cfg.tenantQuota, "tenant-quota", cfg.tenantQuota,
-		"maximum queued+running async jobs per tenant (429 beyond)")
-	flag.Uint64("selector-seed", 1,
-		"ignored: mode=auto draws no random numbers (kept until the benchmark harness stops passing it)")
-	cfg.timeouts.Flags(flag.CommandLine)
-	flag.Parse()
-
-	shards := splitShards(*shardList)
-	if len(shards) == 0 {
-		log.Printf("carolgate: -shards is required (comma-separated carolserve base URLs)")
+	cfg, addr, shards, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		log.Printf("carolgate: %v", err)
 		os.Exit(2)
 	}
-	os.Exit(run(cfg, *addr, shards))
+	os.Exit(run(cfg, addr, shards))
+}
+
+// parseFlags reads the gate's flags over defaultGateConfig and returns the
+// config, the listen address and the shard URLs.
+func parseFlags(args []string) (gateConfig, string, []string, error) {
+	cfg := defaultGateConfig()
+	fs := flag.NewFlagSet("carolgate", flag.ContinueOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	shardList := fs.String("shards", "", "comma-separated backend carolserve base URLs (required)")
+	fs.IntVar(&cfg.virtualNodes, "vnodes", cfg.virtualNodes,
+		"virtual nodes per shard on the consistent-hash ring")
+	fs.IntVar(&cfg.maxInflight, "max-inflight", cfg.maxInflight,
+		"maximum concurrently served /v1/ requests; excess get 503 + Retry-After")
+	fs.IntVar(&cfg.fanoutWorkers, "fanout-workers", cfg.fanoutWorkers,
+		"maximum concurrent shard requests per fanned-out field")
+	fs.IntVar(&cfg.chunkThresholdKiB, "chunk-threshold-kib", cfg.chunkThresholdKiB,
+		"fields at least this many KiB are slab-fanned across shards (0 disables chunking)")
+	fs.DurationVar(&cfg.probeInterval, "probe-interval", cfg.probeInterval,
+		"shard /healthz probe interval (healthy shards)")
+	fs.DurationVar(&cfg.probeTimeout, "probe-timeout", cfg.probeTimeout,
+		"per-probe timeout")
+	fs.DurationVar(&cfg.probeMaxBackoff, "probe-max-backoff", cfg.probeMaxBackoff,
+		"cap on the exponential probe backoff for failing shards")
+	fs.DurationVar(&cfg.shardTimeout, "shard-timeout", cfg.shardTimeout,
+		"per-attempt timeout for proxied shard requests")
+	fs.IntVar(&cfg.jobWorkers, "job-workers", cfg.jobWorkers,
+		"concurrently running async jobs")
+	fs.IntVar(&cfg.jobQueue, "job-queue", cfg.jobQueue,
+		"maximum queued async jobs (503 beyond)")
+	fs.IntVar(&cfg.tenantQuota, "tenant-quota", cfg.tenantQuota,
+		"maximum queued+running async jobs per tenant (429 beyond)")
+	fs.Uint64("selector-seed", 1,
+		"ignored: mode=auto draws no random numbers (kept until the benchmark harness stops passing it)")
+	cfg.timeouts.Flags(fs)
+	if err := fs.Parse(args); err != nil {
+		return cfg, "", nil, err
+	}
+	shards := splitShards(*shardList)
+	if len(shards) == 0 {
+		return cfg, "", nil, fmt.Errorf("-shards is required (comma-separated carolserve base URLs)")
+	}
+	// The job queue has no defaults of its own: a value below 1 would
+	// refuse every job or run none.
+	for _, c := range []struct {
+		flag string
+		val  int
+	}{
+		{"job-workers", cfg.jobWorkers},
+		{"job-queue", cfg.jobQueue},
+		{"tenant-quota", cfg.tenantQuota},
+	} {
+		if c.val < 1 {
+			return cfg, "", nil, fmt.Errorf("-%s %d < 1", c.flag, c.val)
+		}
+	}
+	return cfg, *addr, shards, nil
 }
 
 // splitShards parses the -shards flag, trimming blanks and trailing
@@ -107,5 +137,5 @@ func run(cfg gateConfig, addr string, shards []string) int {
 	g.probeAll()
 	stopProber := g.startProber()
 	defer stopProber()
-	return g.Run(addr, cfg.timeouts, fmt.Sprintf(", %d shards on the ring", g.ring.Len()), g.queue.Close)
+	return g.Run(addr, cfg.timeouts, fmt.Sprintf(", %d shards on the ring", g.ring.Len()), g.queue.close)
 }

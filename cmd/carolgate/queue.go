@@ -1,16 +1,18 @@
-// Package jobs is the async work queue behind carolgate's 202-Accepted
-// path: a large compress or train request is admitted (or refused — the
-// queue is bounded and per-tenant quotas stop one client from starving
-// the fleet), executed on a bounded worker pool, and its result held for
-// the client to poll and stream back.
+package main
+
+// The async job queue behind the gate's 202-Accepted path: a large
+// compress request is admitted (or refused — the queue is bounded and
+// per-tenant quotas stop one client from starving the fleet), executed on
+// a bounded worker pool, and its result held for the client to poll and
+// stream back.
 //
-// Admission is the contract: Submit either returns an ID whose job WILL
-// run, or an error classifying why not (ErrQueueFull → 503 Retry-After,
-// ErrTenantQuota → 429). There is no silent dropping and no unbounded
+// Admission is the contract: submit either returns an ID whose job WILL
+// run, or an error classifying why not (errQueueFull → 503 Retry-After,
+// errTenantQuota → 429). There is no silent dropping and no unbounded
 // queueing — the two failure modes that turn an async API into an outage
 // amplifier under load.
 //
-// Lifecycle: Queued → Running → Done|Failed. Completed jobs stay
+// Lifecycle: queued → running → done|failed. Completed jobs stay
 // retrievable until evicted: each tenant's finished jobs are capped and
 // evicted oldest-first, so an abandoned client leaks a bounded number of
 // results, not a process.
@@ -18,9 +20,8 @@
 // The worker pool follows the launcher discipline of internal/pipeline's
 // runOrdered: a single dispatcher goroutine pulls admitted jobs in FIFO
 // order and acquires a semaphore slot before each `go`, so concurrency is
-// bounded by construction. Close stops admission and waits for running
+// bounded by construction. close stops admission and waits for running
 // jobs — the graceful-drain half of the gate's SIGTERM story.
-package jobs
 
 import (
 	"context"
@@ -34,95 +35,61 @@ import (
 	"carol/internal/obs"
 )
 
-// State is a job's lifecycle position.
-type State string
+// jobState is a job's lifecycle position.
+type jobState string
 
 const (
-	StateQueued  State = "queued"
-	StateRunning State = "running"
-	StateDone    State = "done"
-	StateFailed  State = "failed"
+	jobQueued  jobState = "queued"
+	jobRunning jobState = "running"
+	jobDone    jobState = "done"
+	jobFailed  jobState = "failed"
 )
 
-// Admission errors. Callers map these to HTTP statuses (503 and 429).
+// Admission errors; jobAdmissionError maps them to 503 and 429.
 var (
-	ErrQueueFull   = errors.New("jobs: queue full")
-	ErrTenantQuota = errors.New("jobs: tenant quota exceeded")
-	ErrClosed      = errors.New("jobs: queue closed")
-	// ErrNotFound reports an unknown (or already evicted) job ID.
-	ErrNotFound = errors.New("jobs: not found")
+	errQueueFull   = errors.New("jobs: queue full")
+	errTenantQuota = errors.New("jobs: tenant quota exceeded")
+	errQueueClosed = errors.New("jobs: queue closed")
+	// errJobNotFound reports an unknown (or already evicted) job ID.
+	errJobNotFound = errors.New("jobs: not found")
 )
 
-// MetaFunc is the work a job performs. It runs on a pool goroutine; the
+// jobFunc is the work a job performs. It runs on a pool goroutine; the
 // context is cancelled when the queue shuts down, and implementations
 // should return promptly once it is. The returned bytes become the
 // streamable result, and the bounded key/value metadata (e.g. which codec
-// an adaptive compress chose, or nil) surfaces in Status.Meta once the job
+// an adaptive compress chose, or nil) surfaces in jobStatus.Meta once the job
 // is done.
-type MetaFunc func(ctx context.Context) ([]byte, map[string]string, error)
+type jobFunc func(ctx context.Context) ([]byte, map[string]string, error)
 
-// Options tunes a Queue. Zero values take defaults.
-type Options struct {
-	// MaxQueued bounds jobs admitted but not yet running. Default 64.
-	MaxQueued int
-	// Workers bounds concurrently running jobs. Default 2.
-	Workers int
-	// TenantQuota bounds one tenant's queued+running jobs. Default 8.
-	TenantQuota int
-	// RetainPerTenant bounds one tenant's completed-but-unfetched jobs;
-	// beyond it the oldest finished job is evicted. Default 32.
-	RetainPerTenant int
-	// Registry receives queue metrics. Default obs.Default.
-	Registry *obs.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxQueued <= 0 {
-		o.MaxQueued = 64
-	}
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
-	if o.TenantQuota <= 0 {
-		o.TenantQuota = 8
-	}
-	if o.RetainPerTenant <= 0 {
-		o.RetainPerTenant = 32
-	}
-	if o.Registry == nil {
-		o.Registry = obs.Default
-	}
-	return o
-}
-
-// Status is a point-in-time job snapshot, shaped for the /v1/jobs/{id}
+// jobStatus is a point-in-time job snapshot, shaped for the /v1/jobs/{id}
 // JSON response.
-type Status struct {
-	ID       string  `json:"id"`
-	Tenant   string  `json:"tenant"`
-	Kind     string  `json:"kind"`
-	State    State   `json:"state"`
-	Error    string  `json:"error,omitempty"`
-	Queued   int64   `json:"queued_unix_ms"`
-	Started  int64   `json:"started_unix_ms,omitempty"`
-	Finished int64   `json:"finished_unix_ms,omitempty"`
-	Bytes    int     `json:"result_bytes,omitempty"`
-	Seconds  float64 `json:"run_seconds,omitempty"`
+type jobStatus struct {
+	ID       string   `json:"id"`
+	Tenant   string   `json:"tenant"`
+	Kind     string   `json:"kind"`
+	State    jobState `json:"state"`
+	Error    string   `json:"error,omitempty"`
+	Queued   int64    `json:"queued_unix_ms"`
+	Started  int64    `json:"started_unix_ms,omitempty"`
+	Finished int64    `json:"finished_unix_ms,omitempty"`
+	Bytes    int      `json:"result_bytes,omitempty"`
+	Seconds  float64  `json:"run_seconds,omitempty"`
 	// Meta carries the job's result metadata, present once the job is Done
-	// and its MetaFunc returned any.
+	// and its jobFunc returned any.
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
 // job is the internal record. All fields after creation are guarded by
-// Queue.mu except result/err which are written exactly once before the
+// queue.mu except result/err which are written exactly once before the
 // state moves to Done/Failed (also under mu).
 type job struct {
 	id     string
 	tenant string
 	kind   string
-	fn     MetaFunc
+	fn     jobFunc
 
-	state    State
+	state    jobState
 	queued   time.Time
 	started  time.Time
 	finished time.Time
@@ -132,9 +99,11 @@ type job struct {
 	seq      uint64 // admission order, for oldest-first eviction
 }
 
-// Queue is the bounded async job queue. Create with New, stop with Close.
-type Queue struct {
-	opts Options
+// queue is the bounded async job queue. Create with newQueue, stop with
+// close.
+type queue struct {
+	maxQueued   int
+	tenantQuota int
 
 	mu      sync.Mutex
 	byID    map[string]*job
@@ -156,27 +125,33 @@ type Queue struct {
 	runSecs   *obs.Histogram
 }
 
-// New builds and starts a queue.
-func New(opts Options) *Queue {
-	opts = opts.withDefaults()
+// retainPerTenant bounds one tenant's completed-but-unfetched jobs;
+// beyond it the oldest finished job is evicted.
+const retainPerTenant = 32
+
+// newQueue builds and starts a queue that admits up to maxQueued jobs not
+// yet running, runs up to workers at once, and holds each tenant to
+// tenantQuota queued and running jobs. Its metrics go to obs.Default.
+func newQueue(maxQueued, workers, tenantQuota int) *queue {
 	ctx, cancel := context.WithCancel(context.Background())
-	q := &Queue{
-		opts:    opts,
-		byID:    make(map[string]*job),
-		wake:    make(chan struct{}, 1),
-		sem:     make(chan struct{}, opts.Workers),
-		done:    make(chan struct{}),
-		ctx:     ctx,
-		cancel:  cancel,
-		depth:   opts.Registry.Gauge("jobs_queued"),
-		running: opts.Registry.Gauge("jobs_running"),
-		runSecs: opts.Registry.Histogram("jobs_run_seconds", obs.LatencyBuckets()),
+	q := &queue{
+		maxQueued:   maxQueued,
+		tenantQuota: tenantQuota,
+		byID:        make(map[string]*job),
+		wake:        make(chan struct{}, 1),
+		sem:         make(chan struct{}, workers),
+		done:        make(chan struct{}),
+		ctx:         ctx,
+		cancel:      cancel,
+		depth:       obs.Default.Gauge("jobs_queued"),
+		running:     obs.Default.Gauge("jobs_running"),
+		runSecs:     obs.Default.Histogram("jobs_run_seconds", obs.LatencyBuckets()),
 	}
 	q.submitted = func(result string) *obs.Counter {
-		return opts.Registry.Counter(obs.Label("jobs_submitted_total", "result", result))
+		return obs.Default.Counter(obs.Label("jobs_submitted_total", "result", result))
 	}
 	q.completed = func(state string) *obs.Counter {
-		return opts.Registry.Counter(obs.Label("jobs_completed_total", "state", state))
+		return obs.Default.Counter(obs.Label("jobs_completed_total", "state", state))
 	}
 	go q.dispatch()
 	return q
@@ -193,9 +168,9 @@ func newID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// Submit admits a job or refuses with a classified error. kind is a
-// bounded caller-chosen label ("compress", "train") used in Status only.
-func (q *Queue) Submit(tenant, kind string, fn MetaFunc) (string, error) {
+// submit admits a job or refuses with a classified error. kind is a
+// bounded caller-chosen label ("compress", "train") used in jobStatus only.
+func (q *queue) submit(tenant, kind string, fn jobFunc) (string, error) {
 	if fn == nil {
 		return "", errors.New("jobs: nil func")
 	}
@@ -207,28 +182,28 @@ func (q *Queue) Submit(tenant, kind string, fn MetaFunc) (string, error) {
 	if q.closed {
 		q.mu.Unlock()
 		q.submitted("closed").Inc()
-		return "", ErrClosed
+		return "", errQueueClosed
 	}
-	if len(q.pending) >= q.opts.MaxQueued {
+	if len(q.pending) >= q.maxQueued {
 		q.mu.Unlock()
 		q.submitted("full").Inc()
-		return "", fmt.Errorf("%w (%d queued)", ErrQueueFull, q.opts.MaxQueued)
+		return "", fmt.Errorf("%w (%d queued)", errQueueFull, q.maxQueued)
 	}
 	active := 0
 	for _, j := range q.byID {
-		if j.tenant == tenant && (j.state == StateQueued || j.state == StateRunning) {
+		if j.tenant == tenant && (j.state == jobQueued || j.state == jobRunning) {
 			active++
 		}
 	}
-	if active >= q.opts.TenantQuota {
+	if active >= q.tenantQuota {
 		q.mu.Unlock()
 		q.submitted("quota").Inc()
-		return "", fmt.Errorf("%w: tenant %q has %d active jobs", ErrTenantQuota, tenant, active)
+		return "", fmt.Errorf("%w: tenant %q has %d active jobs", errTenantQuota, tenant, active)
 	}
 	q.seq++
 	j := &job{
 		id: id, tenant: tenant, kind: kind, fn: fn,
-		state: StateQueued, queued: time.Now(), seq: q.seq,
+		state: jobQueued, queued: time.Now(), seq: q.seq,
 	}
 	q.byID[id] = j
 	q.pending = append(q.pending, j)
@@ -243,12 +218,12 @@ func (q *Queue) Submit(tenant, kind string, fn MetaFunc) (string, error) {
 }
 
 // dispatch is the single launcher goroutine: a worker slot is acquired
-// BEFORE a job is popped, so a job is either still in pending (where Close
-// can fail it) or already Running (where Close waits for it) — there is no
+// BEFORE a job is popped, so a job is either still in pending (where close
+// can fail it) or already running (where close waits for it) — there is no
 // claimed-but-not-started limbo. FIFO over pending, semaphore acquired
-// before each go, so at most Workers jobs run and go-per-job is bounded by
+// before each go, so at most workers jobs run and go-per-job is bounded by
 // construction (the runOrdered discipline).
-func (q *Queue) dispatch() {
+func (q *queue) dispatch() {
 	defer close(q.done)
 	for {
 		select {
@@ -277,7 +252,7 @@ func (q *Queue) dispatch() {
 
 // next pops the oldest pending job and marks it Running in the same
 // critical section, or returns nil.
-func (q *Queue) next() *job {
+func (q *queue) next() *job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.pending) == 0 {
@@ -286,7 +261,7 @@ func (q *Queue) next() *job {
 	j := q.pending[0]
 	q.pending = q.pending[1:]
 	q.depth.Set(float64(len(q.pending)))
-	j.state = StateRunning
+	j.state = jobRunning
 	j.started = time.Now()
 	q.running.Add(1)
 	return j
@@ -294,7 +269,7 @@ func (q *Queue) next() *job {
 
 // run executes one job on a pool goroutine and records its outcome. A
 // panicking job is a failed job, not a dead queue.
-func (q *Queue) run(j *job) {
+func (q *queue) run(j *job) {
 	defer q.running.Add(-1)
 	var res []byte
 	var meta map[string]string
@@ -310,10 +285,10 @@ func (q *Queue) run(j *job) {
 	q.mu.Lock()
 	j.finished = time.Now()
 	if err != nil {
-		j.state = StateFailed
+		j.state = jobFailed
 		j.err = err
 	} else {
-		j.state = StateDone
+		j.state = jobDone
 		j.result = res
 		j.meta = meta
 	}
@@ -324,31 +299,31 @@ func (q *Queue) run(j *job) {
 }
 
 // fail marks a never-run job failed (shutdown path). Caller does not hold mu.
-func (q *Queue) fail(j *job, err error) {
+func (q *queue) fail(j *job, err error) {
 	q.mu.Lock()
-	j.state = StateFailed
+	j.state = jobFailed
 	j.err = err
 	j.finished = time.Now()
 	q.mu.Unlock()
-	q.completed(string(StateFailed)).Inc()
+	q.completed(string(jobFailed)).Inc()
 }
 
 // evictLocked drops the tenant's oldest finished jobs beyond the retain
 // cap. Caller holds mu.
-func (q *Queue) evictLocked(tenant string) {
+func (q *queue) evictLocked(tenant string) {
 	finished := 0
 	for _, j := range q.byID {
-		if j.tenant == tenant && (j.state == StateDone || j.state == StateFailed) {
+		if j.tenant == tenant && (j.state == jobDone || j.state == jobFailed) {
 			finished++
 		}
 	}
 	// Oldest admission order first. The overflow is at most 1 in steady
 	// state, so repeated min-seq selection beats collect-and-sort, and the
 	// unique seq makes each pick independent of map iteration order.
-	for ; finished > q.opts.RetainPerTenant; finished-- {
+	for ; finished > retainPerTenant; finished-- {
 		var oldest *job
 		for _, j := range q.byID {
-			if j.tenant != tenant || (j.state != StateDone && j.state != StateFailed) {
+			if j.tenant != tenant || (j.state != jobDone && j.state != jobFailed) {
 				continue
 			}
 			if oldest == nil || j.seq < oldest.seq {
@@ -360,8 +335,8 @@ func (q *Queue) evictLocked(tenant string) {
 }
 
 // statusLocked snapshots j. Caller holds mu.
-func statusLocked(j *job) Status {
-	st := Status{
+func statusLocked(j *job) jobStatus {
+	st := jobStatus{
 		ID:     j.id,
 		Tenant: j.tenant,
 		Kind:   j.kind,
@@ -391,50 +366,50 @@ func statusLocked(j *job) Status {
 	return st
 }
 
-// Get returns a job's status.
-func (q *Queue) Get(id string) (Status, error) {
+// get returns a job's status.
+func (q *queue) get(id string) (jobStatus, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	j, ok := q.byID[id]
 	if !ok {
-		return Status{}, ErrNotFound
+		return jobStatus{}, errJobNotFound
 	}
 	return statusLocked(j), nil
 }
 
-// Result returns a finished job's bytes. ErrNotFound for unknown IDs; a
-// (Status, nil-result) pair with Done=false semantics is expressed by the
+// result returns a finished job's bytes. errJobNotFound for unknown IDs; a
+// (jobStatus, nil-result) pair with Done=false semantics is expressed by the
 // returned status — callers answer 409/202 from it.
-func (q *Queue) Result(id string) ([]byte, Status, error) {
+func (q *queue) result(id string) ([]byte, jobStatus, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	j, ok := q.byID[id]
 	if !ok {
-		return nil, Status{}, ErrNotFound
+		return nil, jobStatus{}, errJobNotFound
 	}
 	return j.result, statusLocked(j), nil
 }
 
-// Depth returns (queued, running) counts.
-func (q *Queue) Depth() (queued, running int) {
+// counts returns the queued and running job counts.
+func (q *queue) counts() (queued, running int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, j := range q.byID {
 		switch j.state {
-		case StateQueued:
+		case jobQueued:
 			queued++
-		case StateRunning:
+		case jobRunning:
 			running++
 		}
 	}
 	return queued, running
 }
 
-// Close drains the queue: admission stops immediately (Submit returns
-// ErrClosed), still-pending jobs fail with ErrClosed, and running jobs
+// close drains the queue: admission stops immediately (submit returns
+// errQueueClosed), still-pending jobs fail with errQueueClosed, and running jobs
 // get until ctx expires to finish before their context is cancelled.
 // Returns ctx.Err() if the drain deadline passed, nil on a clean drain.
-func (q *Queue) Close(ctx context.Context) error {
+func (q *queue) close(ctx context.Context) error {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -447,7 +422,7 @@ func (q *Queue) Close(ctx context.Context) error {
 	q.depth.Set(0)
 	q.mu.Unlock()
 	for _, j := range pending {
-		q.fail(j, ErrClosed)
+		q.fail(j, errQueueClosed)
 	}
 
 	finished := make(chan struct{})
@@ -462,12 +437,12 @@ func (q *Queue) Close(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	// Cancel the job context (stops stragglers and wakes the dispatcher),
-	// then wait for the dispatcher so no goroutine outlives Close.
+	// then wait for the dispatcher so no goroutine outlives close.
 	q.cancel()
 	<-q.done
 	if err != nil {
 		// Bounded wait for stragglers that ignored cancellation would hang
-		// here; they were built from Func contracts that honor ctx.
+		// here; they were built from jobFunc contracts that honor ctx.
 		<-finished
 	}
 	return err

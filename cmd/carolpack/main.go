@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,32 +37,57 @@ func (f *fieldSpecs) Set(v string) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	o, err := parseFlags(os.Args[1:])
+	if err == nil {
+		err = run(o)
+	}
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "carolpack:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var fields fieldSpecs
-	flag.Var(&fields, "field", "field spec name:codec:relEB:NXxNYxNZ:path (repeatable)")
-	pack := flag.Bool("pack", false, "create an archive from -field specs")
-	stream := flag.Bool("stream", false,
-		"pack entries via the block pipeline (CPL1 containers; block-parallel pack and extract)")
-	workers := flag.Int("workers", 0, "pipeline worker count with -stream (0 = GOMAXPROCS)")
-	list := flag.Bool("list", false, "list archive contents")
-	extract := flag.String("extract", "", "extract one field by name")
-	in := flag.String("in", "", "input archive")
-	out := flag.String("out", "", "output file")
-	flag.Parse()
+// options carries the parsed flag set.
+type options struct {
+	fields       fieldSpecs
+	pack, stream bool
+	workers      int
+	list         bool
+	extract      string
+	in, out      string
+}
 
+// parseFlags reads the flags and refuses a negative -workers before any
+// work.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("carolpack", flag.ContinueOnError)
+	fs.Var(&o.fields, "field", "field spec name:codec:relEB:NXxNYxNZ:path (repeatable)")
+	fs.BoolVar(&o.pack, "pack", false, "create an archive from -field specs")
+	fs.BoolVar(&o.stream, "stream", false,
+		"pack entries via the block pipeline (CPL1 containers; block-parallel pack and extract)")
+	fs.IntVar(&o.workers, "workers", 0, "pipeline worker count with -stream (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.list, "list", false, "list archive contents")
+	fs.StringVar(&o.extract, "extract", "", "extract one field by name")
+	fs.StringVar(&o.in, "in", "", "input archive")
+	fs.StringVar(&o.out, "out", "", "output file")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.workers < 0 {
+		return o, fmt.Errorf("-workers %d < 0", o.workers)
+	}
+	return o, nil
+}
+
+func run(o options) error {
 	switch {
-	case *pack:
-		return doPack(fields, *out, *stream, *workers)
-	case *list:
-		return doList(*in)
-	case *extract != "":
-		return doExtract(*in, *extract, *out)
+	case o.pack:
+		return doPack(o.fields, o.out, o.stream, o.workers)
+	case o.list:
+		return doList(o.in)
+	case o.extract != "":
+		return doExtract(o.in, o.extract, o.out)
 	default:
 		return fmt.Errorf("need one of -pack, -list, -extract")
 	}

@@ -30,9 +30,7 @@ import (
 	"carol/internal/model"
 	"carol/internal/pipeline"
 	"carol/internal/registry"
-	"carol/internal/rf"
 	"carol/internal/trainset"
-	"carol/internal/zoo"
 )
 
 func main() {
@@ -154,46 +152,6 @@ func generateFields(spec, dims string, workers int) ([]*field.Field, error) {
 	return pipeline.FanOut(len(todo), workers, func(i int) (*field.Field, error) {
 		return dataset.Generate(todo[i].ds, todo[i].name, opts)
 	})
-}
-
-// trainZoo runs the multi-backend sweep on the framework's collected
-// training set and returns the winner's artifact with the CV scoreboard
-// recorded in its metadata.
-func trainZoo(out io.Writer, fw *core.Framework, o options, rfCfg rf.Config,
-	meta map[string]string) (*model.Artifact, error) {
-	if o.forestCap > 0 && rfCfg.NEstimators > o.forestCap {
-		rfCfg.NEstimators = o.forestCap
-	}
-	zcfg := zoo.Config{
-		Backends: o.backends,
-		RF:       rfCfg,
-		KFolds:   o.kfolds,
-		Seed:     o.seed,
-		Workers:  o.workers,
-	}
-	zcfg.Boost.Seed = o.seed
-	X, y := fw.TrainingSet().Matrix()
-	res, err := zoo.Train(X, y, zcfg)
-	if err != nil {
-		return nil, err
-	}
-	for i := range res.Candidates {
-		c := &res.Candidates[i]
-		if c.Err != nil {
-			fmt.Fprintf(out, "caroltrain: zoo: %s failed: %v\n", c.Backend, c.Err)
-			continue
-		}
-		fmt.Fprintf(out, "caroltrain: zoo: %s cv mse %.6g\n", c.Backend, c.CVMSE)
-	}
-	winner := res.Best()
-	if winner == nil {
-		return nil, fmt.Errorf("zoo: every backend failed")
-	}
-	fmt.Fprintf(out, "caroltrain: zoo: winner %s\n", winner.Backend)
-	for k, v := range res.Scoreboard() {
-		meta[k] = v
-	}
-	return winner.Artifact(o.codec, meta)
 }
 
 func run(args []string, out io.Writer) error {

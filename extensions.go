@@ -11,8 +11,6 @@ import (
 	"carol/internal/compressor"
 	"carol/internal/fraz"
 	"carol/internal/pipeline"
-	"carol/internal/pwrel"
-	"carol/internal/quality"
 )
 
 // This file holds the public surface of the repository's extensions beyond
@@ -148,35 +146,3 @@ func DecompressStream(compressorName string, r io.Reader, opts StreamOptions) (*
 // ExtendedCompressors lists every available compressor including the
 // extension codecs beyond the paper's four (currently "szp").
 func ExtendedCompressors() []string { return append([]string(nil), codecs.ExtendedNames...) }
-
-// QualityReport summarizes reconstruction fidelity: scalar metrics, bound
-// violations, an error histogram, worst-slab localization and residual
-// autocorrelation. See AnalyzeQuality.
-type QualityReport = quality.Report
-
-// AnalyzeQuality produces the QC report for a reconstruction. Pass the
-// absolute error bound the stream was produced with (0 if unknown).
-func AnalyzeQuality(orig, recon *Field, bound float64) (*QualityReport, error) {
-	return quality.Analyze(orig, recon, bound)
-}
-
-// CompressPointwiseRel compresses with a POINT-WISE relative error bound:
-// every reconstructed sample satisfies |v' - v| <= rel*|v|, zeros and signs
-// restored exactly (the SZ family's PW_REL mode, realized via the standard
-// logarithmic transform on top of any codec). rel must lie in (0, 1).
-func CompressPointwiseRel(compressorName string, f *Field, rel float64) ([]byte, error) {
-	codec, err := codecs.ByName(compressorName)
-	if err != nil {
-		return nil, err
-	}
-	return pwrel.Compress(codec, f, rel)
-}
-
-// DecompressPointwiseRel reverses CompressPointwiseRel.
-func DecompressPointwiseRel(compressorName string, stream []byte) (*Field, error) {
-	codec, err := codecs.ByName(compressorName)
-	if err != nil {
-		return nil, err
-	}
-	return pwrel.Decompress(codec, stream)
-}

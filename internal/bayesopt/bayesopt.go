@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"sync"
 
-	"carol/internal/mat"
 	"carol/internal/xrand"
 )
 
@@ -271,20 +270,20 @@ func (o *Optimizer) fitGPAt(ys []float64, mean, std, length float64) (*gpModel, 
 		}
 		k[i][i] += o.Noise + 1e-10
 	}
-	l, err := mat.Cholesky(k)
+	l, err := cholesky(k)
 	if err != nil {
 		// Numerical trouble (e.g. duplicated points): add jitter and retry.
 		for i := range k {
 			k[i][i] += 1e-6
 		}
-		l, err = mat.Cholesky(k)
+		l, err = cholesky(k)
 		if err != nil {
 			return nil, 0, err
 		}
 	}
-	alpha := mat.SolveChol(l, ys)
+	alpha := solveChol(l, ys)
 	// log p(y) = -0.5 yᵀ K⁻¹ y - Σ log L_ii + const.
-	lml := -0.5 * mat.Dot(ys, alpha)
+	lml := -0.5 * dot(ys, alpha)
 	for i := 0; i < n; i++ {
 		lml -= math.Log(l[i][i])
 	}
@@ -305,9 +304,9 @@ func (m *gpModel) predict(u []float64) (mu, sigma float64) {
 	for i := range kstar {
 		kstar[i] = kernelRBF(u, m.xs[i], m.len2)
 	}
-	mu = mat.Dot(kstar, m.alpha)
-	v := mat.ForwardSolve(m.l, kstar)
-	s2 := 1 + m.noise - mat.Dot(v, v)
+	mu = dot(kstar, m.alpha)
+	v := forwardSolve(m.l, kstar)
+	s2 := 1 + m.noise - dot(v, v)
 	if s2 < 1e-12 {
 		s2 = 1e-12
 	}

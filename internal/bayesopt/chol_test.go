@@ -1,4 +1,4 @@
-package mat
+package bayesopt
 
 import (
 	"math"
@@ -14,7 +14,7 @@ func TestCholeskyKnown(t *testing.T) {
 		{2, 5, 3},
 		{2, 3, 6},
 	}
-	l, err := Cholesky(a)
+	l, err := cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +41,13 @@ func TestCholeskyRejectsNonPD(t *testing.T) {
 		{1, 2},
 		{2, 1}, // eigenvalues 3, -1
 	}
-	if _, err := Cholesky(a); err != ErrNotPD {
-		t.Fatalf("err = %v, want ErrNotPD", err)
+	if _, err := cholesky(a); err != errNotPD {
+		t.Fatalf("err = %v, want errNotPD", err)
 	}
 }
 
 func TestCholeskyRejectsNonSquare(t *testing.T) {
-	if _, err := Cholesky([][]float64{{1, 2}, {3}}); err == nil {
+	if _, err := cholesky([][]float64{{1, 2}, {3}}); err == nil {
 		t.Fatal("ragged matrix accepted")
 	}
 }
@@ -65,11 +65,11 @@ func TestSolveChol(t *testing.T) {
 			b[i] += a[i][j] * want[j]
 		}
 	}
-	l, err := Cholesky(a)
+	l, err := cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := SolveChol(l, b)
+	x := solveChol(l, b)
 	for i := range want {
 		if math.Abs(x[i]-want[i]) > 1e-10 {
 			t.Fatalf("x[%d] = %g, want %g", i, x[i], want[i])
@@ -83,14 +83,14 @@ func TestForwardSolve(t *testing.T) {
 		{1, 3},
 	}
 	// L z = [4, 7] -> z = [2, 5/3].
-	z := ForwardSolve(l, []float64{4, 7})
+	z := forwardSolve(l, []float64{4, 7})
 	if math.Abs(z[0]-2) > 1e-12 || math.Abs(z[1]-5.0/3) > 1e-12 {
 		t.Fatalf("z = %v", z)
 	}
 }
 
 func TestDot(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
+	if dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Fatal("Dot broken")
 	}
 }
@@ -130,11 +130,11 @@ func TestQuickSolveRandomSPD(t *testing.T) {
 				rhs[i] += a[i][j] * want[j]
 			}
 		}
-		l, err := Cholesky(a)
+		l, err := cholesky(a)
 		if err != nil {
 			return false
 		}
-		x := SolveChol(l, rhs)
+		x := solveChol(l, rhs)
 		for i := range want {
 			if math.Abs(x[i]-want[i]) > 1e-6 {
 				return false

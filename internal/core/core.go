@@ -58,8 +58,6 @@ type Config struct {
 	// ForestCap limits NEstimators in the final model to keep scaled-down
 	// experiments fast; 0 means no cap.
 	ForestCap int
-	// Features tunes the parallel feature extractor.
-	Features features.ParallelOptions
 	// Model selects the regression model by its model.KnownBackends tag:
 	// "rf" (random forest with Bayesian-optimized hyper-parameters — the
 	// paper's design) or "boost" (gradient-boosted trees with default
@@ -82,7 +80,8 @@ type Config struct {
 	// only trades wall-clock for CPU on resource-limited hosts. Collect
 	// calls the codec and surrogate from up to Workers goroutines, so a
 	// pair given to NewWith must be safe for concurrent use unless Workers
-	// is 1. (Feature extraction has its own knob, Features.Workers.)
+	// is 1. (Feature extraction is block-parallel over GOMAXPROCS
+	// goroutines; features.ExtractParallel's defaults.)
 	Workers int
 	// Seed drives all randomized components.
 	Seed uint64
@@ -188,7 +187,7 @@ func New(name string, cfg Config) (*Framework, error) {
 // estimator with calibration when no purpose-built surrogate exists).
 func NewWith(codec compressor.Codec, surrogate compressor.Estimator, cfg Config) *Framework {
 	fw := &Framework{codec: codec, surrogate: surrogate, cfg: cfg.withDefaults()}
-	fw.extract = func(f *field.Field) features.Vector { return features.ExtractParallel(f, fw.cfg.Features) }
+	fw.extract = func(f *field.Field) features.Vector { return features.ExtractParallel(f, features.ParallelOptions{}) }
 	fw.search = fw.bayesSearch
 	fw.opt = bayesopt.New(gridsearch.BOSpace(), fw.cfg.Seed)
 	fw.opt.Workers = fw.cfg.Workers
@@ -210,7 +209,7 @@ const fxrzFeatureStride = 4
 //     configurations (gridsearch.Search), and Refine runs it again from
 //     scratch: FXRZ has no warm start.
 //
-// CalibrationPoints, RefineIterations and Features are ignored.
+// CalibrationPoints and RefineIterations are ignored.
 func NewFXRZ(codec compressor.Codec, cfg Config) *Framework {
 	fw := NewWith(codec, &secre.FullEstimator{Codec: codec}, cfg)
 	fw.cfg.CalibrationPoints = NoCalibration

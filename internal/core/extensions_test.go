@@ -60,7 +60,7 @@ func TestAlternativeModels(t *testing.T) {
 			t.Fatalf("%s: %v", backend, err)
 		}
 		art := &model.Artifact{Codec: "szx", Backend: backend, Schema: model.CanonicalSchema(), Regressor: fw.model}
-		served, err := art.PredictErrorBounds(test, ratios, cfg.Features)
+		served, err := art.PredictErrorBounds(test, ratios, features.ParallelOptions{})
 		if err != nil {
 			t.Fatalf("%s: artifact path: %v", backend, err)
 		}

@@ -1,10 +1,4 @@
-// Package pwrel adds point-wise relative error bounds on top of any
-// absolute-error codec, via the standard logarithmic-transform technique
-// the SZ family uses for its PW_REL mode: compressing log|v| under an
-// absolute bound of log(1+rel) guarantees |v' - v| <= rel*|v| for every
-// sample. Signs are carried in a separate bitmap; zeros (and denormals
-// below a floor) are restored exactly.
-package pwrel
+package carol
 
 import (
 	"encoding/binary"
@@ -12,21 +6,30 @@ import (
 	"fmt"
 	"math"
 
+	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/field"
 )
 
-// zeroFloor is the magnitude below which samples are treated as exact
+// pwZeroFloor is the magnitude below which samples are treated as exact
 // zeros: the log transform cannot represent 0 and scientific data treats
 // such values as padding anyway.
-const zeroFloor = 1e-30
+const pwZeroFloor = 1e-30
 
-// Compress encodes f so every reconstructed sample satisfies
-// |v' - v| <= rel*|v| (and exact restoration of zeros/signs).
+// CompressPointwiseRel compresses with a POINT-WISE relative error bound:
+// every reconstructed sample satisfies |v' - v| <= rel*|v|, zeros and signs
+// restored exactly (the SZ family's PW_REL mode, realized via the standard
+// logarithmic transform on top of any codec: compressing log|v| under an
+// absolute bound of log(1+rel) bounds every sample's relative error). rel
+// must lie in (0, 1).
 //
 // Layout: u32 sign/zero bitmap length, bitmap (2 bits per sample:
-// zero flag, sign flag), then the wrapped codec's stream over log|v|.
-func Compress(codec compressor.Codec, f *field.Field, rel float64) ([]byte, error) {
+// zero flag, sign flag), then the named codec's stream over log|v|.
+func CompressPointwiseRel(compressorName string, f *Field, rel float64) ([]byte, error) {
+	codec, err := codecs.ByName(compressorName)
+	if err != nil {
+		return nil, err
+	}
 	if !(rel > 0) || rel >= 1 {
 		return nil, fmt.Errorf("pwrel: relative bound %g outside (0, 1)", rel)
 	}
@@ -38,7 +41,7 @@ func Compress(codec compressor.Codec, f *field.Field, rel float64) ([]byte, erro
 	setBit := func(i int) { bitmap[i/8] |= 1 << (i % 8) }
 	for i, v := range f.Data {
 		a := math.Abs(float64(v))
-		if a < zeroFloor {
+		if a < pwZeroFloor {
 			setBit(2 * i) // zero flag
 			logs.Data[i] = 0
 			continue
@@ -63,8 +66,12 @@ func Compress(codec compressor.Codec, f *field.Field, rel float64) ([]byte, erro
 	return append(out, inner...), nil
 }
 
-// Decompress reverses Compress.
-func Decompress(codec compressor.Codec, stream []byte) (*field.Field, error) {
+// DecompressPointwiseRel reverses CompressPointwiseRel.
+func DecompressPointwiseRel(compressorName string, stream []byte) (*Field, error) {
+	codec, err := codecs.ByName(compressorName)
+	if err != nil {
+		return nil, err
+	}
 	if len(stream) < 4 {
 		return nil, errors.New("pwrel: short stream")
 	}
@@ -94,25 +101,4 @@ func Decompress(codec compressor.Codec, stream []byte) (*field.Field, error) {
 		f.Data[i] = float32(v)
 	}
 	return f, nil
-}
-
-// CheckPointwise verifies |g - f| <= rel*|f| at every sample (zeros must be
-// exact), with a small slack for float32 storage rounding.
-func CheckPointwise(f, g *field.Field, rel float64) error {
-	if f.Len() != g.Len() {
-		return errors.New("pwrel: length mismatch")
-	}
-	for i := range f.Data {
-		a, b := float64(f.Data[i]), float64(g.Data[i])
-		if math.Abs(a) < zeroFloor {
-			if b != 0 { //carol:allow floateq zero samples must be restored bit-exactly
-				return fmt.Errorf("pwrel: zero sample %d restored as %g", i, b)
-			}
-			continue
-		}
-		if math.Abs(b-a) > rel*math.Abs(a)*(1+1e-5)+math.Abs(a)*1e-6 {
-			return fmt.Errorf("pwrel: sample %d: |%g - %g| > %g%%", i, b, a, 100*rel)
-		}
-	}
-	return nil
 }

@@ -1,6 +1,8 @@
-package pwrel
+package carol
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -29,40 +31,54 @@ func dynamicField(n int, seed uint64) *field.Field {
 	return f
 }
 
+// checkPointwise is the oracle for the point-wise bound: |g - f| <= rel*|f|
+// at every sample (zeros must be exact), with a small slack for float32
+// storage rounding.
+func checkPointwise(f, g *field.Field, rel float64) error {
+	if f.Len() != g.Len() {
+		return errors.New("pwrel: length mismatch")
+	}
+	for i := range f.Data {
+		a, b := float64(f.Data[i]), float64(g.Data[i])
+		if math.Abs(a) < pwZeroFloor {
+			if b != 0 {
+				return fmt.Errorf("pwrel: zero sample %d restored as %g", i, b)
+			}
+			continue
+		}
+		if math.Abs(b-a) > rel*math.Abs(a)*(1+1e-5)+math.Abs(a)*1e-6 {
+			return fmt.Errorf("pwrel: sample %d: |%g - %g| > %g%%", i, b, a, 100*rel)
+		}
+	}
+	return nil
+}
+
 func TestPointwiseBoundAllCodecs(t *testing.T) {
 	f := dynamicField(4000, 1)
 	for _, name := range codecs.ExtendedNames {
-		codec, err := codecs.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, rel := range []float64{1e-1, 1e-2, 1e-3} {
-			stream, err := Compress(codec, f, rel)
+			stream, err := CompressPointwiseRel(name, f, rel)
 			if err != nil {
 				t.Fatalf("%s rel %g: %v", name, rel, err)
 			}
-			g, err := Decompress(codec, stream)
+			g, err := DecompressPointwiseRel(name, stream)
 			if err != nil {
 				t.Fatalf("%s rel %g: %v", name, rel, err)
 			}
-			if err := CheckPointwise(f, g, rel); err != nil {
+			if err := checkPointwise(f, g, rel); err != nil {
 				t.Fatalf("%s rel %g: %v", name, rel, err)
 			}
 		}
 	}
 }
 
-func TestSignsAndZerosExact(t *testing.T) {
+func TestPointwiseSignsAndZerosExact(t *testing.T) {
 	f := field.FromData("sz", 6, 1, 1, []float32{0, -1.5, 2.5, 0, -1e-8 * 0, 3e5})
-	codec, err := codecs.ByName("szx")
+	stream, err := CompressPointwiseRel("szx", f, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := Compress(codec, f, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := Decompress(codec, stream)
+	g, err := DecompressPointwiseRel("szx", stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,23 +92,19 @@ func TestSignsAndZerosExact(t *testing.T) {
 	}
 }
 
-func TestHugeDynamicRangeBeatsAbsolute(t *testing.T) {
+func TestPointwiseHugeDynamicRangeBeatsAbsolute(t *testing.T) {
 	// The point of PW_REL: with 12 decades of dynamic range, an absolute
 	// bound tight enough for the small values would barely compress; the
 	// relative mode compresses well AND protects small values.
 	f := dynamicField(8000, 2)
-	codec, err := codecs.ByName("szp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := Compress(codec, f, 1e-2)
+	stream, err := CompressPointwiseRel("szp", f, 1e-2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ratio := float64(f.SizeBytes()) / float64(len(stream)); ratio < 1.2 {
 		t.Fatalf("pwrel ratio only %g", ratio)
 	}
-	g, err := Decompress(codec, stream)
+	g, err := DecompressPointwiseRel("szp", stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,21 +119,17 @@ func TestHugeDynamicRangeBeatsAbsolute(t *testing.T) {
 	}
 }
 
-func TestValidation(t *testing.T) {
-	codec, err := codecs.ByName("szx")
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestPointwiseRelValidation(t *testing.T) {
 	f := dynamicField(100, 3)
 	for _, rel := range []float64{0, -1, 1, 2} {
-		if _, err := Compress(codec, f, rel); err == nil {
+		if _, err := CompressPointwiseRel("szx", f, rel); err == nil {
 			t.Errorf("rel %g accepted", rel)
 		}
 	}
-	if _, err := Decompress(codec, nil); err == nil {
+	if _, err := DecompressPointwiseRel("szx", nil); err == nil {
 		t.Error("nil stream accepted")
 	}
-	if _, err := Decompress(codec, []byte{255, 255, 255, 255, 0}); err == nil {
+	if _, err := DecompressPointwiseRel("szx", []byte{255, 255, 255, 255, 0}); err == nil {
 		t.Error("bad bitmap length accepted")
 	}
 }

@@ -1,11 +1,4 @@
-// Package quality produces reconstruction quality reports for lossy
-// compression — the QC artifact a data-management workflow attaches to
-// every compressed field. Beyond the scalar fidelity metrics (max error,
-// NRMSE, PSNR, Pearson), the report localizes the worst z-slab and checks
-// the residuals for structure: error-bounded compressors should leave
-// noise-like residuals, and residual autocorrelation flags the blocking or
-// smoothing artifacts a downstream analysis would care about.
-package quality
+package carol
 
 import (
 	"errors"
@@ -16,14 +9,23 @@ import (
 	"text/tabwriter"
 
 	"carol/internal/compressor"
-	"carol/internal/field"
 )
 
-// HistogramBins is the resolution of the report's error histogram.
-const HistogramBins = 10
+// Reconstruction quality reports for lossy compression: the QC artifact a
+// data-management workflow attaches to every compressed field. Beyond the
+// scalar fidelity metrics (max error, NRMSE, PSNR, Pearson), the report
+// localizes the worst z-slab and checks the residuals for structure:
+// error-bounded compressors should leave noise-like residuals, and residual
+// autocorrelation flags the blocking or smoothing artifacts a downstream
+// analysis would care about.
 
-// Report summarizes the fidelity of a reconstruction.
-type Report struct {
+// qualityBins is the resolution of the report's error histogram.
+const qualityBins = 10
+
+// QualityReport summarizes reconstruction fidelity: scalar metrics, bound
+// violations, an error histogram, worst-slab localization and residual
+// autocorrelation. See AnalyzeQuality.
+type QualityReport struct {
 	// Samples is the number of grid points compared.
 	Samples int
 	// MaxAbsErr, NRMSE, PSNR, Pearson are the scalar fidelity metrics.
@@ -35,9 +37,9 @@ type Report struct {
 	// counts samples exceeding it (after float32 slack).
 	Bound      float64
 	Violations int
-	// Histogram counts |error| in HistogramBins equal-width bins spanning
+	// Histogram counts |error| in qualityBins (10) equal-width bins spanning
 	// [0, MaxAbsErr].
-	Histogram [HistogramBins]int
+	Histogram [qualityBins]int
 	// WorstSlab is the z-slab (or y-row for 2D data) with the largest RMS
 	// error, with its RMS value — localizing damage for triage.
 	WorstSlab    int
@@ -48,16 +50,17 @@ type Report struct {
 	ResidualAutocorr [3]float64
 }
 
-// Analyze compares a reconstruction against its original. bound may be 0
-// when unknown (violations are then not counted).
-func Analyze(orig, recon *field.Field, bound float64) (*Report, error) {
+// AnalyzeQuality produces the QC report for a reconstruction. Pass the
+// absolute error bound the stream was produced with (0 if unknown;
+// violations are then not counted).
+func AnalyzeQuality(orig, recon *Field, bound float64) (*QualityReport, error) {
 	if orig.Nx != recon.Nx || orig.Ny != recon.Ny || orig.Nz != recon.Nz {
 		return nil, errors.New("quality: dimension mismatch")
 	}
 	if orig.Len() == 0 {
 		return nil, errors.New("quality: empty field")
 	}
-	r := &Report{
+	r := &QualityReport{
 		Samples:   orig.Len(),
 		MaxAbsErr: compressor.MaxAbsErr(orig, recon),
 		NRMSE:     compressor.NRMSE(orig, recon),
@@ -87,9 +90,9 @@ func Analyze(orig, recon *field.Field, bound float64) (*Report, error) {
 	// Histogram of |error|.
 	if r.MaxAbsErr > 0 {
 		for _, d := range resid {
-			bin := int(math.Abs(d) / r.MaxAbsErr * HistogramBins)
-			if bin >= HistogramBins {
-				bin = HistogramBins - 1
+			bin := int(math.Abs(d) / r.MaxAbsErr * qualityBins)
+			if bin >= qualityBins {
+				bin = qualityBins - 1
 			}
 			r.Histogram[bin]++
 		}
@@ -151,12 +154,12 @@ func autocorrX(resid []float64, nx, lag int) float64 {
 
 // WithinBound reports whether the reconstruction satisfied the claimed
 // bound everywhere.
-func (r *Report) WithinBound() bool { return r.Bound > 0 && r.Violations == 0 }
+func (r *QualityReport) WithinBound() bool { return r.Bound > 0 && r.Violations == 0 }
 
 // StructuredResiduals reports whether any tracked residual autocorrelation
 // magnitude exceeds the threshold (0.5 is a reasonable flag level: lossy
 // residuals are typically quantization-noise-like).
-func (r *Report) StructuredResiduals(threshold float64) bool {
+func (r *QualityReport) StructuredResiduals(threshold float64) bool {
 	for _, a := range r.ResidualAutocorr {
 		if math.Abs(a) > threshold {
 			return true
@@ -166,7 +169,7 @@ func (r *Report) StructuredResiduals(threshold float64) bool {
 }
 
 // WriteText renders a human-readable report.
-func (r *Report) WriteText(w io.Writer) error {
+func (r *QualityReport) WriteText(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "samples\t%d\n", r.Samples)
 	fmt.Fprintf(tw, "max abs error\t%g\n", r.MaxAbsErr)
@@ -191,7 +194,7 @@ func (r *Report) WriteText(w io.Writer) error {
 		if maxCount > 0 {
 			bar = strings.Repeat("#", int(math.Ceil(float64(c)/float64(maxCount)*30)))
 		}
-		lo := r.MaxAbsErr * float64(i) / HistogramBins
+		lo := r.MaxAbsErr * float64(i) / qualityBins
 		fmt.Fprintf(tw, "|err| >= %.3g\t%8d %s\n", lo, c, bar)
 	}
 	return tw.Flush()

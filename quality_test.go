@@ -1,4 +1,4 @@
-package quality
+package carol
 
 import (
 	"bytes"
@@ -13,7 +13,7 @@ import (
 	"carol/internal/xrand"
 )
 
-func testPair(t *testing.T, rel float64) (*field.Field, *field.Field, float64) {
+func qualityPair(t *testing.T, rel float64) (*field.Field, *field.Field, float64) {
 	t.Helper()
 	f, err := dataset.Generate("miranda", "density", dataset.Options{Nx: 24, Ny: 24, Nz: 12})
 	if err != nil {
@@ -35,9 +35,9 @@ func testPair(t *testing.T, rel float64) (*field.Field, *field.Field, float64) {
 	return f, g, eb
 }
 
-func TestAnalyzeRealCompression(t *testing.T) {
-	f, g, eb := testPair(t, 1e-3)
-	r, err := Analyze(f, g, eb)
+func TestQualityRealCompression(t *testing.T) {
+	f, g, eb := qualityPair(t, 1e-3)
+	r, err := AnalyzeQuality(f, g, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +65,12 @@ func TestAnalyzeRealCompression(t *testing.T) {
 	}
 }
 
-func TestViolationsDetected(t *testing.T) {
-	f, g, eb := testPair(t, 1e-3)
+func TestQualityViolationsDetected(t *testing.T) {
+	f, g, eb := qualityPair(t, 1e-3)
 	// Inject damage beyond the bound.
 	g.Data[100] = f.Data[100] + float32(10*eb)
 	g.Data[200] = f.Data[200] - float32(5*eb)
-	r, err := Analyze(f, g, eb)
+	r, err := AnalyzeQuality(f, g, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestViolationsDetected(t *testing.T) {
 	}
 }
 
-func TestWorstSlabLocalization(t *testing.T) {
+func TestQualityWorstSlabLocalization(t *testing.T) {
 	f := field.New("f", 8, 8, 6)
 	g := f.Clone()
 	// Damage slab z=4.
@@ -91,7 +91,7 @@ func TestWorstSlabLocalization(t *testing.T) {
 			g.Set(x, y, 4, 3.0)
 		}
 	}
-	r, err := Analyze(f, g, 0)
+	r, err := AnalyzeQuality(f, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +103,14 @@ func TestWorstSlabLocalization(t *testing.T) {
 	}
 }
 
-func TestStructuredResiduals(t *testing.T) {
+func TestQualityStructuredResiduals(t *testing.T) {
 	// Smooth (low-frequency) residuals have high lag-1 autocorrelation.
 	f := field.New("f", 256, 1, 1)
 	g := f.Clone()
 	for i := range g.Data {
 		g.Data[i] = float32(math.Sin(float64(i) / 20))
 	}
-	r, err := Analyze(f, g, 0)
+	r, err := AnalyzeQuality(f, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestStructuredResiduals(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = float32(rng.Norm())
 	}
-	r, err = Analyze(f, g, 0)
+	r, err = AnalyzeQuality(f, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +131,9 @@ func TestStructuredResiduals(t *testing.T) {
 	}
 }
 
-func TestIdenticalFields(t *testing.T) {
+func TestQualityIdenticalFields(t *testing.T) {
 	f := field.New("f", 10, 10, 1)
-	r, err := Analyze(f, f.Clone(), 0.1)
+	r, err := AnalyzeQuality(f, f.Clone(), 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,17 +142,17 @@ func TestIdenticalFields(t *testing.T) {
 	}
 }
 
-func TestAnalyzeValidation(t *testing.T) {
+func TestQualityValidation(t *testing.T) {
 	a := field.New("a", 4, 4, 1)
 	b := field.New("b", 4, 5, 1)
-	if _, err := Analyze(a, b, 0); err == nil {
+	if _, err := AnalyzeQuality(a, b, 0); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
 }
 
-func TestWriteText(t *testing.T) {
-	f, g, eb := testPair(t, 1e-2)
-	r, err := Analyze(f, g, eb)
+func TestQualityWriteText(t *testing.T) {
+	f, g, eb := qualityPair(t, 1e-2)
+	r, err := AnalyzeQuality(f, g, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
