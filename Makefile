@@ -1,4 +1,4 @@
-.PHONY: check build vet lint test race loc pkgs
+.PHONY: check build vet lint test race pinned loc pkgs
 
 check: ## build + vet + race-enabled tests + carollint (the tier-1 gate)
 	./scripts/check.sh
@@ -20,6 +20,15 @@ test:
 
 race:
 	go test -race ./...
+
+# Bit-identical on any host: the pinned models and every worker-count test
+# (rf engine, feature scan, collection) at one core and at four, so no
+# output bit may move with GOMAXPROCS (DESIGN.md §8).
+pinned:
+	for p in 1 4; do \
+		GOMAXPROCS=$$p go test -count=1 -run 'Pinned|WorkersBitIdentical|TestRunMatchesInProcessTraining' \
+			./internal/core ./cmd/caroltrain ./internal/rf ./internal/features || exit 1; \
+	done
 
 # The one canonical size of the codebase: non-test Go lines outside bench/
 # and testdata/. ROADMAP item 10 tracks it per PR in CHANGES.md.

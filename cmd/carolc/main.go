@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -99,8 +100,9 @@ func parseFlags(args []string) (options, error) {
 		return o, fmt.Errorf("-workers %d < 0", o.workers)
 	case !(o.eb >= 0): // NaN too
 		return o, fmt.Errorf("-eb %g out of range: want a relative error bound > 0", o.eb)
-	case !(o.ratio >= 0):
-		return o, fmt.Errorf("-ratio %g out of range: want a target ratio > 0", o.ratio)
+	case !(o.ratio >= 0) || o.ratio > 0 && o.ratio <= 1 || math.IsInf(o.ratio, 1):
+		// No codec shrinks a field to a ratio of 1 or less, or to nothing.
+		return o, fmt.Errorf("-ratio %g out of range: want a finite target ratio > 1", o.ratio)
 	case o.eb > 0 && o.ratio > 0:
 		return o, fmt.Errorf("-eb %g and -ratio %g: pass one of them", o.eb, o.ratio)
 	}

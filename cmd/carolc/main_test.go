@@ -151,6 +151,10 @@ func TestParseFlagRanges(t *testing.T) {
 		{[]string{"-eb", "-1e-3"}, "-eb -0.001 out of range"},
 		{[]string{"-eb", "NaN"}, "-eb NaN out of range"},
 		{[]string{"-ratio", "-4"}, "-ratio -4 out of range"},
+		{[]string{"-ratio", "0.5"}, "-ratio 0.5 out of range"},
+		{[]string{"-ratio", "1"}, "-ratio 1 out of range"},
+		{[]string{"-ratio", "+Inf"}, "-ratio +Inf out of range"},
+		{[]string{"-ratio", "1.01"}, ""},
 		{[]string{"-eb", "1e-3"}, ""},
 		{[]string{"-compressor", "szx", "-ratio", "20"}, ""},
 		{[]string{"-codec", "auto", "-eb", "1e-3"}, ""},

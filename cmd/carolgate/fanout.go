@@ -116,7 +116,7 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 		resp, err := g.routeCandidates(slabCandidates(cands, i),
 			http.MethodPost, "/v1/compress?"+pq.Encode(), body[offs[i]:offs[i+1]])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("slab %d: %w", i, err)
 		}
 		switch resp.status {
 		case http.StatusOK:
@@ -203,7 +203,7 @@ func (g *gate) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		resp, err := g.routeCandidates(slabCandidates(cands, i),
 			http.MethodPost, "/v1/decompress?"+pq.Encode(), chunks[i])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("chunk %d: %w", i, err)
 		}
 		if resp.status != http.StatusOK {
 			return nil, fmt.Errorf("chunk %d: shard status %d: %s", i, resp.status, truncate(resp.body))

@@ -686,6 +686,15 @@ func TestParseJobFlagRanges(t *testing.T) {
 		{"-tenant-quota", "-1", false},
 		{"-tenant-quota", "1", true},
 		{"-tenant-quota", "32", true},
+		{"-max-inflight", "0", false},
+		{"-max-inflight", "-3", false},
+		{"-max-inflight", "1", true},
+		{"-fanout-workers", "0", false},
+		{"-fanout-workers", "-4", false},
+		{"-fanout-workers", "1", true},
+		{"-vnodes", "0", false},
+		{"-vnodes", "-1", false},
+		{"-vnodes", "1", true},
 	} {
 		_, _, _, err := parseFlags([]string{"-shards", "http://a:1", c.flag, c.val})
 		if (err == nil) != c.ok {

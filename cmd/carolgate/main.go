@@ -95,12 +95,15 @@ func parseFlags(args []string) (gateConfig, string, []string, error) {
 	if len(shards) == 0 {
 		return cfg, "", nil, fmt.Errorf("-shards is required (comma-separated carolserve base URLs)")
 	}
-	// The job queue has no defaults of its own: a value below 1 would
-	// refuse every job or run none.
+	// A value below 1 would serve no request, fan out to no shard, leave
+	// the ring empty, or refuse every job or run none.
 	for _, c := range []struct {
 		flag string
 		val  int
 	}{
+		{"max-inflight", cfg.maxInflight},
+		{"fanout-workers", cfg.fanoutWorkers},
+		{"vnodes", cfg.virtualNodes},
 		{"job-workers", cfg.jobWorkers},
 		{"job-queue", cfg.jobQueue},
 		{"tenant-quota", cfg.tenantQuota},

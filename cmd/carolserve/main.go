@@ -72,27 +72,48 @@ import (
 )
 
 func main() {
+	cfg, addr, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		log.Printf("carolserve: %v", err)
+		os.Exit(2)
+	}
+	os.Exit(run(cfg, addr))
+}
+
+// parseFlags reads the server's flags over defaultConfig and returns the
+// config and the listen address.
+func parseFlags(args []string) (config, string, error) {
 	cfg := defaultConfig()
-	addr := flag.String("addr", ":8080", "listen address")
-	flag.StringVar(&cfg.modelDir, "model-dir", cfg.modelDir,
+	fs := flag.NewFlagSet("carolserve", flag.ContinueOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	fs.StringVar(&cfg.modelDir, "model-dir", cfg.modelDir,
 		"caroltrain model registry to warm-load and serve on /v1/predict; SIGHUP hot-reloads")
-	flag.IntVar(&cfg.maxInflight, "max-inflight", cfg.maxInflight,
+	fs.IntVar(&cfg.maxInflight, "max-inflight", cfg.maxInflight,
 		"maximum concurrently served /v1/ requests; excess get 503 + Retry-After")
-	flag.DurationVar(&cfg.registryWatch, "registry-watch", cfg.registryWatch,
+	fs.DurationVar(&cfg.registryWatch, "registry-watch", cfg.registryWatch,
 		"poll the model registry at this interval and hot-swap on change (0 disables; SIGHUP always works)")
-	flag.BoolVar(&cfg.trackEstimatorError, "track-estimator-error", cfg.trackEstimatorError,
+	fs.BoolVar(&cfg.trackEstimatorError, "track-estimator-error", cfg.trackEstimatorError,
 		"run the SECRE surrogate alongside rel= compresses and export estimate-vs-actual error gauges")
-	flag.Uint64("selector-seed", 1,
+	fs.Uint64("selector-seed", 1,
 		"ignored: mode=auto draws no random numbers (kept until the benchmark harness stops passing it)")
-	cfg.timeouts.Flags(flag.CommandLine)
-	flag.Int64Var(&cfg.decodeLimits.MaxElements, "max-decode-elements", cfg.decodeLimits.MaxElements,
+	cfg.timeouts.Flags(fs)
+	fs.Int64Var(&cfg.decodeLimits.MaxElements, "max-decode-elements", cfg.decodeLimits.MaxElements,
 		"maximum samples a /v1/decompress stream may claim (413 beyond)")
-	flag.Int64Var(&cfg.decodeLimits.MaxAlloc, "max-decode-alloc", cfg.decodeLimits.MaxAlloc,
+	fs.Int64Var(&cfg.decodeLimits.MaxAlloc, "max-decode-alloc", cfg.decodeLimits.MaxAlloc,
 		"maximum bytes a single decode-side allocation may claim (413 beyond)")
-	flag.Int64Var(&cfg.decodeLimits.MaxCount, "max-decode-count", cfg.decodeLimits.MaxCount,
+	fs.Int64Var(&cfg.decodeLimits.MaxCount, "max-decode-count", cfg.decodeLimits.MaxCount,
 		"maximum repeated-structure count (chunks, entries) a stream may claim (413 beyond)")
-	flag.Parse()
-	os.Exit(run(cfg, *addr))
+	if err := fs.Parse(args); err != nil {
+		return cfg, "", err
+	}
+	if cfg.maxInflight < 1 {
+		// A server that serves no request at a time serves none.
+		return cfg, "", fmt.Errorf("-max-inflight %d < 1", cfg.maxInflight)
+	}
+	return cfg, *addr, nil
 }
 
 // run boots the server: models are warm-loaded before the listener opens.

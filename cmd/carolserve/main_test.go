@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"carol/internal/dataset"
@@ -342,5 +343,32 @@ func TestNonFiniteFieldIs400(t *testing.T) {
 				t.Errorf("%g sample, %s: status %d (%.80s), want 400", bad, q, resp.StatusCode, msg)
 			}
 		}
+	}
+}
+
+// TestParseFlagRanges: a -max-inflight below 1 is refused before the
+// server starts, and the defaults parse.
+func TestParseFlagRanges(t *testing.T) {
+	for _, c := range []struct {
+		val string
+		ok  bool
+	}{{"0", false}, {"-3", false}, {"1", true}, {"64", true}} {
+		cfg, _, err := parseFlags([]string{"-max-inflight", c.val})
+		if (err == nil) != c.ok {
+			t.Errorf("-max-inflight %s: error %v, want ok=%v", c.val, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "-max-inflight "+c.val) {
+			t.Errorf("-max-inflight %s: error %q does not name the flag and value", c.val, err)
+		}
+		if err == nil && strconv.Itoa(cfg.maxInflight) != c.val {
+			t.Errorf("-max-inflight %s parsed as %d", c.val, cfg.maxInflight)
+		}
+	}
+	cfg, addr, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-selector-seed", "7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if addr != "127.0.0.1:0" || cfg.maxInflight != defaultConfig().maxInflight {
+		t.Fatalf("addr %q, max-inflight %d", addr, cfg.maxInflight)
 	}
 }

@@ -13,9 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
+	"carol/internal/pipeline"
 	"carol/internal/xrand"
 )
 
@@ -116,10 +115,11 @@ type Optimizer struct {
 	// Candidates is the number of random acquisition candidates per
 	// Suggest. Default 256.
 	Candidates int
-	// Workers bounds the goroutines scoring acquisition candidates: 0 uses
-	// every core, 1 forces the serial path. Suggestions are bit-identical
-	// for every value — candidates are generated from the single RNG stream
-	// serially and only their (read-only) GP scoring is parallel.
+	// Workers bounds the goroutines scoring acquisition candidates on
+	// pipeline.FanOut: 0 uses every core, 1 scores them in the caller's
+	// goroutine. Suggestions are bit-identical for every value — candidates
+	// are generated from the single RNG stream serially and only their
+	// (read-only) GP scoring is parallel.
 	Workers int
 }
 
@@ -355,40 +355,19 @@ func (o *Optimizer) suggestEI() []float64 {
 		}
 		cands = append(cands, u)
 	}
+	// Candidates per FanOut item: enough GP solves to amortize the item's
+	// goroutine. Scoring cannot fail, so FanOut's error is always nil.
+	const chunk = 64
 	eis := make([]float64, len(cands))
-	scoreRange := func(lo, hi int) {
-		for c := lo; c < hi; c++ {
+	_, _ = pipeline.FanOut((len(cands)+chunk-1)/chunk, o.Workers, func(ci int) (struct{}, error) {
+		for c := ci * chunk; c < min((ci+1)*chunk, len(cands)); c++ {
 			mu, sigma := model.predict(cands[c])
 			imp := mu - bestStd - o.Xi
 			z := imp / sigma
 			eis[c] = imp*normCDF(z) + sigma*normPDF(z)
 		}
-	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		scoreRange(0, len(cands))
-	} else {
-		chunk := (len(cands) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, min((w+1)*chunk, len(cands))
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				scoreRange(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+		return struct{}{}, nil
+	})
 	// Argmax in generation order — identical to scoring serially.
 	bestEI := math.Inf(-1)
 	var bestCand []float64

@@ -80,8 +80,9 @@ type Config struct {
 	// only trades wall-clock for CPU on resource-limited hosts. Collect
 	// calls the codec and surrogate from up to Workers goroutines, so a
 	// pair given to NewWith must be safe for concurrent use unless Workers
-	// is 1. (Feature extraction is block-parallel over GOMAXPROCS
-	// goroutines; features.ExtractParallel's defaults.)
+	// is 1. (Feature extraction scans its sampled blocks over GOMAXPROCS
+	// goroutines, features.ExtractParallel's defaults, and gives the same
+	// bits for any worker count.)
 	Workers int
 	// Seed drives all randomized components.
 	Seed uint64

@@ -12,26 +12,27 @@
 //     on a GPU; this repository maps the same design onto goroutines —
 //     surface points are excluded (no boundary branches in the inner loop),
 //     sampling is block-wise rather than point-wise (coalesced access), and
-//     each worker accumulates into private partial sums (the shared-memory
-//     reduction). See DESIGN.md §2 for the substitution rationale.
+//     each sampled block accumulates into its own partial sums (the
+//     shared-memory reduction), merged in block order — so the features
+//     are bit-identical for any worker count. See DESIGN.md §2 for the
+//     substitution rationale.
 package features
 
 import (
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"carol/internal/field"
 	"carol/internal/obs"
+	"carol/internal/pipeline"
 )
 
 // ExtractParallel metrics (obs.Default). The plan/scan split mirrors the
 // GPU original's kernel-launch vs kernel-execution phases: plan is the
-// serial block-sampling setup, scan is the workers' accumulation pass.
-// Worker busy time is observed once per worker per call, so the spread of
-// the features_extract_scan_seconds histogram exposes load imbalance
-// across the block distribution.
+// serial block-sampling setup, scan is the blocks' accumulation pass.
+// Scan time is observed once per sampled block, so the spread of the
+// features_extract_scan_seconds histogram shows how uneven the blocks'
+// costs are (edge blocks are clipped to the interior).
 var (
 	extractSeconds     = obs.Default.Histogram("features_extract_seconds", obs.LatencyBuckets())
 	extractPlanSeconds = obs.Default.Histogram("features_extract_plan_seconds", obs.LatencyBuckets())
@@ -237,7 +238,8 @@ type ParallelOptions struct {
 	BlockSize int
 	// Every keeps one block of every N along each dimension. Default 4.
 	Every int
-	// Workers is the goroutine count. Default runtime.GOMAXPROCS(0).
+	// Workers bounds the goroutines scanning blocks on pipeline.FanOut.
+	// Default runtime.GOMAXPROCS(0). It never changes the features.
 	Workers int
 }
 
@@ -247,9 +249,6 @@ func (o ParallelOptions) withDefaults() ParallelOptions {
 	}
 	if o.Every <= 0 {
 		o.Every = 4
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -289,8 +288,8 @@ func planAxis(lo, hi int, opts ParallelOptions, sampled bool) axisPlan {
 }
 
 // ExtractParallel computes the features with CAROL's accelerated strategy:
-// block-wise sampling, surface exclusion, and per-worker partial sums merged
-// at the end.
+// block-wise sampling, surface exclusion, and per-block partial sums merged
+// in block order at the end.
 func ExtractParallel(f *field.Field, opts ParallelOptions) Vector {
 	start := time.Now()
 	defer extractSeconds.ObserveSince(start)
@@ -323,41 +322,23 @@ func ExtractParallel(f *field.Field, opts ParallelOptions) Vector {
 	extractPlanSeconds.ObserveSince(start)
 	extractBlocks.Add(int64(len(tasks)))
 
-	workers := opts.Workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	partials := make([]accum, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Per-worker busy time: one observation per worker per call, so
-			// the histogram spread shows scan-phase load imbalance.
-			scanStart := time.Now()
-			defer extractScanSeconds.ObserveSince(scanStart)
-			// Accumulate into a stack-local struct to avoid false sharing
-			// between workers; publish once at the end.
-			var local accum
-			a := &local
-			defer func() { partials[w] = local }()
-			for ti := w; ti < len(tasks); ti += workers {
-				t := tasks[ti]
-				for z := t.z0; z <= t.z1; z++ {
-					for y := t.y0; y <= t.y1; y++ {
-						for x := t.x0; x <= t.x1; x++ {
-							pointFeatures(f, x, y, z, a)
-						}
-					}
+	// One partial per block, whatever the worker count: the merge below
+	// adds the same partials in the same order on any host. The scan cannot
+	// fail, so FanOut's error is always nil.
+	partials, _ := pipeline.FanOut(len(tasks), opts.Workers, func(ti int) (accum, error) {
+		scanStart := time.Now()
+		defer extractScanSeconds.ObserveSince(scanStart)
+		var a accum
+		t := tasks[ti]
+		for z := t.z0; z <= t.z1; z++ {
+			for y := t.y0; y <= t.y1; y++ {
+				for x := t.x0; x <= t.x1; x++ {
+					pointFeatures(f, x, y, z, &a)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+		return a, nil
+	})
 	var total accum
 	for _, p := range partials {
 		total.merge(p)

@@ -121,9 +121,8 @@ func TestParallelApproximatesFull(t *testing.T) {
 }
 
 func TestParallelDeterministic(t *testing.T) {
-	// Partial sums merge in worker order, so results must be identical
-	// across runs and worker counts up to float addition order within a
-	// worker (fixed by the task striding).
+	// Each sampled block sums into its own partial and the partials merge
+	// in block order, so repeated runs give the same bits.
 	f := smoothField(48, 48, 8, 5)
 	a := ExtractParallel(f, ParallelOptions{Workers: 4, BlockSize: 8, Every: 2})
 	b := ExtractParallel(f, ParallelOptions{Workers: 4, BlockSize: 8, Every: 2})
@@ -132,17 +131,24 @@ func TestParallelDeterministic(t *testing.T) {
 	}
 }
 
-func TestParallelSingleWorkerMatchesManyApprox(t *testing.T) {
-	f := smoothField(48, 48, 8, 6)
-	one := ExtractParallel(f, ParallelOptions{Workers: 1, BlockSize: 8, Every: 2})
-	many := ExtractParallel(f, ParallelOptions{Workers: 8, BlockSize: 8, Every: 2})
-	for i, name := range Names() {
-		ov, mv := one.Slice()[i], many.Slice()[i]
-		if ov == 0 {
-			continue
-		}
-		if math.Abs(ov-mv)/math.Abs(ov) > 1e-9 {
-			t.Errorf("%s: 1 worker %g vs 8 workers %g", name, ov, mv)
+// TestParallelWorkersBitIdentical: the features are the same bits for
+// every worker count, on fields with several sampled blocks along every
+// axis — where merging per-worker sums would reorder the additions.
+func TestParallelWorkersBitIdentical(t *testing.T) {
+	for _, c := range []struct {
+		f    *field.Field
+		opts ParallelOptions
+	}{
+		{smoothField(48, 48, 40, 6), ParallelOptions{BlockSize: 8, Every: 2}}, // 3 blocks per axis
+		{roughField(140, 140, 140, 6), ParallelOptions{}},                     // 2 blocks per axis at the paper's defaults
+	} {
+		c.opts.Workers = 1
+		one := ExtractParallel(c.f, c.opts)
+		for _, w := range []int{2, 3, 4, 8} {
+			c.opts.Workers = w
+			if got := ExtractParallel(c.f, c.opts); got != one {
+				t.Errorf("%s %dx%dx%d: %d workers %+v, 1 worker %+v", c.f.Name, c.f.Nx, c.f.Ny, c.f.Nz, w, got, one)
+			}
 		}
 	}
 }

@@ -78,11 +78,9 @@ type Server struct {
 // New builds a server with /metrics, /debug/vars, /healthz and /v1/selector
 // registered. name prefixes log lines ("carolserve"), prefix the middleware
 // metrics ("http" → http_requests_total), and maxInflight bounds
-// concurrently served /v1/ requests.
+// concurrently served /v1/ requests (at least 1: both commands refuse
+// less at parse).
 func New(name, prefix string, maxInflight int, sel *selector.Selector) *Server {
-	if maxInflight < 1 {
-		maxInflight = 1
-	}
 	s := &Server{
 		name:      name,
 		prefix:    prefix,

@@ -131,8 +131,9 @@ func ExpectedSlabDims(nx, ny, nz, n int) [][3]int {
 // emit(i, v) is invoked strictly in index order as results become
 // available. At most 2*workers results are buffered ahead of the consumer,
 // so memory stays bounded regardless of how uneven per-block times are.
-// The first error stops useful work; remaining in-flight blocks are
-// drained so no goroutine leaks.
+// The first error (in index order) stops useful work and is returned as
+// the work returned it; remaining in-flight blocks are drained so no
+// goroutine leaks.
 func runOrdered[T any](n, workers int, launch func(i int) func() (T, error), emit func(i int, v T) error) error {
 	type result struct {
 		v   T
@@ -160,7 +161,7 @@ func runOrdered[T any](n, workers int, launch func(i int) func() (T, error), emi
 		r := <-ch
 		if firstErr == nil {
 			if r.err != nil {
-				firstErr = fmt.Errorf("pipeline: block %d: %w", i, r.err)
+				firstErr = r.err
 			} else if err := emit(i, r.v); err != nil {
 				firstErr = err
 			}
@@ -209,7 +210,10 @@ func (c *Codec) CompressStream(w io.Writer, f *field.Field, eb float64) error {
 	return runOrdered(len(slabs), c.opts.Workers,
 		func(i int) func() ([]byte, error) {
 			slab := slabs[i]
-			return func() ([]byte, error) { return c.inner.Compress(slab, eb) }
+			return func() ([]byte, error) {
+				buf, err := c.inner.Compress(slab, eb)
+				return buf, blockErr(i, err)
+			}
 		},
 		func(i int, buf []byte) error {
 			var lbuf [4]byte
@@ -303,38 +307,38 @@ func (c *Codec) DecompressStream(r io.Reader) (*field.Field, error) {
 	// endless input is never buffered beyond O(Workers) frames, each
 	// individually vetted against lim before its buffer is allocated.
 	var readFailed error
-	failure := func(err error) func() (*field.Field, error) {
-		return func() (*field.Field, error) { return nil, err }
+	failure := func(i int, err error) func() (*field.Field, error) {
+		return func() (*field.Field, error) { return nil, blockErr(i, err) }
 	}
 	err = runOrdered(len(want), c.opts.Workers,
 		func(i int) func() (*field.Field, error) {
 			if readFailed != nil {
-				return failure(readFailed)
+				return failure(i, readFailed)
 			}
 			var lbuf [4]byte
 			if _, err := io.ReadFull(r, lbuf[:]); err != nil {
 				readFailed = fmt.Errorf("frame header: %w", safedec.ErrTruncated)
-				return failure(readFailed)
+				return failure(i, readFailed)
 			}
 			l := int64(binary.LittleEndian.Uint32(lbuf[:]))
 			if err := lim.Alloc("pipeline block", l); err != nil {
 				readFailed = err
-				return failure(readFailed)
+				return failure(i, readFailed)
 			}
 			buf := make([]byte, l)
 			if _, err := io.ReadFull(r, buf); err != nil {
 				readFailed = fmt.Errorf("frame body: %w", safedec.ErrTruncated)
-				return failure(readFailed)
+				return failure(i, readFailed)
 			}
 			d := want[i]
 			return func() (*field.Field, error) {
 				g, err := c.inner.DecompressLimited(buf, lim)
 				if err != nil {
-					return nil, err
+					return nil, blockErr(i, err)
 				}
 				if g.Nx != d[0] || g.Ny != d[1] || g.Nz != d[2] {
-					return nil, fmt.Errorf("block dims %dx%dx%d, want %dx%dx%d: %w",
-						g.Nx, g.Ny, g.Nz, d[0], d[1], d[2], safedec.ErrCorrupt)
+					return nil, blockErr(i, fmt.Errorf("block dims %dx%dx%d, want %dx%dx%d: %w",
+						g.Nx, g.Ny, g.Nz, d[0], d[1], d[2], safedec.ErrCorrupt))
 				}
 				return g, nil
 			}
@@ -366,22 +370,44 @@ func (c *Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Fie
 // the chunked container format builds on.
 func CompressSlabs(codec compressor.Codec, slabs []*field.Field, eb float64, workers int) ([][]byte, error) {
 	return FanOut(len(slabs), workers, func(i int) ([]byte, error) {
-		return codec.Compress(slabs[i], eb)
+		buf, err := codec.Compress(slabs[i], eb)
+		return buf, blockErr(i, err)
 	})
 }
 
-// FanOut runs work(i) for i in [0, n) on a bounded worker pool and
-// returns the results in index order, stopping useful work at the first
-// error (in-flight items drain so no goroutine leaks). It reuses the
-// runOrdered launcher discipline — sequential launch, bounded concurrency
-// acquired before each go statement, bounded reorder window — for callers
-// whose per-item work is not a codec invocation, e.g. carolgate fanning a
-// field's slabs out to the shards that own them.
+// blockErr names the container block a codec call failed on (nil stays nil).
+func blockErr(i int, err error) error {
+	if err != nil {
+		return fmt.Errorf("pipeline: block %d: %w", i, err)
+	}
+	return nil
+}
+
+// FanOut runs work(i) for i in [0, n) on at most workers goroutines (0:
+// GOMAXPROCS) and returns the results in index order. It is the module's
+// one compute pool: besides the containers here it grows rf's trees and
+// CV folds, scores bayesopt's candidates, scans features' blocks, collects
+// core's fields and fans carolgate's slabs out to shards. The first error
+// in index order is returned unwrapped and stops useful work (in-flight
+// items drain so no goroutine leaks); the pool is runOrdered's discipline —
+// sequential launch, bounded concurrency acquired before each go
+// statement, bounded reorder window. With one worker or at most one item
+// the items run in the caller's goroutine and no goroutine starts.
 func FanOut[T any](n, workers int, work func(i int) (T, error)) ([]T, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out := make([]T, n)
+	if workers == 1 || n <= 1 {
+		for i := range out {
+			v, err := work(i)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		return out, nil
+	}
 	err := runOrdered(n, workers,
 		func(i int) func() (T, error) {
 			return func() (T, error) { return work(i) }
@@ -401,6 +427,7 @@ func FanOut[T any](n, workers int, work func(i int) (T, error)) ([]T, error) {
 func DecompressSlabs(codec compressor.Codec, chunks [][]byte, lim safedec.Limits, workers int) ([]*field.Field, error) {
 	lim = lim.Norm()
 	return FanOut(len(chunks), workers, func(i int) (*field.Field, error) {
-		return codec.DecompressLimited(chunks[i], lim)
+		g, err := codec.DecompressLimited(chunks[i], lim)
+		return g, blockErr(i, err)
 	})
 }

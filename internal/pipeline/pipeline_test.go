@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -422,5 +423,25 @@ func TestFanOutError(t *testing.T) {
 	})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("FanOut error = %v, want %v", err, wantErr)
+	}
+}
+
+// TestFanOutSerial: with one worker the items run in index order in the
+// caller's goroutine, and the first error stops the rest from running.
+func TestFanOutSerial(t *testing.T) {
+	wantErr := errors.New("fold failed")
+	var ran []int
+	_, err := FanOut(8, 1, func(i int) (int, error) {
+		ran = append(ran, i)
+		if i == 3 {
+			return 0, wantErr
+		}
+		return i, nil
+	})
+	if err != wantErr {
+		t.Fatalf("FanOut error = %v, want %v unwrapped", err, wantErr)
+	}
+	if !slices.Equal(ran, []int{0, 1, 2, 3}) {
+		t.Fatalf("ran items %v, want [0 1 2 3]", ran)
 	}
 }

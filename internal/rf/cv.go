@@ -3,11 +3,10 @@ package rf
 import (
 	"errors"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"carol/internal/obs"
+	"carol/internal/pipeline"
 	"carol/internal/xrand"
 )
 
@@ -20,8 +19,8 @@ var cvSeconds = obs.Default.Histogram("rf_crossvalidate_seconds", obs.LatencyBuc
 //
 // X is ranked once for every fold: a fold trains on a list of X's rows, and
 // grows the forest Train grows on those rows copied out in order. Folds run
-// concurrently, bounded by Config.Workers; fold scores are summed in fold
-// order, so the result is bit-identical for any Workers value.
+// on pipeline.FanOut, bounded by Config.Workers; fold scores are summed in
+// fold order, so the result is bit-identical for any Workers value.
 func CrossValidate(X [][]float64, y []float64, cfg Config, k int, seed uint64) (float64, error) {
 	start := time.Now()
 	defer cvSeconds.ObserveSince(start)
@@ -43,9 +42,7 @@ func CrossValidate(X [][]float64, y []float64, cfg Config, k int, seed uint64) (
 	for i, p := range perm {
 		foldOf[p] = i % k
 	}
-	scores := make([]float64, k)
-	errs := make([]error, k)
-	runFold := func(fold int) {
+	scores, err := pipeline.FanOut(k, cfg.Workers, func(fold int) (float64, error) {
 		nTest := 0
 		for i := range X {
 			if foldOf[i] == fold {
@@ -65,13 +62,11 @@ func CrossValidate(X [][]float64, y []float64, cfg Config, k int, seed uint64) (
 		}
 		f, err := rk.train(rows, y, cfg, (*builder).bestSplit)
 		if err != nil {
-			errs[fold] = err
-			return
+			return 0, err
 		}
 		preds, err := f.PredictBatch(teX)
 		if err != nil {
-			errs[fold] = err
-			return
+			return 0, err
 		}
 		var mse float64
 		for i, p := range preds {
@@ -81,43 +76,14 @@ func CrossValidate(X [][]float64, y []float64, cfg Config, k int, seed uint64) (
 		if len(preds) > 0 {
 			mse /= float64(len(preds))
 		}
-		scores[fold] = -mse
-	}
-	workers := resolveWorkers(cfg.Workers)
-	if workers > k {
-		workers = k
-	}
-	if workers == 1 {
-		for fold := 0; fold < k; fold++ {
-			runFold(fold)
-		}
-	} else {
-		// Exactly `workers` goroutines pulling folds off a shared counter —
-		// fold results land positionally, so the schedule cannot affect the
-		// score.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					fold := int(next.Add(1)) - 1
-					if fold >= k {
-						return
-					}
-					runFold(fold)
-				}
-			}()
-		}
-		wg.Wait()
+		return -mse, nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	var totalScore float64
-	for fold := 0; fold < k; fold++ {
-		if errs[fold] != nil {
-			return 0, errs[fold]
-		}
-		totalScore += scores[fold]
+	for _, fs := range scores {
+		totalScore += fs
 	}
 	score := totalScore / float64(k)
 	if math.IsNaN(score) {

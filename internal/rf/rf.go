@@ -6,18 +6,16 @@
 //
 // Training is deterministic and parallel: every tree's bootstrap sample and
 // builder seed are derived serially from the master RNG, then the trees are
-// grown on a worker pool, so a forest is bit-identical for any Config.Workers
-// value (see DESIGN.md, "Parallel training engine").
+// grown on pipeline.FanOut, so a forest is bit-identical for any
+// Config.Workers value (see DESIGN.md, "Parallel training engine").
 package rf
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"carol/internal/obs"
+	"carol/internal/pipeline"
 	"carol/internal/xrand"
 )
 
@@ -95,14 +93,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// resolveWorkers maps the Workers knob to a concrete goroutine count.
-func resolveWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
 // node is one decision-tree node, stored flat.
 type node struct {
 	feature int     // split feature, -1 for leaf
@@ -176,7 +166,7 @@ type splitSearch func(b *builder, lo, hi int) (feat int, thresh, score float64, 
 //
 // All randomness — each tree's bootstrap sample and its builder seed — is
 // drawn from the master RNG serially, in tree order, before any tree is
-// grown; the worker pool only parallelizes the (deterministic) growth, so
+// grown; pipeline.FanOut only parallelizes the (deterministic) growth, so
 // the result does not depend on Config.Workers. A bootstrap draw picks a
 // position in rows, so training on a row list grows the forest Train grows
 // on those rows copied out in order.
@@ -197,7 +187,6 @@ func (rk *ranked) train(rows []int, y []float64, cfg Config, search splitSearch)
 			rows[i] = i
 		}
 	}
-	f := &Forest{trees: make([]tree, cfg.NEstimators), dims: rk.dims, cfg: cfg}
 	rng := xrand.New(cfg.Seed ^ 0x9e3779b97f4a7c15)
 	boots := make([][]int, cfg.NEstimators)
 	seeds := make([]uint64, cfg.NEstimators)
@@ -213,37 +202,14 @@ func (rk *ranked) train(rows []int, y []float64, cfg Config, search splitSearch)
 		boots[ti] = idx
 		seeds[ti] = rng.Uint64()
 	}
-	growTree := func(ti int) {
+	trees, err := pipeline.FanOut(len(boots), cfg.Workers, func(ti int) (tree, error) {
 		b := &builder{ranked: rk, y: y, cfg: cfg, rng: xrand.New(seeds[ti]), search: search}
-		f.trees[ti] = tree{nodes: b.build(boots[ti])}
+		return tree{nodes: b.build(boots[ti])}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	workers := resolveWorkers(cfg.Workers)
-	if workers > cfg.NEstimators {
-		workers = cfg.NEstimators
-	}
-	if workers == 1 {
-		for ti := range f.trees {
-			growTree(ti)
-		}
-		return f, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ti := int(next.Add(1)) - 1
-				if ti >= len(f.trees) {
-					return
-				}
-				growTree(ti)
-			}
-		}()
-	}
-	wg.Wait()
-	return f, nil
+	return &Forest{trees: trees, dims: rk.dims, cfg: cfg}, nil
 }
 
 // Predict returns the forest's prediction for one feature row.
@@ -258,8 +224,8 @@ func (f *Forest) Predict(x []float64) (float64, error) {
 	return sum / float64(len(f.trees)), nil
 }
 
-// PredictBatch predicts every row of X, splitting the batch over up to
-// Config.Workers goroutines. Each row's result is bit-identical to a
+// PredictBatch predicts every row of X, fanning chunks of rows out over up
+// to Config.Workers goroutines. Each row's result is bit-identical to a
 // Predict call on that row.
 func (f *Forest) PredictBatch(X [][]float64) ([]float64, error) {
 	start := time.Now()
@@ -270,41 +236,21 @@ func (f *Forest) PredictBatch(X [][]float64) ([]float64, error) {
 			return nil, fmt.Errorf("rf: predict row %d with %d features, trained on %d", i, len(row), f.dims)
 		}
 	}
+	// Rows per FanOut item: enough work to amortize the item's goroutine,
+	// and a batch this small runs in the caller's goroutine.
+	const chunk = 64
 	out := make([]float64, len(X))
-	predictRange := func(lo, hi int) {
-		for r := lo; r < hi; r++ {
+	_, err := pipeline.FanOut((len(X)+chunk-1)/chunk, f.cfg.Workers, func(c int) (struct{}, error) {
+		for r := c * chunk; r < min((c+1)*chunk, len(X)); r++ {
 			var sum float64
 			for ti := range f.trees {
 				sum += f.trees[ti].predict(X[r])
 			}
 			out[r] = sum / float64(len(f.trees))
 		}
-	}
-	// Below this many rows per goroutine the spawn overhead dominates.
-	const minRowsPerWorker = 16
-	workers := resolveWorkers(f.cfg.Workers)
-	if maxW := len(X) / minRowsPerWorker; workers > maxW {
-		workers = maxW
-	}
-	if workers <= 1 {
-		predictRange(0, len(X))
-		return out, nil
-	}
-	chunk := (len(X) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, len(X))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			predictRange(lo, hi)
-		}()
-	}
-	wg.Wait()
-	return out, nil
+		return struct{}{}, nil
+	})
+	return out, err
 }
 
 // FeatureImportance returns the normalized variance-reduction importance of
