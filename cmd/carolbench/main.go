@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,42 +41,72 @@ func (ew *errWriter) Write(p []byte) (int, error) {
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	exp := flag.String("experiment", "", "experiment id (default: all); see -list")
-	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or paper")
-	workers := flag.Int("workers", 0,
-		"throughput experiment: sweep pipeline workers 1..N (0 = GOMAXPROCS); implies -experiment thr unless set")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	flag.Parse()
+// options carries the parsed flag set.
+type options struct {
+	exp     string
+	scale   experiments.Scale
+	workers int
+	list    bool
+}
 
+// parseFlags reads the flags and refuses a value out of range, or a
+// -workers the chosen experiment would ignore, before any work.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("carolbench", flag.ContinueOnError)
+	fs.StringVar(&o.exp, "experiment", "", "experiment id (default: all); see -list")
+	scale := fs.String("scale", "quick", "experiment scale: quick or paper")
+	fs.IntVar(&o.workers, "workers", 0,
+		"throughput experiment: sweep pipeline workers 1..N (0 = GOMAXPROCS); implies -experiment thr unless set")
+	fs.BoolVar(&o.list, "list", false, "list experiment ids and exit")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	workersSet := false
+	fs.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
+	switch {
+	case o.workers < 0:
+		return o, fmt.Errorf("-workers %d < 0", o.workers)
+	case workersSet && o.exp != "" && o.exp != "thr":
+		return o, fmt.Errorf("-workers sets the thr sweep's width; -experiment %s does not use it", o.exp)
+	}
+	var err error
+	o.scale, err = experiments.ParseScale(*scale)
+	return o, err
+}
+
+func run(args []string) int {
+	o, err := parseFlags(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "carolbench:", err)
+		return 2
+	}
 	ew := &errWriter{w: os.Stdout}
 	var out io.Writer = ew
-	if *list {
+	if o.list {
 		for _, r := range experiments.Registry() {
 			fmt.Fprintf(out, "%-8s %s\n", r.ID, r.Title)
 		}
 		return exitCode(ew)
 	}
-	scale, err := experiments.ParseScale(*scaleFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 	start := time.Now()
 	switch {
-	case *workers != 0 && (*exp == "" || *exp == "thr"):
+	case o.workers != 0:
 		// An explicit -workers N runs the throughput sweep at that width.
-		err = experiments.RunThroughput(out, scale, *workers)
-	case *exp == "":
-		err = experiments.RunAll(out, scale)
+		err = experiments.RunThroughput(out, o.scale, o.workers)
+	case o.exp == "":
+		err = experiments.RunAll(out, o.scale)
 	default:
 		var r experiments.Runner
-		r, err = experiments.Find(*exp)
+		r, err = experiments.Find(o.exp)
 		if err == nil {
-			err = r.Run(out, scale)
+			err = r.Run(out, o.scale)
 		}
 	}
 	if err != nil {

@@ -94,10 +94,10 @@ func TestServedModelsPinned(t *testing.T) {
 		digest    string
 		bestScore uint64
 	}{
-		"szx":   {"3caa2a6e88366da5", 0xbf92c7644bd006c5},
-		"zfp":   {"a434861e2d9d50e5", 0xbf97d87658b844f1},
-		"sz3":   {"f0388e79c7ee6522", 0xbf8bce0ed7175b30},
-		"sperr": {"ea1eede26b165794", 0xbf94c70f494f296b},
+		"szx":   {"9485e1f2964a266b", 0xbf92ae4ef1cb0378},
+		"zfp":   {"e40e2b63f7e3b33e", 0xbf97c83a419a4d4f},
+		"sz3":   {"2bbabf36e68bc8df", 0xbf8bc8b96fc39283},
+		"sperr": {"64cfe3c6f4f52325", 0xbf94e17ead5155d3},
 	}
 	fields := servedTrainingFields(t)
 	for _, name := range codecs.Names {

@@ -8,7 +8,7 @@ import (
 
 // workerVariants benchmarks the serial engine against the all-core pool;
 // on a single-core host the two coincide and only the algorithmic gains
-// (sorted-sweep splits, scratch reuse) show.
+// (presorted splits, scratch reuse) show.
 func workerVariants() []int { return []int{1, 0} }
 
 func workerName(w int) string {
@@ -37,7 +37,8 @@ func BenchmarkTrain(b *testing.B) {
 }
 
 // BenchmarkTrainTied grows serial 32-tree forests on the tie-heavy
-// training matrix (see tiedData), where the split search's sort dominates.
+// training matrix (see tiedData): long runs of equal keys, as in every
+// served model's training set.
 func BenchmarkTrainTied(b *testing.B) {
 	X, y := tiedData(b)
 	for _, mf := range []MaxFeatures{MaxFeaturesAuto, MaxFeaturesSqrt} {

@@ -277,8 +277,8 @@ func (f *Forest) FeatureImportance() []float64 {
 }
 
 // builder grows a single tree. All per-node working storage is reused
-// across the whole tree: sample indices are partitioned in place, and the
-// split search sorts and bins into fixed scratch buffers.
+// across the whole tree: the sample indices and the presorted columns are
+// partitioned in place, so every node owns one segment [lo, hi) of each.
 type builder struct {
 	*ranked
 	y      []float64
@@ -287,29 +287,23 @@ type builder struct {
 	search splitSearch
 	nodes  []node
 
-	idx   []int       // sample indices; grow partitions segments of this in place
-	part  []int       // stable-partition scratch (right-child indices)
-	feats []int       // feature-permutation scratch, one Fisher-Yates draw per split
-	pairs []pair      // split-search sort buffer
-	bins  []bin       // counting-score buffer, one entry per rank
-	res   []featSplit // per-feature outcomes of one split search
+	idx   []int    // sample indices; grow partitions segments of this in place
+	cols  [][]pair // cols[f]: the sample as (rank, row) pairs, each segment sorted
+	left  []uint8  // left[i]: 1 if row i goes to the left child of the node being split
+	part  []int    // stable-partition scratch (right-child indices)
+	pairs []pair   // stable-partition scratch (right-child pairs)
+	feats []int    // feature-permutation scratch, one Fisher-Yates draw per split
 }
 
 // build grows the tree over the bootstrap sample idx (which the builder
 // takes ownership of) and returns the flat node array.
 func (b *builder) build(idx []int) []node {
 	b.idx = idx
+	b.cols = b.presort(idx)
+	b.left = make([]uint8, len(b.X))
 	b.part = make([]int, 0, len(idx))
 	b.feats = make([]int, b.dims)
 	b.pairs = make([]pair, len(idx))
-	nBins := 0 // the most ranks of a feature any node may count
-	for _, vals := range b.vals {
-		if len(vals) <= len(idx) {
-			nBins = max(nBins, len(vals))
-		}
-	}
-	b.bins = make([]bin, nBins)
-	b.res = make([]featSplit, b.dims)
 	b.grow(0, len(idx), 0)
 	return b.nodes
 }
@@ -355,19 +349,36 @@ func (b *builder) grow(lo, hi, depth int) int32 {
 // partition stably reorders b.idx[lo:hi] so indices with X[i][feat] <=
 // thresh precede the rest, and returns the boundary. Left elements are
 // written behind the read cursor; right elements park in the part scratch.
+// Every presorted column segment is partitioned the same way, so each
+// child's segments hold its rows still sorted by (rank, row).
 func (b *builder) partition(lo, hi, feat int, thresh float64) int {
 	right := b.part[:0]
 	w := lo
 	for _, i := range b.idx[lo:hi] {
 		if b.X[i][feat] <= thresh {
+			b.left[i] = 1
 			b.idx[w] = i
 			w++
 		} else {
+			b.left[i] = 0
 			right = append(right, i)
 		}
 	}
 	copy(b.idx[w:hi], right)
 	b.part = right[:0]
+	// The column passes are branch-free: each pair is written to both
+	// sides, and only its side's cursor advances.
+	rp := b.pairs[:hi-lo]
+	for _, col := range b.cols {
+		cw, rw := lo, 0
+		for _, p := range col[lo:hi] {
+			l := int(b.left[p.row()])
+			col[cw], rp[rw] = p, p
+			cw += l
+			rw += 1 - l
+		}
+		copy(col[cw:hi], rp[:rw])
+	}
 	return w
 }
 

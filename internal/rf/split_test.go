@@ -1,17 +1,18 @@
 package rf
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"carol/internal/xrand"
 )
 
-// refBestSplit is the float-keyed split search the rank-keyed bestSplit
-// replaced, kept as its oracle: every candidate feature is sorted by value
-// (with sort.Sort, whose permutation sortPairs reproduces) and swept, and
-// the running best across features is updated with strict <.
+// refBestSplit is the float-keyed split search the presorted bestSplit
+// replaced, kept as its oracle: every candidate feature's node rows are
+// sorted by (value, row), with -0 and +0 tied, and swept, and the running
+// best across features is updated with strict <.
 func (b *builder) refBestSplit(lo, hi int) (feat int, thresh, score float64, ok bool) {
 	nFeat := b.dims
 	if b.cfg.MaxFeatures == MaxFeaturesSqrt {
@@ -20,18 +21,24 @@ func (b *builder) refBestSplit(lo, hi int) (feat int, thresh, score float64, ok 
 	b.rng.PermInto(b.feats)
 	feats := b.feats[:nFeat]
 
+	type entry struct {
+		v, y float64
+		row  int
+	}
 	n := hi - lo
-	ps := pairSorter{v: make([]float64, n), y: make([]float64, n)}
+	es := make([]entry, n)
 	bestScore := math.Inf(1)
 	for _, ft := range feats {
 		for k, i := range b.idx[lo:hi] {
-			ps.v[k], ps.y[k] = b.X[i][ft], b.y[i]
+			es[k] = entry{v: b.X[i][ft], y: b.y[i], row: i}
 		}
-		sort.Sort(&ps)
+		slices.SortFunc(es, func(a, c entry) int {
+			return cmp.Or(cmp.Compare(a.v, c.v), cmp.Compare(a.row, c.row))
+		})
 		var sumT, sqT float64
-		for _, y := range ps.y {
-			sumT += y
-			sqT += y * y
+		for _, e := range es {
+			sumT += e.y
+			sqT += e.y * e.y
 		}
 		step := 1
 		if n > maxSplitCandidates {
@@ -40,14 +47,14 @@ func (b *builder) refBestSplit(lo, hi int) (feat int, thresh, score float64, ok 
 		j := 0
 		var sumL, sqL float64
 		for vi := 0; vi+step < n; vi += step {
-			a, c := ps.v[vi], ps.v[vi+step]
+			a, c := es[vi].v, es[vi+step].v
 			if a == c { //carol:allow floateq equal sorted values admit no threshold between them
 				continue
 			}
 			t := (a + c) / 2
-			for j < n && ps.v[j] <= t {
-				sumL += ps.y[j]
-				sqL += ps.y[j] * ps.y[j]
+			for j < n && es[j].v <= t {
+				sumL += es[j].y
+				sqL += es[j].y * es[j].y
 				j++
 			}
 			nL, nR := float64(j), float64(n-j)
@@ -130,14 +137,9 @@ func checkSplitSearch(t *testing.T, X [][]float64, y []float64, cfg Config) {
 		t.Fatal(err)
 	}
 	if got, want := flatDigest(fast.Flatten()), flatDigest(ref.Flatten()); got != want {
-		t.Fatalf("n=%d %+v: rank-keyed forest %s, float-keyed reference %s", len(X), cfg, got, want)
+		t.Fatalf("n=%d %+v: presorted forest %s, float-keyed reference %s", len(X), cfg, got, want)
 	}
-	var rows, head []int
-	drawn := make([]int, len(X))
-	rng := xrand.New(uint64(len(X)))
-	for i := range drawn {
-		drawn[i] = rng.Intn(len(X))
-	}
+	var rows []int
 	var subX [][]float64
 	var subY []float64
 	for i := range X {
@@ -146,12 +148,6 @@ func checkSplitSearch(t *testing.T, X [][]float64, y []float64, cfg Config) {
 			subX = append(subX, X[i])
 			subY = append(subY, y[i])
 		}
-		if i < len(X)/2 {
-			head = append(head, i)
-		}
-	}
-	for _, node := range [][]int{drawn, rows, head} {
-		checkCountingBound(t, rk, y, node)
 	}
 	fold, err := rk.train(rows, y, cfg, (*builder).bestSplit)
 	if err != nil {
@@ -166,30 +162,9 @@ func checkSplitSearch(t *testing.T, X [][]float64, y []float64, cfg Config) {
 	}
 }
 
-// checkCountingBound fails unless, for every feature bestSplit would count
-// at a node of these rows, the counting minimum lies within 2E of the
-// sorted sweep's (both +Inf when no threshold splits the node).
-func checkCountingBound(t *testing.T, rk *ranked, y []float64, rows []int) {
-	t.Helper()
-	if len(rows) == 0 {
-		return
-	}
-	b := &builder{ranked: rk, y: y, pairs: make([]pair, len(rows)), bins: make([]bin, len(rows))}
-	e := b.errorBound(rows)
-	for ft := range rk.dims {
-		if len(rk.vals[ft]) > len(rows) {
-			continue
-		}
-		c, s := b.countingMin(rows, ft), b.sweep(rows, ft).score
-		if math.IsInf(c, 1) != math.IsInf(s, 1) || !math.IsInf(s, 1) && !(math.Abs(c-s) <= 2*e) {
-			t.Fatalf("%d rows, feature %d: counting minimum %v, sweep %v, 2E = %v", len(rows), ft, c, s, 2*e)
-		}
-	}
-}
-
-// FuzzSplitSearchMatchesReference holds the rank-keyed split search (the
-// counting score, the error-bound pruning and the rank sort) to the
-// float-keyed reference, forest for forest.
+// FuzzSplitSearchMatchesReference holds the presorted split search (the
+// per-tree column presort, its stable partitions and the rank-keyed sweep)
+// to the float-keyed reference, forest for forest.
 func FuzzSplitSearchMatchesReference(f *testing.F) {
 	tied, tiedY := tiedData(f)
 	// shape, n, seed, yExp, sqrt features, bootstrap, data
@@ -247,33 +222,35 @@ func TestTrainRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestCountingMidpointOnValue covers a threshold that lands on a value: with
-// four rows per integer and a candidate stride of five rows, the midpoint of
-// the values 3 and 5 is 4, a value held by rows between the two candidate
-// positions, and the counting score must send those rows left as the sweep
-// does. The target steps after every value in turn, so each such midpoint
-// is once the best split.
-func TestCountingMidpointOnValue(t *testing.T) {
+// TestSweepMidpointOnValue covers thresholds that land on a value. With
+// four rows per value and a candidate stride of five rows, the midpoint of
+// the integers 3 and 5 is 4, a value held by rows between the two
+// candidate positions; on a column of consecutive floats above 1, the
+// midpoint of two adjacent values whose lower one has an odd mantissa
+// rounds onto the upper one. Either way the sweep must send the rows
+// holding the threshold left, as the partition does. The target steps
+// after every value in turn, so each such midpoint is once the best split.
+func TestSweepMidpointOnValue(t *testing.T) {
 	const n = 160
-	X := make([][]float64, n)
-	for i := range X {
-		X[i] = []float64{float64(i / 4)}
-	}
-	rk, err := rankMatrix(X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	for cut := range n / 4 {
-		y := make([]float64, n)
-		for i := range y {
-			if i/4 > cut {
-				y[i] = 1
-			}
+	for _, value := range []func(k int) float64{
+		func(k int) float64 { return float64(k) },
+		func(k int) float64 { return 1 + float64(k)*0x1p-52 },
+	} {
+		X := make([][]float64, n)
+		for i := range X {
+			X[i] = []float64{value(i / 4)}
 		}
-		checkCountingBound(t, rk, y, rows)
+		for cut := range n / 4 {
+			y := make([]float64, n)
+			for i := range y {
+				if i/4 > cut {
+					y[i] = 1
+				}
+			}
+			cfg := DefaultConfig()
+			cfg.NEstimators = 2
+			cfg.Workers = 1
+			checkSplitSearch(t, X, y, cfg)
+		}
 	}
 }

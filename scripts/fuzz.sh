@@ -31,7 +31,6 @@ run ./internal/sz3 FuzzInterpMatchesReference
 run ./internal/field FuzzMinMaxMatchesReference
 run ./internal/field FuzzScanMatchesReference
 run ./internal/field FuzzReadRawMatchesReference
-run ./internal/rf FuzzSplitSortMatchesReference
 run ./internal/rf FuzzSplitSearchMatchesReference
 run ./internal/xrand FuzzFBmMatchesReference
 run ./internal/xrand FuzzFBmRowMatchesReference

@@ -10,9 +10,11 @@
 #	scripts/paperdiff.sh main table3 fig5b fig7 fig8 fig9
 #
 # The mask turns every number with a time or speedup unit (ns, µs, us, ms,
-# s, m, h, x) into T and squeezes runs of blanks, which tabwriter pads to
-# the width of the timings. Ratios, α and every other value stay, so a
-# change that moves a training set, a model or a prediction shows up here.
+# s, m, h, x) into T, and every cell of a "compress MB/s" or "decompress
+# MB/s" column (the thr experiment's throughput) into T, and squeezes runs
+# of blanks, which tabwriter pads to the width of the timings. Ratios, α and
+# every other value stay, so a change that moves a training set, a model or
+# a prediction shows up here.
 set -eu
 
 if [ $# -lt 2 ]; then
@@ -36,7 +38,13 @@ git -C "$root" worktree add --detach -q "$tmp/base" "$base"
 
 mask() {
     sed -E 's/[0-9]+(\.[0-9]+)?(ns|µs|us|ms|s|m|h|x)\b/T/g; s/[0-9]+(\.[0-9]+)?(ms|s|x)/T/g' "$1" |
-        sed -E 's/[[:space:]]+/ /g'
+        sed -E 's/[[:space:]]+/ /g' |
+        awk '
+            # thr table: codec workers compressMB/s decompressMB/s ratio PSNR,
+            # from its header line to the next line of another shape.
+            /compress MB\/s decompress MB\/s/ { mbs = 1; print; next }
+            mbs && NF == 6 { $3 = "T"; $4 = "T"; print; next }
+            { mbs = 0; print }'
 }
 
 status=0
