@@ -252,10 +252,13 @@ func TestGeneratedDataCompressesWell(t *testing.T) {
 }
 
 // BenchmarkGenerate times one 64³ field of each family the benchmark's
-// workloads draw from.
+// workloads draw from, and the two held-out fields that cost the most to
+// synthesize, NYX dark_matter_density and Hurricane QCLOUD (6 octaves
+// each).
 func BenchmarkGenerate(b *testing.B) {
 	for _, c := range []struct{ dataset, field string }{
 		{"miranda", "density"}, {"nyx", "baryon_density"}, {"hurricane", "U"},
+		{"nyx", "dark_matter_density"}, {"hurricane", "QCLOUD"},
 	} {
 		b.Run(c.dataset+"/"+c.field, func(b *testing.B) {
 			b.SetBytes(4 * 64 * 64 * 64)

@@ -85,13 +85,27 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 }
 
 // hash3 mixes three lattice coordinates and a seed into 64 pseudo-random
-// bits; it is the basis of the value noise below.
+// bits; it is the basis of the value noise below. It runs in stages, one
+// per coordinate and a final mix, so a caller that holds the x stage of a
+// lattice line can finish each of its points with hashY and hashZ alone.
 func hash3(x, y, z int64, seed uint64) uint64 {
-	h := seed
-	h ^= uint64(x) * 0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+	return hashZ(hashY(hashX(x, seed), y), z)
+}
+
+// hashX is hash3's x stage.
+func hashX(x int64, seed uint64) uint64 {
+	h := seed ^ uint64(x)*0x9e3779b97f4a7c15
+	return (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+}
+
+// hashY is hash3's y stage, applied to the x stage h.
+func hashY(h uint64, y int64) uint64 {
 	h ^= uint64(y) * 0xc2b2ae3d27d4eb4f
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+	return (h ^ (h >> 27)) * 0x94d049bb133111eb
+}
+
+// hashZ is hash3's z stage and final mix, applied to the y stage h.
+func hashZ(h uint64, z int64) uint64 {
 	h ^= uint64(z) * 0x165667b19e3779f9
 	h = (h ^ (h >> 31)) * 0xff51afd7ed558ccd
 	return h ^ (h >> 33)
@@ -100,8 +114,11 @@ func hash3(x, y, z int64, seed uint64) uint64 {
 // latticeValue returns a deterministic uniform value in [-1, 1] at an
 // integer lattice point.
 func latticeValue(x, y, z int64, seed uint64) float64 {
-	return float64(hash3(x, y, z, seed)>>11)/(1<<52) - 1
+	return hashValue(hash3(x, y, z, seed))
 }
+
+// hashValue maps hash3's bits to [-1, 1].
+func hashValue(h uint64) float64 { return float64(h>>11)/(1<<52) - 1 }
 
 func smooth(t float64) float64 { return t * t * (3 - 2*t) }
 
@@ -164,23 +181,27 @@ func (n *Noise) FBm(x, y, z float64, octaves int, gain float64) float64 {
 
 // Axis is the x side of a row of FBm samples: the x coordinates of one row,
 // shared by every row of a field. Per octave it holds each x's lattice cell
-// and smoothed offset, computed once, and the x-lerped corners of the last
-// (iy, iz) cell a row visited, which every row in that cell reuses. An Axis
-// is not safe for concurrent use; build one per goroutine and field.
+// and smoothed offset, computed once; the x stage of the hash of each x's
+// two lattice lines, computed once per noise seed; and the x-lerped corners
+// of the last (iy, iz) cell a row visited, which every row in that cell
+// reuses. An Axis is not safe for concurrent use; build one per goroutine
+// and field.
 type Axis struct {
 	xs  []float64
 	oct []axisOctave
 }
 
 // axisOctave is one octave of an Axis. ix and tx are each x's cell and
-// smoothed offset. lx holds, for the cell (iy, iz) of noise seed, each x's
-// four x-lerps (x00, x10, x01, x11 in At's names); ok is false until then.
+// smoothed offset. For noise seed, hx holds each x's hashX of ix and ix+1,
+// and lx its four x-lerps (x00, x10, x01, x11 in At's names) in cell
+// (iy, iz); ok is false until then.
 type axisOctave struct {
 	ix     []int64
 	tx     []float64
 	ok     bool
 	seed   uint64
 	iy, iz int64
+	hx     [][2]uint64
 	lx     [][4]float64
 }
 
@@ -193,7 +214,8 @@ func (a *Axis) octave(o int, freq float64) *axisOctave {
 	if o < len(a.oct) {
 		return &a.oct[o]
 	}
-	oc := axisOctave{ix: make([]int64, len(a.xs)), tx: make([]float64, len(a.xs)), lx: make([][4]float64, len(a.xs))}
+	n := len(a.xs)
+	oc := axisOctave{ix: make([]int64, n), tx: make([]float64, n), hx: make([][2]uint64, n), lx: make([][4]float64, n)}
 	for i, x := range a.xs {
 		px := x*freq + float64(o)*17.31
 		x0 := math.Floor(px)
@@ -205,27 +227,57 @@ func (a *Axis) octave(o int, freq float64) *axisOctave {
 
 // cell makes oc.lx hold the x-lerps of cell (iy, iz) of noise seed. Along
 // the row, a sample in the same x cell as the one before reuses its corners
-// and one in the next cell along +x hashes only its 4 new ones.
+// and one in the next cell along +x computes only its 4 new ones. A cell
+// one step up in y from the last, at the same iz and seed, slides: its lower
+// x-lerps are the last cell's upper ones, so only its upper corners are
+// computed. A corner costs hashY and hashZ; its line's hashX is in oc.hx.
 func (oc *axisOctave) cell(seed uint64, iy, iz int64) {
-	if oc.ok && oc.seed == seed && oc.iy == iy && oc.iz == iz {
+	same := oc.ok && oc.seed == seed
+	if same && oc.iy == iy && oc.iz == iz {
 		return
 	}
+	if !same {
+		for i, ix := range oc.ix {
+			oc.hx[i] = [2]uint64{hashX(ix, seed), hashX(ix+1, seed)}
+		}
+	}
+	slide := same && oc.iz == iz && oc.iy+1 == iy
 	oc.ok, oc.seed, oc.iy, oc.iz = true, seed, iy, iz
-	var c [8]float64 // corners' layout
+	// ci is corners' c[i], at dz<<2 | dy<<1 | dx; when sliding, only the
+	// upper ones (c2, c3, c6, c7) are kept. Each pair that shares a y is
+	// hashY and two hashZ, written out: a call costs as much as the hashing.
+	var c0, c1, c2, c3, c4, c5, c6, c7 float64
 	for i, ix := range oc.ix {
+		h := &oc.hx[i]
 		switch {
 		case i > 0 && ix == oc.ix[i-1]:
 		case i > 0 && ix == oc.ix[i-1]+1:
-			c[0], c[2], c[4], c[6] = c[1], c[3], c[5], c[7]
-			c[1] = latticeValue(ix+1, iy, iz, seed)
-			c[3] = latticeValue(ix+1, iy+1, iz, seed)
-			c[5] = latticeValue(ix+1, iy, iz+1, seed)
-			c[7] = latticeValue(ix+1, iy+1, iz+1, seed)
+			c0, c2, c4, c6 = c1, c3, c5, c7
+			if !slide {
+				hy := hashY(h[1], iy)
+				c1, c5 = hashValue(hashZ(hy, iz)), hashValue(hashZ(hy, iz+1))
+			}
+			hy := hashY(h[1], iy+1)
+			c3, c7 = hashValue(hashZ(hy, iz)), hashValue(hashZ(hy, iz+1))
 		default:
-			c = corners(ix, iy, iz, seed)
+			if !slide {
+				hy := hashY(h[0], iy)
+				c0, c4 = hashValue(hashZ(hy, iz)), hashValue(hashZ(hy, iz+1))
+				hy = hashY(h[1], iy)
+				c1, c5 = hashValue(hashZ(hy, iz)), hashValue(hashZ(hy, iz+1))
+			}
+			hy := hashY(h[0], iy+1)
+			c2, c6 = hashValue(hashZ(hy, iz)), hashValue(hashZ(hy, iz+1))
+			hy = hashY(h[1], iy+1)
+			c3, c7 = hashValue(hashZ(hy, iz)), hashValue(hashZ(hy, iz+1))
 		}
-		t := oc.tx[i]
-		oc.lx[i] = [4]float64{lerp(c[0], c[1], t), lerp(c[2], c[3], t), lerp(c[4], c[5], t), lerp(c[6], c[7], t)}
+		l, t := &oc.lx[i], oc.tx[i]
+		if slide {
+			l[0], l[2] = l[1], l[3]
+		} else {
+			l[0], l[2] = lerp(c0, c1, t), lerp(c4, c5, t)
+		}
+		l[1], l[3] = lerp(c2, c3, t), lerp(c6, c7, t)
 	}
 }
 
@@ -247,7 +299,8 @@ func (n *Noise) FBmRow(out []float64, a *Axis, y, z float64, octaves int, gain f
 		y0, z0 := math.Floor(py), math.Floor(pz)
 		ty, tz := smooth(py-y0), smooth(pz-z0)
 		oc.cell(n.seed, int64(y0), int64(z0))
-		for i, l := range oc.lx {
+		for i := range oc.lx {
+			l := &oc.lx[i]
 			y0v := lerp(l[0], l[1], ty)
 			y1v := lerp(l[2], l[3], ty)
 			out[i] += amp * lerp(y0v, y1v, tz)

@@ -428,8 +428,8 @@ func checkRow(t *testing.T, n *Noise, a *Axis, xs []float64, y, z float64, octav
 // testRows are x rows FBmRow must get right: the generators' rows (x/scale
 // plus an offset, at 1/28 to 1/10 cell per sample), rows that cross a cell
 // or many per sample, rows through zero into negative coordinates, a
-// decreasing row, a scattered one, and lattice points with their ulp
-// neighbours.
+// decreasing row, a scattered one, lattice points with their ulp
+// neighbours, and a row whose lattice cells are negative at every octave.
 func testRows() [][]float64 {
 	row := func(n int, fn func(i int) float64) []float64 {
 		xs := make([]float64, n)
@@ -453,6 +453,7 @@ func testRows() [][]float64 {
 		row(37, func(i int) float64 { return float64(i*17%37) * 0.61 }),
 		lattice,
 		{},
+		row(48, func(i int) float64 { return float64(i)/11 - 20 }),
 	}
 }
 
@@ -483,6 +484,34 @@ func TestFBmRowMatchesReference(t *testing.T) {
 					checkRow(t, noises[0], a, xs, y, z, octaves, 0.55)
 				}
 			}
+			checkSlides(t, noises, a, xs, octaves)
+		}
+	}
+}
+
+// checkSlides walks the rows that enter a cell one step up in y, where an
+// Axis carries the last cell's upper x-lerps down. For each octave o it
+// steps y by 1/2^o, one cell of octave o: a long run of such steps, from
+// negative y through zero; steps that also move z by a cell, or by a
+// fraction of one; and a step right after the other Noise evaluated a row
+// on the Axis, both in the same cell and one step up in its own turn.
+func checkSlides(t *testing.T, noises [2]*Noise, a *Axis, xs []float64, octaves int) {
+	t.Helper()
+	for o := 0; o < octaves; o++ {
+		step := math.Ldexp(1, -o)
+		y, z := -6*step+0.3*step, -0.4
+		for k := 0; k < 12; k++ {
+			checkRow(t, noises[0], a, xs, y+float64(k)*step, z, octaves, 0.55)
+		}
+		for k := 0; k < 4; k++ {
+			checkRow(t, noises[0], a, xs, y+float64(k)*step, z+float64(k)*step, octaves, 0.55)
+			checkRow(t, noises[0], a, xs, y+float64(k)*step, z+float64(k)*step+0.37*step, octaves, 0.55)
+		}
+		for k := 0; k < 4; k++ {
+			yk := y + float64(k)*step
+			checkRow(t, noises[0], a, xs, yk, z, octaves, 0.55)
+			checkRow(t, noises[1], a, xs, yk+float64(k%2)*step, z, octaves, 0.55)
+			checkRow(t, noises[0], a, xs, yk+step, z, octaves, 0.55)
 		}
 	}
 }
@@ -514,6 +543,17 @@ func fbmRowCase(t *testing.T, data []byte) {
 	}
 }
 
+// rowRun encodes n fbmRowCase rows of Noise which, the k-th at y = y0 +
+// k*dy and z = z0 + k*dz, in 1/64 cell.
+func rowRun(which byte, y0, z0, dy, dz int16, n int) []byte {
+	var out []byte
+	for k := int16(0); k < int16(n); k++ {
+		y, z := y0+k*dy, z0+k*dz
+		out = append(out, which, byte(y), byte(y>>8), byte(z), byte(z>>8))
+	}
+	return out
+}
+
 // FuzzFBmRowMatchesReference: any row of x coordinates, evaluated at any
 // y and z by either of two Noise values at 0–10 octaves, gives refFBm's bits
 // at every x.
@@ -526,6 +566,20 @@ func FuzzFBmRowMatchesReference(f *testing.F) {
 	f.Add(seed(10, 140, -2000, 300, 95, 0, 0, 0x10, 0xff, 0x20, 0xfe, 1, 0x10, 0xff, 0x20, 0xfe, 0, 0, 0x80, 0, 0x7f))
 	f.Add(seed(9, 90, 500, -40, 50, 1, 1, 5, 0, 9, 0, 0, 5, 0, 9, 0, 0, 6, 0, 9, 0))
 	f.Add(seed(0, 0, 3, 1, 1, 0, 0, 1, 0, 1, 0))
+	// Rows stepping up in y one cell of octave 6 at a time (and every
+	// lower octave's +1 steps on the way), from negative y.
+	f.Add(seed(10, 128, 100, 11, 64, 0, rowRun(0, -40, 0, 1, 0, 96)...))
+	// +1 steps at octave 3 in y and z together.
+	f.Add(seed(5, 100, 40, 23, 40, 0, rowRun(0, -16, -16, 8, 8, 12)...))
+	// +1 steps at octave 2, each right after the other Noise's row.
+	var turns []byte
+	for k := int16(0); k < 6; k++ {
+		turns = append(turns, rowRun(0, 16*k, 5, 0, 0, 1)...)
+		turns = append(turns, rowRun(1, 16*k+16, 5, 0, 0, 1)...)
+	}
+	f.Add(seed(6, 150, 40, 23, 40, 0, turns...))
+	// A row of negative x at every octave, stepping up in y.
+	f.Add(seed(8, 120, -2000, 11, 64, 0, rowRun(0, 3, 3, 2, 0, 64)...))
 	f.Fuzz(fbmRowCase)
 }
 

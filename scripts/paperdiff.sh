@@ -12,7 +12,8 @@
 # The mask turns every number with a time or speedup unit (ns, µs, us, ms,
 # s, m, h, x) into T, and every cell of a "compress MB/s" or "decompress
 # MB/s" column (the thr experiment's throughput) into T, and squeezes runs
-# of blanks, which tabwriter pads to the width of the timings. Ratios, α and
+# of blanks, which tabwriter pads to the width of the timings. A unit must
+# end a word, so grid dims such as 64x64x64 stay whole. Ratios, α, dims and
 # every other value stay, so a change that moves a training set, a model or
 # a prediction shows up here.
 set -eu
@@ -37,7 +38,7 @@ git -C "$root" worktree add --detach -q "$tmp/base" "$base"
 (cd "$root" && go build -o "$tmp/carolbench.head" ./cmd/carolbench)
 
 mask() {
-    sed -E 's/[0-9]+(\.[0-9]+)?(ns|µs|us|ms|s|m|h|x)\b/T/g; s/[0-9]+(\.[0-9]+)?(ms|s|x)/T/g' "$1" |
+    sed -E 's/[0-9]+(\.[0-9]+)?(ns|µs|us|ms|s|m|h|x)\b/T/g' "$1" |
         sed -E 's/[[:space:]]+/ /g' |
         awk '
             # thr table: codec workers compressMB/s decompressMB/s ratio PSNR,
