@@ -10,8 +10,9 @@ vet:
 	go vet ./...
 
 # The repo's own static-analysis suite (internal/analysis) over non-test
-# files: determinism, float discipline, bounded concurrency, error hygiene
-# and the interprocedural pooling discipline. See DESIGN.md §9 and §14.
+# files: determinism, float discipline, bounded concurrency, pooled scratch
+# on zpool.FreeList and error hygiene, one package at a time. See DESIGN.md
+# §9 and §14.
 lint:
 	go run ./cmd/carollint ./...
 

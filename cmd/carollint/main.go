@@ -1,8 +1,7 @@
 // Command carollint runs the repository's static-analysis suite (see
 // internal/analysis) over non-test files: the determinism, float-discipline,
-// bounded-concurrency and error-hygiene checks plus poolreset, the pooled-
-// scratch discipline checked through helper calls, that keep the
-// fixed-ratio pipeline reproducible.
+// bounded-concurrency, pooled-scratch and error-hygiene checks that keep the
+// fixed-ratio pipeline reproducible. Each check reads one package at a time.
 //
 //	carollint ./...                 # whole module (the CI gate)
 //	carollint ./internal/rf         # one package
@@ -13,8 +12,9 @@
 // Findings print as file:line:col: message [check]; the exit status is 1
 // when anything is reported, 2 on load/usage errors, 0 when clean. A
 // finding is silenced in place with `//carol:allow <check> <reason>` on the
-// offending line or the line above; an allow whose check reports nothing is
-// itself a finding, so suppressions cannot outlive the code they excuse.
+// offending line or the line above; an allow without a reason, or whose
+// check reports nothing, is itself a finding, so suppressions cannot outlive
+// the code they excuse.
 package main
 
 import (
@@ -94,7 +94,7 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "carollint: type error:", terr)
 				status = 2
 			}
-			diags, err := analysis.RunChecks(loader, pkg, checks, known)
+			diags, err := analysis.RunChecks(pkg, checks, known)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "carollint:", err)
 				status = 2

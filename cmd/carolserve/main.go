@@ -160,13 +160,15 @@ func (s *server) readField(r *http.Request, nx, ny, nz int) (*field.Field, error
 	return f, nil
 }
 
-// releaseField returns f's storage to s.fields unless it is over 16 MiB, so
-// the list pins at most 64 MiB; a larger field allocates every time.
+// releaseField returns f's storage to s.fields.
 func (s *server) releaseField(f *field.Field) {
-	if data := f.Data; cap(data) <= 4<<20 {
-		s.fields.Put(&data)
-	}
+	data := f.Data
+	s.fields.Put(&data)
 }
+
+// keepFieldStorage keeps storage of up to 16 MiB, so the list pins at most
+// 64 MiB; a larger field allocates every time.
+func keepFieldStorage(data *[]float32) bool { return cap(*data) <= 4<<20 }
 
 // readFieldBody is readField shaped by the dims query parameter.
 func (s *server) readFieldBody(r *http.Request) (*field.Field, error) {

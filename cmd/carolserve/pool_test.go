@@ -11,6 +11,7 @@ import (
 
 	"carol/internal/codecs"
 	"carol/internal/dataset"
+	"carol/internal/field"
 	"carol/internal/obs"
 )
 
@@ -143,5 +144,22 @@ func TestFieldStorageReuseUnderConcurrency(t *testing.T) {
 	}
 	if reused.Value() == reusedBefore {
 		t.Error("no request read its field into reused storage")
+	}
+}
+
+// TestFieldStorageRelease: releaseField hands a field's storage to the next
+// readField, and storage over 16 MiB is dropped. The pooled object is the
+// sample storage itself, so it reaches no other memory of the request.
+func TestFieldStorageRelease(t *testing.T) {
+	s := newServerWith(defaultConfig())
+	small := field.New("small", 8, 8, 8)
+	s.releaseField(small)
+	if got := s.fields.Get(); len(*got) != small.Len() || &(*got)[0] != &small.Data[0] {
+		t.Errorf("the storage released is not the storage lent next (%d samples)", len(*got))
+	}
+	big := field.New("big", 4<<20+1, 1, 1)
+	s.releaseField(big)
+	if got := s.fields.Get(); *got != nil {
+		t.Errorf("storage of %d samples was pooled, cap %d", cap(*got), 4<<20)
 	}
 }

@@ -71,7 +71,7 @@ type server struct {
 	// selector is the mode=auto codec chooser (DESIGN.md §16).
 	selector *selector.Selector
 	// fields lends request fields their sample storage (readField).
-	fields zpool.FreeList[[]float32]
+	fields *zpool.FreeList[[]float32]
 
 	fieldsReused, fieldsAllocated *obs.Counter
 }
@@ -82,7 +82,7 @@ func newServer() http.Handler { return newServerWith(defaultConfig()) }
 
 // newServerWith builds the server for cfg.
 func newServerWith(cfg config) *server {
-	s := &server{cfg: cfg, reg: obs.Default, fields: make(zpool.FreeList[[]float32], 4),
+	s := &server{cfg: cfg, reg: obs.Default, fields: zpool.NewFreeList(4, keepFieldStorage),
 		fieldsReused:    obs.Default.Counter(obs.Label("http_field_storage_total", "result", "reused")),
 		fieldsAllocated: obs.Default.Counter(obs.Label("http_field_storage_total", "result", "allocated"))}
 	if cfg.modelDir != "" {

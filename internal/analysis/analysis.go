@@ -5,11 +5,12 @@
 // CAROL's value proposition is a *reproducible* ratio→error-bound model, so
 // the analyzers shipped with the framework (see checks.go) machine-check the
 // invariants that keep runs bit-identical — no global RNG state, no
-// map-iteration-order-dependent serialization, no unbounded goroutine
-// fan-out, no pooled scratch reused stale or holding caller memory — plus
-// the float-equality and dropped-error hygiene the CLI tools need. The
-// framework itself is generic: an Analyzer is a named Run function over a
-// Pass, and cmd/carollint drives the whole suite across ./...
+// map-iteration-order-dependent serialization — plus the float-equality and
+// dropped-error hygiene the CLI tools need, and keep goroutines on the one
+// bounded pool and pooled scratch on zpool.FreeList. Every analyzer reads
+// one package's syntax and types; none follows a call into another
+// function. An Analyzer is a named Run function over a Pass, and
+// cmd/carollint drives the whole suite across ./...
 //
 // Everything here is built on go/parser, go/types and go/importer only.
 package analysis
@@ -50,12 +51,6 @@ type Pass struct {
 	Pkg *types.Package
 	// Info holds the type-checker's expression/object resolutions.
 	Info *types.Info
-	// Package is the loaded package (syntax and types together); poolreset
-	// builds its alias flows from it.
-	Package *Package
-	// Loader is the run's one loader; its per-function summaries are shared
-	// by every pass.
-	Loader *Loader
 
 	report func(Diagnostic)
 }
@@ -86,9 +81,10 @@ type Analyzer struct {
 //	//carol:allow floateq,maporder   — suppress several checks
 //	//carol:allow gopool chunk count equals Workers by construction
 //
-// Everything after the first field is free-text rationale. A directive
-// applies to findings on its own line (trailing comment) and on the line
-// directly below it (comment-above-statement style).
+// Everything after the first field is the rationale, which is required: a
+// directive without one is itself a finding and suppresses nothing. A
+// directive applies to findings on its own line (trailing comment) and on
+// the line directly below it (comment-above-statement style).
 const directivePrefix = "carol:allow"
 
 // DirectiveCheck is the pseudo-check name used for malformed or unknown
@@ -135,6 +131,14 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File, known map[string]bo
 						Pos:     pos,
 						Check:   DirectiveCheck,
 						Message: "carol:allow directive without check names",
+					})
+					continue
+				}
+				if len(fields) == 1 {
+					bad = append(bad, Diagnostic{
+						Pos:     pos,
+						Check:   DirectiveCheck,
+						Message: "carol:allow directive without a reason after its check names",
 					})
 					continue
 				}
@@ -187,7 +191,7 @@ func (idx allowIndex) suppressed(d Diagnostic) bool {
 // analyzer that is not currently selected is not reported as a typo).
 // A directive whose check DID run but suppressed nothing is reported as an
 // unused directive — stale allows hide future regressions.
-func RunChecks(l *Loader, pkg *Package, analyzers []*Analyzer, knownChecks map[string]bool) ([]Diagnostic, error) {
+func RunChecks(pkg *Package, analyzers []*Analyzer, knownChecks map[string]bool) ([]Diagnostic, error) {
 	idx, entries, diags := buildAllowIndex(pkg.Fset, pkg.Files, knownChecks)
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -196,8 +200,6 @@ func RunChecks(l *Loader, pkg *Package, analyzers []*Analyzer, knownChecks map[s
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			Package:  pkg,
-			Loader:   l,
 			report: func(d Diagnostic) {
 				if !idx.suppressed(d) {
 					diags = append(diags, d)

@@ -50,7 +50,7 @@ func runFixture(t *testing.T, name string, analyzers []*Analyzer) (*Package, []D
 	for _, terr := range pkg.TypeErrors {
 		t.Errorf("fixture %s: type error: %v", name, terr)
 	}
-	diags, err := RunChecks(fixtureLoader(t), pkg, analyzers, Names(All()))
+	diags, err := RunChecks(pkg, analyzers, Names(All()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,22 @@ func TestMapOrderGolden(t *testing.T) {
 	checkGolden(t, pkg, diags)
 }
 
+// TestGoPoolGolden runs the per-loop rule on a main package, the
+// every-go-statement rule on a library, and checks that internal/pipeline,
+// whose launcher goroutines are outside any loop, keeps the per-loop rule.
 func TestGoPoolGolden(t *testing.T) {
-	pkg, diags := runFixture(t, "gopool", []*Analyzer{GoPool})
-	checkGolden(t, pkg, diags)
+	for _, name := range []string{"gopool", "gopoollib"} {
+		pkg, diags := runFixture(t, name, []*Analyzer{GoPool})
+		checkGolden(t, pkg, diags)
+	}
+	pkg, err := fixtureLoader(t).LoadDir(filepath.Join("..", "pipeline"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := RunChecks(pkg, []*Analyzer{GoPool}, Names(All()))
+	if err != nil || len(diags) != 0 {
+		t.Errorf("internal/pipeline: %v, %v; want no finding", diags, err)
+	}
 }
 
 func TestErrDropGolden(t *testing.T) {
@@ -163,8 +176,9 @@ func TestAllowSuppression(t *testing.T) {
 	}
 }
 
-// TestBadAllowDirective checks that a directive naming an unknown check is
-// itself diagnosed and does not suppress the real finding.
+// TestBadAllowDirective checks that a directive naming an unknown check, or
+// giving no reason, is itself diagnosed and does not suppress the real
+// finding.
 func TestBadAllowDirective(t *testing.T) {
 	pkg, diags := runFixture(t, "badallow", All())
 	checkGolden(t, pkg, diags)

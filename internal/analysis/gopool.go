@@ -3,15 +3,20 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"regexp"
+	"strings"
 )
 
-// GoPool reports `go` statements launched inside loops with no visible
-// bound on the fan-out. One goroutine per item scales with input size, not
-// with the machine, which is exactly what Config.Workers exists to prevent
-// (PR 1 made every training/prediction pool Workers-bounded). A launch
-// site is considered bounded when either
+// GoPool keeps goroutine fan-out bounded by the machine, not by the input.
+// Compute fans out through internal/pipeline (FanOut and the ordered block
+// pipeline), whose workers are Config.Workers-bounded, so outside main
+// packages and internal/pipeline every `go` statement is a finding: a
+// server's lifecycle goroutine carries `//carol:allow gopool <reason>`,
+// anything else belongs on the pool. A launcher helper called per item is
+// caught at the helper's own go statement.
+//
+// In main packages and internal/pipeline a `go` statement inside a loop
+// must show a bound on the fan-out: either
 //
 //   - the innermost enclosing for-loop iterates up to a worker count
 //     (condition compares against an identifier/selector matching
@@ -20,20 +25,10 @@ import (
 //     semaphore pattern (the acquire may live inside the spawned closure;
 //     that bounds concurrent work rather than goroutine creation, which is
 //     the resource this check cares about).
-//
-// The check is interprocedural: a call to a helper whose summary says it
-// launches an unjoined goroutine per invocation (SpawnsPerCall) counts as a
-// launch site, so fan-out hidden behind a launcher function is still
-// caught; conversely, launchers that coordinate through channels or a
-// WaitGroup (internal/pipeline's runOrdered) summarize as bounded and need
-// no allow directive at their call sites.
-//
-// Anything else needs restructuring onto a worker pool, or an explicit
-// //carol:allow gopool with the reason the fan-out is bounded.
 var GoPool = &Analyzer{
 	Name: "gopool",
-	Doc: "flags go statements in loops without a worker-count bound or " +
-		"semaphore; use the Config.Workers pool pattern",
+	Doc: "flags go statements outside main packages and internal/pipeline, " +
+		"and go statements in loops without a worker-count bound or semaphore",
 	Run: runGoPool,
 }
 
@@ -42,8 +37,18 @@ var GoPool = &Analyzer{
 var workerishName = regexp.MustCompile(`(?i)worker|n?procs?$|threads?$|parallel|gomaxprocs|numcpu|ncpu`)
 
 func runGoPool(p *Pass) error {
+	library := p.Pkg.Name() != "main" && !strings.HasSuffix(p.Pkg.Path(), "/internal/pipeline")
 	for _, f := range p.Files {
-		p.walkGoPool(f, nil)
+		if !library {
+			p.walkGoPool(f, nil)
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				p.Reportf(g.Pos(), "go statement outside internal/pipeline: fan out through pipeline.FanOut, or allow a lifecycle goroutine with its reason")
+			}
+			return true
+		})
 	}
 	return nil
 }
@@ -63,22 +68,6 @@ func (p *Pass) walkGoPool(n ast.Node, loop ast.Node) {
 		case *ast.GoStmt:
 			if loop != nil && !p.loopBounded(loop) {
 				p.Reportf(c.Pos(), "goroutine launched per loop iteration with no bound: use a Config.Workers-sized pool or a semaphore channel")
-			}
-			// The spawned call itself is accounted for by the GoStmt above;
-			// don't double-report it as a spawning helper call — but keep
-			// descending into the closure body and the arguments.
-			if c.Call != nil {
-				p.walkGoPool(c.Call.Fun, loop)
-				for _, a := range c.Call.Args {
-					p.walkGoPool(a, loop)
-				}
-			}
-			return false
-		case *ast.CallExpr:
-			// A helper whose summary launches an unjoined goroutine per call.
-			if fn, ok := objectOf(p.Info, c.Fun).(*types.Func); ok && loop != nil &&
-				p.Loader.Summary(fn).SpawnsPerCall && !p.loopBounded(loop) {
-				p.Reportf(c.Pos(), "%s launches an unjoined goroutine per call; calling it per loop iteration is unbounded fan-out", fn.Name())
 			}
 		}
 		return true

@@ -42,7 +42,7 @@ type Package struct {
 // types.Importer so module-internal dependencies are type-checked from
 // source exactly once, while standard-library imports delegate to the
 // go/importer "source" importer. One loader serves every package of a
-// carollint run, so each function is summarized once.
+// carollint run.
 type Loader struct {
 	// Fset is shared by every package the loader touches.
 	Fset *token.FileSet
@@ -51,17 +51,8 @@ type Loader struct {
 	modPath string
 	std     types.Importer
 	ctxt    build.Context
-	pkgs    map[string]*Package      // keyed by import path
-	decls   map[*types.Func]declSite // every loaded function declaration
-	loading map[string]bool          // cycle guard
-	sums    map[*types.Func]*Summary // memoized summaries (interproc.go)
-	busy    map[*types.Func]bool     // summaries being computed: recursion guard
-}
-
-// declSite is where a module function is declared.
-type declSite struct {
-	pkg  *Package
-	decl *ast.FuncDecl
+	pkgs    map[string]*Package // keyed by import path
+	loading map[string]bool     // cycle guard
 }
 
 // NewLoader returns a loader rooted at the module directory modRoot whose
@@ -77,10 +68,7 @@ func NewLoader(modRoot, modPath string) *Loader {
 		std:     importer.ForCompiler(fset, "source", nil),
 		ctxt:    build.Default,
 		pkgs:    make(map[string]*Package),
-		decls:   make(map[*types.Func]declSite),
 		loading: make(map[string]bool),
-		sums:    make(map[*types.Func]*Summary),
-		busy:    make(map[*types.Func]bool),
 	}
 }
 
@@ -167,15 +155,6 @@ func (l *Loader) load(path string) (*Package, error) {
 	// hard failures are already captured in pkg.TypeErrors.
 	pkg.Types, _ = conf.Check(path, l.Fset, files, pkg.Info)
 	l.pkgs[path] = pkg
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					l.decls[fn] = declSite{pkg: pkg, decl: fd}
-				}
-			}
-		}
-	}
 	return pkg, nil
 }
 

@@ -39,29 +39,17 @@ func fanOut(items []int, f func(int)) {
 	wg.Wait()
 }
 
-func spawnHelper(f func()) { go f() }
-
-func helperFanOut(items []int, f func(int)) {
-	for _, it := range items {
-		it := it
-		spawnHelper(func() { f(it) }) //carol:allow gopool fixture: item count is bounded by the caller
-	}
+func spawnHelper(f func()) {
+	go f() //carol:allow gopool fixture: one goroutine per call, bounded by the caller
 }
 
 type pooled struct{ buf []byte }
 
+//carol:allow poolreset fixture: a pool declared for a test of the directive
 var pool = sync.Pool{New: func() any { return new(pooled) }}
 
-func allowPoolGet(data []byte) int {
-	s := pool.Get().(*pooled) //carol:allow poolreset fixture: scratch is read-only here
+func usePool(data []byte) int {
+	s := pool.Get().(*pooled)
 	defer pool.Put(s)
 	return len(s.buf) + len(data)
-}
-
-func allowPoolPut(data []byte) int {
-	s := pool.Get().(*pooled)
-	s.buf = data
-	n := len(s.buf)
-	pool.Put(s) //carol:allow poolreset fixture: caller owns the retained buffer
-	return n
 }

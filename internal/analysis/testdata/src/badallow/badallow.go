@@ -1,5 +1,6 @@
 // Package badallow is a carollint fixture: a directive naming an unknown
-// check must itself be diagnosed, and must not suppress the real finding.
+// check, or giving no reason, must itself be diagnosed, and must not
+// suppress the real finding.
 package badallow
 
 func typo(a, b float64) bool {
@@ -8,4 +9,9 @@ func typo(a, b float64) bool {
 
 func stale(a, b float64) float64 {
 	return a + b //carol:allow floateq stale: nothing to suppress here; want `unused carol:allow directive`
+}
+
+func bare(a, b float64) bool {
+	/* want `carol:allow directive without a reason` */ //carol:allow floateq
+	return a == b                                       // want `floating-point == comparison`
 }

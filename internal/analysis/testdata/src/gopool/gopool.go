@@ -1,5 +1,7 @@
-// Package gopool is a carollint golden fixture.
-package gopool
+// Command gopool is a carollint golden fixture for the per-loop rule, which
+// main packages and internal/pipeline keep: a go statement in a loop needs a
+// worker-count bound or a channel operation in the loop.
+package main
 
 import "sync"
 
@@ -127,24 +129,8 @@ func perBlockSpawn(blocks []int, work func(int) result) []result {
 	return out
 }
 
-// spawner launches an unjoined goroutine per call — the SpawnsPerCall
-// summary marks it, so calls from unbounded loops are launch sites.
-func spawner(f func()) {
-	go f()
-}
-
-// Calling a spawning helper per iteration of an unbounded loop is the same
-// fan-out as an inline go statement: reported interprocedurally.
-func helperFanOut(items []int, f func(int)) {
-	for _, it := range items {
-		it := it
-		spawner(func() { f(it) }) // want `spawner launches an unjoined goroutine per call`
-	}
-}
-
 // runOrdered is internal/pipeline's launcher shape: goroutines coordinate
-// through channels, so the summary is bounded and call sites need no allow
-// directive.
+// through channels.
 func runOrdered(n int, f func(int)) {
 	results := make(chan int, n)
 	for i := 0; i < n; i++ {
@@ -164,3 +150,5 @@ func launcherBounded(blocks []int, f func(int)) {
 		runOrdered(4, f)
 	}
 }
+
+func main() {}

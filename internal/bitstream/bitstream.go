@@ -159,7 +159,7 @@ func NewReader(buf []byte, bitLen uint64) *Reader {
 	return r
 }
 
-// Reset re-targets the Reader at buf, so pooled decoders can reuse one
+// Reset re-targets the Reader at buf, so a decoder can reuse one
 // Reader across blocks. bitLen is an exact cap on the readable bits — it is
 // the length field of an untrusted header at every production call site, so
 // 0 means nothing is readable; a caller that wants the whole buffer passes
@@ -173,19 +173,6 @@ func (r *Reader) Reset(buf []byte, bitLen uint64) {
 	}
 	*r = Reader{buf: buf, max: bitLen}
 }
-
-// Release drops the Reader's reference to its buffer. Pooled owners call it
-// before Put so a decoder sitting in a sync.Pool does not pin the caller's
-// stream; the Reader stays valid and is re-armed by the next Reset. Reads
-// after Release (and before a Reset) fail with ErrShortStream.
-func (r *Reader) Release() {
-	r.buf = nil
-	r.pos, r.cur, r.n, r.loaded, r.max = 0, 0, 0, 0, 0
-}
-
-// Released reports whether the Reader currently holds no buffer reference —
-// the state pooled decoders must be in when they go back to their pool.
-func (r *Reader) Released() bool { return r.buf == nil }
 
 // refill tops the window up to at least 57 bits (fewer only at the end of
 // the stream): one big-endian word load while eight bytes remain, a byte

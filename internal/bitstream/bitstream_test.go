@@ -226,37 +226,3 @@ func BenchmarkReaderReadBits(b *testing.B) {
 		}
 	}
 }
-
-// TestReaderRelease is the regression test for pooled-owner retention:
-// Release must drop the buffer reference, make further reads fail with
-// ErrShortStream, and leave the Reader re-armable with Reset.
-func TestReaderRelease(t *testing.T) {
-	r := NewReader([]byte{0xAB, 0xCD}, 16)
-	if _, err := r.ReadBits(8); err != nil {
-		t.Fatal(err)
-	}
-	r.Release()
-	if !r.Released() {
-		t.Fatal("Released() = false after Release")
-	}
-	if _, err := r.ReadBits(1); err != ErrShortStream {
-		t.Fatalf("read after Release: got err %v, want ErrShortStream", err)
-	}
-	if _, err := r.ReadBit(); err != ErrShortStream {
-		t.Fatalf("ReadBit after Release: got err %v, want ErrShortStream", err)
-	}
-	if _, err := r.ReadUnary(); err != ErrShortStream {
-		t.Fatalf("ReadUnary after Release: got err %v, want ErrShortStream", err)
-	}
-	if _, avail := r.Peek(); avail != 0 || r.Remaining() != 0 || r.Consumed() != 0 {
-		t.Fatalf("after Release: Peek avail %d, remaining %d, consumed %d; want all 0", avail, r.Remaining(), r.Consumed())
-	}
-	r.Reset([]byte{0xFF}, 8)
-	if r.Released() {
-		t.Fatal("Released() = true after Reset re-armed the reader")
-	}
-	got, err := r.ReadBits(8)
-	if err != nil || got != 0xFF {
-		t.Fatalf("read after re-Reset: got %#x, %v; want 0xff, nil", got, err)
-	}
-}

@@ -72,7 +72,7 @@ func sz3Miscounted(f testing.TB, stream []byte) [][]byte {
 	anchor := payload[5:9]
 	nOut := int(binary.LittleEndian.Uint32(payload[9:]))
 	outliers := payload[13 : 13+4*nOut]
-	codes, err := huffman.Decode(payload[13+4*nOut:])
+	codes, err := huffman.NewDecoder().Decode(payload[13+4*nOut:])
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func sz3Miscounted(f testing.TB, stream []byte) [][]byte {
 		p = append(p, anchors...)
 		p = binary.LittleEndian.AppendUint32(p, uint32(len(outliers)/4))
 		p = append(p, outliers...)
-		p = huffman.AppendEncode(p, codes)
+		p = huffman.NewEncoder().AppendEncode(p, codes)
 		out, err := zpool.AppendDeflate(append([]byte(nil), stream[:headerLen]...), p)
 		if err != nil {
 			f.Fatal(err)

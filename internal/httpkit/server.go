@@ -266,6 +266,7 @@ func (s *Server) Run(addr string, t Timeouts, detail string, drain func(context.
 	defer stop()
 	log.Printf("%s listening on %s%s", s.name, ln.Addr(), detail)
 	serveErr := make(chan error, 1)
+	//carol:allow gopool the server's one serving goroutine, joined through serveErr at shutdown
 	go func() { serveErr <- srv.Serve(ln) }()
 
 	select {

@@ -4,10 +4,9 @@
 // code-length table followed by the packed code words.
 //
 // The coder state (frequency tables, tree arena, canonical-code tables) is
-// held in reusable Encoder/Decoder values so block pipelines can amortize
-// the scratch across calls; the package-level Encode/Decode functions draw
-// from a sync.Pool and are what single-shot callers use. Streams are
-// byte-identical to the historical map-based implementation: the merge tree
+// held in reusable Encoder/Decoder values, which callers keep in their own
+// scratch (SZ3's pooled scratch holds one of each) so the tables are
+// amortized across calls. Streams are byte-identical to the historical map-based implementation: the merge tree
 // is built under a strict total order on (frequency, symbol), so the emitted
 // code-length table — and therefore every canonical code word — is fully
 // determined by the input histogram.
@@ -17,7 +16,6 @@ import (
 	"fmt"
 	mbits "math/bits"
 	"slices"
-	"sync"
 
 	"carol/internal/bitstream"
 	"carol/internal/safedec"
@@ -54,8 +52,7 @@ type enode struct {
 
 // Encoder is a reusable canonical Huffman encoder. The zero value is ready
 // to use; Encode may be called repeatedly and reuses all internal scratch.
-// An Encoder is not safe for concurrent use — pool instances instead (the
-// package-level Encode does exactly that).
+// An Encoder is not safe for concurrent use.
 type Encoder struct {
 	// Dense per-symbol tables, sized maxSym+1 when maxSym < denseLimit and
 	// sparsely cleared after every call so steady-state reuse allocates
@@ -401,46 +398,6 @@ func (e *Encoder) assignCodes() {
 	}
 }
 
-// encodedSizeBits computes the payload size (excluding the table) for the
-// current histogram without emitting a stream.
-func (e *Encoder) encodedSizeBits(symbols []uint32) uint64 {
-	e.histogram(symbols)
-	e.buildLengths()
-	var bits uint64
-	for i := range e.syms {
-		bits += e.freqs[i] * uint64(e.lens[i])
-	}
-	e.clean()
-	return bits
-}
-
-var encPool = sync.Pool{New: func() any { return NewEncoder() }}
-
-// Encode compresses the symbol sequence using a pooled Encoder. The output
-// stream embeds the code table, so Decode needs no side information.
-func Encode(symbols []uint32) []byte {
-	e := encPool.Get().(*Encoder)
-	defer encPool.Put(e)
-	return e.Encode(symbols)
-}
-
-// AppendEncode is Encode appending to dst, using a pooled Encoder.
-func AppendEncode(dst []byte, symbols []uint32) []byte {
-	e := encPool.Get().(*Encoder)
-	defer encPool.Put(e)
-	return e.AppendEncode(dst, symbols)
-}
-
-// EncodedSizeBits estimates the encoded payload size (excluding the table)
-// for the given symbols without building the full stream. The SECRE SZ3
-// surrogate uses the *absence* of this stage; the full compressor uses
-// Encode itself. Exposed for analysis and tests.
-func EncodedSizeBits(symbols []uint32) uint64 {
-	e := encPool.Get().(*Encoder)
-	defer encPool.Put(e)
-	return e.encodedSizeBits(symbols)
-}
-
 // tableEntry is one (symbol, code length) pair of a decoded stream table.
 type tableEntry struct {
 	sym uint32
@@ -449,8 +406,7 @@ type tableEntry struct {
 
 // Decoder is a reusable canonical Huffman decoder. The zero value is ready
 // to use; Decode may be called repeatedly and reuses the canonical tables.
-// A Decoder is not safe for concurrent use — pool instances instead (the
-// package-level Decode does exactly that).
+// A Decoder is not safe for concurrent use.
 type Decoder struct {
 	entries []tableEntry // sorted by (length, symbol): canonical order
 	bySym   []tableEntry // scratch for duplicate detection
@@ -463,8 +419,6 @@ type Decoder struct {
 	// matches.
 	prefix     []tableEntry
 	prefixBits uint
-
-	r bitstream.Reader
 }
 
 // NewDecoder returns an empty Decoder.
@@ -498,8 +452,7 @@ func (d *Decoder) AppendDecodeLimited(dst []uint32, stream []byte, lim safedec.L
 	for i := 0; i < 8; i++ {
 		bits = bits<<8 | uint64(stream[i])
 	}
-	d.r.Reset(stream[8:], bits)
-	r := &d.r
+	r := bitstream.NewReader(stream[8:], bits)
 	nAlpha, err := r.ReadBits(32)
 	if err != nil {
 		return dst, fmt.Errorf("%w: header", ErrCorrupt)
@@ -671,25 +624,4 @@ func (d *Decoder) buildTable() {
 		code++
 		prevLen = e.len
 	}
-}
-
-var decPool = sync.Pool{New: func() any { return NewDecoder() }}
-
-// Decode reverses Encode under the default safedec limits, using a pooled
-// Decoder.
-func Decode(stream []byte) ([]uint32, error) {
-	return DecodeLimited(stream, safedec.Default())
-}
-
-// DecodeLimited reverses Encode under lim, using a pooled Decoder.
-func DecodeLimited(stream []byte, lim safedec.Limits) ([]uint32, error) {
-	d := decPool.Get().(*Decoder)
-	defer func() {
-		// The decode armed d.r on the caller's stream; drop that reference
-		// before the Decoder goes back to the pool, or the pool pins the
-		// caller's buffer alive indefinitely.
-		d.r.Release()
-		decPool.Put(d)
-	}()
-	return d.DecodeLimited(stream, lim)
 }

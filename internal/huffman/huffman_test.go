@@ -15,8 +15,8 @@ import (
 
 func roundTrip(t *testing.T, symbols []uint32) []byte {
 	t.Helper()
-	enc := Encode(symbols)
-	dec, err := Decode(enc)
+	enc := NewEncoder().Encode(symbols)
+	dec, err := NewDecoder().Decode(enc)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestEncodedSizeBitsMatchesEntropyOrder(t *testing.T) {
 	for i := range s {
 		s[i] = uint32(rng.Intn(256))
 	}
-	bits := EncodedSizeBits(s)
+	bits := NewEncoder().encodedSizeBits(s)
 	perSym := float64(bits) / float64(len(s))
 	if perSym < 7.5 || perSym > 9 {
 		t.Fatalf("uniform-256 codes use %.2f bits/symbol, want ~8", perSym)
@@ -104,7 +104,7 @@ func TestEncodedSizeBitsSkewedBelowUniform(t *testing.T) {
 	for i := range uni {
 		uni[i] = uint32(rng.Intn(16))
 	}
-	if EncodedSizeBits(skew) >= EncodedSizeBits(uni) {
+	if NewEncoder().encodedSizeBits(skew) >= NewEncoder().encodedSizeBits(uni) {
 		t.Fatal("skewed stream did not encode smaller than uniform stream")
 	}
 }
@@ -116,17 +116,17 @@ func TestDecodeErrors(t *testing.T) {
 		{0, 0, 0, 0, 0, 0, 1, 0, 0xff}, // bit length claims more than present
 	}
 	for i, c := range cases {
-		if _, err := Decode(c); err == nil {
+		if _, err := NewDecoder().Decode(c); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
 }
 
 func TestDecodeTruncatedPayload(t *testing.T) {
-	enc := Encode([]uint32{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4})
+	enc := NewEncoder().Encode([]uint32{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4})
 	trunc := enc[:len(enc)-2]
 	// Fix up the bit-length header to claim the original length.
-	if _, err := Decode(trunc); err == nil {
+	if _, err := NewDecoder().Decode(trunc); err == nil {
 		t.Fatal("expected error for truncated payload")
 	}
 }
@@ -135,7 +135,7 @@ func TestDecodeTruncatedPayload(t *testing.T) {
 // (one bit a symbol) but the caller's MaxAlloc does not is refused before
 // the output slice is grown for it.
 func TestSymbolCountOverAllocLimit(t *testing.T) {
-	stream := Encode(make([]uint32, 1<<20))
+	stream := NewEncoder().Encode(make([]uint32, 1<<20))
 	lim := safedec.Limits{MaxAlloc: 64 << 10}
 	d := NewDecoder()
 	safedectest.Rejects(t, lim.MaxAlloc, func() error {
@@ -212,7 +212,7 @@ func TestDecoderReuse(t *testing.T) {
 		for i := range s {
 			s[i] = uint32(rng.Intn(300))
 		}
-		dec, err := d.Decode(Encode(s))
+		dec, err := d.Decode(NewEncoder().Encode(s))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -258,7 +258,7 @@ func TestDuplicateTableSymbolRejected(t *testing.T) {
 		stream = append(stream, byte(bits>>(56-8*i)))
 	}
 	stream = w.AppendTo(stream)
-	if _, err := Decode(stream); !errors.Is(err, ErrCorrupt) {
+	if _, err := NewDecoder().Decode(stream); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("duplicate table symbol: got %v, want ErrCorrupt", err)
 	}
 }
@@ -272,7 +272,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i := range s {
 			s[i] = uint32(rng.Intn(alpha))
 		}
-		dec, err := Decode(Encode(s))
+		dec, err := NewDecoder().Decode(NewEncoder().Encode(s))
 		if err != nil {
 			return false
 		}
@@ -297,10 +297,11 @@ func BenchmarkEncode(b *testing.B) {
 	for i := range s {
 		s[i] = uint32(rng.Intn(64))
 	}
+	e := NewEncoder()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Encode(s)
+		_ = e.Encode(s)
 	}
 }
 
@@ -310,11 +311,12 @@ func BenchmarkDecode(b *testing.B) {
 	for i := range s {
 		s[i] = uint32(rng.Intn(64))
 	}
-	enc := Encode(s)
+	enc := NewEncoder().Encode(s)
+	d := NewDecoder()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(enc); err != nil {
+		if _, err := d.Decode(enc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -344,7 +346,7 @@ func BenchmarkDecoderSteadyState(b *testing.B) {
 	for i := range s {
 		s[i] = uint32(rng.Intn(64))
 	}
-	enc := Encode(s)
+	enc := NewEncoder().Encode(s)
 	d := NewDecoder()
 	dst, err := d.Decode(enc)
 	if err != nil {
@@ -361,21 +363,15 @@ func BenchmarkDecoderSteadyState(b *testing.B) {
 	_ = dst
 }
 
-// TestDecodePoolRetention is the regression test for the pooled-decoder
-// leak carollint's poolreset analyzer found: the package-level decode
-// wrappers must not return a Decoder to the pool while its bit reader
-// still references the caller's stream. Under the race detector sync.Pool
-// drops Puts at random, in which case Get hands back a fresh (released)
-// Decoder and the assertion holds vacuously; in normal runs it sees the
-// exact object the decode just pooled.
-func TestDecodePoolRetention(t *testing.T) {
-	stream := Encode([]uint32{1, 2, 3, 4, 5, 6, 7, 8, 2, 2, 2})
-	if _, err := Decode(stream); err != nil {
-		t.Fatal(err)
+// encodedSizeBits computes the payload size (excluding the table) for the
+// current histogram without emitting a stream.
+func (e *Encoder) encodedSizeBits(symbols []uint32) uint64 {
+	e.histogram(symbols)
+	e.buildLengths()
+	var bits uint64
+	for i := range e.syms {
+		bits += e.freqs[i] * uint64(e.lens[i])
 	}
-	d := decPool.Get().(*Decoder)
-	defer decPool.Put(d)
-	if !d.r.Released() {
-		t.Fatal("pooled Decoder still references the caller's stream after Decode")
-	}
+	e.clean()
+	return bits
 }

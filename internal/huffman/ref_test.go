@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"slices"
 
+	"carol/internal/bitstream"
 	"carol/internal/safedec"
 )
 
 // refAppendDecodeLimited is AppendDecodeLimited as this package shipped it
-// up to PR 17, verbatim bar the name: the payload is decoded by the
+// up to PR 17, verbatim bar the name and its bit reader, now a local as in
+// AppendDecodeLimited: the payload is decoded by the
 // canonical walk alone, one ReadBit per stream bit, first match by
 // increasing length. It is the oracle for FuzzHuffmanTable — in particular
 // for what a malformed (over-subscribed) table decodes to.
@@ -21,8 +23,7 @@ func (d *Decoder) refAppendDecodeLimited(dst []uint32, stream []byte, lim safede
 	for i := 0; i < 8; i++ {
 		bits = bits<<8 | uint64(stream[i])
 	}
-	d.r.Reset(stream[8:], bits)
-	r := &d.r
+	r := bitstream.NewReader(stream[8:], bits)
 	nAlpha, err := r.ReadBits(32)
 	if err != nil {
 		return dst, fmt.Errorf("%w: header", ErrCorrupt)

@@ -143,7 +143,7 @@ func TestTableMatchesWalk(t *testing.T) {
 				v := xr.Intn(alphabet)
 				syms[i] = uint32(v * v / alphabet)
 			}
-			enc := Encode(syms)
+			enc := NewEncoder().Encode(syms)
 			checkAgainstWalk(t, enc)
 			checkAgainstWalk(t, enc[:len(enc)-1])
 			short := slices.Clone(enc)
@@ -159,7 +159,7 @@ func TestTableMatchesWalk(t *testing.T) {
 // table exactly as in the walk.
 func TestOverSubscribedTableDecodesByFirstMatch(t *testing.T) {
 	stream := tableStream([]byte{3, 0, 8, 0, 1, 1, 1, 0b10110100})
-	got, err := Decode(stream)
+	got, err := NewDecoder().Decode(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,17 +174,17 @@ func TestOverSubscribedTableDecodesByFirstMatch(t *testing.T) {
 // stream declaring a bit length of 0 was read without any cap: the encoder
 // never writes fewer than 64 bits, so 0 is corrupt.
 func TestZeroBitLengthRejected(t *testing.T) {
-	stream := Encode([]uint32{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4})
-	if _, err := Decode(stream); err != nil {
+	stream := NewEncoder().Encode([]uint32{1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4})
+	if _, err := NewDecoder().Decode(stream); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
 		stream[i] = 0
 	}
-	if _, err := Decode(stream); !errors.Is(err, ErrCorrupt) {
+	if _, err := NewDecoder().Decode(stream); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bit length 0: err = %v, want ErrCorrupt", err)
 	}
-	if got := Encode(nil); binary.BigEndian.Uint64(got) != 64 {
+	if got := NewEncoder().Encode(nil); binary.BigEndian.Uint64(got) != 64 {
 		t.Fatalf("empty input encodes to %d bits, want 64", binary.BigEndian.Uint64(got))
 	}
 }
@@ -197,7 +197,7 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 	for i := range s {
 		s[i] = uint32(rng.Intn(64))
 	}
-	enc := Encode(s)
+	enc := NewEncoder().Encode(s)
 	d := NewDecoder()
 	dst, err := d.Decode(enc)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"carol/internal/bitstream"
 	"carol/internal/compressor"
@@ -325,14 +326,10 @@ func perRun(runs int, f func()) (objects, bytes float64) {
 }
 
 // TestSPERRSteadyStateAllocs pins what a warm codec allocates: the result
-// and a constant (after a collection zpool's sync.Pools re-register, an
-// object or two), with a collection between runs to prove the scratch
-// survives one. (It was 51 objects and 5.6 MB per 32^3 compress, 38 and
-// 2.3 MB per decompress.)
+// and a small constant, with a collection between runs to prove the scratch
+// and the flate state, which sit on free lists, survive one. (It was 51
+// objects and 5.6 MB per 32^3 compress, 38 and 2.3 MB per decompress.)
 func TestSPERRSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
 	c := New()
 	f := smoothField(32, 32, 32, 3)
 	eb := compressor.AbsBound(f, 1e-3)
@@ -358,9 +355,20 @@ func TestSPERRSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// swapScratchList replaces scratchPool with an empty list of one set and the
+// same release for the rest of the test, so the test sees exactly the set
+// the next call puts back.
+func swapScratchList(t *testing.T) *zpool.FreeList[scratch] {
+	saved := scratchPool
+	scratchPool = zpool.NewFreeList(1, releaseScratch)
+	t.Cleanup(func() { scratchPool = saved })
+	return scratchPool
+}
+
 // TestScratchPoolDropsLargeFields: a scratch set that served a field over
 // the cap is not pooled, so one huge request cannot pin its buffers.
 func TestScratchPoolDropsLargeFields(t *testing.T) {
+	list := swapScratchList(t)
 	f := field.New("long", maxPooledSamples+1, 1, 1)
 	for i := range f.Data {
 		f.Data[i] = float32(i % 17)
@@ -368,14 +376,133 @@ func TestScratchPoolDropsLargeFields(t *testing.T) {
 	if _, err := New().Compress(f, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	var held []*scratch
-	for len(scratchPool) > 0 {
-		held = append(held, <-scratchPool)
+	if s := list.Get(); s.g.Data != nil {
+		t.Errorf("pooled scratch holds a %d-sample grid, cap %d", cap(s.g.Data), maxPooledSamples)
 	}
-	for _, s := range held {
-		if cap(s.g.Data) > maxPooledSamples {
-			t.Errorf("pooled scratch holds a %d-sample grid, cap %d", cap(s.g.Data), maxPooledSamples)
+}
+
+// overlaps reports whether a and b share any of their backing arrays.
+func overlaps(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(cap(b)) && pb < pa+uintptr(cap(a))
+}
+
+// TestScratchRelease: every array of a scratch set is its own, so the set a
+// call puts back shares no memory with the stream it was handed or the one
+// it returned; the field's samples are float32 and the grids float64.
+func TestScratchRelease(t *testing.T) {
+	list := swapScratchList(t)
+	f := smoothField(16, 12, 8, 3)
+	stream, err := New().Compress(f, compressor.AbsBound(f, 1e-3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := list.Get()
+	if s.g.Data == nil {
+		t.Fatal("Compress put back no scratch")
+	}
+	if overlaps(s.payload, stream) || overlaps(s.w.Bytes(), stream) {
+		t.Error("pooled scratch shares memory with the stream Compress returned")
+	}
+	list.Put(s)
+	if _, err := New().Decompress(stream); err != nil {
+		t.Fatal(err)
+	}
+	if s := list.Get(); overlaps(s.payload, stream) {
+		t.Error("pooled scratch shares memory with the stream Decompress read")
+	}
+}
+
+// poison fills a scratch set with values no call may pick up: the arrays are
+// sized, never cleared, so whatever a call reads it must have written first.
+func poison(n int) *scratch {
+	garbage := func(m int) []float64 {
+		s := make([]float64, m)
+		for i := range s {
+			s[i] = math.NaN()
+			if i%2 == 1 {
+				s[i] = float64(i)*1e6 + 0.5
+			}
 		}
-		putScratch(s)
+		return s
+	}
+	s := &scratch{
+		g:        wavelet.Grid{Nx: 1, Ny: 1, Nz: n, Data: garbage(n)},
+		rg:       wavelet.Grid{Nx: n, Ny: 1, Nz: 1, Data: garbage(n)},
+		vals:     make([]uint64, 4*n),
+		queue:    make([]uint32, 4*n),
+		lsp:      make([]uint64, 4*n),
+		lspIdx:   make([]uint32, 4*n),
+		payload:  make([]byte, 16*n),
+		outliers: make([]outlier, n),
+	}
+	for i := range s.vals {
+		s.vals[i], s.queue[i], s.lsp[i], s.lspIdx[i] = math.MaxUint64, 0xDEADBEEF, 1<<63|uint64(i), uint32(i)*2654435761
+	}
+	for i := range s.payload {
+		s.payload[i] = byte(i*131 + 7)
+	}
+	for i := range s.outliers {
+		s.outliers[i] = outlier{idx: n - 1 - i, q: math.MinInt64}
+	}
+	for i := 0; i < n; i++ {
+		s.w.WriteBits(0xDEADBEEFCAFEF00D, 64)
+	}
+	return s
+}
+
+// TestPoisonedScratch: a call that takes a NaN- and garbage-filled scratch
+// set off the list writes the bytes, and decodes the samples, a fresh set
+// gives.
+func TestPoisonedScratch(t *testing.T) {
+	list := swapScratchList(t)
+	noisy := smoothField(13, 7, 5, 9)
+	rng := xrand.New(5)
+	for i := range noisy.Data {
+		noisy.Data[i] += float32(rng.Norm())
+	}
+	for _, f := range []*field.Field{smoothField(16, 16, 16, 3), noisy, field.New("zero", 6, 5, 4)} {
+		eb := compressor.AbsBound(f, 1e-3)
+		list.Get()
+		want, err := New().Compress(f, eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list.Get()
+		wantField, err := New().Decompress(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list.Get()
+		wantBits := EstimateSampledBits(f, eb)
+
+		list.Get()
+		list.Put(poison(f.Len()))
+		got, err := New().Compress(f, eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%dx%dx%d: compress from poisoned scratch differs", f.Nx, f.Ny, f.Nz)
+		}
+		list.Get()
+		list.Put(poison(f.Len()))
+		gotField, err := New().Decompress(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range gotField.Data {
+			if math.Float32bits(v) != math.Float32bits(wantField.Data[i]) {
+				t.Fatalf("%dx%dx%d: sample %d decoded from poisoned scratch = %v, want %v", f.Nx, f.Ny, f.Nz, i, v, wantField.Data[i])
+			}
+		}
+		list.Get()
+		list.Put(poison(f.Len()))
+		if got := EstimateSampledBits(f, eb); got != wantBits {
+			t.Errorf("%dx%dx%d: EstimateSampledBits from poisoned scratch = %d, want %d", f.Nx, f.Ny, f.Nz, got, wantBits)
+		}
 	}
 }

@@ -60,17 +60,16 @@ type scratch struct {
 
 // scratchPool may pin four sets, none of which ever served a field of more
 // than maxPooledSamples samples (some 60 bytes of scratch per sample).
-var scratchPool = make(zpool.FreeList[scratch], 4)
+var scratchPool = zpool.NewFreeList(4, releaseScratch)
 
 const maxPooledSamples = 1 << 18
 
-// putScratch returns s to the pool unless a large field, or a hostile
-// stream, has grown it: the grid bounds every array sized from the dims, the
-// payload and the outlier list follow what a stream claims.
-func putScratch(s *scratch) {
-	if cap(s.g.Data) <= maxPooledSamples && cap(s.payload) <= 16*maxPooledSamples && cap(s.outliers) <= maxPooledSamples {
-		scratchPool.Put(s)
-	}
+// releaseScratch keeps s unless a large field, or a hostile stream, has grown
+// it: the grid bounds every array sized from the dims, the payload and the
+// outlier list follow what a stream claims. s holds no caller memory: every
+// array in it is its own.
+func releaseScratch(s *scratch) bool {
+	return cap(s.g.Data) <= maxPooledSamples && cap(s.payload) <= 16*maxPooledSamples && cap(s.outliers) <= maxPooledSamples
 }
 
 // plan is the front half Compress and EstimateSampledBits share: the samples
@@ -122,7 +121,7 @@ func (*Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 		return nil, fmt.Errorf("sperr: field of %d samples exceeds %d", f.Len(), maxSamples)
 	}
 	s := scratchPool.Get()
-	defer putScratch(s)
+	defer scratchPool.Put(s)
 	levels, t0, nPasses := s.plan(f, eb)
 	// Reconstruct exactly as the decoder will, to find the outliers: the
 	// coder leaves the decoder's coefficients in rg, the inverse transform
@@ -229,7 +228,7 @@ func decompress(stream []byte, speckFrac float64, applyOutliers bool, lim safede
 		return nil, fmt.Errorf("%w: sperr grid of %d samples: %w", compressor.ErrBadStream, n, safedec.ErrLimit)
 	}
 	s := scratchPool.Get()
-	defer putScratch(s)
+	defer scratchPool.Put(s)
 	payload, err := zpool.InflateTail(s.payload[:0], rest, int64(n), lim)
 	if err != nil {
 		return nil, fmt.Errorf("%w: sperr lossless tail: %w", compressor.ErrBadStream, err)
@@ -320,7 +319,7 @@ func decompress(stream []byte, speckFrac float64, applyOutliers bool, lim safede
 // an already block-sampled field and extrapolate.
 func EstimateSampledBits(f *field.Field, eb float64) uint64 {
 	s := scratchPool.Get()
-	defer putScratch(s)
+	defer scratchPool.Put(s)
 	_, t0, nPasses := s.plan(f, eb)
 	if nPasses == 0 {
 		return 8

@@ -26,7 +26,7 @@ func assemble(t testing.TB, f *field.Field, eb float64, mode Mode, anch []float3
 			p = binary.LittleEndian.AppendUint32(p, math.Float32bits(v))
 		}
 	}
-	p = huffman.AppendEncode(p, codes)
+	p = huffman.NewEncoder().AppendEncode(p, codes)
 	out := compressor.AppendHeader(nil, compressor.Header{
 		Magic: compressor.MagicSZ3, Nx: f.Nx, Ny: f.Ny, Nz: f.Nz, EB: eb,
 	})
@@ -134,15 +134,12 @@ func perRun(runs int, f func()) (objects, bytes float64) {
 }
 
 // TestSZ3SteadyStateAllocs pins what a warm codec allocates: the result and
-// a small constant — the sync.Pools of zpool and huffman re-registering
-// after the collection between runs, which the scratch itself survives, and
-// on the way back the link tables compress/flate builds for each
-// dynamic-Huffman block of the tail: a few dozen objects, a few KiB. (It was
-// 3.9 MB per 64^3 compress and 4.6 MB per decompress.)
+// a small constant. The scratch, its Huffman coders and the flate state sit
+// on free lists that the collection between runs does not empty; on the way
+// back compress/flate builds link tables for each dynamic-Huffman block of
+// the tail: a few dozen objects, a few KiB. (It was 3.9 MB per 64^3
+// compress and 4.6 MB per decompress.)
 func TestSZ3SteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
 	c := New()
 	f := smoothField(64, 64, 64, 3)
 	eb := compressor.AbsBound(f, 1e-3)
@@ -165,5 +162,52 @@ func TestSZ3SteadyStateAllocs(t *testing.T) {
 	})
 	if objects > 64 || size > float64(f.SizeBytes()+16<<10) {
 		t.Errorf("decompress: %.1f objects, %.0f bytes per run for a %d-byte field", objects, size, f.SizeBytes())
+	}
+}
+
+// swapScratchList replaces scratchPool with an empty list of one set and the
+// same release for the rest of the test, so the test sees exactly the set
+// the next call puts back.
+func swapScratchList(t *testing.T) *zpool.FreeList[scratch] {
+	saved := scratchPool
+	scratchPool = zpool.NewFreeList(1, releaseScratch)
+	t.Cleanup(func() { scratchPool = saved })
+	return scratchPool
+}
+
+// TestScratchRelease: the scratch set a call puts back holds none of the
+// caller's samples, and one that served more than maxPooledSamples samples
+// is dropped.
+func TestScratchRelease(t *testing.T) {
+	list := swapScratchList(t)
+	f := smoothField(16, 16, 16, 3)
+	stream, err := New().Compress(f, compressor.AbsBound(f, 1e-3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(op string) {
+		s := list.Get()
+		if s.recon == nil {
+			t.Fatalf("%s put back no scratch", op)
+		}
+		if s.data != nil {
+			t.Errorf("%s: pooled scratch holds the caller's %d samples", op, len(s.data))
+		}
+	}
+	check("compress")
+	if _, err := New().Decompress(stream); err != nil {
+		t.Fatal(err)
+	}
+	check("decompress")
+
+	long := field.New("long", maxPooledSamples+1, 1, 1)
+	for i := range long.Data {
+		long.Data[i] = float32(i % 17)
+	}
+	if _, err := New().Compress(long, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if s := list.Get(); s.recon != nil {
+		t.Errorf("a scratch set that served %d samples was pooled (cap %d)", cap(s.recon), maxPooledSamples)
 	}
 }

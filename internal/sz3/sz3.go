@@ -68,7 +68,8 @@ type scratch struct {
 	codes    []uint32  // one quantization bin per predicted point, in traversal order
 	outliers []float32 // the samples stored raw (code 0), in traversal order
 	payload  []byte
-	dec      huffman.Decoder
+	enc      huffman.Encoder
+	dec      huffman.Decoder // reads s.payload, never the caller's stream
 
 	data   []float32 // encoder: the samples
 	twoEB  float64
@@ -77,17 +78,15 @@ type scratch struct {
 
 // scratchPool may pin four sets, none of which ever served a field of more
 // than maxPooledSamples samples (some 16 bytes of scratch per sample).
-var scratchPool = make(zpool.FreeList[scratch], 4)
+var scratchPool = zpool.NewFreeList(4, releaseScratch)
 
 const maxPooledSamples = 1 << 18
 
-// putScratch returns s to the pool unless a large field, or a hostile
-// stream, has grown it.
-func putScratch(s *scratch) {
+// releaseScratch drops the caller's samples from s and keeps it unless a
+// large field, or a hostile stream, has grown it.
+func releaseScratch(s *scratch) bool {
 	s.data = nil
-	if cap(s.recon) <= maxPooledSamples && cap(s.codes) <= maxPooledSamples && cap(s.payload) <= 16*maxPooledSamples && cap(s.outliers) <= maxPooledSamples {
-		scratchPool.Put(s)
-	}
+	return cap(s.recon) <= maxPooledSamples && cap(s.codes) <= maxPooledSamples && cap(s.payload) <= 16*maxPooledSamples && cap(s.outliers) <= maxPooledSamples
 }
 
 // begin arms s for a traversal of n samples, of which all but the anchors
@@ -412,7 +411,7 @@ func (c *Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 		return nil, err
 	}
 	s := scratchPool.Get()
-	defer putScratch(s)
+	defer scratchPool.Put(s)
 	s.encode(f, eb, c.mode)
 
 	// Assemble payload: mode byte, anchor count+values, outlier
@@ -424,7 +423,7 @@ func (c *Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 			p = binary.LittleEndian.AppendUint32(p, math.Float32bits(v))
 		}
 	}
-	p = huffman.AppendEncode(p, s.codes)
+	p = s.enc.AppendEncode(p, s.codes)
 	s.payload = p
 
 	// DEFLATE at BestSpeed stores what it cannot shrink, a few bytes per
@@ -456,7 +455,7 @@ func (*Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field
 	}
 	n := h.Nx * h.Ny * h.Nz
 	s := scratchPool.Get()
-	defer putScratch(s)
+	defer scratchPool.Put(s)
 	payload, err := zpool.InflateTail(s.payload[:0], rest, int64(n), lim)
 	if err != nil {
 		return nil, fmt.Errorf("%w: sz3 lossless tail: %w", compressor.ErrBadStream, err)

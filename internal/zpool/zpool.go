@@ -1,10 +1,11 @@
-// Package zpool pools DEFLATE coder state for the lossy compressors' final
-// lossless stage. flate.NewWriter allocates ~650 KiB of window and hash
-// state and flate.NewReader ~50 KiB per call; in a block pipeline those
+// Package zpool holds the codecs' pooled scratch: FreeList, the one bounded
+// pool type, and on it the DEFLATE coder state for the lossy compressors'
+// final lossless stage. flate.NewWriter allocates ~650 KiB of window and
+// hash state and flate.NewReader ~50 KiB per call; in a block pipeline those
 // dominated the allocation profile of SZ3 and SPERR. Both directions are
-// drawn from sync.Pools and Reset between uses, so steady-state callers pay
-// only for their own output. FreeList and Sized are what sperr and sz3 build
-// their per-call scratch from.
+// drawn from free lists and Reset between uses, so steady-state callers pay
+// only for their own output. FreeList and Sized are also what sperr, sz3 and
+// carolserve build their per-call scratch from.
 package zpool
 
 import (
@@ -12,7 +13,6 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
-	"sync"
 
 	"carol/internal/safedec"
 )
@@ -27,50 +27,52 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 }
 
 type deflater struct {
-	zw *flate.Writer
+	zw *flate.Writer // built on first use
 	sw sliceWriter
 }
 
-var defPool = sync.Pool{New: func() any {
-	zw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-	if err != nil {
-		// flate.BestSpeed is a valid level; NewWriter cannot fail on it.
-		panic(err)
-	}
-	return &deflater{zw: zw}
-}}
+// deflaters drops the caller's output buffer from every deflater it takes
+// back.
+var deflaters = NewFreeList(4, func(d *deflater) bool {
+	d.sw.b = nil
+	return true
+})
 
 // AppendDeflate appends data compressed with DEFLATE (BestSpeed, matching
 // the historical per-call flate.NewWriter configuration) to dst and returns
 // the extended slice.
 func AppendDeflate(dst, data []byte) ([]byte, error) {
-	d := defPool.Get().(*deflater)
-	defer defPool.Put(d)
+	d := deflaters.Get()
+	defer deflaters.Put(d)
 	d.sw.b = dst
-	d.zw.Reset(&d.sw)
+	if d.zw == nil {
+		var err error
+		if d.zw, err = flate.NewWriter(&d.sw, flate.BestSpeed); err != nil {
+			return dst, err
+		}
+	} else {
+		d.zw.Reset(&d.sw)
+	}
 	if _, err := d.zw.Write(data); err != nil {
-		d.sw.b = nil
 		return dst, err
 	}
 	if err := d.zw.Close(); err != nil {
-		d.sw.b = nil
 		return dst, err
 	}
-	out := d.sw.b
-	d.sw.b = nil // do not retain caller memory in the pool
-	return out, nil
+	return d.sw.b, nil
 }
 
 type inflater struct {
-	zr io.ReadCloser
+	zr io.ReadCloser // built on first use
 	br bytes.Reader
 }
 
-var infPool = sync.Pool{New: func() any {
-	i := &inflater{}
-	i.zr = flate.NewReader(&i.br)
-	return i
-}}
+// inflaters drops the caller's input from every inflater it takes back, or
+// the list would keep that input alive, and visible to the next user.
+var inflaters = NewFreeList(4, func(i *inflater) bool {
+	i.br.Reset(nil)
+	return true
+})
 
 // Inflate decompresses data, reading at most limit bytes of output. Callers
 // enforcing a payload bound pass bound+1 and treat len(out) > bound as a
@@ -84,15 +86,12 @@ func Inflate(data []byte, limit int64) ([]byte, error) {
 // to dst, which grows only when its capacity runs out, so a decoder that
 // keeps its payload buffer between calls stops allocating here.
 func AppendInflate(dst, data []byte, limit int64) ([]byte, error) {
-	i := infPool.Get().(*inflater)
-	defer func() {
-		// Drop the reference to the caller's input before pooling, or the
-		// pool keeps data alive (and visible to the next user) across calls.
-		i.br.Reset(nil)
-		infPool.Put(i)
-	}()
+	i := inflaters.Get()
+	defer inflaters.Put(i)
 	i.br.Reset(data)
-	if err := i.zr.(flate.Resetter).Reset(&i.br, nil); err != nil {
+	if i.zr == nil {
+		i.zr = flate.NewReader(&i.br)
+	} else if err := i.zr.(flate.Resetter).Reset(&i.br, nil); err != nil {
 		return dst, err
 	}
 	for end := int64(len(dst)) + limit; int64(len(dst)) < end; {
@@ -133,27 +132,42 @@ func InflateTail(dst, data []byte, n int64, lim safedec.Limits) ([]byte, error) 
 	return payload, nil
 }
 
-// FreeList is a bounded free list of scratch objects. Unlike a sync.Pool a
-// collection does not empty it — a server collects several times between two
-// calls of a slow codec, and the scratch would be rebuilt from nothing on
-// most of them. What it may pin is bounded instead: cap(list) objects, and
-// the owner decides before Put whether one has grown too large to keep.
-type FreeList[T any] chan *T
+// FreeList is a bounded free list of scratch objects, and the one way this
+// module pools memory. Unlike a sync.Pool a collection does not empty it — a
+// server collects several times between two calls of a slow codec, and the
+// scratch would be rebuilt from nothing on most of them. What it may pin is
+// bounded instead: its capacity in objects, each of which passed the owner's
+// release function on its way in.
+type FreeList[T any] struct {
+	free    chan *T
+	release func(*T) bool
+}
+
+// NewFreeList returns a list that keeps up to n objects. Every Put runs
+// release first: it drops the references the caller owns and reports
+// whether the object is small enough to keep.
+func NewFreeList[T any](n int, release func(*T) bool) *FreeList[T] {
+	return &FreeList[T]{free: make(chan *T, n), release: release}
+}
 
 // Get returns a pooled *T, or a new zero one.
-func (l FreeList[T]) Get() *T {
+func (l *FreeList[T]) Get() *T {
 	select {
-	case x := <-l:
+	case x := <-l.free:
 		return x
 	default:
 		return new(T)
 	}
 }
 
-// Put returns x to the list; a full list drops it.
-func (l FreeList[T]) Put(x *T) {
+// Put releases x and returns it to the list, unless release refuses it or
+// the list is full.
+func (l *FreeList[T]) Put(x *T) {
+	if !l.release(x) {
+		return
+	}
 	select {
-	case l <- x:
+	case l.free <- x:
 	default:
 	}
 }

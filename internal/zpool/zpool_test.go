@@ -118,48 +118,84 @@ func TestInflateTruncated(t *testing.T) {
 	}
 }
 
-// TestInflatePoolRetention is the regression test for the pooled-inflater
-// leak carollint's poolreset analyzer found: Inflate must reset its
-// bytes.Reader to nil before pooling, or the pool pins the caller's input
-// alive (and visible to the next user). Under the race detector sync.Pool
-// drops Puts at random, in which case Get constructs a fresh inflater
-// whose reader is empty and the assertion holds vacuously.
+// swapList replaces *l with an empty list of one object and the same
+// release for the rest of the test, so the test sees exactly the object the
+// next call puts back.
+func swapList[T any](t *testing.T, l **FreeList[T]) {
+	saved := *l
+	*l = NewFreeList(1, saved.release)
+	t.Cleanup(func() { *l = saved })
+}
+
+// TestDeflatePoolRetention: the deflater AppendDeflate puts back no longer holds
+// the caller's output buffer. Its flate state is fixed-size, so release
+// keeps every deflater.
+func TestDeflatePoolRetention(t *testing.T) {
+	swapList(t, &deflaters)
+	dst := make([]byte, 2, 4096)
+	if _, err := AppendDeflate(dst, bytes.Repeat([]byte("payload "), 64)); err != nil {
+		t.Fatal(err)
+	}
+	d := deflaters.Get()
+	if d.zw == nil {
+		t.Fatal("AppendDeflate put back no deflater")
+	}
+	if d.sw.b != nil {
+		t.Fatalf("pooled deflater retains the caller's %d-byte output", len(d.sw.b))
+	}
+}
+
+// TestInflatePoolRetention is the regression test for the pooled-inflater leak
+// carollint's old poolreset analyzer found: the inflater AppendInflate puts
+// back must not hold the caller's input, or the list pins it alive (and
+// visible to the next user). Its flate state is fixed-size, so release
+// keeps every inflater.
 func TestInflatePoolRetention(t *testing.T) {
 	enc, err := AppendDeflate(nil, bytes.Repeat([]byte("payload "), 64))
 	if err != nil {
 		t.Fatal(err)
 	}
+	swapList(t, &inflaters)
 	if _, err := Inflate(enc, 1<<16); err != nil {
 		t.Fatal(err)
 	}
-	i := infPool.Get().(*inflater)
-	defer infPool.Put(i)
+	i := inflaters.Get()
+	if i.zr == nil {
+		t.Fatal("Inflate put back no inflater")
+	}
 	if i.br.Size() != 0 {
 		t.Fatalf("pooled inflater retains %d bytes of caller input", i.br.Size())
 	}
 }
 
 // TestFreeListBoundedAndSurvivesGC: the list hands back what it was given,
-// across collections, keeps no more than its capacity, and makes a zero
-// object when empty.
+// across collections, keeps no more than its capacity, makes a zero object
+// when empty, and runs release on every Put, keeping only what it accepts.
 func TestFreeListBoundedAndSurvivesGC(t *testing.T) {
-	type scratch struct{ buf []byte }
-	list := make(FreeList[scratch], 2)
-	a, b, c := list.Get(), list.Get(), list.Get()
+	type scratch struct{ buf, caller []byte }
+	released := 0
+	list := NewFreeList(2, func(s *scratch) bool {
+		released++
+		s.caller = nil
+		return len(s.buf) <= 8
+	})
+	a, b, c, big := list.Get(), list.Get(), list.Get(), list.Get()
 	if a == nil || a.buf != nil {
 		t.Fatalf("empty list: Get = %+v, want a zero object", a)
 	}
-	a.buf = make([]byte, 8)
+	a.buf, a.caller = make([]byte, 8), make([]byte, 1)
+	big.buf = make([]byte, 9)
+	list.Put(big) // refused by release
 	list.Put(a)
 	list.Put(b)
 	list.Put(c) // full: dropped
-	if len(list) != 2 {
-		t.Fatalf("list holds %d objects, cap 2", len(list))
+	if released != 4 || len(list.free) != 2 {
+		t.Fatalf("%d releases for 4 Puts; list holds %d objects, cap 2", released, len(list.free))
 	}
 	runtime.GC()
 	runtime.GC()
-	if got := list.Get(); got != a || len(got.buf) != 8 {
-		t.Fatalf("after two collections Get = %p, want the first object put (%p)", got, a)
+	if got := list.Get(); got != a || len(got.buf) != 8 || got.caller != nil {
+		t.Fatalf("after two collections Get = %p %+v, want the first object kept (%p), released", got, got, a)
 	}
 }
 

@@ -13,5 +13,7 @@ go test -race ./...
 make -s pinned
 go run ./cmd/carollint ./...
 
-# Non-test Go lines (ROADMAP item 10: simplification PRs must move this down).
+# Non-test Go lines and internal packages (ROADMAP item 10: simplification
+# PRs report both).
 make -s loc
+make -s pkgs
