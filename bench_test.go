@@ -10,13 +10,13 @@ import (
 
 	"carol/internal/bayesopt"
 	"carol/internal/calib"
-	"carol/internal/chunked"
 	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/core"
 	"carol/internal/dataset"
 	"carol/internal/features"
 	"carol/internal/gridsearch"
+	"carol/internal/pipeline"
 	"carol/internal/rf"
 	"carol/internal/secre"
 	"carol/internal/sz3"
@@ -460,7 +460,7 @@ func BenchmarkChunkedVsWhole(b *testing.B) {
 	b.Run("chunked", func(b *testing.B) {
 		b.SetBytes(int64(f.SizeBytes()))
 		for i := 0; i < b.N; i++ {
-			if _, err := chunked.Compress(codec, f, eb, chunked.Options{}); err != nil {
+			if _, err := pipeline.New(codec, pipeline.Options{}).Compress(f, eb); err != nil {
 				b.Fatal(err)
 			}
 		}

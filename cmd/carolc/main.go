@@ -274,16 +274,16 @@ func doDecompress(comp, in, out string, workers int) error {
 	return nil
 }
 
-// decodeAny decodes either a CPL1 pipeline container (detected by magic,
-// decoded block-streaming without buffering the input in full) or a plain
-// codec stream. With comp == "auto" the codec is sniffed from the stream's
-// leading magic byte — except for CPL1 containers, which carry no codec
-// name and need one passed explicitly.
+// decodeAny decodes either a slab container (CPL1, or the legacy CCH1;
+// detected by magic, decoded block-streaming without buffering the input
+// in full) or a plain codec stream. With comp == "auto" the codec is
+// sniffed from the stream's leading magic byte — except for slab
+// containers, which carry no codec name and need one passed explicitly.
 func decodeAny(comp string, r io.Reader, workers int) (*carol.Field, error) {
 	br := bufio.NewReader(r)
-	if peek, err := br.Peek(len(pipeline.Magic)); err == nil && [4]byte(peek) == pipeline.Magic {
+	if peek, err := br.Peek(len(pipeline.Magic)); err == nil && pipeline.IsContainer(peek) {
 		if comp == "auto" {
-			return nil, fmt.Errorf("CPL1 containers do not name their codec; pass one with -codec or -compressor")
+			return nil, fmt.Errorf("%s containers do not name their codec; pass one with -codec or -compressor", peek)
 		}
 		return carol.DecompressStream(comp, br, carol.StreamOptions{Workers: workers})
 	}

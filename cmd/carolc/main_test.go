@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"carol/internal/compressor"
 	"carol/internal/dataset"
 	"carol/internal/field"
+	"carol/internal/fuzzseed"
 )
 
 // TestSniffCodecRoundTrip compresses a field with every registered codec
@@ -63,6 +65,31 @@ func TestDecodeAnyAutoRejectsCPL1(t *testing.T) {
 	}
 	if _, err := decodeAny("auto", &buf, 0); err == nil {
 		t.Fatal("decodeAny(auto) accepted a CPL1 container")
+	}
+}
+
+// TestDecodeAnyReadsLegacyCCH1: carolc -d decodes the legacy CCH1
+// container block-streaming, like CPL1, given its codec.
+func TestDecodeAnyReadsLegacyCCH1(t *testing.T) {
+	stream, err := fuzzseed.Read("../../internal/pipeline/testdata/fuzz/FuzzFrames/cch1-zfp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeAny("auto", bytes.NewReader(stream), 0); err == nil {
+		t.Fatal("decodeAny(auto) accepted a CCH1 container")
+	}
+	g, err := decodeAny("zfp", bytes.NewReader(stream), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw bytes.Buffer
+	if err := g.WriteRaw(&raw); err != nil {
+		t.Fatal(err)
+	}
+	// testdata/cch1_digests.txt's digest for cch1-zfp.
+	const want = "7a984fba65b7640060f865c12c7006e3980769d3a6a339a0cf5b602bdb0040d2"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw.Bytes())); got != want {
+		t.Fatalf("decodes to %s, want %s", got, want)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"carol/internal/chunked"
 	"carol/internal/codecs"
 	"carol/internal/obs"
+	"carol/internal/pipeline"
 )
 
 // knownCodec reports whether name is in the registered extended set.
@@ -53,8 +53,8 @@ func TestGateAutoChunkedFanout(t *testing.T) {
 	if got := w.Header().Get("X-Carol-Fanout-Chunks"); got != "3" {
 		t.Fatalf("X-Carol-Fanout-Chunks = %q, want 3", got)
 	}
-	if body := w.Body.Bytes(); len(body) < 4 || [4]byte(body[:4]) != chunked.Magic {
-		t.Fatalf("fan-out body is not a CCH1 container")
+	if body := w.Body.Bytes(); len(body) < 4 || [4]byte(body[:4]) != pipeline.Magic {
+		t.Fatalf("fan-out body is not a CPL1 container")
 	}
 	// Every slab request must carry the single chosen codec, never mode=.
 	for i, fs := range shards {

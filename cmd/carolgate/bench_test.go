@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"testing"
 
-	"carol/internal/chunked"
 	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/dataset"
@@ -154,7 +153,7 @@ func BenchmarkGateFanout1MiB(b *testing.B) {
 		b.Fatal(err)
 	}
 	g.probeAll()
-	want, err := chunked.Compress(szx, f, eb, chunked.Options{Chunks: 2})
+	want, err := pipeline.New(szx, pipeline.Options{Blocks: 2}).Compress(f, eb)
 	if err != nil {
 		b.Fatal(err)
 	}

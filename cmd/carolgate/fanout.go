@@ -7,7 +7,6 @@ import (
 	"net/url"
 	"strconv"
 
-	"carol/internal/chunked"
 	"carol/internal/field"
 	"carol/internal/httpkit"
 	"carol/internal/obs"
@@ -64,10 +63,10 @@ var errBadRequest = errors.New("bad request")
 // with abs= so per-slab value ranges can't loosen it, and mode=auto scores
 // the whole field once so every slab uses the single chosen codec (a
 // per-slab choice would produce a mixed container no single-codec
-// decompress could open). One slab per healthy shard (internal/chunked
+// decompress could open). One slab per healthy shard (pipeline.SplitField
 // geometry) is compressed by the shard owning its ring key, and the
-// per-slab streams are reassembled into the exact CCH1 container a local
-// chunked.Compress would emit.
+// per-slab streams are framed into the exact CPL1 container a local
+// pipeline.New(codec, pipeline.Options{Blocks: n}).Compress would emit.
 func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []byte) (*shardResponse, error) {
 	healthy := g.healthyShards()
 	if !g.shouldChunk(req, len(body), len(healthy)) {
@@ -133,12 +132,13 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 		return nil, err
 	}
 	g.reg.Histogram("gate_fanout_chunks", obs.LinearBuckets(1, 1, 16)).Observe(float64(len(streams)))
-	// The CCH1 container goes out as its header followed by the shards'
-	// answers themselves; only a job, which keeps its result, joins them.
-	head := chunked.Header(req.Nx, req.Ny, req.Nz, streams)
-	size := len(head)
-	for _, s := range streams {
-		size += len(s)
+	// The CPL1 container goes out part by part — its header, then each
+	// shard answer itself behind its length; only a job, which keeps its
+	// result, joins them.
+	parts := pipeline.Parts(req.Nx, req.Ny, req.Nz, streams)
+	size := 0
+	for _, p := range parts {
+		size += len(p)
 	}
 	achieved := float64(len(body)) / float64(size)
 	hdr := http.Header{}
@@ -152,7 +152,7 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 		g.sel.Observe(*dec, achieved)
 		hdr.Set("X-Carol-Codec-Chosen", codecName)
 	}
-	return &shardResponse{status: http.StatusOK, header: hdr, body: head, rest: streams}, nil
+	return &shardResponse{status: http.StatusOK, header: hdr, body: parts[0], rest: parts[1:]}, nil
 }
 
 // slabCandidates rotates the base key's replica walk by the slab index:
@@ -170,29 +170,31 @@ func slabCandidates(cands []string, i int) []string {
 	return append(out, cands[:r]...)
 }
 
-// handleDecompress fans CCH1 containers out chunk-by-chunk to the shards
-// owning them and reassembles the raw field in slab order; anything else
-// (CPL1, single codec streams) routes whole.
+// handleDecompress splits a slab container (CPL1, or the legacy CCH1) into
+// its frames, fans them out to the shards owning them and reassembles the
+// raw field in slab order — with any number of healthy shards, since a
+// shard decodes frames, not containers, and with one the replica walk puts
+// every frame on it. Anything else (a single codec stream) routes whole.
 func (g *gate) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	body, err := httpkit.ReadBody(r, g.bodyLimit)
 	if err != nil {
 		httpkit.RequestError(w, err)
 		return
 	}
-	if len(body) < 4 || [4]byte(body[:4]) != chunked.Magic || len(g.healthyShards()) < 2 {
+	if !pipeline.IsContainer(body) {
 		g.proxyWhole(w, r, body)
 		return
 	}
 	tr := g.reg.StartTrace("gate_decompress_fanout")
 	defer tr.End()
 	span := tr.StartSpan("parse")
-	nx, ny, nz, chunks, err := chunked.Parse(body, g.cfg.proxyLimits)
+	h, chunks, err := pipeline.Frames(body, g.cfg.proxyLimits)
 	span.End()
 	if err != nil {
 		httpkit.Error(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	want := pipeline.ExpectedSlabDims(nx, ny, nz, len(chunks))
+	nx, ny, nz, want := h.Nx, h.Ny, h.Nz, h.Blocks
 	cands := g.ring.Lookup(routeKey(r), g.ring.Len())
 	codec := r.URL.Query().Get("codec")
 	g.fanned.Inc()

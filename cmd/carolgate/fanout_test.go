@@ -16,12 +16,12 @@ import (
 	"testing"
 	"time"
 
-	"carol/internal/chunked"
 	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/dataset"
 	"carol/internal/field"
 	"carol/internal/httpkit"
+	"carol/internal/pipeline"
 )
 
 // codecShard is a carolserve stand-in that really compresses: the two
@@ -124,13 +124,14 @@ func rawOf(t testing.TB, f *field.Field) []byte {
 	return buf.Bytes()
 }
 
-// TestGateFanoutMatchesChunkedCompress is the fan-out's differential: for
+// TestGateFanoutMatchesPipelineCompress is the fan-out's differential: for
 // every codec, shape and bound source, over 2 and 3 shards, the container
 // the gate answers — slabs posted as slices of the client's body, answers
-// written out part by part — is byte for byte the one chunked.Compress
-// builds locally, its ratio header describes those bytes, and the
-// decompress fan-out returns exactly what decoding that container gives.
-func TestGateFanoutMatchesChunkedCompress(t *testing.T) {
+// written out part by part — is byte for byte the CPL1 container
+// pipeline.New(codec, pipeline.Options{Blocks: n}).Compress builds locally,
+// its ratio header describes those bytes, and the decompress fan-out
+// returns exactly what decoding that container gives.
+func TestGateFanoutMatchesPipelineCompress(t *testing.T) {
 	fanoutDifferentialLeg(t, 2)
 	fanoutDifferentialLeg(t, 3)
 }
@@ -176,12 +177,13 @@ func fanoutDifferentialLeg(t *testing.T, nShards int) {
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				want, err := chunked.Compress(codec, f, c.eb, chunked.Options{Chunks: nShards})
+				local := pipeline.New(codec, pipeline.Options{Blocks: nShards})
+				want, err := local.Compress(f, c.eb)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
 				if !bytes.Equal(w.Body.Bytes(), want) {
-					t.Errorf("%s: gate container (%d bytes) differs from chunked.Compress (%d bytes)", what, w.Body.Len(), len(want))
+					t.Errorf("%s: gate container (%d bytes) differs from pipeline's (%d bytes)", what, w.Body.Len(), len(want))
 					continue
 				}
 				if got, wantRatio := w.Header().Get("X-Carol-Achieved-Ratio"),
@@ -191,14 +193,14 @@ func fanoutDifferentialLeg(t *testing.T, nShards int) {
 				if got := w.Header().Get("Content-Length"); got != fmt.Sprint(len(want)) {
 					t.Errorf("%s: Content-Length %q, want %d", what, got, len(want))
 				}
-				local, err := chunked.Decompress(codec, want, chunked.Options{})
+				dec, err := local.Decompress(want)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
 				w = doGate(t, g, http.MethodPost, "/v1/decompress?codec="+chosen, want)
-				if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), rawOf(t, local)) {
+				if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), rawOf(t, dec)) {
 					t.Errorf("%s: decompress fan-out: status %d, %d bytes; want the local decode's %d",
-						what, w.Code, w.Body.Len(), local.SizeBytes())
+						what, w.Code, w.Body.Len(), dec.SizeBytes())
 				}
 			}
 		}
@@ -220,12 +222,12 @@ func fanoutDifferentialLeg(t *testing.T, nShards int) {
 		t.Fatalf("job: %s", st.Error)
 	}
 	sz3, _ := codecs.ByName("sz3")
-	want, err := chunked.Compress(sz3, f, compressor.AbsBound(f, 1e-3), chunked.Options{Chunks: nShards})
+	want, err := pipeline.New(sz3, pipeline.Options{Blocks: nShards}).Compress(f, compressor.AbsBound(f, 1e-3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w = doGate(t, g, http.MethodGet, acc.ResultURL, nil); !bytes.Equal(w.Body.Bytes(), want) {
-		t.Errorf("%d shards: job result (%d bytes) differs from chunked.Compress (%d bytes)", nShards, w.Body.Len(), len(want))
+		t.Errorf("%d shards: job result (%d bytes) differs from pipeline's (%d bytes)", nShards, w.Body.Len(), len(want))
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 	"testing"
 	"time"
 
-	"carol/internal/chunked"
 	"carol/internal/httpkit"
 	"carol/internal/httpkit/kittest"
+	"carol/internal/pipeline"
 	"carol/internal/xrand"
 )
 
@@ -270,12 +270,12 @@ func TestGateChunkedFanOutRoundTrip(t *testing.T) {
 		t.Fatalf("X-Carol-Fanout-Chunks = %q, want 3", got)
 	}
 	container := w.Body.Bytes()
-	gnx, gny, gnz, chunks, err := chunked.Parse(container, g.cfg.proxyLimits)
-	if err != nil {
-		t.Fatalf("gate output is not a CCH1 container: %v", err)
+	h, chunks, err := pipeline.Frames(container, g.cfg.proxyLimits)
+	if err != nil || [4]byte(container[:4]) != pipeline.Magic {
+		t.Fatalf("gate output is not a CPL1 container: %v", err)
 	}
-	if gnx != nx || gny != ny || gnz != nz {
-		t.Fatalf("container dims %dx%dx%d, want %dx%dx%d", gnx, gny, gnz, nx, ny, nz)
+	if h.Nx != nx || h.Ny != ny || h.Nz != nz {
+		t.Fatalf("container dims %dx%dx%d, want %dx%dx%d", h.Nx, h.Ny, h.Nz, nx, ny, nz)
 	}
 	if len(chunks) != 3 {
 		t.Fatalf("container has %d chunks, want 3", len(chunks))

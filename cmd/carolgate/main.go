@@ -1,8 +1,8 @@
 // Command carolgate is the fleet front door: it routes /v1/ traffic
 // across N backend carolserve shards on a consistent-hash ring
 // (internal/ring), splits large fields into slabs that are compressed in
-// parallel on the shards that own them (internal/chunked geometry,
-// internal/pipeline fan-out discipline), and absorbs large jobs into a
+// parallel on the shards that own them (internal/pipeline geometry and
+// fan-out discipline) into one CPL1 container, and absorbs large jobs into a
 // bounded async queue (queue.go) behind a 202-Accepted API.
 //
 //	carolgate -addr :8080 -shards http://s1:8081,http://s2:8082,http://s3:8083
@@ -16,8 +16,9 @@
 //	     split (all slabs of one field use the one chosen codec,
 //	     X-Carol-Codec-Chosen names it); whole-routed fields are decided by
 //	     the owning shard and its header is relayed
-//	POST /v1/decompress?codec=..                  -> CCH1 containers fan chunks
-//	     out to their shards; everything else routes whole
+//	POST /v1/decompress?codec=..                  -> slab containers (CPL1, or
+//	     the legacy CCH1) fan their frames out to the shards; everything
+//	     else routes whole
 //	POST /v1/estimate, /v1/predict                -> routed whole
 //	GET  /v1/models, /v1/codecs                   -> routed whole
 //	POST /v1/jobs/compress?...&tenant=..          -> 202 + job id (async queue)

@@ -241,7 +241,6 @@ func (q *queue) dispatch() {
 				return
 			}
 		}
-		q.wg.Add(1)
 		go func(j *job) {
 			defer q.wg.Done()
 			defer func() { <-q.sem }()
@@ -250,8 +249,8 @@ func (q *queue) dispatch() {
 	}
 }
 
-// next pops the oldest pending job and marks it Running in the same
-// critical section, or returns nil.
+// next pops the oldest pending job and marks it Running (and counts it on
+// wg) in the same critical section, or returns nil.
 func (q *queue) next() *job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -264,6 +263,9 @@ func (q *queue) next() *job {
 	j.state = jobRunning
 	j.started = time.Now()
 	q.running.Add(1)
+	// Counted under the lock that pops it, so a close that takes the lock
+	// next waits for this job too.
+	q.wg.Add(1)
 	return j
 }
 

@@ -345,13 +345,13 @@ func (s *server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		httpkit.RequestError(w, err)
 		return
 	}
-	// Pipeline containers are decoded straight off the request body — block
-	// frames are read and decoded in a bounded window, so a large container
-	// is never buffered in full. Anything else is a single codec stream and
-	// needs the whole slice.
+	// Slab containers (CPL1, or the legacy CCH1) are decoded straight off
+	// the request body — block frames are read and decoded in a bounded
+	// window, so a large container is never buffered in full. Anything else
+	// is a single codec stream and needs the whole slice.
 	br := bufio.NewReader(io.LimitReader(r.Body, httpkit.MaxBody))
 	var f *field.Field
-	if peek, perr := br.Peek(len(pipeline.Magic)); perr == nil && [4]byte(peek) == pipeline.Magic {
+	if peek, perr := br.Peek(len(pipeline.Magic)); perr == nil && pipeline.IsContainer(peek) {
 		p := pipeline.New(codec, pipeline.Options{Limits: s.cfg.decodeLimits})
 		span := tr.StartSpan("codec")
 		f, err = p.DecompressStream(br)

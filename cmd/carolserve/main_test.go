@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -13,6 +15,7 @@ import (
 
 	"carol/internal/dataset"
 	"carol/internal/field"
+	"carol/internal/fuzzseed"
 	"carol/internal/httpkit/kittest"
 )
 
@@ -370,5 +373,31 @@ func TestParseFlagRanges(t *testing.T) {
 	}
 	if addr != "127.0.0.1:0" || cfg.maxInflight != defaultConfig().maxInflight {
 		t.Fatalf("addr %q, max-inflight %d", addr, cfg.maxInflight)
+	}
+}
+
+// TestDecompressReadsLegacyCCH1: /v1/decompress recognizes the legacy CCH1
+// container by its magic and decodes it block-streaming, to the field bits
+// it decoded to when CCH1 was written.
+func TestDecompressReadsLegacyCCH1(t *testing.T) {
+	srv := httptest.NewServer(newServer())
+	defer srv.Close()
+	stream, err := fuzzseed.Read("../../internal/pipeline/testdata/fuzz/FuzzFrames/cch1-sperr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/decompress?codec=sperr", "application/octet-stream", bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, %v: %s", resp.StatusCode, err, raw)
+	}
+	// testdata/cch1_digests.txt's digest for cch1-sperr.
+	const want = "46607a9febbea917b4287033a64e2cd8ccd2cbadc9e594d6c249879294048bb4"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want || resp.Header.Get("X-Carol-Dims") != "24x20x12" {
+		t.Fatalf("dims %s, digest %s; want 24x20x12 and %s", resp.Header.Get("X-Carol-Dims"), got, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"carol/internal/bayesopt"
-	"carol/internal/chunked"
 	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/fraz"
@@ -15,7 +14,9 @@ import (
 
 // This file holds the public surface of the repository's extensions beyond
 // the paper's core design: checkpoint persistence, the FRaZ-style
-// trial-and-error baseline, and chunk-parallel whole-field compression.
+// trial-and-error baseline, and slab-parallel whole-field compression into
+// the one slab container, CPL1 (CCH1, the legacy chunk container, is read
+// but never written).
 
 // SaveCheckpoint serializes a framework checkpoint (JSON) so a later
 // process can resume training with Framework.RestoreCheckpoint after
@@ -78,10 +79,11 @@ func IterativeCompressToRatio(compressorName string, f *Field, targetRatio float
 }
 
 // CompressChunked compresses f slab-parallel across the host's cores with
-// the named compressor at a value-range-relative error bound, producing a
-// self-describing chunk container (decode with DecompressChunked). The
-// error bound guarantee is unchanged; only the container format differs
-// from Compress.
+// the named compressor at a value-range-relative error bound, producing the
+// pipeline container (CPL1) CompressStream writes with default options
+// (decode with DecompressChunked or DecompressStream). The error bound
+// guarantee is unchanged; only the container format differs from
+// Compress.
 func CompressChunked(compressorName string, f *Field, relErrorBound float64) ([]byte, error) {
 	codec, err := codecs.ByName(compressorName)
 	if err != nil {
@@ -90,16 +92,17 @@ func CompressChunked(compressorName string, f *Field, relErrorBound float64) ([]
 	if !(relErrorBound > 0) {
 		return nil, fmt.Errorf("carol: invalid relative error bound %g", relErrorBound)
 	}
-	return chunked.Compress(codec, f, compressor.AbsBound(f, relErrorBound), chunked.Options{})
+	return pipeline.New(codec, pipeline.Options{}).Compress(f, compressor.AbsBound(f, relErrorBound))
 }
 
-// DecompressChunked reverses CompressChunked.
+// DecompressChunked reverses CompressChunked. It also reads CCH1, the
+// legacy chunk container CompressChunked wrote before CPL1.
 func DecompressChunked(compressorName string, stream []byte) (*Field, error) {
 	codec, err := codecs.ByName(compressorName)
 	if err != nil {
 		return nil, err
 	}
-	return chunked.Decompress(codec, stream, chunked.Options{})
+	return pipeline.New(codec, pipeline.Options{}).Decompress(stream)
 }
 
 // StreamOptions tunes the streaming endpoints. The zero value takes
@@ -130,10 +133,11 @@ func CompressStream(compressorName string, w io.Writer, f *Field, relErrorBound 
 	return p.CompressStream(w, f, compressor.AbsBound(f, relErrorBound))
 }
 
-// DecompressStream reverses CompressStream, reading block frames from r one
-// at a time and decoding them in parallel. Input claimed by a hostile or
-// corrupt stream is validated against the default safedec limits before
-// anything is allocated from it; r is never buffered in full.
+// DecompressStream reverses CompressStream (and CompressChunked), reading
+// block frames from r one at a time and decoding them in parallel; it reads
+// the legacy CCH1 container too. Input claimed by a hostile or corrupt
+// stream is validated against the default safedec limits before anything
+// is allocated from it; r is never buffered in full.
 func DecompressStream(compressorName string, r io.Reader, opts StreamOptions) (*Field, error) {
 	codec, err := codecs.ByName(compressorName)
 	if err != nil {

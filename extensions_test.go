@@ -2,9 +2,14 @@ package carol
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"carol/internal/fuzzseed"
 	"carol/internal/trainset"
 )
 
@@ -115,6 +120,61 @@ func TestChunkedRoundTrip(t *testing.T) {
 	}
 	if _, err := CompressChunked("nope", f, 1e-3); err == nil {
 		t.Fatal("unknown compressor accepted")
+	}
+}
+
+// TestChunkedWritesCPL1: CompressChunked's container is exactly what
+// CompressStream writes with default options.
+func TestChunkedWritesCPL1(t *testing.T) {
+	f := testField(t, "pressure")
+	chunked, err := CompressChunked("sz3", f, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := CompressStream("sz3", &stream, f, 1e-3, StreamOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(chunked, stream.Bytes()) {
+		t.Fatalf("CompressChunked wrote %d bytes (%q), CompressStream %d", len(chunked), chunked[:4], stream.Len())
+	}
+}
+
+// TestDecompressChunkedReadsLegacyCCH1: the CCH1 containers
+// CompressChunked used to write (internal/pipeline/testdata/cch1_digests.txt)
+// decode through DecompressChunked to the field bits they decoded to then,
+// or are refused.
+func TestDecompressChunkedReadsLegacyCCH1(t *testing.T) {
+	const dir = "internal/pipeline/testdata"
+	list, err := os.ReadFile(filepath.Join(dir, "cch1_digests.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range strings.Split(string(list), "\n") {
+		fs := strings.Fields(line)
+		if len(fs) != 3 || strings.HasPrefix(fs[0], "#") {
+			continue
+		}
+		stream, err := fuzzseed.Read(filepath.Join(dir, "fuzz/FuzzFrames", fs[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := "-"
+		if f, err := DecompressChunked(fs[1], stream); err == nil {
+			var buf bytes.Buffer
+			if err := f.WriteRaw(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got = fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+		}
+		if got != fs[2] {
+			t.Errorf("%s: decodes to %s, want %s", fs[0], got, fs[2])
+		}
+		n++
+	}
+	if n != 10 {
+		t.Fatalf("%d legacy containers, want 10", n)
 	}
 }
 

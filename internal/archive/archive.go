@@ -265,7 +265,7 @@ func (a *Archive) FieldLimited(name string, lim safedec.Limits) (*field.Field, e
 	}
 	// Entries written by AddPipeline carry the CPL1 pipeline container
 	// around the codec stream; detect it and decode block-parallel.
-	if isPipeline(e.Stream) {
+	if pipeline.IsContainer(e.Stream) {
 		codec = pipeline.New(codec, pipeline.Options{})
 	}
 	f, err := codec.DecompressLimited(e.Stream, lim)
@@ -303,17 +303,12 @@ func (a *Archive) Ratio() (float64, error) {
 	return float64(raw) / float64(a.TotalCompressed()), nil
 }
 
-// isPipeline reports whether a stream is a CPL1 pipeline container.
-func isPipeline(stream []byte) bool {
-	return len(stream) >= len(pipeline.Magic) && [4]byte(stream[:4]) == pipeline.Magic
-}
-
 // headerOf reads an entry's field dims from its stream's header.
 func headerOf(e Entry) (compressor.Header, error) {
 	// Pipeline containers carry the field dims in their own header; the
 	// codec headers live per block inside the frames.
-	if isPipeline(e.Stream) {
-		h, err := pipeline.ParseHeader(e.Stream, safedec.Default())
+	if pipeline.IsContainer(e.Stream) {
+		h, _, err := pipeline.Frames(e.Stream, safedec.Default())
 		if err != nil {
 			return compressor.Header{}, fmt.Errorf("archive: %w", err)
 		}

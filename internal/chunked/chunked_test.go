@@ -1,12 +1,19 @@
 package chunked
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/dataset"
 	"carol/internal/field"
+	"carol/internal/fuzzseed"
 	"carol/internal/pipeline"
 	"carol/internal/safedec"
 )
@@ -171,8 +178,7 @@ func BenchmarkChunkedCompress(b *testing.B) {
 
 // TestAssembleParseInverse: Assemble over remotely-produced slab streams
 // must emit the exact container Compress emits locally, and Parse must
-// hand back the same streams — the byte-level contract carolgate's
-// chunked fan-out relies on.
+// hand back the same streams.
 func TestAssembleParseInverse(t *testing.T) {
 	f := testField(t, 24, 20, 12)
 	codec, err := codecs.ByName("szx")
@@ -229,5 +235,46 @@ func TestParseRejectsHostileHeaders(t *testing.T) {
 	}
 	if _, _, _, _, err := Parse([]byte("XXXX0123456789abcdef"), safedec.Limits{}); err == nil {
 		t.Fatal("Parse accepted a bad magic")
+	}
+}
+
+// TestLegacyContainersDecode: the CCH1 containers this package's deleted
+// writer left (internal/pipeline/testdata/cch1_digests.txt) decode through
+// the shim to the field bits they decoded to then, or are refused.
+func TestLegacyContainersDecode(t *testing.T) {
+	const dir = "../pipeline/testdata"
+	list, err := os.ReadFile(filepath.Join(dir, "cch1_digests.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range strings.Split(string(list), "\n") {
+		fs := strings.Fields(line)
+		if len(fs) != 3 || strings.HasPrefix(fs[0], "#") {
+			continue
+		}
+		stream, err := fuzzseed.Read(filepath.Join(dir, "fuzz/FuzzFrames", fs[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		codec, err := codecs.ByName(fs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := "-"
+		if f, err := Decompress(codec, stream, Options{}); err == nil {
+			var buf bytes.Buffer
+			if err := f.WriteRaw(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got = fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+		}
+		if got != fs[2] {
+			t.Errorf("%s: decodes to %s, want %s", fs[0], got, fs[2])
+		}
+		n++
+	}
+	if n != 10 {
+		t.Fatalf("%d legacy containers, want 10", n)
 	}
 }

@@ -4,19 +4,26 @@ import (
 	"testing"
 
 	"carol/internal/fuzzseed"
+	"carol/internal/pipeline"
 	"carol/internal/safedec"
 	"carol/internal/szx"
 )
 
 // chunkedFuzzSeeds builds the seed corpus for FuzzChunkedDecompress: a valid
-// four-chunk container, truncations, and hostile headers.
+// four-chunk legacy CCH1 container, as the deleted CCH1 writer laid it out,
+// truncations, and hostile headers.
 func chunkedFuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	fld := testField(t, 512, 1, 1)
-	valid, err := Compress(szx.New(), fld, 1e-2, Options{Chunks: 4})
-	if err != nil {
-		t.Fatal(err)
+	var chunks [][]byte
+	for _, slab := range pipeline.SplitField(fld, 4) {
+		s, err := szx.New().Compress(slab, 1e-2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks = append(chunks, s)
 	}
+	valid := container(512, 1, 1, 4, chunks...)
 	return [][]byte{
 		valid,
 		valid[:len(valid)/2],
@@ -31,10 +38,9 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	fuzzseed.Check(t, ".", map[string][][]byte{"FuzzChunkedDecompress": chunkedFuzzSeeds(t)})
 }
 
-// FuzzChunkedDecompress drives arbitrary bytes through the parallel chunked
-// container decoder. The worker fan-out makes this the one decode path where
-// a panic would escape on a non-test goroutine, so no-crash here is the
-// whole point of the target.
+// FuzzChunkedDecompress drives arbitrary bytes through the shim's
+// Decompress, which is pipeline's in-memory decoder; pipeline's FuzzFrames
+// is the target scripts/fuzz.sh runs.
 func FuzzChunkedDecompress(f *testing.F) {
 	for _, s := range chunkedFuzzSeeds(f) {
 		f.Add(s)

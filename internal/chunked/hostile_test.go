@@ -11,10 +11,10 @@ import (
 	"carol/internal/szx"
 )
 
-// container assembles a chunked container with explicit header fields and
-// chunk payloads.
+// container assembles a legacy CCH1 container with explicit header fields
+// and chunk payloads.
 func container(nx, ny, nz, n uint32, chunks ...[]byte) []byte {
-	out := append([]byte(nil), Magic[:]...)
+	out := []byte("CCH1")
 	var b [4]byte
 	put := func(v uint32) {
 		binary.LittleEndian.PutUint32(b[:], v)

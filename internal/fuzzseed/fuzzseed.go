@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 )
 
 // corpusVersion is the header line the Go toolchain expects in corpus files.
@@ -29,6 +30,23 @@ func WriteCorpus(dir, target string, seeds [][]byte) error {
 		}
 	}
 	return nil
+}
+
+// Read decodes one corpus file in the form WriteCorpus writes (a single
+// []byte value), so a test can replay a checked-in seed outside its fuzz
+// target.
+func Read(path string) ([]byte, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	head, body, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+	if head == corpusVersion && strings.HasPrefix(body, "[]byte(") && strings.HasSuffix(body, ")") {
+		if s, err := strconv.Unquote(body[len("[]byte(") : len(body)-1]); err == nil {
+			return []byte(s), nil
+		}
+	}
+	return nil, fmt.Errorf("fuzzseed: %s is not a []byte corpus file", path)
 }
 
 // Regenerate reports whether corpus regeneration was requested via the

@@ -13,10 +13,12 @@
 // conformance streams stay stable.
 //
 // The container framing is deliberately sequential-friendly: magic, dims,
-// block count, then length-prefixed block frames back to back. Unlike the
-// chunked package's up-front length table (kept for compatibility), a
-// writer needs no seek and a reader needs no more lookahead than one frame
-// header.
+// block count, then length-prefixed block frames back to back, so a writer
+// needs no seek and a reader needs no more lookahead than one frame header.
+// CPL1 is the only slab container the module writes. Its decoders also
+// read CCH1, the container internal/chunked wrote before: the same header
+// under its own magic, then every block's length in one table ahead of the
+// streams. CCH1 is legacy input, read for one release and written nowhere.
 package pipeline
 
 import (
@@ -33,6 +35,17 @@ import (
 
 // Magic identifies pipeline containers ("CPL1").
 var Magic = [4]byte{'C', 'P', 'L', '1'}
+
+// legacyMagic identifies the legacy CCH1 container, which only the frame
+// walker below reads.
+var legacyMagic = [4]byte{'C', 'C', 'H', '1'}
+
+// IsContainer reports whether b starts with a slab container's magic:
+// CPL1, or the legacy CCH1. Routing tiers use it to tell a container from
+// a single codec stream without decoding either.
+func IsContainer(b []byte) bool {
+	return len(b) >= 4 && ([4]byte(b[:4]) == Magic || [4]byte(b[:4]) == legacyMagic)
+}
 
 // headerLen is the fixed container prefix: magic + nx, ny, nz + nblocks.
 const headerLen = 4 + 4*4
@@ -62,8 +75,8 @@ func (o Options) withDefaults() Options {
 }
 
 // SlabRanges splits [0, n) into at most k contiguous non-empty ranges. It
-// is the single source of block geometry for this package and the chunked
-// container format, which both re-derive decoder-side dims from it.
+// is the single source of block geometry: encoders split by it and
+// decoders re-derive block dims from it.
 func SlabRanges(n, k int) [][2]int {
 	if k > n {
 		k = n
@@ -198,13 +211,7 @@ func (c *Codec) CompressStream(w io.Writer, f *field.Field, eb float64) error {
 		return err
 	}
 	slabs := SplitField(f, c.opts.Blocks)
-	var hdr [headerLen]byte
-	copy(hdr[:], Magic[:])
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(f.Nx))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(f.Ny))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(f.Nz))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(slabs)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(appendHeader(make([]byte, 0, headerLen), f.Nx, f.Ny, f.Nz, len(slabs))); err != nil {
 		return fmt.Errorf("pipeline: header write: %w", err)
 	}
 	return runOrdered(len(slabs), c.opts.Workers,
@@ -238,97 +245,212 @@ func (c *Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Header is what a CPL1 container's fixed prefix says: the field's dims and
+// Header is what a slab container's fixed prefix says: the field's dims and
 // each block's dims, in order.
 type Header struct {
 	Nx, Ny, Nz int
 	Blocks     [][3]int
 }
 
-// ParseHeader validates the fixed prefix at the start of a CPL1 container:
-// its magic, its dims against lim.Elements, its block count against
-// lim.Count, and that the blocks tile the field. Every container-claimed
-// size is checked before anything is allocated from it.
-func ParseHeader(b []byte, lim safedec.Limits) (Header, error) {
+// appendHeader appends the fixed CPL1 prefix of an nx×ny×nz field split
+// into n blocks.
+func appendHeader(dst []byte, nx, ny, nz, n int) []byte {
+	dst = append(dst, Magic[:]...)
+	for _, v := range []int{nx, ny, nz, n} {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	}
+	return dst
+}
+
+// Parts lists the CPL1 container of an nx×ny×nz field whose SplitField
+// blocks compressed to streams, in wire order: the header, then each
+// block's length and its stream. The streams are not copied, so a tier
+// that compressed the blocks elsewhere writes the container out part by
+// part; joined, the parts are the bytes Codec.Compress writes.
+func Parts(nx, ny, nz int, streams [][]byte) [][]byte {
+	lens := make([]byte, 4*len(streams))
+	parts := make([][]byte, 0, 1+2*len(streams))
+	parts = append(parts, appendHeader(make([]byte, 0, headerLen), nx, ny, nz, len(streams)))
+	for i, s := range streams {
+		l := lens[4*i : 4*i+4 : 4*i+4]
+		binary.LittleEndian.PutUint32(l, uint32(len(s)))
+		parts = append(parts, l, s)
+	}
+	return parts
+}
+
+// parseHeader validates the fixed prefix at the start of a slab container
+// and reports whether it is the legacy CCH1: its magic, its dims against
+// lim.Elements, its block count against lim.Count, and that the blocks tile
+// the field. Every container-claimed size is checked before anything is
+// allocated from it.
+func parseHeader(b []byte, lim safedec.Limits) (h Header, legacy bool, err error) {
 	if len(b) < headerLen {
-		return Header{}, fmt.Errorf("pipeline: short container header: %w", safedec.ErrTruncated)
+		return Header{}, false, fmt.Errorf("pipeline: short container header: %w", safedec.ErrTruncated)
 	}
-	if [4]byte(b[:4]) != Magic {
-		return Header{}, fmt.Errorf("pipeline: bad container magic: %w", safedec.ErrCorrupt)
+	if !IsContainer(b) {
+		return Header{}, false, fmt.Errorf("pipeline: bad container magic: %w", safedec.ErrCorrupt)
 	}
-	h := Header{
+	h = Header{
 		Nx: int(binary.LittleEndian.Uint32(b[4:])),
 		Ny: int(binary.LittleEndian.Uint32(b[8:])),
 		Nz: int(binary.LittleEndian.Uint32(b[12:])),
 	}
 	n := int(binary.LittleEndian.Uint32(b[16:]))
 	if n <= 0 {
-		return Header{}, fmt.Errorf("pipeline: implausible block count %d: %w", n, safedec.ErrCorrupt)
+		return Header{}, false, fmt.Errorf("pipeline: implausible block count %d: %w", n, safedec.ErrCorrupt)
 	}
 	if err := lim.Count("pipeline blocks", int64(n)); err != nil {
-		return Header{}, fmt.Errorf("pipeline: %w", err)
+		return Header{}, false, fmt.Errorf("pipeline: %w", err)
 	}
 	// Validate the dims product before anyone computes it; a hostile header
 	// otherwise overflows the multiply or allocates petabytes.
 	if _, err := lim.Elements(h.Nx, h.Ny, h.Nz); err != nil {
-		return Header{}, fmt.Errorf("pipeline: container dims: %w", err)
+		return Header{}, false, fmt.Errorf("pipeline: container dims: %w", err)
 	}
 	if h.Blocks = ExpectedSlabDims(h.Nx, h.Ny, h.Nz, n); len(h.Blocks) != n {
-		return Header{}, fmt.Errorf("pipeline: %d blocks cannot tile a %dx%dx%d field: %w",
+		return Header{}, false, fmt.Errorf("pipeline: %d blocks cannot tile a %dx%dx%d field: %w",
 			n, h.Nx, h.Ny, h.Nz, safedec.ErrCorrupt)
 	}
-	return h, nil
+	return h, [4]byte(b[:4]) == legacyMagic, nil
 }
 
-// DecompressStream reconstructs the field encoded on r. Frames are read one
-// at a time and decoded on the worker pool; the input is never buffered
-// beyond the bounded in-flight window, and every container-claimed size is
-// validated against the configured limits before it sizes an allocation.
+// frames is the one frame parser behind every decoder: the function it
+// returns yields block i's stream, and is called for i = 0, 1, … in order.
+// take(k) hands out the container's next k bytes after the header (views
+// of an in-memory container, fresh buffers from a reader). A CPL1 frame is
+// its length, then its stream; the legacy CCH1 keeps all n lengths in one
+// table ahead of the streams, taken on the first call. Each length is
+// checked against lim.Alloc before its stream is taken.
+func frames(take func(k int64) ([]byte, error), n int, legacy bool, lim safedec.Limits) func(i int) ([]byte, error) {
+	var table []byte
+	return func(i int) ([]byte, error) {
+		var lp []byte
+		var err error
+		if legacy {
+			if table == nil {
+				if table, err = take(4 * int64(n)); err != nil {
+					return nil, fmt.Errorf("length table: %w", safedec.ErrTruncated)
+				}
+			}
+			lp = table[4*i:]
+		} else if lp, err = take(4); err != nil {
+			return nil, fmt.Errorf("frame header: %w", safedec.ErrTruncated)
+		}
+		l := int64(binary.LittleEndian.Uint32(lp))
+		if err := lim.Alloc("pipeline block", l); err != nil {
+			return nil, err
+		}
+		buf, err := take(l)
+		if err != nil {
+			return nil, fmt.Errorf("frame body: %w", safedec.ErrTruncated)
+		}
+		return buf, nil
+	}
+}
+
+// Frames validates a slab container held in memory — CPL1, or the legacy
+// CCH1 — and returns its header and its block streams, which alias b.
+// Every container-claimed size is checked against lim before it is used,
+// and the whole framing before any stream is returned; bytes after the
+// last frame are ignored, as DecompressStream never reads them. Pair it
+// with per-block decoding: a local codec, or a shard fan-out.
+func Frames(b []byte, lim safedec.Limits) (Header, [][]byte, error) {
+	lim = lim.Norm()
+	h, legacy, err := parseHeader(b, lim)
+	if err != nil {
+		return Header{}, nil, err
+	}
+	n, rest := len(h.Blocks), b[headerLen:]
+	// Each frame costs at least four bytes of length: refuse a count the
+	// input cannot hold before sizing the stream list by it.
+	if int64(len(rest)) < 4*int64(n) {
+		return Header{}, nil, fmt.Errorf("pipeline: %d blocks in %d bytes: %w", n, len(rest), safedec.ErrTruncated)
+	}
+	next := frames(func(k int64) ([]byte, error) {
+		if k > int64(len(rest)) {
+			return nil, io.ErrUnexpectedEOF
+		}
+		p := rest[:k:k]
+		rest = rest[k:]
+		return p, nil
+	}, n, legacy, lim)
+	blocks := make([][]byte, n)
+	for i := range blocks {
+		if blocks[i], err = next(i); err != nil {
+			return Header{}, nil, blockErr(i, err)
+		}
+	}
+	return h, blocks, nil
+}
+
+// DecompressStream reconstructs the field encoded on r (CPL1, or the legacy
+// CCH1). Frames are read one at a time and decoded on the worker pool; the
+// input is never buffered beyond the bounded in-flight window, and every
+// container-claimed size is validated against the configured limits before
+// it sizes an allocation.
 func (c *Codec) DecompressStream(r io.Reader) (*field.Field, error) {
-	lim := c.opts.Limits
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pipeline: short container header: %w", safedec.ErrTruncated)
 	}
-	h, err := ParseHeader(hdr[:], lim)
+	h, legacy, err := parseHeader(hdr[:], c.opts.Limits)
 	if err != nil {
 		return nil, err
 	}
+	return c.decode(h, frames(func(k int64) ([]byte, error) {
+		buf := make([]byte, k)
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}, len(h.Blocks), legacy, c.opts.Limits))
+}
+
+// Decompress implements compressor.Codec under the configured limits.
+func (c *Codec) Decompress(stream []byte) (*field.Field, error) {
+	return c.DecompressLimited(stream, c.opts.Limits)
+}
+
+// DecompressLimited implements compressor.Codec: Frames splits the
+// container, its streams aliasing stream, and the blocks decode as
+// DecompressStream's do.
+func (c *Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field, error) {
+	cc := *c
+	cc.opts.Limits = lim.Norm()
+	h, blocks, err := Frames(stream, cc.opts.Limits)
+	if err != nil {
+		return nil, err
+	}
+	return cc.decode(h, func(i int) ([]byte, error) { return blocks[i], nil })
+}
+
+// decode splices the blocks frame yields into the field h describes: each
+// is decoded on the worker pool and must have the dims the header implies.
+// frame runs in runOrdered's launch step, on a single goroutine in index
+// order: reads stay sequential, and the bounded reorder window doubles as
+// bounded read-ahead — a hostile endless input is never buffered beyond
+// O(Workers) frames, each vetted against the limits before its buffer is
+// allocated.
+func (c *Codec) decode(h Header, frame func(i int) ([]byte, error)) (*field.Field, error) {
+	lim := c.opts.Limits
 	want := h.Blocks
 	f := field.New("pipeline", h.Nx, h.Ny, h.Nz)
 	offsets := make([]int, len(want)+1)
 	for i, d := range want {
 		offsets[i+1] = offsets[i] + d[0]*d[1]*d[2]
 	}
-
-	// Frames are read inside the launch step, which runOrdered runs on a
-	// single goroutine in index order: reads stay sequential, and the
-	// bounded reorder window doubles as bounded read-ahead — a hostile
-	// endless input is never buffered beyond O(Workers) frames, each
-	// individually vetted against lim before its buffer is allocated.
 	var readFailed error
 	failure := func(i int, err error) func() (*field.Field, error) {
 		return func() (*field.Field, error) { return nil, blockErr(i, err) }
 	}
-	err = runOrdered(len(want), c.opts.Workers,
+	err := runOrdered(len(want), c.opts.Workers,
 		func(i int) func() (*field.Field, error) {
 			if readFailed != nil {
 				return failure(i, readFailed)
 			}
-			var lbuf [4]byte
-			if _, err := io.ReadFull(r, lbuf[:]); err != nil {
-				readFailed = fmt.Errorf("frame header: %w", safedec.ErrTruncated)
-				return failure(i, readFailed)
-			}
-			l := int64(binary.LittleEndian.Uint32(lbuf[:]))
-			if err := lim.Alloc("pipeline block", l); err != nil {
+			buf, err := frame(i)
+			if err != nil {
 				readFailed = err
-				return failure(i, readFailed)
-			}
-			buf := make([]byte, l)
-			if _, err := io.ReadFull(r, buf); err != nil {
-				readFailed = fmt.Errorf("frame body: %w", safedec.ErrTruncated)
-				return failure(i, readFailed)
+				return failure(i, err)
 			}
 			d := want[i]
 			return func() (*field.Field, error) {
@@ -353,28 +475,6 @@ func (c *Codec) DecompressStream(r io.Reader) (*field.Field, error) {
 	return f, nil
 }
 
-// Decompress implements compressor.Codec.
-func (c *Codec) Decompress(stream []byte) (*field.Field, error) {
-	return c.DecompressStream(bytes.NewReader(stream))
-}
-
-// DecompressLimited implements compressor.Codec.
-func (c *Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field, error) {
-	cc := *c
-	cc.opts.Limits = lim.Norm()
-	return cc.DecompressStream(bytes.NewReader(stream))
-}
-
-// CompressSlabs compresses each slab with codec on a bounded worker pool,
-// returning the per-slab streams in slab order. It is the fan-out primitive
-// the chunked container format builds on.
-func CompressSlabs(codec compressor.Codec, slabs []*field.Field, eb float64, workers int) ([][]byte, error) {
-	return FanOut(len(slabs), workers, func(i int) ([]byte, error) {
-		buf, err := codec.Compress(slabs[i], eb)
-		return buf, blockErr(i, err)
-	})
-}
-
 // blockErr names the container block a codec call failed on (nil stays nil).
 func blockErr(i int, err error) error {
 	if err != nil {
@@ -385,9 +485,9 @@ func blockErr(i int, err error) error {
 
 // FanOut runs work(i) for i in [0, n) on at most workers goroutines (0:
 // GOMAXPROCS) and returns the results in index order. It is the module's
-// one compute pool: besides the containers here it grows rf's trees and
-// CV folds, scores bayesopt's candidates, scans features' blocks, collects
-// core's fields and fans carolgate's slabs out to shards. The first error
+// one compute pool: it grows rf's trees and CV folds, scores bayesopt's
+// candidates, scans features' blocks, collects core's fields and fans
+// carolgate's slabs out to shards. The first error
 // in index order is returned unwrapped and stops useful work (in-flight
 // items drain so no goroutine leaks); the pool is runOrdered's discipline —
 // sequential launch, bounded concurrency acquired before each go
@@ -420,14 +520,4 @@ func FanOut[T any](n, workers int, work func(i int) (T, error)) ([]T, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// DecompressSlabs decodes each stream with codec under lim on a bounded
-// worker pool, returning decoded slabs in stream order.
-func DecompressSlabs(codec compressor.Codec, chunks [][]byte, lim safedec.Limits, workers int) ([]*field.Field, error) {
-	lim = lim.Norm()
-	return FanOut(len(chunks), workers, func(i int) (*field.Field, error) {
-		g, err := codec.DecompressLimited(chunks[i], lim)
-		return g, blockErr(i, err)
-	})
 }

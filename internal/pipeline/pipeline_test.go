@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -350,18 +351,30 @@ func TestTruncatedStream(t *testing.T) {
 	}
 }
 
-func TestCompressSlabsError(t *testing.T) {
-	// An error on one slab must surface (with its index) and not hang the
+// failingCodec fails on the block whose sample count is failLen.
+type failingCodec struct {
+	compressor.Codec
+	failLen int
+}
+
+func (c failingCodec) Compress(f *field.Field, eb float64) ([]byte, error) {
+	if f.Len() == c.failLen {
+		return nil, errors.New("injected failure")
+	}
+	return c.Codec.Compress(f, eb)
+}
+
+func TestCompressBlockError(t *testing.T) {
+	// An error on one block must surface (with its index) and not hang the
 	// pool.
 	inner, err := codecs.ByName("szx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := testField(t, 8, 8, 8)
-	slabs := SplitField(f, 4)
-	slabs[2] = &field.Field{Name: "empty"} // ValidateArgs rejects empty fields
-	if _, err := CompressSlabs(inner, slabs, 1e-3, 2); err == nil {
-		t.Fatal("bad slab accepted")
+	f := testField(t, 8, 8, 7) // z slabs of 1, 2, 2, 2 planes: block 0 is the short one
+	c := New(failingCodec{inner, 8 * 8}, Options{Blocks: 4, Workers: 2})
+	if _, err := c.Compress(f, 1e-3); err == nil || !strings.Contains(err.Error(), "block 0") {
+		t.Fatalf("err = %v, want block 0's failure", err)
 	}
 }
 

@@ -35,7 +35,10 @@ run ./internal/rf FuzzSplitSearchMatchesReference
 run ./internal/xrand FuzzFBmMatchesReference
 run ./internal/xrand FuzzFBmRowMatchesReference
 run ./internal/archive FuzzArchiveRead
-run ./internal/chunked FuzzChunkedDecompress
+# The one slab-container frame parser, over CPL1 and the legacy CCH1: its
+# checked-in corpus holds internal/chunked's CCH1 seeds and one CCH1
+# container per codec.
+run ./internal/pipeline FuzzFrames
 run ./internal/model FuzzModelRead
 run ./internal/selector FuzzAutoSelect
 

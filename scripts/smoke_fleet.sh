@@ -5,8 +5,8 @@
 #
 #   1. whole-field requests route through the gate and round-trip, a
 #      stream=1 answer with its trailers
-#   2. large fields slab-fan across shards into a CCH1 container that
-#      decompresses back through the gate
+#   2. large fields slab-fan across shards into a CPL1 container that
+#      decompresses back through the gate and with carolc -d
 #   3. /v1/fleet reports 3 healthy shards with converged models
 #   4. killing a shard degrades the fleet but not correctness
 #   5. publishing a new model version converges every shard via the
@@ -36,7 +36,7 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 echo "== build"
-go build -o "$bindir" ./cmd/carolserve ./cmd/carolgate ./cmd/caroltrain
+go build -o "$bindir" ./cmd/carolserve ./cmd/carolgate ./cmd/caroltrain ./cmd/carolc
 
 echo "== caroltrain: publish model version 1 into the shared registry"
 "$bindir/caroltrain" -codec szx -model-dir "$workdir/models" \
@@ -123,11 +123,11 @@ done
 
 echo "== chunked fan-out round trip through the gate (64 KiB field)"
 dd if=/dev/zero of="$workdir/big.raw" bs=65536 count=1 2>/dev/null
-curl -fsS -o "$workdir/big.cch" -D "$workdir/big-headers.txt" \
+curl -fsS -o "$workdir/big.cpl" -D "$workdir/big-headers.txt" \
     --data-binary @"$workdir/big.raw" \
     "http://$ag/v1/compress?codec=szx&rel=1e-3&dims=64x16x16"
-head -c 4 "$workdir/big.cch" | grep -q CCH1 || {
-    echo "smoke-fleet: large compress did not answer a CCH1 container" >&2
+head -c 4 "$workdir/big.cpl" | grep -q CPL1 || {
+    echo "smoke-fleet: large compress did not answer a CPL1 container" >&2
     dump_log carolgate
     exit 1
 }
@@ -136,7 +136,7 @@ grep -i "X-Carol-Fanout-Chunks: 3" "$workdir/big-headers.txt" || {
     cat "$workdir/big-headers.txt" >&2
     exit 1
 }
-curl -fsS -o "$workdir/big-restored.raw" --data-binary @"$workdir/big.cch" \
+curl -fsS -o "$workdir/big-restored.raw" --data-binary @"$workdir/big.cpl" \
     "http://$ag/v1/decompress?codec=szx"
 restored=$(wc -c <"$workdir/big-restored.raw")
 if [ "$restored" -ne 65536 ]; then
@@ -144,6 +144,13 @@ if [ "$restored" -ne 65536 ]; then
     dump_log carolgate
     exit 1
 fi
+# The fan-out answer is the container every other tier writes: carolc
+# decodes it locally, to the bytes the gate's decompress gave.
+"$bindir/carolc" -d -codec szx -in "$workdir/big.cpl" -out "$workdir/big-carolc.raw"
+cmp -s "$workdir/big-carolc.raw" "$workdir/big-restored.raw" || {
+    echo "smoke-fleet: carolc -d decoded the fan-out answer differently from the gate" >&2
+    exit 1
+}
 
 echo "== a fan-out body 4 bytes longer than dims= is refused with 400, not served with its tail dropped"
 { cat "$workdir/big.raw"; printf 'tail'; } >"$workdir/big-long.raw"
@@ -180,9 +187,9 @@ curl -fsS -o "$workdir/degraded.bin" --data-binary @"$workdir/small.raw" \
 wait_for carolgate 100 sh -c \
     "curl -fsS 'http://$ag/v1/fleet' | grep -q '\"healthy_shards\":2'"
 # Chunked traffic must also survive on the 2 survivors.
-curl -fsS -o "$workdir/big2.cch" --data-binary @"$workdir/big.raw" \
+curl -fsS -o "$workdir/big2.cpl" --data-binary @"$workdir/big.raw" \
     "http://$ag/v1/compress?codec=szx&rel=1e-3&dims=64x16x16"
-curl -fsS -o "$workdir/big2-restored.raw" --data-binary @"$workdir/big2.cch" \
+curl -fsS -o "$workdir/big2-restored.raw" --data-binary @"$workdir/big2.cpl" \
     "http://$ag/v1/decompress?codec=szx"
 restored=$(wc -c <"$workdir/big2-restored.raw")
 if [ "$restored" -ne 65536 ]; then
@@ -214,13 +221,13 @@ if [ -z "$job_id" ]; then
 fi
 wait_for carolgate 100 sh -c \
     "curl -fsS 'http://$ag/v1/jobs/$job_id' | grep -q '\"state\":\"done\"'"
-curl -fsS -o "$workdir/job-result.cch" "http://$ag/v1/jobs/$job_id/result"
-head -c 4 "$workdir/job-result.cch" | grep -q CCH1 || {
-    echo "smoke-fleet: job result is not a CCH1 container" >&2
+curl -fsS -o "$workdir/job-result.cpl" "http://$ag/v1/jobs/$job_id/result"
+head -c 4 "$workdir/job-result.cpl" | grep -q CPL1 || {
+    echo "smoke-fleet: job result is not a CPL1 container" >&2
     dump_log carolgate
     exit 1
 }
-curl -fsS -o "$workdir/job-restored.raw" --data-binary @"$workdir/job-result.cch" \
+curl -fsS -o "$workdir/job-restored.raw" --data-binary @"$workdir/job-result.cpl" \
     "http://$ag/v1/decompress?codec=szx"
 restored=$(wc -c <"$workdir/job-restored.raw")
 if [ "$restored" -ne 65536 ]; then
@@ -251,11 +258,11 @@ if [ "$restored" -ne 4096 ]; then
 fi
 
 echo "== mode=auto: chunked fan-out resolves one codec at the gate"
-curl -fsS -o "$workdir/auto-big.cch" -D "$workdir/auto-big-headers.txt" \
+curl -fsS -o "$workdir/auto-big.cpl" -D "$workdir/auto-big-headers.txt" \
     --data-binary @"$workdir/big.raw" \
     "http://$ag/v1/compress?mode=auto&rel=1e-3&dims=64x16x16"
-head -c 4 "$workdir/auto-big.cch" | grep -q CCH1 || {
-    echo "smoke-fleet: auto fan-out did not answer a CCH1 container" >&2
+head -c 4 "$workdir/auto-big.cpl" | grep -q CPL1 || {
+    echo "smoke-fleet: auto fan-out did not answer a CPL1 container" >&2
     dump_log carolgate
     exit 1
 }
@@ -267,7 +274,7 @@ if [ -z "$gchosen" ]; then
 fi
 echo "   gate chose: $gchosen"
 curl -fsS -o "$workdir/auto-big-restored.raw" \
-    --data-binary @"$workdir/auto-big.cch" \
+    --data-binary @"$workdir/auto-big.cpl" \
     "http://$ag/v1/decompress?codec=$gchosen"
 restored=$(wc -c <"$workdir/auto-big-restored.raw")
 if [ "$restored" -ne 65536 ]; then
