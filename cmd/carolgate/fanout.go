@@ -112,8 +112,15 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 		pq.Set("codec", codecName)
 		pq.Set("abs", strconv.FormatFloat(eb, 'g', 17, 64))
 		pq.Set("dims", fmt.Sprintf("%dx%dx%d", dims[i][0], dims[i][1], dims[i][2]))
+		// A slab of undeclared length that ends cleanly but short would look
+		// whole; carolserve declares every compress answer's length.
 		resp, err := g.routeCandidates(slabCandidates(cands, i),
-			http.MethodPost, "/v1/compress?"+pq.Encode(), body[offs[i]:offs[i+1]])
+			http.MethodPost, "/v1/compress?"+pq.Encode(), body[offs[i]:offs[i+1]], func(resp *shardResponse) error {
+				if resp.length < 0 {
+					return errors.New("slab answer without Content-Length")
+				}
+				return nil
+			})
 		if err != nil {
 			return nil, fmt.Errorf("slab %d: %w", i, err)
 		}
@@ -202,18 +209,19 @@ func (g *gate) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	slabBytes, err := pipeline.FanOut(len(chunks), g.cfg.fanoutWorkers, func(i int) ([]byte, error) {
 		pq := url.Values{}
 		pq.Set("codec", codec)
+		size := 4 * want[i][0] * want[i][1] * want[i][2]
 		resp, err := g.routeCandidates(slabCandidates(cands, i),
-			http.MethodPost, "/v1/decompress?"+pq.Encode(), chunks[i])
+			http.MethodPost, "/v1/decompress?"+pq.Encode(), chunks[i], func(resp *shardResponse) error {
+				if len(resp.body) != size {
+					return fmt.Errorf("shard returned %d bytes, want %d", len(resp.body), size)
+				}
+				return nil
+			})
 		if err != nil {
 			return nil, fmt.Errorf("chunk %d: %w", i, err)
 		}
 		if resp.status != http.StatusOK {
 			return nil, fmt.Errorf("chunk %d: shard status %d: %s", i, resp.status, truncate(resp.body))
-		}
-		d := want[i]
-		if len(resp.body) != d[0]*d[1]*d[2]*4 {
-			return nil, fmt.Errorf("chunk %d: shard returned %d bytes, want %d",
-				i, len(resp.body), d[0]*d[1]*d[2]*4)
 		}
 		return resp.body, nil
 	})

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,6 +60,8 @@ func codecShard(t testing.TB, compresses *atomic.Int64) *httptest.Server {
 			httpkit.CodecError(w, err)
 			return
 		}
+		// As carolserve does: the gate refuses a slab of undeclared length.
+		w.Header().Set("Content-Length", strconv.Itoa(len(stream)))
 		if _, err := w.Write(stream); err != nil {
 			t.Logf("codec shard write: %v", err)
 		}
@@ -357,6 +360,7 @@ func TestShardConnectionsReused(t *testing.T) {
 			if err != nil {
 				t.Errorf("echo shard: %v", err)
 			}
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 			if _, err := w.Write(body); err != nil {
 				t.Errorf("echo shard: %v", err)
 			}

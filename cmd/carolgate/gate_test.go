@@ -83,12 +83,14 @@ func newFakeShard(t *testing.T) *fakeShard {
 		// Like carolserve, a stream=1 answer knows its ratio only once the
 		// body is out, and sends it with its trace as trailers.
 		stream := r.URL.Query().Get("stream") == "1"
+		out := append([]byte(fakeStreamMagic), body...)
 		if stream {
 			w.Header().Set("Trailer", "X-Carol-Achieved-Ratio, X-Carol-Trace")
 		} else {
 			w.Header().Set("X-Carol-Achieved-Ratio", "1")
+			w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 		}
-		if _, err := w.Write(append([]byte(fakeStreamMagic), body...)); err != nil {
+		if _, err := w.Write(out); err != nil {
 			t.Logf("fake shard write: %v", err)
 		}
 		if stream {

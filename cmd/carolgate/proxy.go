@@ -145,6 +145,8 @@ type shardResponse struct {
 	// achieved ratio and trace.
 	trailer http.Header
 	body    []byte
+	// length is the Content-Length the shard declared, -1 for none.
+	length int64
 	// rest follows body on the wire: a compress fan-out's slab streams
 	// after its container header. Shard answers have none.
 	rest [][]byte
@@ -195,7 +197,8 @@ func (g *gate) callShard(shard, method, pathAndQuery string, body []byte) (*shar
 	if err != nil {
 		return nil, fmt.Errorf("shard response: %w", err)
 	}
-	return &shardResponse{status: resp.StatusCode, header: resp.Header, trailer: resp.Trailer, body: out}, nil
+	return &shardResponse{status: resp.StatusCode, header: resp.Header, trailer: resp.Trailer, body: out,
+		length: resp.ContentLength}, nil
 }
 
 // routeWithRetry walks key's replica sequence — healthy shards first, in
@@ -203,12 +206,15 @@ func (g *gate) callShard(shard, method, pathAndQuery string, body []byte) (*shar
 // shard is marked down on the spot. The error is errNoShards when no
 // candidate exists (503 + Retry-After at the edge).
 func (g *gate) routeWithRetry(key, method, pathAndQuery string, body []byte) (*shardResponse, error) {
-	return g.routeCandidates(g.ring.Lookup(key, g.ring.Len()), method, pathAndQuery, body)
+	return g.routeCandidates(g.ring.Lookup(key, g.ring.Len()), method, pathAndQuery, body, nil)
 }
 
 // routeCandidates tries candidates in order until one answers
-// non-retryably.
-func (g *gate) routeCandidates(candidates []string, method, pathAndQuery string, body []byte) (*shardResponse, error) {
+// non-retryably. whole, when set, vouches that a 200 answer arrived
+// complete; an answer it refuses is a failed attempt, like a retryable
+// status.
+func (g *gate) routeCandidates(candidates []string, method, pathAndQuery string, body []byte,
+	whole func(*shardResponse) error) (*shardResponse, error) {
 	attempts := 0
 	var lastErr error
 	for _, shard := range candidates {
@@ -229,6 +235,12 @@ func (g *gate) routeCandidates(candidates []string, method, pathAndQuery string,
 		if retryable(resp.status) {
 			lastErr = fmt.Errorf("shard %s: status %d", shard, resp.status)
 			continue
+		}
+		if resp.status == http.StatusOK && whole != nil {
+			if err := whole(resp); err != nil {
+				lastErr = fmt.Errorf("shard %s: %w", shard, err)
+				continue
+			}
 		}
 		return resp, nil
 	}

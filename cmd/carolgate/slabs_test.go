@@ -166,11 +166,18 @@ func (e *errAfter) Read(p []byte) (int, error) {
 
 func (e *errAfter) Close() error { return nil }
 
-// slabFaults are the four ways a shard answer goes wrong on the wire.
+// slabFaults are the five ways a shard answer goes wrong on the wire.
 var slabFaults = map[string]func(r *http.Request, resp *http.Response, body []byte) (*http.Response, error){
 	// The connection closes cleanly after half the declared length.
 	"truncated": func(_ *http.Request, resp *http.Response, body []byte) (*http.Response, error) {
 		resp.ContentLength = int64(len(body))
+		resp.Body = &errAfter{body[:len(body)/2], io.EOF}
+		return resp, nil
+	},
+	// The shard declares no length and ends cleanly after half its answer.
+	"short": func(_ *http.Request, resp *http.Response, body []byte) (*http.Response, error) {
+		resp.ContentLength = -1
+		resp.Header.Del("Content-Length")
 		resp.Body = &errAfter{body[:len(body)/2], io.EOF}
 		return resp, nil
 	},
@@ -198,7 +205,7 @@ var slabFaults = map[string]func(r *http.Request, resp *http.Response, body []by
 	},
 }
 
-// TestGateSlabFaults injects each of the four faults into one slab's shard
+// TestGateSlabFaults injects each of the five faults into one slab's shard
 // answer, then into every one, on both fan-outs. A fault once is retried on
 // the next replica, and the answer is exactly what pipeline gives locally;
 // a fault everywhere is a classified 502 or 503. No outcome is a 200 with

@@ -1,8 +1,10 @@
 // Command caroltrain is the offline half of CAROL's model lifecycle: it
-// runs the full training pipeline — surrogate data collection (calibrated
-// for the high-ratio codecs), Bayesian-optimized random-forest fitting —
-// and publishes the result as a versioned artifact in an on-disk model
-// registry, where a warm-loading carolserve picks it up (DESIGN.md §12).
+// runs core.Framework's training pipeline — surrogate data collection
+// (calibrated for the high-ratio codecs), then the Bayesian-optimized
+// random forest, or whichever -backends entry cross-validates best — and
+// publishes the result as a versioned artifact in an on-disk model
+// registry, where a warm-loading carolserve picks it up (DESIGN.md §12,
+// §17).
 //
 //	caroltrain -codec sz3 -model-dir ./models -datasets miranda,cesm
 //	caroltrain -codec szx -model-dir ./models -datasets miranda:viscosity \
@@ -68,12 +70,13 @@ func parseFlags(args []string) (options, error) {
 		"comma-separated training data: dataset or dataset:field (see carolgen -list)")
 	fs.StringVar(&o.dims, "dims", "", "override generated field dims NXxNYxNZ (tests and smoke runs)")
 	fs.StringVar(&backends, "backends", model.BackendRF,
-		"comma-separated surrogate backends to train and compare ("+strings.Join(model.KnownBackends(), ",")+"); "+
-			"\"rf\" alone keeps the classic BO-tuned forest path")
-	fs.IntVar(&o.bounds, "bounds", 35, "error bounds sampled per field during collection")
-	fs.IntVar(&o.boIters, "bo-iters", 10, "Bayesian-optimization iterations")
+		"comma-separated surrogate backends ("+strings.Join(model.KnownBackends(), ",")+"); "+
+			"with two or more, each is cross-validated on one shared split and the best is published; "+
+			"the forest's BO search runs only when rf is listed")
+	fs.IntVar(&o.bounds, "bounds", core.DefaultBounds, "error bounds sampled per field during collection")
+	fs.IntVar(&o.boIters, "bo-iters", core.DefaultBOIterations, "Bayesian-optimization iterations")
 	fs.IntVar(&o.forestCap, "forest-cap", 0, "cap NEstimators in the final forest (0 = none)")
-	fs.IntVar(&o.kfolds, "kfolds", 3, "cross-validation folds per BO evaluation")
+	fs.IntVar(&o.kfolds, "kfolds", core.DefaultKFolds, "cross-validation folds per BO evaluation and backend comparison")
 	fs.IntVar(&o.workers, "workers", 0, "CPU parallelism for field generation, collection and training (0 = all cores)")
 	fs.Uint64Var(&o.seed, "seed", 1, "master seed for every randomized component")
 	fs.IntVar(&o.gcKeep, "gc", 0, "after publishing, keep only the newest N versions (0 = keep all)")
@@ -168,15 +171,15 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "caroltrain: generated %d fields in %v\n", len(fields), time.Since(start).Round(time.Millisecond))
-	cfg := core.Config{
-		ErrorBounds:  trainset.GeometricBounds(1e-4, 1e-1, o.bounds),
+	fw, err := core.New(o.codec, core.Config{
+		ErrorBounds:  trainset.GeometricBounds(core.MinErrorBound, core.MaxErrorBound, o.bounds),
 		BOIterations: o.boIters,
 		ForestCap:    o.forestCap,
 		KFolds:       o.kfolds,
+		Model:        strings.Join(o.backends, ","),
 		Workers:      o.workers,
 		Seed:         o.seed,
-	}
-	fw, err := core.New(o.codec, cfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -190,48 +193,42 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	forest, err := fw.Forest()
+	meta := map[string]string{
+		"trained_at": time.Now().UTC().Format(time.RFC3339),
+		"datasets":   o.datasets,
+		"fields":     strconv.Itoa(cs.Fields),
+		"samples":    strconv.Itoa(cs.Samples),
+		"seed":       strconv.FormatUint(o.seed, 10),
+	}
+	if slices.Contains(o.backends, model.BackendRF) {
+		fmt.Fprintf(out, "caroltrain: BO evaluated %d configs in %v, best CV MSE %.6g (trees=%d depth=%d features=%s)\n",
+			ts.Evaluated, ts.Duration.Round(time.Millisecond), ts.BestScore,
+			ts.BestConfig.NEstimators, ts.BestConfig.MaxDepth, ts.BestConfig.MaxFeatures)
+		meta["bo_iterations"] = strconv.Itoa(ts.Evaluated)
+		meta["best_cv_mse"] = strconv.FormatFloat(ts.BestScore, 'g', -1, 64)
+	}
+	// The zoo's scoreboard: each backend's CV score, or the error that
+	// knocked it out, and the winner.
+	for _, c := range ts.Zoo {
+		if c.Err != nil {
+			fmt.Fprintf(out, "caroltrain: zoo: %s failed: %v\n", c.Backend, c.Err)
+			meta["zoo_err_"+c.Backend] = c.Err.Error()
+			continue
+		}
+		fmt.Fprintf(out, "caroltrain: zoo: %s cv mse %.6g\n", c.Backend, c.CVMSE)
+		meta["zoo_cv_mse_"+c.Backend] = strconv.FormatFloat(c.CVMSE, 'g', -1, 64)
+	}
+	if len(ts.Zoo) > 0 {
+		fmt.Fprintf(out, "caroltrain: zoo: winner %s\n", ts.Backend)
+		meta["zoo_best_backend"] = ts.Backend
+	}
+	art, err := fw.Artifact(meta)
 	if err != nil {
 		return err
 	}
-	best := forest.Config()
-	fmt.Fprintf(out, "caroltrain: BO evaluated %d configs in %v, best CV MSE %.6g (trees=%d depth=%d features=%s)\n",
-		ts.Evaluated, ts.Duration.Round(time.Millisecond), ts.BestScore,
-		best.NEstimators, best.MaxDepth, best.MaxFeatures)
-	stats := forest.Stats()
-	fmt.Fprintf(out, "caroltrain: forest: %d trees, %d nodes, max depth %d\n",
-		stats.Trees, stats.Nodes, stats.MaxDepth)
-
-	meta := map[string]string{
-		"trained_at":    time.Now().UTC().Format(time.RFC3339),
-		"datasets":      o.datasets,
-		"fields":        strconv.Itoa(cs.Fields),
-		"samples":       strconv.Itoa(cs.Samples),
-		"bo_iterations": strconv.Itoa(ts.Evaluated),
-		"best_cv_mse":   strconv.FormatFloat(ts.BestScore, 'g', -1, 64),
-		"seed":          strconv.FormatUint(o.seed, 10),
-	}
-	var art *model.Artifact
-	if len(o.backends) == 1 && o.backends[0] == model.BackendRF {
-		// Classic path: with the forest as the only entrant there is nothing
-		// to cross-validate, so publish the BO-tuned forest exactly as
-		// trained — bit-identical to an in-process framework with the same
-		// flags.
-		art = &model.Artifact{
-			Codec:     o.codec,
-			Schema:    model.CanonicalSchema(),
-			Regressor: forest,
-			Meta:      meta,
-		}
-	} else {
-		// Zoo path: cross-validate every requested backend on the same
-		// fold split (the rf entrant reuses the BO-tuned config) and
-		// publish whichever wins on this dataset.
-		art, err = trainZoo(out, fw, o, ts.BestConfig, meta)
-		if err != nil {
-			return err
-		}
-	}
+	st := art.Stats()
+	fmt.Fprintf(out, "caroltrain: %s forest: %d trees, %d nodes, max depth %d\n",
+		st.Backend, st.Trees, st.Nodes, st.MaxDepth)
 	buf, err := art.Encode()
 	if err != nil {
 		return err

@@ -12,6 +12,7 @@ import (
 	"carol/internal/dataset"
 	"carol/internal/features"
 	"carol/internal/field"
+	"carol/internal/model"
 	"carol/internal/registry"
 	"carol/internal/safedec"
 	"carol/internal/trainset"
@@ -309,5 +310,100 @@ func TestRunZooBackends(t *testing.T) {
 		if out.Len() != 0 {
 			t.Fatalf("-backends %q rejected only after work was done:\n%s", bad, out.String())
 		}
+	}
+}
+
+// loadLatest reads the newest version of name published under dir.
+func loadLatest(t *testing.T, dir, name string) *model.Artifact {
+	t.Helper()
+	reg, err := registry.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest, err := reg.Latest(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := reg.Load(latest, safedec.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art
+}
+
+// encodeWithout encodes a with its trained_at stamp dropped.
+func encodeWithout(t *testing.T, a *model.Artifact) []byte {
+	t.Helper()
+	delete(a.Meta, "trained_at")
+	buf, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestZooDeterminism: a multi-backend run publishes the same artifact,
+// scoreboard included, at -workers 1 and 4.
+func TestZooDeterminism(t *testing.T) {
+	var want []byte
+	for _, workers := range []string{"1", "4"} {
+		dir := t.TempDir()
+		args := append(tinyArgs(dir, "-backends", "boost,rf"), "-workers", workers)
+		if err := run(args, &bytes.Buffer{}); err != nil {
+			t.Fatalf("-workers %s: %v", workers, err)
+		}
+		got := encodeWithout(t, loadLatest(t, dir, "szx"))
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("-workers %s published a different artifact", workers)
+		}
+	}
+}
+
+// TestZooSubsetBackends: -backends boost runs no forest search and
+// publishes exactly the regressor core.Config{Model: "boost"} fits, with
+// no BO or zoo keys in its metadata.
+func TestZooSubsetBackends(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run(tinyArgs(dir, "-backends", "boost"), &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "BO evaluated") || strings.Contains(out.String(), "zoo:") {
+		t.Fatalf("-backends boost searched or compared:\n%s", out.String())
+	}
+	art := loadLatest(t, dir, "szx")
+	for k := range art.Meta {
+		if k == "bo_iterations" || k == "best_cv_mse" || strings.HasPrefix(k, "zoo_") {
+			t.Fatalf("metadata carries %s: %v", k, art.Meta)
+		}
+	}
+	f, err := dataset.Generate("miranda", "velocityx", dataset.Options{Nx: 16, Ny: 16, Nz: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := core.New("szx", core.Config{
+		ErrorBounds: trainset.GeometricBounds(1e-4, 1e-1, 6),
+		KFolds:      2,
+		Model:       "boost",
+		Workers:     1,
+		Seed:        7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Collect([]*field.Field{f}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Train(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fw.Artifact(art.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeWithout(t, art), encodeWithout(t, want)) {
+		t.Fatal("published boost artifact differs from core's")
 	}
 }

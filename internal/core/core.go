@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"carol/internal/bayesopt"
@@ -37,10 +38,23 @@ import (
 	"carol/internal/trainset"
 )
 
+// The training defaults, exported for caroltrain's flags: a collection
+// sweep of DefaultBounds geometric relative bounds in [MinErrorBound,
+// MaxErrorBound], DefaultBOIterations Bayesian-optimization evaluations
+// and DefaultKFolds cross-validation folds.
+const (
+	MinErrorBound       = 1e-4
+	MaxErrorBound       = 1e-1
+	DefaultBounds       = 35
+	DefaultBOIterations = 10
+	DefaultKFolds       = 3
+)
+
 // Config tunes the framework. Zero values take defaults.
 type Config struct {
 	// ErrorBounds is the relative error-bound sweep used during data
-	// collection. Default: 35 geometric points in [1e-4, 1e-1].
+	// collection. Default: DefaultBounds geometric points in
+	// [MinErrorBound, MaxErrorBound].
 	ErrorBounds []float64
 	// CalibrationPoints is the number of full-compressor runs used to
 	// calibrate the surrogate per training field. -1 selects the paper's
@@ -48,21 +62,25 @@ type Config struct {
 	// (SZx, ZFP), 4 for the high-ratio group (SZ3, SPERR). Default -1.
 	CalibrationPoints int
 	// BOIterations is the number of Bayesian-optimization evaluations in a
-	// full training run. Default 10.
+	// full training run. Default DefaultBOIterations.
 	BOIterations int
 	// RefineIterations is the number of additional BO evaluations during
 	// an incremental Refine. Default 3.
 	RefineIterations int
-	// KFolds for cross-validation scoring. Default 3.
+	// KFolds for cross-validation scoring. Default DefaultKFolds.
 	KFolds int
 	// ForestCap limits NEstimators in the final model to keep scaled-down
 	// experiments fast; 0 means no cap.
 	ForestCap int
-	// Model selects the regression model by its model.KnownBackends tag:
-	// "rf" (random forest with Bayesian-optimized hyper-parameters — the
-	// paper's design) or "boost" (gradient-boosted trees with default
-	// hyper-parameters, the paper's "different machine learning models"
-	// future-work direction). Collect refuses any other tag. Default "rf".
+	// Model lists the regression backends by their model.KnownBackends
+	// tags, comma-separated (model.ParseBackends): "rf" (random forest with
+	// Bayesian-optimized hyper-parameters — the paper's design) and
+	// "boost" (gradient-boosted trees with default hyper-parameters, the
+	// paper's "different machine learning models" future-work direction).
+	// The forest's search runs only when "rf" is listed. With two or more
+	// tags Train cross-validates each on one shared KFolds split and fits
+	// only the lowest-scoring one, the earlier tag winning a tie. Collect
+	// refuses an unknown or repeated tag. Default "rf".
 	Model string
 	// Feedback enables the paper's second future-work direction, the
 	// on-the-fly improvement loop: every CompressToRatio outcome is fed
@@ -90,19 +108,19 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if len(c.ErrorBounds) == 0 {
-		c.ErrorBounds = trainset.GeometricBounds(1e-4, 1e-1, 35)
+		c.ErrorBounds = trainset.GeometricBounds(MinErrorBound, MaxErrorBound, DefaultBounds)
 	}
 	if c.CalibrationPoints == 0 {
 		c.CalibrationPoints = -1
 	}
 	if c.BOIterations <= 0 {
-		c.BOIterations = 10
+		c.BOIterations = DefaultBOIterations
 	}
 	if c.RefineIterations <= 0 {
 		c.RefineIterations = 3
 	}
 	if c.KFolds <= 0 {
-		c.KFolds = 3
+		c.KFolds = DefaultKFolds
 	}
 	if c.Model == "" {
 		c.Model = model.BackendRF
@@ -144,6 +162,11 @@ type TrainStats struct {
 	Trajectory []rf.Config
 	// Resumed reports whether the run continued from a checkpoint.
 	Resumed bool
+	// Backend is the tag of the fitted model.
+	Backend string
+	// Zoo holds each listed backend's cross-validation outcome, in
+	// Config.Model order, when it lists two or more; it is empty otherwise.
+	Zoo []Candidate
 }
 
 // Framework is a CAROL (or, from NewFXRZ, an FXRZ) instance bound to one
@@ -157,10 +180,12 @@ type Framework struct {
 	// and the forest's hyper-parameter search.
 	extract   func(*field.Field) features.Vector
 	fullSweep bool
-	search    func(X [][]float64, y []float64, iterations int) (TrainStats, error)
+	search    func(X [][]float64, y []float64, iterations int) (gridsearch.Result, error)
 	set       trainset.Set
 	opt       *bayesopt.Optimizer
 	model     model.Regressor
+	// backend is the tag model was fitted as.
+	backend string
 	// bestCfg holds the incumbent forest hyper-parameters (rf model only),
 	// reused by feedback refits; zero means the backend's defaults.
 	bestCfg rf.Config
@@ -189,7 +214,11 @@ func New(name string, cfg Config) (*Framework, error) {
 func NewWith(codec compressor.Codec, surrogate compressor.Estimator, cfg Config) *Framework {
 	fw := &Framework{codec: codec, surrogate: surrogate, cfg: cfg.withDefaults()}
 	fw.extract = func(f *field.Field) features.Vector { return features.ExtractParallel(f, features.ParallelOptions{}) }
-	fw.search = fw.bayesSearch
+	// CAROL's search: iterations more evaluations of the checkpointable
+	// Bayesian optimizer.
+	fw.search = func(X [][]float64, y []float64, iterations int) (gridsearch.Result, error) {
+		return gridsearch.Bayes(fw.opt, X, y, iterations, fw.cfg.KFolds, fw.cfg.Seed, fw.cfg.ForestCap, fw.cfg.Workers)
+	}
 	fw.opt = bayesopt.New(gridsearch.BOSpace(), fw.cfg.Seed)
 	fw.opt.Workers = fw.cfg.Workers
 	return fw
@@ -217,7 +246,9 @@ func NewFXRZ(codec compressor.Codec, cfg Config) *Framework {
 	fw.cfg.RefineIterations = fw.cfg.BOIterations
 	fw.extract = func(f *field.Field) features.Vector { return features.ExtractSampled(f, fxrzFeatureStride) }
 	fw.fullSweep = true
-	fw.search = fw.gridSearch
+	fw.search = func(X [][]float64, y []float64, iterations int) (gridsearch.Result, error) {
+		return gridsearch.Search(X, y, iterations, fw.cfg.KFolds, fw.cfg.Seed, fw.cfg.ForestCap, fw.cfg.Workers)
+	}
 	return fw
 }
 
@@ -227,9 +258,8 @@ func (fw *Framework) Codec() compressor.Codec { return fw.codec }
 // TrainingSize returns the number of collected samples.
 func (fw *Framework) TrainingSize() int { return fw.set.Len() }
 
-// TrainingSet exposes the collected samples (not a copy) so callers like
-// caroltrain can feed the same data to the multi-backend zoo after the
-// surrogate collection pass.
+// TrainingSet exposes the collected samples (not a copy), e.g. for the
+// experiments that train other models on one collection pass.
 func (fw *Framework) TrainingSet() *trainset.Set { return &fw.set }
 
 // calibrationPoints resolves the per-codec default.
@@ -254,9 +284,9 @@ func (fw *Framework) calibrationPoints() int {
 // the stats and the error (the first failing field's) are those of a
 // serial loop.
 func (fw *Framework) Collect(fields []*field.Field) (CollectStats, error) {
-	// Refuse a model tag Train cannot fit before paying for extraction and
-	// calibration runs.
-	if err := model.CheckBackends([]string{fw.cfg.Model}); err != nil {
+	// Refuse a model list Train cannot fit before paying for extraction
+	// and calibration runs.
+	if _, err := model.ParseBackends(fw.cfg.Model); err != nil {
 		return CollectStats{}, fmt.Errorf("core: %w", err)
 	}
 	start := time.Now()
@@ -324,7 +354,8 @@ func (fw *Framework) collectField(f *field.Field) fieldCurve {
 	return c
 }
 
-// Train runs the hyper-parameter search and fits the final forest. If the
+// Train runs the hyper-parameter search (when Config.Model lists "rf"),
+// picks the backend (when it lists two or more) and fits it. If the
 // Bayesian optimizer already holds observations (from a previous Train or a
 // restored checkpoint) the search resumes instead of restarting.
 func (fw *Framework) Train() (TrainStats, error) {
@@ -348,25 +379,39 @@ func (fw *Framework) train(iterations int) (TrainStats, error) {
 	if fw.set.Len() == 0 {
 		return TrainStats{}, errors.New("core: no training data collected")
 	}
+	tags, err := model.ParseBackends(fw.cfg.Model)
+	if err != nil {
+		return TrainStats{}, fmt.Errorf("core: %w", err)
+	}
 	start := time.Now()
 	X, y := fw.set.Matrix()
-	if fw.cfg.Model != model.BackendRF {
-		// Only the forest has a hyper-parameter search; every other backend
-		// is one fit with its defaults.
-		if err := fw.fit(X, y); err != nil {
-			return TrainStats{}, err
+	// Only the forest has a hyper-parameter search; every other backend is
+	// one fit with its defaults.
+	stats := TrainStats{Evaluated: 1}
+	if slices.Contains(tags, model.BackendRF) {
+		res, err := fw.search(X, y, iterations)
+		if err != nil {
+			return stats, fmt.Errorf("core: %w", err)
 		}
-		return TrainStats{Duration: time.Since(start), Evaluated: 1}, nil
+		stats = TrainStats{Evaluated: res.Evaluated, BestScore: res.Score, BestConfig: res.Config,
+			Trajectory: res.Trajectory, Resumed: res.Resumed}
+		fw.bestCfg = stats.BestConfig
+		if fw.cfg.ForestCap > 0 && fw.bestCfg.NEstimators > fw.cfg.ForestCap {
+			fw.bestCfg.NEstimators = fw.cfg.ForestCap
+		}
 	}
-	stats, err := fw.search(X, y, iterations)
-	if err != nil {
-		return stats, err
+	stats.Backend = tags[0]
+	if len(tags) > 1 {
+		if stats.Zoo, err = fw.zoo(X, y, tags); err != nil {
+			return stats, err
+		}
+		w := winner(stats.Zoo)
+		if w < 0 {
+			return stats, errors.New("core: every backend failed")
+		}
+		stats.Backend = stats.Zoo[w].Backend
 	}
-	bestCfg := stats.BestConfig
-	if fw.cfg.ForestCap > 0 && bestCfg.NEstimators > fw.cfg.ForestCap {
-		bestCfg.NEstimators = fw.cfg.ForestCap
-	}
-	fw.bestCfg = bestCfg
+	fw.backend = stats.Backend
 	if err := fw.fit(X, y); err != nil {
 		return stats, err
 	}
@@ -374,60 +419,11 @@ func (fw *Framework) train(iterations int) (TrainStats, error) {
 	return stats, nil
 }
 
-// bayesSearch is CAROL's search: iterations more evaluations of the
-// checkpointable Bayesian optimizer. BestConfig is the incumbent, uncapped.
-func (fw *Framework) bayesSearch(X [][]float64, y []float64, iterations int) (TrainStats, error) {
-	stats := TrainStats{Resumed: len(fw.opt.Observations()) > 0}
-	for i := 0; i < iterations; i++ {
-		values := fw.opt.Suggest()
-		cfg, err := gridsearch.ConfigFromValues(values, fw.cfg.Seed)
-		if err != nil {
-			return stats, err
-		}
-		evalCfg := cfg
-		evalCfg.Workers = fw.cfg.Workers
-		if fw.cfg.ForestCap > 0 && evalCfg.NEstimators > fw.cfg.ForestCap {
-			evalCfg.NEstimators = fw.cfg.ForestCap
-		}
-		score, err := rf.CrossValidate(X, y, evalCfg, fw.cfg.KFolds, fw.cfg.Seed+uint64(i))
-		if err != nil {
-			return stats, fmt.Errorf("core: BO iteration %d: %w", i, err)
-		}
-		if err := fw.opt.Observe(values, score); err != nil {
-			return stats, err
-		}
-		stats.Trajectory = append(stats.Trajectory, cfg)
-		stats.Evaluated++
-	}
-	bestValues, bestScore, ok := fw.opt.Best()
-	if !ok {
-		return stats, errors.New("core: optimizer has no observations")
-	}
-	bestCfg, err := gridsearch.ConfigFromValues(bestValues, fw.cfg.Seed)
-	if err != nil {
-		return stats, err
-	}
-	stats.BestScore = bestScore
-	stats.BestConfig = bestCfg
-	return stats, nil
-}
-
-// gridSearch is FXRZ's search: iterations random grid configurations,
-// drawn afresh from Config.Seed on every call.
-func (fw *Framework) gridSearch(X [][]float64, y []float64, iterations int) (TrainStats, error) {
-	res, err := gridsearch.Search(X, y, iterations, fw.cfg.KFolds, fw.cfg.Seed, fw.cfg.ForestCap, fw.cfg.Workers)
-	if err != nil {
-		return TrainStats{}, fmt.Errorf("core: %w", err)
-	}
-	return TrainStats{Evaluated: res.Evaluated, BestScore: res.Score, BestConfig: res.Config}, nil
-}
-
 // Trained reports whether a model is available.
 func (fw *Framework) Trained() bool { return fw.model != nil }
 
-// Forest returns the trained random forest, e.g. to publish it as the
-// regressor of an rf model artifact (internal/model). It errors for every
-// other Config.Model.
+// Forest returns the trained random forest. It errors when Train fitted
+// another backend.
 func (fw *Framework) Forest() (*rf.Forest, error) {
 	forest, ok := fw.model.(*rf.Forest)
 	if !ok || forest == nil {
@@ -445,6 +441,17 @@ func (fw *Framework) FeatureImportance() ([]float64, error) {
 		return nil, err
 	}
 	return forest.FeatureImportance(), nil
+}
+
+// Artifact wraps the trained model, tagged with its backend, into a
+// publishable artifact for the framework's codec with meta as its
+// provenance.
+func (fw *Framework) Artifact(meta map[string]string) (*model.Artifact, error) {
+	if fw.model == nil {
+		return nil, errors.New("core: model not trained")
+	}
+	return &model.Artifact{Codec: fw.codec.Name(), Backend: fw.backend, Schema: model.CanonicalSchema(),
+		Regressor: fw.model, Meta: meta}, nil
 }
 
 // Checkpoint exports the BO observations for persistence; Restore them into
@@ -526,14 +533,18 @@ func (fw *Framework) ObserveOutcome(feat features.Vector, achievedRatio, relEB f
 	return fw.fit(fw.set.Matrix())
 }
 
-// fit fits Config.Model on (X, y) without a hyper-parameter search: the
-// forest with the incumbent bestCfg, any other backend with its defaults.
+// fit fits the chosen backend on (X, y) without a hyper-parameter search.
 func (fw *Framework) fit(X [][]float64, y []float64) error {
-	m, err := model.Fit(fw.cfg.Model, X, y,
-		model.FitConfig{RF: fw.bestCfg, Seed: fw.cfg.Seed, Workers: fw.cfg.Workers})
+	m, err := fw.fitAs(fw.backend, X, y)
 	if err != nil {
-		return fmt.Errorf("core: %s fit: %w", fw.cfg.Model, err)
+		return fmt.Errorf("core: %s fit: %w", fw.backend, err)
 	}
 	fw.model = m
 	return nil
+}
+
+// fitAs fits backend tag on (X, y): the forest with the incumbent bestCfg,
+// any other backend with its defaults.
+func (fw *Framework) fitAs(tag string, X [][]float64, y []float64) (model.Regressor, error) {
+	return model.Fit(tag, X, y, model.FitConfig{RF: fw.bestCfg, Seed: fw.cfg.Seed, Workers: fw.cfg.Workers})
 }

@@ -66,15 +66,16 @@ func RunFig5a(w io.Writer, s Scale) error {
 		}
 
 		boTime, err := timeIt(func() error {
-			opt := bayesopt.New(space, p.seed)
-			return boIterate(opt, X, y, p.boIters, p)
+			_, err := gridsearch.Bayes(bayesopt.New(space, p.seed), X, y, p.boIters, 3, p.seed, p.forestCap, 0)
+			return err
 		})
 		if err != nil {
 			return err
 		}
 
 		ckptTime, err := timeIt(func() error {
-			return boIterate(ckptOpt, X, y, refineIters, p)
+			_, err := gridsearch.Bayes(ckptOpt, X, y, refineIters, 3, p.seed, p.forestCap, 0)
+			return err
 		})
 		if err != nil {
 			return err
@@ -83,28 +84,6 @@ func RunFig5a(w io.Writer, s Scale) error {
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\n", n, ms(gridTime), ms(boTime), ms(ckptTime))
 	}
 	return tw.Flush()
-}
-
-// boIterate runs `iters` BO evaluations against (X, y).
-func boIterate(opt *bayesopt.Optimizer, X [][]float64, y []float64, iters int, p params) error {
-	for i := 0; i < iters; i++ {
-		values := opt.Suggest()
-		cfg, err := gridsearch.ConfigFromValues(values, p.seed)
-		if err != nil {
-			return err
-		}
-		if p.forestCap > 0 && cfg.NEstimators > p.forestCap {
-			cfg.NEstimators = p.forestCap
-		}
-		score, err := rf.CrossValidate(X, y, cfg, 3, p.seed+uint64(i))
-		if err != nil {
-			return err
-		}
-		if err := opt.Observe(values, score); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // RunFig5b reproduces Figure 5b: the n_estimators hyper-parameter chosen at
@@ -122,36 +101,26 @@ func RunFig5b(w io.Writer, s Scale) error {
 	}
 	fmt.Fprintln(tw)
 
-	series := make([][]int, len(datasets))
+	series := make([][]rf.Config, len(datasets))
 	for di, ds := range datasets {
 		X, y, err := collectedTrainingData(p, ds)
 		if err != nil {
 			return err
 		}
+		// No forest cap here: the training sets are small, and capping
+		// NEstimators would erase the very convergence signal this figure
+		// plots.
 		opt := bayesopt.New(gridsearch.BOSpace(), p.seed+uint64(di))
-		for i := 0; i < iters; i++ {
-			values := opt.Suggest()
-			cfg, err := gridsearch.ConfigFromValues(values, p.seed)
-			if err != nil {
-				return err
-			}
-			series[di] = append(series[di], cfg.NEstimators)
-			// No forest cap here: the training sets are small, and capping
-			// NEstimators would erase the very convergence signal this
-			// figure plots.
-			score, err := rf.CrossValidate(X, y, cfg, 3, p.seed+uint64(i))
-			if err != nil {
-				return err
-			}
-			if err := opt.Observe(values, score); err != nil {
-				return err
-			}
+		res, err := gridsearch.Bayes(opt, X, y, iters, 3, p.seed, 0, 0)
+		if err != nil {
+			return err
 		}
+		series[di] = res.Trajectory
 	}
 	for i := 0; i < iters; i++ {
 		fmt.Fprintf(tw, "%d", i+1)
 		for di := range datasets {
-			fmt.Fprintf(tw, "\t%d", series[di][i])
+			fmt.Fprintf(tw, "\t%d", series[di][i].NEstimators)
 		}
 		fmt.Fprintln(tw)
 	}

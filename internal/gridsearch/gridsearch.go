@@ -1,8 +1,9 @@
-// Package gridsearch implements FXRZ's hyper-parameter tuning baseline: a
-// randomized grid search over the six random-forest hyper-parameters,
-// validated with k-fold cross-validation (§5.3 of the CAROL paper). It also
-// defines the shared search space and the vector<->rf.Config mapping that
-// CAROL's Bayesian optimizer (package bayesopt) searches over.
+// Package gridsearch holds both random-forest hyper-parameter searches of
+// §5.3 of the CAROL paper, each scored with k-fold cross-validation: FXRZ's
+// randomized grid search (Search) and CAROL's Bayesian-optimization loop
+// (Bayes). It also defines the shared search space and the
+// vector<->rf.Config mapping the Bayesian optimizer (package bayesopt)
+// searches over.
 package gridsearch
 
 import (
@@ -52,6 +53,11 @@ type Result struct {
 	Config    rf.Config
 	Score     float64 // mean negative MSE across folds
 	Evaluated int     // configurations scored
+	// Trajectory lists the configurations Bayes evaluated, in order and
+	// uncapped, and Resumed whether opt held observations before them;
+	// Search leaves both zero.
+	Trajectory []rf.Config
+	Resumed    bool
 }
 
 // Search runs FXRZ's randomized grid search: sample nConfigs random grid
@@ -92,6 +98,44 @@ func Search(X [][]float64, y []float64, nConfigs, k int, seed uint64, forestCap,
 }
 
 const negInf = -1e308
+
+// Bayes runs iters more evaluations of CAROL's checkpointable Bayesian
+// optimizer opt (over BOSpace): evaluation i scores opt's suggestion by
+// k-fold cross-validation with seed+i and observes it. The result's Config
+// and Score are opt's incumbent over every observation it holds, restored
+// ones included, with NEstimators uncapped. forestCap and workers are as
+// for Search.
+func Bayes(opt *bayesopt.Optimizer, X [][]float64, y []float64, iters, k int, seed uint64, forestCap, workers int) (Result, error) {
+	res := Result{Resumed: len(opt.Observations()) > 0}
+	for i := 0; i < iters; i++ {
+		values := opt.Suggest()
+		cfg, err := ConfigFromValues(values, seed)
+		if err != nil {
+			return res, err
+		}
+		evalCfg := cfg
+		evalCfg.Workers = workers
+		if forestCap > 0 && evalCfg.NEstimators > forestCap {
+			evalCfg.NEstimators = forestCap
+		}
+		score, err := rf.CrossValidate(X, y, evalCfg, k, seed+uint64(i))
+		if err != nil {
+			return res, fmt.Errorf("gridsearch: BO iteration %d: %w", i, err)
+		}
+		if err := opt.Observe(values, score); err != nil {
+			return res, err
+		}
+		res.Trajectory = append(res.Trajectory, cfg)
+		res.Evaluated++
+	}
+	values, score, ok := opt.Best()
+	if !ok {
+		return res, errors.New("gridsearch: optimizer has no observations")
+	}
+	cfg, err := ConfigFromValues(values, seed)
+	res.Config, res.Score = cfg, score
+	return res, err
+}
 
 // BOSpace returns the same hyper-parameter space as a bayesopt search
 // space, in the canonical order used by ConfigFromValues.
