@@ -156,68 +156,3 @@ func TestGateAutoBadRequests(t *testing.T) {
 		}
 	}
 }
-
-// TestGateAutoJobMeta: async jobs carry the chosen codec as result
-// metadata — gate-chosen for chunked fan-outs, shard-chosen (via the
-// relayed header) for whole-routed requests — and the result response
-// republishes it as X-Carol-Codec-Chosen.
-func TestGateAutoJobMeta(t *testing.T) {
-	g, _ := newTestFleet(t, 3, func(cfg *gateConfig) {
-		cfg.chunkThresholdKiB = 1
-	})
-	const nx, ny, nz = 64, 4, 4
-	cases := []struct {
-		name   string
-		target string
-		body   []byte
-		// wantAny accepts any registered codec (gate decision);
-		// otherwise the meta must equal wantExact (shard header).
-		wantAny   bool
-		wantExact string
-	}{
-		{
-			name:    "chunked",
-			target:  fmt.Sprintf("/v1/jobs/compress?mode=auto&rel=1e-3&dims=%dx%dx%d", nx, ny, nz),
-			body:    rawField(nx * ny * nz),
-			wantAny: true,
-		},
-		{
-			name:      "whole",
-			target:    "/v1/jobs/compress?mode=auto&rel=1e-3&dims=4x1x1",
-			body:      rawField(4),
-			wantExact: "szx",
-		},
-	}
-	for _, tc := range cases {
-		w := doGate(t, g, http.MethodPost, tc.target, tc.body)
-		if w.Code != http.StatusAccepted {
-			t.Fatalf("%s: submit status %d: %s", tc.name, w.Code, w.Body.String())
-		}
-		var acc jobAccepted
-		if err := json.Unmarshal(w.Body.Bytes(), &acc); err != nil {
-			t.Fatalf("%s: accept decode: %v", tc.name, err)
-		}
-		st := pollJob(t, g, acc.ID)
-		if st.State != jobDone {
-			t.Fatalf("%s: job ended %s (%s), want done", tc.name, st.State, st.Error)
-		}
-		got := st.Meta["codec"]
-		if tc.wantAny {
-			if !knownCodec(got) {
-				t.Fatalf("%s: job meta codec = %q, not a registered codec", tc.name, got)
-			}
-		} else if got != tc.wantExact {
-			t.Fatalf("%s: job meta codec = %q, want %q", tc.name, got, tc.wantExact)
-		}
-		rw := doGate(t, g, http.MethodGet, acc.ResultURL, nil)
-		if rw.Code != http.StatusOK {
-			t.Fatalf("%s: result status %d: %s", tc.name, rw.Code, rw.Body.String())
-		}
-		if hdr := rw.Header().Get("X-Carol-Codec-Chosen"); hdr != got {
-			t.Errorf("%s: result X-Carol-Codec-Chosen = %q, want %q (job meta)", tc.name, hdr, got)
-		}
-		if rw.Body.Len() == 0 {
-			t.Errorf("%s: empty result body", tc.name)
-		}
-	}
-}

@@ -26,37 +26,30 @@ func (g *gate) shouldChunk(req httpkit.Compress, sizeBytes, healthy int) bool {
 	return sizeBytes >= g.cfg.chunkThresholdKiB<<10
 }
 
-// readCompress is the front half of both compress endpoints: the query is
-// validated before the body is read, so a bad request never costs a shard
-// round trip — and answers what a shard would have.
-func (g *gate) readCompress(w http.ResponseWriter, r *http.Request) (req httpkit.Compress, body []byte, ok bool) {
+// handleCompress validates the query before it reads the body, so a bad
+// request never costs a shard round trip — and answers what a shard would
+// have.
+func (g *gate) handleCompress(w http.ResponseWriter, r *http.Request) {
 	req, err := httpkit.ParseCompress(r.URL.Query())
+	var body []byte
 	if err == nil {
 		body, err = httpkit.ReadFieldBody(r, req.Nx, req.Ny, req.Nz, g.bodyLimit)
 	}
 	if err != nil {
 		httpkit.RequestError(w, err)
-		return req, nil, false
-	}
-	return req, body, true
-}
-
-func (g *gate) handleCompress(w http.ResponseWriter, r *http.Request) {
-	req, body, ok := g.readCompress(w, r)
-	if !ok {
 		return
 	}
-	resp, err := g.routeCompress(req, r.URL.RawQuery, routeKey(r), body)
+	resp, err := g.routeCompress(r, req, body)
 	g.relay(w, "/v1/compress", resp, err)
 }
 
 // errBadRequest classifies routeCompress failures the client caused.
 var errBadRequest = errors.New("bad request")
 
-// routeCompress is the one compress routing decision, shared by the
-// synchronous handler and the async job: small fields route whole to the
-// shard owning key and its answer comes back verbatim; large ones fan out,
-// and the assembled container comes back dressed as a shard answer.
+// routeCompress is the one compress routing decision: small fields route
+// whole to the shard owning r's ring key and its answer comes back
+// verbatim; large ones fan out, and the assembled container comes back
+// dressed as a shard answer.
 //
 // A fan-out resolves bound and codec HERE, before the field splits, with
 // the same resolver steps a shard runs: the whole-field bound is pinned
@@ -67,10 +60,10 @@ var errBadRequest = errors.New("bad request")
 // geometry) is compressed by the shard owning its ring key, and the
 // per-slab streams are framed into the exact CPL1 container a local
 // pipeline.New(codec, pipeline.Options{Blocks: n}).Compress would emit.
-func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []byte) (*shardResponse, error) {
+func (g *gate) routeCompress(r *http.Request, req httpkit.Compress, body []byte) (*shardResponse, error) {
 	healthy := g.healthyShards()
 	if !g.shouldChunk(req, len(body), len(healthy)) {
-		return g.routeWithRetry(key, http.MethodPost, "/v1/compress?"+rawQuery, body)
+		return g.routeWithRetry(routeKey(r), http.MethodPost, "/v1/compress?"+r.URL.RawQuery, body)
 	}
 	tr := g.reg.StartTrace("gate_compress_fanout")
 	defer tr.End()
@@ -88,7 +81,7 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 	span := tr.StartSpan("split")
 	eb, err := req.Bound(valueRange)
 	// SplitField slabs are consecutive ranges of the field's samples, so
-	// slab i is body[offs[i]:offs[i+1]] — readCompress has checked that the
+	// slab i is body[offs[i]:offs[i+1]] — handleCompress has checked that the
 	// body is exactly the dims' size — and is posted as that slice.
 	dims := pipeline.ExpectedSlabDims(req.Nx, req.Ny, req.Nz, len(healthy))
 	offs := make([]int, len(dims)+1)
@@ -104,7 +97,7 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 
-	cands := g.ring.Lookup(key, g.ring.Len())
+	cands := g.ring.Lookup(routeKey(r), g.ring.Len())
 	g.fanned.Inc()
 	span = tr.StartSpan("fanout")
 	streams, err := pipeline.FanOut(len(dims), g.cfg.fanoutWorkers, func(i int) ([]byte, error) {
@@ -140,8 +133,7 @@ func (g *gate) routeCompress(req httpkit.Compress, rawQuery, key string, body []
 	}
 	g.reg.Histogram("gate_fanout_chunks", obs.LinearBuckets(1, 1, 16)).Observe(float64(len(streams)))
 	// The CPL1 container goes out part by part — its header, then each
-	// shard answer itself behind its length; only a job, which keeps its
-	// result, joins them.
+	// shard answer itself behind its length.
 	parts := pipeline.Parts(req.Nx, req.Ny, req.Nz, streams)
 	size := 0
 	for _, p := range parts {

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -104,13 +102,6 @@ func newGateOver(t testing.TB, urls []string, tweak func(*gateConfig)) *gate {
 	if err != nil {
 		t.Fatalf("newGate: %v", err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := g.queue.close(ctx); err != nil {
-			t.Errorf("queue close: %v", err)
-		}
-	})
 	g.probeAll()
 	if got := len(g.healthyShards()); got != len(urls) {
 		t.Fatalf("after probe sweep: %d healthy shards, want %d", got, len(urls))
@@ -208,30 +199,6 @@ func fanoutDifferentialLeg(t *testing.T, nShards int) {
 			}
 		}
 	}
-	// A job's result is the same container in one piece.
-	f, err := dataset.Generate("miranda", "density", dataset.Options{Nx: 40, Ny: 33, Nz: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := doGate(t, g, http.MethodPost, "/v1/jobs/compress?codec=sz3&rel=1e-3&dims=40x33x17", rawOf(t, f))
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("job submit: status %d: %s", w.Code, w.Body.String())
-	}
-	var acc jobAccepted
-	if err := json.Unmarshal(w.Body.Bytes(), &acc); err != nil {
-		t.Fatal(err)
-	}
-	if st := pollJob(t, g, acc.ID); st.Error != "" {
-		t.Fatalf("job: %s", st.Error)
-	}
-	sz3, _ := codecs.ByName("sz3")
-	want, err := pipeline.New(sz3, pipeline.Options{Blocks: nShards}).Compress(f, compressor.AbsBound(f, 1e-3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w = doGate(t, g, http.MethodGet, acc.ResultURL, nil); !bytes.Equal(w.Body.Bytes(), want) {
-		t.Errorf("%d shards: job result (%d bytes) differs from pipeline's (%d bytes)", nShards, w.Body.Len(), len(want))
-	}
 }
 
 // TestGateRelaysNonFiniteFieldAs400: a field with a NaN or ±Inf sample is
@@ -275,7 +242,7 @@ func TestGateRelaysNonFiniteFieldAs400(t *testing.T) {
 
 // TestGateBodyLengthMustMatchDims: the gate refuses a field body that is
 // longer or shorter than dims= says on every route that carries one —
-// whole, fanned out, async, and the proxied estimate and predict — and no
+// whole, fanned out, and the proxied estimate and predict — and no
 // shard sees the request. It used to answer 200 with the tail dropped.
 func TestGateBodyLengthMustMatchDims(t *testing.T) {
 	g, shards := newTestFleet(t, 3, func(cfg *gateConfig) { cfg.chunkThresholdKiB = 4 })
@@ -290,10 +257,9 @@ func TestGateBodyLengthMustMatchDims(t *testing.T) {
 		path string
 		n    int // samples dims= declares
 	}{
-		{"/v1/compress?codec=fake&abs=0.1&dims=16x4x4", 256},          // 1 KiB: whole
-		{"/v1/compress?codec=fake&abs=0.1&dims=16x16x16", 4096},       // 16 KiB: fan-out
-		{"/v1/compress?mode=auto&rel=1e-3&dims=16x16x16", 4096},       // fan-out, parsed whole
-		{"/v1/jobs/compress?codec=fake&rel=1e-3&dims=16x16x16", 4096}, // async
+		{"/v1/compress?codec=fake&abs=0.1&dims=16x4x4", 256},    // 1 KiB: whole
+		{"/v1/compress?codec=fake&abs=0.1&dims=16x16x16", 4096}, // 16 KiB: fan-out
+		{"/v1/compress?mode=auto&rel=1e-3&dims=16x16x16", 4096}, // fan-out, parsed whole
 		{"/v1/estimate?codec=szx&rel=1e-3&dims=16x4x4", 256},
 		{"/v1/predict?ratio=10&dims=16x4x4", 256},
 	} {

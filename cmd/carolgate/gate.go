@@ -29,10 +29,6 @@ type gateConfig struct {
 	probeMaxBackoff time.Duration
 	shardTimeout    time.Duration
 
-	jobWorkers  int
-	jobQueue    int
-	tenantQuota int
-
 	// proxyLimits bounds what the gate will allocate from client- or
 	// shard-claimed sizes (container headers on the decompress fan-out
 	// path, bodies everywhere). Zero-value fields take safedec defaults.
@@ -53,9 +49,6 @@ func defaultGateConfig() gateConfig {
 		probeTimeout:      2 * time.Second,
 		probeMaxBackoff:   5 * time.Second,
 		shardTimeout:      5 * time.Minute,
-		jobWorkers:        2,
-		jobQueue:          64,
-		tenantQuota:       8,
 		proxyLimits: safedec.Limits{
 			MaxElements: httpkit.MaxBody / 4,
 			MaxAlloc:    1 << 30,
@@ -75,7 +68,6 @@ type gate struct {
 	ring   *ring.Ring
 	shards map[string]*shardState
 	client *http.Client
-	queue  *queue
 	// sel resolves mode=auto on the slab fan-out path, once before the
 	// field splits (every slab of one field uses one codec). Whole-routed
 	// auto requests are decided by the shard.
@@ -106,7 +98,6 @@ func newGate(cfg gateConfig, shardURLs []string) (*gate, error) {
 		ring:         r,
 		shards:       make(map[string]*shardState, len(shardURLs)),
 		client:       &http.Client{Timeout: cfg.shardTimeout, Transport: shardTransport(cfg)},
-		queue:        newQueue(cfg.jobQueue, cfg.jobWorkers, cfg.tenantQuota),
 		reg:          obs.Default,
 		bodyLimit:    min(httpkit.MaxBody, cfg.proxyLimits.MaxAlloc),
 		healthyGauge: obs.Default.Gauge("carol_fleet_healthy_shards"),
@@ -140,21 +131,19 @@ func newGate(cfg gateConfig, shardURLs []string) (*gate, error) {
 	g.Handle("/v1/predict", g.handleProxyWhole)
 	g.Handle("/v1/models", g.handleProxyWhole)
 	g.Handle("/v1/codecs", g.handleProxyWhole)
-	g.Handle("POST /v1/jobs/compress", g.handleJobSubmit)
-	g.Handle("GET /v1/jobs/", g.handleJobGet)
 	g.Handle("GET /v1/fleet", g.handleFleet)
 	g.Handle("/readyz", g.handleReadyz)
 	return g, nil
 }
 
-// shardTransport keeps an idle connection per shard for every route that
-// can be in flight (requests and jobs each hold one per shard at a time),
-// where the default transport keeps two and a busy gate would dial for the
-// rest of every fan-out.
+// shardTransport keeps an idle connection per shard for every request that
+// can be in flight (each holds one per shard at a time), where the default
+// transport keeps two and a busy gate would dial for the rest of every
+// fan-out.
 func shardTransport(cfg gateConfig) *http.Transport {
 	t := http.DefaultTransport.(*http.Transport).Clone()
 	t.MaxIdleConns = 0
-	t.MaxIdleConnsPerHost = cfg.maxInflight + cfg.jobWorkers
+	t.MaxIdleConnsPerHost = cfg.maxInflight
 	return t
 }
 
@@ -189,8 +178,6 @@ type fleetStatus struct {
 	Healthy    int          `json:"healthy_shards"`
 	RingShards int          `json:"ring_shards"`
 	Converged  bool         `json:"models_converged"`
-	JobsQueued int          `json:"jobs_queued"`
-	JobsActive int          `json:"jobs_running"`
 }
 
 // handleFleet aggregates shard health and per-shard model versions.
@@ -228,8 +215,6 @@ func (g *gate) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if st.Healthy == 0 {
 		st.Converged = false
 	}
-	queued, running := g.queue.counts()
-	st.JobsQueued, st.JobsActive = queued, running
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(st); err != nil {
 		log.Printf("carolgate: fleet encode: %v", err)

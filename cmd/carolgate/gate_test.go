@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"carol/internal/httpkit"
 	"carol/internal/httpkit/kittest"
@@ -45,9 +44,6 @@ type fakeShard struct {
 	modelVersion atomic.Int64
 	// modelBackend is the backend tag /v1/models reports ("rf" when unset).
 	modelBackend atomic.Value
-	// blockCompress, when non-nil, parks /v1/compress until closed — used
-	// to hold jobs in flight for admission-control tests.
-	blockCompress chan struct{}
 	// lastCompressQuery records the most recent /v1/compress query string,
 	// so fan-out tests can assert what the gate actually forwarded.
 	lastCompressQuery atomic.Value
@@ -64,9 +60,6 @@ func newFakeShard(t *testing.T) *fakeShard {
 		if fs.failCompress.Load() {
 			http.Error(w, "shard overloaded", http.StatusServiceUnavailable)
 			return
-		}
-		if fs.blockCompress != nil {
-			<-fs.blockCompress
 		}
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
@@ -137,7 +130,7 @@ func newFakeShard(t *testing.T) *fakeShard {
 }
 
 // newTestFleet boots n fake shards and a gate over them, runs one probe
-// sweep (all healthy), and registers cleanup for the job queue.
+// sweep (all healthy).
 func newTestFleet(t *testing.T, n int, tweak func(*gateConfig)) (*gate, []*fakeShard) {
 	t.Helper()
 	shards := make([]*fakeShard, n)
@@ -384,113 +377,6 @@ func TestGateReadyz(t *testing.T) {
 	}
 }
 
-func pollJob(t *testing.T, g *gate, id string) jobStatus {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		w := doGate(t, g, http.MethodGet, "/v1/jobs/"+id, nil)
-		if w.Code != http.StatusOK {
-			t.Fatalf("job status: %d: %s", w.Code, w.Body.String())
-		}
-		var st jobStatus
-		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-			t.Fatalf("job status decode: %v", err)
-		}
-		if st.State == jobDone || st.State == jobFailed {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in state %s", id, st.State)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestGateJobLifecycle(t *testing.T) {
-	g, _ := newTestFleet(t, 3, nil)
-	raw := rawField(4)
-	w := doGate(t, g, http.MethodPost, "/v1/jobs/compress?codec=fake&rel=1e-3&dims=4x1x1", raw)
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("submit status %d: %s", w.Code, w.Body.String())
-	}
-	var acc jobAccepted
-	if err := json.Unmarshal(w.Body.Bytes(), &acc); err != nil {
-		t.Fatalf("accept decode: %v", err)
-	}
-	if acc.ID == "" || !strings.HasSuffix(acc.ResultURL, "/result") {
-		t.Fatalf("bad accept payload: %+v", acc)
-	}
-
-	st := pollJob(t, g, acc.ID)
-	if st.State != jobDone {
-		t.Fatalf("job ended %s (%s), want done", st.State, st.Error)
-	}
-	w = doGate(t, g, http.MethodGet, acc.ResultURL, nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("result status %d: %s", w.Code, w.Body.String())
-	}
-	// The async result must match what the synchronous path returns.
-	if !bytes.Equal(w.Body.Bytes(), append([]byte(fakeStreamMagic), raw...)) {
-		t.Fatalf("job result differs from synchronous compress output")
-	}
-	if got := w.Header().Get("X-Carol-Job-Id"); got != acc.ID {
-		t.Fatalf("X-Carol-Job-Id = %q, want %q", got, acc.ID)
-	}
-}
-
-func TestGateJobUnknownID(t *testing.T) {
-	g, _ := newTestFleet(t, 1, nil)
-	if w := doGate(t, g, http.MethodGet, "/v1/jobs/nope", nil); w.Code != http.StatusNotFound {
-		t.Fatalf("unknown job: %d, want 404", w.Code)
-	}
-}
-
-func TestGateJobTenantQuota(t *testing.T) {
-	release := make(chan struct{})
-	g, shards := newTestFleet(t, 1, func(cfg *gateConfig) {
-		cfg.tenantQuota = 1
-		cfg.jobQueue = 16
-	})
-	shards[0].blockCompress = release
-	defer close(release)
-
-	raw := rawField(4)
-	target := "/v1/jobs/compress?codec=fake&rel=1e-3&dims=4x1x1"
-	submit := func(tenant string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(raw))
-		req.Header.Set("X-Carol-Tenant", tenant)
-		w := httptest.NewRecorder()
-		g.ServeHTTP(w, req)
-		return w
-	}
-	if w := submit("alice"); w.Code != http.StatusAccepted {
-		t.Fatalf("first job: %d: %s", w.Code, w.Body.String())
-	}
-	w := submit("alice")
-	if w.Code != http.StatusTooManyRequests {
-		t.Fatalf("over-quota job: %d, want 429", w.Code)
-	}
-	if w.Header().Get("Retry-After") == "" {
-		t.Fatalf("429 without Retry-After")
-	}
-	// Another tenant is not punished for alice's backlog.
-	if w := submit("bob"); w.Code != http.StatusAccepted {
-		t.Fatalf("other tenant: %d: %s", w.Code, w.Body.String())
-	}
-}
-
-func TestGateJobBadTenant(t *testing.T) {
-	g, _ := newTestFleet(t, 1, nil)
-	req := httptest.NewRequest(http.MethodPost, "/v1/jobs/compress?codec=fake&rel=1e-3&dims=4x1x1",
-		bytes.NewReader(rawField(4)))
-	req.Header.Set("X-Carol-Tenant", "no spaces allowed")
-	w := httptest.NewRecorder()
-	g.ServeHTTP(w, req)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("bad tenant: %d, want 400", w.Code)
-	}
-}
-
 func TestGateFleetConvergence(t *testing.T) {
 	g, shards := newTestFleet(t, 3, nil)
 	for _, s := range shards {
@@ -598,18 +484,14 @@ func TestShouldChunk(t *testing.T) {
 }
 
 // TestEndpointLabelBounded: the gate's registered routes are the whole
-// metric label set, job ids collapse to one label, and anything else is
-// "other".
+// metric label set, and anything else is "other".
 func TestEndpointLabelBounded(t *testing.T) {
 	g, _ := newTestFleet(t, 1, nil)
 	cases := map[string]string{
-		"/v1/compress":        "/v1/compress",
-		"/v1/fleet":           "/v1/fleet",
-		"/v1/jobs/compress":   "/v1/jobs/compress",
-		"/v1/jobs/abc123":     "/v1/jobs/{id}",
-		"/v1/jobs/abc/result": "/v1/jobs/{id}",
-		"/v1/whatever":        "other",
-		"/secret":             "other",
+		"/v1/compress": "/v1/compress",
+		"/v1/fleet":    "/v1/fleet",
+		"/v1/whatever": "other",
+		"/secret":      "other",
 	}
 	for path, want := range cases {
 		if got := g.Label(path); got != want {
@@ -619,7 +501,7 @@ func TestEndpointLabelBounded(t *testing.T) {
 }
 
 // TestMetricLabelCardinality sends the gate's request table twice, every
-// query value, codec and model name, job id and unknown path fresh and
+// query value, codec and model name and unknown path fresh and
 // random, and requires the second pass to mint no /metrics series — the
 // runtime form of TestEndpointLabelBounded, over every route at once.
 func TestMetricLabelCardinality(t *testing.T) {
@@ -643,9 +525,6 @@ func TestMetricLabelCardinality(t *testing.T) {
 			"POST /v1/predict?model=" + fresh() + "&ratio=" + num(10) + dims,
 			"GET /v1/models?" + fresh() + "=" + fresh(),
 			"GET /v1/codecs?key=" + fresh(),
-			"POST /v1/jobs/compress?codec=szx&rel=" + fresh() + "&tenant=" + fresh() + dims,
-			"GET /v1/jobs/" + fresh(),
-			"GET /v1/jobs/" + fresh() + "/result",
 			"GET /v1/fleet?" + fresh() + "=1",
 			"GET /v1/" + fresh(),
 			"POST /" + fresh(),
@@ -670,24 +549,14 @@ func TestSplitShards(t *testing.T) {
 	}
 }
 
-// TestParseJobFlagRanges: a job-queue flag below 1 is refused at parse
-// instead of silently becoming a default, the defaults are the gate
-// config's, and the flags the benchmark and smoke scripts pass stay valid.
+// TestParseJobFlagRanges: a count flag below 1 is refused at parse instead
+// of silently becoming a default, the flags the benchmark and smoke scripts
+// pass stay valid, and the retired job-queue flags are flag errors.
 func TestParseJobFlagRanges(t *testing.T) {
 	for _, c := range []struct {
 		flag, val string
 		ok        bool
 	}{
-		{"-job-workers", "0", false},
-		{"-job-workers", "-2", false},
-		{"-job-workers", "1", true},
-		{"-job-queue", "0", false},
-		{"-job-queue", "-64", false},
-		{"-job-queue", "1", true},
-		{"-tenant-quota", "0", false},
-		{"-tenant-quota", "-1", false},
-		{"-tenant-quota", "1", true},
-		{"-tenant-quota", "32", true},
 		{"-max-inflight", "0", false},
 		{"-max-inflight", "-3", false},
 		{"-max-inflight", "1", true},
@@ -706,14 +575,14 @@ func TestParseJobFlagRanges(t *testing.T) {
 			t.Errorf("%s %s: error %q does not name the flag and value", c.flag, c.val, err)
 		}
 	}
-	cfg, addr, shards, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-shards", "http://a:1/,http://b:2", "-selector-seed", "7"})
+	for _, retired := range []string{"-job-workers", "-job-queue", "-tenant-quota"} {
+		if _, _, _, err := parseFlags([]string{"-shards", "http://a:1", retired, "2"}); err == nil {
+			t.Errorf("%s 2 accepted; the flag is retired", retired)
+		}
+	}
+	_, addr, shards, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-shards", "http://a:1/,http://b:2", "-selector-seed", "7"})
 	if err != nil {
 		t.Fatal(err)
-	}
-	def := defaultGateConfig()
-	if cfg.jobWorkers != def.jobWorkers || cfg.jobQueue != def.jobQueue || cfg.tenantQuota != def.tenantQuota {
-		t.Fatalf("job defaults %d/%d/%d, want the gate config's %d/%d/%d",
-			cfg.jobWorkers, cfg.jobQueue, cfg.tenantQuota, def.jobWorkers, def.jobQueue, def.tenantQuota)
 	}
 	if addr != "127.0.0.1:0" || len(shards) != 2 || shards[0] != "http://a:1" {
 		t.Fatalf("addr %q, shards %v", addr, shards)
@@ -727,7 +596,7 @@ func TestParseJobFlagRanges(t *testing.T) {
 // in internal/httpkit/kittest: whole routing and slab fan-out must answer
 // every row with the status a shard would — a bad query is refused at the
 // door (no shard sees it, so none can turn it into a retry storm), a good
-// one is served — on the synchronous and the async endpoint alike.
+// one is served.
 func TestCompressQueryTable(t *testing.T) {
 	compressQueryTableLeg(t, "whole", 1024)
 	compressQueryTableLeg(t, "fanout", 1)
@@ -735,10 +604,7 @@ func TestCompressQueryTable(t *testing.T) {
 
 func compressQueryTableLeg(t *testing.T, leg string, thresholdKiB int) {
 	raw := rawField(kittest.Samples)
-	g, shards := newTestFleet(t, 3, func(cfg *gateConfig) {
-		cfg.chunkThresholdKiB = thresholdKiB
-		cfg.tenantQuota = len(kittest.CompressQueries) // every accepted job may still be queued
-	})
+	g, shards := newTestFleet(t, 3, func(cfg *gateConfig) { cfg.chunkThresholdKiB = thresholdKiB })
 	for _, row := range kittest.CompressQueries {
 		before := shardHits(shards)
 		w := doGate(t, g, http.MethodPost, "/v1/compress?"+row.Query, raw)
@@ -747,16 +613,6 @@ func compressQueryTableLeg(t *testing.T, leg string, thresholdKiB int) {
 		}
 		if row.Status != http.StatusOK && fmt.Sprint(shardHits(shards)) != fmt.Sprint(before) {
 			t.Errorf("%s %s: refused query still reached a shard", leg, row.Query)
-		}
-	}
-	// Jobs go last: accepted ones hit the shards in the background.
-	for _, row := range kittest.CompressQueries {
-		wantJob := row.Status
-		if wantJob == http.StatusOK {
-			wantJob = http.StatusAccepted
-		}
-		if w := doGate(t, g, http.MethodPost, "/v1/jobs/compress?"+row.Query, raw); w.Code != wantJob {
-			t.Errorf("%s job %s: status %d, want %d", leg, row.Query, w.Code, wantJob)
 		}
 	}
 }

@@ -2,8 +2,7 @@
 // across N backend carolserve shards on a consistent-hash ring
 // (internal/ring), splits large fields into slabs that are compressed in
 // parallel on the shards that own them (internal/pipeline geometry and
-// fan-out discipline) into one CPL1 container, and absorbs large jobs into a
-// bounded async queue (queue.go) behind a 202-Accepted API.
+// fan-out discipline) into one CPL1 container.
 //
 //	carolgate -addr :8080 -shards http://s1:8081,http://s2:8082,http://s3:8083
 //
@@ -21,9 +20,6 @@
 //	     else routes whole
 //	POST /v1/estimate, /v1/predict                -> routed whole
 //	GET  /v1/models, /v1/codecs                   -> routed whole
-//	POST /v1/jobs/compress?...&tenant=..          -> 202 + job id (async queue)
-//	GET  /v1/jobs/{id}                            -> JSON job status
-//	GET  /v1/jobs/{id}/result                     -> result stream once done
 //	GET  /v1/fleet                                -> shard health + model versions
 //	GET  /v1/selector                             -> gate-local mode=auto codecs and counters
 //	GET  /metrics, /debug/vars                    -> gate metrics
@@ -33,7 +29,7 @@
 // Shard health is probed continuously (/healthz with per-shard backoff);
 // requests retry on the next ring replica when a shard fails mid-flight,
 // and an empty healthy set answers 503 + Retry-After. SIGTERM drains
-// in-flight requests and the job queue before exiting.
+// in-flight requests before exiting.
 package main
 
 import (
@@ -80,12 +76,6 @@ func parseFlags(args []string) (gateConfig, string, []string, error) {
 		"cap on the exponential probe backoff for failing shards")
 	fs.DurationVar(&cfg.shardTimeout, "shard-timeout", cfg.shardTimeout,
 		"per-attempt timeout for proxied shard requests")
-	fs.IntVar(&cfg.jobWorkers, "job-workers", cfg.jobWorkers,
-		"concurrently running async jobs")
-	fs.IntVar(&cfg.jobQueue, "job-queue", cfg.jobQueue,
-		"maximum queued async jobs (503 beyond)")
-	fs.IntVar(&cfg.tenantQuota, "tenant-quota", cfg.tenantQuota,
-		"maximum queued+running async jobs per tenant (429 beyond)")
 	fs.Uint64("selector-seed", 1,
 		"ignored: mode=auto draws no random numbers (kept until the benchmark harness stops passing it)")
 	cfg.timeouts.Flags(fs)
@@ -96,8 +86,8 @@ func parseFlags(args []string) (gateConfig, string, []string, error) {
 	if len(shards) == 0 {
 		return cfg, "", nil, fmt.Errorf("-shards is required (comma-separated carolserve base URLs)")
 	}
-	// A value below 1 would serve no request, fan out to no shard, leave
-	// the ring empty, or refuse every job or run none.
+	// A value below 1 would serve no request, fan out to no shard, or leave
+	// the ring empty.
 	for _, c := range []struct {
 		flag string
 		val  int
@@ -105,9 +95,6 @@ func parseFlags(args []string) (gateConfig, string, []string, error) {
 		{"max-inflight", cfg.maxInflight},
 		{"fanout-workers", cfg.fanoutWorkers},
 		{"vnodes", cfg.virtualNodes},
-		{"job-workers", cfg.jobWorkers},
-		{"job-queue", cfg.jobQueue},
-		{"tenant-quota", cfg.tenantQuota},
 	} {
 		if c.val < 1 {
 			return cfg, "", nil, fmt.Errorf("-%s %d < 1", c.flag, c.val)
@@ -131,7 +118,7 @@ func splitShards(s string) []string {
 
 // run boots the gate: the first probe sweep runs synchronously so /readyz
 // is meaningful the moment the listener accepts, then the background loop
-// takes over; a graceful drain empties the job queue after HTTP.
+// takes over.
 func run(cfg gateConfig, addr string, shards []string) int {
 	g, err := newGate(cfg, shards)
 	if err != nil {
@@ -141,5 +128,5 @@ func run(cfg gateConfig, addr string, shards []string) int {
 	g.probeAll()
 	stopProber := g.startProber()
 	defer stopProber()
-	return g.Run(addr, cfg.timeouts, fmt.Sprintf(", %d shards on the ring", g.ring.Len()), g.queue.close)
+	return g.Run(addr, cfg.timeouts, fmt.Sprintf(", %d shards on the ring", g.ring.Len()))
 }

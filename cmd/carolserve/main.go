@@ -132,7 +132,7 @@ func run(cfg config, addr string) int {
 			defer stopWatch()
 		}
 	}
-	return s.Run(addr, cfg.timeouts, "", nil)
+	return s.Run(addr, cfg.timeouts, "")
 }
 
 func (s *server) handleCodecs(w http.ResponseWriter, r *http.Request) {

@@ -201,11 +201,13 @@ func run(args []string, out io.Writer) error {
 		"seed":       strconv.FormatUint(o.seed, 10),
 	}
 	if slices.Contains(o.backends, model.BackendRF) {
+		// The search maximises its score, the negative mean CV MSE.
+		mse := -ts.BestScore
 		fmt.Fprintf(out, "caroltrain: BO evaluated %d configs in %v, best CV MSE %.6g (trees=%d depth=%d features=%s)\n",
-			ts.Evaluated, ts.Duration.Round(time.Millisecond), ts.BestScore,
+			ts.Evaluated, ts.Duration.Round(time.Millisecond), mse,
 			ts.BestConfig.NEstimators, ts.BestConfig.MaxDepth, ts.BestConfig.MaxFeatures)
 		meta["bo_iterations"] = strconv.Itoa(ts.Evaluated)
-		meta["best_cv_mse"] = strconv.FormatFloat(ts.BestScore, 'g', -1, 64)
+		meta["best_cv_mse"] = strconv.FormatFloat(mse, 'g', -1, 64)
 	}
 	// The zoo's scoreboard: each backend's CV score, or the error that
 	// knocked it out, and the winner.

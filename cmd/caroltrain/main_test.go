@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -309,6 +310,26 @@ func TestRunZooBackends(t *testing.T) {
 		}
 		if out.Len() != 0 {
 			t.Fatalf("-backends %q rejected only after work was done:\n%s", bad, out.String())
+		}
+	}
+}
+
+// TestRunBestCVMSEPositive: the forest search's best CV MSE, printed and
+// published as best_cv_mse, is an error, finite and above 0, like the
+// zoo's zoo_cv_mse_* keys; it used to be the search's negative score.
+func TestRunBestCVMSEPositive(t *testing.T) {
+	for _, backends := range []string{"rf", "rf,boost"} {
+		dir := t.TempDir()
+		var out bytes.Buffer
+		if err := run(tinyArgs(dir, "-backends", backends), &out); err != nil {
+			t.Fatalf("-backends %s: %v\n%s", backends, err, out.String())
+		}
+		v, err := strconv.ParseFloat(loadLatest(t, dir, "szx").Meta["best_cv_mse"], 64)
+		if err != nil || math.IsInf(v, 0) || math.IsNaN(v) || v <= 0 {
+			t.Fatalf("-backends %s: best_cv_mse %v (%v), want finite > 0", backends, v, err)
+		}
+		if want := fmt.Sprintf("best CV MSE %.6g ", v); !strings.Contains(out.String(), want) {
+			t.Fatalf("-backends %s: output missing %q:\n%s", backends, want, out.String())
 		}
 	}
 }

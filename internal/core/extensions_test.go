@@ -4,12 +4,15 @@ import (
 	"math"
 	"testing"
 
+	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/dataset"
 	"carol/internal/features"
+	"carol/internal/field"
 	"carol/internal/model"
 	"carol/internal/obs"
 	"carol/internal/stats"
+	"carol/internal/szx"
 )
 
 // TestAlternativeModels exercises the paper's future-work direction: the
@@ -223,5 +226,56 @@ func TestRefitWithoutTrainedModelDefers(t *testing.T) {
 	}
 	if fw.Trained() {
 		t.Fatal("feedback alone should not produce a model")
+	}
+}
+
+// countingCodec counts the Compress calls made through it.
+type countingCodec struct {
+	compressor.Codec
+	compresses int
+}
+
+func (c *countingCodec) Compress(f *field.Field, eb float64) ([]byte, error) {
+	c.compresses++
+	return c.Codec.Compress(f, eb)
+}
+
+// TestCompressToRatioRunsCodecOnce: a fixed-ratio request runs the
+// compressor exactly once — one predicted bound, one run — with Feedback
+// off and on, the request whose outcome triggers a refit included.
+func TestCompressToRatioRunsCodecOnce(t *testing.T) {
+	fields := trainFields(t)
+	for _, feedback := range []bool{false, true} {
+		cfg := fastConfig()
+		cfg.Feedback = feedback
+		cfg.FeedbackEvery = 2
+		codec := &countingCodec{Codec: szx.New()}
+		sur, err := codecs.SurrogateByName("szx")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw := NewWith(codec, sur, cfg)
+		if _, err := fw.Collect(fields[:2]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fw.Train(); err != nil {
+			t.Fatal(err)
+		}
+		refits := 0
+		for i := 0; i < 4; i++ {
+			before, runs := fw.model, codec.compresses
+			if _, _, err := fw.CompressToRatio(fields[2], 5+float64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if fw.model != before {
+				refits++
+			}
+			if n := codec.compresses - runs; n != 1 {
+				t.Fatalf("feedback=%v request %d: %d compressor runs, want 1", feedback, i, n)
+			}
+		}
+		if want := map[bool]int{false: 0, true: 2}[feedback]; refits != want {
+			t.Fatalf("feedback=%v: %d refits over 4 requests, want %d", feedback, refits, want)
+		}
 	}
 }

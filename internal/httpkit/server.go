@@ -63,12 +63,10 @@ func (t *Timeouts) Flags(fs *flag.FlagSet) {
 type Server struct {
 	name, prefix string
 	mux          *http.ServeMux
-	// labels maps every registered path to its metric label; prefixes
-	// lists the subtree paths (trailing slash) among them.
-	labels   map[string]string
-	prefixes []string
-	sem      chan struct{}
-	handler  http.Handler
+	// labels is the set of registered paths, each its own metric label.
+	labels  map[string]bool
+	sem     chan struct{}
+	handler http.Handler
 
 	inflight  *obs.Gauge
 	throttled *obs.Counter
@@ -85,7 +83,7 @@ func New(name, prefix string, maxInflight int, sel *selector.Selector) *Server {
 		name:      name,
 		prefix:    prefix,
 		mux:       http.NewServeMux(),
-		labels:    map[string]string{},
+		labels:    map[string]bool{},
 		sem:       make(chan struct{}, maxInflight),
 		inflight:  obs.Default.Gauge(prefix + "_inflight_requests"),
 		throttled: obs.Default.Counter(prefix + "_throttled_total"),
@@ -117,16 +115,10 @@ func New(name, prefix string, maxInflight int, sel *selector.Selector) *Server {
 
 // Handle registers h on the mux under pattern — a path, optionally
 // method-qualified ("POST /v1/compress": other methods get 405) — and the
-// path as a known metric label: an exact path labels as itself, a subtree
-// ("/v1/jobs/") labels every path under it as path+"{id}".
+// path as a known metric label.
 func (s *Server) Handle(pattern string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, h)
-	path := pattern[strings.IndexByte(pattern, ' ')+1:]
-	s.labels[path] = path
-	if strings.HasSuffix(path, "/") {
-		s.labels[path] = path + "{id}"
-		s.prefixes = append(s.prefixes, path)
-	}
+	s.labels[pattern[strings.IndexByte(pattern, ' ')+1:]] = true
 }
 
 // doc wraps a handler that writes one document.
@@ -147,13 +139,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // route serving it, "other" for everything else (unbounded label
 // cardinality would let a URL scanner grow the registry without limit).
 func (s *Server) Label(path string) string {
-	if l, ok := s.labels[path]; ok {
-		return l
-	}
-	for _, p := range s.prefixes {
-		if strings.HasPrefix(path, p) {
-			return s.labels[p]
-		}
+	if s.labels[path] {
+		return path
 	}
 	return "other"
 }
@@ -246,10 +233,9 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 
 // Run owns the process lifecycle so every exit path is explicit and
 // checked: listen and serve failures report and return non-zero; SIGINT or
-// SIGTERM drains in-flight requests, then calls drain (nil to skip) under
-// the same t.Shutdown deadline, and returns 0 when both finish clean.
-// detail is appended to the "listening on" log line.
-func (s *Server) Run(addr string, t Timeouts, detail string, drain func(context.Context) error) int {
+// SIGTERM drains in-flight requests under t.Shutdown and returns 0 when
+// they finish clean. detail is appended to the "listening on" log line.
+func (s *Server) Run(addr string, t Timeouts, detail string) int {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Printf("%s: listen: %v", s.name, err)
@@ -290,14 +276,6 @@ func (s *Server) Run(addr string, t Timeouts, detail string, drain func(context.
 	} else if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("%s: serve returned %v after shutdown", s.name, err)
 		code = 1
-	}
-	// HTTP is drained (or abandoned); now the background work, so accepted
-	// jobs are not silently lost.
-	if drain != nil {
-		if err := drain(sctx); err != nil {
-			log.Printf("%s: drain: %v", s.name, err)
-			code = 1
-		}
 	}
 	log.Printf("%s: shutdown complete", s.name)
 	return code

@@ -11,11 +11,10 @@
 #   4. killing a shard degrades the fleet but not correctness
 #   5. publishing a new model version converges every shard via the
 #      registry-watch poll (no SIGHUP fan-out)
-#   6. the async job API accepts, runs, and serves a chunked compress
-#   7. mode=auto picks a codec adaptively — whole-routed (shard decides)
+#   6. mode=auto picks a codec adaptively — whole-routed (shard decides)
 #      and fan-out (gate decides once for all slabs) — and the selector
 #      counters are inspectable at /v1/selector on gate and shards
-#   8. SIGTERM drains gate and shards to clean exits
+#   7. SIGTERM drains gate and shards to clean exits
 #
 # Pure sh + curl. Set SMOKE_LOG_DIR to keep per-process logs (CI uploads
 # them as artifacts on failure).
@@ -208,32 +207,6 @@ wait_for carolgate 150 sh -c \
      && ! grep -q '\"szx\":1' '$workdir/fleet2.json' \
      && grep -q '\"models_converged\":true' '$workdir/fleet2.json'"
 cat "$workdir/fleet2.json"; echo
-
-echo "== async job: submit, poll, fetch result"
-curl -fsS -o "$workdir/job.json" -H "X-Carol-Tenant: smoke" \
-    --data-binary @"$workdir/big.raw" \
-    "http://$ag/v1/jobs/compress?codec=szx&rel=1e-3&dims=64x16x16"
-cat "$workdir/job.json"; echo
-job_id=$(sed -n 's/.*"id":"\([^"]*\)".*/\1/p' "$workdir/job.json")
-if [ -z "$job_id" ]; then
-    echo "smoke-fleet: job submit returned no id" >&2
-    exit 1
-fi
-wait_for carolgate 100 sh -c \
-    "curl -fsS 'http://$ag/v1/jobs/$job_id' | grep -q '\"state\":\"done\"'"
-curl -fsS -o "$workdir/job-result.cpl" "http://$ag/v1/jobs/$job_id/result"
-head -c 4 "$workdir/job-result.cpl" | grep -q CPL1 || {
-    echo "smoke-fleet: job result is not a CPL1 container" >&2
-    dump_log carolgate
-    exit 1
-}
-curl -fsS -o "$workdir/job-restored.raw" --data-binary @"$workdir/job-result.cpl" \
-    "http://$ag/v1/decompress?codec=szx"
-restored=$(wc -c <"$workdir/job-restored.raw")
-if [ "$restored" -ne 65536 ]; then
-    echo "smoke-fleet: job round trip restored $restored bytes, want 65536" >&2
-    exit 1
-fi
 
 echo "== mode=auto: whole-routed adaptive compress through the gate"
 curl -fsS -o "$workdir/auto-small.bin" -D "$workdir/auto-small-headers.txt" \
