@@ -22,13 +22,14 @@ test:
 race:
 	go test -race ./...
 
-# Bit-identical on any host: the pinned models and every worker-count test
-# (rf engine, feature scan, collection) at one core and at four, so no
-# output bit may move with GOMAXPROCS (DESIGN.md §8).
+# Bit-identical on any host: the pinned models, every worker-count test
+# (rf engine, feature scan, collection) and carolserve's ratio= against the
+# in-process ratio resolver, at one core and at four, so no output bit may
+# move with GOMAXPROCS (DESIGN.md §8).
 pinned:
 	for p in 1 4; do \
-		GOMAXPROCS=$$p go test -count=1 -run 'Pinned|WorkersBitIdentical|TestRunMatchesInProcessTraining' \
-			./internal/core ./cmd/caroltrain ./internal/rf ./internal/features || exit 1; \
+		GOMAXPROCS=$$p go test -count=1 -run 'Pinned|WorkersBitIdentical|TestRunMatchesInProcessTraining|FrontDoors' \
+			./internal/core ./cmd/caroltrain ./internal/rf ./internal/features ./cmd/carolserve || exit 1; \
 	done
 
 # The one canonical size of the codebase: non-test Go lines outside bench/

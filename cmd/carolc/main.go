@@ -7,9 +7,10 @@
 //	carolc -compressor sz3 -dims 256x256x256 -eb 1e-3 -in data.f32 -out data.sz3c
 //
 // Compress to a target ratio (the FRaZ search on the error bound that
-// carolserve's ratio= runs: SZx, ZFP and SZ3 root-find on their SECRE
-// search surrogate and then compress once to three times; the achieved
-// ratio, the compressor runs and whether it landed within 3 % are printed):
+// carolserve's ratio= runs when it has no model for the codec: SZx, ZFP
+// and SZ3 root-find on their SECRE search surrogate and then compress once
+// to three times; the achieved ratio, the compressor runs and whether it
+// landed within 3 % are printed):
 //
 //	carolc -compressor sz3 -dims 256x256x256 -ratio 40 -in data.f32 -out data.sz3c
 //
@@ -230,9 +231,10 @@ func doCompressStream(comp string, f *carol.Field, eb float64, out string, worke
 }
 
 // compressToRatio resolves the error bound for the requested ratio with
-// the FRaZ search carolserve's ratio= runs (carol.IterativeCompressToRatio):
-// it root-finds on the codec's SECRE search surrogate where the codec has
-// one, and compresses only where the search predicts the target.
+// the unseeded FRaZ search (carol.IterativeCompressToRatio), which is
+// core.ResolveRatio as carolserve's ratio= runs it without a model: it
+// root-finds on the codec's SECRE search surrogate where the codec has one,
+// and compresses only where the search predicts the target.
 func compressToRatio(comp string, f *carol.Field, target float64) ([]byte, error) {
 	res, err := carol.IterativeCompressToRatio(comp, f, target)
 	if err != nil {

@@ -56,13 +56,12 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"time"
 
 	"carol"
 	"carol/internal/codecs"
 	"carol/internal/compressor"
+	"carol/internal/core"
 	"carol/internal/field"
-	"carol/internal/fraz"
 	"carol/internal/httpkit"
 	"carol/internal/obs"
 	"carol/internal/pipeline"
@@ -238,19 +237,11 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	var stream []byte
 	switch {
 	case req.Ratio > 0:
-		seed := s.predictBound(tr, codec.Name(), req.Ratio, f)
-		span = tr.StartSpan("search")
-		// SZx, ZFP and SZ3 searches root-find on their SECRE surrogate and
-		// compress where it predicts the target; binding it to the field plus
-		// every evaluation is the search's surrogate child span.
-		bindStart := time.Now()
-		opts := fraz.Options{Seed: seed, Surrogate: codecs.SearchSurrogate(codec.Name(), f)}
-		bindTime := time.Since(bindStart)
-		res, err := fraz.Search(codec, f, req.Ratio, opts)
-		if opts.Surrogate != nil {
-			tr.Record("surrogate", bindTime+res.SurrogateTime)
-		}
-		span.End()
+		// The loaded model for the codec seeds the search; SZx, ZFP and SZ3
+		// root-find on their SECRE surrogate and compress where it predicts
+		// the target.
+		res, _, err := core.ResolveRatio(codec, f, req.Ratio, core.RatioOptions{
+			Model: s.ratioModel(codec.Name()), Surrogate: true, Trace: tr})
 		if err != nil {
 			httpkit.CodecError(w, err)
 			return

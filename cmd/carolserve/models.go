@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"carol/internal/features"
-	"carol/internal/field"
 	"carol/internal/httpkit"
 	"carol/internal/model"
 	"carol/internal/obs"
@@ -63,49 +62,27 @@ func newModelStore(dir string, lim safedec.Limits) *modelStore {
 // set returns the current generation (never nil).
 func (ms *modelStore) set() modelSet { return *ms.current.Load() }
 
-// forCodec picks the model that predicts bounds for codec: the one
-// published under the codec's own name, else the first by name among those
-// trained for it (a deterministic choice — identical requests must get
-// identical answers), else nil.
-func (set modelSet) forCodec(codec string) *loadedModel {
-	if lm := set[codec]; lm != nil && lm.artifact.Codec == codec {
-		return lm
+// ratioModel is the regressor that seeds codec's ratio= search: the model
+// published under codec's own name, else the first by name among those
+// trained for it (identical requests must get identical answers), else nil.
+// Every loaded model passed its ServingCheck, and one generation of the
+// store is read, so a hot swap cannot change the model under a request.
+func (s *server) ratioModel(codec string) model.Regressor {
+	if s.models == nil {
+		return nil
 	}
-	var pick *loadedModel
+	set := s.models.set()
+	if lm := set[codec]; lm != nil && lm.artifact.Codec == codec {
+		return lm.artifact.Regressor
+	}
+	var pick model.Regressor
 	pickName := ""
 	for name, lm := range set {
 		if lm.artifact.Codec == codec && (pick == nil || name < pickName) {
-			pick, pickName = lm, name
+			pick, pickName = lm.artifact.Regressor, name
 		}
 	}
 	return pick
-}
-
-// predictBound asks the loaded model for codec which relative bound should
-// reach ratio on f — the seed of the ratio= search. It reads one generation
-// of the store, so a concurrent hot swap cannot change the model under it.
-// Zero (the search then starts unseeded) without a model for the codec or
-// when the model cannot answer; f's features are extracted only when there
-// is a model to ask.
-func (s *server) predictBound(tr *obs.Trace, codec string, ratio float64, f *field.Field) float64 {
-	if s.models == nil {
-		return 0
-	}
-	lm := s.models.set().forCodec(codec)
-	if lm == nil || lm.artifact.ServingCheck() != nil {
-		return 0
-	}
-	span := tr.StartSpan("features")
-	feat := features.ExtractParallel(f, features.ParallelOptions{})
-	span.End()
-	span = tr.StartSpan("predict")
-	ebs, err := model.PredictErrorBounds(lm.artifact.Regressor, feat, []float64{ratio})
-	span.End()
-	if err != nil {
-		log.Printf("carolserve: ratio= prediction, model for %s v%d: %v", codec, lm.version.Number, err)
-		return 0
-	}
-	return ebs[0]
 }
 
 // Ready reports whether at least one model is serving. /readyz gates on

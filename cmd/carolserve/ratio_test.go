@@ -11,8 +11,10 @@ import (
 	"sync"
 	"testing"
 
+	"carol"
 	"carol/internal/codecs"
 	"carol/internal/compressor"
+	"carol/internal/core"
 	"carol/internal/features"
 	"carol/internal/field"
 	"carol/internal/fraz"
@@ -206,5 +208,105 @@ func TestRatioHotSwapUnderLoad(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestRatioFrontDoorsMatchResolver: ratio= is the in-process resolver. With
+// a published artifact it answers what core.ResolveRatio answers given
+// that artifact's regressor and the search surrogate (bytes, compressor
+// runs, resolver); without -model-dir it answers what
+// carol.IterativeCompressToRatio does (bytes, compressor runs).
+func TestRatioFrontDoorsMatchResolver(t *testing.T) {
+	f, buf := testBody(t)
+	body := buf.Bytes()
+	plain := newServerWith(defaultConfig())
+	for name, targets := range map[string][]float64{"szx": {4, 12}, "zfp": {3, 5}, "sz3": {8, 25}} {
+		dir := t.TempDir()
+		publishFieldModel(t, dir, name, name, f)
+		seeded := modelServer(t, dir)
+		reg, err := registry.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := reg.Latest(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := reg.Load(v, defaultConfig().decodeLimits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codec, err := codecs.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, target := range targets {
+			query := fmt.Sprintf("codec=%s&dims=24x24x8&ratio=%g", name, target)
+			want, _, err := core.ResolveRatio(codec, f, target, core.RatioOptions{Model: art.Regressor, Surrogate: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := postRatio(t, seeded, query, body)
+			if !bytes.Equal(got.body, want.Stream) || got.runs != want.Runs || got.resolver != want.Resolver() {
+				t.Errorf("%s with a model: served %d bytes in %d runs (resolver %s), the resolver %d bytes in %d runs (%s)",
+					query, len(got.body), got.runs, got.resolver, len(want.Stream), want.Runs, want.Resolver())
+			}
+			iter, err := carol.IterativeCompressToRatio(name, f, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := postRatio(t, plain, query, body)
+			if !bytes.Equal(base.body, iter.Stream) || base.runs != iter.CompressorRuns || base.resolver != fraz.ResolverSearch {
+				t.Errorf("%s without a model: served %d bytes in %d runs (resolver %s), IterativeCompressToRatio %d bytes in %d runs",
+					query, len(base.body), base.runs, base.resolver, len(iter.Stream), iter.CompressorRuns)
+			}
+		}
+	}
+}
+
+// TestRatioMetricsPerCodec: fraz_search_compressor_runs_total and
+// fraz_ratio_miss carry the searched codec, so an szx ratio= moves the szx
+// series alone.
+func TestRatioMetricsPerCodec(t *testing.T) {
+	_, buf := testBody(t)
+	s := newServerWith(defaultConfig())
+	for _, name := range []string{"szx", "zfp", "sz3"} {
+		postRatio(t, s, "codec="+name+"&dims=24x24x8&ratio=4", buf.Bytes())
+	}
+	scrape := func() map[string]string {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		out := make(map[string]string)
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			series, value, ok := strings.Cut(line, " ")
+			if ok && (strings.HasPrefix(series, "fraz_search_compressor_runs_total") || strings.HasPrefix(series, "fraz_ratio_miss")) {
+				out[series] = value
+			}
+		}
+		return out
+	}
+	before := scrape()
+	got := postRatio(t, s, "codec=szx&dims=24x24x8&ratio=6", buf.Bytes())
+	after := scrape()
+	runs := `fraz_search_compressor_runs_total{codec="szx"}`
+	if b, _ := strconv.Atoi(before[runs]); after[runs] != strconv.Itoa(b+got.runs) {
+		t.Errorf("%s went %s -> %s over a request of %d runs", runs, before[runs], after[runs], got.runs)
+	}
+	count := `fraz_ratio_miss_count{codec="szx"}`
+	if b, _ := strconv.Atoi(before[count]); after[count] != strconv.Itoa(b+1) {
+		t.Errorf("%s went %s -> %s over one request", count, before[count], after[count])
+	}
+	for series, v := range after {
+		if !strings.Contains(series, `codec="`) {
+			t.Errorf("%s has no codec label", series)
+		}
+		if !strings.Contains(series, `codec="szx"`) && before[series] != v {
+			t.Errorf("an szx request moved %s from %s to %s", series, before[series], v)
+		}
+	}
+	for _, name := range []string{"zfp", "sz3"} {
+		if _, ok := after[`fraz_ratio_miss_count{codec="`+name+`"}`]; !ok {
+			t.Errorf("no fraz_ratio_miss series for %s after a %s ratio= request", name, name)
+		}
 	}
 }

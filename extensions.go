@@ -8,7 +8,7 @@ import (
 	"carol/internal/bayesopt"
 	"carol/internal/codecs"
 	"carol/internal/compressor"
-	"carol/internal/fraz"
+	"carol/internal/core"
 	"carol/internal/pipeline"
 )
 
@@ -58,14 +58,15 @@ type TrialAndErrorResult struct {
 // trained model, by a FRaZ-style search on the error bound with the real
 // compressor (Underwood et al., IPDPS 2020). It is exact but costs several
 // compressor runs — the baseline a trained Framework replaces with a single
-// prediction. For SZx, ZFP and SZ3 the search runs on their SECRE search
+// prediction. It is the resolver CompressToRatio and carolserve's ratio=
+// run, unseeded: for SZx, ZFP and SZ3 the search runs on their SECRE search
 // surrogate first and compresses only where it predicts the target.
 func IterativeCompressToRatio(compressorName string, f *Field, targetRatio float64) (TrialAndErrorResult, error) {
 	codec, err := codecs.ByName(compressorName)
 	if err != nil {
 		return TrialAndErrorResult{}, err
 	}
-	res, err := fraz.Search(codec, f, targetRatio, fraz.Options{Surrogate: codecs.SearchSurrogate(compressorName, f)})
+	res, _, err := core.ResolveRatio(codec, f, targetRatio, core.RatioOptions{Surrogate: true})
 	if err != nil {
 		return TrialAndErrorResult{}, err
 	}

@@ -30,8 +30,10 @@ import (
 	"carol/internal/compressor"
 	"carol/internal/features"
 	"carol/internal/field"
+	"carol/internal/fraz"
 	"carol/internal/gridsearch"
 	"carol/internal/model"
+	"carol/internal/obs"
 	"carol/internal/pipeline"
 	"carol/internal/rf"
 	"carol/internal/secre"
@@ -213,7 +215,7 @@ func New(name string, cfg Config) (*Framework, error) {
 // estimator with calibration when no purpose-built surrogate exists).
 func NewWith(codec compressor.Codec, surrogate compressor.Estimator, cfg Config) *Framework {
 	fw := &Framework{codec: codec, surrogate: surrogate, cfg: cfg.withDefaults()}
-	fw.extract = func(f *field.Field) features.Vector { return features.ExtractParallel(f, features.ParallelOptions{}) }
+	fw.extract = extractParallel
 	// CAROL's search: iterations more evaluations of the checkpointable
 	// Bayesian optimizer.
 	fw.search = func(X [][]float64, y []float64, iterations int) (gridsearch.Result, error) {
@@ -477,44 +479,93 @@ func (fw *Framework) PredictErrorBound(f *field.Field, targetRatio float64) (flo
 
 // PredictErrorBounds is the batch form of PredictErrorBound: it extracts
 // f's features once and predicts the error bound for every target ratio in
-// one regressor batch pass. This is the cheap way to build a ratio→bound
+// one regressor batch pass (model.PredictErrorBounds, the predictor a
+// served artifact uses). This is the cheap way to build a ratio→bound
 // curve for one field.
 func (fw *Framework) PredictErrorBounds(f *field.Field, targetRatios []float64) ([]float64, error) {
-	return fw.predict(fw.extract(f), targetRatios)
-}
-
-// predict runs the shared ratio→bound predictor (model.PredictErrorBounds,
-// the same one a served artifact uses) on an extracted feature vector.
-func (fw *Framework) predict(feat features.Vector, targetRatios []float64) ([]float64, error) {
 	if fw.model == nil {
 		return nil, errors.New("core: model not trained")
 	}
-	return model.PredictErrorBounds(fw.model, feat, targetRatios)
+	return model.PredictErrorBounds(fw.model, fw.extract(f), targetRatios)
+}
+
+// RatioOptions says how ResolveRatio reaches a target; the zero value is
+// FRaZ's plain search.
+type RatioOptions struct {
+	// Model, when set, predicts the search's seed from f's features, which
+	// Extract gives (nil: features.ExtractParallel at default options).
+	Model   model.Regressor
+	Extract func(*field.Field) features.Vector
+	// Surrogate binds the codec's search surrogate (codecs.SearchSurrogate).
+	Surrogate bool
+	// MaxRuns is the real-run budget, fraz.Options.MaxRuns: 1 is one
+	// compression at the model's bound, 0 is 16.
+	MaxRuns int
+	// Trace gets the features, predict, surrogate and search spans.
+	Trace *obs.Trace
+}
+
+// ResolveRatio is the one fixed-ratio resolver: CompressToRatio,
+// carolserve's ratio=, carol.IterativeCompressToRatio and Ext 2 call it. It
+// extracts f's features once, seeds from model.PredictErrorBounds, binds
+// the search surrogate when asked and runs fraz.Search under the budget. It
+// also returns the features, where a Model read them.
+func ResolveRatio(codec compressor.Codec, f *field.Field, targetRatio float64, o RatioOptions) (fraz.Result, features.Vector, error) {
+	var feat features.Vector
+	opts := fraz.Options{MaxRuns: o.MaxRuns}
+	if o.Model != nil {
+		if o.Extract == nil {
+			o.Extract = extractParallel
+		}
+		span := o.Trace.StartSpan("features")
+		feat = o.Extract(f)
+		span.End()
+		span = o.Trace.StartSpan("predict")
+		seeds, err := model.PredictErrorBounds(o.Model, feat, []float64{targetRatio})
+		span.End()
+		if err != nil {
+			return fraz.Result{}, feat, err
+		}
+		opts.Seed = seeds[0]
+	}
+	span := o.Trace.StartSpan("search")
+	defer span.End()
+	// Binding the surrogate plus its evaluations is the surrogate span.
+	start := time.Now()
+	if o.Surrogate {
+		opts.Surrogate = codecs.SearchSurrogate(codec.Name(), f)
+	}
+	bind := time.Since(start)
+	res, err := fraz.Search(codec, f, targetRatio, opts)
+	if opts.Surrogate != nil {
+		o.Trace.Record("surrogate", bind+res.SurrogateTime)
+	}
+	return res, feat, err
+}
+
+func extractParallel(f *field.Field) features.Vector {
+	return features.ExtractParallel(f, features.ParallelOptions{})
 }
 
 // CompressToRatio predicts the error bound for targetRatio and runs the
-// compressor with it, returning the stream and the achieved ratio. With
-// Config.Feedback enabled, the measured (features, achieved ratio, bound)
-// outcome is folded back into the training set — the paper's on-the-fly
-// model-improvement loop.
+// compressor once with it (ResolveRatio with a one-run budget), returning
+// the stream and the achieved ratio. With Config.Feedback enabled, the
+// measured (features, achieved ratio, bound) outcome is folded back into
+// the training set — the paper's on-the-fly model-improvement loop.
 func (fw *Framework) CompressToRatio(f *field.Field, targetRatio float64) ([]byte, float64, error) {
-	feat := fw.extract(f)
-	rels, err := fw.predict(feat, []float64{targetRatio})
+	if fw.model == nil {
+		return nil, 0, errors.New("core: model not trained")
+	}
+	res, feat, err := ResolveRatio(fw.codec, f, targetRatio, RatioOptions{Model: fw.model, Extract: fw.extract, MaxRuns: 1})
 	if err != nil {
 		return nil, 0, err
 	}
-	rel := rels[0]
-	stream, err := fw.codec.Compress(f, compressor.AbsBound(f, rel))
-	if err != nil {
-		return nil, 0, err
-	}
-	achieved := compressor.Ratio(f, stream)
 	if fw.cfg.Feedback {
-		if err := fw.ObserveOutcome(feat, achieved, rel); err != nil {
+		if err := fw.ObserveOutcome(feat, res.Achieved, res.RelEB); err != nil {
 			return nil, 0, err
 		}
 	}
-	return stream, achieved, nil
+	return res.Stream, res.Achieved, nil
 }
 
 // ObserveOutcome records a measured compression outcome — "this field, at

@@ -10,7 +10,6 @@ import (
 	"carol/internal/compressor"
 	"carol/internal/core"
 	"carol/internal/field"
-	"carol/internal/fraz"
 	"carol/internal/model"
 	"carol/internal/sperr"
 	"carol/internal/stats"
@@ -96,10 +95,6 @@ func RunExtFraz(w io.Writer, s Scale) error {
 
 // extFraz is Ext 2 for one codec.
 func extFraz(w io.Writer, p params, name string, train []*field.Field, test *field.Field) error {
-	codec, err := codecs.ByName(name)
-	if err != nil {
-		return err
-	}
 	fw, err := core.New(name, core.Config{
 		ErrorBounds: p.sweep, BOIterations: p.boIters,
 		ForestCap: p.forestCap, Seed: p.seed,
@@ -107,6 +102,7 @@ func extFraz(w io.Writer, p params, name string, train []*field.Field, test *fie
 	if err != nil {
 		return err
 	}
+	codec := fw.Codec()
 	cs, err := fw.Collect(train)
 	if err != nil {
 		return err
@@ -115,49 +111,32 @@ func extFraz(w io.Writer, p params, name string, train []*field.Field, test *fie
 	if err != nil {
 		return err
 	}
+	m, err := fw.Artifact(nil)
+	if err != nil {
+		return err
+	}
 	targets, err := achievableTargets(codec, test, p, 5)
 	if err != nil {
 		return err
 	}
-	// search is a fraz search the way a resolver sets it up; it is timed
-	// with what it needs beyond the trained model (the prediction, binding
-	// the surrogate to the field).
-	search := func(seeded, surrogate bool) func(float64) (float64, int, error) {
-		return func(target float64) (float64, int, error) {
-			var opts fraz.Options
-			if seeded { // what carolserve does for ratio=
-				seed, err := fw.PredictErrorBound(test, target)
-				if err != nil {
-					return 0, 0, err
-				}
-				opts.Seed = seed
-			}
-			if surrogate {
-				opts.Surrogate = codecs.SearchSurrogate(name, test)
-			}
-			res, err := fraz.Search(codec, test, target, opts)
-			return res.Achieved, res.Runs, err
-		}
-	}
+	// Each row is the one ratio resolver at one setting: CAROL's one run at
+	// the model's bound (CompressToRatio), FRaZ's search, and the search
+	// seeded by the model, then also root-finding on the SECRE surrogate
+	// (carolserve's ratio=; SZ3, SZx and ZFP each have one).
 	type resolver struct {
 		name, note string
-		run        func(target float64) (achieved float64, runs int, err error)
+		opts       core.RatioOptions
 		alpha      stats.Accumulator
 		runs       int
 		time       time.Duration
 	}
 	resolvers := []*resolver{
 		{name: "CAROL", note: fmt.Sprintf("plus one-time setup %s", ms(cs.Duration+ts.Duration)),
-			run: func(target float64) (float64, int, error) {
-				_, achieved, err := fw.CompressToRatio(test, target)
-				return achieved, 1, err // one compression per request
-			}},
-		{name: "FRaZ", note: "no setup", run: search(false, false)},
-		{name: "seeded", note: "CAROL's bound starts the FRaZ search; same setup", run: search(true, false)},
-	}
-	if codecs.SearchSurrogate(name, test) != nil {
-		resolvers = append(resolvers, &resolver{name: "+surrogate", run: search(true, true),
-			note: "the seeded search, root-finding on the SECRE surrogate before it compresses"})
+			opts: core.RatioOptions{Model: m.Regressor, MaxRuns: 1}},
+		{name: "FRaZ", note: "no setup"},
+		{name: "seeded", note: "CAROL's bound starts the FRaZ search; same setup", opts: core.RatioOptions{Model: m.Regressor}},
+		{name: "+surrogate", note: "the seeded search, root-finding on the SECRE surrogate before it compresses",
+			opts: core.RatioOptions{Model: m.Regressor, Surrogate: true}},
 	}
 	fmt.Fprintf(w, "[%s]\n", name)
 	tw := newTable(w)
@@ -170,14 +149,14 @@ func extFraz(w io.Writer, p params, name string, train []*field.Field, test *fie
 		fmt.Fprintf(tw, "%.2f", target)
 		for _, r := range resolvers {
 			start := time.Now()
-			achieved, runs, err := r.run(target)
+			res, _, err := core.ResolveRatio(codec, test, target, r.opts)
 			if err != nil {
 				return err
 			}
 			r.time += time.Since(start)
-			r.runs += runs
-			r.alpha.Add(stats.PctError(achieved, target))
-			fmt.Fprintf(tw, "\t%.2f\t%d", achieved, runs)
+			r.runs += res.Runs
+			r.alpha.Add(stats.PctError(res.Achieved, target))
+			fmt.Fprintf(tw, "\t%.2f\t%d", res.Achieved, res.Runs)
 		}
 		fmt.Fprintln(tw)
 	}

@@ -11,9 +11,11 @@
 package fraz
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"carol/internal/compressor"
@@ -28,7 +30,7 @@ const (
 	// the median miss of served ratio= requests below what bisection into a
 	// 5 % band delivered (0.0197), at +0.8 compressor runs over a 5 % band.
 	tolerance = 0.03
-	// maxRuns caps the compressor runs of one search.
+	// maxRuns caps the compressor runs of a search by default.
 	maxRuns = 16
 	// minBracket is the log-eb width (~2 % in eb) below which a bracket
 	// whose two ends both miss the band holds a jump of the codec's ratio
@@ -57,7 +59,11 @@ var (
 		ResolverSearch: obs.Default.Histogram(obs.Label("fraz_search_runs", "resolver", ResolverSearch), obs.LinearBuckets(1, 1, maxRuns)),
 		ResolverModel:  obs.Default.Histogram(obs.Label("fraz_search_runs", "resolver", ResolverModel), obs.LinearBuckets(1, 1, maxRuns)),
 	}
-	searchRunsTotal = obs.Default.Counter("fraz_search_compressor_runs_total")
+	// searchRunsTotal and ratioMiss are labelled with the searched codec's
+	// name, so one-run library calls and served searches report per codec.
+	searchRunsTotal = &byCodec[*obs.Counter]{of: func(codec string) *obs.Counter {
+		return obs.Default.Counter(obs.Label("fraz_search_compressor_runs_total", "codec", codec))
+	}}
 	searchConverged = obs.Default.Counter("fraz_search_converged_total")
 	searchDiverged  = obs.Default.Counter("fraz_search_unconverged_total")
 	searchErrors    = obs.Default.Counter("fraz_search_errors_total")
@@ -74,9 +80,20 @@ var (
 	refineRuns = obs.Default.Counter("fraz_surrogate_refine_runs_total")
 	// ratioMiss is |achieved/target - 1| of every finished search; the
 	// buckets straddle the acceptance band.
-	ratioMiss = obs.Default.Histogram("fraz_ratio_miss",
-		[]float64{0.005, 0.01, 0.02, 0.03, 0.05, 0.1, 0.25, 0.5, 1})
+	ratioMiss = &byCodec[*obs.Histogram]{of: func(codec string) *obs.Histogram {
+		return obs.Default.Histogram(obs.Label("fraz_ratio_miss", "codec", codec),
+			[]float64{0.005, 0.01, 0.02, 0.03, 0.05, 0.1, 0.25, 0.5, 1})
+	}}
 )
+
+// byCodec is a metric with a series per codec label; n totals them all.
+type byCodec[M any] struct {
+	of func(codec string) M
+	n  atomic.Int64
+}
+
+func (m *byCodec[M]) Count() int64 { return m.n.Load() }
+func (m *byCodec[M]) Value() int64 { return m.n.Load() }
 
 // The two values of the resolver label and of carolserve's
 // X-Carol-Resolver header.
@@ -90,7 +107,8 @@ type Options struct {
 	// Seed is a predicted value-range-relative error bound to start from
 	// (a trained model's answer for this field and target). Zero, negative
 	// and non-finite seeds are ignored and the search starts from the
-	// geometric middle of the interval; a seed outside it is clamped.
+	// geometric middle of the interval; a seed outside it is clamped,
+	// unless MaxRuns is 1.
 	Seed float64
 	// Surrogate, when set, estimates the codec's ratio on the searched field
 	// at an absolute error bound for a small fraction of a compression (a
@@ -98,6 +116,9 @@ type Options struct {
 	// only where it predicts the target; see solve. Nil leaves the search on
 	// real probes alone.
 	Surrogate func(eb float64) (float64, error)
+	// MaxRuns caps the compressor runs; 0 means 16. A one-run search never
+	// steps, so it compresses at the seed as given.
+	MaxRuns int
 }
 
 // Probe is one compressor run of a search.
@@ -151,13 +172,15 @@ func Search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 		return res, err
 	}
 	searchRuns[res.Resolver()].Observe(float64(res.Runs))
-	searchRunsTotal.Add(int64(res.Runs))
+	searchRunsTotal.of(codec.Name()).Add(int64(res.Runs))
+	searchRunsTotal.n.Add(int64(res.Runs))
 	if res.Converged {
 		searchConverged.Inc()
 	} else {
 		searchDiverged.Inc()
 	}
-	ratioMiss.Observe(math.Abs(res.Achieved/targetRatio - 1))
+	ratioMiss.of(codec.Name()).Observe(math.Abs(res.Achieved/targetRatio - 1))
+	ratioMiss.n.Add(1)
 	if opts.Surrogate != nil {
 		surrogateEvals.Observe(float64(res.SurrogateEvals))
 		if res.SurrogateDropped {
@@ -319,10 +342,14 @@ func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 	if f == nil || f.Len() == 0 {
 		return Result{}, errors.New("fraz: empty field")
 	}
+	runs := cmp.Or(max(opts.MaxRuns, 0), maxRuns)
 	res := Result{Seeded: opts.Seed > 0 && !math.IsInf(opts.Seed, 1)}
 	rel := math.Sqrt(relLo * relHi)
 	if res.Seeded {
-		rel = math.Min(math.Max(opts.Seed, relLo), relHi)
+		rel = opts.Seed
+		if runs > 1 {
+			rel = math.Min(math.Max(rel, relLo), relHi)
+		}
 	}
 	// compressor.AbsBound's rule, with its pass over the field taken once.
 	// An infinite sample makes the range non-finite, and no bound of it a
@@ -338,7 +365,7 @@ func search(codec compressor.Codec, f *field.Field, targetRatio float64, opts Op
 
 	var b bracket
 	bestMiss, lastMiss := math.Inf(1), math.Inf(1)
-	for res.Runs < maxRuns {
+	for res.Runs < runs {
 		if sur.ratio != nil {
 			at, predicted, ok := sur.solve(b, rel)
 			switch {

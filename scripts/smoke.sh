@@ -208,7 +208,7 @@ tr -d '\r' <"$workdir/ratio_headers.txt" | grep -qiE '^X-Carol-Surrogate-Evals: 
 
 echo "== POST /v1/compress?codec=sz3&ratio= root-finds on SZ3's surrogate"
 "$bindir/carolgen" -dataset miranda -field velocityx -dims 32x32x32 -out "$workdir/velocityx32.raw"
-curl -fsS -o /dev/null -D "$workdir/sz3_headers.txt" \
+curl -fsS -o "$workdir/sz3_ratio.served" -D "$workdir/sz3_headers.txt" \
     --data-binary @"$workdir/velocityx32.raw" \
     "http://$addr/v1/compress?codec=sz3&ratio=25&dims=32x32x32"
 tr -d '\r' <"$workdir/sz3_headers.txt" | grep -i '^X-Carol-'
@@ -219,6 +219,15 @@ if [ -z "$runs" ] || [ "$runs" -gt 3 ] || [ -z "$evals" ] || [ "$evals" -lt 1 ];
     echo "smoke: sz3 ratio=25 took '$runs' compressor runs and '$evals' surrogate evaluations, want <= 3 and > 0" >&2
     exit 1
 fi
+
+echo "== carolc -ratio and ratio= run one resolver: the same sz3 stream"
+# The registry holds szx models only, so both sides search unseeded.
+"$bindir/carolc" -compressor sz3 -dims 32x32x32 -ratio 25 \
+    -in "$workdir/velocityx32.raw" -out "$workdir/sz3_ratio.cli"
+cmp "$workdir/sz3_ratio.cli" "$workdir/sz3_ratio.served" || {
+    echo "smoke: carolc -compressor sz3 -ratio 25 and ratio=25 wrote different streams" >&2
+    exit 1
+}
 
 echo "== GET /metrics"
 curl -fsS "http://$addr/metrics" >"$workdir/metrics.txt"
