@@ -38,6 +38,7 @@ import (
 	"carol/internal/compressor"
 	"carol/internal/core"
 	"carol/internal/field"
+	"carol/internal/pipeline"
 )
 
 // Field is a named scalar field on a regular grid (float32 payload,
@@ -130,13 +131,15 @@ func Compress(compressorName string, f *Field, relErrorBound float64) ([]byte, e
 	return c.Compress(f, compressor.AbsBound(f, relErrorBound))
 }
 
-// Decompress reverses Compress for the named compressor.
+// Decompress reverses Compress for the named compressor, and CompressStream
+// too: it reads a plain codec stream, a CPL1 container and the legacy CCH1
+// container alike.
 func Decompress(compressorName string, stream []byte) (*Field, error) {
 	c, err := codecs.ByName(compressorName)
 	if err != nil {
 		return nil, err
 	}
-	return c.Decompress(stream)
+	return pipeline.New(c, pipeline.Options{}).Decompress(stream)
 }
 
 // Ratio returns the compression ratio a stream achieves on f.

@@ -44,7 +44,6 @@ import (
 	"carol/internal/codecs"
 	"carol/internal/compressor"
 	"carol/internal/field"
-	"carol/internal/pipeline"
 	"carol/internal/selector"
 )
 
@@ -276,33 +275,22 @@ func doDecompress(comp, in, out string, workers int) error {
 	return nil
 }
 
-// decodeAny decodes either a slab container (CPL1, or the legacy CCH1;
-// detected by magic, decoded block-streaming without buffering the input
-// in full) or a plain codec stream. With comp == "auto" the codec is
-// sniffed from the stream's leading magic byte — except for slab
-// containers, which carry no codec name and need one passed explicitly.
+// decodeAny decodes a slab container (CPL1, or the legacy CCH1) or a plain
+// codec stream off r through the one streaming decoder. With comp == "auto"
+// the codec is sniffed from a plain stream's leading magic byte; a slab
+// container names no codec, so its magic sniffs as none.
 func decodeAny(comp string, r io.Reader, workers int) (*carol.Field, error) {
 	br := bufio.NewReader(r)
-	if peek, err := br.Peek(len(pipeline.Magic)); err == nil && pipeline.IsContainer(peek) {
-		if comp == "auto" {
-			return nil, fmt.Errorf("%s containers do not name their codec; pass one with -codec or -compressor", peek)
-		}
-		return carol.DecompressStream(comp, br, carol.StreamOptions{Workers: workers})
-	}
 	if comp == "auto" {
 		peek, err := br.Peek(1)
 		if err != nil {
 			return nil, fmt.Errorf("sniff codec: %w", err)
 		}
 		if comp, err = codecs.Sniff(peek[0]); err != nil {
-			return nil, fmt.Errorf("%w; pass the codec explicitly", err)
+			return nil, fmt.Errorf("%w (slab containers name no codec); pass the codec explicitly", err)
 		}
 	}
-	stream, err := io.ReadAll(br)
-	if err != nil {
-		return nil, err
-	}
-	return carol.Decompress(comp, stream)
+	return carol.DecompressStream(comp, br, carol.StreamOptions{Workers: workers})
 }
 
 // doVerify decompresses `in` and reports reconstruction quality against the

@@ -46,7 +46,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -94,8 +93,6 @@ func parseFlags(args []string) (config, string, error) {
 		"maximum concurrently served /v1/ requests; excess get 503 + Retry-After")
 	fs.DurationVar(&cfg.registryWatch, "registry-watch", cfg.registryWatch,
 		"poll the model registry at this interval and hot-swap on change (0 disables; SIGHUP always works)")
-	fs.BoolVar(&cfg.trackEstimatorError, "track-estimator-error", cfg.trackEstimatorError,
-		"run the SECRE surrogate alongside rel= compresses and export estimate-vs-actual error gauges")
 	fs.Uint64("selector-seed", 1,
 		"ignored: mode=auto draws no random numbers (kept until the benchmark harness stops passing it)")
 	cfg.timeouts.Flags(fs)
@@ -263,7 +260,7 @@ func (s *server) handleCompress(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		actual := compressor.Ratio(f, stream)
-		if dec == nil && s.cfg.trackEstimatorError {
+		if dec == nil {
 			// Online estimator-error tracking (Underwood et al.'s black-box
 			// ratio-prediction metric): run the cheap sampled surrogate next to
 			// the full run we just paid for, and export the error.
@@ -336,30 +333,14 @@ func (s *server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		httpkit.RequestError(w, err)
 		return
 	}
-	// Slab containers (CPL1, or the legacy CCH1) are decoded straight off
-	// the request body — block frames are read and decoded in a bounded
-	// window, so a large container is never buffered in full. Anything else
-	// is a single codec stream and needs the whole slice.
-	br := bufio.NewReader(io.LimitReader(r.Body, httpkit.MaxBody))
-	var f *field.Field
-	if peek, perr := br.Peek(len(pipeline.Magic)); perr == nil && pipeline.IsContainer(peek) {
-		p := pipeline.New(codec, pipeline.Options{Limits: s.cfg.decodeLimits})
-		span := tr.StartSpan("codec")
-		f, err = p.DecompressStream(br)
-		span.End()
-	} else {
-		span := tr.StartSpan("read")
-		var stream []byte
-		stream, err = httpkit.ReadSized(br, r.ContentLength, httpkit.MaxBody)
-		span.End()
-		if err != nil {
-			httpkit.Error(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		span = tr.StartSpan("codec")
-		f, err = codec.DecompressLimited(stream, s.cfg.decodeLimits)
-		span.End()
-	}
+	// One decoder for a slab container (CPL1, or the legacy CCH1) and a
+	// single codec stream, straight off the request body: a container's
+	// frames are read and decoded in a bounded window, so it is never
+	// buffered in full.
+	p := pipeline.New(codec, pipeline.Options{Limits: s.cfg.decodeLimits})
+	span := tr.StartSpan("codec")
+	f, err := p.DecompressStream(io.LimitReader(r.Body, httpkit.MaxBody))
+	span.End()
 	if err != nil {
 		// Limit rejections are the client asking for more than this server
 		// will allocate (413: shrink it); truncation/corruption means the

@@ -17,9 +17,6 @@ type config struct {
 	// maxInflight bounds concurrently served /v1/ requests; excess requests
 	// are refused with 503 + Retry-After instead of queueing without bound.
 	maxInflight int
-	// trackEstimatorError runs the SECRE surrogate alongside /v1/compress
-	// rel= requests and records estimate-vs-actual ratio error gauges.
-	trackEstimatorError bool
 
 	// decodeLimits bounds what /v1/decompress will allocate from
 	// stream-claimed sizes; limit rejections map to 413, corruption to 422.
@@ -40,12 +37,11 @@ type config struct {
 }
 
 // defaultConfig returns production defaults: generous read/write windows
-// (bodies run to 512 MiB), a bounded in-flight ceiling sized for the
-// compressors' CPU-heavy handlers, and online estimator-error tracking on.
+// (bodies run to 512 MiB) and a bounded in-flight ceiling sized for the
+// compressors' CPU-heavy handlers.
 func defaultConfig() config {
 	return config{
-		maxInflight:         64,
-		trackEstimatorError: true,
+		maxInflight: 64,
 		// Stricter than the safedec library defaults: the body cap is
 		// 512 MiB, so a legitimate stream can never decode to more than
 		// MaxBody/4 float32 samples even at ratio 1.

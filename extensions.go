@@ -14,7 +14,7 @@ import (
 
 // This file holds the public surface of the repository's extensions beyond
 // the paper's core design: checkpoint persistence, the FRaZ-style
-// trial-and-error baseline, and slab-parallel whole-field compression into
+// trial-and-error baseline, and slab-parallel streaming compression into
 // the one slab container, CPL1 (CCH1, the legacy chunk container, is read
 // but never written).
 
@@ -79,33 +79,6 @@ func IterativeCompressToRatio(compressorName string, f *Field, targetRatio float
 	}, nil
 }
 
-// CompressChunked compresses f slab-parallel across the host's cores with
-// the named compressor at a value-range-relative error bound, producing the
-// pipeline container (CPL1) CompressStream writes with default options
-// (decode with DecompressChunked or DecompressStream). The error bound
-// guarantee is unchanged; only the container format differs from
-// Compress.
-func CompressChunked(compressorName string, f *Field, relErrorBound float64) ([]byte, error) {
-	codec, err := codecs.ByName(compressorName)
-	if err != nil {
-		return nil, err
-	}
-	if !(relErrorBound > 0) {
-		return nil, fmt.Errorf("carol: invalid relative error bound %g", relErrorBound)
-	}
-	return pipeline.New(codec, pipeline.Options{}).Compress(f, compressor.AbsBound(f, relErrorBound))
-}
-
-// DecompressChunked reverses CompressChunked. It also reads CCH1, the
-// legacy chunk container CompressChunked wrote before CPL1.
-func DecompressChunked(compressorName string, stream []byte) (*Field, error) {
-	codec, err := codecs.ByName(compressorName)
-	if err != nil {
-		return nil, err
-	}
-	return pipeline.New(codec, pipeline.Options{}).Decompress(stream)
-}
-
 // StreamOptions tunes the streaming endpoints. The zero value takes
 // defaults (GOMAXPROCS blocks and workers).
 type StreamOptions struct {
@@ -121,7 +94,7 @@ type StreamOptions struct {
 // to w as blocks complete: neither the compressed stream nor more than a
 // bounded window of in-flight blocks is ever resident at once. The output
 // is bit-identical for every StreamOptions.Workers value; decode it with
-// DecompressStream.
+// DecompressStream, or with Decompress once it is in memory.
 func CompressStream(compressorName string, w io.Writer, f *Field, relErrorBound float64, opts StreamOptions) error {
 	codec, err := codecs.ByName(compressorName)
 	if err != nil {
@@ -134,11 +107,12 @@ func CompressStream(compressorName string, w io.Writer, f *Field, relErrorBound 
 	return p.CompressStream(w, f, compressor.AbsBound(f, relErrorBound))
 }
 
-// DecompressStream reverses CompressStream (and CompressChunked), reading
-// block frames from r one at a time and decoding them in parallel; it reads
-// the legacy CCH1 container too. Input claimed by a hostile or corrupt
-// stream is validated against the default safedec limits before anything
-// is allocated from it; r is never buffered in full.
+// DecompressStream reverses CompressStream, reading block frames from r one
+// at a time and decoding them in parallel; r is never buffered in full. It
+// reads the legacy CCH1 container too, and a plain Compress stream, which
+// is decoded whole. Sizes a hostile or corrupt stream claims are validated
+// against the default safedec limits before anything is allocated from
+// them.
 func DecompressStream(compressorName string, r io.Reader, opts StreamOptions) (*Field, error) {
 	codec, err := codecs.ByName(compressorName)
 	if err != nil {

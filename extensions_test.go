@@ -99,52 +99,48 @@ func TestIterativeCompressToRatio(t *testing.T) {
 	}
 }
 
-func TestChunkedRoundTrip(t *testing.T) {
+// TestDecompressReadsCPL1: the CPL1 container CompressStream writes
+// decodes through Decompress as through DecompressStream, within the bound.
+func TestDecompressReadsCPL1(t *testing.T) {
 	f := testField(t, "pressure")
 	for _, name := range []string{"szx", "szp"} {
-		stream, err := CompressChunked(name, f, 1e-3)
-		if err != nil {
+		var stream bytes.Buffer
+		if err := CompressStream(name, &stream, f, 1e-3, StreamOptions{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		g, err := DecompressChunked(name, stream)
+		if got := string(stream.Bytes()[:4]); got != "CPL1" {
+			t.Fatalf("%s: container magic %q, want CPL1", name, got)
+		}
+		g, err := Decompress(name, stream.Bytes())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		eb := 1e-3 * f.ValueRange()
 		if got := MaxAbsError(f, g); got > eb*1.01 {
-			t.Fatalf("%s: chunked max error %g > %g", name, got, eb)
+			t.Fatalf("%s: container max error %g > %g", name, got, eb)
+		}
+		h, err := DecompressStream(name, &stream, StreamOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if MaxAbsError(g, h) != 0 {
+			t.Fatalf("%s: Decompress and DecompressStream disagree", name)
 		}
 	}
-	if _, err := CompressChunked("szx", f, 0); err == nil {
+	var sink bytes.Buffer
+	if err := CompressStream("szx", &sink, f, 0, StreamOptions{}); err == nil {
 		t.Fatal("zero bound accepted")
 	}
-	if _, err := CompressChunked("nope", f, 1e-3); err == nil {
+	if err := CompressStream("nope", &sink, f, 1e-3, StreamOptions{}); err == nil {
 		t.Fatal("unknown compressor accepted")
 	}
 }
 
-// TestChunkedWritesCPL1: CompressChunked's container is exactly what
-// CompressStream writes with default options.
-func TestChunkedWritesCPL1(t *testing.T) {
-	f := testField(t, "pressure")
-	chunked, err := CompressChunked("sz3", f, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stream bytes.Buffer
-	if err := CompressStream("sz3", &stream, f, 1e-3, StreamOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(chunked, stream.Bytes()) {
-		t.Fatalf("CompressChunked wrote %d bytes (%q), CompressStream %d", len(chunked), chunked[:4], stream.Len())
-	}
-}
-
-// TestDecompressChunkedReadsLegacyCCH1: the CCH1 containers
-// CompressChunked used to write (internal/pipeline/testdata/cch1_digests.txt)
-// decode through DecompressChunked to the field bits they decoded to then,
-// or are refused.
-func TestDecompressChunkedReadsLegacyCCH1(t *testing.T) {
+// TestDecompressReadsLegacyCCH1: the CCH1 containers the chunked writer
+// left (internal/pipeline/testdata/cch1_digests.txt) decode through
+// Decompress and DecompressStream to the field bits they decoded to then,
+// or are refused by both.
+func TestDecompressReadsLegacyCCH1(t *testing.T) {
 	const dir = "internal/pipeline/testdata"
 	list, err := os.ReadFile(filepath.Join(dir, "cch1_digests.txt"))
 	if err != nil {
@@ -160,22 +156,34 @@ func TestDecompressChunkedReadsLegacyCCH1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := "-"
-		if f, err := DecompressChunked(fs[1], stream); err == nil {
-			var buf bytes.Buffer
-			if err := f.WriteRaw(&buf); err != nil {
-				t.Fatal(err)
+		mem, memErr := Decompress(fs[1], stream)
+		streamed, streamErr := DecompressStream(fs[1], bytes.NewReader(stream), StreamOptions{})
+		for dec, got := range map[string]string{
+			"Decompress":       rawDigest(t, mem, memErr),
+			"DecompressStream": rawDigest(t, streamed, streamErr),
+		} {
+			if got != fs[2] {
+				t.Errorf("%s: %s decodes to %s, want %s", fs[0], dec, got, fs[2])
 			}
-			got = fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
-		}
-		if got != fs[2] {
-			t.Errorf("%s: decodes to %s, want %s", fs[0], got, fs[2])
 		}
 		n++
 	}
 	if n != 10 {
 		t.Fatalf("%d legacy containers, want 10", n)
 	}
+}
+
+// rawDigest is the sha256 of f's raw samples, or "-" for a refused decode.
+func rawDigest(t *testing.T, f *Field, err error) string {
+	t.Helper()
+	if err != nil {
+		return "-"
+	}
+	var buf bytes.Buffer
+	if err := f.WriteRaw(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
 }
 
 func TestStreamRoundTrip(t *testing.T) {

@@ -67,8 +67,8 @@ func (w *Writer) Add(name, codecName string, f *field.Field, eb float64) error {
 
 // AddPipeline compresses f block-parallel with the named codec at absolute
 // bound eb and appends the resulting CPL1 pipeline container as the entry
-// stream. Extraction auto-detects the container (see FieldLimited), so
-// pipeline and plain entries mix freely within one archive.
+// stream. The pipeline decoder FieldLimited uses reads containers and plain
+// streams alike, so pipeline and plain entries mix freely within one archive.
 func (w *Writer) AddPipeline(name, codecName string, f *field.Field, eb float64, workers int) error {
 	codec, err := codecs.ByName(codecName)
 	if err != nil {
@@ -185,7 +185,7 @@ func ReadLimited(r io.Reader, lim safedec.Limits) (*Archive, error) {
 		if err := lim.Alloc("archive stream", int64(sLen)); err != nil {
 			return nil, fmt.Errorf("archive: entry %d: %w", i, err)
 		}
-		stream, err := readAllN(br, sLen)
+		stream, err := safedec.ReadN(br, int64(sLen))
 		if err != nil {
 			return nil, fmt.Errorf("archive: entry %d stream: %w", i, err)
 		}
@@ -196,23 +196,6 @@ func ReadLimited(r io.Reader, lim safedec.Limits) (*Archive, error) {
 		a.entries = append(a.entries, Entry{Name: name, Codec: codec, Stream: stream})
 	}
 	return a, nil
-}
-
-// readAllN reads exactly n bytes, growing the buffer in bounded steps so a
-// hostile length claim costs at most one chunk of memory before the stream
-// runs dry — never an upfront make([]byte, claimed).
-func readAllN(r io.Reader, n uint64) ([]byte, error) {
-	const step = 1 << 20
-	buf := make([]byte, 0, min(n, step))
-	for uint64(len(buf)) < n {
-		grab := min(n-uint64(len(buf)), step)
-		chunk := len(buf)
-		buf = append(buf, make([]byte, grab)...)
-		if _, err := io.ReadFull(r, buf[chunk:]); err != nil {
-			return nil, fmt.Errorf("%w: %w", safedec.ErrTruncated, err)
-		}
-	}
-	return buf, nil
 }
 
 func readString(br byteReader) (string, error) {
@@ -263,12 +246,9 @@ func (a *Archive) FieldLimited(name string, lim safedec.Limits) (*field.Field, e
 	if err != nil {
 		return nil, err
 	}
-	// Entries written by AddPipeline carry the CPL1 pipeline container
-	// around the codec stream; detect it and decode block-parallel.
-	if pipeline.IsContainer(e.Stream) {
-		codec = pipeline.New(codec, pipeline.Options{})
-	}
-	f, err := codec.DecompressLimited(e.Stream, lim)
+	// The pipeline reads a plain codec stream and an AddPipeline container
+	// alike.
+	f, err := pipeline.New(codec, pipeline.Options{}).DecompressLimited(e.Stream, lim)
 	if err != nil {
 		return nil, fmt.Errorf("archive: decompress %q: %w", name, err)
 	}

@@ -191,8 +191,9 @@ type Header struct {
 	EB    float64
 }
 
-// headerLen is the encoded size of Header (fields + checksum).
-const headerLen = 1 + 3*4 + 8 + 4
+// HeaderLen is the encoded size of Header (fields + checksum): the bytes
+// every codec stream starts with.
+const HeaderLen = 1 + 3*4 + 8 + 4
 
 // headerSum computes the FNV-1a checksum of the header field bytes.
 func headerSum(buf []byte) uint32 {
@@ -206,7 +207,7 @@ func headerSum(buf []byte) uint32 {
 
 // AppendHeader serializes h onto dst.
 func AppendHeader(dst []byte, h Header) []byte {
-	var buf [headerLen]byte
+	var buf [HeaderLen]byte
 	buf[0] = h.Magic
 	binary.LittleEndian.PutUint32(buf[1:], uint32(h.Nx))
 	binary.LittleEndian.PutUint32(buf[5:], uint32(h.Ny))
@@ -221,7 +222,7 @@ func AppendHeader(dst []byte, h Header) []byte {
 // once and the payload copied once.
 func SealBits(h Header, w *bitstream.Writer) []byte {
 	bits := w.BitLen()
-	out := make([]byte, 0, headerLen+8+int((bits+7)/8))
+	out := make([]byte, 0, HeaderLen+8+int((bits+7)/8))
 	out = AppendHeader(out, h)
 	out = binary.BigEndian.AppendUint64(out, bits)
 	return w.AppendTo(out)
@@ -237,7 +238,7 @@ func ParseHeader(stream []byte, wantMagic byte) (Header, []byte, error) {
 // The header-claimed dimensions are validated against lim before any
 // caller allocates reconstruction buffers from them.
 func ParseHeaderLimited(stream []byte, wantMagic byte, lim safedec.Limits) (Header, []byte, error) {
-	if len(stream) < headerLen {
+	if len(stream) < HeaderLen {
 		return Header{}, nil, fmt.Errorf("%w: short header: %w", ErrBadStream, safedec.ErrTruncated)
 	}
 	if got := binary.LittleEndian.Uint32(stream[21:]); got != headerSum(stream[:21]) {
@@ -259,7 +260,7 @@ func ParseHeaderLimited(stream []byte, wantMagic byte, lim safedec.Limits) (Head
 	if !(h.EB > 0) || math.IsInf(h.EB, 0) {
 		return Header{}, nil, fmt.Errorf("%w: bad error bound %g", ErrBadStream, h.EB)
 	}
-	return h, stream[headerLen:], nil
+	return h, stream[HeaderLen:], nil
 }
 
 // Magic bytes for the four codecs.

@@ -8,6 +8,7 @@ import (
 
 	"carol/internal/compressor"
 	"carol/internal/field"
+	"carol/internal/safedec"
 )
 
 // MaxBody caps request bodies (512 MiB of float32 samples). The gate uses
@@ -58,14 +59,9 @@ func checkDeclared(declared, limit int64) error {
 	return nil
 }
 
-// firstAlloc bounds the first allocation of a sized read. A longer body's
-// buffer doubles only as its bytes arrive, so bytes a peer declares but
-// never sends cannot pin more than this per in-flight request.
-const firstAlloc = 4 << 20
-
 // ReadSized buffers a body of at most limit bytes whose peer declared its
-// length (-1: none). A declared body is read into a buffer of that size, in
-// one allocation up to firstAlloc, and a body that ends early is an error
+// length (-1: none). A declared body is read by safedec.ReadN, whose buffer
+// grows only as the bytes arrive, and a body that ends early is an error
 // wrapping io.ErrUnexpectedEOF; an undeclared one is read to its end, the
 // read itself capped at limit. It is the one body ingest of both tiers:
 // client requests (ReadBody) and the gate's shard answers.
@@ -83,20 +79,11 @@ func ReadSized(rd io.Reader, declared, limit int64) ([]byte, error) {
 		}
 		return body, nil
 	}
-	buf := make([]byte, min(declared, firstAlloc))
-	for n := 0; ; {
-		m, err := io.ReadFull(rd, buf[n:])
-		if n += m; err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("body ended after %d of %d bytes: %w", n, declared, err)
-		}
-		if int64(n) == declared {
-			return buf, nil
-		}
-		buf = append(buf, make([]byte, min(declared-int64(n), int64(n)))...)
+	body, err := safedec.ReadN(rd, declared)
+	if err != nil {
+		return nil, fmt.Errorf("body: %w", err)
 	}
+	return body, nil
 }
 
 // ReadBody buffers a request body of at most limit bytes.

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+
+	"carol/internal/safedec"
 )
 
 // untouched fails the test if anything reads the body it stands in for.
@@ -59,10 +61,10 @@ func TestReadBodySized(t *testing.T) {
 	}
 }
 
-// TestReadBodyGrowsPastFirstAlloc: a body longer than firstAlloc arrives
+// TestReadBodyGrowsPastFirstAlloc: a body longer than safedec.FirstAlloc arrives
 // whole, its buffer doubling as the bytes do.
 func TestReadBodyGrowsPastFirstAlloc(t *testing.T) {
-	payload := make([]byte, 2*firstAlloc+firstAlloc/2+3)
+	payload := make([]byte, 2*safedec.FirstAlloc+safedec.FirstAlloc/2+3)
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
@@ -84,8 +86,8 @@ func TestReadBodyDeclaredNeverSent(t *testing.T) {
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 	}
-	if grown := after.TotalAlloc - before.TotalAlloc; grown > firstAlloc+64<<10 {
-		t.Errorf("allocated %d bytes for a 1 KiB body, want at most firstAlloc (%d) and change", grown, firstAlloc)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > safedec.FirstAlloc+64<<10 {
+		t.Errorf("allocated %d bytes for a 1 KiB body, want at most safedec.FirstAlloc (%d) and change", grown, safedec.FirstAlloc)
 	}
 }
 

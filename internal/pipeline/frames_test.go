@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -214,9 +215,32 @@ func TestFramesHostile(t *testing.T) {
 	}
 }
 
-// frameFuzzSeeds: a valid CPL1 container, its CCH1 layout, truncations and
-// hostile headers. The checked-in corpus adds the CCH1 containers the old
-// writer left (testdata/cch1_digests.txt).
+// TestUnbackedFrameLengthBounded: a 24-byte container whose one frame
+// claims 2³⁰−1 bytes, under a 1 GiB MaxAlloc, is truncated — and costs
+// the first allocation of a claimed read, not the claim.
+func TestUnbackedFrameLengthBounded(t *testing.T) {
+	inner, err := codecs.ByName("szx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(inner, Options{Limits: safedec.Limits{MaxAlloc: 1 << 30}})
+	stream := binary.LittleEndian.AppendUint32(appendHeader(nil, 1, 1, 1, 1), 1<<30-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = c.DecompressStream(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, safedec.ErrTruncated) {
+		t.Fatalf("err %v, want ErrTruncated", err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 16<<20 {
+		t.Fatalf("a %d-byte container allocated %d bytes, want under 16 MiB", len(stream), grown)
+	}
+}
+
+// frameFuzzSeeds: a valid CPL1 container, its CCH1 layout, truncations,
+// hostile headers and a plain szx stream. The checked-in corpus adds the
+// CCH1 containers the old writer left (testdata/cch1_digests.txt) and the
+// plain stream (plain-szx).
 func frameFuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	inner, err := codecs.ByName("szx")
@@ -232,9 +256,14 @@ func frameFuzzSeeds(t testing.TB) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain, err := inner.Compress(f, compressor.AbsBound(f, 1e-2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return [][]byte{
 		cpl,
 		cpl[:len(cpl)/2],
+		plain,
 		legacyContainer(512, 1, 1, 4, blocks...),
 		appendHeader(nil, 1<<30, 1<<30, 1<<30, 1),
 		appendHeader(nil, 4, 4, 4, 1<<17),
@@ -244,7 +273,8 @@ func frameFuzzSeeds(t testing.TB) [][]byte {
 // FuzzFrames drives arbitrary bytes through the one frame parser and holds
 // the in-memory decoder to the streaming one: Frames' streams must tile the
 // input in order, and both decoders must refuse the same inputs and agree
-// bit for bit on the rest. The slab fan-out makes decoding the one path
+// bit for bit on the rest. A container Frames refuses is refused; any
+// other input is a codec stream and decodes as the codec decodes it. The slab fan-out makes decoding the one path
 // where a panic would escape on a non-test goroutine.
 func FuzzFrames(f *testing.F) {
 	for _, s := range frameFuzzSeeds(f) {
@@ -274,7 +304,11 @@ func FuzzFrames(f *testing.F) {
 		if stream := digest(p.DecompressStream(bytes.NewReader(data))); mem != stream {
 			t.Fatalf("in-memory decode %s, streaming %s", mem, stream)
 		}
-		if err != nil && mem != "-" {
+		if !IsContainer(data) {
+			if want := digest(inner.DecompressLimited(data, lim)); mem != want {
+				t.Fatalf("codec stream: pipeline decodes %s, the codec %s", mem, want)
+			}
+		} else if err != nil && mem != "-" {
 			t.Fatalf("Frames refused (%v) what Decompress decoded", err)
 		}
 	})

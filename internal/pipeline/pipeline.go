@@ -384,14 +384,20 @@ func Frames(b []byte, lim safedec.Limits) (Header, [][]byte, error) {
 	return h, blocks, nil
 }
 
-// DecompressStream reconstructs the field encoded on r (CPL1, or the legacy
-// CCH1). Frames are read one at a time and decoded on the worker pool; the
-// input is never buffered beyond the bounded in-flight window, and every
-// container-claimed size is validated against the configured limits before
-// it sizes an allocation.
+// DecompressStream reconstructs the field encoded on r: a slab container
+// (CPL1, or the legacy CCH1) or a single stream of the wrapped codec. A
+// container's frames are read one at a time and decoded on the worker pool;
+// the input is never buffered beyond the bounded in-flight window, and
+// every container-claimed size is validated against the configured limits
+// before it sizes an allocation, a frame's buffer growing only as its bytes
+// arrive (safedec.ReadN). A codec stream is decoded by codecStream.
 func (c *Codec) DecompressStream(r io.Reader) (*field.Field, error) {
 	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := io.ReadFull(r, hdr[:])
+	if !IsContainer(hdr[:n]) {
+		return c.codecStream(io.MultiReader(bytes.NewReader(hdr[:n]), r))
+	}
+	if err != nil {
 		return nil, fmt.Errorf("pipeline: short container header: %w", safedec.ErrTruncated)
 	}
 	h, legacy, err := parseHeader(hdr[:], c.opts.Limits)
@@ -399,10 +405,36 @@ func (c *Codec) DecompressStream(r io.Reader) (*field.Field, error) {
 		return nil, err
 	}
 	return c.decode(h, frames(func(k int64) ([]byte, error) {
-		buf := make([]byte, k)
-		_, err := io.ReadFull(r, buf)
-		return buf, err
+		return safedec.ReadN(r, k)
 	}, len(h.Blocks), legacy, c.opts.Limits))
+}
+
+// codecStream decodes the single codec stream on r whole with the wrapped
+// codec. Its checksummed header must parse, dims within the limits, before
+// another byte is read, so garbage is refused after a few bytes; the rest
+// is read as it arrives, the whole stream capped at MaxAlloc. A header that
+// does not parse goes to the wrapped codec to refuse, so the refusal is the
+// codec's own, classed and counted as a slice decode's would be.
+func (c *Codec) codecStream(r io.Reader) (*field.Field, error) {
+	lim := c.opts.Limits
+	var head [compressor.HeaderLen]byte
+	n, _ := io.ReadFull(r, head[:])
+	// Any magic: the wrapped codec checks its own.
+	if _, _, err := compressor.ParseHeaderLimited(head[:n], head[0], lim); err != nil {
+		if _, cerr := c.inner.DecompressLimited(head[:n], lim); cerr != nil {
+			err = cerr
+		}
+		return nil, err
+	}
+	var stream bytes.Buffer
+	stream.Write(head[:])
+	if _, err := stream.ReadFrom(io.LimitReader(r, lim.MaxAlloc-int64(n)+1)); err != nil {
+		return nil, fmt.Errorf("pipeline: codec stream: %w: %w", safedec.ErrTruncated, err)
+	}
+	if int64(stream.Len()) > lim.MaxAlloc {
+		return nil, fmt.Errorf("pipeline: codec stream over %d bytes: %w", lim.MaxAlloc, safedec.ErrLimit)
+	}
+	return c.inner.DecompressLimited(stream.Bytes(), lim)
 }
 
 // Decompress implements compressor.Codec under the configured limits.
@@ -410,10 +442,14 @@ func (c *Codec) Decompress(stream []byte) (*field.Field, error) {
 	return c.DecompressLimited(stream, c.opts.Limits)
 }
 
-// DecompressLimited implements compressor.Codec: Frames splits the
-// container, its streams aliasing stream, and the blocks decode as
-// DecompressStream's do.
+// DecompressLimited implements compressor.Codec. A slab container is split
+// by Frames, its streams aliasing stream, and its blocks decode as
+// DecompressStream's do; anything else is a single stream of the wrapped
+// codec and goes to it whole.
 func (c *Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field, error) {
+	if !IsContainer(stream) {
+		return c.inner.DecompressLimited(stream, lim)
+	}
 	cc := *c
 	cc.opts.Limits = lim.Norm()
 	h, blocks, err := Frames(stream, cc.opts.Limits)

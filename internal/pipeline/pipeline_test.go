@@ -15,6 +15,7 @@ import (
 	"carol/internal/compressor"
 	"carol/internal/dataset"
 	"carol/internal/field"
+	"carol/internal/obs"
 	"carol/internal/safedec"
 	"carol/internal/safedec/safedectest"
 )
@@ -95,6 +96,62 @@ func TestRoundTripAllCodecsAllWorkers(t *testing.T) {
 					if ref.Data[i] != g.Data[i] {
 						t.Fatalf("%s: workers=%d decode differs at sample %d", name, workers, i)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestCodecStreamsDecode: the decoders read a single codec stream as well
+// as a container. A plain stream decodes through all three to the bits the
+// codec gives; the CPL1 container of the same field decodes to its blocks'
+// codec decodes, spliced in order.
+func TestCodecStreamsDecode(t *testing.T) {
+	f := testField(t, 20, 16, 12)
+	lim := safedec.Limits{MaxAlloc: 1 << 24}
+	for _, name := range codecs.ExtendedNames {
+		inner, err := codecs.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := New(inner, Options{Blocks: 3, Workers: 2, Limits: lim})
+		plain, err := inner.Compress(f, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpl, err := p.Compress(f, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, blocks, err := Frames(cpl, lim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spliced []float32
+		for _, b := range blocks {
+			g, err := inner.Decompress(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spliced = append(spliced, g.Data...)
+		}
+		for kind, c := range map[string]struct {
+			stream []byte
+			want   string
+		}{
+			"plain": {plain, digest(inner.Decompress(plain))},
+			"CPL1":  {cpl, digest(field.FromData("", f.Nx, f.Ny, f.Nz, spliced), nil)},
+		} {
+			if c.want == "-" {
+				t.Fatalf("%s %s: the codec refused its own stream", name, kind)
+			}
+			for dec, got := range map[string]string{
+				"Decompress":        digest(p.Decompress(c.stream)),
+				"DecompressLimited": digest(p.DecompressLimited(c.stream, lim)),
+				"DecompressStream":  digest(p.DecompressStream(bytes.NewReader(c.stream))),
+			} {
+				if got != c.want {
+					t.Errorf("%s %s: %s gives %s, want %s", name, kind, dec, got, c.want)
 				}
 			}
 		}
@@ -284,6 +341,39 @@ func TestHostileBlockLength(t *testing.T) {
 	})
 	if er.n != 0 {
 		t.Fatalf("consumed %d bytes of a rejected block body", er.n)
+	}
+}
+
+// TestCodecStreamRefusedEarly: a single codec stream is read past its
+// header only once the header parses, and never past MaxAlloc; a header
+// that does not parse is the codec's own refusal, in its reject counter.
+func TestCodecStreamRefusedEarly(t *testing.T) {
+	inner, err := codecs.ByName("szx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(inner, Options{Limits: safedec.Limits{MaxAlloc: 1 << 16}})
+	rejects := obs.Default.Counter(obs.Label("codec_decode_reject_total", "codec", "szx", "reason", "corrupt"))
+	before := rejects.Value()
+	er := &endlessReader{}
+	_, err = c.DecompressStream(io.MultiReader(strings.NewReader("not a codec stream"), er))
+	if !errors.Is(err, safedec.ErrCorrupt) {
+		t.Errorf("garbage: err %v, want ErrCorrupt", err)
+	}
+	if er.n > compressor.HeaderLen {
+		t.Errorf("read %d bytes past a garbage header", er.n)
+	}
+	if got := rejects.Value() - before; got != 1 {
+		t.Errorf("garbage moved szx's corrupt reject counter by %d, want 1", got)
+	}
+	hdr := compressor.AppendHeader(nil, compressor.Header{Magic: compressor.MagicSZx, Nx: 8, Ny: 8, Nz: 8, EB: 1e-3})
+	er = &endlessReader{}
+	safedectest.Rejects(t, 1<<16, func() error {
+		_, err := c.DecompressStream(io.MultiReader(bytes.NewReader(hdr), er))
+		return err
+	})
+	if er.n > 1<<16 {
+		t.Errorf("read %d bytes of a stream capped at %d", er.n, 1<<16)
 	}
 }
 

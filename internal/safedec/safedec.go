@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // The three decode-failure classes. Every error a hardened decoder returns
@@ -140,6 +141,39 @@ func (l Limits) Count(what string, n int64) error {
 		return fmt.Errorf("%w: %s count %d (max %d)", ErrLimit, what, n, l.Norm().MaxCount)
 	}
 	return nil
+}
+
+// FirstAlloc bounds the first allocation of ReadN. A longer read's buffer
+// doubles only as its bytes arrive, so bytes a peer claims but never sends
+// cannot pin more than this.
+const FirstAlloc = 4 << 20
+
+// ReadN reads the n bytes a peer claims r holds: a frame length, an archive
+// entry, a declared body. The buffer starts at min(n, FirstAlloc) and
+// doubles as the bytes arrive — never an upfront make([]byte, n) — so a
+// claim the input does not back costs FirstAlloc or twice what was sent,
+// whichever is more, and a backed one copies each byte O(1) times. An input that ends early is an
+// error wrapping ErrTruncated and io.ErrUnexpectedEOF. Check n against
+// Limits.Alloc first: ReadN bounds what an unbacked claim costs, not what a
+// backed one may.
+func ReadN(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("%w: negative claimed length %d", ErrCorrupt, n)
+	}
+	buf := make([]byte, min(n, FirstAlloc))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, buf[got:])
+		if got += m; err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("%w: %d of %d claimed bytes: %w", ErrTruncated, got, n, err)
+		}
+		if int64(got) == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-int64(got), int64(got)))...)
+	}
 }
 
 // Reader consumes a byte slice with bounds-enforced reads: every method

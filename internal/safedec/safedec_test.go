@@ -1,8 +1,11 @@
 package safedec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"runtime"
 	"testing"
 )
 
@@ -162,5 +165,38 @@ func TestReaderRest(t *testing.T) {
 	rest := r.Rest()
 	if len(rest) != 2 || rest[0] != 2 || r.Remaining() != 0 {
 		t.Fatalf("Rest = %v, remaining %d", rest, r.Remaining())
+	}
+}
+
+// TestReadN: a backed claim arrives whole, past FirstAlloc too; a short one
+// is truncated; and a claim of 1 GiB backed by 1 KiB costs no more heap
+// than the first allocation.
+func TestReadN(t *testing.T) {
+	payload := make([]byte, 2*FirstAlloc+FirstAlloc/2+3)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	for _, n := range []int{0, 1, 4096, len(payload)} {
+		got, err := ReadN(bytes.NewReader(payload), int64(n))
+		if err != nil || !bytes.Equal(got, payload[:n]) {
+			t.Errorf("claim %d: %d bytes, %v", n, len(got), err)
+		}
+	}
+	_, err := ReadN(bytes.NewReader(payload[:100]), 1000)
+	if !errors.Is(err, ErrTruncated) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("short input: %v, want ErrTruncated and io.ErrUnexpectedEOF", err)
+	}
+	if _, err := ReadN(bytes.NewReader(nil), -1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("negative claim: %v, want ErrCorrupt", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = ReadN(bytes.NewReader(payload[:1024]), 1<<30)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("unbacked claim: %v, want ErrTruncated", err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > FirstAlloc+64<<10 {
+		t.Errorf("allocated %d bytes for 1 KiB under a 1 GiB claim, want at most FirstAlloc (%d) and change", grown, FirstAlloc)
 	}
 }

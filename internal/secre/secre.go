@@ -474,44 +474,18 @@ func (e *Estimator) bindSPERR(f *field.Field) func(float64) float64 {
 // and a NaN would poison the gauges. Rejections are counted in
 // secre_outcome_rejects_total{codec}.
 func RecordOutcome(name string, estimated, actual float64) {
-	NewOutcomeRecorder(name).Record(estimated, actual)
-}
-
-// OutcomeRecorder feeds one codec's estimate-vs-actual metrics with every
-// handle resolved up front, so Record is allocation-free — built for
-// high-rate feedback loops like the adaptive selector's Observe path.
-type OutcomeRecorder struct {
-	relErr  *obs.Gauge
-	absPct  *obs.Histogram
-	ok      *obs.Counter
-	rejects *obs.Counter
-}
-
-// NewOutcomeRecorder resolves the outcome metric handles for codec `name`.
-func NewOutcomeRecorder(name string) *OutcomeRecorder {
-	return &OutcomeRecorder{
-		relErr: obs.Default.Gauge(obs.Label("secre_estimate_rel_error", "codec", name)),
-		absPct: obs.Default.Histogram(
-			obs.Label("secre_estimate_abs_rel_error_percent", "codec", name),
-			obs.ExpBuckets(0.5, 2, 10), // 0.5% .. 256%
-		),
-		ok:      obs.Default.Counter(obs.Label("secre_outcomes_total", "codec", name)),
-		rejects: obs.Default.Counter(obs.Label("secre_outcome_rejects_total", "codec", name)),
-	}
-}
-
-// Record applies one estimated/actual pair, enforcing the same finiteness
-// contract as RecordOutcome.
-func (r *OutcomeRecorder) Record(estimated, actual float64) {
 	if !(actual > 0) || math.IsInf(actual, 0) ||
 		!(estimated > 0) || math.IsInf(estimated, 0) {
-		r.rejects.Inc()
+		obs.Default.Counter(obs.Label("secre_outcome_rejects_total", "codec", name)).Inc()
 		return
 	}
 	relErr := estimated/actual - 1
-	r.relErr.Set(relErr)
-	r.absPct.Observe(math.Abs(relErr) * 100)
-	r.ok.Inc()
+	obs.Default.Gauge(obs.Label("secre_estimate_rel_error", "codec", name)).Set(relErr)
+	obs.Default.Histogram(
+		obs.Label("secre_estimate_abs_rel_error_percent", "codec", name),
+		obs.ExpBuckets(0.5, 2, 10), // 0.5% .. 256%
+	).Observe(math.Abs(relErr) * 100)
+	obs.Default.Counter(obs.Label("secre_outcomes_total", "codec", name)).Inc()
 }
 
 // ratioFromBits converts an estimated payload size in bits into a

@@ -32,7 +32,6 @@ import (
 	"carol/internal/compressor"
 	"carol/internal/field"
 	"carol/internal/obs"
-	"carol/internal/secre"
 )
 
 // missBuckets bound selector_prediction_miss, |predicted/achieved - 1| of
@@ -68,7 +67,6 @@ type Selector struct {
 
 	// Metric handles, resolved once at construction from the fixed codec
 	// set (bounded label cardinality by construction).
-	recorders     []*secre.OutcomeRecorder
 	decTotal      []*obs.Counter
 	missHist      []*obs.Histogram
 	rejectTotal   *obs.Counter
@@ -103,7 +101,6 @@ func New(cfg Config) (*Selector, error) {
 			}
 		}
 		s.ests = append(s.ests, est)
-		s.recorders = append(s.recorders, secre.NewOutcomeRecorder(name))
 		s.decTotal = append(s.decTotal, cfg.Registry.Counter(obs.Label("selector_decisions_total", "codec", name)))
 		s.missHist = append(s.missHist, cfg.Registry.Histogram(obs.Label("selector_prediction_miss", "codec", name), missBuckets))
 	}
@@ -196,11 +193,12 @@ func (s *Selector) decide(scores []float64, target float64) int {
 	return cheapest
 }
 
-// Observe records what the caller achieved compressing with d.Codec: the
-// pair feeds the shared secre estimate-vs-actual metrics and the codec's
-// prediction-miss histogram. It changes no later decision. Non-finite or
-// non-positive outcomes (and decisions whose surrogate failed) are
-// rejected with a counter.
+// Observe records what the caller achieved compressing with d.Codec in the
+// codec's selector_prediction_miss histogram, and nowhere else: the
+// secre_estimate_* series describe the default surrogate carolserve runs
+// beside rel= compresses, not the ranking surrogate this selector predicts
+// with. It changes no later decision. Non-finite or non-positive outcomes
+// (and decisions whose surrogate failed) are rejected with a counter.
 func (s *Selector) Observe(d Decision, actual float64) {
 	pred := d.predicted
 	if d.index < 0 || d.index >= len(s.names) ||
@@ -209,7 +207,6 @@ func (s *Selector) Observe(d Decision, actual float64) {
 		s.rejected.Add(1)
 		return
 	}
-	s.recorders[d.index].Record(pred, actual)
 	s.missHist[d.index].Observe(math.Abs(pred/actual - 1))
 }
 

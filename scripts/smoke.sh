@@ -229,6 +229,20 @@ cmp "$workdir/sz3_ratio.cli" "$workdir/sz3_ratio.served" || {
     exit 1
 }
 
+echo "== one decoder: /v1/decompress and carolc -d restore the same bytes"
+# A plain sz3 stream and a CPL1 container: both tiers decode each through
+# the pipeline's one reader.
+for pair in sz3:sz3_ratio.cli szx:stream-cpl.bin; do
+    codec=${pair%%:*}
+    in="$workdir/${pair#*:}"
+    curl -fsS -o "$in.served.raw" --data-binary @"$in" "http://$addr/v1/decompress?codec=$codec"
+    "$bindir/carolc" -d -compressor "$codec" -in "$in" -out "$in.cli.raw"
+    cmp "$in.served.raw" "$in.cli.raw" || {
+        echo "smoke: /v1/decompress and carolc -d restored different bytes from ${pair#*:}" >&2
+        exit 1
+    }
+done
+
 echo "== GET /metrics"
 curl -fsS "http://$addr/metrics" >"$workdir/metrics.txt"
 for metric in http_requests_total http_request_seconds_bucket codec_compress_seconds \
