@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,55 +24,67 @@ func TestDecompressHostileStreamStatusCodes(t *testing.T) {
 	srv := httptest.NewServer(newServer())
 	defer srv.Close()
 
-	post := func(t *testing.T, body []byte) *http.Response {
+	// rejects reads the szx decode-reject counters off /metrics. They are
+	// process-wide, so each case asserts on what its own request added.
+	rejects := func(t *testing.T) map[string]int {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/v1/decompress?codec=szx",
-			"application/octet-stream", bytes.NewReader(body))
+		resp, err := http.Get(srv.URL + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = resp.Body.Close() })
-		return resp
+		defer resp.Body.Close()
+		text, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]int)
+		for _, line := range strings.Split(string(text), "\n") {
+			series, value, _ := strings.Cut(line, " ")
+			if reason, ok := strings.CutPrefix(series, `codec_decode_reject_total{codec="szx",reason="`); ok {
+				n, err := strconv.Atoi(value)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				out[strings.TrimSuffix(reason, `"}`)] = n
+			}
+		}
+		return out
 	}
 
-	// Dims the server's decode limits refuse: over the configured element
-	// ceiling but a plausible uint32 product. This is a policy rejection,
-	// not stream damage, so the client sees 413.
-	resp := post(t, hostileHeader(1<<15, 1<<15, 1<<2))
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("over-limit dims: status %d, body %q", resp.StatusCode, b)
-	}
-
-	// Garbage bytes: corrupt stream, 422.
-	resp = post(t, []byte("not a compressed stream at all"))
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("garbage: status %d", resp.StatusCode)
-	}
-
-	// Valid header, truncated payload: also 422.
-	resp = post(t, hostileHeader(8, 8, 8))
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("truncated: status %d", resp.StatusCode)
-	}
-
-	// The instrumented codec must have recorded the rejections by class.
-	mresp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	text, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`codec_decode_reject_total{codec="szx",reason="limit"}`,
-		`codec_decode_reject_total{codec="szx",reason="truncated"}`,
-		`codec_decode_reject_total{codec="szx",reason="corrupt"}`,
+	for _, tc := range []struct {
+		name   string
+		body   []byte
+		status int
+		reason string
+	}{
+		// Dims the server's decode limits refuse: over the configured
+		// element ceiling but a plausible uint32 product. This is a policy
+		// rejection, not stream damage, so the client sees 413.
+		{"over-limit dims", hostileHeader(1<<15, 1<<15, 1<<2), http.StatusRequestEntityTooLarge, "limit"},
+		{"garbage", []byte("not a compressed stream at all"), http.StatusUnprocessableEntity, "corrupt"},
+		{"truncated", hostileHeader(8, 8, 8), http.StatusUnprocessableEntity, "truncated"},
 	} {
-		if !strings.Contains(string(text), want) {
-			t.Errorf("metrics missing %s", want)
+		before := rejects(t)
+		resp, err := http.Post(srv.URL+"/v1/decompress?codec=szx", "application/octet-stream", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d, body %q", tc.name, resp.StatusCode, tc.status, b)
+		}
+		// The instrumented codec must have counted this rejection, by class,
+		// and no other.
+		after := rejects(t)
+		for _, reason := range []string{"limit", "truncated", "corrupt"} {
+			want := before[reason]
+			if reason == tc.reason {
+				want++
+			}
+			if after[reason] != want {
+				t.Errorf("%s: codec_decode_reject_total{reason=%q} went %d -> %d, want %d", tc.name, reason, before[reason], after[reason], want)
+			}
 		}
 	}
 }

@@ -93,24 +93,40 @@ func (f *Field) MinMax() (lo, hi float64) {
 
 // minMax widens [lo, hi] to cover data, skipping NaNs, and returns bit for
 // bit what comparing every sample in order against lo and hi would (the
-// serial loop in ref_test.go). scan's lanes lose which of two equal samples
-// came first, and the only equal floats with different bits are ±0: a zero
-// extreme taken from data is the first zero in data.
+// serial loop in ref_test.go). The comparisons are that loop's (the min and
+// max builtins would order -0 below +0), so a zero from Extrema widens a
+// bound exactly when the first zero in data would.
 func minMax(lo, hi float64, data []float32) (float64, float64) {
-	l, h, _ := scan(data)
+	l, h, _ := Extrema(data)
 	if float64(l) < lo {
 		lo = float64(l)
-		if lo == 0 { //carol:allow floateq ±0 compare equal; the first zero's sign is the serial answer
-			lo = firstZero(data)
-		}
 	}
 	if float64(h) > hi {
 		hi = float64(h)
-		if hi == 0 { //carol:allow floateq ±0 compare equal; the first zero's sign is the serial answer
-			hi = firstZero(data)
-		}
 	}
 	return lo, hi
+}
+
+// Extrema returns the smallest and largest samples of data, NaNs skipped
+// (+Inf and -Inf when there are none), bit for bit what comparing every
+// sample in order would, and whether no sample is a NaN or ±Inf: one scan
+// pass. scan's lanes lose which of two equal samples came first, and the
+// only equal floats with different bits are ±0: a zero extreme is the
+// first zero in data.
+func Extrema(data []float32) (lo, hi float32, finite bool) {
+	lo, hi, nonFinite := scan(data)
+	loZero := lo == 0 //carol:allow floateq ±0 compare equal; the first zero's sign is the serial answer
+	hiZero := hi == 0 //carol:allow floateq ±0 compare equal; the first zero's sign is the serial answer
+	if loZero || hiZero {
+		z := firstZero(data)
+		if loZero {
+			lo = z
+		}
+		if hiZero {
+			hi = z
+		}
+	}
+	return lo, hi, !nonFinite
 }
 
 // scanLanes is scan in portable Go. Four float32 lanes compare
@@ -167,12 +183,12 @@ func notFinite(v float32) bool {
 	return math.Float32bits(v)&0x7f800000 == 0x7f800000
 }
 
-// firstZero returns the first sample of data equal to zero, which minMax's
-// caller has seen to exist.
-func firstZero(data []float32) float64 {
+// firstZero returns the first sample of data equal to zero, which
+// Extrema has seen to exist.
+func firstZero(data []float32) float32 {
 	for _, v := range data {
 		if v == 0 { //carol:allow floateq looking for +0 or -0, whichever comes first
-			return float64(v)
+			return v
 		}
 	}
 	return 0

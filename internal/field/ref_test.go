@@ -160,8 +160,10 @@ func TestScanMatchesReference(t *testing.T) {
 }
 
 // scanSeeds are FuzzScanMatchesReference's checked-in corpus: hostile
-// samples at every offset, lengths on both sides of each block size, and a
-// window of zeros of both signs.
+// samples at every offset, lengths on both sides of each block size, a
+// window of zeros of both signs, and SZx-sized blocks (5 and 128 samples)
+// whose two zeros, -0 first or +0 first, are the minimum, the maximum or
+// neither, at samples 0 and 3, an order the scans' lanes lose.
 func scanSeeds() [][]byte {
 	var seeds [][]byte
 	for i, n := range []int{0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 63, 300} {
@@ -169,12 +171,31 @@ func scanSeeds() [][]byte {
 	}
 	zeros := make([]byte, 1+4*11)
 	binary.LittleEndian.PutUint32(zeros[1+4*9:], 0x80000000)
-	return append(seeds, zeros)
+	seeds = append(seeds, zeros)
+	for _, n := range []int{5, 128} {
+		for _, first := range []uint32{0x80000000, 0x00000000} {
+			for _, rest := range []float32{1, -1, 0} {
+				block := make([]float32, n)
+				for i := range block {
+					block[i] = rest
+					if rest == 0 {
+						block[i] = float32(i%2*2 - 1)
+					}
+				}
+				block[0], block[3] = math.Float32frombits(first), math.Float32frombits(first^0x80000000)
+				seed := bytes.NewBuffer([]byte{0})
+				_ = FromData("seed", n, 1, 1, block).WriteRaw(seed) // a bytes.Buffer write cannot fail
+				seeds = append(seeds, seed.Bytes())
+			}
+		}
+	}
+	return seeds
 }
 
 // FuzzScanMatchesReference: any bytes — the first an offset 0–3 into a
 // slice of sentinels, the rest up to 300 little-endian float32 samples —
-// scan to the reference, and minMax over them to its reference's bits.
+// scan to the reference, and Extrema and minMax over them to their
+// references' bits.
 func FuzzScanMatchesReference(f *testing.F) {
 	for _, s := range scanSeeds() {
 		f.Add(s)
@@ -192,8 +213,60 @@ func FuzzScanMatchesReference(f *testing.F) {
 		data := backing[off : off+n]
 		decodeRaw(data, raw[1:])
 		checkScan(t, data)
+		checkExtrema(t, data)
 		checkMinMax(t, data)
 	})
+}
+
+// checkExtrema holds Extrema to the serial loop refScan, bit for bit with
+// the first zero's sign, and its finite verdict to refScan's per-sample
+// IsNaN/IsInf test.
+func checkExtrema(t *testing.T, data []float32) {
+	t.Helper()
+	gl, gh, finite := Extrema(data)
+	wl, wh, wbad := refScan(data)
+	if math.Float32bits(gl) != math.Float32bits(wl) || math.Float32bits(gh) != math.Float32bits(wh) || finite == wbad {
+		t.Fatalf("Extrema over %d samples %v = (%v, %v, finite %v), reference (%v, %v, finite %v)", len(data), data, gl, gh, finite, wl, wh, !wbad)
+	}
+}
+
+// TestExtremaMatchesReference: on every SZx block length 1–128, with ±0,
+// denormals and ±MaxFloat32 sprinkled into ordinary values — zeros of both
+// signs in every order among them, as the minimum, the maximum or neither
+// — and a NaN or ±Inf in every fifth block, Extrema is the serial loop's
+// bits and finiteness.
+func TestExtremaMatchesReference(t *testing.T) {
+	specials := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x80000001, 0x007fffff, // denormals
+		0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+	}
+	nonFinite := []uint32{0x7f800000, 0xff800000, 0x7fc00000, 0xffc00001, 0x7f800001}
+	rng := xrand.New(7)
+	for n := 1; n <= 128; n++ {
+		for trial := 0; trial < 40; trial++ {
+			block := make([]float32, n)
+			for i := range block {
+				bits := math.Float32bits(float32(rng.Float64() - 0.5))
+				if rng.Intn(3) == 0 {
+					bits = specials[rng.Intn(len(specials))]
+				}
+				if bits&0x7fffffff != 0 { // zeros keep their sign
+					switch trial % 3 {
+					case 0: // zero, if any, is the minimum
+						bits &^= 0x80000000
+					case 1: // ... the maximum
+						bits |= 0x80000000
+					}
+				}
+				block[i] = math.Float32frombits(bits)
+			}
+			if trial%5 == 4 {
+				block[rng.Intn(n)] = math.Float32frombits(nonFinite[rng.Intn(len(nonFinite))])
+			}
+			checkExtrema(t, block)
+		}
+	}
 }
 
 // minMaxStarts are the bounds minMax widens from: MinMax's, zeros of both

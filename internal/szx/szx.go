@@ -59,34 +59,24 @@ func (*Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 // encodeBlock writes one block.
 //
 // Layout: 1 flag bit; constant block: 32-bit float32 payload; otherwise
-// 6-bit width, 32-bit float32 block minimum, then width bits per sample.
+// 6-bit width, then a raw block's 32-bit samples, or the 32-bit float32
+// block minimum and width bits per sample.
 func encodeBlock(w *bitstream.Writer, block []float32, eb float64) {
-	lo, hi := BlockExtrema(block)
-	// Constant-block attempt: representative value must land every sample
-	// within eb even after float32 rounding.
-	mid := float32((float64(lo) + float64(hi)) / 2)
-	if math.Abs(float64(hi)-float64(mid)) <= eb && math.Abs(float64(lo)-float64(mid)) <= eb {
+	lo, hi, _ := field.Extrema(block)
+	mid, width := layout(lo, hi, eb)
+	if width == 0 {
 		w.WriteBit(1)
 		w.WriteBits(uint64(math.Float32bits(mid)), 32)
 		return
 	}
 	w.WriteBit(0)
-	// Fixed-width offset encoding from the block minimum.
-	rng := float64(hi) - float64(lo)
-	levels := math.Floor(rng/(2*eb)) + 1
-	width := uint(math.Ceil(math.Log2(levels)))
-	if width == 0 {
-		width = 1
-	}
-	if width >= 32 {
-		// Error bound finer than float32 resolution: store samples raw.
-		w.WriteBits(rawWidth, 6)
+	w.WriteBits(uint64(width), 6)
+	if width == rawWidth {
 		for _, v := range block {
 			w.WriteBits(uint64(math.Float32bits(v)), 32)
 		}
 		return
 	}
-	w.WriteBits(uint64(width), 6)
 	w.WriteBits(uint64(math.Float32bits(lo)), 32)
 	// Pack as many codes as a word holds and hand the writer words, not
 	// samples. The division stays a division: multiplying by a reciprocal
@@ -207,41 +197,41 @@ func decodeBlock(r *bitstream.Reader, block []float32, eb float64) error {
 // would produce for the given block, without writing anything. The SECRE
 // SZx surrogate runs this on sampled blocks to extrapolate the ratio.
 func EstimateBlockBits(block []float32, eb float64) uint64 {
-	lo, hi := BlockExtrema(block)
+	lo, hi, _ := field.Extrema(block)
 	return BlockBits(lo, hi, len(block), eb)
-}
-
-// BlockExtrema returns the smallest and largest sample of a block: all that
-// its encoded size depends on besides its length and the bound.
-func BlockExtrema(block []float32) (lo, hi float32) {
-	lo, hi = block[0], block[0]
-	for _, v := range block[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
 }
 
 // BlockBits is EstimateBlockBits for a block of n samples known by its
 // extrema, so a caller that keeps them sizes the block at any bound
 // without reading it again.
 func BlockBits(lo, hi float32, n int, eb float64) uint64 {
-	mid := float32((float64(lo) + float64(hi)) / 2)
-	if math.Abs(float64(hi)-float64(mid)) <= eb && math.Abs(float64(lo)-float64(mid)) <= eb {
+	switch _, width := layout(lo, hi, eb); width {
+	case 0:
 		return 1 + 32
-	}
-	rng := float64(hi) - float64(lo)
-	levels := math.Floor(rng/(2*eb)) + 1
-	width := uint64(math.Ceil(math.Log2(levels)))
-	if width == 0 {
-		width = 1
-	}
-	if width >= 32 {
+	case rawWidth:
 		return 1 + 6 + 32*uint64(n)
+	default:
+		return 1 + 6 + 32 + uint64(width)*uint64(n)
 	}
-	return 1 + 6 + 32 + width*uint64(n)
+}
+
+// layout is the block-layout rule encodeBlock writes and BlockBits sizes:
+// a block with extrema lo and hi is constant at mid (width 0) when mid
+// lands every sample within eb even after float32 rounding; otherwise its
+// offsets from lo take width bits each, or it is stored raw (rawWidth)
+// when eb is finer than float32 resolution.
+func layout(lo, hi float32, eb float64) (mid float32, width uint) {
+	mid = float32((float64(lo) + float64(hi)) / 2)
+	if math.Abs(float64(hi)-float64(mid)) <= eb && math.Abs(float64(lo)-float64(mid)) <= eb {
+		return mid, 0
+	}
+	levels := math.Floor((float64(hi)-float64(lo))/(2*eb)) + 1
+	width = uint(math.Ceil(math.Log2(levels)))
+	switch {
+	case width == 0:
+		width = 1
+	case width >= 32:
+		width = rawWidth
+	}
+	return mid, width
 }
