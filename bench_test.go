@@ -19,7 +19,6 @@ import (
 	"carol/internal/pipeline"
 	"carol/internal/rf"
 	"carol/internal/secre"
-	"carol/internal/sz3"
 	"carol/internal/trainset"
 	"carol/internal/xrand"
 )
@@ -412,27 +411,6 @@ func BenchmarkAblationForestSize(b *testing.B) {
 		b.Run(fmt.Sprintf("trees=%d", trees), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := forest.Predict(probe); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Ablation 6: SZ3 predictor mode (interpolation vs Lorenzo) ---
-
-func BenchmarkAblationSZ3Mode(b *testing.B) {
-	f := benchField(b, "miranda", "viscosity", 48)
-	eb := compressor.AbsBound(f, 1e-3)
-	for _, m := range []struct {
-		name string
-		mode sz3.Mode
-	}{{"interpolation", sz3.ModeInterpolation}, {"lorenzo", sz3.ModeLorenzo}} {
-		codec := sz3.NewMode(m.mode)
-		b.Run(m.name, func(b *testing.B) {
-			b.SetBytes(int64(f.SizeBytes()))
-			for i := 0; i < b.N; i++ {
-				if _, err := codec.Compress(f, eb); err != nil {
 					b.Fatal(err)
 				}
 			}

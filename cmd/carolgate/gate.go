@@ -170,9 +170,8 @@ type fleetShard struct {
 }
 
 // fleetStatus is the /v1/fleet response: per-shard health and model
-// versions (each shard's carol_model_version view, fetched live from its
-// /v1/models endpoint) plus the aggregate convergence verdict the fleet
-// smoke test gates on.
+// versions (fetched live from each shard's /v1/models endpoint) plus the
+// aggregate convergence verdict the fleet smoke test gates on.
 type fleetStatus struct {
 	Shards     []fleetShard `json:"shards"`
 	Healthy    int          `json:"healthy_shards"`

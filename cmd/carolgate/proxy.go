@@ -353,8 +353,7 @@ type shardModel struct {
 }
 
 // shardModels fetches one shard's /v1/models listing and reduces it to
-// name→{version, backend} — the per-shard carol_model_version view
-// /v1/fleet aggregates.
+// name→{version, backend}, the per-shard view /v1/fleet aggregates.
 func (g *gate) shardModels(shard string) (map[string]shardModel, error) {
 	resp, err := g.callShard(shard, http.MethodGet, "/v1/models", nil)
 	if err != nil {

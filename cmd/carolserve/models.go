@@ -148,9 +148,6 @@ func (ms *modelStore) loadLatest(reg *registry.Registry, name string, prev *load
 	st := lm.stats
 	ms.loadTotal("ok").Inc()
 	ms.reg.Gauge(obs.Label("model_loaded_version", "model", name)).Set(float64(latest.Number))
-	// carol_model_version is the fleet-convergence gauge: the gate's
-	// /v1/fleet view compares it (via /v1/models) across shards.
-	ms.reg.Gauge(obs.Label("carol_model_version", "model", name)).Set(float64(latest.Number))
 	ms.reg.Gauge(obs.Label("model_forest_trees", "model", name)).Set(float64(st.Trees))
 	ms.reg.Gauge(obs.Label("model_forest_nodes", "model", name)).Set(float64(st.Nodes))
 	ms.reg.Gauge(obs.Label("model_forest_max_depth", "model", name)).Set(float64(st.MaxDepth))

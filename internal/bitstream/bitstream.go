@@ -7,7 +7,6 @@ package bitstream
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"carol/internal/safedec"
 )
@@ -53,15 +52,6 @@ func (w *Writer) WriteBit(b uint) {
 	w.WriteBits(uint64(b), 1)
 }
 
-// WriteBool appends a single bit from a bool.
-func (w *Writer) WriteBool(b bool) {
-	if b {
-		w.WriteBits(1, 1)
-	} else {
-		w.WriteBits(0, 1)
-	}
-}
-
 // WriteBits appends the low `width` bits of v, MSB of the field first.
 // width must be in [0, 64].
 //
@@ -91,17 +81,6 @@ func (w *Writer) spill(v uint64) {
 	w.n -= 64
 	w.cur = v << (64 - w.n)
 }
-
-// WriteUnary writes v as v one-bits followed by a zero bit.
-func (w *Writer) WriteUnary(v uint) {
-	for ; v >= 63; v -= 63 {
-		w.WriteBits(^uint64(0), 63)
-	}
-	w.WriteBits(^uint64(1), v+1)
-}
-
-// Len returns the number of whole bits written so far.
-func (w *Writer) Len() uint64 { return w.BitLen() }
 
 // appendTail appends the pending partial word to dst, zero-padded to a byte.
 func (w *Writer) appendTail(dst []byte) []byte {
@@ -220,12 +199,6 @@ func (r *Reader) ReadBit() (uint, error) {
 	return uint(r.take(1)), nil
 }
 
-// ReadBool reads a single bit as a bool.
-func (r *Reader) ReadBool() (bool, error) {
-	b, err := r.ReadBit()
-	return b != 0, err
-}
-
 // ReadBits reads `width` bits, returning them right-aligned. width must be
 // in [0, 64]. A read that would pass the cap fails with ErrShortStream and
 // consumes nothing.
@@ -253,25 +226,6 @@ func (r *Reader) readSlow(width uint) (uint64, error) {
 	hi := r.take(r.n)
 	r.refill()
 	return hi<<lo | r.take(lo), nil
-}
-
-// ReadUnary reads a unary-coded value (count of 1-bits before the first 0).
-// A run of ones that reaches the end of the stream fails with
-// ErrShortStream having consumed it, as a bit-by-bit reader would.
-func (r *Reader) ReadUnary() (uint, error) {
-	var v uint
-	for {
-		win, avail := r.Peek()
-		if avail == 0 {
-			return 0, ErrShortStream
-		}
-		if ones := uint(bits.LeadingZeros64(^win)); ones < avail {
-			r.Skip(ones + 1)
-			return v + ones, nil
-		}
-		r.Skip(avail)
-		v += avail
-	}
 }
 
 // Peek exposes the window without consuming it: the next avail bits of the

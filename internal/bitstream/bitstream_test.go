@@ -12,8 +12,8 @@ func TestWriteReadSingleBits(t *testing.T) {
 	for _, b := range pattern {
 		w.WriteBit(b)
 	}
-	if got, want := w.Len(), uint64(len(pattern)); got != want {
-		t.Fatalf("Len = %d, want %d", got, want)
+	if got, want := w.BitLen(), uint64(len(pattern)); got != want {
+		t.Fatalf("BitLen = %d, want %d", got, want)
 	}
 	r := NewReader(w.Bytes(), w.BitLen())
 	for i, want := range pattern {
@@ -71,29 +71,11 @@ func TestWriteBitsMasksHighBits(t *testing.T) {
 	}
 }
 
-func TestUnary(t *testing.T) {
-	w := NewWriter(16)
-	vals := []uint{0, 1, 2, 5, 13, 0, 31}
-	for _, v := range vals {
-		w.WriteUnary(v)
-	}
-	r := NewReader(w.Bytes(), w.BitLen())
-	for i, want := range vals {
-		got, err := r.ReadUnary()
-		if err != nil {
-			t.Fatalf("ReadUnary %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("unary %d = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestZeroWidthIsNoop(t *testing.T) {
 	w := NewWriter(4)
 	w.WriteBits(0xff, 0)
-	if w.Len() != 0 {
-		t.Fatalf("zero-width write changed length: %d", w.Len())
+	if w.BitLen() != 0 {
+		t.Fatalf("zero-width write changed length: %d", w.BitLen())
 	}
 	r := NewReader(w.Bytes(), w.BitLen())
 	v, err := r.ReadBits(0)
@@ -128,24 +110,6 @@ func TestBytesIsIdempotent(t *testing.T) {
 	for i := range b1 {
 		if b1[i] != b2[i] {
 			t.Fatalf("Bytes() not idempotent at %d", i)
-		}
-	}
-}
-
-func TestBoolRoundTrip(t *testing.T) {
-	w := NewWriter(4)
-	seq := []bool{true, false, true, true, false}
-	for _, b := range seq {
-		w.WriteBool(b)
-	}
-	r := NewReader(w.Bytes(), w.BitLen())
-	for i, want := range seq {
-		got, err := r.ReadBool()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("bool %d = %v, want %v", i, got, want)
 		}
 	}
 }

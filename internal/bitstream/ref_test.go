@@ -72,21 +72,6 @@ func (r *refReader) ReadBits(width uint) (uint64, error) {
 	return v, nil
 }
 
-// ReadUnary reads a unary-coded value (count of 1-bits before the first 0).
-func (r *refReader) ReadUnary() (uint, error) {
-	var v uint
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 0 {
-			return v, nil
-		}
-		v++
-	}
-}
-
 // Remaining reports the number of unread bits.
 func (r *refReader) Remaining() uint64 { return r.max - r.read }
 

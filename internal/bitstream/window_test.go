@@ -25,8 +25,8 @@ func peekRef(ref *refReader, avail uint) uint64 {
 
 // runReaderProgram drives a Reader and the oracle through the same program
 // and fails on the first difference in value, error, Consumed or Remaining.
-// Program bytes: op%5 selects ReadBit, ReadBits(next%65), ReadUnary,
-// Peek+Skip(next%(avail+1)), ReadBool.
+// Program bytes: op%3 selects ReadBit, ReadBits(next%65),
+// Peek+Skip(next%(avail+1)).
 func runReaderProgram(t *testing.T, buf []byte, bitLen uint64, prog []byte) {
 	t.Helper()
 	r := NewReader(buf, bitLen)
@@ -41,7 +41,7 @@ func runReaderProgram(t *testing.T, buf []byte, bitLen uint64, prog []byte) {
 	for i := 0; i < len(prog); i++ {
 		var got, want uint64
 		var gerr, werr error
-		op := prog[i] % 5
+		op := prog[i] % 3
 		switch op {
 		case 0:
 			var g, w uint
@@ -53,11 +53,6 @@ func runReaderProgram(t *testing.T, buf []byte, bitLen uint64, prog []byte) {
 			got, gerr = r.ReadBits(width)
 			want, werr = ref.ReadBits(width)
 		case 2:
-			var g, w uint
-			g, gerr = r.ReadUnary()
-			w, werr = ref.ReadUnary()
-			got, want = uint64(g), uint64(w)
-		case 3:
 			win, avail := r.Peek()
 			rem := ref.Remaining()
 			if uint64(avail) > rem || (avail < 57 && uint64(avail) != rem) {
@@ -71,15 +66,6 @@ func runReaderProgram(t *testing.T, buf []byte, bitLen uint64, prog []byte) {
 			if _, err := ref.ReadBits(k); err != nil {
 				t.Fatalf("op %d: oracle cannot skip %d of %d peeked bits", i, k, avail)
 			}
-		case 4:
-			var g bool
-			var w uint
-			g, gerr = r.ReadBool()
-			w, werr = ref.ReadBit()
-			if g {
-				got = 1
-			}
-			want = uint64(w)
 		}
 		if gerr != werr {
 			t.Fatalf("op %d (kind %d): err = %v, oracle %v", i, op, gerr, werr)
@@ -128,7 +114,7 @@ func readerOpsSeeds() [][]byte {
 			out = append(out, s)
 		}
 	}
-	// A run of ones to the end of the stream, read as unary.
+	// A run of ones to the end of the stream, walked by Peek+Skip.
 	out = append(out, append([]byte{12, 0, 96}, append(allOnes(12), 2, 2, 2)...))
 	return out
 }
@@ -167,7 +153,7 @@ func TestReaderRandomPrograms(t *testing.T) {
 	for iter := 0; iter < 3000; iter++ {
 		buf := make([]byte, rng.Intn(41))
 		for i := range buf {
-			// Long runs of ones and zeros exercise ReadUnary and the mask.
+			// Long runs of ones and zeros exercise the window edges and the mask.
 			switch rng.Intn(4) {
 			case 0:
 				buf[i] = 0xFF

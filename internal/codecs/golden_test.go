@@ -14,7 +14,6 @@ import (
 
 	"carol/internal/compressor"
 	"carol/internal/field"
-	"carol/internal/zfp"
 )
 
 // goldenFile holds one "<case> <sha256(stream)> <sha256(decoded)>" line per
@@ -27,8 +26,7 @@ import (
 const goldenFile = "testdata/golden_digests.txt"
 
 // goldenCases computes the digest pair of every case: each ExtendedNames
-// codec × conformanceFields(4242) × rel 1e-1…1e-6, plus the ZFP fixed-rate
-// mode at four rates (8.5 exercises a budget that is not a whole byte).
+// codec × conformanceFields(4242) × rel 1e-1…1e-6.
 func goldenCases(t *testing.T) map[string][2]string {
 	t.Helper()
 	fields := conformanceFields(4242)
@@ -57,20 +55,6 @@ func goldenCases(t *testing.T) map[string][2]string {
 				}
 				out[key] = digest(stream, g)
 			}
-		}
-	}
-	for _, f := range fields {
-		for _, rate := range []float64{1, 4, 8.5, 16} {
-			key := fmt.Sprintf("zfp-fr/%s/rate=%g", f.Name, rate)
-			stream, err := zfp.CompressFixedRate(f, rate)
-			if err != nil {
-				t.Fatalf("%s: compress: %v", key, err)
-			}
-			g, err := zfp.DecompressFixedRate(stream)
-			if err != nil {
-				t.Fatalf("%s: decompress: %v", key, err)
-			}
-			out[key] = digest(stream, g)
 		}
 	}
 	return out

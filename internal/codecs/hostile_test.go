@@ -9,7 +9,6 @@ import (
 	"carol/internal/field"
 	"carol/internal/safedec"
 	"carol/internal/safedec/safedectest"
-	"carol/internal/zfp"
 )
 
 func header(magic byte, nx, ny, nz int, eb float64) []byte {
@@ -145,14 +144,6 @@ func TestZeroBitLengthIsNotUncapped(t *testing.T) {
 		if !errors.Is(err, compressor.ErrBadStream) || !errors.Is(err, safedec.ErrTruncated) {
 			t.Errorf("%s: bit length 0: err = %v, want ErrBadStream wrapping ErrTruncated", name, err)
 		}
-	}
-	stream, err := zfp.CompressFixedRate(f, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = zfp.DecompressFixedRate(zeroBitLength(stream))
-	if !errors.Is(err, compressor.ErrBadStream) || !errors.Is(err, safedec.ErrTruncated) {
-		t.Errorf("zfp fixed rate: bit length 0: err = %v, want ErrBadStream wrapping ErrTruncated", err)
 	}
 }
 

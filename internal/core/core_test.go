@@ -189,9 +189,10 @@ func TestCheckpointTransfersBetweenFrameworks(t *testing.T) {
 }
 
 func TestNewWithCustomSurrogate(t *testing.T) {
-	// The extension path: a sampled-full estimator paired with calibration.
+	// The extension path: a codec without a purpose-built surrogate runs
+	// the real compressor as its estimator, paired with calibration.
 	codec := szx.New()
-	est := &secre.SampledFull{Codec: codec}
+	est := &secre.FullEstimator{Codec: codec}
 	cfg := fastConfig()
 	cfg.CalibrationPoints = 3
 	fw := NewWith(codec, est, cfg)

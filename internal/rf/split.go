@@ -25,7 +25,7 @@ func rankMatrix(X [][]float64) (*ranked, error) {
 	if len(X) == 0 {
 		return nil, errors.New("rf: empty or mismatched training data")
 	}
-	if len(X) > math.MaxUint32 {
+	if uint64(len(X)) > math.MaxUint32 {
 		return nil, fmt.Errorf("rf: %d training rows, at most %d", len(X), uint32(math.MaxUint32))
 	}
 	dims := len(X[0])

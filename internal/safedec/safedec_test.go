@@ -55,7 +55,7 @@ func TestLimitsElements(t *testing.T) {
 	if _, err := l.Elements(10, 10, 11); !errors.Is(err, ErrLimit) {
 		t.Fatalf("over-limit product: %v", err)
 	}
-	for _, d := range [][3]int{{0, 1, 1}, {-1, 1, 1}, {1, 1 << 31, 1}} {
+	for _, d := range [][3]int{{0, 1, 1}, {-1, 1, 1}, {1, maxDim + 1, 1}} {
 		if _, err := l.Elements(d[0], d[1], d[2]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("dims %v: err = %v, want ErrCorrupt", d, err)
 		}

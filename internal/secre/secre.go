@@ -479,45 +479,6 @@ func Curve(est compressor.Estimator, f *field.Field, ebs []float64) ([]float64, 
 	return out, nil
 }
 
-// SampledFull estimates by running the FULL compressor on a block-sampled
-// subset and extrapolating. This is the fallback the paper's conclusions
-// describe ("Compressor Behavior 3") for compressors that have no
-// purpose-built surrogate: pair it with calibration and CAROL still works,
-// especially for high-throughput compressors. The sampling window should
-// match the target compressor's compression window (Table 1).
-type SampledFull struct {
-	Codec compressor.Codec
-	// Spec controls block sampling; the zero value samples 32-wide blocks,
-	// one of every 4.
-	Spec field.BlockSpec
-}
-
-var _ compressor.Estimator = (*SampledFull)(nil)
-
-// Name implements compressor.Estimator.
-func (s *SampledFull) Name() string { return s.Codec.Name() }
-
-// EstimateRatio implements compressor.Estimator.
-func (s *SampledFull) EstimateRatio(f *field.Field, eb float64) (float64, error) {
-	spec := s.Spec
-	if spec.Size <= 0 {
-		spec.Size = 32
-	}
-	if spec.Every <= 0 {
-		spec.Every = 4
-	}
-	sample := f.SampleBlocks(spec)
-	if sample.Len() < 2 {
-		sample = f
-	}
-	stream, err := s.Codec.Compress(sample, eb)
-	if err != nil {
-		return 0, err
-	}
-	estBits := float64(len(stream)) * 8 / float64(sample.Len()) * float64(f.Len())
-	return ratioFromBits(f, estBits), nil
-}
-
 // FullEstimator adapts a full compressor into the Estimator interface by
 // actually compressing and measuring — this is what FXRZ's data collection
 // does, and the baseline SECRE is compared against.

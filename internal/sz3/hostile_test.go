@@ -16,10 +16,10 @@ import (
 )
 
 // assemble builds an sz3 stream for f's dims from the parts of a payload, so
-// a test can hand the decoder counts no encoder would write.
-func assemble(t testing.TB, f *field.Field, eb float64, mode Mode, anch []float32, codes []uint32, outliers []float32) []byte {
+// a test can hand the decoder a mode byte or counts no encoder would write.
+func assemble(t testing.TB, f *field.Field, eb float64, mode byte, anch []float32, codes []uint32, outliers []float32) []byte {
 	t.Helper()
-	p := []byte{byte(mode)}
+	p := []byte{mode}
 	for _, list := range [][]float32{anch, outliers} {
 		p = binary.LittleEndian.AppendUint32(p, uint32(len(list)))
 		for _, v := range list {
@@ -37,57 +37,57 @@ func assemble(t testing.TB, f *field.Field, eb float64, mode Mode, anch []float3
 	return out
 }
 
-// TestCountsMustMatchDims: a stream carries exactly the anchors, codes and
-// outliers its dims and its zero codes call for. One too many of any used to
-// decode silently (to the same field as the stream without it); one too few
-// was, and is, an error.
+// TestCountsMustMatchDims: a stream carries mode byte 0 and exactly the
+// anchor, codes and outliers its dims and its zero codes call for. One too
+// many of any used to decode silently (to the same field as the stream
+// without it); one too few was, and is, an error. Any mode byte but 0 is
+// refused, even when the rest of the payload is a valid interpolation one.
 func TestCountsMustMatchDims(t *testing.T) {
 	f := fuzzField(9, 12, 7, 5, 4)
 	eb := boundFor(f, 0) // tight on rough data: some samples are stored raw
-	for _, mode := range []Mode{ModeInterpolation, ModeLorenzo} {
-		anch, codes, outliers, _ := refEncode(f, eb, mode)
-		if len(outliers) < 2 {
-			t.Fatalf("mode %d: %d outliers, the test needs a few", mode, len(outliers))
-		}
-		real, err := NewMode(mode).Compress(f, eb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := New().Decompress(real)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact := assemble(t, f, eb, mode, anch, codes, outliers)
-		got, err := New().Decompress(exact)
-		if err != nil {
-			t.Fatalf("mode %d: exact counts rejected: %v", mode, err)
-		}
-		sameSamples(t, "hand-assembled stream", got.Data, want.Data)
+	anch, codes, outliers, _ := refEncode(f, eb)
+	if len(outliers) < 2 {
+		t.Fatalf("%d outliers, the test needs a few", len(outliers))
+	}
+	real, err := New().Compress(f, eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New().Decompress(real)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := assemble(t, f, eb, 0, anch, codes, outliers)
+	if string(exact) != string(real) {
+		t.Fatal("hand-assembled stream differs from the encoder's")
+	}
+	got, err := New().Decompress(exact)
+	if err != nil {
+		t.Fatalf("exact counts rejected: %v", err)
+	}
+	sameSamples(t, "hand-assembled stream", got.Data, want.Data)
 
-		more := func(s []float32) []float32 { return append(append([]float32(nil), s...), 1.5) }
-		type parts struct {
-			name     string
-			anch     []float32
-			codes    []uint32
-			outliers []float32
-		}
-		cases := []parts{
-			{"surplus anchor", more(anch), codes, outliers},
-			{"surplus code", anch, append(append([]uint32(nil), codes...), quantRadius), outliers},
-			{"surplus zero code", anch, append(append([]uint32(nil), codes...), 0), more(outliers)},
-			{"missing code", anch, codes[:len(codes)-1], outliers},
-			{"surplus outlier", anch, codes, more(outliers)},
-			{"missing outlier", anch, codes, outliers[:len(outliers)-1]},
-			{"no outliers", anch, codes, nil},
-		}
-		if mode == ModeInterpolation {
-			cases = append(cases, parts{"missing anchor", nil, codes, outliers})
-		}
-		for _, c := range cases {
-			_, err := New().Decompress(assemble(t, f, eb, mode, c.anch, c.codes, c.outliers))
-			if !errors.Is(err, compressor.ErrBadStream) {
-				t.Errorf("mode %d, %s: err = %v, want ErrBadStream", mode, c.name, err)
-			}
+	more := func(s []float32) []float32 { return append(append([]float32(nil), s...), 1.5) }
+	for _, c := range []struct {
+		name     string
+		mode     byte
+		anch     []float32
+		codes    []uint32
+		outliers []float32
+	}{
+		{"mode byte 1", 1, anch, codes, outliers},
+		{"surplus anchor", 0, more(anch), codes, outliers},
+		{"missing anchor", 0, nil, codes, outliers},
+		{"surplus code", 0, anch, append(append([]uint32(nil), codes...), quantRadius), outliers},
+		{"surplus zero code", 0, anch, append(append([]uint32(nil), codes...), 0), more(outliers)},
+		{"missing code", 0, anch, codes[:len(codes)-1], outliers},
+		{"surplus outlier", 0, anch, codes, more(outliers)},
+		{"missing outlier", 0, anch, codes, outliers[:len(outliers)-1]},
+		{"no outliers", 0, anch, codes, nil},
+	} {
+		_, err := New().Decompress(assemble(t, f, eb, c.mode, c.anch, c.codes, c.outliers))
+		if !errors.Is(err, compressor.ErrBadStream) {
+			t.Errorf("%s: err = %v, want ErrBadStream", c.name, err)
 		}
 	}
 }

@@ -103,23 +103,22 @@ func poison(s *scratch, n int) {
 // surrogate beside the closure-per-point ones of ref_test.go and demands the
 // same codes, the same raw-stored samples and the same reconstruction, bit
 // for bit, then the same field out of the whole codec.
-func checkInterpMatchesReference(t *testing.T, f *field.Field, eb float64, mode Mode) {
+func checkInterpMatchesReference(t *testing.T, f *field.Field, eb float64) {
 	t.Helper()
 	nx, ny, nz, n := f.Nx, f.Ny, f.Nz, f.Len()
-	anch, codes, outliers, recon := refEncode(f, eb, mode)
-	nAnchors := mode.anchors()
-	if len(anch) != nAnchors || nAnchors == 1 && anch[0] != f.Data[0] {
-		t.Fatalf("reference stores anchors %v, want the %d at the origin", anch, nAnchors)
+	anch, codes, outliers, recon := refEncode(f, eb)
+	if len(anch) != 1 || anch[0] != f.Data[0] {
+		t.Fatalf("reference stores anchors %v, want the one at the origin", anch)
 	}
 
 	var s scratch
 	poison(&s, n)
-	s.encode(f, eb, mode)
+	s.encode(f, eb)
 	sameCodes(t, "encode codes", s.codes, codes)
 	sameSamples(t, "encode outliers", s.outliers, outliers)
 	sameBits(t, "encode recon", s.recon, recon)
 
-	want, err := refDecode(nx, ny, nz, eb, mode, anch, codes, outliers)
+	want, err := refDecode(nx, ny, nz, eb, anch, codes, outliers)
 	if err != nil {
 		t.Fatalf("reference decode: %v", err)
 	}
@@ -127,18 +126,16 @@ func checkInterpMatchesReference(t *testing.T, f *field.Field, eb float64, mode 
 	var d scratch
 	poison(&d, n)
 	d.outliers = append(d.outliers[:0], outliers...)
-	d.begin(n, nAnchors, eb)
+	d.begin(n, eb)
 	copy(d.codes, codes)
-	if !d.decode(nx, ny, nz, mode, f.Data[0]) {
+	if !d.decode(nx, ny, nz, f.Data[0]) {
 		t.Fatalf("decode consumed %d of %d outliers", d.oi, len(outliers))
 	}
 	sameBits(t, "decode recon", d.recon, want)
 
-	if mode == ModeInterpolation {
-		sameCodes(t, "LastLevelCodes", LastLevelCodes(f, eb), refLastLevelCodes(f, eb))
-	}
+	sameCodes(t, "LastLevelCodes", LastLevelCodes(f, eb), refLastLevelCodes(f, eb))
 
-	stream, err := NewMode(mode).Compress(f, eb)
+	stream, err := New().Compress(f, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +155,7 @@ func TestInterpMatchesReference(t *testing.T) {
 		for _, sel := range []uint8{0, 60, 130, 200, 255} {
 			for _, rough := range []float64{0, 4} {
 				f := fuzzField(uint64(i), sh[0], sh[1], sh[2], rough)
-				checkInterpMatchesReference(t, f, boundFor(f, sel), ModeInterpolation)
-				if sh[0]*sh[1]*sh[2] <= 1<<12 {
-					checkInterpMatchesReference(t, f, boundFor(f, sel), ModeLorenzo)
-				}
+				checkInterpMatchesReference(t, f, boundFor(f, sel))
 			}
 		}
 	}
@@ -173,7 +167,7 @@ func TestInterpMatchesReference(t *testing.T) {
 func TestInterpHitsOutliersAndCopies(t *testing.T) {
 	f := fuzzField(3, 40, 33, 17, 4)
 	var s scratch
-	s.encode(f, boundFor(f, 0), ModeInterpolation)
+	s.encode(f, boundFor(f, 0))
 	if len(s.outliers) == 0 {
 		t.Error("no outliers at 1e-7 of the range on rough data")
 	}
@@ -188,22 +182,18 @@ func TestInterpHitsOutliersAndCopies(t *testing.T) {
 
 // FuzzInterpMatchesReference is the differential fuzzer behind "every stream
 // byte-identical": any grid up to 2^16 samples (and 64×64×32), bounds from
-// 1e-7 to 10 times the range, smooth to rough, both predictors.
+// 1e-7 to 10 times the range, smooth to rough.
 func FuzzInterpMatchesReference(f *testing.F) {
 	for i, sh := range interpShapes {
-		f.Add(uint64(i), uint16(sh[0]-1), uint16(sh[1]-1), uint16(sh[2]-1), uint8(i*13), uint8(i%3), i%4 == 3)
+		f.Add(uint64(i), uint16(sh[0]-1), uint16(sh[1]-1), uint16(sh[2]-1), uint8(i*13), uint8(i%3))
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, nx16, ny16, nz16 uint16, sel, rough uint8, lorenzo bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, nx16, ny16, nz16 uint16, sel, rough uint8) {
 		nx, ny, nz := int(nx16%700)+1, int(ny16%80)+1, int(nz16%64)+1
 		if nx*ny*nz > 1<<16 && [3]int{nx, ny, nz} != [3]int{64, 64, 32} {
 			t.Skip()
 		}
-		mode := ModeInterpolation
-		if lorenzo {
-			mode = ModeLorenzo
-		}
 		fld := fuzzField(seed, nx, ny, nz, float64(rough%8))
-		checkInterpMatchesReference(t, fld, boundFor(fld, sel), mode)
+		checkInterpMatchesReference(t, fld, boundFor(fld, sel))
 	})
 }
 

@@ -124,7 +124,7 @@ func forEachTargetLevel(nx, ny, nz, s int, fn func(t target)) {
 // refEncode is the predict/quantize half of the old Compress: the anchors,
 // the codes in traversal order, the raw-stored samples, and the
 // reconstruction the decoder will arrive at.
-func refEncode(f *field.Field, eb float64, mode Mode) (anchors []float32, codes []uint32, outliers []float32, recon []float64) {
+func refEncode(f *field.Field, eb float64) (anchors []float32, codes []uint32, outliers []float32, recon []float64) {
 	nx, ny, nz := f.Nx, f.Ny, f.Nz
 	recon = make([]float64, len(f.Data))
 	codes = make([]uint32, 0, len(f.Data))
@@ -143,44 +143,31 @@ func refEncode(f *field.Field, eb float64, mode Mode) (anchors []float32, codes 
 		}
 	}
 
-	switch mode {
-	case ModeLorenzo:
-		// Single raster scan; no anchors (the first point predicts from 0).
-		for z := 0; z < nz; z++ {
-			for y := 0; y < ny; y++ {
-				for x := 0; x < nx; x++ {
-					idx := (z*ny+y)*nx + x
-					quantize(idx, lorenzoPredict(recon, nx, ny, x, y, z))
-				}
-			}
-		}
-	default:
-		for i, v := range f.Data {
-			recon[i] = float64(v)
-		}
-		stride0 := anchorStride(nx, ny, nz)
-		// Anchors (the 2*stride0 grid) are kept losslessly: recon already
-		// holds their exact values; just record them for the stream.
-		a2 := 2 * stride0
-		for z := 0; z < nz; z += a2 {
-			for y := 0; y < ny; y += a2 {
-				for x := 0; x < nx; x += a2 {
-					anchors = append(anchors, f.At(x, y, z))
-				}
-			}
-		}
-		forEachTarget(nx, ny, nz, stride0, func(t target) {
-			idx := (t.z*ny+t.y)*nx + t.x
-			quantize(idx, predict(recon, nx, ny, nz, t))
-		})
+	for i, v := range f.Data {
+		recon[i] = float64(v)
 	}
+	stride0 := anchorStride(nx, ny, nz)
+	// Anchors (the 2*stride0 grid) are kept losslessly: recon already
+	// holds their exact values; just record them for the stream.
+	a2 := 2 * stride0
+	for z := 0; z < nz; z += a2 {
+		for y := 0; y < ny; y += a2 {
+			for x := 0; x < nx; x += a2 {
+				anchors = append(anchors, f.At(x, y, z))
+			}
+		}
+	}
+	forEachTarget(nx, ny, nz, stride0, func(t target) {
+		idx := (t.z*ny+t.y)*nx + t.x
+		quantize(idx, predict(recon, nx, ny, nz, t))
+	})
 	return anchors, codes, outliers, recon
 }
 
 // refDecode is the reconstruct half of the old DecompressLimited, its
 // per-point exhaustion tests included. It tolerates surplus anchors, codes
 // and outliers, which the decoder no longer does.
-func refDecode(nx, ny, nz int, eb float64, mode Mode, anchors []float32, codes []uint32, outliers []float32) ([]float64, error) {
+func refDecode(nx, ny, nz int, eb float64, anchors []float32, codes []uint32, outliers []float32) ([]float64, error) {
 	recon := make([]float64, nx*ny*nz)
 	ci, oi := 0, 0
 	twoEB := 2 * eb
@@ -204,40 +191,26 @@ func refDecode(nx, ny, nz int, eb float64, mode Mode, anchors []float32, codes [
 		recon[idx] = pred + float64(int32(code)-quantRadius)*twoEB
 	}
 
-	if mode == ModeLorenzo {
-	lorenzo:
-		for z := 0; z < nz; z++ {
-			for y := 0; y < ny; y++ {
-				for x := 0; x < nx; x++ {
-					reconstruct((z*ny+y)*nx+x, lorenzoPredict(recon, nx, ny, x, y, z))
-					if terr != nil {
-						break lorenzo
-					}
+	stride0 := anchorStride(nx, ny, nz)
+	a2 := 2 * stride0
+	ai := 0
+	for z := 0; z < nz; z += a2 {
+		for y := 0; y < ny; y += a2 {
+			for x := 0; x < nx; x += a2 {
+				if ai >= len(anchors) {
+					return nil, fmt.Errorf("%w: sz3 anchors exhausted", compressor.ErrBadStream)
 				}
+				recon[(z*ny+y)*nx+x] = float64(anchors[ai])
+				ai++
 			}
 		}
-	} else {
-		stride0 := anchorStride(nx, ny, nz)
-		a2 := 2 * stride0
-		ai := 0
-		for z := 0; z < nz; z += a2 {
-			for y := 0; y < ny; y += a2 {
-				for x := 0; x < nx; x += a2 {
-					if ai >= len(anchors) {
-						return nil, fmt.Errorf("%w: sz3 anchors exhausted", compressor.ErrBadStream)
-					}
-					recon[(z*ny+y)*nx+x] = float64(anchors[ai])
-					ai++
-				}
-			}
-		}
-		forEachTarget(nx, ny, nz, stride0, func(t target) {
-			if terr != nil {
-				return
-			}
-			reconstruct((t.z*ny+t.y)*nx+t.x, predict(recon, nx, ny, nz, t))
-		})
 	}
+	forEachTarget(nx, ny, nz, stride0, func(t target) {
+		if terr != nil {
+			return
+		}
+		reconstruct((t.z*ny+t.y)*nx+t.x, predict(recon, nx, ny, nz, t))
+	})
 	return recon, terr
 }
 

@@ -28,31 +28,11 @@ import (
 // outside ±quantRadius bins are stored as raw outliers (code 0).
 const quantRadius = 32768
 
-// Mode selects SZ3's predictor (SZ3 is a modular framework; the paper's
-// evaluation uses the interpolation mode, the SZ family's classic predictor
-// is Lorenzo).
-type Mode byte
-
-const (
-	// ModeInterpolation is the multi-level cubic-interpolation predictor.
-	ModeInterpolation Mode = 0
-	// ModeLorenzo is the first-order Lorenzo predictor in a single raster
-	// scan.
-	ModeLorenzo Mode = 1
-)
-
 // Codec is the SZ3 compressor.
-type Codec struct {
-	mode Mode
-}
+type Codec struct{}
 
-// New returns an SZ3 codec in interpolation mode (the paper's setting).
-func New() *Codec { return &Codec{mode: ModeInterpolation} }
-
-// NewMode returns an SZ3 codec with an explicit predictor mode. Streams are
-// self-describing: Decompress handles either mode regardless of the
-// receiver's configuration.
-func NewMode(m Mode) *Codec { return &Codec{mode: m} }
+// New returns an SZ3 codec.
+func New() *Codec { return &Codec{} }
 
 // Name implements compressor.Codec.
 func (*Codec) Name() string { return "sz3" }
@@ -60,8 +40,8 @@ func (*Codec) Name() string { return "sz3" }
 var _ compressor.Codec = (*Codec)(nil)
 
 // scratch is everything one call writes besides its result, sized before
-// the traversal (bar the outlier list) and never cleared: both predictors
-// write a recon entry before any prediction reads it, and every code is
+// the traversal (bar the outlier list) and never cleared: the traversal
+// writes a recon entry before any prediction reads it, and every code is
 // written before it is entropy-coded.
 type scratch struct {
 	recon    []float64 // reconstructed samples, what the predictors read
@@ -89,32 +69,23 @@ func releaseScratch(s *scratch) bool {
 	return cap(s.recon) <= maxPooledSamples && cap(s.codes) <= maxPooledSamples && cap(s.payload) <= 16*maxPooledSamples && cap(s.outliers) <= maxPooledSamples
 }
 
-// begin arms s for a traversal of n samples, of which all but the anchors
+// begin arms s for a traversal of n samples, of which all but the anchor
 // are predicted and own a code.
-func (s *scratch) begin(n, nAnchors int, eb float64) {
+func (s *scratch) begin(n int, eb float64) {
 	s.recon = zpool.Sized(s.recon, n)
-	s.codes = zpool.Sized(s.codes, n-nAnchors)
+	s.codes = zpool.Sized(s.codes, n-1)
 	s.twoEB, s.ci, s.oi = 2*eb, 0, 0
 }
 
-// anchorStride returns the first level's stride; the losslessly stored
-// anchors live on the grid of twice that.
+// anchorStride returns the first level's stride. The losslessly stored
+// anchors live on the grid of twice that, which is never less than the
+// largest dimension: the one anchor is the sample at the origin.
 func anchorStride(nx, ny, nz int) int {
 	s := 1
 	for 2*s < max(nx, ny, nz) {
 		s *= 2
 	}
 	return s
-}
-
-// anchors is the number of losslessly stored samples. In interpolation mode
-// they are the grid of spacing 2·anchorStride, which is never less than the
-// largest dimension: the one sample at the origin. Lorenzo mode has none.
-func (m Mode) anchors() int {
-	if m == ModeLorenzo {
-		return 0
-	}
-	return 1
 }
 
 // A run is count points of one interpolation phase, step apart in the flat
@@ -324,66 +295,12 @@ func (s *scratch) surrogateRun(kind runKind, i, step, d, count int) {
 	}
 }
 
-// lorenzoPredict computes the first-order Lorenzo prediction for the point
-// at (x, y, z) from already-reconstructed raster-scan predecessors.
-func lorenzoPredict(recon []float64, nx, ny int, x, y, z int) float64 {
-	at := func(dx, dy, dz int) float64 {
-		xx, yy, zz := x-dx, y-dy, z-dz
-		if xx < 0 || yy < 0 || zz < 0 {
-			return 0
-		}
-		return recon[(zz*ny+yy)*nx+xx]
-	}
-	return at(1, 0, 0) + at(0, 1, 0) + at(0, 0, 1) +
-		at(1, 1, 1) - at(1, 1, 0) - at(1, 0, 1) - at(0, 1, 1)
-}
-
-// encodeLorenzo is the single raster scan of Lorenzo mode: no anchors (the
-// first point predicts from 0), and point i owns code i.
-func (s *scratch) encodeLorenzo(nx, ny, nz int) {
-	i := 0
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				pred := lorenzoPredict(s.recon, nx, ny, x, y, z)
-				q := math.Round((float64(s.data[i]) - pred) / s.twoEB)
-				if s.codes[i] = bin(q); s.codes[i] != 0 {
-					s.recon[i] = pred + q*s.twoEB
-				} else {
-					s.recon[i] = s.outlier(i)
-				}
-				i++
-			}
-		}
-	}
-}
-
-func (s *scratch) decodeLorenzo(nx, ny, nz int) {
-	i := 0
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				if c := s.codes[i]; c != 0 {
-					s.recon[i] = lorenzoPredict(s.recon, nx, ny, x, y, z) + float64(int32(c)-quantRadius)*s.twoEB
-				} else {
-					s.recon[i] = s.nextOutlier()
-				}
-				i++
-			}
-		}
-	}
-}
-
 // encode runs the predictor and the quantizer over f, leaving the codes, the
-// raw-stored samples and the decoder's reconstruction in s. The anchor of
-// interpolation mode, f.Data[0], is the caller's to store.
-func (s *scratch) encode(f *field.Field, eb float64, mode Mode) {
+// raw-stored samples and the decoder's reconstruction in s. The anchor,
+// f.Data[0], is the caller's to store.
+func (s *scratch) encode(f *field.Field, eb float64) {
 	s.data, s.outliers = f.Data, s.outliers[:0]
-	s.begin(len(f.Data), mode.anchors(), eb)
-	if mode == ModeLorenzo {
-		s.encodeLorenzo(f.Nx, f.Ny, f.Nz)
-		return
-	}
+	s.begin(len(f.Data), eb)
 	s.recon[0] = float64(f.Data[0])
 	for st := anchorStride(f.Nx, f.Ny, f.Nz); st >= 1; st /= 2 {
 		levelRuns(f.Nx, f.Ny, f.Nz, st, s.encodeRun)
@@ -393,31 +310,27 @@ func (s *scratch) encode(f *field.Field, eb float64, mode Mode) {
 // decode reconstructs s.recon from s.codes (one per predicted point, which
 // the caller has checked) and s.outliers, and reports whether the traversal
 // asked for exactly the outliers there are.
-func (s *scratch) decode(nx, ny, nz int, mode Mode, anchor float32) bool {
-	if mode == ModeLorenzo {
-		s.decodeLorenzo(nx, ny, nz)
-	} else {
-		s.recon[0] = float64(anchor)
-		for st := anchorStride(nx, ny, nz); st >= 1; st /= 2 {
-			levelRuns(nx, ny, nz, st, s.decodeRun)
-		}
+func (s *scratch) decode(nx, ny, nz int, anchor float32) bool {
+	s.recon[0] = float64(anchor)
+	for st := anchorStride(nx, ny, nz); st >= 1; st /= 2 {
+		levelRuns(nx, ny, nz, st, s.decodeRun)
 	}
 	return s.oi == len(s.outliers)
 }
 
 // Compress implements compressor.Codec.
-func (c *Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
+func (*Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 	if err := compressor.ValidateArgs(f, eb); err != nil {
 		return nil, err
 	}
 	s := scratchPool.Get()
 	defer scratchPool.Put(s)
-	s.encode(f, eb, c.mode)
+	s.encode(f, eb)
 
-	// Assemble payload: mode byte, anchor count+values, outlier
-	// count+values, Huffman stream; then DEFLATE the lot.
-	p := append(s.payload[:0], byte(c.mode))
-	for _, list := range [2][]float32{f.Data[:c.mode.anchors()], s.outliers} {
+	// Assemble payload: mode byte (always 0, interpolation), anchor
+	// count+value, outlier count+values, Huffman stream; then DEFLATE the lot.
+	p := append(s.payload[:0], 0)
+	for _, list := range [2][]float32{f.Data[:1], s.outliers} {
 		p = binary.LittleEndian.AppendUint32(p, uint32(len(list)))
 		for _, v := range list {
 			p = binary.LittleEndian.AppendUint32(p, math.Float32bits(v))
@@ -444,9 +357,9 @@ func (c *Codec) Decompress(stream []byte) (*field.Field, error) {
 }
 
 // DecompressLimited implements compressor.Codec. The stream must carry
-// exactly what the dims call for — the one anchor (none in Lorenzo
-// mode), a code per predicted point, an outlier per zero code — so no two
-// payloads decode to the same field by way of ignored surplus.
+// mode byte 0 and exactly what the dims call for — the one anchor, a code
+// per predicted point, an outlier per zero code — so no two payloads decode
+// to the same field by way of ignored surplus.
 func (*Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field, error) {
 	lim = lim.Norm()
 	h, rest, err := compressor.ParseHeaderLimited(stream, compressor.MagicSZ3, lim)
@@ -466,22 +379,20 @@ func (*Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field
 	if err != nil {
 		return nil, fmt.Errorf("%w: sz3 missing mode byte: %w", compressor.ErrBadStream, err)
 	}
-	mode := Mode(modeByte)
-	if mode != ModeInterpolation && mode != ModeLorenzo {
-		return nil, fmt.Errorf("%w: sz3 unknown mode %d", compressor.ErrBadStream, mode)
+	if modeByte != 0 {
+		return nil, fmt.Errorf("%w: sz3 unknown mode %d", compressor.ErrBadStream, modeByte)
 	}
-	// The anchor count is fixed by the mode; the outlier count is checked
+	// The anchor count is fixed at one; the outlier count is checked
 	// against the field size and the bytes actually present BEFORE the list
 	// is sized from it, so a hostile count cannot trigger a multi-GiB
 	// allocation.
-	nAnchors := mode.anchors()
 	var anchor, nOut uint32
 	var rawOutliers []byte
 	cnt, err := sr.U32("sz3 anchor count")
-	if err == nil && int64(cnt) != int64(nAnchors) {
-		err = fmt.Errorf("%d anchors, want %d", cnt, nAnchors)
+	if err == nil && cnt != 1 {
+		err = fmt.Errorf("%d anchors, want 1", cnt)
 	}
-	if err == nil && nAnchors == 1 {
+	if err == nil {
 		anchor, err = sr.U32("sz3 anchor")
 	}
 	if err == nil {
@@ -504,11 +415,11 @@ func (*Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field
 	if err != nil {
 		return nil, fmt.Errorf("%w: sz3 huffman: %w", compressor.ErrBadStream, err)
 	}
-	if len(s.codes) != n-nAnchors {
-		return nil, fmt.Errorf("%w: sz3 %d codes for %d predicted points", compressor.ErrBadStream, len(s.codes), n-nAnchors)
+	if len(s.codes) != n-1 {
+		return nil, fmt.Errorf("%w: sz3 %d codes for %d predicted points", compressor.ErrBadStream, len(s.codes), n-1)
 	}
-	s.begin(n, nAnchors, h.EB) // the codes are n-nAnchors long already and stay
-	if !s.decode(h.Nx, h.Ny, h.Nz, mode, math.Float32frombits(anchor)) {
+	s.begin(n, h.EB) // the codes are n-1 long already and stay
+	if !s.decode(h.Nx, h.Ny, h.Nz, math.Float32frombits(anchor)) {
 		return nil, fmt.Errorf("%w: sz3 %d outliers stored, %d coded", compressor.ErrBadStream, len(s.outliers), s.oi)
 	}
 	f := field.New("sz3", h.Nx, h.Ny, h.Nz)

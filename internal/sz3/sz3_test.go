@@ -83,7 +83,7 @@ func TestTraversalCoversAllNonAnchors(t *testing.T) {
 				}
 			}
 		}
-		if len(got) != nx*ny*nz-ModeInterpolation.anchors() {
+		if len(got) != nx*ny*nz-1 {
 			t.Fatalf("dims %v: %d predicted points, want all but the origin", dims, len(got))
 		}
 	}
@@ -254,68 +254,6 @@ func TestLastLevelCodesCentered(t *testing.T) {
 	}
 	if float64(center) < 0.8*float64(len(codes)) {
 		t.Fatalf("only %d/%d codes near center", center, len(codes))
-	}
-}
-
-func TestLorenzoModeRoundTripBound(t *testing.T) {
-	c := NewMode(ModeLorenzo)
-	for _, dims := range [][3]int{{100, 1, 1}, {32, 24, 1}, {18, 16, 12}} {
-		f := smoothField(dims[0], dims[1], dims[2], 21)
-		for _, rel := range []float64{1e-1, 1e-2, 1e-3} {
-			eb := compressor.AbsBound(f, rel)
-			stream, err := c.Compress(f, eb)
-			if err != nil {
-				t.Fatalf("dims %v rel %g: %v", dims, rel, err)
-			}
-			g, err := c.Decompress(stream)
-			if err != nil {
-				t.Fatalf("dims %v rel %g: %v", dims, rel, err)
-			}
-			if err := compressor.CheckBound(f, g, eb); err != nil {
-				t.Fatalf("dims %v rel %g: %v", dims, rel, err)
-			}
-		}
-	}
-}
-
-func TestLorenzoStreamsDecodeWithDefaultCodec(t *testing.T) {
-	// Streams are self-describing: the interpolation-mode codec must decode
-	// Lorenzo-mode streams.
-	f := smoothField(24, 24, 8, 22)
-	eb := compressor.AbsBound(f, 1e-2)
-	stream, err := NewMode(ModeLorenzo).Compress(f, eb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := New().Decompress(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := compressor.CheckBound(f, g, eb); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestModeRatioComparison(t *testing.T) {
-	// Both predictors must compress smooth data well; interpolation should
-	// match or beat Lorenzo at loose bounds on smooth fields (the reason
-	// SZ3 made it the default).
-	f := smoothField(48, 48, 16, 23)
-	eb := compressor.AbsBound(f, 1e-2)
-	si, err := New().Compress(f, eb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sl, err := NewMode(ModeLorenzo).Compress(f, eb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ri, rl := compressor.Ratio(f, si), compressor.Ratio(f, sl)
-	if rl < 5 {
-		t.Fatalf("Lorenzo ratio only %g", rl)
-	}
-	if ri < rl*0.7 {
-		t.Fatalf("interpolation (%g) far behind Lorenzo (%g)", ri, rl)
 	}
 }
 

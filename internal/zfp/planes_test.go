@@ -13,25 +13,23 @@ import (
 
 // planeCase is one decoded FuzzPlanes input.
 type planeCase struct {
-	size   int   // 4, 16 or 64 coefficients
-	kmin   int   // 0..31
-	budget int64 // -1 or 0..300
-	skew   uint  // bits both sides read/write first, so windows are unaligned
-	decode bool  // rest is stream bits (true) or coefficients (false)
+	size   int  // 4, 16 or 64 coefficients
+	kmin   int  // 0..31
+	skew   uint // bits both sides read/write first, so windows are unaligned
+	decode bool // rest is stream bits (true) or coefficients (false)
 	rest   []byte
 }
 
 func parsePlaneCase(data []byte) (planeCase, bool) {
-	if len(data) < 6 {
+	if len(data) < 4 {
 		return planeCase{}, false
 	}
 	return planeCase{
 		size:   []int{4, 16, 64}[data[0]%3],
 		kmin:   int(data[1] % 32),
-		budget: int64(binary.BigEndian.Uint16(data[2:4])%302) - 1,
-		skew:   uint(data[4] % 64),
-		decode: data[5]&1 == 1,
-		rest:   data[6:],
+		skew:   uint(data[2] % 64),
+		decode: data[3]&1 == 1,
+		rest:   data[4:],
 	}, true
 }
 
@@ -59,11 +57,11 @@ func checkPlaneCase(t *testing.T, c planeCase) {
 	got, want := bitstream.NewWriter(64), bitstream.NewWriter(64)
 	got.WriteBits(0x2AAAAAAAAAAAAAAA, c.skew)
 	want.WriteBits(0x2AAAAAAAAAAAAAAA, c.skew)
-	gn := encodePlanes(got, u, c.kmin, c.budget)
-	wn := refEncodePlanes(want, u, c.kmin, c.budget)
-	if gn != wn || got.BitLen() != want.BitLen() || !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("encode size=%d kmin=%d budget=%d skew=%d: %d bits (returned %d), oracle %d (returned %d)\n got %x\nwant %x",
-			c.size, c.kmin, c.budget, c.skew, got.BitLen(), gn, want.BitLen(), wn, got.Bytes(), want.Bytes())
+	encodePlanes(got, u, c.kmin)
+	wn := refEncodePlanes(want, u, c.kmin)
+	if got.BitLen() != want.BitLen() || want.BitLen() != uint64(c.skew)+uint64(wn) || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("encode size=%d kmin=%d skew=%d: %d bits, oracle %d (returned %d)\n got %x\nwant %x",
+			c.size, c.kmin, c.skew, got.BitLen(), want.BitLen(), wn, got.Bytes(), want.Bytes())
 	}
 	// And the stream just written decodes alike, whole and truncated.
 	stream, bits := got.Bytes(), got.BitLen()
@@ -84,16 +82,16 @@ func checkDecodeAgainstRef(t *testing.T, c planeCase, stream []byte, bits uint64
 		t.Fatalf("oracle reader refused the skew its twin read: %v", err)
 	}
 	gu, wu := make([]uint32, c.size), make([]uint32, c.size)
-	gn := decodePlanes(gr, gu, c.kmin, c.budget)
-	wn := refDecodePlanes(wr, wu, c.kmin, c.budget)
-	if gn != wn || gr.Consumed() != wr.Consumed() {
-		t.Fatalf("decode size=%d kmin=%d budget=%d skew=%d bits=%d: consumed %d (returned %d), oracle %d (returned %d)",
-			c.size, c.kmin, c.budget, c.skew, bits, gr.Consumed(), gn, wr.Consumed(), wn)
+	decodePlanes(gr, gu, c.kmin)
+	wn := refDecodePlanes(wr, wu, c.kmin)
+	if gr.Consumed() != wr.Consumed() || wr.Consumed() != uint64(c.skew)+uint64(wn) {
+		t.Fatalf("decode size=%d kmin=%d skew=%d bits=%d: consumed %d, oracle %d (returned %d)",
+			c.size, c.kmin, c.skew, bits, gr.Consumed(), wr.Consumed(), wn)
 	}
 	for i := range gu {
 		if gu[i] != wu[i] {
-			t.Fatalf("decode size=%d kmin=%d budget=%d skew=%d bits=%d: u[%d] = %#x, oracle %#x",
-				c.size, c.kmin, c.budget, c.skew, bits, i, gu[i], wu[i])
+			t.Fatalf("decode size=%d kmin=%d skew=%d bits=%d: u[%d] = %#x, oracle %#x",
+				c.size, c.kmin, c.skew, bits, i, gu[i], wu[i])
 		}
 	}
 }
@@ -101,10 +99,10 @@ func checkDecodeAgainstRef(t *testing.T, c planeCase, stream []byte, bits uint64
 func planeSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(19))
 	var out [][]byte
-	add := func(size, kmin byte, budget int, skew byte, decode bool, rest []byte) {
-		s := []byte{size, kmin, byte((budget + 1) >> 8), byte(budget + 1), skew, 0}
+	add := func(size, kmin, skew byte, decode bool, rest []byte) {
+		s := []byte{size, kmin, skew, 0}
 		if decode {
-			s[5] = 1
+			s[3] = 1
 		}
 		out = append(out, append(s, rest...))
 	}
@@ -117,33 +115,33 @@ func planeSeeds() [][]byte {
 	}
 	decaying := func(i int) uint32 { return uint32(rng.Uint64()) >> uint(rng.Intn(28)) >> uint(i/4) }
 	for size := byte(0); size < 3; size++ {
-		for _, budget := range []int{-1, 0, 1, 17, 100, 300} {
-			add(size, byte(rng.Intn(12)), budget, byte(rng.Intn(64)), false, coeffs(64, decaying))
+		for range 6 {
+			add(size, byte(rng.Intn(12)), byte(rng.Intn(64)), false, coeffs(64, decaying))
 		}
 	}
 	// Only the last coefficient set: the longest run, its final 1 implied.
-	add(2, 0, -1, 0, false, coeffs(64, func(i int) uint32 {
+	add(2, 0, 0, false, coeffs(64, func(i int) uint32 {
 		if i == 63 {
 			return 1 << 31
 		}
 		return 0
 	}))
-	add(2, 0, -1, 5, false, coeffs(64, func(i int) uint32 { return ^uint32(0) }))
-	add(2, 31, 40, 63, false, coeffs(64, func(i int) uint32 { return 1 << 31 }))
+	add(2, 0, 5, false, coeffs(64, func(i int) uint32 { return ^uint32(0) }))
+	add(2, 31, 63, false, coeffs(64, func(i int) uint32 { return 1 << 31 }))
 	// Arbitrary bits, and all-ones / all-zeros streams.
 	noise := make([]byte, 96)
 	// math/rand's Read always returns len(p), nil.
 	_, _ = rng.Read(noise)
-	add(2, 3, -1, 11, true, noise)
-	add(1, 0, 200, 0, true, noise[:40])
-	add(2, 0, -1, 1, true, bytes.Repeat([]byte{0xFF}, 64))
-	add(2, 0, -1, 0, true, append([]byte{0x80}, make([]byte, 40)...))
+	add(2, 3, 11, true, noise)
+	add(1, 0, 0, true, noise[:40])
+	add(2, 0, 1, true, bytes.Repeat([]byte{0xFF}, 64))
+	add(2, 0, 0, true, append([]byte{0x80}, make([]byte, 40)...))
 	return out
 }
 
 // FuzzPlanes is the differential test of the run-coded plane coder against
-// the bit-by-bit one it replaced: random coefficients, cutoff and budget
-// give identical bits; random or mutated bits give identical coefficients
+// the bit-by-bit one it replaced: random coefficients and cutoff give
+// identical bits; random or mutated bits give identical coefficients
 // and leave the reader at the identical position.
 func FuzzPlanes(f *testing.F) {
 	for _, s := range planeSeeds() {
@@ -163,14 +161,14 @@ func TestWriteFuzzCorpus(t *testing.T) {
 }
 
 // TestPlanesMatchReference sweeps the differential over random cases so a
-// plain `go test` covers both modes, all three block sizes and every budget.
+// plain `go test` covers encode and decode, all three block sizes and every
+// cutoff.
 func TestPlanesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2019))
 	for iter := 0; iter < 4000; iter++ {
 		c := planeCase{
 			size:   []int{4, 16, 64}[rng.Intn(3)],
 			kmin:   rng.Intn(32),
-			budget: int64(rng.Intn(302)) - 1,
 			skew:   uint(rng.Intn(64)),
 			decode: rng.Intn(4) == 0,
 		}

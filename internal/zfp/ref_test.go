@@ -9,14 +9,14 @@ import (
 )
 
 // refEncodePlanes and refDecodePlanes are the bit-plane coder this package
-// shipped up to PR 17, verbatim bar the names: one closure call per stream
-// bit, the fixed-rate budget checked at every bit. They are the oracle for
-// FuzzPlanes and the plane tests — slow, and the definition of the format.
+// first shipped, verbatim bar the names and the fixed-rate bit budget, which
+// went with that mode: one closure call per stream bit. They are the oracle
+// for FuzzPlanes and the plane tests — slow, and the definition of the
+// format.
 
 // refEncodePlanes writes the embedded bit-plane code for the (sequency-ordered)
-// negabinary coefficients, from plane 31 down to kmin. budget < 0 means
-// unlimited. Returns bits written.
-func refEncodePlanes(w *bitstream.Writer, u []uint32, kmin int, budget int64) int64 {
+// negabinary coefficients, from plane 31 down to kmin. Returns bits written.
+func refEncodePlanes(w *bitstream.Writer, u []uint32, kmin int) int64 {
 	size := len(u)
 	// Transpose coefficients into per-plane masks, touching each set bit
 	// exactly once.
@@ -29,13 +29,9 @@ func refEncodePlanes(w *bitstream.Writer, u []uint32, kmin int, budget int64) in
 		}
 	}
 	var written int64
-	emit := func(bit uint64) bool {
-		if budget >= 0 && written >= budget {
-			return false
-		}
+	emit := func(bit uint64) {
 		w.WriteBits(bit, 1)
 		written++
-		return true
 	}
 	n := 0
 	for k := 31; k >= kmin; k-- {
@@ -43,35 +39,20 @@ func refEncodePlanes(w *bitstream.Writer, u []uint32, kmin int, budget int64) in
 		// Verbatim bits for the first n coefficients, batched. The stream
 		// order is coefficient 0 first, so reverse the low n bits.
 		if n > 0 {
-			m := n
-			if budget >= 0 && written+int64(m) > budget {
-				m = int(budget - written)
-			}
-			if m > 0 {
-				w.WriteBits(mbits.Reverse64(x)>>uint(64-m), uint(m))
-				written += int64(m)
-			}
-			if m < n {
-				return written
-			}
+			w.WriteBits(mbits.Reverse64(x)>>uint(64-n), uint(n))
+			written += int64(n)
 		}
 		i := n
 		for i < size {
 			rem := x >> uint(i)
 			if rem == 0 {
-				if !emit(0) {
-					return written
-				}
+				emit(0)
 				break
 			}
-			if !emit(1) {
-				return written
-			}
+			emit(1)
 			for i < size-1 {
 				b := (x >> uint(i)) & 1
-				if !emit(b) {
-					return written
-				}
+				emit(b)
 				if b != 0 {
 					break
 				}
@@ -84,16 +65,13 @@ func refEncodePlanes(w *bitstream.Writer, u []uint32, kmin int, budget int64) in
 	return written
 }
 
-// refDecodePlanes mirrors refEncodePlanes. budget < 0 means unlimited; when the
-// budget (or the stream) is exhausted, the partially decoded plane is
-// discarded and remaining planes decode as zero.
-func refDecodePlanes(r *bitstream.Reader, u []uint32, kmin int, budget int64) int64 {
+// refDecodePlanes mirrors refEncodePlanes. When the stream is exhausted, the
+// partially decoded plane is discarded and remaining planes decode as zero.
+// Returns bits consumed.
+func refDecodePlanes(r *bitstream.Reader, u []uint32, kmin int) int64 {
 	size := len(u)
 	var consumed int64
 	grab := func() (uint64, bool) {
-		if budget >= 0 && consumed >= budget {
-			return 0, false
-		}
 		b, err := r.ReadBits(1)
 		if err != nil {
 			return 0, false
@@ -107,9 +85,6 @@ planes:
 		var x uint64
 		if n > 0 {
 			// Batched verbatim bits (reverse of the encoder's order).
-			if budget >= 0 && consumed+int64(n) > budget {
-				break planes
-			}
 			v, err := r.ReadBits(uint(n))
 			if err != nil {
 				break planes

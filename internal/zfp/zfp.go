@@ -9,11 +9,8 @@
 // by total sequency, mapped to negabinary, and entropy-coded with ZFP's
 // embedded group-tested bit-plane code.
 //
-// Two modes are provided:
-//   - fixed accuracy (error-bounded): Compress / Decompress, the mode the
-//     CAROL framework targets;
-//   - fixed rate: CompressFixedRate / DecompressFixedRate, the baseline
-//     "fixed-ratio by construction" mode §2.2 of the paper discusses.
+// It implements ZFP's fixed-accuracy (error-bounded) mode, the one the CAROL
+// framework targets.
 package zfp
 
 import (
@@ -260,89 +257,59 @@ func coefficients(u []uint32, planes *[32]uint64, kmin int) {
 	}
 }
 
-// unlimited stands in for "no budget" so both modes run the same compare.
-const unlimited = math.MaxInt64
-
 // encodePlanes writes the embedded bit-plane code for the (sequency-ordered)
-// negabinary coefficients, from plane 31 down to kmin. budget < 0 means
-// unlimited (fixed accuracy); otherwise the code is cut after exactly budget
-// bits (fixed rate). Returns bits written.
+// negabinary coefficients, from plane 31 down to kmin.
 //
 // Per plane: the bits of the n coefficients already known significant go out
 // verbatim, coefficient 0 first; then group tests — a 1 says "another
 // coefficient becomes significant in this plane" and is followed by the run
 // of zeros up to it and its own 1 (implied, not written, when the run
 // reaches the last coefficient), a 0 ends the plane. A group test and the
-// run behind it are one code word, written by one WriteBits; every code
-// word passes the single clip point below, which is all the fixed-rate mode
-// adds.
-func encodePlanes(w *bitstream.Writer, u []uint32, kmin int, budget int64) int64 {
+// run behind it are one code word, written by one WriteBits.
+func encodePlanes(w *bitstream.Writer, u []uint32, kmin int) {
 	size := uint(len(u))
 	var planes [32]uint64
 	planeMasks(&planes, u, kmin)
-	left := budget
-	if budget < 0 {
-		left = unlimited
-	}
-	start := left
 	n := uint(0)
 	for k := 31; k >= kmin; k-- {
 		x := planes[k]
-		// First code word of the plane: the verbatim bits (none while n == 0).
-		code, width := mbits.Reverse64(x)>>(64-n), n
-		i, open := n, true
-		for {
-			if int64(width) > left {
-				w.WriteBits(code>>(width-uint(left)), uint(left))
-				return start
-			}
-			w.WriteBits(code, width)
-			left -= int64(width)
-			if !open || i >= size {
-				break
-			}
+		w.WriteBits(mbits.Reverse64(x)>>(64-n), n) // the verbatim bits (none while n == 0)
+		i := n
+		for i < size {
 			rest := x >> i
 			if rest == 0 {
-				code, width, open = 0, 1, false
-				continue
+				w.WriteBits(0, 1)
+				break
 			}
 			z := uint(mbits.TrailingZeros64(rest))
 			if i += z; i == size-1 {
-				code, width = 1<<z, z+1
+				w.WriteBits(1<<z, z+1)
 			} else {
-				code, width = 1<<(z+1)|1, z+2
+				w.WriteBits(1<<(z+1)|1, z+2)
 			}
 			i++
 		}
 		n = i
 	}
-	return start - left
 }
 
-// decodePlanes mirrors encodePlanes. budget < 0 means unlimited; when the
-// budget (or the stream) is exhausted, the partially decoded plane is
-// discarded and remaining planes decode as zero. Returns bits consumed.
+// decodePlanes mirrors encodePlanes. When the stream runs out, the partially
+// decoded plane is discarded and the remaining planes decode as zero.
 //
 // The loop works on a local copy of the reader's window — win, of which
-// avail bits are inside both the stream cap and the budget and used bits
-// have been consumed here but not yet skipped in the reader. A code word
-// that lies wholly inside the window is parsed from it: the verbatim bits
-// by one bit reversal, a group test and its run by one LeadingZeros64. One
-// that does not gets a fresh window (used > 0 says the current one is
-// stale), and if even a fresh window cannot hold it — a run of 57 or more,
-// the last bits of the stream, the edge of the budget — that one code word
-// is read from the reader itself, a bit at a time for a group, so a
-// truncated stream consumes exactly the bits the bit-by-bit decoder
-// consumed and fails at the same block.
-func decodePlanes(r *bitstream.Reader, u []uint32, kmin int, budget int64) int64 {
+// avail bits are inside the stream cap and used bits have been consumed here
+// but not yet skipped in the reader. A code word that lies wholly inside the
+// window is parsed from it: the verbatim bits by one bit reversal, a group
+// test and its run by one LeadingZeros64. One that does not gets a fresh
+// window (used > 0 says the current one is stale), and if even a fresh
+// window cannot hold it — a run of 57 or more, the last bits of the stream —
+// that one code word is read from the reader itself, a bit at a time for a
+// group, so a truncated stream consumes exactly the bits the bit-by-bit
+// decoder consumed and fails at the same block.
+func decodePlanes(r *bitstream.Reader, u []uint32, kmin int) {
 	size := uint(len(u))
-	left := budget
-	if budget < 0 {
-		left = unlimited
-	}
-	start := left
 	var planes [32]uint64
-	win, avail := peekWithin(r, left)
+	win, avail := r.Peek()
 	used, n := uint(0), uint(0)
 scan:
 	for k := 31; k >= kmin; k-- {
@@ -350,7 +317,7 @@ scan:
 		if n > 0 {
 			if n > avail && used > 0 {
 				r.Skip(used)
-				win, avail = peekWithin(r, left)
+				win, avail = r.Peek()
 				used = 0
 			}
 			if n <= avail {
@@ -358,20 +325,13 @@ scan:
 				win <<= n
 				avail -= n
 				used += n
-				left -= int64(n)
 			} else {
-				// A budget that cannot cover the verbatim bits ends the
-				// block without consuming any of them.
-				if int64(n) > left {
-					break scan
-				}
 				v, err := r.ReadBits(n)
 				if err != nil {
 					break scan
 				}
-				left -= int64(n)
 				x = mbits.Reverse64(v << (64 - n))
-				win, avail = peekWithin(r, left)
+				win, avail = r.Peek()
 			}
 		}
 		i := n
@@ -380,7 +340,6 @@ scan:
 				win <<= 1
 				avail--
 				used++
-				left--
 				break
 			}
 			// Zeros behind the group test. The window is zero below the
@@ -394,7 +353,6 @@ scan:
 				win <<= need
 				avail -= need
 				used += need
-				left -= int64(need)
 				i += z
 				x |= 1 << i
 				i++
@@ -402,16 +360,16 @@ scan:
 			}
 			if used > 0 {
 				r.Skip(used)
-				win, avail = peekWithin(r, left)
+				win, avail = r.Peek()
 				used = 0
 				continue
 			}
 			var more, ok bool
-			i, more, ok = groupSlow(r, i, size, &left)
+			i, more, ok = groupSlow(r, i, size)
 			if !ok {
 				break scan
 			}
-			win, avail = peekWithin(r, left)
+			win, avail = r.Peek()
 			if !more {
 				break
 			}
@@ -422,42 +380,20 @@ scan:
 	}
 	r.Skip(used)
 	coefficients(u, &planes, kmin)
-	return start - left
 }
 
-// peekWithin is Peek with avail clipped to the bits the budget still allows.
-func peekWithin(r *bitstream.Reader, left int64) (win uint64, avail uint) {
-	win, avail = r.Peek()
-	if int64(avail) > left {
-		avail = uint(left)
-	}
-	return win, avail
-}
-
-// groupSlow decodes one group test and the run behind it a bit at a time,
-// charging every bit to *left. It returns the position after the newly
-// significant coefficient and more = true, or i unchanged and more = false
-// when the group test reads 0; ok = false when the budget or the stream ran
-// out first.
-func groupSlow(r *bitstream.Reader, i, size uint, left *int64) (next uint, more, ok bool) {
-	grab := func() (uint, bool) {
-		if *left <= 0 {
-			return 0, false
-		}
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, false
-		}
-		*left--
-		return b, true
-	}
-	test, ok := grab()
-	if !ok || test == 0 {
-		return i, false, ok
+// groupSlow decodes one group test and the run behind it a bit at a time.
+// It returns the position after the newly significant coefficient and more
+// = true, or i unchanged and more = false when the group test reads 0; ok =
+// false when the stream ran out first.
+func groupSlow(r *bitstream.Reader, i, size uint) (next uint, more, ok bool) {
+	test, err := r.ReadBit()
+	if err != nil || test == 0 {
+		return i, false, err == nil
 	}
 	for ; i < size-1; i++ {
-		b, ok := grab()
-		if !ok {
+		b, err := r.ReadBit()
+		if err != nil {
 			return i, false, false
 		}
 		if b != 0 {
@@ -578,8 +514,7 @@ func nbToSamples(u []uint32, sh blockShape, emax int, blk []float64) {
 	}
 }
 
-// encodeBlock writes one block, whose largest magnitude is maxAbs, in
-// fixed-accuracy mode.
+// encodeBlock writes one block, whose largest magnitude is maxAbs.
 //
 // Layout: 1 zero-block bit; if nonzero: 1 raw bit; raw blocks carry 32 bits
 // per sample; coded blocks carry a 16-bit biased exponent, a 6-bit plane
@@ -612,7 +547,7 @@ func encodeBlock(w *bitstream.Writer, blk []float64, maxAbs float64, sh blockSha
 		var uBuf [64]uint32
 		u := uBuf[:sh.size]
 		transformToNB(blk, sh, emax, u)
-		encodePlanes(w, u, kmin, -1)
+		encodePlanes(w, u, kmin)
 	}
 }
 
@@ -665,12 +600,12 @@ func decodeBlock(r *bitstream.Reader, blk []float64, sh blockShape) error {
 	}
 	var uBuf [64]uint32
 	u := uBuf[:sh.size]
-	decodePlanes(r, u, kmin, -1)
+	decodePlanes(r, u, kmin)
 	nbToSamples(u, sh, emax, blk)
 	return nil
 }
 
-// Compress implements compressor.Codec (fixed-accuracy mode).
+// Compress implements compressor.Codec.
 func (*Codec) Compress(f *field.Field, eb float64) ([]byte, error) {
 	if err := compressor.ValidateArgs(f, eb); err != nil {
 		return nil, err
@@ -734,113 +669,6 @@ func (*Codec) DecompressLimited(stream []byte, lim safedec.Limits) (*field.Field
 	return f, nil
 }
 
-// CompressFixedRate encodes f at a fixed rate of `rate` bits per sample
-// (the GPU-ZFP mode of §2.2). The achieved compression ratio is exactly
-// 32/rate regardless of content; reconstruction error is NOT bounded.
-func CompressFixedRate(f *field.Field, rate float64) ([]byte, error) {
-	if err := compressor.ValidateArgs(f, 1); err != nil {
-		return nil, err
-	}
-	sh := shapes[f.Dims()]
-	budget := int64(rate * float64(sh.size))
-	minBits := int64(16 + 1) // exponent + zero flag
-	if budget < minBits {
-		budget = minBits
-	}
-	w := bitstream.NewWriter(f.SizeBytes() / 4)
-	blk := make([]float64, sh.size)
-	u := make([]uint32, sh.size)
-	for bz := 0; bz < f.Nz; bz += sh.sz {
-		for by := 0; by < f.Ny; by += sh.sy {
-			for bx := 0; bx < f.Nx; bx += sh.sx {
-				emax, ok := blockEmax(gatherBlock(f, sh, bx, by, bz, blk))
-				start := int64(w.BitLen())
-				if !ok {
-					w.WriteBit(1)
-				} else {
-					w.WriteBit(0)
-					w.WriteBits(uint64(emax+1024), 16)
-					for i := range u {
-						u[i] = 0
-					}
-					transformToNB(blk, sh, emax, u)
-					used := int64(w.BitLen()) - start
-					encodePlanes(w, u, 0, budget-used)
-				}
-				// Pad the block to exactly `budget` bits.
-				for pad := budget - (int64(w.BitLen()) - start); pad > 0; pad -= 64 {
-					w.WriteBits(0, uint(min(pad, 64)))
-				}
-			}
-		}
-	}
-	// The rate (bits per sample) travels in the EB header slot.
-	return compressor.SealBits(compressor.Header{
-		Magic: compressor.MagicZFP, Nx: f.Nx, Ny: f.Ny, Nz: f.Nz, EB: rate,
-	}, w), nil
-}
-
-// DecompressFixedRate reverses CompressFixedRate under default limits.
-func DecompressFixedRate(stream []byte) (*field.Field, error) {
-	return DecompressFixedRateLimited(stream, safedec.Default())
-}
-
-// DecompressFixedRateLimited reverses CompressFixedRate, enforcing lim. The
-// rate travels in the EB header slot; a hostile stream can claim any float64
-// there, so it is validated against the 64 bits/sample ceiling before the
-// per-block bit budget is derived from it.
-func DecompressFixedRateLimited(stream []byte, lim safedec.Limits) (*field.Field, error) {
-	h, r, err := openStream(stream, compressor.MagicZFP, lim)
-	if err != nil {
-		return nil, err
-	}
-	if !(h.EB > 0) || h.EB > 64 {
-		return nil, fmt.Errorf("%w: zfp-fr rate %g out of range (0, 64]", compressor.ErrBadStream, h.EB)
-	}
-	f := field.New("zfp-fr", h.Nx, h.Ny, h.Nz)
-	sh := shapes[f.Dims()]
-	budget := int64(h.EB * float64(sh.size))
-	minBits := int64(16 + 1)
-	if budget < minBits {
-		budget = minBits
-	}
-	blk := make([]float64, sh.size)
-	u := make([]uint32, sh.size)
-	for bz := 0; bz < f.Nz; bz += sh.sz {
-		for by := 0; by < f.Ny; by += sh.sy {
-			for bx := 0; bx < f.Nx; bx += sh.sx {
-				start := int64(r.Consumed())
-				zero, err := r.ReadBit()
-				if err != nil {
-					return nil, fmt.Errorf("%w: zfp-fr flag: %w", compressor.ErrBadStream, err)
-				}
-				if zero == 1 {
-					clear(blk)
-				} else {
-					e64, err := r.ReadBits(16)
-					if err != nil {
-						return nil, fmt.Errorf("%w: zfp-fr exponent: %w", compressor.ErrBadStream, err)
-					}
-					for i := range u {
-						u[i] = 0
-					}
-					used := int64(r.Consumed()) - start
-					decodePlanes(r, u, 0, budget-used)
-					nbToSamples(u, sh, int(e64)-1024, blk)
-				}
-				// Skip padding.
-				for pad := budget - (int64(r.Consumed()) - start); pad > 0; pad -= 64 {
-					if _, err := r.ReadBits(uint(min(pad, 64))); err != nil {
-						return nil, fmt.Errorf("%w: zfp-fr padding: %w", compressor.ErrBadStream, err)
-					}
-				}
-				scatterBlock(f, sh, bx, by, bz, blk)
-			}
-		}
-	}
-	return f, nil
-}
-
 // sampleSteps returns the per-axis strides, in samples, between the blocks
 // that one-of-every sampling keeps: `every` blocks along each non-trivial
 // dimension.
@@ -888,6 +716,3 @@ func EstimateSampledBits(f *field.Field, eb float64, every int) (bits uint64, sa
 	}
 	return w.BitLen(), sampled, total
 }
-
-// HeaderOverheadBytes is the fixed stream overhead (header + bit length).
-const HeaderOverheadBytes = 25 + 8

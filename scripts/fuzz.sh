@@ -4,42 +4,29 @@
 # checked-in seed corpus; any crasher fails the script and leaves the
 # reproducer under the package's testdata/fuzz/ directory for triage.
 #
+# The targets are discovered, not listed: `go test -list '^Fuzz'` in every
+# package of the module, so a new target joins the sweep without an edit
+# here. No target is excluded.
+#
 # Usage: scripts/fuzz.sh [fuzztime]
 set -eu
 
 FUZZTIME="${1:-20s}"
 
-run() {
-	pkg="$1"
-	target="$2"
-	echo "==> go test -fuzz=^${target}\$ -fuzztime=${FUZZTIME} ${pkg}"
-	go test -fuzz="^${target}\$" -fuzztime="${FUZZTIME}" "${pkg}"
-}
-
-run ./internal/codecs FuzzDecompressSZx
-run ./internal/codecs FuzzDecompressZFP
-run ./internal/codecs FuzzDecompressSZ3
-run ./internal/codecs FuzzDecompressSPERR
-run ./internal/codecs FuzzDecompressSZP
-run ./internal/codecs FuzzCompressRoundTrip
-run ./internal/bitstream FuzzReaderOps
-run ./internal/zfp FuzzPlanes
-run ./internal/huffman FuzzHuffmanTable
-run ./internal/sperr FuzzSPECKMatchesReference
-run ./internal/wavelet FuzzGridMatchesReference
-run ./internal/sz3 FuzzInterpMatchesReference
-run ./internal/field FuzzMinMaxMatchesReference
-run ./internal/field FuzzScanMatchesReference
-run ./internal/field FuzzReadRawMatchesReference
-run ./internal/rf FuzzSplitSearchMatchesReference
-run ./internal/xrand FuzzFBmMatchesReference
-run ./internal/xrand FuzzFBmRowMatchesReference
-run ./internal/archive FuzzArchiveRead
-# The one slab-container frame parser, over CPL1 and the legacy CCH1: its
-# checked-in corpus holds internal/chunked's CCH1 seeds and one CCH1
-# container per codec.
-run ./internal/pipeline FuzzFrames
-run ./internal/model FuzzModelRead
-run ./internal/selector FuzzAutoSelect
-
-echo "fuzz sweep clean"
+n=0
+for pkg in $(go list ./...); do
+	list=$(go test -list '^Fuzz' "$pkg") || {
+		echo "fuzz.sh: cannot list the fuzz targets of $pkg" >&2
+		exit 1
+	}
+	for target in $(printf '%s\n' "$list" | grep '^Fuzz' || true); do
+		echo "==> go test -fuzz=^${target}\$ -fuzztime=${FUZZTIME} ${pkg}"
+		go test -fuzz="^${target}\$" -fuzztime="${FUZZTIME}" "${pkg}"
+		n=$((n + 1))
+	done
+done
+if [ "$n" -eq 0 ]; then
+	echo "fuzz.sh: found no fuzz targets" >&2
+	exit 1
+fi
+echo "fuzz sweep clean: $n targets"

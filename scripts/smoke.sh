@@ -247,7 +247,7 @@ echo "== GET /metrics"
 curl -fsS "http://$addr/metrics" >"$workdir/metrics.txt"
 for metric in http_requests_total http_request_seconds_bucket codec_compress_seconds \
     model_loaded_version model_load_total model_predict_seconds model_forest_trees \
-    carol_model_version 'fraz_search_runs_bucket{resolver="model"' fraz_ratio_miss_bucket \
+    'fraz_search_runs_bucket{resolver="model"' fraz_ratio_miss_bucket \
     fraz_surrogate_evals_bucket fraz_surrogate_dropped_total fraz_surrogate_jump_skips_total \
     fraz_surrogate_refine_runs_total; do
     grep -q "$metric" "$workdir/metrics.txt" || {
